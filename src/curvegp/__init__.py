@@ -24,4 +24,30 @@ from .applications import (LandmarkConfig, LandmarkResult, fit_subpopulations,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # submodules loaded by the imports above
+    "applications", "coreg", "curves", "errors", "kernels", "metrics",
+    "model", "preprocess",
+    # curves
+    "Curve", "arc_to_xy_param", "generate_synthetic", "polygon_length",
+    "resample_equally_spaced", "xy_to_arc_param",
+    # kernels
+    "NoiseSpec", "PeriodicHyperparameters", "gram", "periodic_eval",
+    "theorem1_bounds", "validate_constraints",
+    # coreg
+    "CoregMatrix", "MultiLevelKernel", "build_coreg", "multilevel_eval",
+    "multilevel_gram",
+    # model
+    "FittedModel", "ModelConfig", "OptimizerConfig", "PredictedCurve",
+    "TrainingDesign", "assemble_model", "fit", "log_marginal_likelihood",
+    "predict", "predict_curve",
+    # preprocess
+    "AlignmentResult", "Srvf", "apply_alignment", "center",
+    "preprocess_collection", "rotation_seed_align", "scale_to_unit_length",
+    "srvf",
+    # metrics
+    "Registration", "elastic_register", "esd", "imspe", "iuea", "wasserstein2",
+    # applications
+    "LandmarkConfig", "LandmarkResult", "fit_subpopulations", "pointwise_mean",
+    "reconstruct", "sequential_landmark", "simultaneous_landmarks",
+]

@@ -156,9 +156,17 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _model_from_fit(curve_paths, fit_path, labels=None):
+def _model_from_fit(curve_paths, fit_path):
+    """Rebuild the fitted model; per-curve group labels come from the fit
+    file (files without them are fitted without groups)."""
     curves = _load_curves(curve_paths)
-    kernel, noise = kernel_from_dict(load_json(fit_path))
+    data = load_json(fit_path)
+    kernel, noise = kernel_from_dict(data)
+    labels = data.get("curve_labels")
+    if labels is not None and len(labels) != len(curves):
+        raise ValidationError(
+            f"{fit_path} holds group labels for {len(labels)} curves, "
+            f"but {len(curves)} inputs were given")
     design = TrainingDesign.from_curves(curves, labels)
     return model_mod.assemble_model(design, kernel, noise)
 

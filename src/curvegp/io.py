@@ -105,8 +105,9 @@ LEVEL_TAGS = {"coord": "D", "curve": "C", "group": "G"}
 
 def fit_result_to_dict(model) -> dict:
     """JSON-ready summary of a fitted model (hyperparameters, coreg levels
-    with D/C/G tags, noise, likelihood, diagnostics)."""
-    hyp = model.kernel.input_kernel
+    with D/C/G tags, noise, likelihood, diagnostics, and the group label of
+    each curve so that the design can be rebuilt)."""
+    hyp, design = model.kernel.input_kernel, model.design
     coreg = {}
     for name, tag in LEVEL_TAGS.items():
         level = getattr(model.kernel, name)
@@ -123,7 +124,9 @@ def fit_result_to_dict(model) -> dict:
         "log_marginal_likelihood": model.log_marginal_likelihood,
         "restart_scores": diag.get("restart_scores", []),
         "constraint_report": diag.get("constraint_report", {}),
-        "group_labels": [str(label) for label in model.design.group_labels],
+        "group_labels": [str(label) for label in design.group_labels],
+        "curve_labels": [str(design.group_labels[design.group_of_curve(c)])
+                         for c in range(design.n_curves)],
     }
 
 

@@ -58,18 +58,36 @@ class NoiseSpec:
             raise ValidationError("noise variance and jitter must be nonnegative")
 
 
+def warped_distance(family: str, r, tau: float):
+    """The period-tau warp of distance r that each family's correlation is a
+    function of: sin^2(pi*r/tau) for the RBF family, the chordal distance
+    2*|sin(pi*r/tau)| for the Matern families."""
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown kernel family {family!r}")
+    u = np.sin(np.pi * np.asarray(r, dtype=float) / tau)
+    return u ** 2 if family == "periodic_rbf" else 2.0 * np.abs(u)
+
+
+def warped_correlation(family: str, w, rho: float, with_dlogrho: bool = False):
+    """Kernel value for sigma2 = 1 at warped distance ``w``; with
+    ``with_dlogrho`` also its derivative in log rho, as (corr, dcorr)."""
+    if family == "periodic_rbf":
+        corr = np.exp(-w / rho)
+        return (corr, corr * w / rho) if with_dlogrho else corr
+    if family == "periodic_matern32":
+        a = np.sqrt(3.0) * w / rho
+        e = np.exp(-a)
+        return ((1.0 + a) * e, a ** 2 * e) if with_dlogrho else (1.0 + a) * e
+    if family == "periodic_matern12":
+        a = w / rho
+        e = np.exp(-a)
+        return (e, a * e) if with_dlogrho else e
+    raise ValidationError(f"unknown kernel family {family!r}")
+
+
 def unit_correlation(family: str, r, rho: float, tau: float):
     """Kernel value at distance r for sigma2 = 1."""
-    r = np.asarray(r, dtype=float)
-    if family == "periodic_rbf":
-        return np.exp(-np.sin(np.pi * r / tau) ** 2 / rho)
-    d = 2.0 * np.abs(np.sin(np.pi * r / tau))
-    if family == "periodic_matern32":
-        a = np.sqrt(3.0) * d / rho
-        return (1.0 + a) * np.exp(-a)
-    if family == "periodic_matern12":
-        return np.exp(-d / rho)
-    raise ValidationError(f"unknown kernel family {family!r}")
+    return warped_correlation(family, warped_distance(family, r, tau), rho)
 
 
 def periodic_eval(hyp: PeriodicHyperparameters, s_i, s_j):
@@ -138,7 +156,8 @@ def validate_constraints(hyp: PeriodicHyperparameters, noise: NoiseSpec,
         violations.append(
             f"length scale rho={hyp.rho:g} exceeds tau/2={hyp.tau / 2:g}")
     lo, hi = noise.noise_box
-    if not (lo <= noise.noise_variance <= hi):
+    # the fit optimizes log noise, and exp(log hi) can exceed hi by an ulp
+    if not (lo * (1 - 1e-12) <= noise.noise_variance <= hi * (1 + 1e-12)):
         violations.append(
             f"noise variance {noise.noise_variance:g} outside box ({lo:g}, {hi:g})")
     report = ConstraintReport(tuple(violations))

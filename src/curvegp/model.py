@@ -1,21 +1,36 @@
 """Exact GP regression for closed curves: design assembly, marginal
 likelihood with analytic gradients, constrained multi-start fitting, and
-prediction with full per-point covariance."""
+prediction with full per-point covariance.
+
+The gradient of -log p(y) is -tr(A dK)/2 with A = alpha alpha^T - K^-1
+(Rasmussen & Williams 2006, 5.4.1), and it is contracted by level rather
+than formed per parameter. K is the input kernel (plus jitter) times one
+factor S B S^T per coregionalization level, with S the one-hot rows of the
+level's values and B = W W^T + diag(kappa). With P the Gram without that
+level's factor, M = S^T (A o P) S sums A o P over each block of level
+values, and the W and log kappa gradients are -M W and -diag(M) kappa / 2.
+log sigma2 and log rho take one inner product of A with a dense matrix
+each, and log noise takes -noise tr(A) / 2. K^-1 comes from the Cholesky
+factor (LAPACK dpotri). One routine factors K and evaluates -log p for the
+objective, `log_marginal_likelihood` and `assemble_model`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.optimize import minimize
 
-from .coreg import CoregMatrix, MultiLevelKernel
+from .coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from .curves import Curve
 from .errors import NumericalError, ValidationError
 from .kernels import (DEFAULT_JITTER, DEFAULT_NOISE_BOX, NoiseSpec,
-                      PeriodicHyperparameters, unit_correlation,
-                      validate_constraints)
+                      PeriodicHyperparameters, validate_constraints,
+                      warped_correlation, warped_distance)
 from . import curves as _curves
 
 NUGGET_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
@@ -155,14 +170,14 @@ class PredictedCurve:
 
 
 def _chol_with_ladder(K: np.ndarray):
-    """Cholesky with escalating diagonal nugget; returns (L, nugget used)."""
+    """Cholesky with escalating diagonal nugget; returns (L, nugget used).
+    A K with non-finite entries raises ValueError."""
+    K = np.asarray_chkfinite(K)
     for nugget in NUGGET_LADDER:
-        try:
-            M = K if nugget == 0.0 else K + nugget * np.eye(len(K))
-            c, low = cho_factor(M, lower=True)
-            return np.tril(c), nugget
-        except np.linalg.LinAlgError:
-            continue
+        M = K if nugget == 0.0 else K + nugget * np.eye(len(K))
+        L, info = dpotrf(M, lower=1, clean=1)
+        if info == 0:
+            return L, nugget
     raise NumericalError(
         f"covariance factorization failed after nugget ladder {NUGGET_LADDER}")
 
@@ -177,8 +192,12 @@ class MarginalLikelihoodObjective:
         self.config = config
         self.tau = (float(np.mean(design.lengths)) if config.tau == "auto"
                     else float(config.tau))
-        self.r = np.abs(design.s[:, None] - design.s[None, :])
-        self.eye = np.eye(design.n_rows)
+        # tau is fixed, so the warped distances are computed once
+        self.warp = warped_distance(config.family,
+                                    np.abs(design.s[:, None] - design.s[None, :]),
+                                    self.tau)
+        self.diag = np.diag_indices(design.n_rows)
+        self.constant_jitter = config.jitter_mode == "constant"
         # level bookkeeping: (name, index array, size, rank, free)
         self.levels = [("coord", design.d, 2, config.coord_rank, config.fit_coord)]
         if design.n_curves > 1:
@@ -203,6 +222,9 @@ class MarginalLikelihoodObjective:
             self.bounds += [tuple(np.log(config.kappa_box))] * size
             pos += size * rank + size
         self.n_params = pos
+        self.onehot = {name: (idx[:, None] == np.arange(size)).astype(float)
+                       for name, idx, size, *_ in self.levels}
+        self._buffers = {}
 
     # -- packing -----------------------------------------------------------
 
@@ -258,122 +280,137 @@ class MarginalLikelihoodObjective:
 
     # -- likelihood --------------------------------------------------------
 
-    def _corr_and_dlogrho(self, rho: float):
-        family = self.config.family
-        if family == "periodic_rbf":
-            u = np.sin(np.pi * self.r / self.tau) ** 2
-            corr = np.exp(-u / rho)
-            return corr, corr * u / rho
-        dist = 2.0 * np.abs(np.sin(np.pi * self.r / self.tau))
-        if family == "periodic_matern32":
-            a = np.sqrt(3.0) * dist / rho
-            e = np.exp(-a)
-            return (1.0 + a) * e, a ** 2 * e
-        a = dist / rho
-        e = np.exp(-a)
-        return e, a * e
+    def _coreg(self, theta, name, size):
+        """(W, kappa) of a free level, unpacked from theta."""
+        w_sl, k_sl = self.slices[name]
+        return theta[w_sl].reshape(size, -1), np.exp(theta[k_sl])
+
+    def _buffer(self, key):
+        """An N x N work array kept across calls: a fresh array of this size
+        costs more in page faults than the arithmetic done on it."""
+        if key not in self._buffers:
+            self._buffers[key] = np.empty((self.design.n_rows,) * 2)
+        return self._buffers[key]
 
     def gram_and_grads(self, theta, with_grads: bool = True):
+        """K and the dense N x N matrices its gradient is contracted against:
+        dK/dlog(sigma2), dK/dlog(rho), then one matrix P per free level, the
+        Gram with that level's factor left out (dK/dB[a, b] = P on the rows
+        of level values a and b). K and the P matrices are work arrays of
+        this objective, overwritten by its next call."""
         sigma2, rho, noise_var = np.exp(theta[:3])
-        corr, dcorr = self._corr_and_dlogrho(rho)
-        base = sigma2 * corr
-        if self.config.jitter_mode == "constant":
-            base_j = base + self.config.jitter
+        family = self.config.family
+        if with_grads:
+            base, dcorr = warped_correlation(family, self.warp, rho, True)
         else:
-            base_j = base + self.config.jitter * self.eye
-        factors = {}
-        for name, idx, size, rank, free in self.levels:
+            base = warped_correlation(family, self.warp, rho)
+        base *= sigma2
+        base_j = self._buffer("base_j")
+        if self.constant_jitter:
+            np.add(base, self.config.jitter, out=base_j)
+        else:
+            np.copyto(base_j, base)
+            base_j[self.diag] += self.config.jitter
+        factors = []
+        for i, (name, _, size, _, free) in enumerate(self.levels):
             if free:
-                w_sl, k_sl = self.slices[name]
-                B = (theta[w_sl].reshape(size, rank) @ theta[w_sl].reshape(size, rank).T
-                     + np.diag(np.exp(theta[k_sl])))
+                W, kappa = self._coreg(theta, name, size)
+                B = W @ W.T + np.diag(kappa)
             else:
                 B = np.eye(size)
-            factors[name] = B[idx[:, None], idx[None, :]]
-        Bfull = np.ones_like(base)
-        for name, *_ in self.levels:
-            Bfull = Bfull * factors[name]
-        K = base_j * Bfull + noise_var * self.eye
+            S = self.onehot[name]  # S @ B @ S.T is B[idx_i, idx_j], exactly
+            factors.append(np.matmul(S @ B, S.T, out=self._buffer(("factor", i))))
+        Bfull = _product(factors, self._buffer("Bfull"))
+        K = np.multiply(base_j, Bfull, out=self._buffer("K"))
+        K[self.diag] += noise_var
         if not with_grads:
             return K, None
-        grads = [base * Bfull,                 # d / d log sigma2
-                 sigma2 * dcorr * Bfull,       # d / d log rho
-                 noise_var * self.eye]         # d / d log noise
-        for name, idx, size, rank, free in self.levels:
-            if not free:
-                continue
-            others = np.ones_like(base)
-            for other, *_ in self.levels:
-                if other != name:
-                    others = others * factors[other]
-            pre = base_j * others
-            w_sl, k_sl = self.slices[name]
-            W = theta[w_sl].reshape(size, rank)
-            kappa = np.exp(theta[k_sl])
-            for a in range(size):
-                mask_a = (idx == a)
-                for k in range(rank):
-                    dB = np.zeros((size, size))
-                    dB[a, :] += W[:, k]
-                    dB[:, a] += W[:, k]
-                    grads.append(pre * dB[idx[:, None], idx[None, :]])
-            for a in range(size):
-                dB = np.zeros((size, size))
-                dB[a, a] = kappa[a]
-                grads.append(pre * dB[idx[:, None], idx[None, :]])
+        base *= Bfull
+        dcorr *= sigma2
+        dcorr *= Bfull
+        grads = [base, dcorr]
+        for i, (*_, free) in enumerate(self.levels):
+            if free:
+                others = [F for k, F in enumerate(factors) if k != i]
+                P = self._buffer(("P", i))
+                grads.append(np.multiply(base_j, _product(others, P), out=P)
+                             if others else base_j)
         return K, grads
 
     def value_and_grad(self, theta):
+        """-log p(y) and its gradient, contracted by level (R&W 2006, 5.4.1):
+        with A = alpha alpha^T - K^-1, d(-log p) = -tr(A dK)/2."""
         K, grads = self.gram_and_grads(theta)
-        L, _ = _chol_with_ladder(K)
-        y = self.design.y
-        alpha = cho_solve((L, True), y)
-        nll = (0.5 * float(y @ alpha) + float(np.sum(np.log(np.diag(L))))
-               + 0.5 * len(y) * LOG2PI)
-        Kinv = cho_solve((L, True), self.eye)
-        A = np.outer(alpha, alpha) - Kinv
-        grad = np.array([-0.5 * np.sum(A * dK) for dK in grads])
+        L, _, alpha, nll = _factor_and_nll(K, self.design.y)
+        Kinv, info = dpotri(L, lower=1, overwrite_c=1)
+        if info != 0:
+            raise NumericalError(f"inverse from the Cholesky factor failed (info={info})")
+        A = np.multiply(alpha[:, None], alpha[None, :], out=self._buffer("A"))
+        A -= Kinv
+        A -= Kinv.T  # dpotri fills the lower triangle; the upper one is zero
+        A[self.diag] = alpha * alpha - Kinv[self.diag]
+        grad = np.empty(self.n_params)
+        grad[0] = -0.5 * np.vdot(A, grads[0])
+        grad[1] = -0.5 * np.vdot(A, grads[1])
+        grad[2] = -0.5 * np.exp(theta[2]) * np.trace(A)
+        free = [level for level in self.levels if level[4]]
+        for (name, _, size, _, _), P in zip(free, grads[2:]):
+            S = self.onehot[name]
+            # sum of A * P over each block of level values
+            M = S.T @ np.multiply(A, P, out=self._buffer("AP")) @ S
+            W, kappa = self._coreg(theta, name, size)
+            w_sl, k_sl = self.slices[name]
+            grad[w_sl] = -(M @ W).ravel()
+            grad[k_sl] = -0.5 * np.diag(M) * kappa
         return nll, grad
 
     def value(self, theta):
         K, _ = self.gram_and_grads(theta, with_grads=False)
-        L, _ = _chol_with_ladder(K)
-        y = self.design.y
-        alpha = cho_solve((L, True), y)
-        return (0.5 * float(y @ alpha) + float(np.sum(np.log(np.diag(L))))
-                + 0.5 * len(y) * LOG2PI)
+        return _factor_and_nll(K, self.design.y)[3]
+
+
+def _product(arrays, out):
+    """Elementwise product of the arrays, left to right, written to ``out``
+    (a single array is returned as it is)."""
+    return reduce(lambda x, y: np.multiply(x, y, out=out), arrays)
 
 
 def make_objective(design: TrainingDesign, config: ModelConfig | None = None):
     return MarginalLikelihoodObjective(design, config or ModelConfig())
 
 
+def _factor_and_nll(K: np.ndarray, y: np.ndarray):
+    """Factor K (with the nugget ladder) and return (L, nugget, alpha,
+    -log p(y)) for y ~ N(0, K)."""
+    L, nugget = _chol_with_ladder(K)
+    alpha = cho_solve((L, True), y)
+    nll = (0.5 * float(y @ alpha) + float(np.sum(np.log(np.diag(L))))
+           + 0.5 * len(y) * LOG2PI)
+    return L, nugget, alpha, nll
+
+
+def _design_gram(design: TrainingDesign, kernel: MultiLevelKernel,
+                 noise: NoiseSpec) -> np.ndarray:
+    K = multilevel_gram(kernel, noise, design.s, design.d, design.j, design.g)
+    K[np.diag_indices_from(K)] += noise.noise_variance
+    return K
+
+
 def log_marginal_likelihood(design: TrainingDesign, kernel: MultiLevelKernel,
                             noise: NoiseSpec) -> float:
     """Log marginal likelihood of the design under fixed hyperparameters."""
-    from .coreg import multilevel_gram
-    K = multilevel_gram(kernel, noise, design.s, design.d, design.j, design.g)
-    K = K + noise.noise_variance * np.eye(design.n_rows)
-    L, _ = _chol_with_ladder(K)
-    alpha = cho_solve((L, True), design.y)
-    return -(0.5 * float(design.y @ alpha) + float(np.sum(np.log(np.diag(L))))
-             + 0.5 * design.n_rows * LOG2PI)
+    return -_factor_and_nll(_design_gram(design, kernel, noise), design.y)[3]
 
 
 def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
                    noise: NoiseSpec, diagnostics: dict | None = None) -> FittedModel:
     """Cache the training factorization for a kernel with fixed hyperparameters."""
-    from .coreg import multilevel_gram
-    K = multilevel_gram(kernel, noise, design.s, design.d, design.j, design.g)
-    K = K + noise.noise_variance * np.eye(design.n_rows)
-    L, nugget = _chol_with_ladder(K)
-    alpha = cho_solve((L, True), design.y)
-    lml = -(0.5 * float(design.y @ alpha) + float(np.sum(np.log(np.diag(L))))
-            + 0.5 * design.n_rows * LOG2PI)
+    L, nugget, alpha, nll = _factor_and_nll(_design_gram(design, kernel, noise),
+                                            design.y)
     diag = dict(diagnostics or {})
     diag.setdefault("nugget", nugget)
     return FittedModel(kernel=kernel, noise=noise, design=design, chol=L,
-                       alpha=alpha, log_marginal_likelihood=lml, diagnostics=diag)
+                       alpha=alpha, log_marginal_likelihood=-nll, diagnostics=diag)
 
 
 def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
@@ -430,25 +467,31 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     return assemble_model(design, kernel, noise, diagnostics)
 
 
+def _cross_and_whitened(model: FittedModel, s, d, j, g):
+    """Query-by-training cross-covariance and L^-1 times its transpose."""
+    dz = model.design
+    cross = multilevel_gram(model.kernel, model.noise, s, d, j, g,
+                            s_b=dz.s, d_b=dz.d, j_b=dz.j, g_b=dz.g)
+    return cross, solve_triangular(model.chol, cross.T, lower=True)
+
+
 def predict(model: FittedModel, s, d, j=None, g=None):
     """Predictive mean and full covariance at query rows (s*, d, j, g)."""
-    from .coreg import multilevel_gram
     s = np.atleast_1d(np.asarray(s, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=int))
     j = np.zeros_like(d) if j is None else np.atleast_1d(np.asarray(j, dtype=int))
     g = np.zeros_like(d) if g is None else np.atleast_1d(np.asarray(g, dtype=int))
-    dz = model.design
-    cross = multilevel_gram(model.kernel, model.noise, s, d, j, g,
-                            s_b=dz.s, d_b=dz.d, j_b=dz.j, g_b=dz.g)
+    cross, v = _cross_and_whitened(model, s, d, j, g)
     K_qq = multilevel_gram(model.kernel, model.noise, s, d, j, g)
-    mean = cross @ model.alpha
-    v = solve_triangular(model.chol, cross.T, lower=True)
-    cov = K_qq - v.T @ v
-    return mean, cov
+    return cross @ model.alpha, K_qq - v.T @ v
 
 
 def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> PredictedCurve:
-    """Dense predictive mean curve with per-point 2x2 covariance blocks."""
+    """Dense predictive mean curve with per-point 2x2 covariance blocks.
+
+    Only the diagonal blocks of the posterior covariance are formed; the
+    kernel is stationary, so every grid point shares one 2x2 prior block.
+    """
     if m < 3:
         raise ValidationError("prediction grid needs m >= 3")
     length = float(model.design.lengths[curve_index])
@@ -457,7 +500,9 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
     d = np.tile([0, 1], m)
     j = np.full(2 * m, curve_index, dtype=int)
     g = np.full(2 * m, model.design.group_of_curve(curve_index), dtype=int)
-    mean, cov = predict(model, s, d, j, g)
-    means = mean.reshape(m, 2)
-    covs = np.array([cov[2 * i:2 * i + 2, 2 * i:2 * i + 2] for i in range(m)])
-    return PredictedCurve(grid=grid, means=means, covariances=covs)
+    cross, v = _cross_and_whitened(model, s, d, j, g)
+    prior = multilevel_gram(model.kernel, model.noise, s[:2], d[:2], j[:2], g[:2])
+    vq = v.T.reshape(m, 2, -1)
+    covs = prior - np.einsum("mak,mbk->mab", vq, vq)
+    return PredictedCurve(grid=grid, means=(cross @ model.alpha).reshape(m, 2),
+                          covariances=covs)

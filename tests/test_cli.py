@@ -116,6 +116,43 @@ class TestFitPredictPipeline:
         assert len(pred["means"]) == 20
         ET.parse(svg_path)  # well-formed XML
 
+    def _grouped_fit(self, tmp_path):
+        curves = [scale_to_unit_length(center(generate_synthetic(
+            "star", 10, rng_seed=k, noise_sd=0.01, amplitude=0.1 + 0.1 * k)))
+            for k in range(3)]
+        paths = []
+        for k, curve in enumerate(curves):
+            paths.append(str(tmp_path / f"c{k}.csv"))
+            save_curve_csv(curve, paths[-1])
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("model.fit_group = true\nopt.restarts = 1\n"
+                       "opt.maxiter = 30\n")
+        fit_path = str(tmp_path / "fit.json")
+        assert main(["fit", "--inputs", *paths, "--labels", "a,b,a",
+                     "--config", str(cfg), "--out", fit_path]) == EXIT_OK
+        model = fit(TrainingDesign.from_curves(curves, ["a", "b", "a"]),
+                    ModelConfig(fit_group=True),
+                    OptimizerConfig(restarts=1, maxiter=30))
+        return paths, fit_path, model
+
+    def test_predict_uses_fitted_group_labels(self, tmp_path):
+        paths, fit_path, model = self._grouped_fit(tmp_path)
+        assert json.load(open(fit_path))["curve_labels"] == ["a", "b", "a"]
+        pred_path = str(tmp_path / "pred.json")
+        assert main(["predict", "--inputs", *paths, "--fit", fit_path,
+                     "--curve", "1", "--m", "15", "--out", pred_path]) == EXIT_OK
+        pred = json.load(open(pred_path))
+        expected = predict_curve(model, 1, 15)
+        assert np.allclose(pred["means"], expected.means, rtol=0, atol=1e-10)
+        assert np.allclose(pred["covariances"], expected.covariances,
+                           rtol=0, atol=1e-10)
+
+    def test_predict_label_count_mismatch_exit_2(self, tmp_path):
+        paths, fit_path, _ = self._grouped_fit(tmp_path)
+        code = main(["predict", "--inputs", *paths[:2], "--fit", fit_path,
+                     "--out", str(tmp_path / "pred.json")])
+        assert code == EXIT_VALIDATION
+
     def test_fit_two_point_curve_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n0,0\n1,0\n")

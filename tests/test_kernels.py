@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvegp.errors import ValidationError
-from curvegp.kernels import (FAMILIES, NoiseSpec, PeriodicHyperparameters,
-                             gram, periodic_eval, theorem1_bounds,
-                             validate_constraints)
+from curvegp.kernels import (DEFAULT_NOISE_BOX, FAMILIES, NoiseSpec,
+                             PeriodicHyperparameters, gram, periodic_eval,
+                             theorem1_bounds, validate_constraints)
 
 positive = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 
@@ -142,6 +142,13 @@ class TestValidateConstraints:
         h = hyp_rbf(1.0, 0.5, 1.5)
         report = validate_constraints(h, NoiseSpec(noise_variance=1e-5), 1.0)
         assert any("tau" in v for v in report.violations)
+
+    def test_noise_on_log_scale_bounds_passes(self):
+        # exp(log 1e-4) = 1.0000000000000009e-4, one ulp above the box
+        h = hyp_rbf(1.0, 0.5, 1.0)
+        for bound in DEFAULT_NOISE_BOX:
+            noise = NoiseSpec(noise_variance=float(np.exp(np.log(bound))))
+            assert validate_constraints(h, noise, 1.0).passed
 
     def test_noise_box_violation_and_strict(self):
         h = hyp_rbf(1.0, 0.5, 1.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.curves import Curve, generate_synthetic
@@ -240,6 +241,29 @@ class TestPredictCurve:
         for cov in pred.covariances:
             assert np.min(np.linalg.eigvalsh(cov)) >= -1e-10
 
+    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
+    def test_blocks_match_full_covariance(self, jitter_mode):
+        curves = [scale_to_unit_length(center(generate_synthetic(
+            "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(3)]
+        design = TrainingDesign.from_curves(curves, labels=["a", "b", "a"])
+        hyp = PeriodicHyperparameters(0.5, 0.2, float(np.mean(design.lengths)))
+        kernel = MultiLevelKernel(
+            hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
+            curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
+            group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
+        model = assemble_model(design, kernel, NoiseSpec(
+            noise_variance=1e-5, jitter_mode=jitter_mode))
+        m = 30
+        for curve in range(3):
+            pred = predict_curve(model, curve, m)
+            g = design.group_of_curve(curve)
+            mean, cov = predict(model, np.repeat(pred.grid, 2), np.tile([0, 1], m),
+                                np.full(2 * m, curve), np.full(2 * m, g))
+            blocks = np.array([cov[2 * i:2 * i + 2, 2 * i:2 * i + 2]
+                               for i in range(m)])
+            assert np.max(np.abs(pred.means - mean.reshape(m, 2))) <= 1e-12
+            assert np.max(np.abs(pred.covariances - blocks)) <= 1e-12
+
     def test_rejects_small_grid(self):
         design, _ = circle_design(10)
         model = fit(design, ModelConfig(), OptimizerConfig(restarts=1, seed=0))
@@ -267,3 +291,105 @@ class TestGradients:
                 fd = (obj.value(tp) - obj.value(tm)) / (2 * h)
                 denom = max(abs(fd), abs(grad[k]), 1e-8)
                 assert abs(grad[k] - fd) / denom < 1e-4
+
+
+def dense_dk_oracle(obj, theta):
+    """-log p(y) and its gradient with one dense dK per parameter, reduced
+    against A = alpha alpha^T - K^-1 with K^-1 from cho_solve(L, I)."""
+    cfg, design = obj.config, obj.design
+    n = design.n_rows
+    eye = np.eye(n)
+    sigma2, rho, noise_var = np.exp(theta[:3])
+    r = np.abs(design.s[:, None] - design.s[None, :])
+    if cfg.family == "periodic_rbf":
+        u = np.sin(np.pi * r / obj.tau) ** 2
+        corr = np.exp(-u / rho)
+        dcorr = corr * u / rho
+    else:
+        dist = 2.0 * np.abs(np.sin(np.pi * r / obj.tau))
+        if cfg.family == "periodic_matern32":
+            a = np.sqrt(3.0) * dist / rho
+            corr = (1.0 + a) * np.exp(-a)
+            dcorr = a ** 2 * np.exp(-a)
+        else:
+            a = dist / rho
+            corr = np.exp(-a)
+            dcorr = a * corr
+    base = sigma2 * corr
+    jitter = cfg.jitter if cfg.jitter_mode == "constant" else cfg.jitter * eye
+    factors, coregs = {}, {}
+    for name, idx, size, rank, free in obj.levels:
+        if free:
+            w_sl, k_sl = obj.slices[name]
+            W = theta[w_sl].reshape(size, rank)
+            kappa = np.exp(theta[k_sl])
+            coregs[name] = (idx, W, kappa)
+            B = W @ W.T + np.diag(kappa)
+        else:
+            B = np.eye(size)
+        factors[name] = B[idx[:, None], idx[None, :]]
+    Bfull = np.prod(list(factors.values()), axis=0)
+    K = (base + jitter) * Bfull + noise_var * eye
+    dKs = [base * Bfull, sigma2 * dcorr * Bfull, noise_var * eye]
+    for name, (idx, W, kappa) in coregs.items():
+        others = np.prod([F for other, F in factors.items() if other != name]
+                         + [np.ones((n, n))], axis=0)
+        pre = (base + jitter) * others
+        size, rank = W.shape
+        for a in range(size):
+            for k in range(rank):
+                dB = np.zeros((size, size))
+                dB[a, :] += W[:, k]
+                dB[:, a] += W[:, k]
+                dKs.append(pre * dB[idx[:, None], idx[None, :]])
+        for a in range(size):
+            dB = np.zeros((size, size))
+            dB[a, a] = kappa[a]
+            dKs.append(pre * dB[idx[:, None], idx[None, :]])
+    c = cho_factor(K, lower=True)
+    y = design.y
+    alpha = cho_solve(c, y)
+    nll = (0.5 * y @ alpha + np.sum(np.log(np.diag(c[0])))
+           + 0.5 * n * np.log(2 * np.pi))
+    A = np.outer(alpha, alpha) - cho_solve(c, eye)
+    return nll, np.array([-0.5 * np.sum(A * dK) for dK in dKs])
+
+
+LEVEL_CASES = {
+    # name: (curves, labels, ModelConfig level settings)
+    "coord-only-rank2": (1, None, dict(coord_rank=2)),
+    "all-fixed": (1, None, dict(fit_coord=False)),
+    "all-free-rank1": (3, ["a", "b", "a"], dict(fit_group=True)),
+    "all-free-rank2": (3, ["a", "b", "a"], dict(
+        fit_group=True, coord_rank=2, curve_rank=2, group_rank=2)),
+    "coord-fixed": (3, ["a", "b", "a"], dict(
+        fit_coord=False, curve_rank=2, fit_group=True)),
+    "curve-and-group-fixed": (3, ["a", "b", "a"], dict(
+        fit_curve=False, coord_rank=2)),
+    "group-free-only": (3, ["a", "b", "b"], dict(
+        fit_coord=False, fit_curve=False, fit_group=True, group_rank=2)),
+}
+
+
+class TestContractedGradient:
+    @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
+    @pytest.mark.parametrize("family", ["periodic_rbf", "periodic_matern32",
+                                        "periodic_matern12"])
+    def test_matches_dense_dk_oracle(self, family, jitter_mode, case):
+        n_curves, labels, levels = LEVEL_CASES[case]
+        curves = [scale_to_unit_length(center(generate_synthetic(
+            "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
+        design = TrainingDesign.from_curves(curves, labels)
+        obj = make_objective(design, ModelConfig(
+            family=family, jitter_mode=jitter_mode, **levels))
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            theta = obj.random_start(rng)
+            value, grad = obj.value_and_grad(theta)
+            value_oracle, grad_oracle = dense_dk_oracle(obj, theta)
+            assert len(grad) == len(grad_oracle) == obj.n_params
+            assert obj.value(theta) == value
+            assert abs(value - value_oracle) <= 1e-10 * abs(value_oracle)
+            assert (np.max(np.abs(grad - grad_oracle))
+                    <= 1e-10 * np.max(np.abs(grad_oracle)))
