@@ -50,7 +50,6 @@ class LandmarkConfig:
     lam: float = 0.5
     n_trials: int = 30
     criterion: str = "imspe"  # or "iuea"
-    candidate_grid: int = 500
     rng_seed: int = 0
     p_range: tuple = ()  # optional extra p values for the criterion trace
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import NoiseSpec, PeriodicHyperparameters, periodic_eval, unit_correlation
+from .kernels import NoiseSpec, PeriodicHyperparameters, gram, periodic_eval
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ class MultiLevelKernel:
             raise ValidationError("coordinate-level matrix must be 2x2")
 
 
-def _level_factor(coreg: CoregMatrix | None, a, b):
-    if coreg is None:
-        return 1.0
+def _level_factor(coreg: CoregMatrix, a, b):
     B = coreg.matrix
     a = np.asarray(a, dtype=int)
     b = np.asarray(b, dtype=int)
@@ -114,24 +112,14 @@ def multilevel_gram(kernel: MultiLevelKernel, noise: NoiseSpec,
     it is modulated by the same coreg factors and vanishes across independent
     levels. Observation noise is not included.
     """
-    hyp = kernel.input_kernel
-    s_a = np.asarray(s_a, dtype=float)
-    symmetric = s_b is None
-    if symmetric:
-        s_b, d_b, j_b, g_b = s_a, d_a, j_a, g_a
-    s_b = np.asarray(s_b, dtype=float)
-    r = np.abs(s_a[:, None] - s_b[None, :])
-    base = hyp.sigma2 * unit_correlation(hyp.family, r, hyp.rho, hyp.tau)
-    if noise.jitter_mode == "constant":
-        base = base + noise.jitter
-    elif symmetric:
-        base = base + noise.jitter * np.eye(len(s_a))
-    d_a = np.asarray(d_a, dtype=int); d_b = np.asarray(d_b, dtype=int)
-    B = _level_factor(kernel.coord, d_a[:, None], d_b[None, :])
-    if kernel.curve is not None:
-        j_a = np.asarray(j_a, dtype=int); j_b = np.asarray(j_b, dtype=int)
-        B = B * _level_factor(kernel.curve, j_a[:, None], j_b[None, :])
-    if kernel.group is not None:
-        g_a = np.asarray(g_a, dtype=int); g_b = np.asarray(g_b, dtype=int)
-        B = B * _level_factor(kernel.group, g_a[:, None], g_b[None, :])
-    return base * B
+    K = gram(kernel.input_kernel, noise, s_a, s_b)
+    if s_b is None:
+        d_b, j_b, g_b = d_a, j_a, g_a
+    B = 1.0
+    for coreg, a, b in ((kernel.coord, d_a, d_b), (kernel.curve, j_a, j_b),
+                        (kernel.group, g_a, g_b)):
+        if coreg is not None:
+            B = B * _level_factor(coreg, np.asarray(a, dtype=int)[:, None],
+                                  np.asarray(b, dtype=int)[None, :])
+    K *= B
+    return K

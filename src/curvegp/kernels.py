@@ -113,20 +113,24 @@ def theorem1_bounds(hyp: PeriodicHyperparameters, length: float):
     return float(lower), float(upper)
 
 
-def gram(hyp: PeriodicHyperparameters, noise: NoiseSpec, inputs) -> np.ndarray:
-    """Gram matrix over arc parameters, with the jitter term applied.
+def gram(hyp: PeriodicHyperparameters, noise: NoiseSpec, s_a, s_b=None) -> np.ndarray:
+    """Gram matrix between arc parameters ``s_a`` and ``s_b`` (``s_a`` with
+    itself when ``s_b`` is None), with the jitter term applied.
 
+    Constant jitter is added to every entry; nugget jitter only to the
+    diagonal of a Gram of ``s_a`` with itself, never to a cross Gram.
     Observation noise is *not* included; that is a model-level concern.
     """
-    s = np.asarray(inputs, dtype=float).reshape(-1)
-    if s.size == 0:
+    s_a = np.asarray(s_a, dtype=float).reshape(-1)
+    if s_a.size == 0:
         raise ValidationError("gram needs at least one input")
-    r = np.abs(s[:, None] - s[None, :])
+    s = s_a if s_b is None else np.asarray(s_b, dtype=float).reshape(-1)
+    r = np.abs(s_a[:, None] - s[None, :])
     K = hyp.sigma2 * unit_correlation(hyp.family, r, hyp.rho, hyp.tau)
     if noise.jitter_mode == "constant":
-        K = K + noise.jitter
-    else:
-        K = K + noise.jitter * np.eye(len(s))
+        K += noise.jitter
+    elif s_b is None:
+        K[np.diag_indices_from(K)] += noise.jitter
     return K
 
 

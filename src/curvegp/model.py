@@ -4,11 +4,13 @@ prediction with full per-point covariance.
 
 The gradient of -log p(y) is -tr(A dK)/2 with A = alpha alpha^T - K^-1
 (Rasmussen & Williams 2006, 5.4.1), and it is contracted by level rather
-than formed per parameter. K is the input kernel (plus jitter) times one
-factor S B S^T per coregionalization level, with S the one-hot rows of the
-level's values and B = W W^T + diag(kappa). With P the Gram without that
-level's factor, M = S^T (A o P) S sums A o P over each block of level
-values, and the W and log kappa gradients are -M W and -diag(M) kappa / 2.
+than formed per parameter. K is the jittered input Gram K0 times one factor
+per coregionalization level, B = W W^T + diag(kappa) indexed by the rows'
+level values. The rows fall into T <= 2 x curves types (tuples of level
+values), so each factor is the T x T matrix E B E^T, with E the one-hot map
+from types to level values. A o K0 is summed over each block of types once,
+G = S^T (A o K0) S (S: rows to types); a level's M = E^T (G o the other
+factors) E, and its W and log kappa gradients are -M W and -diag(M) kappa/2.
 log sigma2 and log rho take one inner product of A with a dense matrix
 each, and log noise takes -noise tr(A) / 2. K^-1 comes from the Cholesky
 factor (LAPACK dpotri). One routine factors K and evaluates -log p for the
@@ -26,12 +28,10 @@ from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.optimize import minimize
 
 from .coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
-from .curves import Curve
 from .errors import NumericalError, ValidationError
 from .kernels import (DEFAULT_JITTER, DEFAULT_NOISE_BOX, NoiseSpec,
                       PeriodicHyperparameters, validate_constraints,
                       warped_correlation, warped_distance)
-from . import curves as _curves
 
 NUGGET_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 
@@ -222,8 +222,16 @@ class MarginalLikelihoodObjective:
             self.bounds += [tuple(np.log(config.kappa_box))] * size
             pos += size * rank + size
         self.n_params = pos
-        self.onehot = {name: (idx[:, None] == np.arange(size)).astype(float)
-                       for name, idx, size, *_ in self.levels}
+        # rows grouped into T <= 2 x curves types, one per tuple of level
+        # values; one-hot S maps rows to types, E per level types to values
+        code = np.zeros(design.n_rows, dtype=int)
+        for _, idx, size, *_ in self.levels:  # mixed-radix code of the tuple
+            code = code * size + idx
+        _, first, row_type = np.unique(code, return_index=True, return_inverse=True)
+        self.type_onehot = (row_type[:, None] == np.arange(len(first))).astype(float)
+        self.level_onehot = [(idx[first, None] == np.arange(size)).astype(float)
+                             for _, idx, size, *_ in self.levels]
+        self._factors = []
         self._buffers = {}
 
     # -- packing -----------------------------------------------------------
@@ -265,14 +273,9 @@ class MarginalLikelihoodObjective:
                           jitter=self.config.jitter,
                           jitter_mode=self.config.jitter_mode,
                           noise_box=self.config.noise_box)
-        coregs = {}
-        for name, _, size, rank, free in self.levels:
-            if free:
-                w_sl, k_sl = self.slices[name]
-                coregs[name] = CoregMatrix(theta[w_sl].reshape(size, rank),
-                                           np.exp(theta[k_sl]))
-            else:
-                coregs[name] = CoregMatrix.identity(size)
+        coregs = {name: CoregMatrix(*self._coreg(theta, name, size)) if free
+                  else CoregMatrix.identity(size)
+                  for name, _, size, _, free in self.levels}
         kernel = MultiLevelKernel(input_kernel=hyp, coord=coregs["coord"],
                                   curve=coregs.get("curve"),
                                   group=coregs.get("group"))
@@ -293,11 +296,13 @@ class MarginalLikelihoodObjective:
         return self._buffers[key]
 
     def gram_and_grads(self, theta, with_grads: bool = True):
-        """K and the dense N x N matrices its gradient is contracted against:
-        dK/dlog(sigma2), dK/dlog(rho), then one matrix P per free level, the
-        Gram with that level's factor left out (dK/dB[a, b] = P on the rows
-        of level values a and b). K and the P matrices are work arrays of
-        this objective, overwritten by its next call."""
+        """K and the three dense N x N matrices its gradient is contracted
+        against: dK/dlog(sigma2), dK/dlog(rho) and the jittered input Gram
+        K0, whatever the levels. Each level's factor E B E^T is formed on
+        the T x T grid of row types and kept for `value_and_grad`; their
+        product is spread to N x N once. K and K0 are work arrays of this
+        objective, overwritten by its next call. Assembled here rather than
+        by `multilevel_gram` to reuse the warped distances and work arrays."""
         sigma2, rho, noise_var = np.exp(theta[:3])
         family = self.config.family
         if with_grads:
@@ -305,37 +310,30 @@ class MarginalLikelihoodObjective:
         else:
             base = warped_correlation(family, self.warp, rho)
         base *= sigma2
-        base_j = self._buffer("base_j")
+        K0 = self._buffer("K0")
         if self.constant_jitter:
-            np.add(base, self.config.jitter, out=base_j)
+            np.add(base, self.config.jitter, out=K0)
         else:
-            np.copyto(base_j, base)
-            base_j[self.diag] += self.config.jitter
-        factors = []
-        for i, (name, _, size, _, free) in enumerate(self.levels):
+            np.copyto(K0, base)
+            K0[self.diag] += self.config.jitter
+        self._factors = []
+        for (name, _, size, _, free), E in zip(self.levels, self.level_onehot):
             if free:
                 W, kappa = self._coreg(theta, name, size)
                 B = W @ W.T + np.diag(kappa)
             else:
                 B = np.eye(size)
-            S = self.onehot[name]  # S @ B @ S.T is B[idx_i, idx_j], exactly
-            factors.append(np.matmul(S @ B, S.T, out=self._buffer(("factor", i))))
-        Bfull = _product(factors, self._buffer("Bfull"))
-        K = np.multiply(base_j, Bfull, out=self._buffer("K"))
+            self._factors.append(E @ B @ E.T)  # B[level_t, level_u], exactly
+        S = self.type_onehot
+        Bfull = np.matmul(S @ reduce(np.multiply, self._factors), S.T,
+                          out=self._buffer("K"))
+        if with_grads:
+            base *= Bfull
+            dcorr *= sigma2
+            dcorr *= Bfull
+        K = np.multiply(Bfull, K0, out=Bfull)
         K[self.diag] += noise_var
-        if not with_grads:
-            return K, None
-        base *= Bfull
-        dcorr *= sigma2
-        dcorr *= Bfull
-        grads = [base, dcorr]
-        for i, (*_, free) in enumerate(self.levels):
-            if free:
-                others = [F for k, F in enumerate(factors) if k != i]
-                P = self._buffer(("P", i))
-                grads.append(np.multiply(base_j, _product(others, P), out=P)
-                             if others else base_j)
-        return K, grads
+        return K, ([base, dcorr, K0] if with_grads else None)
 
     def value_and_grad(self, theta):
         """-log p(y) and its gradient, contracted by level (R&W 2006, 5.4.1):
@@ -353,11 +351,16 @@ class MarginalLikelihoodObjective:
         grad[0] = -0.5 * np.vdot(A, grads[0])
         grad[1] = -0.5 * np.vdot(A, grads[1])
         grad[2] = -0.5 * np.exp(theta[2]) * np.trace(A)
-        free = [level for level in self.levels if level[4]]
-        for (name, _, size, _, _), P in zip(free, grads[2:]):
-            S = self.onehot[name]
-            # sum of A * P over each block of level values
-            M = S.T @ np.multiply(A, P, out=self._buffer("AP")) @ S
+        # G sums A o K0 over each block of row types; a level's M sums
+        # A o K0 o (the other levels' factors) over its blocks of values
+        S = self.type_onehot
+        G = S.T @ np.multiply(A, grads[2], out=A) @ S
+        for i, (name, _, size, _, free) in enumerate(self.levels):
+            if not free:
+                continue
+            E = self.level_onehot[i]
+            others = [F for k, F in enumerate(self._factors) if k != i]
+            M = E.T @ reduce(np.multiply, others, G) @ E
             W, kappa = self._coreg(theta, name, size)
             w_sl, k_sl = self.slices[name]
             grad[w_sl] = -(M @ W).ravel()
@@ -367,12 +370,6 @@ class MarginalLikelihoodObjective:
     def value(self, theta):
         K, _ = self.gram_and_grads(theta, with_grads=False)
         return _factor_and_nll(K, self.design.y)[3]
-
-
-def _product(arrays, out):
-    """Elementwise product of the arrays, left to right, written to ``out``
-    (a single array is returned as it is)."""
-    return reduce(lambda x, y: np.multiply(x, y, out=out), arrays)
 
 
 def make_objective(design: TrainingDesign, config: ModelConfig | None = None):
@@ -476,11 +473,18 @@ def _cross_and_whitened(model: FittedModel, s, d, j, g):
 
 
 def predict(model: FittedModel, s, d, j=None, g=None):
-    """Predictive mean and full covariance at query rows (s*, d, j, g)."""
+    """Predictive mean and full covariance at query rows (s*, d, j, g).
+
+    Without ``g`` each row takes the group of its curve in the design."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=int))
     j = np.zeros_like(d) if j is None else np.atleast_1d(np.asarray(j, dtype=int))
-    g = np.zeros_like(d) if g is None else np.atleast_1d(np.asarray(g, dtype=int))
+    if g is None:
+        dz = model.design
+        if np.any((j < 0) | (j >= dz.n_curves)):
+            raise ValidationError(f"curve index out of range for {dz.n_curves} curves")
+        g = np.array([dz.group_of_curve(c) for c in range(dz.n_curves)])[j]
+    g = np.atleast_1d(np.asarray(g, dtype=int))
     cross, v = _cross_and_whitened(model, s, d, j, g)
     K_qq = multilevel_gram(model.kernel, model.noise, s, d, j, g)
     return cross @ model.alpha, K_qq - v.T @ v

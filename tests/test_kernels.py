@@ -8,9 +8,15 @@ from hypothesis import strategies as st
 from curvegp.errors import ValidationError
 from curvegp.kernels import (DEFAULT_NOISE_BOX, FAMILIES, NoiseSpec,
                              PeriodicHyperparameters, gram, periodic_eval,
-                             theorem1_bounds, validate_constraints)
+                             theorem1_bounds, unit_correlation,
+                             validate_constraints)
 
 positive = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
+
+
+def dyadic(lo, hi):
+    """Multiples of 2^-10 in [lo, hi]."""
+    return st.integers(int(np.ceil(lo * 1024)), int(hi * 1024)).map(lambda k: k / 1024)
 
 
 def hyp_rbf(sigma2=1.0, rho=1.0, tau=1.0):
@@ -47,11 +53,13 @@ class TestPeriodicEval:
 
 class TestKernelProperties:
     @settings(max_examples=100, deadline=None)
-    @given(s=st.floats(min_value=0, max_value=10), sigma2=positive,
+    @given(s=dyadic(0.0, 10.0), sigma2=positive,
            rho=st.floats(min_value=0.05, max_value=10.0),
-           tau=positive,
+           tau=dyadic(1e-3, 10.0),
            family=st.sampled_from(FAMILIES))
     def test_periodicity(self, s, sigma2, rho, tau, family):
+        # s and tau are multiples of 2^-10, so s + tau is exact; otherwise
+        # its rounding error times the kernel's slope exceeds the bound
         h = PeriodicHyperparameters(sigma2, rho, tau, family=family)
         assert abs(periodic_eval(h, s, s + tau) - periodic_eval(h, s, s)) < 1e-12 * sigma2
 
@@ -124,6 +132,38 @@ class TestGram:
         h = PeriodicHyperparameters(1.0, 0.2, 1.0, family="periodic_matern32")
         K = gram(h, NoiseSpec(jitter=1e-3, jitter_mode="nugget"), s)
         np.linalg.cholesky(K)  # must not raise
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
+    def test_self_gram_formula(self, family, jitter_mode):
+        s = np.random.default_rng(4).uniform(0, 2, 12)
+        h = PeriodicHyperparameters(1.7, 0.3, 1.1, family=family)
+        K = gram(h, NoiseSpec(jitter=1e-3, jitter_mode=jitter_mode), s)
+        expected = h.sigma2 * unit_correlation(
+            family, np.abs(s[:, None] - s[None, :]), h.rho, h.tau)
+        if jitter_mode == "constant":
+            expected = expected + 1e-3
+        else:
+            expected = expected + 1e-3 * np.eye(len(s))
+        assert np.array_equal(K, expected)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cross_gram_constant_jitter_everywhere(self, family):
+        rng = np.random.default_rng(5)
+        s_a, s_b = rng.uniform(0, 1, 4), rng.uniform(0, 1, 7)
+        h = PeriodicHyperparameters(0.8, 0.2, 1.0, family=family)
+        K = gram(h, NoiseSpec(jitter=1e-3), s_a, s_b)
+        assert K.shape == (4, 7)
+        assert np.array_equal(K, gram(h, NoiseSpec(jitter=0.0), s_a, s_b) + 1e-3)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cross_gram_never_gets_nugget(self, family):
+        s = np.random.default_rng(6).uniform(0, 1, 6)
+        h = PeriodicHyperparameters(0.8, 0.2, 1.0, family=family)
+        nugget = NoiseSpec(jitter=1e-3, jitter_mode="nugget")
+        cross = gram(h, nugget, s, s.copy())
+        assert np.array_equal(cross, gram(h, NoiseSpec(jitter=0.0), s))
+        assert np.array_equal(gram(h, nugget, s), cross + 1e-3 * np.eye(6))
 
 
 class TestValidateConstraints:

@@ -270,6 +270,28 @@ class TestPredictCurve:
         with pytest.raises(ValidationError):
             predict_curve(model, 0, 2)
 
+    def test_predict_without_groups_takes_group_of_curve(self):
+        # curve 1 is the only curve of group "b"; without g its rows must
+        # still meet group b's row of the group-level matrix
+        curves = [scale_to_unit_length(center(generate_synthetic(
+            "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(3)]
+        design = TrainingDesign.from_curves(curves, labels=["a", "b", "a"])
+        hyp = PeriodicHyperparameters(0.5, 0.2, float(np.mean(design.lengths)))
+        kernel = MultiLevelKernel(
+            hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
+            curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
+            group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
+        model = assemble_model(design, kernel, NoiseSpec(noise_variance=1e-5))
+        m = 30
+        for curve in range(3):
+            pred = predict_curve(model, curve, m)
+            mean, _ = predict(model, np.repeat(pred.grid, 2), np.tile([0, 1], m),
+                              np.full(2 * m, curve))
+            assert np.max(np.abs(pred.means - mean.reshape(m, 2))) <= 1e-12
+        for curve in (-1, 3):
+            with pytest.raises(ValidationError):
+                predict(model, [0.1], [0], [curve])
+
 
 class TestGradients:
     def test_analytic_matches_finite_differences(self):
@@ -393,3 +415,28 @@ class TestContractedGradient:
             assert abs(value - value_oracle) <= 1e-10 * abs(value_oracle)
             assert (np.max(np.abs(grad - grad_oracle))
                     <= 1e-10 * np.max(np.abs(grad_oracle)))
+
+
+class TestSharedGramBuilder:
+    @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
+    @pytest.mark.parametrize("family", ["periodic_rbf", "periodic_matern32",
+                                        "periodic_matern12"])
+    def test_objective_gram_is_multilevel_gram(self, family, jitter_mode, case):
+        n_curves, labels, levels = LEVEL_CASES[case]
+        curves = [scale_to_unit_length(center(generate_synthetic(
+            "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
+        design = TrainingDesign.from_curves(curves, labels)
+        obj = make_objective(design, ModelConfig(
+            family=family, jitter_mode=jitter_mode, **levels))
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            theta = obj.random_start(rng)
+            K, grads = obj.gram_and_grads(theta)
+            kernel, noise = obj.unpack(theta)
+            expected = multilevel_gram(kernel, noise, design.s, design.d,
+                                       design.j, design.g)
+            expected[np.diag_indices_from(expected)] += noise.noise_variance
+            assert np.array_equal(K, expected)
+            assert len(grads) == 3
+            assert all(G.shape == K.shape for G in grads)

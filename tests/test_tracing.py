@@ -1,0 +1,67 @@
+"""The benchmark's tracer (perfbench/tracing.py) against the library: every
+traced name must exist, and every hooked return shape must still match, so a
+rename or a changed return value fails here and not only in the benchmark."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import curvegp.model as model_mod
+from curvegp.curves import generate_synthetic
+from curvegp.preprocess import center, scale_to_unit_length
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def target(module_name, path):
+    """The object a tracer target names, as stored on its module or class."""
+    owner = sys.modules[module_name]
+    if "." in path:
+        cls_name, attr = path.split(".")
+        return vars(getattr(owner, cls_name))[attr]
+    return getattr(owner, path)
+
+
+def test_tracer_hooks_the_library(tracing):
+    originals = {(m, p): target(m, p) for _, m, p, _ in tracing.TARGETS}
+    curves = [scale_to_unit_length(center(generate_synthetic(
+        "star", 8, rng_seed=k, noise_sd=0.02))) for k in range(2)]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (module_name, path), original in originals.items():
+            assert target(module_name, path) is not original, path
+        design = model_mod.TrainingDesign.from_curves(curves, labels=["a", "b"])
+        model = model_mod.fit(design, model_mod.ModelConfig(),
+                              model_mod.OptimizerConfig(restarts=1, seed=0))
+        obj = model_mod.make_objective(design, model_mod.ModelConfig())
+        obj.value(obj.default_start())
+        model_mod.predict(model, [0.1, 0.2], [0, 1], [1, 1])
+        model_mod.predict_curve(model, 1, 10)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    for (module_name, path), original in originals.items():
+        assert target(module_name, path) is original, path
+    assert metrics["model.design_s"] > 0
+    assert metrics["model.fit_calls"] == 1
+    assert metrics["model.restarts"] == 1
+    assert metrics["model.nfev"] > 0
+    # three N x N matrices per gradient evaluation, whatever the levels
+    assert metrics["model.vg_calls"] > 0
+    assert metrics["model.grad_bytes"] == (
+        3 * 8 * design.n_rows ** 2 * metrics["model.vg_calls"])
+    assert metrics["model.chol_s"] > 0
+    assert metrics["model.predict_rows"] == 2
+    assert metrics["coreg.gram_calls"] > 0
+    assert metrics["kernels.corr_calls"] > 0
