@@ -12,9 +12,9 @@ import numpy as np
 
 from .curves import Curve, resample_equally_spaced, xy_to_arc_param
 from .errors import NumericalError, ValidationError
-from .metrics import imspe, iuea
-from .model import (FittedModel, ModelConfig, OptimizerConfig, PredictedCurve,
-                    TrainingDesign, fit, predict, predict_curve)
+from .metrics import iuea
+from .model import (FittedModel, ModelConfig, OptimizerConfig, TrainingDesign, fit,
+                    predict, predict_curve)
 from .preprocess import apply_alignment, rotation_seed_align
 
 

@@ -232,7 +232,7 @@ def cmd_register(args) -> int:
     payload = {"rotation": reg.rotation.tolist(), "gamma": reg.gamma.tolist(),
                "shift": int(reg.shift), "energy": reg.energy,
                "energies": list(reg.energies),
-               "esd": metrics_mod.esd(target, source, grid_size=args.grid)}
+               "esd": reg.esd}
     save_json(payload, _out_path(args.out))
     return EXIT_OK
 

@@ -108,21 +108,21 @@ def xy_to_arc_param(curve: Curve, query, n_oversample: int = DEFAULT_OVERSAMPLE)
     return float(arcs[np.argmin(dist)])
 
 
-def arc_to_xy_param(curve: Curve, s: float) -> np.ndarray:
+def arc_to_xy_param(curve: Curve, s) -> np.ndarray:
     """Point on the enclosed polygon at arc-length parameter ``s``.
 
     Values outside [0, total_length] are wrapped modulo the total length
-    (the curve domain is circular).
+    (the curve domain is circular). ``s`` may be a scalar, giving one (2,)
+    point, or an array of parameters, giving one point per parameter in an
+    array of shape ``s.shape + (2,)``; each point equals the scalar call's.
     """
     length = polygon_length(curve)
-    s = float(s) % length
+    s = np.remainder(np.asarray(s, dtype=float), length)
     res = curve.cumulative_arc()
-    previ = int(np.searchsorted(res, s, side="right") - 1)
-    previ = min(previ, curve.n - 1)
-    interval = res[previ + 1] - res[previ]
-    rat = (s - res[previ]) / interval
+    previ = np.minimum(np.searchsorted(res, s, side="right") - 1, curve.n - 1)
+    rat = (s - res[previ]) / (res[previ + 1] - res[previ])
     closed = curve.closed_points()
-    return closed[previ] + rat * (closed[previ + 1] - closed[previ])
+    return closed[previ] + rat[..., None] * (closed[previ + 1] - closed[previ])
 
 
 def resample_equally_spaced(curve: Curve, m: int) -> Curve:
@@ -130,9 +130,7 @@ def resample_equally_spaced(curve: Curve, m: int) -> Curve:
     if m < 3:
         raise CurveError("resampling needs m >= 3")
     length = polygon_length(curve)
-    grid = np.arange(m) * length / m
-    pts = np.array([arc_to_xy_param(curve, s) for s in grid])
-    return Curve(pts, name=curve.name)
+    return Curve(arc_to_xy_param(curve, np.arange(m) * length / m), name=curve.name)
 
 
 def _angles(n: int, scheme: str, cluster_center: float, cluster_width: float,

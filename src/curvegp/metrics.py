@@ -17,13 +17,18 @@ from scipy.optimize import linear_sum_assignment
 
 from .curves import Curve, arc_to_xy_param, polygon_length, resample_equally_spaced
 from .errors import NumericalError, ValidationError
-from .preprocess import Srvf, _procrustes_rotation, center, scale_to_unit_length, srvf
+from .preprocess import _procrustes_rotation, center, scale_to_unit_length, srvf
 
 MAX_ASSIGNMENT_SIZE = 512
 
 # Allowed local (target-steps, source-steps) moves of the DP path; slopes
 # stay within [1/3, 3] to prevent pinching.
 DP_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+
+# Target rows of the DP whose transition costs are formed together: fewer
+# interpreted steps than one row at a time, while the cost arrays stay a few
+# rows of the grid rather than the whole (n+1) x (n+1) grid per step.
+DP_ROW_BLOCK = 16
 
 
 def _as_points(predicted) -> np.ndarray:
@@ -46,7 +51,7 @@ def imspe(predicted, truth: Curve, m: int | None = None) -> float:
     if len(pts) != m:
         raise ValidationError(f"predicted grid has {len(pts)} points, expected {m}")
     length = polygon_length(truth)
-    truth_pts = np.array([arc_to_xy_param(truth, i * length / m) for i in range(m)])
+    truth_pts = arc_to_xy_param(truth, np.arange(m) * length / m)
     return float(np.sum((pts - truth_pts) ** 2) / m)
 
 
@@ -94,7 +99,10 @@ class Registration:
     """Rotation, seed shift and re-parameterization aligning source to target.
 
     ``gamma`` holds the warp on a uniform grid as fractions of the domain:
-    gamma[0] = 0, gamma[-1] = 1, strictly increasing.
+    gamma[0] = 0, gamma[-1] = 1, strictly increasing. ``esd`` is the elastic
+    shape distance of the registered pair, the value ``esd(target, source)``
+    returns: the source's SRVF, resampled from ``offset``, warped by
+    ``gamma``, rotated and renormalized, against the target's.
     """
 
     rotation: np.ndarray
@@ -102,30 +110,50 @@ class Registration:
     shift: int
     energy: float
     energies: tuple
+    esd: float
     offset: float = 0.0  # refined seed start as a fraction of the domain
 
 
 def _q_at_offset(curve: Curve, n: int, offset: float) -> np.ndarray:
     """Normalized SRVF of the curve resampled from a fractional seed offset."""
-    pts = np.array([arc_to_xy_param(curve, (offset + i / n) % 1.0)
-                    for i in range(n)])
+    pts = arc_to_xy_param(curve, (offset + np.arange(n) / n) % 1.0)
     return srvf(Curve(pts)).normalized().q
 
 
 def _warp(q: np.ndarray, gamma_idx: np.ndarray) -> np.ndarray:
     """(q o gamma) * sqrt(gamma') on the uniform grid (gamma in index units)."""
-    n = len(q)
-    out = np.empty_like(q)
-    for t in range(n):
-        a, b = gamma_idx[t], gamma_idx[t + 1]
-        slope = b - a
-        idx = min(int((a + b) / 2.0), n - 1)
-        out[t] = np.sqrt(slope) * q[idx]
-    return out
+    a, b = gamma_idx[:-1], gamma_idx[1:]
+    idx = np.minimum(((a + b) / 2.0).astype(int), len(q) - 1)
+    return np.sqrt(b - a)[:, None] * q[idx]
 
 
 def _energy(q1: np.ndarray, q2w: np.ndarray) -> float:
     return float(np.sum((q1 - q2w) ** 2) / len(q1))
+
+
+def _step_costs(q1: np.ndarray, q2: np.ndarray, rows: np.ndarray,
+                di: int, dj: int) -> np.ndarray:
+    """Transition costs of one DP step into each of the target ``rows``.
+
+    Entry (r, j) integrates ||q1 - (q2 o gamma) sqrt(gamma')||^2 over the di
+    target columns that the step from node (rows[r] - di, j) covers; rows
+    below di have no such step and hold values that are never read.
+    """
+    n = len(q1)
+    sq = np.sqrt(dj / di)
+    j_prev = np.arange(0, n - dj + 1)
+    cost = np.zeros((len(rows), len(j_prev)))
+    for o in range(di):
+        k_o = int(dj * (o + 0.5) / di)
+        q2o = sq * q2[np.minimum(j_prev + k_o, n - 1)]
+        q1o = q1[rows - di + o]
+        dx = np.subtract.outer(q1o[:, 0], q2o[:, 0])
+        dy = np.subtract.outer(q1o[:, 1], q2o[:, 1])
+        dx *= dx
+        dy *= dy
+        dx += dy  # each squared distance is summed before it is accumulated
+        cost += dx
+    return cost
 
 
 def _dp_reparameterize(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -133,30 +161,24 @@ def _dp_reparameterize(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 
     Dynamic program over an (n+1) x (n+1) node grid with the local step set
     DP_STEPS; transition cost integrates ||q1 - (q2 o gamma) sqrt(gamma')||^2
-    over the covered target columns.
+    over the covered target columns. Costs are formed DP_ROW_BLOCK target
+    rows at a time; only the D/parent recursion runs row by row.
     """
     n = len(q1)
     D = np.full((n + 1, n + 1), np.inf)
     D[0, 0] = 0.0
     parent = np.full((n + 1, n + 1), -1, dtype=int)
-    for i in range(1, n + 1):
-        for step_id, (di, dj) in enumerate(DP_STEPS):
-            if di > i:
-                continue
-            slope = dj / di
-            sq = np.sqrt(slope)
-            j_prev = np.arange(0, n - dj + 1)
-            cost = np.zeros(len(j_prev))
-            for o in range(di):
-                k_o = int(dj * (o + 0.5) / di)
-                idx2 = np.minimum(j_prev + k_o, n - 1)
-                diff = q1[i - di + o][None, :] - sq * q2[idx2]
-                cost += np.sum(diff ** 2, axis=1)
-            cand = D[i - di, j_prev] + cost / n
-            j_new = j_prev + dj
-            better = cand < D[i, j_new]
-            D[i, j_new[better]] = cand[better]
-            parent[i, j_new[better]] = step_id
+    for start in range(1, n + 1, DP_ROW_BLOCK):
+        rows = np.arange(start, min(start + DP_ROW_BLOCK, n + 1))
+        costs = [_step_costs(q1, q2, rows, di, dj) / n for di, dj in DP_STEPS]
+        for i in rows.tolist():
+            for step_id, (di, dj) in enumerate(DP_STEPS):
+                if di > i:
+                    continue
+                cand = D[i - di, :n - dj + 1] + costs[step_id][i - start]
+                better = cand < D[i, dj:]
+                D[i, dj:][better] = cand[better]
+                parent[i, dj:][better] = step_id
     if not np.isfinite(D[n, n]):
         raise NumericalError("re-parameterization DP found no feasible path")
     path_i, path_j = [n], [n]
@@ -238,8 +260,18 @@ def elastic_register(source: Curve, target: Curve, grid_size: int = 100,
     else:
         warnings.warn("elastic registration hit the round limit before converging")
 
-    return Registration(rotation=R, gamma=gamma / n, shift=best_shift,
+    gamma = gamma / n
+    # The distance is taken at the returned warp (fractions scaled back to
+    # index units) and resamples the source from the refined offset, also
+    # when no sub-cell offset won and q2 is the rolled grid SRVF.
+    warped = _warp(_q_at_offset(source_n, n, best_offset), gamma * n) @ R.T
+    norm = np.sqrt(np.sum(warped ** 2) / n)
+    if norm > 0:
+        warped = warped / norm
+    inner = float(np.sum(q1 * warped) / n)
+    return Registration(rotation=R, gamma=gamma, shift=best_shift,
                         energy=energy, energies=tuple(energies),
+                        esd=float(np.arccos(np.clip(inner, -1.0, 1.0))),
                         offset=best_offset)
 
 
@@ -249,14 +281,4 @@ def esd(c1: Curve, c2: Curve, grid_size: int = 100) -> float:
     Invariant (to discretization tolerance) under translation, scaling,
     rotation and seed shift of either curve; value in [0, pi].
     """
-    reg = elastic_register(c2, c1, grid_size=grid_size)
-    n = grid_size
-    c1p = resample_equally_spaced(scale_to_unit_length(center(c1)), n)
-    q1 = srvf(c1p).normalized().q
-    q2 = _q_at_offset(scale_to_unit_length(center(c2)), n, reg.offset)
-    warped = _warp(q2, reg.gamma * n) @ reg.rotation.T
-    norm = np.sqrt(np.sum(warped ** 2) / n)
-    if norm > 0:
-        warped = warped / norm
-    inner = float(np.sum(q1 * warped) / n)
-    return float(np.arccos(np.clip(inner, -1.0, 1.0)))
+    return elastic_register(c2, c1, grid_size=grid_size).esd

@@ -498,6 +498,10 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
     """
     if m < 3:
         raise ValidationError("prediction grid needs m >= 3")
+    n_curves = model.design.n_curves
+    if not 0 <= curve_index < n_curves:
+        raise ValidationError(
+            f"curve index {curve_index} out of range for {n_curves} curves")
     length = float(model.design.lengths[curve_index])
     grid = np.arange(m) * length / m
     s = np.repeat(grid, 2)

@@ -11,6 +11,7 @@ from curvegp.cli import (CONFIG_DEFAULTS, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                          main, parse_config_text)
 from curvegp.curves import generate_synthetic
 from curvegp.errors import ConfigError
+from curvegp.metrics import esd
 from curvegp.io import (curve_to_csv, load_curve_csv, load_collection_json,
                         save_collection_json, save_curve_csv)
 from curvegp.model import (ModelConfig, OptimizerConfig, PredictedCurve,
@@ -153,6 +154,24 @@ class TestFitPredictPipeline:
                      "--out", str(tmp_path / "pred.json")])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("curve", ["2", "-1"])
+    def test_predict_curve_out_of_range_exit_2(self, tmp_path, capsys, curve):
+        paths = []
+        for k in range(2):
+            paths.append(str(tmp_path / f"c{k}.csv"))
+            save_curve_csv(generate_synthetic("star", 8, rng_seed=k,
+                                              noise_sd=0.01), paths[-1])
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 1\nopt.maxiter = 10\n")
+        fit_path = str(tmp_path / "fit.json")
+        assert main(["fit", "--inputs", *paths, "--config", str(cfg),
+                     "--out", fit_path]) == EXIT_OK
+        code = main(["predict", "--inputs", *paths, "--fit", fit_path,
+                     "--curve", curve, "--out", str(tmp_path / "pred.json")])
+        assert code == EXIT_VALIDATION
+        assert "out of range" in capsys.readouterr().err
+        assert not (tmp_path / "pred.json").exists()
+
     def test_fit_two_point_curve_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n0,0\n1,0\n")
@@ -191,6 +210,17 @@ class TestRegisterCommand:
         assert len(reg["gamma"]) == 41
         diffs = np.diff(reg["energies"])
         assert np.all(diffs <= 1e-12)
+
+    def test_register_esd_equals_library_esd(self, tmp_path):
+        a = str(tmp_path / "a.csv")
+        b = str(tmp_path / "b.csv")
+        main(["simulate", "--shape", "star", "--n", "45", "--out", a])
+        main(["simulate", "--shape", "ellipse", "--n", "35", "--out", b])
+        out = str(tmp_path / "reg.json")
+        assert main(["register", "--source", b, "--target", a, "--grid", "50",
+                     "--out", out]) == EXIT_OK
+        expected = esd(load_curve_csv(a), load_curve_csv(b), grid_size=50)
+        assert json.load(open(out))["esd"] == expected
 
 
 class TestPreprocessCommand:

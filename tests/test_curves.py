@@ -117,6 +117,26 @@ class TestArcToXy:
             assert min(dists) < 1e-12
 
 
+    def test_array_matches_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(3)
+        for k in range(5):
+            c = generate_synthetic("star", 7 + 9 * k, noise_sd=0.03, rng_seed=k)
+            length = polygon_length(c)
+            s = np.concatenate([
+                rng.uniform(-3 * length, 4 * length, 100),  # both sides of [0, L]
+                c.cumulative_arc(),                         # every vertex
+                -c.cumulative_arc(),
+                [length, -length, 2 * length, 0.0, -0.0, -1e-17, 1e-17]])
+            batched = arc_to_xy_param(c, s)
+            stacked = np.array([arc_to_xy_param(c, v) for v in s])
+            assert batched.shape == (len(s), 2)
+            assert batched.tobytes() == stacked.tobytes()
+            grid = arc_to_xy_param(c, s[:100].reshape(25, 4))
+            assert grid.tobytes() == batched[:100].tobytes()
+        for s in (0.5, np.float64(1.5), 3, np.array(2.5)):
+            assert arc_to_xy_param(Curve(SQUARE), s).shape == (2,)
+
+
 class TestRoundTrip:
     def test_round_trip_bound(self):
         c = circle_polygon(23)

@@ -191,6 +191,69 @@ class TestElasticRegister:
         assert _energy(q1, _warp(q2, gamma_dp)) == pytest.approx(best[0], abs=1e-10)
 
 
+def dp_per_row_oracle(q1, q2):
+    """The re-parameterization DP with every transition cost formed row by
+    row: the test-only reference for the row-blocked `_dp_reparameterize`."""
+    from curvegp.metrics import DP_STEPS
+    n = len(q1)
+    D = np.full((n + 1, n + 1), np.inf)
+    D[0, 0] = 0.0
+    parent = np.full((n + 1, n + 1), -1, dtype=int)
+    for i in range(1, n + 1):
+        for step_id, (di, dj) in enumerate(DP_STEPS):
+            if di > i:
+                continue
+            sq = np.sqrt(dj / di)
+            j_prev = np.arange(0, n - dj + 1)
+            cost = np.zeros(len(j_prev))
+            for o in range(di):
+                k_o = int(dj * (o + 0.5) / di)
+                idx2 = np.minimum(j_prev + k_o, n - 1)
+                diff = q1[i - di + o][None, :] - sq * q2[idx2]
+                cost += np.sum(diff ** 2, axis=1)
+            cand = D[i - di, j_prev] + cost / n
+            j_new = j_prev + dj
+            better = cand < D[i, j_new]
+            D[i, j_new[better]] = cand[better]
+            parent[i, j_new[better]] = step_id
+    path_i, path_j = [n], [n]
+    i, j = n, n
+    while i > 0:
+        di, dj = DP_STEPS[parent[i, j]]
+        i, j = i - di, j - dj
+        path_i.append(i)
+        path_j.append(j)
+    return np.interp(np.arange(n + 1), path_i[::-1], path_j[::-1])
+
+
+def warp_per_index_oracle(q, gamma_idx):
+    n = len(q)
+    out = np.empty_like(q)
+    for t in range(n):
+        a, b = gamma_idx[t], gamma_idx[t + 1]
+        out[t] = np.sqrt(b - a) * q[min(int((a + b) / 2.0), n - 1)]
+    return out
+
+
+class TestVectorizedRegistration:
+    @pytest.mark.parametrize("n", [8, 15, 16, 17, 33, 200])
+    def test_dp_matches_per_row_oracle_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(2 if n == 200 else 4):
+            q1, q2 = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+            gamma = _dp_reparameterize(q1, q2)
+            assert gamma.tobytes() == dp_per_row_oracle(q1, q2).tobytes()
+            assert _warp(q2, gamma).tobytes() == warp_per_index_oracle(q2, gamma).tobytes()
+
+    def test_registration_esd_is_esd(self):
+        circle = generate_synthetic("circle", 40)
+        star = generate_synthetic("star", 50, amplitude=0.3, rng_seed=1,
+                                  noise_sd=0.01)
+        reg = elastic_register(star, circle, grid_size=30)
+        assert reg.esd == esd(circle, star, grid_size=30)
+        assert 0.0 < reg.esd <= np.pi
+
+
 class TestEsd:
     def test_same_curve(self):
         c = generate_synthetic("star", 100, amplitude=0.2)

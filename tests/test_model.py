@@ -270,6 +270,20 @@ class TestPredictCurve:
         with pytest.raises(ValidationError):
             predict_curve(model, 0, 2)
 
+    def test_rejects_curve_index_out_of_range(self):
+        curves = [scale_to_unit_length(center(generate_synthetic(
+            "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(2)]
+        design = TrainingDesign.from_curves(curves)
+        hyp = PeriodicHyperparameters(0.5, 0.2, float(np.mean(design.lengths)))
+        kernel = MultiLevelKernel(
+            hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
+            curve=CoregMatrix(np.array([[0.9], [0.5]]), np.full(2, 0.2)))
+        model = assemble_model(design, kernel, NoiseSpec(noise_variance=1e-5))
+        assert predict_curve(model, 1, 10).means.shape == (10, 2)
+        for curve in (2, -1, 7):
+            with pytest.raises(ValidationError, match="out of range"):
+                predict_curve(model, curve, 10)
+
     def test_predict_without_groups_takes_group_of_curve(self):
         # curve 1 is the only curve of group "b"; without g its rows must
         # still meet group b's row of the group-level matrix

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import curvegp.curves as curves_mod
+import curvegp.metrics as metrics_mod
 import curvegp.model as model_mod
 from curvegp.curves import generate_synthetic
 from curvegp.preprocess import center, scale_to_unit_length
@@ -48,6 +50,10 @@ def test_tracer_hooks_the_library(tracing):
         obj.value(obj.default_start())
         model_mod.predict(model, [0.1, 0.2], [0, 1], [1, 1])
         model_mod.predict_curve(model, 1, 10)
+        ellipse = generate_synthetic("ellipse", 20, axes=(1.0, 0.5))
+        metrics_mod.elastic_register(ellipse, curves[0], grid_size=16)
+        metrics_mod.esd(curves[0], ellipse, grid_size=16)
+        curves_mod.resample_equally_spaced(curves[1], 12)
         metrics = tracer.layer_metrics()
     finally:
         tracer.uninstall()
@@ -65,3 +71,6 @@ def test_tracer_hooks_the_library(tracing):
     assert metrics["model.predict_rows"] == 2
     assert metrics["coreg.gram_calls"] > 0
     assert metrics["kernels.corr_calls"] > 0
+    assert metrics["metrics.dp_calls"] > 0
+    assert metrics["metrics.reg_rounds"] > 0
+    assert metrics["curves.arc_to_xy_calls"] > 0
