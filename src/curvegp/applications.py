@@ -86,7 +86,7 @@ def _score_subset(curves, indices, criterion, model_config, opt_config):
         return total / len(curves)
     total = 0.0
     for j, (c, sub) in enumerate(zip(curves, subs)):
-        s_star = np.array([xy_to_arc_param(sub, pt) for pt in c.points])
+        s_star = xy_to_arc_param(sub, c.points)
         s_rows = np.repeat(s_star, 2)
         d_rows = np.tile([0, 1], c.n)
         j_rows = np.full(2 * c.n, j, dtype=int)

@@ -103,23 +103,47 @@ def multilevel_eval(kernel: MultiLevelKernel, a, b):
     return float(value)
 
 
+def _row_types(levels):
+    """Distinct tuples of level values among the rows of one design.
+
+    ``levels`` holds one index array per level. Each level's values are
+    ranked among its distinct values and the ranks are coded in mixed radix,
+    so the code is exact for any integers, out-of-range ones included.
+    Returns each level's value at every type and the type of every row.
+    """
+    code, ranked = 0, []
+    for idx in levels:
+        values, rank = np.unique(np.asarray(idx, dtype=int).reshape(-1),
+                                 return_inverse=True)
+        code = code * len(values) + rank
+        ranked.append((values, rank))
+    _, first, row_type = np.unique(code, return_index=True, return_inverse=True)
+    return [values[rank[first]] for values, rank in ranked], row_type
+
+
 def multilevel_gram(kernel: MultiLevelKernel, noise: NoiseSpec,
                     s_a, d_a, j_a=None, g_a=None,
                     s_b=None, d_b=None, j_b=None, g_b=None) -> np.ndarray:
     """Cross-Gram between two row designs (or one design with itself).
 
-    The jitter constant from ``noise`` is added at the input-kernel level, so
-    it is modulated by the same coreg factors and vanishes across independent
-    levels. Observation noise is not included.
+    The input kernel is evaluated once per distinct arc parameter (`gram`)
+    and the level factors once per pair of distinct level tuples (row
+    types); both are gathered to the rows, and the entries equal a direct
+    evaluation bit for bit. The jitter constant from ``noise`` is added at
+    the input-kernel level, so it is modulated by the same coreg factors and
+    vanishes across independent levels. Observation noise is not included.
     """
     K = gram(kernel.input_kernel, noise, s_a, s_b)
     if s_b is None:
         d_b, j_b, g_b = d_a, j_a, g_a
+    carried = [(coreg, a, b) for coreg, a, b in
+               ((kernel.coord, d_a, d_b), (kernel.curve, j_a, j_b),
+                (kernel.group, g_a, g_b)) if coreg is not None]
+    types_a, row_a = _row_types([a for _, a, _ in carried])
+    types_b, row_b = ((types_a, row_a) if s_b is None
+                      else _row_types([b for _, _, b in carried]))
     B = 1.0
-    for coreg, a, b in ((kernel.coord, d_a, d_b), (kernel.curve, j_a, j_b),
-                        (kernel.group, g_a, g_b)):
-        if coreg is not None:
-            B = B * _level_factor(coreg, np.asarray(a, dtype=int)[:, None],
-                                  np.asarray(b, dtype=int)[None, :])
-    K *= B
+    for (coreg, _, _), a, b in zip(carried, types_a, types_b):
+        B = B * _level_factor(coreg, a[:, None], b[None, :])
+    K *= B.take(row_a, axis=0).take(row_b, axis=1)
     return K

@@ -17,6 +17,9 @@ from .errors import CurveError, DegenerateCurveError
 
 DEFAULT_OVERSAMPLE = 19
 
+# Query-by-polygon distances formed at once by `xy_to_arc_param`.
+XY_QUERY_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -95,17 +98,27 @@ def _oversampled_polygon(curve: Curve, n_oversample: int):
     return dense.reshape(-1, 2), arcs.reshape(-1)
 
 
-def xy_to_arc_param(curve: Curve, query, n_oversample: int = DEFAULT_OVERSAMPLE) -> float:
+def xy_to_arc_param(curve: Curve, query, n_oversample: int = DEFAULT_OVERSAMPLE):
     """Arc-length parameter of the oversampled polygon point nearest to ``query``.
 
-    Ties are broken toward the smallest arc parameter. The result lies in
-    [0, total_length).
+    ``query`` is one point, giving a float, or an (n, 2) array of points,
+    giving n parameters, each equal to the one-point call's; the polygon is
+    oversampled once. Ties are broken toward the smallest arc parameter.
+    The result lies in [0, total_length).
     """
     polygon_length(curve)  # degenerate check
     query = np.asarray(query, dtype=float)
     dense, arcs = _oversampled_polygon(curve, n_oversample)
-    dist = np.linalg.norm(dense - query, axis=1)
-    return float(arcs[np.argmin(dist)])
+    pts = query.reshape(-1, 2)
+    nearest = np.empty(len(pts), dtype=int)
+    step = max(1, XY_QUERY_BLOCK // len(dense))  # bounds the distance array
+    for start in range(0, len(pts), step):
+        block = pts[start:start + step]
+        dist = np.linalg.norm(dense[None, :, :] - block[:, None, :], axis=2)
+        nearest[start:start + step] = np.argmin(dist, axis=1)
+    if query.ndim == 1:
+        return float(arcs[nearest[0]])
+    return arcs[nearest]
 
 
 def arc_to_xy_param(curve: Curve, s) -> np.ndarray:

@@ -117,19 +117,28 @@ def gram(hyp: PeriodicHyperparameters, noise: NoiseSpec, s_a, s_b=None) -> np.nd
     """Gram matrix between arc parameters ``s_a`` and ``s_b`` (``s_a`` with
     itself when ``s_b`` is None), with the jitter term applied.
 
+    The kernel is evaluated once per pair of distinct arc parameters and
+    gathered to the rows; entries equal a direct evaluation bit for bit.
     Constant jitter is added to every entry; nugget jitter only to the
-    diagonal of a Gram of ``s_a`` with itself, never to a cross Gram.
+    diagonal of a Gram of ``s_a`` with itself, never to a cross Gram, nor to
+    two different rows that share an arc parameter.
     Observation noise is *not* included; that is a model-level concern.
     """
     s_a = np.asarray(s_a, dtype=float).reshape(-1)
     if s_a.size == 0:
         raise ValidationError("gram needs at least one input")
-    s = s_a if s_b is None else np.asarray(s_b, dtype=float).reshape(-1)
-    r = np.abs(s_a[:, None] - s[None, :])
+    u_a, row_a = np.unique(s_a, return_inverse=True)
+    if s_b is None:
+        u_b, row_b = u_a, row_a
+    else:
+        u_b, row_b = np.unique(np.asarray(s_b, dtype=float).reshape(-1),
+                               return_inverse=True)
+    r = np.abs(u_a[:, None] - u_b[None, :])
     K = hyp.sigma2 * unit_correlation(hyp.family, r, hyp.rho, hyp.tau)
     if noise.jitter_mode == "constant":
-        K += noise.jitter
-    elif s_b is None:
+        K += noise.jitter  # every entry, so the distinct grid suffices
+    K = K.take(row_a, axis=0).take(row_b, axis=1)
+    if noise.jitter_mode == "nugget" and s_b is None:
         K[np.diag_indices_from(K)] += noise.jitter
     return K
 

@@ -162,23 +162,30 @@ def _dp_reparameterize(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     Dynamic program over an (n+1) x (n+1) node grid with the local step set
     DP_STEPS; transition cost integrates ||q1 - (q2 o gamma) sqrt(gamma')||^2
     over the covered target columns. Costs are formed DP_ROW_BLOCK target
-    rows at a time; only the D/parent recursion runs row by row.
+    rows at a time; only the D/parent recursion runs row by row, taking each
+    node's minimum over the steps at once. The first step wins a tie, and a
+    NaN cost never wins, as in a step-by-step strict `<` update.
     """
     n = len(q1)
     D = np.full((n + 1, n + 1), np.inf)
     D[0, 0] = 0.0
     parent = np.full((n + 1, n + 1), -1, dtype=int)
+    cand = np.empty((len(DP_STEPS), n + 1))  # one row of candidates per step
     for start in range(1, n + 1, DP_ROW_BLOCK):
         rows = np.arange(start, min(start + DP_ROW_BLOCK, n + 1))
         costs = [_step_costs(q1, q2, rows, di, dj) / n for di, dj in DP_STEPS]
+        for cost in costs:
+            cost[np.isnan(cost)] = np.inf
         for i in rows.tolist():
+            cand.fill(np.inf)
             for step_id, (di, dj) in enumerate(DP_STEPS):
-                if di > i:
-                    continue
-                cand = D[i - di, :n - dj + 1] + costs[step_id][i - start]
-                better = cand < D[i, dj:]
-                D[i, dj:][better] = cand[better]
-                parent[i, dj:][better] = step_id
+                if di <= i:
+                    np.add(D[i - di, :n - dj + 1], costs[step_id][i - start],
+                           out=cand[step_id, dj:])
+            low = cand.min(axis=0)
+            reached = np.isfinite(low)
+            np.copyto(D[i], low, where=reached)
+            np.copyto(parent[i], cand.argmin(axis=0), where=reached)
     if not np.isfinite(D[n, n]):
         raise NumericalError("re-parameterization DP found no feasible path")
     path_i, path_j = [n], [n]

@@ -12,9 +12,12 @@ from types to level values. A o K0 is summed over each block of types once,
 G = S^T (A o K0) S (S: rows to types); a level's M = E^T (G o the other
 factors) E, and its W and log kappa gradients are -M W and -diag(M) kappa/2.
 log sigma2 and log rho take one inner product of A with a dense matrix
-each, and log noise takes -noise tr(A) / 2. K^-1 comes from the Cholesky
-factor (LAPACK dpotri). One routine factors K and evaluates -log p for the
-objective, `log_marginal_likelihood` and `assemble_model`.
+each, and log noise takes -noise tr(A) / 2. alpha and K^-1 come from the
+Cholesky factor (LAPACK dpotrs, dpotri). One routine factors K and
+evaluates -log p for the objective, `log_marginal_likelihood` and
+`assemble_model`. Outside the objective, Grams come from `multilevel_gram`,
+which evaluates the input kernel once per distinct arc parameter and the
+level factors once per distinct level tuple, then gathers both to the rows.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from .coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
@@ -380,7 +383,9 @@ def _factor_and_nll(K: np.ndarray, y: np.ndarray):
     """Factor K (with the nugget ladder) and return (L, nugget, alpha,
     -log p(y)) for y ~ N(0, K)."""
     L, nugget = _chol_with_ladder(K)
-    alpha = cho_solve((L, True), y)
+    alpha, info = dpotrs(L, y, lower=1)
+    if info != 0:
+        raise NumericalError(f"solve with the Cholesky factor failed (info={info})")
     nll = (0.5 * float(y @ alpha) + float(np.sum(np.log(np.diag(L))))
            + 0.5 * len(y) * LOG2PI)
     return L, nugget, alpha, nll

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvegp.coreg import (CoregMatrix, MultiLevelKernel, build_coreg,
-                           multilevel_eval, multilevel_gram)
+from curvegp.coreg import (CoregMatrix, MultiLevelKernel, _level_factor,
+                           build_coreg, multilevel_eval, multilevel_gram)
 from curvegp.errors import ValidationError
-from curvegp.kernels import NoiseSpec, PeriodicHyperparameters, gram
+from curvegp.kernels import (FAMILIES, NoiseSpec, PeriodicHyperparameters, gram,
+                             unit_correlation)
 
 
 HYP = PeriodicHyperparameters(1.2, 0.3, 1.0, family="periodic_rbf")
@@ -135,3 +136,143 @@ class TestMultilevelGram:
         G1 = multilevel_gram(K, NO_JITTER, s, d, g_a=g)
         G2 = multilevel_gram(K, NO_JITTER, s, d, g_a=g.copy())
         assert np.array_equal(G1, G2)
+
+
+def full_grid_input_gram(hyp, noise, s_a, s_b=None):
+    """The input kernel evaluated at every pair of rows, then jittered."""
+    s_a = np.asarray(s_a, dtype=float).reshape(-1)
+    s = s_a if s_b is None else np.asarray(s_b, dtype=float).reshape(-1)
+    r = np.abs(s_a[:, None] - s[None, :])
+    K = hyp.sigma2 * unit_correlation(hyp.family, r, hyp.rho, hyp.tau)
+    if noise.jitter_mode == "constant":
+        K += noise.jitter
+    elif s_b is None:
+        K[np.diag_indices_from(K)] += noise.jitter
+    return K
+
+
+def full_grid_gram_oracle(kernel, noise, s_a, d_a, j_a=None, g_a=None,
+                          s_b=None, d_b=None, j_b=None, g_b=None):
+    """The multi-level Gram with the input kernel evaluated at every pair of
+    rows and every level factor gathered per pair of rows: the test-only
+    reference for the distinct-input `gram` and `multilevel_gram`."""
+    K = full_grid_input_gram(kernel.input_kernel, noise, s_a, s_b)
+    if s_b is None:
+        d_b, j_b, g_b = d_a, j_a, g_a
+    B = 1.0
+    for coreg, a, b in ((kernel.coord, d_a, d_b), (kernel.curve, j_a, j_b),
+                        (kernel.group, g_a, g_b)):
+        if coreg is not None:
+            B = B * _level_factor(coreg, np.asarray(a, dtype=int)[:, None],
+                                  np.asarray(b, dtype=int)[None, :])
+    K *= B
+    return K
+
+
+def random_kernel(rng, family, n_curves, n_groups):
+    """A kernel with random factors; a level of size 0 is absent."""
+    hyp = PeriodicHyperparameters(rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.4),
+                                  1.0, family=family)
+
+    def level(size):
+        return (build_coreg(rng.normal(size=(size, 1)), rng.uniform(0.1, 1, size))
+                if size else None)
+
+    return MultiLevelKernel(hyp, level(2), curve=level(n_curves),
+                            group=level(n_groups))
+
+
+def repeated_design(rng, n_points, n_curves, n_groups):
+    """Rows (s, d, j, g) two per point, as `TrainingDesign` lays them out:
+    arc parameters from a coarse grid, so they repeat within and across
+    curves, and level tuples that repeat across points."""
+    s = np.repeat(rng.choice(np.arange(7) / 7, size=n_points), 2)
+    d = np.tile([0, 1], n_points)
+    j = np.repeat(rng.integers(0, max(n_curves, 1), n_points), 2)
+    g = np.repeat(rng.integers(0, max(n_groups, 1), n_points), 2)
+    return s, d, j, g
+
+
+LEVELS = {"coord": (0, 0), "curve": (3, 0), "group": (0, 2), "curve+group": (3, 2)}
+
+
+class TestDistinctInputGram:
+    @pytest.mark.parametrize("levels", sorted(LEVELS))
+    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_self_and_cross_match_full_grid(self, family, jitter_mode, levels):
+        n_curves, n_groups = LEVELS[levels]
+        rng = np.random.default_rng(31)
+        kernel = random_kernel(rng, family, n_curves, n_groups)
+        noise = NoiseSpec(jitter=1e-3, jitter_mode=jitter_mode)
+        a = repeated_design(rng, 25, n_curves, n_groups)
+        b = repeated_design(rng, 9, n_curves, n_groups)
+        assert len(np.unique(a[0])) < len(a[0]) // 2
+        assert np.array_equal(multilevel_gram(kernel, noise, *a),
+                              full_grid_gram_oracle(kernel, noise, *a))
+        cross = dict(zip(("s_b", "d_b", "j_b", "g_b"), b))
+        assert np.array_equal(multilevel_gram(kernel, noise, *a, **cross),
+                              full_grid_gram_oracle(kernel, noise, *a, **cross))
+        hyp = kernel.input_kernel
+        for s_a, s_b in ((a[0], None), (a[0], b[0]), (b[0], a[0])):
+            assert np.array_equal(gram(hyp, noise, s_a, s_b),
+                                  full_grid_input_gram(hyp, noise, s_a, s_b))
+
+    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
+    def test_cross_gram_of_same_values_gets_no_nugget(self, jitter_mode):
+        rng = np.random.default_rng(32)
+        kernel = random_kernel(rng, "periodic_matern32", 3, 0)
+        noise = NoiseSpec(jitter=1e-3, jitter_mode=jitter_mode)
+        s, d, j, g = repeated_design(rng, 12, 3, 0)
+        cross = multilevel_gram(kernel, noise, s, d, j, g,
+                                s_b=s.copy(), d_b=d, j_b=j, g_b=g)
+        assert np.array_equal(cross, full_grid_gram_oracle(
+            kernel, noise, s, d, j, g, s_b=s.copy(), d_b=d, j_b=j, g_b=g))
+        self_gram = multilevel_gram(kernel, noise, s, d, j, g)
+        off = ~np.eye(len(s), dtype=bool)
+        assert np.array_equal(self_gram[off], cross[off])
+        if jitter_mode == "nugget":
+            assert np.all(np.diag(self_gram) > np.diag(cross))
+        else:
+            assert np.array_equal(self_gram, cross)
+
+    def test_nugget_only_on_the_diagonal_of_rows_sharing_s(self):
+        hyp = PeriodicHyperparameters(1.5, 0.2, 1.0)
+        coord = build_coreg([[1.0], [0.5]], [0.2, 0.3])
+        kernel = MultiLevelKernel(hyp, coord)
+        noise = NoiseSpec(jitter=1e-3, jitter_mode="nugget")
+        s, d = np.array([0.25, 0.25, 0.6, 0.6]), np.array([0, 1, 0, 1])
+        K = multilevel_gram(kernel, noise, s, d)
+        B = coord.matrix
+        assert np.array_equal(K, full_grid_gram_oracle(kernel, noise, s, d))
+        assert K[0, 1] == K[1, 0] == hyp.sigma2 * B[0, 1]
+        assert K[0, 0] == (hyp.sigma2 + 1e-3) * B[0, 0]
+        assert K[1, 1] == (hyp.sigma2 + 1e-3) * B[1, 1]
+        K0 = gram(hyp, noise, s)
+        assert K0[0, 1] == K0[2, 3] == hyp.sigma2
+        assert np.array_equal(np.diag(K0), np.full(4, hyp.sigma2 + 1e-3))
+
+    @pytest.mark.parametrize("bad", [
+        {"d_a": [0, 2]}, {"j_a": [0, 3]}, {"j_a": [-1, 0]}, {"g_a": [2, 0]},
+        {"d_b": [0, 1, 5]}, {"j_b": [0, 0, 3]}])
+    def test_level_index_out_of_range(self, bad):
+        kernel = random_kernel(np.random.default_rng(33), "periodic_rbf", 3, 2)
+        rows = {"s_a": [0.1, 0.4], "d_a": [0, 1], "j_a": [2, 0], "g_a": [1, 0]}
+        cross = {"s_b": [0.2, 0.3, 0.9], "d_b": [1, 0, 1], "j_b": [0, 2, 1],
+                 "g_b": [0, 1, 1]}
+        rows.update((k, v) for k, v in bad.items() if k.endswith("_a"))
+        cross.update((k, v) for k, v in bad.items() if k.endswith("_b"))
+        args = (rows["s_a"], rows["d_a"], rows["j_a"], rows["g_a"])
+        with pytest.raises(ValidationError, match="level index out of range"):
+            multilevel_gram(kernel, NO_JITTER, *args, **cross)
+        if not any(k.endswith("_b") for k in bad):
+            with pytest.raises(ValidationError, match="level index out of range"):
+                multilevel_gram(kernel, NO_JITTER, *args)
+
+    def test_out_of_range_index_that_a_raw_code_would_alias(self):
+        # with 3 curves, a raw mixed-radix code d * 3 + j maps (0, 3) onto
+        # the valid tuple (1, 0) of the row before it; the range check must
+        # still see j = 3
+        kernel = random_kernel(np.random.default_rng(34), "periodic_rbf", 3, 0)
+        with pytest.raises(ValidationError, match="level index out of range"):
+            multilevel_gram(kernel, NO_JITTER, [0.1, 0.5], [1, 0], [0, 3])

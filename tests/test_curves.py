@@ -87,6 +87,34 @@ class TestXyToArc:
         min_arcs = arcs[np.isclose(dist, dist.min())]
         assert s == min_arcs.min()
 
+    def test_array_query_equals_point_queries(self):
+        curves = [Curve(SQUARE), circle_polygon(17),
+                  generate_synthetic("star", 9, rng_seed=3, noise_sd=0.05)]
+        rng = np.random.default_rng(11)
+        # the centre of the square and the midpoint between two polygon
+        # samples (spacing 1/20 on the first side) are exact ties
+        ties = np.array([[0.5, 0.5], [0.025, -0.3]])
+        dense, _ = _oversampled_polygon(curves[0], 19)
+        for q in ties:
+            dist = np.linalg.norm(dense - q, axis=1)
+            assert np.count_nonzero(dist == dist.min()) >= 2
+        for c in curves:
+            queries = np.vstack([ties, c.points, rng.normal(size=(40, 2))])
+            batched = xy_to_arc_param(c, queries)
+            stacked = np.array([xy_to_arc_param(c, q) for q in queries])
+            assert batched.shape == (len(queries),)
+            assert batched.tobytes() == stacked.tobytes()
+            assert isinstance(xy_to_arc_param(c, queries[0]), float)
+
+    def test_array_query_in_blocks(self, monkeypatch):
+        import curvegp.curves as curves_module
+        c = circle_polygon(17)
+        queries = np.random.default_rng(12).normal(size=(50, 2))
+        whole = xy_to_arc_param(c, queries)
+        # fewer distances per block than polygon samples: one query a block
+        monkeypatch.setattr(curves_module, "XY_QUERY_BLOCK", 7)
+        assert xy_to_arc_param(c, queries).tobytes() == whole.tobytes()
+
 
 class TestArcToXy:
     def test_endpoints(self):

@@ -245,6 +245,27 @@ class TestVectorizedRegistration:
             assert gamma.tobytes() == dp_per_row_oracle(q1, q2).tobytes()
             assert _warp(q2, gamma).tobytes() == warp_per_index_oracle(q2, gamma).tobytes()
 
+    def test_dp_tied_candidates_match_oracle(self):
+        # zero SRVFs make every step's candidate 0: the first step wins each
+        # tie, so the path is the diagonal; small integer SRVFs tie in places
+        for n in (8, 17):
+            zeros = np.zeros((n, 2))
+            gamma = _dp_reparameterize(zeros, zeros)
+            assert gamma.tobytes() == dp_per_row_oracle(zeros, zeros).tobytes()
+            assert np.array_equal(gamma, np.arange(n + 1))
+        rng = np.random.default_rng(21)
+        q1 = rng.integers(-1, 2, size=(17, 2)).astype(float)
+        q2 = rng.integers(-1, 2, size=(17, 2)).astype(float)
+        assert _dp_reparameterize(q1, q2).tobytes() == dp_per_row_oracle(q1, q2).tobytes()
+
+    def test_dp_nan_cost_never_wins(self):
+        rng = np.random.default_rng(22)
+        q1, q2 = rng.normal(size=(17, 2)), rng.normal(size=(17, 2))
+        q2[5] = np.nan
+        gamma = _dp_reparameterize(q1, q2)
+        assert np.all(np.isfinite(gamma))
+        assert gamma.tobytes() == dp_per_row_oracle(q1, q2).tobytes()
+
     def test_registration_esd_is_esd(self):
         circle = generate_synthetic("circle", 40)
         star = generate_synthetic("star", 50, amplitude=0.3, rng_seed=1,

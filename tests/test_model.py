@@ -87,6 +87,14 @@ class TestLogMarginalLikelihood:
                   - 1.5 * np.log(2 * np.pi))
         assert value == pytest.approx(oracle, abs=1e-10)
 
+    def test_alpha_equals_cho_solve(self):
+        design, _ = circle_design(12)
+        hyp = PeriodicHyperparameters(1.1, 0.2, float(design.lengths[0]))
+        model = assemble_model(design, MultiLevelKernel(hyp, IDENTITY_2),
+                               NoiseSpec(noise_variance=1e-5))
+        expected = cho_solve((model.chol, True), design.y)
+        assert model.alpha.tobytes() == expected.tobytes()
+
 
 class TestFit:
     def test_interpolates_noiseless_circle(self):
