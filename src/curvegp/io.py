@@ -64,7 +64,9 @@ def load_curve_csv(path: str) -> Curve:
 
 
 def save_json(obj, path: str) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    """One line of compact JSON and a newline: without ``indent`` the
+    standard library encodes with its C accelerator."""
+    atomic_write_text(path, json.dumps(obj) + "\n")
 
 
 def load_json(path: str):
@@ -105,8 +107,10 @@ LEVEL_TAGS = {"coord": "D", "curve": "C", "group": "G"}
 
 def fit_result_to_dict(model) -> dict:
     """JSON-ready summary of a fitted model (hyperparameters, coreg levels
-    with D/C/G tags, noise, likelihood, diagnostics, and the group label of
-    each curve so that the design can be rebuilt)."""
+    with D/C/G tags, noise, likelihood, diagnostics -- restart scores, the
+    best restart, the optimizer method, the nugget of the final
+    factorization and one record per restart -- and the group label of each
+    curve so that the design can be rebuilt)."""
     hyp, design = model.kernel.input_kernel, model.design
     coreg = {}
     for name, tag in LEVEL_TAGS.items():
@@ -123,6 +127,10 @@ def fit_result_to_dict(model) -> dict:
         "coregionalization": coreg,
         "log_marginal_likelihood": model.log_marginal_likelihood,
         "restart_scores": diag.get("restart_scores", []),
+        "best_restart": diag.get("best_restart"),
+        "method": diag.get("method"),
+        "nugget": diag.get("nugget"),
+        "restarts": diag.get("restarts", []),
         "constraint_report": diag.get("constraint_report", {}),
         "group_labels": [str(label) for label in design.group_labels],
         "curve_labels": [str(design.group_labels[design.group_of_curve(c)])

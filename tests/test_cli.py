@@ -13,9 +13,9 @@ from curvegp.curves import generate_synthetic
 from curvegp.errors import ConfigError
 from curvegp.metrics import esd
 from curvegp.io import (curve_to_csv, load_curve_csv, load_collection_json,
-                        save_collection_json, save_curve_csv)
-from curvegp.model import (ModelConfig, OptimizerConfig, PredictedCurve,
-                           TrainingDesign, fit, predict_curve)
+                        save_collection_json, save_curve_csv, save_json)
+from curvegp.model import (NUGGET_LADDER, ModelConfig, OptimizerConfig,
+                           PredictedCurve, TrainingDesign, fit, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 from curvegp.svg import emit_svg
 
@@ -70,6 +70,14 @@ class TestCurveCsv:
 
 
 class TestCollectionJson:
+    def test_save_json_writes_one_compact_line(self, tmp_path):
+        path = str(tmp_path / "obj.json")
+        obj = {"a": [0.1, 1e-300, -2.5], "b": {"c": None, "d": "x"}}
+        save_json(obj, path)
+        text = open(path).read()
+        assert text == json.dumps(obj) + "\n"
+        assert json.loads(text) == obj
+
     def test_round_trip(self, tmp_path):
         curves = [generate_synthetic("circle", 5, rng_seed=1),
                   generate_synthetic("ellipse", 6, rng_seed=2)]
@@ -116,6 +124,33 @@ class TestFitPredictPipeline:
         pred = json.load(open(pred_path))
         assert len(pred["means"]) == 20
         ET.parse(svg_path)  # well-formed XML
+
+    def test_fit_json_records_each_restart(self, tmp_path):
+        paths = []
+        for k in range(2):
+            paths.append(str(tmp_path / f"c{k}.csv"))
+            save_curve_csv(generate_synthetic("star", 8, rng_seed=k,
+                                              noise_sd=0.01), paths[-1])
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 3\nopt.maxiter = 4\n")
+        fit_path = str(tmp_path / "fit.json")
+        assert main(["fit", "--inputs", *paths, "--config", str(cfg),
+                     "--out", fit_path]) == EXIT_OK
+        data = json.load(open(fit_path))
+        scores = data["restart_scores"]
+        assert data["method"] == "lbfgs"
+        assert data["best_restart"] == int(np.argmax(scores))
+        assert data["nugget"] in NUGGET_LADDER
+        records = data["restarts"]
+        assert len(records) == len(scores) == 3
+        assert [r["restart"] for r in records] == [0, 1, 2]
+        for record in records:
+            assert set(record) == {"restart", "nit", "nfev", "success", "message"}
+            assert 0 < record["nit"] <= 4 and record["nfev"] >= record["nit"]
+            assert isinstance(record["success"], bool)
+            assert isinstance(record["message"], str) and record["message"]
+        # four iterations do not converge: the optimizer says so
+        assert any(not r["success"] for r in records)
 
     def _grouped_fit(self, tmp_path):
         curves = [scale_to_unit_length(center(generate_synthetic(

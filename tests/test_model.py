@@ -1,5 +1,7 @@
 """GP model: marginal likelihood, fitting, prediction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -88,11 +90,13 @@ class TestLogMarginalLikelihood:
         assert value == pytest.approx(oracle, abs=1e-10)
 
     def test_alpha_equals_cho_solve(self):
+        # nugget jitter keeps the dense N x N path and its one factor
         design, _ = circle_design(12)
         hyp = PeriodicHyperparameters(1.1, 0.2, float(design.lengths[0]))
         model = assemble_model(design, MultiLevelKernel(hyp, IDENTITY_2),
-                               NoiseSpec(noise_variance=1e-5))
-        expected = cho_solve((model.chol, True), design.y)
+                               NoiseSpec(noise_variance=1e-5, jitter_mode="nugget"))
+        assert len(model.chol) == 1 and model.chol[0].shape == (24, 24)
+        expected = cho_solve((model.chol[0], True), design.y)
         assert model.alpha.tobytes() == expected.tobytes()
 
 
@@ -144,6 +148,9 @@ class TestFit:
                     OptimizerConfig(method="anneal", seed=0, maxiter=100))
         assert model.diagnostics["method"] == "anneal"
         assert np.isfinite(model.log_marginal_likelihood)
+        (record,) = model.diagnostics["restarts"]
+        assert record["restart"] == 0 and record["nfev"] > 0
+        assert isinstance(record["message"], str)
 
     def test_unknown_method_rejected(self):
         design, _ = circle_design(6)
@@ -196,6 +203,59 @@ class TestPredict:
         mean, cov = predict(self.model, sq, dq)
         assert np.allclose(mean, mean_oracle, atol=1e-9)
         assert np.allclose(cov, cov_oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
+    def test_matches_dense_oracle_with_levels(self, jitter_mode):
+        # a full coordinate factor, curves and groups: the split path
+        # (constant jitter) against the N x N inverse, and the dense path
+        curves = [scale_to_unit_length(center(generate_synthetic(
+            "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(3)]
+        design = TrainingDesign.from_curves(curves, labels=["a", "b", "a"])
+        hyp = PeriodicHyperparameters(0.5, 0.2, float(np.mean(design.lengths)))
+        kernel = MultiLevelKernel(
+            hyp, CoregMatrix(np.array([[0.6], [-0.3]]), np.array([0.4, 0.7])),
+            curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
+            group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
+        noise = NoiseSpec(noise_variance=1e-5, jitter_mode=jitter_mode)
+        model = assemble_model(design, kernel, noise)
+        assert model.split == (jitter_mode == "constant")
+        assert len(model.chol) == (2 if model.split else 1)
+        d = design
+        K = multilevel_gram(kernel, noise, d.s, d.d, d.j, d.g) + 1e-5 * np.eye(d.n_rows)
+        Kinv = np.linalg.inv(K)
+        # paired rows of curve 1, then unpaired rows over curves 0 and 2
+        queries = [(np.repeat([0.05, 0.4, 0.77], 2), np.tile([0, 1], 3),
+                    np.full(6, 1)),
+                   (np.array([0.3, 0.1, 0.3, 0.9]), np.array([1, 0, 0, 1]),
+                    np.array([0, 2, 0, 2]))]
+        for sq, dq, jq in queries:
+            gq = np.array([d.group_of_curve(c) for c in jq])
+            cross = multilevel_gram(kernel, noise, sq, dq, jq, gq,
+                                    s_b=d.s, d_b=d.d, j_b=d.j, g_b=d.g)
+            Kqq = multilevel_gram(kernel, noise, sq, dq, jq, gq)
+            mean, cov = predict(model, sq, dq, jq, gq)
+            assert np.max(np.abs(mean - cross @ Kinv @ d.y)) <= 1e-9
+            assert np.max(np.abs(cov - (Kqq - cross @ Kinv @ cross.T))) <= 1e-9
+        m = 25
+        for curve in range(3):
+            pred = predict_curve(model, curve, m)
+            sq = np.repeat(pred.grid, 2)
+            dq = np.tile([0, 1], m)
+            jq = np.full(2 * m, curve)
+            gq = np.full(2 * m, d.group_of_curve(curve))
+            cross = multilevel_gram(kernel, noise, sq, dq, jq, gq,
+                                    s_b=d.s, d_b=d.d, j_b=d.j, g_b=d.g)
+            Kqq = multilevel_gram(kernel, noise, sq, dq, jq, gq)
+            cov = Kqq - cross @ Kinv @ cross.T
+            blocks = np.array([cov[2 * i:2 * i + 2, 2 * i:2 * i + 2]
+                               for i in range(m)])
+            assert np.max(np.abs(pred.means.ravel() - cross @ Kinv @ d.y)) <= 1e-9
+            assert np.max(np.abs(pred.covariances - blocks)) <= 1e-9
+
+    def test_rejects_coordinate_out_of_range(self):
+        for d in (2, -1):
+            with pytest.raises(ValidationError):
+                predict(self.model, [0.1, 0.1], [0, d])
 
     def test_noise_monotonicity(self):
         variances = []
@@ -427,6 +487,8 @@ class TestContractedGradient:
         design = TrainingDesign.from_curves(curves, labels)
         obj = make_objective(design, ModelConfig(
             family=family, jitter_mode=jitter_mode, **levels))
+        # constant jitter splits K on the coordinate level; nugget does not
+        assert obj.split == (jitter_mode == "constant")
         rng = np.random.default_rng(3)
         for _ in range(3):
             theta = obj.random_start(rng)
@@ -452,13 +514,103 @@ class TestSharedGramBuilder:
         obj = make_objective(design, ModelConfig(
             family=family, jitter_mode=jitter_mode, **levels))
         rng = np.random.default_rng(5)
+        n = design.n_rows
         for _ in range(3):
             theta = obj.random_start(rng)
             K, grads = obj.gram_and_grads(theta)
             kernel, noise = obj.unpack(theta)
-            expected = multilevel_gram(kernel, noise, design.s, design.d,
-                                       design.j, design.g)
-            expected[np.diag_indices_from(expected)] += noise.noise_variance
-            assert np.array_equal(K, expected)
+            full = multilevel_gram(kernel, noise, design.s, design.d,
+                                   design.j, design.g)
+            if jitter_mode == "constant":
+                # the point Gram is the Gram without the coordinate factor
+                points = slice(None, None, 2)
+                expected = multilevel_gram(
+                    replace(kernel, coord=IDENTITY_2), noise, design.s[points],
+                    np.zeros(n // 2, dtype=int), design.j[points], design.g[points])
+                assert K.shape == (n // 2, n // 2)
+                assert np.array_equal(K, expected)
+                assert (np.max(np.abs(np.kron(K, kernel.coord.matrix) - full))
+                        <= 1e-15 * np.max(np.abs(full)))
+            else:
+                assert np.array_equal(K, full)
             assert len(grads) == 3
             assert all(G.shape == K.shape for G in grads)
+
+
+def paired_design(n_curves=2, n=8, labels=None):
+    curves = [scale_to_unit_length(center(generate_synthetic(
+        "star", n, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
+    return TrainingDesign.from_curves(curves, labels)
+
+
+class TestCoordinateSplit:
+    def test_dense_path_for_nugget_and_unpaired_designs(self):
+        design = paired_design()
+        n = design.n_rows
+        assert make_objective(design, ModelConfig()).split
+        assert not make_objective(design, ModelConfig(jitter_mode="nugget")).split
+        # the same rows with the two coordinates of every point swapped
+        swap = np.arange(n).reshape(-1, 2)[:, ::-1].ravel()
+        unpaired = TrainingDesign(s=design.s[swap], d=design.d[swap],
+                                  j=design.j[swap], g=design.g[swap],
+                                  y=design.y[swap], lengths=design.lengths)
+        obj = make_objective(unpaired, ModelConfig())
+        assert not obj.split
+        theta = obj.default_start()
+        K, grads = obj.gram_and_grads(theta)
+        assert K.shape == (n, n) and all(G.shape == (n, n) for G in grads)
+        paired = make_objective(design, ModelConfig())
+        assert paired.gram_and_grads(theta)[0].shape == (n // 2, n // 2)
+        # the same likelihood whichever path the row order selects
+        value, grad = obj.value_and_grad(theta)
+        value_split, grad_split = paired.value_and_grad(theta)
+        assert abs(value - value_split) <= 1e-10 * abs(value)
+        assert np.max(np.abs(grad - grad_split)) <= 1e-10 * np.max(np.abs(grad))
+        kernel, noise = obj.unpack(theta)
+        for d, split in ((design, True), (unpaired, False)):
+            model = assemble_model(d, kernel, noise)
+            assert model.split == split
+            assert [L.shape for L in model.chol] == (
+                [(n // 2, n // 2)] * 2 if split else [(n, n)])
+        assert not assemble_model(design, kernel,
+                                  replace(noise, jitter_mode="nugget")).split
+
+    @pytest.mark.parametrize("coord", [
+        (np.zeros((2, 1)), np.array([0.8, 0.8])),          # B = 0.8 I: Q = I
+        (np.array([[2.0], [-1.5]]), np.array([1e-3, 2e-3])),  # near rank 1
+        (np.array([[0.2, -0.9], [0.7, 0.4]]), np.array([0.3, 0.1]))])
+    def test_value_and_grad_at_coordinate_extremes(self, coord):
+        design = paired_design(3, 6, ["a", "b", "a"])
+        obj = make_objective(design, ModelConfig(fit_group=True,
+                                                 coord_rank=coord[0].shape[1]))
+        assert obj.split
+        theta = obj.default_start()
+        w_sl, k_sl = obj.slices["coord"]
+        theta[w_sl] = coord[0].ravel()
+        theta[k_sl] = np.log(coord[1])
+        value, grad = obj.value_and_grad(theta)
+        value_oracle, grad_oracle = dense_dk_oracle(obj, theta)
+        assert abs(value - value_oracle) <= 1e-10 * abs(value_oracle)
+        assert np.max(np.abs(grad - grad_oracle)) <= 1e-10 * np.max(np.abs(grad_oracle))
+        kernel, noise = obj.unpack(theta)
+        assert log_marginal_likelihood(design, kernel, noise) == pytest.approx(
+            -value_oracle, rel=1e-10)
+
+    def test_near_singular_design_escalates_alike(self):
+        # a very long length scale without jitter or noise: K is numerically
+        # singular, and both paths need the same rung of the nugget ladder
+        design = paired_design(2, 30)
+        hyp = PeriodicHyperparameters(1.0, 1.0, float(np.mean(design.lengths)),
+                                      family="periodic_rbf")
+        kernel = MultiLevelKernel(
+            hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
+            curve=CoregMatrix(np.array([[0.9], [0.5]]), np.full(2, 0.2)))
+        split = assemble_model(design, kernel, NoiseSpec(
+            noise_variance=0.0, jitter=0.0, jitter_mode="constant"))
+        dense = assemble_model(design, kernel, NoiseSpec(
+            noise_variance=0.0, jitter=0.0, jitter_mode="nugget"))
+        assert split.split and not dense.split
+        assert split.diagnostics["nugget"] == dense.diagnostics["nugget"] > 0.0
+        assert split.log_marginal_likelihood == pytest.approx(
+            dense.log_marginal_likelihood, rel=1e-6)
+

@@ -46,6 +46,9 @@ def test_tracer_hooks_the_library(tracing):
         design = model_mod.TrainingDesign.from_curves(curves, labels=["a", "b"])
         model = model_mod.fit(design, model_mod.ModelConfig(),
                               model_mod.OptimizerConfig(restarts=1, seed=0))
+        split_calls = tracer.layer_metrics()["model.vg_calls"]
+        model_mod.fit(design, model_mod.ModelConfig(jitter_mode="nugget"),
+                      model_mod.OptimizerConfig(restarts=1, seed=0))
         obj = model_mod.make_objective(design, model_mod.ModelConfig())
         obj.value(obj.default_start())
         model_mod.predict(model, [0.1, 0.2], [0, 1], [1, 1])
@@ -60,13 +63,16 @@ def test_tracer_hooks_the_library(tracing):
     for (module_name, path), original in originals.items():
         assert target(module_name, path) is original, path
     assert metrics["model.design_s"] > 0
-    assert metrics["model.fit_calls"] == 1
-    assert metrics["model.restarts"] == 1
+    assert metrics["model.fit_calls"] == 2
+    assert metrics["model.restarts"] == 2
     assert metrics["model.nfev"] > 0
-    # three N x N matrices per gradient evaluation, whatever the levels
-    assert metrics["model.vg_calls"] > 0
+    # three matrices per gradient evaluation, whatever the levels: (N/2) x
+    # (N/2) on the split path (constant jitter), N x N with nugget jitter
+    n = design.n_rows
+    dense_calls = metrics["model.vg_calls"] - split_calls
+    assert split_calls > 0 and dense_calls > 0
     assert metrics["model.grad_bytes"] == (
-        3 * 8 * design.n_rows ** 2 * metrics["model.vg_calls"])
+        3 * 8 * (n // 2) ** 2 * split_calls + 3 * 8 * n ** 2 * dense_calls)
     assert metrics["model.chol_s"] > 0
     assert metrics["model.predict_rows"] == 2
     assert metrics["coreg.gram_calls"] > 0
