@@ -13,8 +13,8 @@ import numpy as np
 from .curves import Curve, resample_equally_spaced, xy_to_arc_param
 from .errors import NumericalError, ValidationError
 from .metrics import iuea
-from .model import (FittedModel, ModelConfig, OptimizerConfig, TrainingDesign, fit,
-                    predict, predict_curve)
+from .model import (FittedModel, ModelConfig, OptimizerConfig, TrainingDesign,
+                    _predict_mean, fit, predict_curve)
 from .preprocess import apply_alignment, rotation_seed_align
 
 
@@ -90,7 +90,7 @@ def _score_subset(curves, indices, criterion, model_config, opt_config):
         s_rows = np.repeat(s_star, 2)
         d_rows = np.tile([0, 1], c.n)
         j_rows = np.full(2 * c.n, j, dtype=int)
-        mean, _ = predict(model, s_rows, d_rows, j_rows)
+        mean = _predict_mean(model, s_rows, d_rows, j_rows)
         total += float(np.sum((mean.reshape(c.n, 2) - c.points) ** 2) / c.n)
     return total / len(curves)
 

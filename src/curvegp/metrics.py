@@ -5,7 +5,10 @@
 - wasserstein2: exact optimal-assignment squared-distance cost between
   equal-size point clouds.
 - elastic_register / esd: elastic shape distance via alternating rotation +
-  seed search and dynamic-programming re-parameterization of SRVFs.
+  seed search and dynamic-programming re-parameterization of SRVFs. The
+  seed search scores every integer shift, then every sub-cell offset of a
+  sweep, at once in closed form and re-scores only the candidates that can
+  still win with the exact per-candidate code.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from scipy.optimize import linear_sum_assignment
 
 from .curves import Curve, arc_to_xy_param, polygon_length, resample_equally_spaced
 from .errors import NumericalError, ValidationError
-from .preprocess import _procrustes_rotation, center, scale_to_unit_length, srvf
+from .preprocess import (SCORE_BAND, _contenders, _procrustes_rotation,
+                         _rotated_energies, _seed_search, _srvf_arrays, center,
+                         scale_to_unit_length, srvf)
 
 MAX_ASSIGNMENT_SIZE = 512
 
@@ -25,10 +30,9 @@ MAX_ASSIGNMENT_SIZE = 512
 # stay within [1/3, 3] to prevent pinching.
 DP_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
 
-# Target rows of the DP whose transition costs are formed together: fewer
-# interpreted steps than one row at a time, while the cost arrays stay a few
-# rows of the grid rather than the whole (n+1) x (n+1) grid per step.
-DP_ROW_BLOCK = 16
+# Rows and columns of infinite cost before the DP's node grid, so that every
+# step's predecessor D[i - di, j - dj] is one gather, also at the borders.
+DP_PAD = max(max(step) for step in DP_STEPS)
 
 
 def _as_points(predicted) -> np.ndarray:
@@ -120,6 +124,37 @@ def _q_at_offset(curve: Curve, n: int, offset: float) -> np.ndarray:
     return srvf(Curve(pts)).normalized().q
 
 
+def _offset_energies(curve: Curve, q1: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Bulk energies against q1 of the curve resampled from each offset, as
+    `_q_at_offset` and a Procrustes rotation give them, from one batched
+    resampling. NaN marks an offset whose resampled points `Curve` would
+    alter (a closure row equal to the first point)."""
+    n = len(q1)
+    pts = arc_to_xy_param(curve, (offsets[:, None] + np.arange(n) / n) % 1.0)
+    q, w = _srvf_arrays(np.concatenate([pts, pts[:, :1]], axis=1))
+    q_sq = np.sum(q ** 2, axis=2)
+    norm_sq = np.sum(w * q_sq, axis=1)  # each SRVF is normalized through H and |q|^2
+    H = np.matmul(q.transpose(0, 2, 1), q1) / np.sqrt(norm_sq)[:, None, None]
+    bulk = _rotated_energies(H, np.sum(q_sq, axis=1) / norm_sq + np.sum(q1 ** 2), n)
+    bulk[np.all(np.isclose(pts[:, -1], pts[:, 0]), axis=1)] = np.nan
+    return bulk
+
+
+def _sweep_contenders(bulk: np.ndarray, offsets: np.ndarray, start_offset: float,
+                      start_e: float) -> np.ndarray:
+    """Indices of the sweep's offsets to score exactly, in order: the
+    contenders of the bulk scores. The offset equal to the start is skipped
+    only while the start is still the best, so whether it is scored hangs
+    on the offsets before it. When it is a contender but the start is not
+    near the lowest score, or when offsets repeat, every offset is scored."""
+    keep = _contenders(bulk, start_e)
+    repeated = len(np.unique(offsets)) < len(offsets)
+    if repeated or (np.any(offsets[keep] == start_offset)
+                    and start_e > min(start_e, bulk.min()) + SCORE_BAND / 2):
+        return np.arange(len(offsets))
+    return keep
+
+
 def _warp(q: np.ndarray, gamma_idx: np.ndarray) -> np.ndarray:
     """(q o gamma) * sqrt(gamma') on the uniform grid (gamma in index units)."""
     a, b = gamma_idx[:-1], gamma_idx[1:]
@@ -131,29 +166,30 @@ def _energy(q1: np.ndarray, q2w: np.ndarray) -> float:
     return float(np.sum((q1 - q2w) ** 2) / len(q1))
 
 
-def _step_costs(q1: np.ndarray, q2: np.ndarray, rows: np.ndarray,
-                di: int, dj: int) -> np.ndarray:
-    """Transition costs of one DP step into each of the target ``rows``.
+def _step_costs(q1: np.ndarray, q2: np.ndarray, di: int, dj: int,
+                out: np.ndarray) -> None:
+    """Transition costs of one DP step into every node it can reach.
 
-    Entry (r, j) integrates ||q1 - (q2 o gamma) sqrt(gamma')||^2 over the di
-    target columns that the step from node (rows[r] - di, j) covers; rows
-    below di have no such step and hold values that are never read.
+    Entry (i - di, j - dj) of ``out``, an (n+1-di) x (n+1-dj) array,
+    integrates ||q1 - (q2 o gamma) sqrt(gamma')||^2 over the di target
+    columns that the step from node (i - di, j - dj) to (i, j) covers:
+    column i - di + o against source column j - dj + k_o, a window of one
+    n x n array of squared distances per step.
     """
     n = len(q1)
-    sq = np.sqrt(dj / di)
-    j_prev = np.arange(0, n - dj + 1)
-    cost = np.zeros((len(rows), len(j_prev)))
+    q2s = np.sqrt(dj / di) * q2
+    dx = np.subtract.outer(q1[:, 0], q2s[:, 0])
+    dy = np.subtract.outer(q1[:, 1], q2s[:, 1])
+    dx *= dx
+    dy *= dy
+    dx += dy  # each squared distance is summed before it is accumulated
+    rows, cols = n - di + 1, n - dj + 1
     for o in range(di):
-        k_o = int(dj * (o + 0.5) / di)
-        q2o = sq * q2[np.minimum(j_prev + k_o, n - 1)]
-        q1o = q1[rows - di + o]
-        dx = np.subtract.outer(q1o[:, 0], q2o[:, 0])
-        dy = np.subtract.outer(q1o[:, 1], q2o[:, 1])
-        dx *= dx
-        dy *= dy
-        dx += dy  # each squared distance is summed before it is accumulated
-        cost += dx
-    return cost
+        k_o = int(dj * (o + 0.5) / di)  # < dj, so the window stays in the grid
+        if o == 0:
+            out[...] = dx[:rows, k_o:k_o + cols]
+        else:
+            out += dx[o:o + rows, k_o:k_o + cols]
 
 
 def _dp_reparameterize(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -161,43 +197,74 @@ def _dp_reparameterize(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 
     Dynamic program over an (n+1) x (n+1) node grid with the local step set
     DP_STEPS; transition cost integrates ||q1 - (q2 o gamma) sqrt(gamma')||^2
-    over the covered target columns. Costs are formed DP_ROW_BLOCK target
-    rows at a time; only the D/parent recursion runs row by row, taking each
-    node's minimum over the steps at once. The first step wins a tie, and a
-    NaN cost never wins, as in a step-by-step strict `<` update.
+    over the covered target columns. Costs of every step into every node are
+    formed at once, an (n+1) x steps x (n+1) array; the D recursion runs row
+    by row, adding every step's predecessor D[i - di, j - dj], one gather
+    from a D padded with DP_PAD infinite rows and columns, to the row's
+    costs and taking each node's minimum over the steps at once. The
+    candidates stay in the cost array, and the path is traced back through
+    their argmin. The first step wins a tie, and a NaN cost never wins, as
+    in a step-by-step strict `<` update.
     """
     n = len(q1)
-    D = np.full((n + 1, n + 1), np.inf)
-    D[0, 0] = 0.0
-    parent = np.full((n + 1, n + 1), -1, dtype=int)
-    cand = np.empty((len(DP_STEPS), n + 1))  # one row of candidates per step
-    for start in range(1, n + 1, DP_ROW_BLOCK):
-        rows = np.arange(start, min(start + DP_ROW_BLOCK, n + 1))
-        costs = [_step_costs(q1, q2, rows, di, dj) / n for di, dj in DP_STEPS]
-        for cost in costs:
-            cost[np.isnan(cost)] = np.inf
-        for i in rows.tolist():
-            cand.fill(np.inf)
-            for step_id, (di, dj) in enumerate(DP_STEPS):
-                if di <= i:
-                    np.add(D[i - di, :n - dj + 1], costs[step_id][i - start],
-                           out=cand[step_id, dj:])
-            low = cand.min(axis=0)
-            reached = np.isfinite(low)
-            np.copyto(D[i], low, where=reached)
-            np.copyto(parent[i], cand.argmin(axis=0), where=reached)
-    if not np.isfinite(D[n, n]):
+    costs = np.full((n + 1, len(DP_STEPS), n + 1), np.inf)
+    for step_id, (di, dj) in enumerate(DP_STEPS):
+        _step_costs(q1, q2, di, dj, out=costs[di:, step_id, dj:])
+    costs /= n
+    costs[np.isnan(costs)] = np.inf
+    width = DP_PAD + n + 1
+    D = np.full((DP_PAD + n + 1, width), np.inf)
+    D[DP_PAD, DP_PAD] = 0.0
+    flat = D.reshape(-1)
+    # predecessor of node (i, j) by step s: flat[i * width + gather[s, j]]
+    gather = np.array([(DP_PAD - di) * width + DP_PAD - dj for di, dj in DP_STEPS])
+    gather = gather[:, None] + np.arange(n + 1)
+    pred = np.empty((len(DP_STEPS), n + 1))
+    for i in range(1, n + 1):
+        row = costs[i]
+        flat[i * width:].take(gather, out=pred)
+        row += pred  # now the candidates into row i
+        np.minimum.reduce(row, axis=0, out=D[DP_PAD + i, DP_PAD:])  # inf if unreached
+    if not np.isfinite(D[DP_PAD + n, DP_PAD + n]):
         raise NumericalError("re-parameterization DP found no feasible path")
     path_i, path_j = [n], [n]
     i, j = n, n
     while i > 0:
-        di, dj = DP_STEPS[parent[i, j]]
+        di, dj = DP_STEPS[int(costs[i, :, j].argmin())]
         i, j = i - di, j - dj
         path_i.append(i)
         path_j.append(j)
     path_i.reverse()
     path_j.reverse()
     return np.interp(np.arange(n + 1), path_i, path_j)
+
+
+def _register_seed(source_n: Curve, q1: np.ndarray, q2_full: np.ndarray):
+    """Round 1 of `elastic_register`: (energy, offset, q2, R) of the best seed
+    offset (a fraction of the domain), source SRVF and rotation onto q1."""
+    n = len(q1)
+    # Exhaustive integer seed + rotation on the unwarped SRVFs (rolling the
+    # equally resampled SRVF shifts the seed by whole cells).
+    best_e, best_shift, R = _seed_search(q2_full, q1, _energy, (np.inf, 0, np.eye(2)))
+    # Fractional seed refinement: the best seed usually falls between grid
+    # cells; resample the source at sub-cell start offsets around the winner.
+    q2 = np.roll(q2_full, -best_shift, axis=0)
+    best_offset = best_shift / n
+    half = 0.5 / n
+    for _ in range(3):
+        offsets = (best_offset + np.linspace(-half, half, 11)) % 1.0
+        bulk = _offset_energies(source_n, q1, offsets)
+        for k in _sweep_contenders(bulk, offsets, best_offset, best_e).tolist():
+            offset = offsets[k]
+            if offset == best_offset:
+                continue
+            cand = _q_at_offset(source_n, n, offset)
+            R_cand = _procrustes_rotation(cand, q1)
+            e = _energy(q1, cand @ R_cand.T)
+            if e < best_e - 1e-15:
+                best_offset, q2, R, best_e = offset, cand, R_cand, e
+        half /= 5.0
+    return best_e, best_offset, q2, R
 
 
 def elastic_register(source: Curve, target: Curve, grid_size: int = 100,
@@ -208,6 +275,9 @@ def elastic_register(source: Curve, target: Curve, grid_size: int = 100,
     ``grid_size`` points. Alternates a closed-form rotation step (plus an
     exhaustive seed search in the first round) with a DP re-parameterization;
     the energy trace is non-increasing (a worsening update is reverted).
+    The seed search scores all integer shifts, then each of three sub-cell
+    sweeps, in bulk; only the candidates that can still win are scored
+    exactly, in order, so the result is that of a per-candidate search.
     """
     import warnings
     if grid_size < 8:
@@ -219,36 +289,10 @@ def elastic_register(source: Curve, target: Curve, grid_size: int = 100,
     q2_full = srvf(resample_equally_spaced(source_n, grid_size)).normalized().q
     n = grid_size
 
-    # Round 1: exhaustive integer seed + rotation on the unwarped SRVFs
-    # (rolling the equally resampled SRVF shifts the seed by whole cells).
-    best_shift, best_R, best_e = 0, np.eye(2), np.inf
-    for shift in range(n):
-        a = np.roll(q2_full, -shift, axis=0)
-        R = _procrustes_rotation(a, q1)
-        e = _energy(q1, a @ R.T)
-        if e < best_e - 1e-15:
-            best_shift, best_R, best_e = shift, R, e
-    # Fractional seed refinement: the best seed usually falls between grid
-    # cells; resample the source at sub-cell start offsets around the winner.
-    q2 = np.roll(q2_full, -best_shift, axis=0)
-    R, best_offset = best_R, best_shift / n
-    half = 0.5 / n
-    for _ in range(3):
-        sweep_center = best_offset
-        for frac in np.linspace(-half, half, 11):
-            offset = (sweep_center + frac) % 1.0
-            if offset == best_offset:
-                continue
-            cand = _q_at_offset(source_n, n, offset)
-            R_cand = _procrustes_rotation(cand, q1)
-            e = _energy(q1, cand @ R_cand.T)
-            if e < best_e - 1e-15:
-                best_offset, q2, R, best_e = offset, cand, R_cand, e
-        half /= 5.0
+    energy, best_offset, q2, R = _register_seed(source_n, q1, q2_full)
     best_shift = int(round(best_offset * n)) % n
 
     gamma = np.arange(n + 1, dtype=float)
-    energy = best_e
     energies = [energy]
 
     for _ in range(max_rounds):

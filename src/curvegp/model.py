@@ -586,8 +586,29 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
 
     if opt_config.method == "anneal":
         from scipy.optimize import dual_annealing
-        res = dual_annealing(obj.value, bounds=obj.bounds, seed=opt_config.seed,
-                             maxiter=max(opt_config.maxiter, 100))
+
+        factored = 0
+
+        def value_or_inf(theta):  # a point that cannot be factored scores +inf
+            nonlocal factored
+            try:
+                value = obj.value(theta)
+            except NumericalError:
+                return np.inf
+            factored += 1
+            return value
+
+        no_point = "annealing found no point that could be factored"
+        try:
+            res = dual_annealing(value_or_inf, bounds=obj.bounds,
+                                 seed=opt_config.seed,
+                                 maxiter=max(opt_config.maxiter, 100))
+        except ValueError as exc:  # scipy's reply when no start scores finite
+            if factored:
+                raise
+            raise NumericalError(no_point) from exc
+        if not np.isfinite(res.fun):
+            raise NumericalError(no_point)
         scores, best_theta, best_index = [-float(res.fun)], res.x, 0
         records = [_restart_record(0, res)]
     elif opt_config.method == "lbfgs":
@@ -636,6 +657,21 @@ def _restart_record(restart: int, res) -> dict:
             "success": bool(res.success), "message": message}
 
 
+def _posterior_mean(model: FittedModel, s, d, j, g):
+    """(mean, cross, unit, coord): the means at query rows, the query units'
+    cross Gram against the training units, and each row's unit and
+    coordinate."""
+    split = model.split
+    (us, ud, uj, ug), unit, coord = _units(s, d, j, g, split)
+    dz = model.design
+    ts, td, tj, tg = _units(dz.s, dz.d, dz.j, dz.g, split)[0]
+    cross = multilevel_gram(_unit_kernel(model.kernel, split), model.noise,
+                            us, ud, uj, ug, s_b=ts, d_b=td, j_b=tj, g_b=tg)
+    B = model.kernel.coord.matrix if split else model.basis[1]  # Q = [[1]] if dense
+    mean = (cross @ model.alpha.reshape(len(ts), -1) @ B)[unit, coord]
+    return mean, cross, unit, coord
+
+
 def _posterior_parts(model: FittedModel, s, d, j, g):
     """Means at query rows and, per block e, (V_e, w_e): V_e = L_e^-1 k_e
     on the query units and w_e[r] = lam_e Q[coordinate of r, e]. The
@@ -643,14 +679,7 @@ def _posterior_parts(model: FittedModel, s, d, j, g):
     w_e[r] w_e[r'] V_e[:, u(r)] . V_e[:, u(r')]. Returns (mean, parts, u).
     """
     lam, Q = model.basis
-    split = model.split
-    (us, ud, uj, ug), unit, coord = _units(s, d, j, g, split)
-    dz = model.design
-    ts, td, tj, tg = _units(dz.s, dz.d, dz.j, dz.g, split)[0]
-    cross = multilevel_gram(_unit_kernel(model.kernel, split), model.noise,
-                            us, ud, uj, ug, s_b=ts, d_b=td, j_b=tj, g_b=tg)
-    B = model.kernel.coord.matrix if split else Q  # Q = [[1]] on the dense path
-    mean = (cross @ model.alpha.reshape(len(ts), -1) @ B)[unit, coord]
+    mean, cross, unit, coord = _posterior_mean(model, s, d, j, g)
     parts = []
     for e, L in enumerate(model.chol):
         V, info = dtrtrs(L, cross.T, lower=1)
@@ -664,6 +693,18 @@ def predict(model: FittedModel, s, d, j=None, g=None):
     """Predictive mean and full covariance at query rows (s*, d, j, g).
 
     Without ``g`` each row takes the group of its curve in the design."""
+    s, d, j, g = _query_rows(model, s, d, j, g)
+    cov = multilevel_gram(model.kernel, model.noise, s, d, j, g)  # checks d, j, g
+    mean, parts, unit = _posterior_parts(model, s, d, j, g)
+    rows = np.ix_(unit, unit)
+    for V, w in parts:
+        cov -= np.outer(w, w) * (V.T @ V)[rows]
+    return mean, cov
+
+
+def _query_rows(model: FittedModel, s, d, j, g):
+    """``predict``'s query rows as arrays, each row's group defaulting to
+    its curve's."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=int))
     j = np.zeros_like(d) if j is None else np.atleast_1d(np.asarray(j, dtype=int))
@@ -672,13 +713,12 @@ def predict(model: FittedModel, s, d, j=None, g=None):
         if np.any((j < 0) | (j >= dz.n_curves)):
             raise ValidationError(f"curve index out of range for {dz.n_curves} curves")
         g = np.array([dz.group_of_curve(c) for c in range(dz.n_curves)])[j]
-    g = np.atleast_1d(np.asarray(g, dtype=int))
-    cov = multilevel_gram(model.kernel, model.noise, s, d, j, g)  # checks d, j, g
-    mean, parts, unit = _posterior_parts(model, s, d, j, g)
-    rows = np.ix_(unit, unit)
-    for V, w in parts:
-        cov -= np.outer(w, w) * (V.T @ V)[rows]
-    return mean, cov
+    return s, d, j, np.atleast_1d(np.asarray(g, dtype=int))
+
+
+def _predict_mean(model: FittedModel, s, d, j=None, g=None) -> np.ndarray:
+    """``predict``'s means alone, without the prior or posterior covariance."""
+    return _posterior_mean(model, *_query_rows(model, s, d, j, g))[0]
 
 
 def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> PredictedCurve:

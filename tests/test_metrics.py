@@ -235,8 +235,107 @@ def warp_per_index_oracle(q, gamma_idx):
     return out
 
 
+def register_seed_per_candidate_oracle(source_n, q1, q2_full):
+    """Round 1 of `elastic_register` with one SVD Procrustes per integer
+    shift and one resampling per sub-cell offset: the test-only reference
+    for the bulk-scored `_register_seed`."""
+    from curvegp.metrics import _procrustes_rotation, _q_at_offset
+    n = len(q1)
+    best_shift, best_R, best_e = 0, np.eye(2), np.inf
+    for shift in range(n):
+        a = np.roll(q2_full, -shift, axis=0)
+        R = _procrustes_rotation(a, q1)
+        e = _energy(q1, a @ R.T)
+        if e < best_e - 1e-15:
+            best_shift, best_R, best_e = shift, R, e
+    q2 = np.roll(q2_full, -best_shift, axis=0)
+    R, best_offset = best_R, best_shift / n
+    half = 0.5 / n
+    for _ in range(3):
+        sweep_center = best_offset
+        for frac in np.linspace(-half, half, 11):
+            offset = (sweep_center + frac) % 1.0
+            if offset == best_offset:
+                continue
+            cand = _q_at_offset(source_n, n, offset)
+            R_cand = _procrustes_rotation(cand, q1)
+            e = _energy(q1, cand @ R_cand.T)
+            if e < best_e - 1e-15:
+                best_offset, q2, R, best_e = offset, cand, R_cand, e
+        half /= 5.0
+    return best_e, best_offset, q2, R
+
+
+def register_pair_sources(seed):
+    """A star target, a clustered noisy ellipse and a rotated, scaled,
+    translated and seed-shifted copy of the star, as the benchmark's
+    `register_pairs` workload builds them."""
+    rng = np.random.default_rng(seed)
+    target = generate_synthetic(
+        "star", int(rng.integers(50, 70)), radius=float(rng.uniform(0.8, 1.2)),
+        amplitude=float(rng.uniform(0.15, 0.3)), petals=int(rng.integers(3, 6)),
+        noise_sd=0.005, rng_seed=int(rng.integers(2 ** 31)))
+    different = generate_synthetic(
+        "ellipse", int(rng.integers(40, 60)),
+        axes=(1.0, float(rng.uniform(0.4, 0.8))), scheme="clustered",
+        cluster_center=float(rng.uniform(0.0, 2 * np.pi)),
+        noise_sd=0.005, rng_seed=int(rng.integers(2 ** 31)))
+    angle = rng.uniform(0.0, 2 * np.pi)
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    pts = rng.uniform(0.5, 2.0) * target.points @ rot.T + rng.normal(size=2)
+    copy = Curve(np.roll(pts, int(rng.integers(1, target.n)), axis=0))
+    return target, different, copy
+
+
 class TestVectorizedRegistration:
-    @pytest.mark.parametrize("n", [8, 15, 16, 17, 33, 200])
+    @pytest.mark.parametrize("grid", [50, 200])
+    def test_seed_search_matches_per_candidate_oracle(self, grid, monkeypatch):
+        import curvegp.metrics as metrics
+        q_at_offset = metrics._q_at_offset
+        exact = []
+
+        def counted(*args):
+            exact.append(args)
+            return q_at_offset(*args)
+
+        for seed in range(3):
+            target, different, copy = register_pair_sources(seed)
+            for source in (different, copy):
+                monkeypatch.setattr(metrics, "_q_at_offset", counted)
+                exact.clear()
+                reg = elastic_register(source, target, grid_size=grid)
+                # only the contenders of each sweep are resampled one by one
+                assert len(exact) < 11
+                monkeypatch.setattr(metrics, "_register_seed",
+                                    register_seed_per_candidate_oracle)
+                ref = elastic_register(source, target, grid_size=grid)
+                monkeypatch.undo()
+                for field in ("offset", "shift", "energies", "esd"):
+                    assert repr(getattr(reg, field)) == repr(getattr(ref, field))
+                for field in ("rotation", "gamma"):
+                    assert getattr(reg, field).tobytes() == getattr(ref, field).tobytes()
+
+    def test_sweep_contenders_fall_back_to_every_offset(self):
+        from curvegp.metrics import _sweep_contenders
+        offsets = np.linspace(0.1, 0.2, 11)
+        start = offsets[5]
+        bulk = np.full(11, 1.0)
+        bulk[[2, 5]] = 0.5
+        # the start is near the lowest score: only the contenders
+        assert _sweep_contenders(bulk, offsets, start, 0.5).tolist() == [2, 5]
+        # the start is far above, but its own offset is no contender
+        bulk[5] = 1.0
+        assert _sweep_contenders(bulk, offsets, start, 1.0).tolist() == [2]
+        # the start is far above and its offset is a contender: whether
+        # that offset is scored depends on the offsets before it
+        bulk[5] = 0.5
+        assert _sweep_contenders(bulk, offsets, start, 1.0).tolist() == list(range(11))
+        # repeated offsets
+        assert _sweep_contenders(bulk, np.r_[offsets[:10], offsets[0]], 0.0,
+                                 0.5).tolist() == list(range(11))
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 15, 16, 17, 33, 50, 100, 200])
     def test_dp_matches_per_row_oracle_bitwise(self, n):
         rng = np.random.default_rng(n)
         for _ in range(2 if n == 200 else 4):

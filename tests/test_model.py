@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.curves import Curve, generate_synthetic
-from curvegp.errors import ValidationError
+from curvegp.errors import NumericalError, ValidationError
 from curvegp.kernels import NoiseSpec, PeriodicHyperparameters
 from curvegp.model import (ModelConfig, OptimizerConfig, TrainingDesign,
                            assemble_model, fit, log_marginal_likelihood,
@@ -152,6 +152,38 @@ class TestFit:
         assert record["restart"] == 0 and record["nfev"] > 0
         assert isinstance(record["message"], str)
 
+    @staticmethod
+    def fail_when_correlated(monkeypatch, threshold):
+        """Make the factorization fail wherever neighbouring points correlate
+        above the threshold, a band of large rho in the box."""
+        import curvegp.model as model
+        factor = model._chol_with_ladder
+
+        def flaky(blocks):
+            first = np.asarray(blocks)[0]
+            if first[0, 1] > threshold * first[0, 0]:
+                raise NumericalError("forced factorization failure")
+            return factor(blocks)
+
+        monkeypatch.setattr(model, "_chol_with_ladder", flaky)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in scipy
+    def test_annealing_skips_points_that_cannot_be_factored(self, monkeypatch):
+        self.fail_when_correlated(monkeypatch, 0.5)
+        design, _ = circle_design(6)
+        model = fit(design, ModelConfig(),
+                    OptimizerConfig(method="anneal", seed=0, maxiter=100))
+        assert np.isfinite(model.log_marginal_likelihood)
+        K = model.chol[0] @ model.chol[0].T
+        assert K[0, 1] <= 0.5 * K[0, 0]
+
+    def test_annealing_with_no_factorable_point_is_numerical(self, monkeypatch):
+        self.fail_when_correlated(monkeypatch, -np.inf)
+        design, _ = circle_design(6)
+        with pytest.raises(NumericalError, match="no point"):
+            fit(design, ModelConfig(),
+                OptimizerConfig(method="anneal", seed=0, maxiter=100))
+
     def test_unknown_method_rejected(self):
         design, _ = circle_design(6)
         with pytest.raises(ValidationError):
@@ -179,6 +211,23 @@ class TestPredict:
         mean, cov = predict(self.model, self.design.s, self.design.d)
         assert np.max(np.abs(mean - self.design.y)) < 1e-3
         assert np.max(np.diag(cov)) < 1e-4
+
+    def test_means_alone_equal_predict_means(self):
+        # the landmark score takes the means without the covariance
+        from curvegp.model import _predict_mean
+        s = np.repeat([0.11, 0.52, 0.9, 0.3], 2)
+        d = np.tile([0, 1], 4)
+        paired = assemble_model(paired_design(n_curves=2, n=6),
+                                self.model.kernel, self.noise)
+        for model, j in ((self.model, None), (paired, np.repeat([0, 1, 1, 0], 2))):
+            assert model.split
+            mean, _ = predict(model, s, d, j)
+            assert _predict_mean(model, s, d, j).tobytes() == mean.tobytes()
+        dense = assemble_model(self.design, self.model.kernel,
+                               NoiseSpec(1e-6, jitter=1e-3, jitter_mode="nugget"))
+        assert not dense.split
+        mean, _ = predict(dense, s, d)
+        assert _predict_mean(dense, s, d).tobytes() == mean.tobytes()
 
     def test_periodic_query_consistency(self):
         m1, c1 = predict(self.model, [0.3], [0])

@@ -138,6 +138,69 @@ class TestRotationSeedAlign:
             rotation_seed_align(a, b)
 
 
+
+def seed_align_per_shift_oracle(target, template):
+    """Alignment with one SVD Procrustes per cyclic shift: the test-only
+    reference for the bulk-scored `rotation_seed_align`."""
+    from curvegp.preprocess import _procrustes_rotation
+    q_t = srvf(template).q
+    q_s = srvf(target).q
+    best = None
+    for shift in range(target.n):
+        a = np.roll(q_s, -shift, axis=0)
+        R = _procrustes_rotation(a, q_t)
+        residual = float(np.mean(np.sum((q_t - a @ R.T) ** 2, axis=1)))
+        if best is None or residual < best.residual - 1e-15:
+            best = AlignmentResult(rotation=R, shift=shift, residual=residual)
+    return best
+
+
+def assert_same_alignment(target, template):
+    res = rotation_seed_align(target, template)
+    ref = seed_align_per_shift_oracle(target, template)
+    assert res.shift == ref.shift
+    assert np.array_equal(res.rotation, ref.rotation)
+    assert res.residual == ref.residual  # also bitwise: both are Python floats
+
+
+class TestBulkSeedSearch:
+    @pytest.mark.parametrize("n", [8, 17, 60, 200])
+    def test_matches_per_shift_oracle_on_random_curves(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            assert_same_alignment(Curve(rng.normal(size=(n, 2))),
+                                  Curve(rng.normal(size=(n, 2))))
+        star = generate_synthetic("star", n, amplitude=0.25, petals=3,
+                                  noise_sd=0.01, rng_seed=n)
+        moved = Curve(np.roll(star.points, -int(rng.integers(n)), axis=0)
+                      @ rotation(rng.uniform(0, 2 * np.pi)).T)
+        assert_same_alignment(moved, star)
+
+    @pytest.mark.parametrize("n, petals", [(20, 5), (24, 4), (60, 6), (200, 5)])
+    def test_matches_per_shift_oracle_on_symmetric_curves(self, n, petals):
+        # rotationally symmetric curves tie (to rounding) at every shift by
+        # a whole petal or side: the first of them must win, as in the oracle
+        star = generate_synthetic("star", n, amplitude=0.25, petals=petals)
+        polygon = generate_synthetic("circle", n)
+        for c in (star, polygon):
+            assert_same_alignment(c, c)
+            assert_same_alignment(Curve(c.points @ rotation(0.3).T), c)
+            assert_same_alignment(Curve(np.roll(c.points, 3, axis=0)), c)
+
+    def test_contenders_hold_the_ties(self):
+        from curvegp.preprocess import _contenders, _shift_energies
+        # the star of test_self_alignment, whose expected shift is 0
+        q = srvf(generate_synthetic("star", 20, amplitude=0.25, petals=5)).q
+        assert _contenders(_shift_energies(q, q)).tolist() == [0, 4, 8, 12, 16]
+
+    def test_contenders_within_band_or_all_when_not_finite(self):
+        from curvegp.preprocess import _contenders
+        bulk = np.array([3.0, np.nan, 1.0, 2.0])
+        assert _contenders(bulk).tolist() == [0, 1, 2, 3]
+        assert _contenders(np.array([3.0, 1.0, 1.0 + 1e-12, 2.0])).tolist() == [1, 2]
+        assert _contenders(np.array([3.0, 1.0]), start=0.5).tolist() == []
+
+
 class TestPreprocessCollection:
     def test_single_curve(self):
         c = generate_synthetic("ellipse", 20)
