@@ -129,12 +129,15 @@ def arc_to_xy_param(curve: Curve, s) -> np.ndarray:
     point, or an array of parameters, giving one point per parameter in an
     array of shape ``s.shape + (2,)``; each point equals the scalar call's.
     """
-    length = polygon_length(curve)
+    closed = curve.closed_points()
+    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)  # as Curve.segment_lengths
+    length = float(seg.sum())
+    if length <= 0.0:
+        raise DegenerateCurveError("curve has zero total length")
     s = np.remainder(np.asarray(s, dtype=float), length)
-    res = curve.cumulative_arc()
+    res = np.concatenate([[0.0], np.cumsum(seg)])  # as Curve.cumulative_arc
     previ = np.minimum(np.searchsorted(res, s, side="right") - 1, curve.n - 1)
     rat = (s - res[previ]) / (res[previ + 1] - res[previ])
-    closed = curve.closed_points()
     return closed[previ] + rat[..., None] * (closed[previ + 1] - closed[previ])
 
 

@@ -3,7 +3,8 @@
 - imspe: integrated mean squared prediction error on a shared arc grid.
 - iuea: integrated area of the pointwise predictive-uncertainty ellipses.
 - wasserstein2: exact optimal-assignment squared-distance cost between
-  equal-size point clouds.
+  equal-size point clouds. It is the module's only user of `scipy.optimize`
+  (`linear_sum_assignment`), which it imports when called.
 - elastic_register / esd: elastic shape distance via alternating rotation +
   seed search and dynamic-programming re-parameterization of SRVFs. The
   seed search scores every integer shift, then every sub-cell offset of a
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .curves import Curve, arc_to_xy_param, polygon_length, resample_equally_spaced
 from .errors import NumericalError, ValidationError
@@ -93,6 +93,8 @@ def wasserstein2(a, b) -> float:
     if len(a) > MAX_ASSIGNMENT_SIZE:
         raise ValidationError(
             f"exact assignment limited to {MAX_ASSIGNMENT_SIZE} points, got {len(a)}")
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())

@@ -32,6 +32,10 @@ Cholesky factors (LAPACK dpotrs, dpotri); one nugget ladder serves every
 block. Outside the objective, Grams come from `multilevel_gram`, which
 evaluates the input kernel once per distinct arc parameter and the level
 factors once per distinct level tuple, then gathers both to the rows.
+
+`scipy.optimize` is imported only when `fit` runs: L-BFGS-B through the
+module's `minimize`, which loads it on its first call, and `dual_annealing`
+inside `fit`. Assembly and prediction need only `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from functools import reduce
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
-from scipy.optimize import minimize
 
 from .coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from .errors import NumericalError, ValidationError
@@ -569,6 +572,13 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
                        basis=basis)
 
 
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call so that only a
+    process that fits pays for loading `scipy.optimize`."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
         opt_config: OptimizerConfig | None = None) -> FittedModel:
     """Maximize the log marginal likelihood over box-constrained restarts.
@@ -576,7 +586,9 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     Deterministic for a fixed seed; the best restart is returned with all
     restart scores logged in the diagnostics, and one record per restart
     that ran to its end (restart number, iterations, evaluations, the
-    optimizer's success flag and message), in the order of the scores.
+    optimizer's success flag and message), in the order of the scores. An
+    L-BFGS-B restart that meets a point it cannot factor, its start
+    included, is skipped with a warning.
     """
     import warnings
     model_config = model_config or ModelConfig()
@@ -615,13 +627,6 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
         scores, results, records = [], [], []
         for i in range(opt_config.restarts):
             theta0 = obj.default_start() if i == 0 else obj.random_start(rng)
-            try:
-                val0, _ = obj.value_and_grad(theta0)
-            except NumericalError:
-                val0 = np.inf
-            if not np.isfinite(val0):
-                warnings.warn(f"restart {i}: non-finite likelihood at start, skipped")
-                continue
             try:
                 res = minimize(obj.value_and_grad, theta0, jac=True,
                                method="L-BFGS-B", bounds=obj.bounds,

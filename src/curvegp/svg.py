@@ -3,7 +3,7 @@ optional truth path, and one uncertainty ellipse per grid point."""
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def emit_svg(predicted, observed=None, truth=None, title: str = "",
         f'viewBox="{view}" preserveAspectRatio="xMidYMid meet">',
     ]
     if title:
-        parts.append(f"<title>{escape(title)}</title>")
+        parts.append(f"<title>{escape(title, quote=False)}</title>")
     # flip the y axis so curves render in conventional orientation
     parts.append(f'<g transform="translate(0 {_r(2 * cy)}) scale(1 -1)">')
     for mean, cov in zip(means, covs):

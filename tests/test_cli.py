@@ -298,6 +298,20 @@ class TestSvg:
         ellipses = root.findall(".//{http://www.w3.org/2000/svg}ellipse")
         assert len(ellipses) == 12
 
+    @pytest.mark.parametrize("title", ["a & b", "<x>", "1 > 0 < 2", "\"q\" 'q'",
+                                       "&amp; <&>", ""])
+    def test_title_escaped_as_by_saxutils(self, title):
+        from xml.sax.saxutils import escape
+        pred = PredictedCurve(grid=np.arange(3) / 3, means=np.eye(3, 2),
+                              covariances=np.zeros((3, 2, 2)))
+        doc = emit_svg(pred, title=title)
+        if title:
+            assert f"<title>{escape(title)}</title>" in doc
+            assert ET.fromstring(doc).find(
+                "{http://www.w3.org/2000/svg}title").text == title
+        else:
+            assert "<title>" not in doc
+
     def test_zero_covariance_degenerate(self):
         pred = PredictedCurve(grid=np.arange(5) / 5,
                               means=np.ones((5, 2)),

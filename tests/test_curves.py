@@ -14,6 +14,18 @@ from curvegp.errors import CurveError, DegenerateCurveError
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def arc_to_xy_oracle(curve, s):
+    """`arc_to_xy_param` composed from `polygon_length`, `cumulative_arc`
+    and `closed_points`, as it was before it formed the segment lengths once."""
+    length = polygon_length(curve)
+    s = np.remainder(np.asarray(s, dtype=float), length)
+    res = curve.cumulative_arc()
+    previ = np.minimum(np.searchsorted(res, s, side="right") - 1, curve.n - 1)
+    rat = (s - res[previ]) / (res[previ + 1] - res[previ])
+    closed = curve.closed_points()
+    return closed[previ] + rat[..., None] * (closed[previ + 1] - closed[previ])
+
+
 def circle_polygon(n, radius=1.0):
     theta = 2 * np.pi * np.arange(n) / n
     return Curve(radius * np.column_stack([np.cos(theta), np.sin(theta)]))
@@ -163,6 +175,29 @@ class TestArcToXy:
             assert grid.tobytes() == batched[:100].tobytes()
         for s in (0.5, np.float64(1.5), 3, np.array(2.5)):
             assert arc_to_xy_param(Curve(SQUARE), s).shape == (2,)
+
+    def test_matches_composed_oracle_bytewise(self):
+        rng = np.random.default_rng(11)
+        curves = [Curve(SQUARE), circle_polygon(9)] + [
+            generate_synthetic("star", 5 + 11 * k, noise_sd=0.05, rng_seed=k)
+            for k in range(4)]
+        for c in curves:
+            length = polygon_length(c)
+            s = np.concatenate([rng.uniform(-3 * length, 4 * length, 60),
+                                c.cumulative_arc(), -c.cumulative_arc(),
+                                [length, -length, 0.0, -0.0, -1e-17]])
+            for query in (s, s[:30].reshape(5, 6), *s[::7], 2.5, -7):
+                got = arc_to_xy_param(c, query)
+                want = arc_to_xy_oracle(c, query)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_zero_length_raises(self):
+        c = Curve(SQUARE)
+        object.__setattr__(c, "points", np.zeros((4, 2)))  # past validation
+        for fn in (arc_to_xy_param, arc_to_xy_oracle):
+            with pytest.raises(DegenerateCurveError, match="zero total length"):
+                fn(c, 0.5)
 
 
 class TestRoundTrip:

@@ -184,6 +184,51 @@ class TestFit:
             fit(design, ModelConfig(),
                 OptimizerConfig(method="anneal", seed=0, maxiter=100))
 
+    def test_each_restart_evaluates_only_inside_the_optimizer(self, monkeypatch):
+        """No likelihood evaluation outside L-BFGS-B: per restart, the
+        objective runs exactly as often as the optimizer reports."""
+        import curvegp.model as model
+        calls, per_restart = [0], []
+        value_and_grad = model.MarginalLikelihoodObjective.value_and_grad
+        minimize = model.minimize
+
+        def counted(self, theta):
+            calls[0] += 1
+            return value_and_grad(self, theta)
+
+        def recorded(*args, **kwargs):
+            before = calls[0]
+            res = minimize(*args, **kwargs)
+            per_restart.append((calls[0] - before, int(res.nfev)))
+            return res
+
+        monkeypatch.setattr(model.MarginalLikelihoodObjective, "value_and_grad",
+                            counted)
+        monkeypatch.setattr(model, "minimize", recorded)
+        design, _ = circle_design(8)
+        fitted = fit(design, ModelConfig(), OptimizerConfig(restarts=3, seed=0))
+        assert len(per_restart) == 3
+        assert all(made == nfev for made, nfev in per_restart)
+        assert calls[0] == sum(r["nfev"] for r in fitted.diagnostics["restarts"])
+
+    def test_start_that_cannot_be_factored_is_skipped(self, monkeypatch):
+        import curvegp.model as model
+        factor, calls = model._chol_with_ladder, [0]
+
+        def fails_first(blocks):  # the first evaluation is restart 0's start
+            calls[0] += 1
+            if calls[0] == 1:
+                raise NumericalError("forced factorization failure")
+            return factor(blocks)
+
+        monkeypatch.setattr(model, "_chol_with_ladder", fails_first)
+        design, _ = circle_design(8)
+        with pytest.warns(UserWarning, match="restart 0"):
+            fitted = fit(design, ModelConfig(), OptimizerConfig(restarts=2, seed=0))
+        assert [r["restart"] for r in fitted.diagnostics["restarts"]] == [1]
+        assert fitted.diagnostics["best_restart"] == 0
+        assert np.isfinite(fitted.log_marginal_likelihood)
+
     def test_unknown_method_rejected(self):
         design, _ = circle_design(6)
         with pytest.raises(ValidationError):
