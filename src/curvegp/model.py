@@ -33,19 +33,21 @@ block. Outside the objective, Grams come from `multilevel_gram`, which
 evaluates the input kernel once per distinct arc parameter and the level
 factors once per distinct level tuple, then gathers both to the rows.
 
-`scipy.optimize` is imported only when `fit` runs: L-BFGS-B through the
-module's `minimize`, which loads it on its first call, and `dual_annealing`
-inside `fit`. Assembly and prediction need only `scipy.linalg`.
+SciPy is imported only where it is used, so `import curvegp.model` loads
+numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs, dtrtrs) come
+from `_lapack`, which imports `scipy.linalg.lapack` at the first
+factorization or solve. `scipy.optimize` is imported only when `fit` runs:
+L-BFGS-B through the module's `minimize`, which loads it on its first call,
+and `dual_annealing` inside `fit`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 from .coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from .errors import NumericalError, ValidationError
@@ -104,22 +106,15 @@ class TrainingDesign:
         if len(labels) != len(curve_list):
             raise ValidationError("one group label per curve required")
         encoding: dict = {}
-        rows_s, rows_d, rows_j, rows_g, rows_y = [], [], [], [], []
-        lengths = []
-        for j, (curve, label) in enumerate(zip(curve_list, labels)):
-            g = encoding.setdefault(label, len(encoding))
-            arcs = curve.cumulative_arc()
-            lengths.append(arcs[-1])
-            for i in range(curve.n):
-                for d in (0, 1):
-                    rows_s.append(arcs[i])
-                    rows_d.append(d)
-                    rows_j.append(j)
-                    rows_g.append(g)
-                    rows_y.append(curve.points[i, d])
-        return cls(s=np.array(rows_s), d=np.array(rows_d, dtype=int),
-                   j=np.array(rows_j, dtype=int), g=np.array(rows_g, dtype=int),
-                   y=np.array(rows_y), lengths=np.array(lengths),
+        groups = [encoding.setdefault(label, len(encoding)) for label in labels]
+        arcs = [curve.cumulative_arc() for curve in curve_list]
+        rows = np.array([2 * curve.n for curve in curve_list])  # per curve
+        return cls(s=np.concatenate([a[:-1] for a in arcs]).repeat(2),
+                   d=np.arange(rows.sum()) % 2,
+                   j=np.arange(len(rows)).repeat(rows),
+                   g=np.array(groups).repeat(rows),
+                   y=np.concatenate([curve.points.ravel() for curve in curve_list]),
+                   lengths=np.array([a[-1] for a in arcs]),
                    group_labels=tuple(encoding))
 
 
@@ -252,12 +247,21 @@ def _blocks(K: np.ndarray, lam: np.ndarray, noise_var: float, out=None):
     return blocks
 
 
+@cache
+def _lapack():
+    """`scipy.linalg.lapack`, imported on the first call so that only a
+    process that factors or solves pays for loading `scipy.linalg`."""
+    from scipy.linalg import lapack
+    return lapack
+
+
 def _chol_with_ladder(blocks):
     """Cholesky factors of every block of a stack with one escalating
     diagonal nugget: when any block fails, all are factored again with the
     next nugget, so K + nugget I stays isotropic. Returns (factors, nugget
     used). Non-finite entries raise ValueError."""
     blocks = np.asarray_chkfinite(blocks)
+    dpotrf = _lapack().dpotrf
     for nugget in NUGGET_LADDER:
         factors = []
         for K in blocks:
@@ -467,6 +471,7 @@ class MarginalLikelihoodObjective:
         trace_a = float(np.vdot(alphas, alphas))  # sum_e tr(A_e), less tr(K_e^-1) below
         if self.split:
             Mt = alphas @ K @ alphas.T
+        dpotri = _lapack().dpotri
         for e, L in enumerate(factors):
             Ke_inv, info = dpotri(L, lower=1, overwrite_c=1)
             if info != 0:
@@ -527,6 +532,7 @@ def _factor_and_nll(blocks, Y: np.ndarray):
     factors, nugget = _chol_with_ladder(blocks)
     alphas = np.empty_like(Y)
     logdet = 0.0
+    dpotrs = _lapack().dpotrs
     for e, L in enumerate(factors):
         alphas[e], info = dpotrs(L, Y[e], lower=1)
         if info != 0:
@@ -686,6 +692,7 @@ def _posterior_parts(model: FittedModel, s, d, j, g):
     lam, Q = model.basis
     mean, cross, unit, coord = _posterior_mean(model, s, d, j, g)
     parts = []
+    dtrtrs = _lapack().dtrtrs
     for e, L in enumerate(model.chol):
         V, info = dtrtrs(L, cross.T, lower=1)
         if info != 0:

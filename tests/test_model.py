@@ -52,6 +52,44 @@ class TestTrainingDesign:
         with pytest.raises(ValidationError):
             TrainingDesign.from_curves([c], labels=["a", "b"])
 
+    @pytest.mark.parametrize("labels", [None, ["a", "b", "c"], ["c", "b", "a"],
+                                        ["b", "a", "b"], [7, 7, 7], [3, 1, 3]])
+    def test_matches_row_loop_oracle(self, labels):
+        curves = [generate_synthetic("star", 7), generate_synthetic("ellipse", 12),
+                  generate_synthetic("circle", 4)]
+        design = TrainingDesign.from_curves(curves, labels)
+        oracle = from_curves_oracle(curves, labels)
+        for name in ("s", "d", "j", "g", "y", "lengths"):
+            got, want = getattr(design, name), getattr(oracle, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert design.group_labels == oracle.group_labels
+
+
+def from_curves_oracle(curve_list, labels=None) -> TrainingDesign:
+    """`TrainingDesign.from_curves` as a loop over points and coordinates,
+    kept as the test-only oracle of the vectorized builder."""
+    if labels is None:
+        labels = [0] * len(curve_list)
+    encoding: dict = {}
+    rows_s, rows_d, rows_j, rows_g, rows_y = [], [], [], [], []
+    lengths = []
+    for j, (curve, label) in enumerate(zip(curve_list, labels)):
+        g = encoding.setdefault(label, len(encoding))
+        arcs = curve.cumulative_arc()
+        lengths.append(arcs[-1])
+        for i in range(curve.n):
+            for d in (0, 1):
+                rows_s.append(arcs[i])
+                rows_d.append(d)
+                rows_j.append(j)
+                rows_g.append(g)
+                rows_y.append(curve.points[i, d])
+    return TrainingDesign(s=np.array(rows_s), d=np.array(rows_d, dtype=int),
+                          j=np.array(rows_j, dtype=int),
+                          g=np.array(rows_g, dtype=int), y=np.array(rows_y),
+                          lengths=np.array(lengths), group_labels=tuple(encoding))
+
 
 class TestLogMarginalLikelihood:
     def test_unit_variance_zero_observation(self):
