@@ -20,14 +20,14 @@ from .preprocess import apply_alignment, rotation_seed_align
 
 def reconstruct(curves, model_config: ModelConfig | None = None,
                 opt_config: OptimizerConfig | None = None,
-                m: int = 200, labels=None):
+                m: int = 200):
     """Jointly fit all curves and densely resample each predictive mean.
 
     Returns (FittedModel, list of PredictedCurve). Curves with sparse or
     clustered sampling borrow strength from the others through the
     curve-level coregionalization.
     """
-    design = TrainingDesign.from_curves(curves, labels)
+    design = TrainingDesign.from_curves(curves)
     model = fit(design, model_config, opt_config)
     predictions = [predict_curve(model, j, m) for j in range(len(curves))]
     return model, predictions
@@ -44,18 +44,14 @@ def pointwise_mean(model: FittedModel, m: int = 100) -> Curve:
 
 @dataclass
 class LandmarkConfig:
-    """Settings for landmark selection searches."""
+    """Settings for the simultaneous landmark search."""
 
     p: int = 4
-    lam: float = 0.5
     n_trials: int = 30
     criterion: str = "imspe"  # or "iuea"
     rng_seed: int = 0
-    p_range: tuple = ()  # optional extra p values for the criterion trace
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValidationError("lambda weight must lie in [0, 1]")
         if self.p < 3:
             raise ValidationError("landmark count p must be >= 3")
         if self.n_trials < 1:
@@ -70,7 +66,6 @@ class LandmarkResult:
     params: np.ndarray
     score: float
     trials: list = field(default_factory=list)
-    criterion_trace: dict = field(default_factory=dict)
 
 
 def _score_subset(curves, indices, criterion, model_config, opt_config):
@@ -116,8 +111,7 @@ def simultaneous_landmarks(curves, config: LandmarkConfig,
 
     All curves must share the same point count; each trial fits a joint model
     to the subset and scores it against the dense originals. Deterministic
-    for a fixed rng_seed. Returns the argmin trial plus a criterion-vs-p
-    trace for elbow inspection.
+    for a fixed rng_seed. Returns the argmin trial and every trial's score.
     """
     if not curves:
         raise ValidationError("need at least one curve")
@@ -127,38 +121,30 @@ def simultaneous_landmarks(curves, config: LandmarkConfig,
     if config.p > n:
         raise ValidationError(f"p={config.p} exceeds dense point count {n}")
 
-    def search(p):
-        best_subset, best_score, trials = None, np.inf, []
-        for subset in _distinct_subsets(n, p, config.n_trials, config.rng_seed):
-            try:
-                score = _score_subset(curves, subset, config.criterion,
-                                      model_config, opt_config)
-            except NumericalError as exc:
-                warnings.warn(f"landmark trial {subset} skipped: {exc}")
-                continue
-            trials.append((subset, score))
-            if score < best_score:
-                best_subset, best_score = subset, score
-        if best_subset is None:
-            raise NumericalError("every landmark trial failed to fit")
-        return best_subset, best_score, trials
-
-    best_subset, best_score, trials = search(config.p)
-    trace = {config.p: best_score}
-    for p in config.p_range:
-        if p != config.p:
-            trace[p] = search(p)[1]
+    best_subset, best_score, trials = None, np.inf, []
+    for subset in _distinct_subsets(n, config.p, config.n_trials, config.rng_seed):
+        try:
+            score = _score_subset(curves, subset, config.criterion,
+                                  model_config, opt_config)
+        except NumericalError as exc:
+            warnings.warn(f"landmark trial {subset} skipped: {exc}")
+            continue
+        trials.append((subset, score))
+        if score < best_score:
+            best_subset, best_score = subset, score
+    if best_subset is None:
+        raise NumericalError("every landmark trial failed to fit")
     arcs = curves[0].cumulative_arc()
     return LandmarkResult(indices=best_subset,
                           params=arcs[list(best_subset)],
-                          score=best_score, trials=trials,
-                          criterion_trace=trace)
+                          score=best_score, trials=trials)
 
 
 def sequential_landmark(model: FittedModel, lam: float = 0.5,
-                        n_candidates: int = 500, curve_index: int = 0) -> float:
-    """Next landmark location: argmax over a dense candidate grid of the
-    weighted predictive standard deviations lam*sd1 + (1-lam)*sd2.
+                        n_candidates: int = 500) -> float:
+    """Next landmark location on the first curve: argmax over a dense
+    candidate grid of the weighted predictive standard deviations
+    lam*sd1 + (1-lam)*sd2.
 
     Ties break toward the smallest arc parameter.
     """
@@ -166,7 +152,7 @@ def sequential_landmark(model: FittedModel, lam: float = 0.5,
         raise ValidationError("lambda weight must lie in [0, 1]")
     if n_candidates < 10:
         raise ValidationError("candidate grid needs at least 10 points")
-    pred = predict_curve(model, curve_index, m=n_candidates)
+    pred = predict_curve(model, 0, m=n_candidates)
     criterion = lam * pred.sd1 + (1.0 - lam) * pred.sd2
     return float(pred.grid[int(np.argmax(criterion))])
 

@@ -3,7 +3,8 @@
 Subcommands: simulate, preprocess, fit, predict, reconstruct, landmarks,
 register, metrics, plot, config. Exit codes: 0 success, 2 validation
 error, 3 numerical failure, 4 I/O error. The CURVEGP_OUTPUT_DIR environment
-variable overrides output locations.
+variable overrides output locations. Config files (``--config``) set the
+fields of ModelConfig and OptimizerConfig as ``model.*`` and ``opt.*`` keys.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -32,25 +34,22 @@ EXIT_IO = 4
 
 OUTPUT_DIR_ENV = "CURVEGP_OUTPUT_DIR"
 
-CONFIG_DEFAULTS = {
-    "model.family": "periodic_matern32",
-    "model.tau": "auto",
-    "model.jitter": 1e-3,
-    "model.jitter_mode": "constant",
-    "model.fit_coord": True,
-    "model.coord_rank": 1,
-    "model.fit_curve": True,
-    "model.curve_rank": 1,
-    "model.fit_group": False,
-    "model.group_rank": 1,
-    "model.noise_lo": 1e-6,
-    "model.noise_hi": 1e-4,
-    "opt.restarts": 8,
-    "opt.seed": 0,
-    "opt.method": "lbfgs",
-    "opt.maxiter": 200,
-    "output.dir": ".",
-}
+
+def _config_fields():
+    """(config class, field name, {key: default}) of every field of
+    ModelConfig and OptimizerConfig. A (lo, hi) box such as ``noise_box`` is
+    set through two keys, ``model.noise_lo`` and ``model.noise_hi``."""
+    for section, cls in (("model", ModelConfig), ("opt", OptimizerConfig)):
+        for f in fields(cls):
+            if isinstance(f.default, tuple):
+                stem = f"{section}.{f.name.removesuffix('_box')}"
+                yield cls, f.name, dict(zip((stem + "_lo", stem + "_hi"), f.default))
+            else:
+                yield cls, f.name, {f"{section}.{f.name}": f.default}
+
+
+CONFIG_DEFAULTS = {key: value for _, _, keys in _config_fields()
+                   for key, value in keys.items()}
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict:
@@ -94,17 +93,12 @@ def load_config(path: str | None) -> dict:
 
 
 def configs_from_values(values: dict):
-    model_config = ModelConfig(
-        family=values["model.family"], tau=values["model.tau"],
-        jitter=values["model.jitter"], jitter_mode=values["model.jitter_mode"],
-        fit_coord=values["model.fit_coord"], coord_rank=values["model.coord_rank"],
-        fit_curve=values["model.fit_curve"], curve_rank=values["model.curve_rank"],
-        fit_group=values["model.fit_group"], group_rank=values["model.group_rank"],
-        noise_box=(values["model.noise_lo"], values["model.noise_hi"]))
-    opt_config = OptimizerConfig(
-        restarts=values["opt.restarts"], seed=values["opt.seed"],
-        method=values["opt.method"], maxiter=values["opt.maxiter"])
-    return model_config, opt_config
+    """(ModelConfig, OptimizerConfig) from a full table of config values."""
+    kwargs = {ModelConfig: {}, OptimizerConfig: {}}
+    for cls, name, keys in _config_fields():
+        setting = tuple(values[key] for key in keys)
+        kwargs[cls][name] = setting if len(setting) == 2 else setting[0]
+    return ModelConfig(**kwargs[ModelConfig]), OptimizerConfig(**kwargs[OptimizerConfig])
 
 
 def _out_path(path: str) -> str:
@@ -186,8 +180,6 @@ def cmd_reconstruct(args) -> int:
     curves = _load_curves(args.inputs)
     model, preds = applications.reconstruct(curves, model_config, opt_config,
                                             m=args.m)
-    os.makedirs(_out_path(args.outdir) if os.environ.get(OUTPUT_DIR_ENV)
-                else args.outdir, exist_ok=True)
     save_json(fit_result_to_dict(model),
               _out_path(os.path.join(args.outdir, "fit.json")))
     for path, pred in zip(args.inputs, preds):
@@ -205,7 +197,7 @@ def cmd_landmarks(args) -> int:
     model_config, opt_config = configs_from_values(values)
     if args.mode == "simultaneous":
         config = applications.LandmarkConfig(
-            p=args.p, lam=args.lam, n_trials=args.n_trials,
+            p=args.p, n_trials=args.n_trials,
             criterion=args.criterion, rng_seed=args.seed)
         result = applications.simultaneous_landmarks(curves, config,
                                                      model_config, opt_config)
@@ -213,8 +205,7 @@ def cmd_landmarks(args) -> int:
                    "best_params": result.params.tolist(), "score": result.score,
                    "trials": [{"indices": list(sub), "score": score}
                               for sub, score in result.trials],
-                   "criterion_trace": {str(k): v for k, v in
-                                       result.criterion_trace.items()}}
+                   "criterion_trace": {str(args.p): result.score}}
     else:
         design = TrainingDesign.from_curves(curves)
         model = model_mod.fit(design, model_config, opt_config)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import CurveError, DegenerateCurveError
 
-DEFAULT_OVERSAMPLE = 19
+# Interior points per polygon segment in `xy_to_arc_param`'s search.
+OVERSAMPLE = 19
 
 # Query-by-polygon distances formed at once by `xy_to_arc_param`.
 XY_QUERY_BLOCK = 1 << 16
@@ -79,18 +80,16 @@ def polygon_length(curve: Curve) -> float:
     return length
 
 
-def _oversampled_polygon(curve: Curve, n_oversample: int):
+def _oversampled_polygon(curve: Curve):
     """Dense points along each segment plus their arc-length parameters.
 
-    Each of the n segments contributes its start point and ``n_oversample``
+    Each of the n segments contributes its start point and ``OVERSAMPLE``
     interior points; the closure point is not repeated.
     """
-    if n_oversample < 1:
-        raise ValueError("n_oversample must be >= 1")
     pts = curve.points
     nxt = np.roll(pts, -1, axis=0)
-    fracs = np.arange(n_oversample + 1) / (n_oversample + 1)  # 0, 1/(Nb+1), ...
-    # shape (n, Nb+1, 2): start of each segment plus interior samples
+    fracs = np.arange(OVERSAMPLE + 1) / (OVERSAMPLE + 1)
+    # shape (n, OVERSAMPLE + 1, 2): start of each segment plus interior samples
     dense = pts[:, None, :] + fracs[None, :, None] * (nxt - pts)[:, None, :]
     seg_len = curve.segment_lengths()
     arc0 = curve.cumulative_arc()[:-1]
@@ -98,7 +97,7 @@ def _oversampled_polygon(curve: Curve, n_oversample: int):
     return dense.reshape(-1, 2), arcs.reshape(-1)
 
 
-def xy_to_arc_param(curve: Curve, query, n_oversample: int = DEFAULT_OVERSAMPLE):
+def xy_to_arc_param(curve: Curve, query):
     """Arc-length parameter of the oversampled polygon point nearest to ``query``.
 
     ``query`` is one point, giving a float, or an (n, 2) array of points,
@@ -108,7 +107,7 @@ def xy_to_arc_param(curve: Curve, query, n_oversample: int = DEFAULT_OVERSAMPLE)
     """
     polygon_length(curve)  # degenerate check
     query = np.asarray(query, dtype=float)
-    dense, arcs = _oversampled_polygon(curve, n_oversample)
+    dense, arcs = _oversampled_polygon(curve)
     pts = query.reshape(-1, 2)
     nearest = np.empty(len(pts), dtype=int)
     step = max(1, XY_QUERY_BLOCK // len(dense))  # bounds the distance array

@@ -9,7 +9,8 @@
   seed search and dynamic-programming re-parameterization of SRVFs. The
   seed search scores every integer shift, then every sub-cell offset of a
   sweep, at once in closed form and re-scores only the candidates that can
-  still win with the exact per-candidate code.
+  still win with the exact per-candidate code. At most MAX_ROUNDS rounds of
+  rotation and re-parameterization follow the seed search.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .preprocess import (SCORE_BAND, _contenders, _procrustes_rotation,
                          scale_to_unit_length, srvf)
 
 MAX_ASSIGNMENT_SIZE = 512
+
+# Rounds of `elastic_register` after the seed search, and the energy drop
+# below which it stops.
+MAX_ROUNDS = 20
+ROUND_TOL = 1e-8
 
 # Allowed local (target-steps, source-steps) moves of the DP path; slopes
 # stay within [1/3, 3] to prevent pinching.
@@ -59,12 +65,11 @@ def imspe(predicted, truth: Curve, m: int | None = None) -> float:
     return float(np.sum((pts - truth_pts) ** 2) / m)
 
 
-def iuea(predicted, scale: float = 1.0) -> float:
+def iuea(predicted) -> float:
     """Average area of the 1-standard-deviation predictive ellipses.
 
     Each grid point contributes pi * sd1 * sqrt(sd2^2 - cross^2/sd1^2); a
-    fully degenerate covariance contributes zero area. ``scale`` inflates
-    the ellipse radii (e.g. a chi-square quantile factor).
+    fully degenerate covariance contributes zero area.
     """
     covs = np.asarray(predicted.covariances, dtype=float)
     total = 0.0
@@ -77,7 +82,7 @@ def iuea(predicted, scale: float = 1.0) -> float:
         # form is exact for fully degenerate covariances
         det = cov[0, 0] * cov[1, 1] - cross ** 2
         total += np.sqrt(max(det, 0.0))
-    return float(np.pi * scale ** 2 * total / len(covs))
+    return float(np.pi * total / len(covs))
 
 
 def wasserstein2(a, b) -> float:
@@ -269,8 +274,7 @@ def _register_seed(source_n: Curve, q1: np.ndarray, q2_full: np.ndarray):
     return best_e, best_offset, q2, R
 
 
-def elastic_register(source: Curve, target: Curve, grid_size: int = 100,
-                     max_rounds: int = 20, tol: float = 1e-8) -> Registration:
+def elastic_register(source: Curve, target: Curve, grid_size: int = 100) -> Registration:
     """Register the source curve onto the target under the elastic metric.
 
     Both curves are centered, scaled to unit length and resampled to
@@ -297,7 +301,7 @@ def elastic_register(source: Curve, target: Curve, grid_size: int = 100,
     gamma = np.arange(n + 1, dtype=float)
     energies = [energy]
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         gamma_new = _dp_reparameterize(q1, q2 @ R.T)
         warped = _warp(q2, gamma_new)
         R_new = _procrustes_rotation(warped, q1)
@@ -308,7 +312,7 @@ def elastic_register(source: Curve, target: Curve, grid_size: int = 100,
         improved = energy - e_new
         energy = e_new
         energies.append(energy)
-        if improved < tol:
+        if improved < ROUND_TOL:
             break
     else:
         warnings.warn("elastic registration hit the round limit before converging")

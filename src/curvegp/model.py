@@ -49,13 +49,21 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
+from .coreg import CoregMatrix, MultiLevelKernel, _row_types, multilevel_gram
 from .errors import NumericalError, ValidationError
 from .kernels import (DEFAULT_JITTER, DEFAULT_NOISE_BOX, NoiseSpec,
                       PeriodicHyperparameters, validate_constraints,
                       warped_correlation, warped_distance)
 
 NUGGET_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
+
+# Boxes of the fitted hyperparameters: sigma2, rho as a fraction of tau,
+# each W entry (symmetric) and each kappa. The noise box is a ModelConfig
+# setting.
+SIGMA2_BOX = (1e-8, 10.0)
+RHO_FRAC_BOX = (1e-3, 0.5)
+W_BOUND = 10.0
+KAPPA_BOX = (1e-8, 10.0)
 
 LOG2PI = np.log(2.0 * np.pi)
 
@@ -120,7 +128,9 @@ class TrainingDesign:
 
 @dataclass
 class ModelConfig:
-    """Structural choices for the multi-level kernel."""
+    """Structural choices for the multi-level kernel, and the noise box.
+    The CLI sets each field as a ``model.*`` config key; the other
+    hyperparameters' boxes are the module constants above."""
 
     family: str = "periodic_matern32"
     tau: object = "auto"  # "auto" fixes tau to the mean polygon length
@@ -133,10 +143,6 @@ class ModelConfig:
     fit_group: bool = False
     group_rank: int = 1
     noise_box: tuple = DEFAULT_NOISE_BOX
-    sigma2_box: tuple = (1e-8, 10.0)
-    rho_frac_box: tuple = (1e-3, 0.5)  # as a fraction of tau
-    w_bound: float = 10.0
-    kappa_box: tuple = (1e-8, 10.0)
 
 
 @dataclass
@@ -309,9 +315,12 @@ class MarginalLikelihoodObjective:
         if design.n_groups > 1:
             self.levels.append(("group", design.g, design.n_groups,
                                 config.group_rank, config.fit_group))
+        for name, idx, size, _, _ in self.levels:
+            if np.any((idx < 0) | (idx >= size)):
+                raise ValidationError(f"{name} level index out of range for size {size}")
         lo, hi = config.noise_box
-        rho_lo, rho_hi = (f * self.tau for f in config.rho_frac_box)
-        self.bounds = [tuple(np.log(config.sigma2_box)),
+        rho_lo, rho_hi = (f * self.tau for f in RHO_FRAC_BOX)
+        self.bounds = [tuple(np.log(SIGMA2_BOX)),
                        (np.log(rho_lo), np.log(rho_hi)),
                        (np.log(lo), np.log(hi))]
         self.slices = {}
@@ -321,8 +330,8 @@ class MarginalLikelihoodObjective:
                 continue
             self.slices[name] = (slice(pos, pos + size * rank),
                                  slice(pos + size * rank, pos + size * rank + size))
-            self.bounds += [(-config.w_bound, config.w_bound)] * (size * rank)
-            self.bounds += [tuple(np.log(config.kappa_box))] * size
+            self.bounds += [(-W_BOUND, W_BOUND)] * (size * rank)
+            self.bounds += [tuple(np.log(KAPPA_BOX))] * size
             pos += size * rank + size
         self.n_params = pos
         # the levels the unit Gram carries: all but the coordinate level on
@@ -330,14 +339,13 @@ class MarginalLikelihoodObjective:
         # those levels' values; one-hot S maps units to types, E per level
         # types to values
         self.unit_levels = list(range(1 if self.split else 0, len(self.levels)))
-        code = np.zeros(self.n_units, dtype=int)
-        for i in self.unit_levels:  # mixed-radix code of the tuple
-            code = code * self.levels[i][2] + unit_rows[1 + i]
-        _, first, unit_type = np.unique(code, return_index=True, return_inverse=True)
-        self.type_onehot = (unit_type[:, None] == np.arange(len(first))).astype(float)
-        self.level_onehot = [(unit_rows[1 + i][first, None]
-                              == np.arange(self.levels[i][2])).astype(float)
-                             for i in self.unit_levels]
+        types, unit_type = _row_types([unit_rows[1 + i] for i in self.unit_levels])
+        # without unit levels every unit is of the one type (a 0-d array)
+        unit_type = np.broadcast_to(unit_type, (self.n_units,))
+        n_types = unit_type.max() + 1
+        self.type_onehot = (unit_type[:, None] == np.arange(n_types)).astype(float)
+        self.level_onehot = [(values[:, None] == np.arange(self.levels[i][2])).astype(float)
+                             for i, values in zip(self.unit_levels, types)]
         self._factors = []
         self._wk = {}
         self._basis = DENSE_BASIS
@@ -348,7 +356,7 @@ class MarginalLikelihoodObjective:
     def default_start(self) -> np.ndarray:
         theta = np.zeros(self.n_params)
         yvar = max(float(np.var(self.design.y)), 1e-6)
-        theta[0] = np.log(np.clip(yvar, *self.config.sigma2_box))
+        theta[0] = np.log(np.clip(yvar, *SIGMA2_BOX))
         theta[1] = np.log(self.tau / 4.0)
         lo, hi = self.config.noise_box
         theta[2] = 0.5 * (np.log(lo) + np.log(hi))

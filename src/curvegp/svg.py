@@ -1,5 +1,6 @@
 """SVG rendering of predicted curves: mean path, observed sample markers,
-optional truth path, and one uncertainty ellipse per grid point."""
+optional truth path, and one uncertainty ellipse per grid point, in a
+640 x 640 pixel document."""
 
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ def _ellipse_params(cov: np.ndarray, scale: float):
 
 
 def emit_svg(predicted, observed=None, truth=None, title: str = "",
-             scale: float = 1.0, size: int = 640) -> str:
+             scale: float = 1.0) -> str:
     """Render a PredictedCurve (plus optional observed points and truth
     curve) as a standalone SVG document.
 
@@ -59,7 +60,7 @@ def emit_svg(predicted, observed=None, truth=None, title: str = "",
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{view}" preserveAspectRatio="xMidYMid meet">',
     ]
     if title:

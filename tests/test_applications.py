@@ -57,8 +57,6 @@ class TestPointwiseMean:
 class TestLandmarkConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            LandmarkConfig(lam=1.5)
-        with pytest.raises(ValidationError):
             LandmarkConfig(p=2)
         with pytest.raises(ValidationError):
             LandmarkConfig(n_trials=0)
@@ -93,11 +91,6 @@ class TestSimultaneousLandmarks:
     def test_p_exceeding_n_rejected(self):
         with pytest.raises(ValidationError):
             simultaneous_landmarks(self.curves, LandmarkConfig(p=10, n_trials=1))
-
-    def test_criterion_trace(self):
-        cfg = LandmarkConfig(p=4, n_trials=3, rng_seed=2, p_range=(5,))
-        res = simultaneous_landmarks(self.curves, cfg, opt_config=FAST)
-        assert set(res.criterion_trace) == {4, 5}
 
 
 class TestSequentialLandmark:

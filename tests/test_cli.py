@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from curvegp.cli import (CONFIG_DEFAULTS, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
-                         main, parse_config_text)
+                         configs_from_values, main, parse_config_text)
 from curvegp.curves import generate_synthetic
 from curvegp.errors import ConfigError
 from curvegp.metrics import esd
@@ -46,6 +46,54 @@ class TestConfig:
         out = capsys.readouterr().out
         reparsed = parse_config_text(out)
         assert reparsed == CONFIG_DEFAULTS
+
+
+# a valid value other than the default, for the keys whose type does not give one
+OTHER_VALUES = {"model.family": "periodic_rbf", "model.tau": "0.5",
+                "model.jitter_mode": "nugget", "opt.method": "anneal"}
+
+
+def other_value(key: str, default) -> str:
+    """Config text for a valid value of ``key`` other than its default."""
+    if key in OTHER_VALUES:
+        return OTHER_VALUES[key]
+    if isinstance(default, bool):
+        return "false" if default else "true"
+    if isinstance(default, (int, float)):
+        return str(2 * default + 1)
+    return default + "-other"
+
+
+class TestConfigKeys:
+    def test_keys_in_order(self):
+        assert list(CONFIG_DEFAULTS) == [
+            "model.family", "model.tau", "model.jitter", "model.jitter_mode",
+            "model.fit_coord", "model.coord_rank", "model.fit_curve",
+            "model.curve_rank", "model.fit_group", "model.group_rank",
+            "model.noise_lo", "model.noise_hi",
+            "opt.restarts", "opt.seed", "opt.method", "opt.maxiter"]
+
+    def test_defaults_are_the_config_defaults(self):
+        assert configs_from_values(CONFIG_DEFAULTS) == (ModelConfig(),
+                                                         OptimizerConfig())
+
+    @pytest.mark.parametrize("key", list(CONFIG_DEFAULTS))
+    def test_every_key_reaches_the_configs(self, key):
+        values = parse_config_text(f"{key} = {other_value(key, CONFIG_DEFAULTS[key])}")
+        assert values[key] != CONFIG_DEFAULTS[key]
+        assert configs_from_values(values) != configs_from_values(CONFIG_DEFAULTS)
+
+    def test_output_dir_key_rejected_with_file_and_line(self, tmp_path, capsys):
+        curve = str(tmp_path / "c.csv")
+        assert main(["simulate", "--shape", "circle", "--n", "8",
+                     "--out", curve]) == EXIT_OK
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 1\noutput.dir = elsewhere\n")
+        capsys.readouterr()
+        assert main(["fit", "--inputs", curve, "--config", str(cfg),
+                     "--out", str(tmp_path / "fit.json")]) == EXIT_VALIDATION
+        assert f"{cfg}:2: unknown config key 'output.dir'" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
 
 class TestCurveCsv:
@@ -282,6 +330,39 @@ class TestOutputDirEnv:
               "--out", str(tmp_path / "c.csv")])
         assert (override / "c.csv").exists()
         assert not (tmp_path / "c.csv").exists()
+
+    def test_reconstruct_writes_only_into_the_override(self, tmp_path, monkeypatch):
+        curve = str(tmp_path / "c.csv")
+        assert main(["simulate", "--shape", "ellipse", "--n", "8",
+                     "--out", curve]) == EXIT_OK
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 1\nopt.maxiter = 20\n")
+        argv = ["reconstruct", "--inputs", curve, "--config", str(cfg),
+                "--m", "12", "--outdir"]
+        # without the override the output directory is created
+        assert main(argv + [str(tmp_path / "a" / "recon")]) == EXIT_OK
+        assert sorted(os.listdir(tmp_path / "a" / "recon")) == [
+            "c_mean.csv", "c_pred.json", "fit.json"]
+        override = tmp_path / "override"
+        monkeypatch.setenv("CURVEGP_OUTPUT_DIR", str(override))
+        assert main(argv + ["recon"]) == EXIT_OK
+        assert sorted(os.listdir(override)) == ["c_mean.csv", "c_pred.json",
+                                                "fit.json"]
+
+
+class TestLandmarksCommand:
+    def test_criterion_trace_holds_the_best_score(self, tmp_path):
+        curve = str(tmp_path / "s.csv")
+        assert main(["simulate", "--shape", "star", "--n", "8", "--petals", "3",
+                     "--amplitude", "0.15", "--out", curve]) == EXIT_OK
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 1\nopt.maxiter = 30\n")
+        out = str(tmp_path / "landmarks.json")
+        assert main(["landmarks", "--inputs", curve, "--p", "4", "--n-trials", "3",
+                     "--seed", "2", "--config", str(cfg), "--out", out]) == EXIT_OK
+        data = json.load(open(out))
+        assert data["criterion_trace"] == {"4": data["score"]}
+        assert data["score"] == min(trial["score"] for trial in data["trials"])
 
 
 class TestSvg:

@@ -94,7 +94,7 @@ class TestXyToArc:
     def test_tie_breaks_to_smallest(self):
         # query at the centroid of the square is equidistant from all sides
         s = xy_to_arc_param(Curve(SQUARE), (0.5, 0.5))
-        dense, arcs = _oversampled_polygon(Curve(SQUARE), 19)
+        dense, arcs = _oversampled_polygon(Curve(SQUARE))
         dist = np.linalg.norm(dense - np.array([0.5, 0.5]), axis=1)
         min_arcs = arcs[np.isclose(dist, dist.min())]
         assert s == min_arcs.min()
@@ -106,7 +106,7 @@ class TestXyToArc:
         # the centre of the square and the midpoint between two polygon
         # samples (spacing 1/20 on the first side) are exact ties
         ties = np.array([[0.5, 0.5], [0.025, -0.3]])
-        dense, _ = _oversampled_polygon(curves[0], 19)
+        dense, _ = _oversampled_polygon(curves[0])
         for q in ties:
             dist = np.linalg.norm(dense - q, axis=1)
             assert np.count_nonzero(dist == dist.min()) >= 2

@@ -127,6 +127,20 @@ class TestLogMarginalLikelihood:
                   - 1.5 * np.log(2 * np.pi))
         assert value == pytest.approx(oracle, abs=1e-10)
 
+    def test_objective_rejects_level_index_out_of_range(self):
+        # d = 2 on one row: the coordinate level has two values, 0 and 1
+        rng = np.random.default_rng(4)
+        design = TrainingDesign(s=rng.uniform(0, 1, 8),
+                                d=np.array([0, 1, 2, 0, 1, 0, 1, 0]),
+                                j=np.zeros(8, dtype=int), g=np.zeros(8, dtype=int),
+                                y=rng.normal(size=8), lengths=np.array([1.0]))
+        kernel = MultiLevelKernel(PeriodicHyperparameters(1.0, 0.25, 1.0), IDENTITY_2)
+        with pytest.raises(ValidationError):
+            log_marginal_likelihood(design, kernel, NoiseSpec(noise_variance=1e-4))
+        for jitter_mode in ("constant", "nugget"):
+            with pytest.raises(ValidationError, match="coord level index"):
+                make_objective(design, ModelConfig(jitter_mode=jitter_mode))
+
     def test_alpha_equals_cho_solve(self):
         # nugget jitter keeps the dense N x N path and its one factor
         design, _ = circle_design(12)
