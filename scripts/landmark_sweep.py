@@ -7,8 +7,6 @@ for the best model.
 
 import argparse
 
-import numpy as np
-
 import curvegp as cg
 from curvegp.model import ModelConfig, OptimizerConfig, TrainingDesign, fit
 

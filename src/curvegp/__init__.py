@@ -10,7 +10,7 @@ from .curves import (Curve, arc_to_xy_param, generate_synthetic,
                      polygon_length, resample_equally_spaced, xy_to_arc_param)
 from .kernels import (NoiseSpec, PeriodicHyperparameters, gram, periodic_eval,
                       theorem1_bounds, validate_constraints)
-from .coreg import CoregMatrix, MultiLevelKernel, build_coreg, multilevel_eval, multilevel_gram
+from .coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from .model import (FittedModel, ModelConfig, OptimizerConfig, PredictedCurve,
                     TrainingDesign, assemble_model, fit,
                     log_marginal_likelihood, predict, predict_curve)
@@ -35,8 +35,7 @@ __all__ = [
     "NoiseSpec", "PeriodicHyperparameters", "gram", "periodic_eval",
     "theorem1_bounds", "validate_constraints",
     # coreg
-    "CoregMatrix", "MultiLevelKernel", "build_coreg", "multilevel_eval",
-    "multilevel_gram",
+    "CoregMatrix", "MultiLevelKernel", "multilevel_gram",
     # model
     "FittedModel", "ModelConfig", "OptimizerConfig", "PredictedCurve",
     "TrainingDesign", "assemble_model", "fit", "log_marginal_likelihood",

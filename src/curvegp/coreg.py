@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import NoiseSpec, PeriodicHyperparameters, gram, periodic_eval
+from .kernels import NoiseSpec, PeriodicHyperparameters, gram
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,6 @@ class CoregMatrix:
         return {"w": self.w.tolist(), "kappa": self.kappa.tolist()}
 
 
-def build_coreg(w, kappa) -> CoregMatrix:
-    """Validate and materialize a coregionalization matrix."""
-    return CoregMatrix(np.asarray(w, dtype=float), np.asarray(kappa, dtype=float))
-
-
 @dataclass(frozen=True)
 class MultiLevelKernel:
     """Separable kernel: periodic input kernel times per-level coreg factors.
@@ -85,22 +80,6 @@ def _level_factor(coreg: CoregMatrix, a, b):
     if np.any(a < 0) or np.any(a >= coreg.size) or np.any(b < 0) or np.any(b >= coreg.size):
         raise ValidationError(f"level index out of range for size {coreg.size}")
     return B[a, b]
-
-
-def multilevel_eval(kernel: MultiLevelKernel, a, b):
-    """Kernel element between design rows a = (s, d, j, g) and b = (s', d', j', g').
-
-    Curve/group indices are ignored for levels the kernel does not carry.
-    """
-    s_a, d_a, j_a, g_a = a
-    s_b, d_b, j_b, g_b = b
-    value = periodic_eval(kernel.input_kernel, s_a, s_b)
-    value = value * _level_factor(kernel.coord, d_a, d_b)
-    if kernel.curve is not None:
-        value = value * _level_factor(kernel.curve, j_a, j_b)
-    if kernel.group is not None:
-        value = value * _level_factor(kernel.group, g_a, g_b)
-    return float(value)
 
 
 def _row_types(levels):

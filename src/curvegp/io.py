@@ -1,4 +1,4 @@
-"""Serialization: curve CSV files, collection JSON, and fit-result JSON.
+"""Serialization: curve CSV files and fit-result JSON.
 
 All writes are atomic (write to a temp file in the target directory, then
 rename). Numbers are serialized in shortest round-trip decimal form, so a
@@ -72,34 +72,6 @@ def save_json(obj, path: str) -> None:
 def load_json(path: str):
     with open(path) as handle:
         return json.load(handle)
-
-
-def collection_to_obj(curves, labels=None) -> list:
-    labels = labels if labels is not None else [None] * len(curves)
-    return [{"id": c.name or f"curve_{i}", "label": label,
-             "points": c.points.tolist()}
-            for i, (c, label) in enumerate(zip(curves, labels))]
-
-
-def save_collection_json(curves, path: str, labels=None) -> None:
-    save_json(collection_to_obj(curves, labels), path)
-
-
-def load_collection_json(path: str):
-    """Load a curve collection; returns (curves, labels)."""
-    data = load_json(path)
-    if not isinstance(data, list):
-        raise ValidationError(f"{path}: collection JSON must be an array")
-    curves, labels = [], []
-    for i, entry in enumerate(data):
-        if "points" not in entry:
-            raise ValidationError(f"{path}: entry {i} missing 'points'")
-        curves.append(Curve(np.array(entry["points"], dtype=float),
-                            name=str(entry.get("id", f"curve_{i}"))))
-        labels.append(entry.get("label"))
-    if all(label is None for label in labels):
-        labels = None
-    return curves, labels
 
 
 LEVEL_TAGS = {"coord": "D", "curve": "C", "group": "G"}

@@ -2,19 +2,18 @@
 likelihood with analytic gradients, constrained multi-start fitting, and
 prediction with full per-point covariance.
 
-K is the jittered input Gram K0 times one factor per coregionalization
-level, B = W W^T + diag(kappa) indexed by the rows' level values, plus
-noise I. When the jitter is constant and the rows come in coordinate pairs
-(rows 2p and 2p+1 share s, curve and group, as `TrainingDesign.from_curves`
-builds them), K = K_pts (x) B_coord + noise I exactly, with K_pts the P x P
-Gram of the points (P = N/2) carrying the curve and group factors. With
-B_coord = Q diag(lam) Q^T (closed form), rotating each point's two targets
-by Q splits K into two P x P blocks lam_e K_pts + noise I (Bonilla, Chai &
-Williams 2008; Saatci 2011), and no N x N matrix is formed. Nugget jitter
-and hand-built designs without such pairs keep the dense N x N system: one
-block with lam = 1, Q = 1 over the rows. The same units (points or rows)
-and blocks serve the objective, `log_marginal_likelihood`,
-`assemble_model`, `predict` and `predict_curve`.
+A `TrainingDesign` holds P points, each with both coordinates, validated
+when built. K is the jittered input Gram K0 times one factor per
+coregionalization level, B = W W^T + diag(kappa), plus noise I, over the
+2P values. With constant jitter, K = K_pts (x) B_coord + noise I exactly,
+K_pts the P x P Gram of the points carrying the curve and group factors.
+With B_coord = Q diag(lam) Q^T (closed form), rotating each point's two
+targets by Q splits K into two P x P blocks lam_e K_pts + noise I
+(Bonilla, Chai & Williams 2008; Saatci 2011). Nugget jitter, on the
+diagonal of the 2P rows only, keeps one dense block over the rows of
+`_training_units` (lam = 1, Q = 1). The same units (points or rows) and
+blocks serve the objective, `log_marginal_likelihood`, `assemble_model`,
+`predict` and `predict_curve`.
 
 The gradient of -log p(y) is -tr(A dK)/2 with A = alpha alpha^T - K^-1
 (Rasmussen & Williams 2006, 5.4.1), contracted by level rather than formed
@@ -74,27 +73,49 @@ COORD_IDENTITY = CoregMatrix.identity(2)
 
 @dataclass
 class TrainingDesign:
-    """Flattened training rows: two scalar observations per sample point."""
+    """Sample points of closed curves, validated at construction.
+
+    Per point: arc parameter ``s``, curve ``j``, group ``g`` and both
+    coordinates ``y`` (P x 2). Per curve: its polygon length. One label per
+    group. Curve and group indices run from 0 without gaps, and each curve
+    lies in one group.
+    """
 
     s: np.ndarray
-    d: np.ndarray
     j: np.ndarray
     g: np.ndarray
     y: np.ndarray
     lengths: np.ndarray
     group_labels: tuple = ((),)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.y)
+    def __post_init__(self):
+        self.s, self.y, self.lengths = (np.asarray(a, dtype=float)
+                                        for a in (self.s, self.y, self.lengths))
+        self.j, self.g = np.asarray(self.j), np.asarray(self.g)
+        n = len(self.s)
+        if self.s.shape != (n,) or self.y.shape != (n, 2):
+            raise ValidationError(f"a design needs s of shape (P,) and y of shape "
+                                  f"(P, 2), got {self.s.shape} and {self.y.shape}")
+        if not all(np.isfinite(a).all() for a in (self.s, self.y, self.lengths)):
+            raise ValidationError("non-finite design values in s, y or lengths")
+        n_curves = _index_count("curve", self.j, n)
+        if _index_count("group", self.g, n) != len(self.group_labels):
+            raise ValidationError("one group label per group required")
+        curve_group = np.empty(n_curves, dtype=int)
+        curve_group[self.j] = self.g
+        if (curve_group[self.j] != self.g).any():
+            raise ValidationError("each curve must lie in one group")
+        if self.lengths.shape != (n_curves,) or (self.lengths <= 0).any():
+            raise ValidationError(f"one positive length per curve required "
+                                  f"({n_curves} curves)")
 
     @property
     def n_curves(self) -> int:
-        return int(self.j.max()) + 1
+        return len(self.lengths)
 
     @property
     def n_groups(self) -> int:
-        return int(self.g.max()) + 1
+        return len(self.group_labels)
 
     def group_of_curve(self, curve_index: int) -> int:
         return int(self.g[self.j == curve_index][0])
@@ -116,14 +137,24 @@ class TrainingDesign:
         encoding: dict = {}
         groups = [encoding.setdefault(label, len(encoding)) for label in labels]
         arcs = [curve.cumulative_arc() for curve in curve_list]
-        rows = np.array([2 * curve.n for curve in curve_list])  # per curve
-        return cls(s=np.concatenate([a[:-1] for a in arcs]).repeat(2),
-                   d=np.arange(rows.sum()) % 2,
-                   j=np.arange(len(rows)).repeat(rows),
-                   g=np.array(groups).repeat(rows),
-                   y=np.concatenate([curve.points.ravel() for curve in curve_list]),
+        points = np.array([curve.n for curve in curve_list])  # per curve
+        return cls(s=np.concatenate([a[:-1] for a in arcs]),
+                   j=np.arange(len(points)).repeat(points),
+                   g=np.array(groups).repeat(points),
+                   y=np.concatenate([curve.points for curve in curve_list]),
                    lengths=np.array([a[-1] for a in arcs]),
                    group_labels=tuple(encoding))
+
+
+def _index_count(name: str, idx: np.ndarray, n_points: int) -> int:
+    """The number of values of a curve or group index: one integer per
+    point, running from 0 without gaps."""
+    values = np.unique(idx)
+    if (idx.shape != (n_points,) or not np.issubdtype(idx.dtype, np.integer)
+            or not len(values) or values[0] != 0 or values[-1] != len(values) - 1):
+        raise ValidationError(f"{name} indices must be integers, one per point, "
+                              f"running from 0 without gaps")
+    return len(values)
 
 
 @dataclass
@@ -159,7 +190,8 @@ class FittedModel:
 
     ``chol`` holds one Cholesky factor per block and ``basis`` the blocks'
     (lam, Q): two P x P blocks in the eigenbasis of the coordinate factor,
-    or `DENSE_BASIS` with one N x N block. ``alpha`` is K^-1 y in row order.
+    or `DENSE_BASIS` with one 2P x 2P block. ``alpha`` is K^-1 y over the
+    2P values, point by point.
     """
 
     kernel: MultiLevelKernel
@@ -204,23 +236,24 @@ class PredictedCurve:
         return self.covariances[:, 0, 1]
 
 
+def _training_units(design: TrainingDesign, split: bool):
+    """(s, d, j, g) of the units a training Gram is formed on: the P points
+    at coordinate 0 on the split path, else the 2P rows, point by point."""
+    if split:
+        return design.s, np.zeros(len(design.s), dtype=int), design.j, design.g
+    return (design.s.repeat(2), np.tile([0, 1], len(design.s)),
+            design.j.repeat(2), design.g.repeat(2))
+
+
 def _is_paired(s, d, j, g) -> bool:
-    """Rows in (d=0, d=1) pairs that share s, curve and group, as
-    `TrainingDesign.from_curves` builds them."""
+    """Query rows in (d=0, d=1) pairs that share s, curve and group."""
     return bool(len(d) % 2 == 0 and not d[0::2].any() and (d[1::2] == 1).all()
                 and all((a[0::2] == a[1::2]).all() for a in (s, j, g)))
 
 
-def _splits(design: TrainingDesign, jitter_mode: str) -> bool:
-    """Whether K = K_pts (x) B_coord + noise I holds exactly: nugget jitter
-    sits on the N x N diagonal only, so it does not separate."""
-    return jitter_mode == "constant" and _is_paired(design.s, design.d,
-                                                    design.j, design.g)
-
-
 def _units(s, d, j, g, split: bool):
-    """The units a Gram is formed on, for rows (s, d, j, g): returns the
-    units' (s, d, j, g), the unit of each row and the coordinate of each
+    """The units a query Gram is formed on, for rows (s, d, j, g): returns
+    the units' (s, d, j, g), the unit of each row and the coordinate of each
     row in the basis. With the coordinate level split off, a pair of rows
     (d = 0, 1) sharing s, curve and group is one unit at coordinate 0;
     without it, every row is a unit and the basis has one coordinate."""
@@ -287,9 +320,9 @@ class MarginalLikelihoodObjective:
     parameter vector (log sigma2, log rho, log noise, then W / log kappa per
     free coregionalization level). The period tau is held fixed.
 
-    On the split path (constant jitter, paired rows) the units are the P
-    points and the coordinate level is applied through its eigenbasis;
-    otherwise the units are the N rows and every level is in the unit Gram.
+    On the split path (constant jitter) the units are the P points and the
+    coordinate level is applied through its eigenbasis; with nugget jitter
+    the units are the 2P rows and every level is in the unit Gram.
     """
 
     def __init__(self, design: TrainingDesign, config: ModelConfig):
@@ -297,27 +330,22 @@ class MarginalLikelihoodObjective:
         self.config = config
         self.tau = (float(np.mean(design.lengths)) if config.tau == "auto"
                     else float(config.tau))
-        self.split = _splits(design, config.jitter_mode)
-        unit_rows = _units(design.s, design.d, design.j, design.g, self.split)[0]
-        s = unit_rows[0]
+        self.split = config.jitter_mode == "constant"
+        s, d, j, g = _training_units(design, self.split)
         # tau is fixed, so the warped distances are computed once
         self.warp = warped_distance(config.family, np.abs(s[:, None] - s[None, :]),
                                     self.tau)
         self.n_units = len(s)
         self.diag = np.diag_indices(self.n_units)
         self.targets = design.y.reshape(self.n_units, -1).T  # a row per coordinate
-        self.constant_jitter = config.jitter_mode == "constant"
-        # level bookkeeping: (name, index array, size, rank, free)
-        self.levels = [("coord", design.d, 2, config.coord_rank, config.fit_coord)]
+        # level bookkeeping: (name, value of each unit, size, rank, free)
+        self.levels = [("coord", d, 2, config.coord_rank, config.fit_coord)]
         if design.n_curves > 1:
-            self.levels.append(("curve", design.j, design.n_curves,
+            self.levels.append(("curve", j, design.n_curves,
                                 config.curve_rank, config.fit_curve))
         if design.n_groups > 1:
-            self.levels.append(("group", design.g, design.n_groups,
+            self.levels.append(("group", g, design.n_groups,
                                 config.group_rank, config.fit_group))
-        for name, idx, size, _, _ in self.levels:
-            if np.any((idx < 0) | (idx >= size)):
-                raise ValidationError(f"{name} level index out of range for size {size}")
         lo, hi = config.noise_box
         rho_lo, rho_hi = (f * self.tau for f in RHO_FRAC_BOX)
         self.bounds = [tuple(np.log(SIGMA2_BOX)),
@@ -339,7 +367,7 @@ class MarginalLikelihoodObjective:
         # those levels' values; one-hot S maps units to types, E per level
         # types to values
         self.unit_levels = list(range(1 if self.split else 0, len(self.levels)))
-        types, unit_type = _row_types([unit_rows[1 + i] for i in self.unit_levels])
+        types, unit_type = _row_types([self.levels[i][1] for i in self.unit_levels])
         # without unit levels every unit is of the one type (a 0-d array)
         unit_type = np.broadcast_to(unit_type, (self.n_units,))
         n_types = unit_type.max() + 1
@@ -441,7 +469,7 @@ class MarginalLikelihoodObjective:
             base = warped_correlation(family, self.warp, rho)
         base *= sigma2
         K0 = self._buffer("K0")
-        if self.constant_jitter:
+        if self.split:  # constant jitter
             np.add(base, self.config.jitter, out=K0)
         else:
             np.copyto(K0, base)
@@ -529,10 +557,6 @@ class MarginalLikelihoodObjective:
         return self._factor(K, math.exp(theta[2]))[2]
 
 
-def make_objective(design: TrainingDesign, config: ModelConfig | None = None):
-    return MarginalLikelihoodObjective(design, config or ModelConfig())
-
-
 def _factor_and_nll(blocks, Y: np.ndarray):
     """Factor the blocks (with one nugget ladder) and return (factors,
     nugget, alphas, -log p) for independent rows Y[e] ~ N(0, block e);
@@ -560,8 +584,8 @@ def _design_factor(design: TrainingDesign, kernel: MultiLevelKernel,
                    noise: NoiseSpec):
     """(basis, factors, nugget, alpha in row order, -log p(y)) of a design
     under fixed hyperparameters."""
-    split = _splits(design, noise.jitter_mode)
-    s, d, j, g = _units(design.s, design.d, design.j, design.g, split)[0]
+    split = noise.jitter_mode == "constant"
+    s, d, j, g = _training_units(design, split)
     K = multilevel_gram(_unit_kernel(kernel, split), noise, s, d, j, g)
     lam, Q = basis = _coord_basis(kernel.coord.matrix) if split else DENSE_BASIS
     factors, nugget, alphas, nll = _factor_and_nll(
@@ -682,8 +706,7 @@ def _posterior_mean(model: FittedModel, s, d, j, g):
     coordinate."""
     split = model.split
     (us, ud, uj, ug), unit, coord = _units(s, d, j, g, split)
-    dz = model.design
-    ts, td, tj, tg = _units(dz.s, dz.d, dz.j, dz.g, split)[0]
+    ts, td, tj, tg = _training_units(model.design, split)
     cross = multilevel_gram(_unit_kernel(model.kernel, split), model.noise,
                             us, ud, uj, ug, s_b=ts, d_b=td, j_b=tj, g_b=tg)
     B = model.kernel.coord.matrix if split else model.basis[1]  # Q = [[1]] if dense

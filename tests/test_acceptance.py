@@ -9,12 +9,12 @@ import pytest
 
 import curvegp as cg
 from curvegp.applications import _score_subset
-from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
+from curvegp.coreg import CoregMatrix, MultiLevelKernel
 from curvegp.curves import Curve, polygon_length
 from curvegp.kernels import FAMILIES
-from curvegp.model import (ModelConfig, OptimizerConfig, TrainingDesign,
-                           assemble_model, fit, make_objective, predict,
-                           predict_curve)
+from curvegp.model import (MarginalLikelihoodObjective, ModelConfig,
+                           OptimizerConfig, TrainingDesign, assemble_model, fit,
+                           predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 
 
@@ -125,8 +125,8 @@ def test_criterion_05_kriging_interpolation(report):
     model = fit(design, ModelConfig(), OptimizerConfig(restarts=8, seed=0))
     lo, hi = model.noise.noise_box
     in_box = lo <= model.noise.noise_variance <= hi
-    mean, _ = predict(model, design.s, design.d)
-    train_err = float(np.max(np.abs(mean - design.y)))
+    mean, _ = predict(model, design.s.repeat(2), np.tile([0, 1], len(design.s)))
+    train_err = float(np.max(np.abs(mean - design.y.ravel())))
     pred = predict_curve(model, 0, 200)
     truth = prep(cg.generate_synthetic("circle", 4000))
     err = cg.imspe(pred.means, truth, 200)
@@ -334,7 +334,7 @@ def test_criterion_14_gradient_check(report):
     c1 = prep(cg.generate_synthetic("star", 8, rng_seed=1, noise_sd=0.02))
     c2 = prep(cg.generate_synthetic("star", 8, rng_seed=2, noise_sd=0.02))
     design = TrainingDesign.from_curves([c1, c2], labels=["a", "b"])
-    objective = make_objective(design, ModelConfig(fit_group=True))
+    objective = MarginalLikelihoodObjective(design, ModelConfig(fit_group=True))
     worst = 0.0
     for _ in range(20):
         theta = objective.random_start(rng)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,8 +13,7 @@ from curvegp.cli import (CONFIG_DEFAULTS, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
 from curvegp.curves import generate_synthetic
 from curvegp.errors import ConfigError
 from curvegp.metrics import esd
-from curvegp.io import (curve_to_csv, load_curve_csv, load_collection_json,
-                        save_collection_json, save_curve_csv, save_json)
+from curvegp.io import load_curve_csv, save_curve_csv, save_json
 from curvegp.model import (NUGGET_LADDER, ModelConfig, OptimizerConfig,
                            PredictedCurve, TrainingDesign, fit, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
@@ -117,7 +117,7 @@ class TestCurveCsv:
             load_curve_csv(str(path))
 
 
-class TestCollectionJson:
+class TestSaveJson:
     def test_save_json_writes_one_compact_line(self, tmp_path):
         path = str(tmp_path / "obj.json")
         obj = {"a": [0.1, 1e-300, -2.5], "b": {"c": None, "d": "x"}}
@@ -125,16 +125,6 @@ class TestCollectionJson:
         text = open(path).read()
         assert text == json.dumps(obj) + "\n"
         assert json.loads(text) == obj
-
-    def test_round_trip(self, tmp_path):
-        curves = [generate_synthetic("circle", 5, rng_seed=1),
-                  generate_synthetic("ellipse", 6, rng_seed=2)]
-        path = str(tmp_path / "coll.json")
-        save_collection_json(curves, path, labels=["a", "b"])
-        loaded, labels = load_collection_json(path)
-        assert labels == ["a", "b"]
-        for orig, new in zip(curves, loaded):
-            assert np.array_equal(orig.points, new.points)
 
 
 class TestSimulate:
@@ -260,6 +250,18 @@ class TestFitPredictPipeline:
         bad.write_text("x,y\n0,0\n1,0\n")
         code = main(["fit", "--inputs", str(bad), "--out", str(tmp_path / "f.json")])
         assert code == EXIT_VALIDATION
+
+    def test_fit_non_finite_coordinate_exit_2(self, tmp_path, capsys):
+        # the design rejects the nan before any arithmetic on it
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n0,0\n1,0\n1,nan\n0,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--inputs", str(bad),
+                         "--out", str(tmp_path / "f.json")])
+        assert code == EXIT_VALIDATION
+        assert "non-finite design values" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
 
     def test_missing_file_exit_4(self, tmp_path):
         code = main(["fit", "--inputs", str(tmp_path / "nope.csv"),

@@ -6,32 +6,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvegp.coreg import (CoregMatrix, MultiLevelKernel, _level_factor,
-                           build_coreg, multilevel_eval, multilevel_gram)
+                           multilevel_gram)
 from curvegp.errors import ValidationError
 from curvegp.kernels import (FAMILIES, NoiseSpec, PeriodicHyperparameters, gram,
-                             unit_correlation)
+                             periodic_eval, unit_correlation)
 
 
 HYP = PeriodicHyperparameters(1.2, 0.3, 1.0, family="periodic_rbf")
 NO_JITTER = NoiseSpec(jitter=0.0)
 
 
-class TestBuildCoreg:
+def multilevel_eval(kernel: MultiLevelKernel, a, b):
+    """Kernel element between design rows a = (s, d, j, g) and b = (s', d',
+    j', g'), level by level: the test-only element-wise oracle of
+    `multilevel_gram`. Curve/group indices are ignored for levels the
+    kernel does not carry."""
+    s_a, d_a, j_a, g_a = a
+    s_b, d_b, j_b, g_b = b
+    value = periodic_eval(kernel.input_kernel, s_a, s_b)
+    value = value * _level_factor(kernel.coord, d_a, d_b)
+    if kernel.curve is not None:
+        value = value * _level_factor(kernel.curve, j_a, j_b)
+    if kernel.group is not None:
+        value = value * _level_factor(kernel.group, g_a, g_b)
+    return float(value)
+
+
+class TestCoregMatrix:
     def test_zero_w_identity(self):
-        B = build_coreg(np.zeros((2, 1)), [1.0, 1.0])
+        B = CoregMatrix(np.zeros((2, 1)), [1.0, 1.0])
         assert np.allclose(B.matrix, np.eye(2))
 
     def test_all_ones(self):
-        B = build_coreg([[1.0], [1.0]], [0.0, 0.0])
+        B = CoregMatrix([[1.0], [1.0]], [0.0, 0.0])
         assert np.allclose(B.matrix, np.ones((2, 2)))
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValidationError):
-            build_coreg(np.zeros((2, 1)), [1.0, -0.1])
+            CoregMatrix(np.zeros((2, 1)), [1.0, -0.1])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            build_coreg(np.zeros((3, 1)), [1.0, 1.0])
+            CoregMatrix(np.zeros((3, 1)), [1.0, 1.0])
 
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(min_value=1, max_value=6),
@@ -39,14 +55,13 @@ class TestBuildCoreg:
            seed=st.integers(min_value=0, max_value=10_000))
     def test_psd(self, m, r, seed):
         rng = np.random.default_rng(seed)
-        B = build_coreg(rng.normal(size=(m, r)), rng.uniform(0, 2, m))
+        B = CoregMatrix(rng.normal(size=(m, r)), rng.uniform(0, 2, m))
         assert np.min(np.linalg.eigvalsh(B.matrix)) >= -1e-12
 
 
 class TestMultilevelEval:
     def test_identity_same_coordinate(self):
         K = MultiLevelKernel(HYP, CoregMatrix.identity(2))
-        from curvegp.kernels import periodic_eval
         expected = periodic_eval(HYP, 0.1, 0.4)
         assert multilevel_eval(K, (0.1, 0, 0, 0), (0.4, 0, 0, 0)) == pytest.approx(
             expected, abs=1e-14)
@@ -66,8 +81,8 @@ class TestMultilevelEval:
 
     def test_matches_kronecker_product(self):
         rng = np.random.default_rng(5)
-        D = build_coreg(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
-        C = build_coreg(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
+        D = CoregMatrix(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
+        C = CoregMatrix(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
         K = MultiLevelKernel(HYP, D, curve=C)
         s = np.array([0.1, 0.35, 0.8])
         Ks = gram(HYP, NO_JITTER, s)
@@ -89,8 +104,8 @@ class TestMultilevelEval:
 class TestMultilevelGram:
     def test_symmetric_case_psd(self):
         rng = np.random.default_rng(6)
-        D = build_coreg(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
-        C = build_coreg(rng.normal(size=(3, 2)), rng.uniform(0.1, 1, 3))
+        D = CoregMatrix(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
+        C = CoregMatrix(rng.normal(size=(3, 2)), rng.uniform(0.1, 1, 3))
         K = MultiLevelKernel(HYP, D, curve=C)
         n = 30
         s = rng.uniform(0, 1, n)
@@ -102,7 +117,7 @@ class TestMultilevelGram:
 
     def test_matches_elementwise_eval(self):
         rng = np.random.default_rng(7)
-        D = build_coreg(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
+        D = CoregMatrix(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
         K = MultiLevelKernel(HYP, D)
         s = rng.uniform(0, 1, 5)
         d = rng.integers(0, 2, 5)
@@ -128,7 +143,7 @@ class TestMultilevelGram:
         # identical designs with relabeled group indices produce identical
         # Grams because encoding is positional
         rng = np.random.default_rng(8)
-        Gmat = build_coreg(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
+        Gmat = CoregMatrix(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
         K = MultiLevelKernel(HYP, CoregMatrix.identity(2), group=Gmat)
         s = rng.uniform(0, 1, 8)
         d = rng.integers(0, 2, 8)
@@ -175,7 +190,7 @@ def random_kernel(rng, family, n_curves, n_groups):
                                   1.0, family=family)
 
     def level(size):
-        return (build_coreg(rng.normal(size=(size, 1)), rng.uniform(0.1, 1, size))
+        return (CoregMatrix(rng.normal(size=(size, 1)), rng.uniform(0.1, 1, size))
                 if size else None)
 
     return MultiLevelKernel(hyp, level(2), curve=level(n_curves),
@@ -238,7 +253,7 @@ class TestDistinctInputGram:
 
     def test_nugget_only_on_the_diagonal_of_rows_sharing_s(self):
         hyp = PeriodicHyperparameters(1.5, 0.2, 1.0)
-        coord = build_coreg([[1.0], [0.5]], [0.2, 0.3])
+        coord = CoregMatrix([[1.0], [0.5]], [0.2, 0.3])
         kernel = MultiLevelKernel(hyp, coord)
         noise = NoiseSpec(jitter=1e-3, jitter_mode="nugget")
         s, d = np.array([0.25, 0.25, 0.6, 0.6]), np.array([0, 1, 0, 1])

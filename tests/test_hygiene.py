@@ -1,6 +1,6 @@
-"""Tooling guard: no library module imports a name that it never uses.
+"""Tooling guard: no module imports a name that it never uses.
 
-An AST scan of `src/curvegp/*.py`. A name counts as used when it appears as
+An AST scan of `src/curvegp/*.py`, `tests/*.py` and `scripts/*.py`. A name counts as used when it appears as
 an identifier anywhere in the module, inside a string annotation, or in the
 module's `__all__`. `from __future__` imports are compiler directives and
 are skipped.
@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "curvegp"
-MODULES = sorted(SRC.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(path for pattern in ("src/curvegp/*.py", "tests/*.py", "scripts/*.py")
+                 for path in ROOT.glob(pattern))
 
 
 def _imported(tree):

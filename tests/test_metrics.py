@@ -4,16 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from curvegp.curves import (Curve, arc_to_xy_param, generate_synthetic,
-                            polygon_length, resample_equally_spaced)
+                            polygon_length)
 from curvegp.errors import ValidationError
 from curvegp.metrics import (elastic_register, esd, imspe, iuea, wasserstein2,
                              _dp_reparameterize, _warp, _energy)
 from curvegp.model import PredictedCurve
-from curvegp.preprocess import center, scale_to_unit_length, srvf
 
 
 def make_pred(means, covs):

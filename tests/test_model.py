@@ -7,21 +7,29 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
-from curvegp.curves import Curve, generate_synthetic
+from curvegp.curves import generate_synthetic
 from curvegp.errors import NumericalError, ValidationError
 from curvegp.kernels import NoiseSpec, PeriodicHyperparameters
-from curvegp.model import (ModelConfig, OptimizerConfig, TrainingDesign,
-                           assemble_model, fit, log_marginal_likelihood,
-                           make_objective, predict, predict_curve)
+from curvegp.model import (MarginalLikelihoodObjective, ModelConfig,
+                           OptimizerConfig, TrainingDesign, assemble_model, fit,
+                           log_marginal_likelihood, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 
 IDENTITY_2 = CoregMatrix.identity(2)
 
 
-def single_row_design(y):
-    return TrainingDesign(s=np.array([0.0]), d=np.array([0]), j=np.array([0]),
-                          g=np.array([0]), y=np.array([y]),
-                          lengths=np.array([1.0]))
+def single_point_design(y):
+    """One point at s = 0 with both coordinates equal to y."""
+    return TrainingDesign(s=np.array([0.0]), j=np.array([0]), g=np.array([0]),
+                          y=np.array([[y, y]]), lengths=np.array([1.0]))
+
+
+def rows(design):
+    """The design's 2P scalar rows (s, d, j, g), point by point, and their
+    targets: the layout of the dense oracles."""
+    n = len(design.s)
+    return ((design.s.repeat(2), np.tile([0, 1], n), design.j.repeat(2),
+             design.g.repeat(2)), design.y.ravel())
 
 
 def circle_design(n=15):
@@ -29,12 +37,35 @@ def circle_design(n=15):
     return TrainingDesign.from_curves([c]), c
 
 
+INVALID_DESIGNS = {
+    # name: (change to a valid two-curve design, part of the message)
+    # negative curve indices, once read as fewer curves (j.max() + 1)
+    "negative-curve": (dict(j=[-1] * 4 + [0] * 4), "curve indices"),
+    "curve-gap": (dict(j=[0] * 4 + [2] * 4, lengths=[1.0] * 3), "curve indices"),
+    "unused-curve-0": (dict(j=[1] * 8, lengths=[1.0]), "curve indices"),
+    "float-curve": (dict(j=np.repeat([0.0, 1.0], 4)), "curve indices"),
+    "group-gap": (dict(g=[0] * 4 + [2] * 4, group_labels=("a", "b", "c")),
+                  "group indices"),
+    "group-within-curve": (dict(g=[0, 0, 0, 1, 1, 1, 1, 1], group_labels=("a", "b")),
+                           "lie in one group"),
+    "group-label-count": (dict(g=[0] * 4 + [1] * 4), "group label"),
+    "nan-s": (dict(s=[0.0, 0.1, np.nan, 0.3, 0.0, 0.1, 0.2, 0.3]), "non-finite"),
+    "inf-y": (dict(y=np.full((8, 2), np.inf)), "non-finite"),
+    "nan-length": (dict(lengths=[1.0, np.nan]), "non-finite"),
+    "too-few-lengths": (dict(lengths=[1.0]), "one positive length per curve"),
+    "too-many-lengths": (dict(lengths=[1.0] * 3), "one positive length per curve"),
+    "zero-length": (dict(lengths=[1.0, 0.0]), "one positive length per curve"),
+    "one-coordinate": (dict(y=np.zeros((8, 1))), "shape"),
+    "flat-rows": (dict(y=np.zeros(16)), "shape"),
+}
+
+
 class TestTrainingDesign:
-    def test_two_rows_per_point(self):
+    def test_one_entry_per_point(self):
         design, c = circle_design(10)
-        assert design.n_rows == 20
-        assert np.array_equal(design.d[:2], [0, 1])
-        assert design.s[0] == design.s[1]
+        assert design.s.shape == design.j.shape == design.g.shape == (10,)
+        assert np.array_equal(design.y, c.points)
+        assert design.s[0] == 0.0 and np.all(np.diff(design.s) > 0)
 
     def test_unit_length_after_preprocessing(self):
         design, _ = circle_design(10)
@@ -59,35 +90,41 @@ class TestTrainingDesign:
                   generate_synthetic("circle", 4)]
         design = TrainingDesign.from_curves(curves, labels)
         oracle = from_curves_oracle(curves, labels)
-        for name in ("s", "d", "j", "g", "y", "lengths"):
+        for name in ("s", "j", "g", "y", "lengths"):
             got, want = getattr(design, name), getattr(oracle, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
         assert design.group_labels == oracle.group_labels
 
+    @pytest.mark.parametrize("case", sorted(INVALID_DESIGNS))
+    def test_rejects_invalid_design(self, case):
+        change, message = INVALID_DESIGNS[case]
+        valid = dict(s=np.tile([0.0, 0.1, 0.2, 0.3], 2), j=[0] * 4 + [1] * 4,
+                     g=[0] * 8, y=np.arange(16.0).reshape(8, 2), lengths=[1.0, 1.0])
+        assert TrainingDesign(**valid).n_curves == 2
+        with pytest.raises(ValidationError, match=message):
+            TrainingDesign(**{**valid, **change})
+
 
 def from_curves_oracle(curve_list, labels=None) -> TrainingDesign:
-    """`TrainingDesign.from_curves` as a loop over points and coordinates,
-    kept as the test-only oracle of the vectorized builder."""
+    """`TrainingDesign.from_curves` as a loop over points, kept as the
+    test-only oracle of the vectorized builder."""
     if labels is None:
         labels = [0] * len(curve_list)
     encoding: dict = {}
-    rows_s, rows_d, rows_j, rows_g, rows_y = [], [], [], [], []
+    points_s, points_j, points_g, points_y = [], [], [], []
     lengths = []
     for j, (curve, label) in enumerate(zip(curve_list, labels)):
         g = encoding.setdefault(label, len(encoding))
         arcs = curve.cumulative_arc()
         lengths.append(arcs[-1])
         for i in range(curve.n):
-            for d in (0, 1):
-                rows_s.append(arcs[i])
-                rows_d.append(d)
-                rows_j.append(j)
-                rows_g.append(g)
-                rows_y.append(curve.points[i, d])
-    return TrainingDesign(s=np.array(rows_s), d=np.array(rows_d, dtype=int),
-                          j=np.array(rows_j, dtype=int),
-                          g=np.array(rows_g, dtype=int), y=np.array(rows_y),
+            points_s.append(arcs[i])
+            points_j.append(j)
+            points_g.append(g)
+            points_y.append(curve.points[i])
+    return TrainingDesign(s=np.array(points_s), j=np.array(points_j, dtype=int),
+                          g=np.array(points_g, dtype=int), y=np.array(points_y),
                           lengths=np.array(lengths), group_labels=tuple(encoding))
 
 
@@ -97,7 +134,8 @@ class TestLogMarginalLikelihood:
         hyp = PeriodicHyperparameters(0.9989, 0.3, 1.0)
         kernel = MultiLevelKernel(hyp, IDENTITY_2)
         noise = NoiseSpec(noise_variance=1e-4, jitter=1e-3)
-        value = log_marginal_likelihood(single_row_design(0.0), kernel, noise)
+        # two independent coordinates, each N(0, 1)
+        value = log_marginal_likelihood(single_point_design(0.0), kernel, noise) / 2
         assert value == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-5)
         assert value == pytest.approx(-0.91894, abs=1e-4)
 
@@ -105,41 +143,25 @@ class TestLogMarginalLikelihood:
         hyp = PeriodicHyperparameters(0.9989, 0.3, 1.0)
         kernel = MultiLevelKernel(hyp, IDENTITY_2)
         noise = NoiseSpec(noise_variance=1e-4, jitter=1e-3)
-        value = log_marginal_likelihood(single_row_design(1.0), kernel, noise)
+        value = log_marginal_likelihood(single_point_design(1.0), kernel, noise) / 2
         assert value == pytest.approx(-0.5 - 0.5 * np.log(2 * np.pi), abs=1e-4)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
-        design = TrainingDesign(s=rng.uniform(0, 1, 3),
-                                d=np.array([0, 1, 0]), j=np.zeros(3, dtype=int),
-                                g=np.zeros(3, dtype=int), y=rng.normal(size=3),
+        design = TrainingDesign(s=rng.uniform(0, 1, 2), j=np.zeros(2, dtype=int),
+                                g=np.zeros(2, dtype=int), y=rng.normal(size=(2, 2)),
                                 lengths=np.array([1.0]))
         hyp = PeriodicHyperparameters(1.3, 0.25, 1.0)
         D = CoregMatrix(np.array([[0.6], [0.4]]), np.array([0.5, 0.5]))
         kernel = MultiLevelKernel(hyp, D)
         noise = NoiseSpec(noise_variance=1e-4, jitter=1e-3)
         value = log_marginal_likelihood(design, kernel, noise)
-        K = multilevel_gram(kernel, noise, design.s, design.d, design.j,
-                            design.g) + 1e-4 * np.eye(3)
-        y = design.y
+        x, y = rows(design)
+        K = multilevel_gram(kernel, noise, *x) + 1e-4 * np.eye(4)
         oracle = (-0.5 * y @ np.linalg.inv(K) @ y
                   - 0.5 * np.log(np.linalg.det(K))
-                  - 1.5 * np.log(2 * np.pi))
+                  - 2.0 * np.log(2 * np.pi))
         assert value == pytest.approx(oracle, abs=1e-10)
-
-    def test_objective_rejects_level_index_out_of_range(self):
-        # d = 2 on one row: the coordinate level has two values, 0 and 1
-        rng = np.random.default_rng(4)
-        design = TrainingDesign(s=rng.uniform(0, 1, 8),
-                                d=np.array([0, 1, 2, 0, 1, 0, 1, 0]),
-                                j=np.zeros(8, dtype=int), g=np.zeros(8, dtype=int),
-                                y=rng.normal(size=8), lengths=np.array([1.0]))
-        kernel = MultiLevelKernel(PeriodicHyperparameters(1.0, 0.25, 1.0), IDENTITY_2)
-        with pytest.raises(ValidationError):
-            log_marginal_likelihood(design, kernel, NoiseSpec(noise_variance=1e-4))
-        for jitter_mode in ("constant", "nugget"):
-            with pytest.raises(ValidationError, match="coord level index"):
-                make_objective(design, ModelConfig(jitter_mode=jitter_mode))
 
     def test_alpha_equals_cho_solve(self):
         # nugget jitter keeps the dense N x N path and its one factor
@@ -148,7 +170,7 @@ class TestLogMarginalLikelihood:
         model = assemble_model(design, MultiLevelKernel(hyp, IDENTITY_2),
                                NoiseSpec(noise_variance=1e-5, jitter_mode="nugget"))
         assert len(model.chol) == 1 and model.chol[0].shape == (24, 24)
-        expected = cho_solve((model.chol[0], True), design.y)
+        expected = cho_solve((model.chol[0], True), design.y.ravel())
         assert model.alpha.tobytes() == expected.tobytes()
 
 
@@ -156,8 +178,9 @@ class TestFit:
     def test_interpolates_noiseless_circle(self):
         design, c = circle_design(15)
         model = fit(design, ModelConfig(), OptimizerConfig(restarts=4, seed=0))
-        mean, _ = predict(model, design.s, design.d)
-        assert np.max(np.abs(mean - design.y)) < 1e-3
+        (s, d, _, _), y = rows(design)
+        mean, _ = predict(model, s, d)
+        assert np.max(np.abs(mean - y)) < 1e-3
         lo, hi = model.noise.noise_box
         assert lo <= model.noise.noise_variance <= hi
 
@@ -169,10 +192,11 @@ class TestFit:
         hyp = PeriodicHyperparameters(1.0, rho_true, 1.0)
         kernel = MultiLevelKernel(hyp, IDENTITY_2)
         noise = NoiseSpec(noise_variance=1e-5, jitter=0.0)
-        d = np.zeros(n, dtype=int)
-        K = multilevel_gram(kernel, noise, s, d) + 1e-5 * np.eye(n)
-        y = np.linalg.cholesky(K) @ rng.normal(size=n)
-        design = TrainingDesign(s=s, d=d, j=np.zeros(n, dtype=int),
+        K = multilevel_gram(kernel, noise, s, np.zeros(n, dtype=int)) + 1e-5 * np.eye(n)
+        # the two coordinates are independent draws from the same prior
+        L = np.linalg.cholesky(K)
+        y = np.column_stack([L @ rng.normal(size=n), L @ rng.normal(size=n)])
+        design = TrainingDesign(s=s, j=np.zeros(n, dtype=int),
                                 g=np.zeros(n, dtype=int), y=y,
                                 lengths=np.array([1.0]))
         model = fit(design, ModelConfig(fit_coord=False, jitter=0.0),
@@ -305,8 +329,9 @@ class TestPredict:
         self.model = assemble_model(self.design, kernel, self.noise)
 
     def test_interpolation_at_training_inputs(self):
-        mean, cov = predict(self.model, self.design.s, self.design.d)
-        assert np.max(np.abs(mean - self.design.y)) < 1e-3
+        (s, d, _, _), y = rows(self.design)
+        mean, cov = predict(self.model, s, d)
+        assert np.max(np.abs(mean - y)) < 1e-3
         assert np.max(np.diag(cov)) < 1e-4
 
     def test_means_alone_equal_predict_means(self):
@@ -333,18 +358,18 @@ class TestPredict:
         assert c1[0, 0] == pytest.approx(c2[0, 0], abs=1e-10)
 
     def test_matches_dense_oracle(self):
-        d = self.design
-        K = multilevel_gram(self.model.kernel, self.noise, d.s, d.d, d.j, d.g)
-        K = K + self.noise.noise_variance * np.eye(d.n_rows)
+        x, y = rows(self.design)
+        K = multilevel_gram(self.model.kernel, self.noise, *x)
+        K = K + self.noise.noise_variance * np.eye(len(y))
         sq = np.array([0.11, 0.52, 0.9])
         dq = np.array([0, 1, 0])
         cross = multilevel_gram(self.model.kernel, self.noise, sq, dq,
                                 np.zeros(3, dtype=int), np.zeros(3, dtype=int),
-                                s_b=d.s, d_b=d.d, j_b=d.j, g_b=d.g)
+                                *x)
         Kqq = multilevel_gram(self.model.kernel, self.noise, sq, dq,
                               np.zeros(3, dtype=int), np.zeros(3, dtype=int))
         Kinv = np.linalg.inv(K)
-        mean_oracle = cross @ Kinv @ d.y
+        mean_oracle = cross @ Kinv @ y
         cov_oracle = Kqq - cross @ Kinv @ cross.T
         mean, cov = predict(self.model, sq, dq)
         assert np.allclose(mean, mean_oracle, atol=1e-9)
@@ -367,7 +392,8 @@ class TestPredict:
         assert model.split == (jitter_mode == "constant")
         assert len(model.chol) == (2 if model.split else 1)
         d = design
-        K = multilevel_gram(kernel, noise, d.s, d.d, d.j, d.g) + 1e-5 * np.eye(d.n_rows)
+        x, y = rows(design)
+        K = multilevel_gram(kernel, noise, *x) + 1e-5 * np.eye(len(y))
         Kinv = np.linalg.inv(K)
         # paired rows of curve 1, then unpaired rows over curves 0 and 2
         queries = [(np.repeat([0.05, 0.4, 0.77], 2), np.tile([0, 1], 3),
@@ -376,11 +402,10 @@ class TestPredict:
                     np.array([0, 2, 0, 2]))]
         for sq, dq, jq in queries:
             gq = np.array([d.group_of_curve(c) for c in jq])
-            cross = multilevel_gram(kernel, noise, sq, dq, jq, gq,
-                                    s_b=d.s, d_b=d.d, j_b=d.j, g_b=d.g)
+            cross = multilevel_gram(kernel, noise, sq, dq, jq, gq, *x)
             Kqq = multilevel_gram(kernel, noise, sq, dq, jq, gq)
             mean, cov = predict(model, sq, dq, jq, gq)
-            assert np.max(np.abs(mean - cross @ Kinv @ d.y)) <= 1e-9
+            assert np.max(np.abs(mean - cross @ Kinv @ y)) <= 1e-9
             assert np.max(np.abs(cov - (Kqq - cross @ Kinv @ cross.T))) <= 1e-9
         m = 25
         for curve in range(3):
@@ -389,13 +414,12 @@ class TestPredict:
             dq = np.tile([0, 1], m)
             jq = np.full(2 * m, curve)
             gq = np.full(2 * m, d.group_of_curve(curve))
-            cross = multilevel_gram(kernel, noise, sq, dq, jq, gq,
-                                    s_b=d.s, d_b=d.d, j_b=d.j, g_b=d.g)
+            cross = multilevel_gram(kernel, noise, sq, dq, jq, gq, *x)
             Kqq = multilevel_gram(kernel, noise, sq, dq, jq, gq)
             cov = Kqq - cross @ Kinv @ cross.T
             blocks = np.array([cov[2 * i:2 * i + 2, 2 * i:2 * i + 2]
                                for i in range(m)])
-            assert np.max(np.abs(pred.means.ravel() - cross @ Kinv @ d.y)) <= 1e-9
+            assert np.max(np.abs(pred.means.ravel() - cross @ Kinv @ y)) <= 1e-9
             assert np.max(np.abs(pred.covariances - blocks)) <= 1e-9
 
     def test_rejects_coordinate_out_of_range(self):
@@ -416,8 +440,8 @@ class TestPredict:
     def test_data_augmentation_contracts_variance(self):
         d = self.design
         _, cov_full = predict(self.model, [0.41], [0])
-        sub = TrainingDesign(s=d.s[:-2], d=d.d[:-2], j=d.j[:-2], g=d.g[:-2],
-                             y=d.y[:-2], lengths=d.lengths)
+        sub = TrainingDesign(s=d.s[:-1], j=d.j[:-1], g=d.g[:-1], y=d.y[:-1],
+                             lengths=d.lengths)
         m_sub = assemble_model(sub, self.model.kernel, self.noise)
         _, cov_sub = predict(m_sub, [0.41], [0])
         assert cov_full[0, 0] <= cov_sub[0, 0] + 1e-12
@@ -529,7 +553,7 @@ class TestGradients:
         design = TrainingDesign.from_curves(
             [scale_to_unit_length(center(c1)), scale_to_unit_length(center(c2))],
             labels=["a", "b"])
-        obj = make_objective(design, ModelConfig(fit_group=True))
+        obj = MarginalLikelihoodObjective(design, ModelConfig(fit_group=True))
         for _ in range(5):
             theta = obj.random_start(rng)
             _, grad = obj.value_and_grad(theta)
@@ -546,11 +570,13 @@ class TestGradients:
 def dense_dk_oracle(obj, theta):
     """-log p(y) and its gradient with one dense dK per parameter, reduced
     against A = alpha alpha^T - K^-1 with K^-1 from cho_solve(L, I)."""
-    cfg, design = obj.config, obj.design
-    n = design.n_rows
+    cfg = obj.config
+    (s, d, j, g), y = rows(obj.design)
+    level_rows = {"coord": d, "curve": j, "group": g}
+    n = len(y)
     eye = np.eye(n)
     sigma2, rho, noise_var = np.exp(theta[:3])
-    r = np.abs(design.s[:, None] - design.s[None, :])
+    r = np.abs(s[:, None] - s[None, :])
     if cfg.family == "periodic_rbf":
         u = np.sin(np.pi * r / obj.tau) ** 2
         corr = np.exp(-u / rho)
@@ -568,7 +594,8 @@ def dense_dk_oracle(obj, theta):
     base = sigma2 * corr
     jitter = cfg.jitter if cfg.jitter_mode == "constant" else cfg.jitter * eye
     factors, coregs = {}, {}
-    for name, idx, size, rank, free in obj.levels:
+    for name, _, size, rank, free in obj.levels:
+        idx = level_rows[name]
         if free:
             w_sl, k_sl = obj.slices[name]
             W = theta[w_sl].reshape(size, rank)
@@ -597,7 +624,6 @@ def dense_dk_oracle(obj, theta):
             dB[a, a] = kappa[a]
             dKs.append(pre * dB[idx[:, None], idx[None, :]])
     c = cho_factor(K, lower=True)
-    y = design.y
     alpha = cho_solve(c, y)
     nll = (0.5 * y @ alpha + np.sum(np.log(np.diag(c[0])))
            + 0.5 * n * np.log(2 * np.pi))
@@ -631,7 +657,7 @@ class TestContractedGradient:
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
         design = TrainingDesign.from_curves(curves, labels)
-        obj = make_objective(design, ModelConfig(
+        obj = MarginalLikelihoodObjective(design, ModelConfig(
             family=family, jitter_mode=jitter_mode, **levels))
         # constant jitter splits K on the coordinate level; nugget does not
         assert obj.split == (jitter_mode == "constant")
@@ -657,23 +683,21 @@ class TestSharedGramBuilder:
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
         design = TrainingDesign.from_curves(curves, labels)
-        obj = make_objective(design, ModelConfig(
+        obj = MarginalLikelihoodObjective(design, ModelConfig(
             family=family, jitter_mode=jitter_mode, **levels))
         rng = np.random.default_rng(5)
-        n = design.n_rows
+        n = len(design.s)
         for _ in range(3):
             theta = obj.random_start(rng)
             K, grads = obj.gram_and_grads(theta)
             kernel, noise = obj.unpack(theta)
-            full = multilevel_gram(kernel, noise, design.s, design.d,
-                                   design.j, design.g)
+            full = multilevel_gram(kernel, noise, *rows(design)[0])
             if jitter_mode == "constant":
                 # the point Gram is the Gram without the coordinate factor
-                points = slice(None, None, 2)
                 expected = multilevel_gram(
-                    replace(kernel, coord=IDENTITY_2), noise, design.s[points],
-                    np.zeros(n // 2, dtype=int), design.j[points], design.g[points])
-                assert K.shape == (n // 2, n // 2)
+                    replace(kernel, coord=IDENTITY_2), noise, design.s,
+                    np.zeros(n, dtype=int), design.j, design.g)
+                assert K.shape == (n, n)
                 assert np.array_equal(K, expected)
                 assert (np.max(np.abs(np.kron(K, kernel.coord.matrix) - full))
                         <= 1e-15 * np.max(np.abs(full)))
@@ -690,36 +714,31 @@ def paired_design(n_curves=2, n=8, labels=None):
 
 
 class TestCoordinateSplit:
-    def test_dense_path_for_nugget_and_unpaired_designs(self):
+    def test_dense_path_for_nugget_jitter(self):
         design = paired_design()
-        n = design.n_rows
-        assert make_objective(design, ModelConfig()).split
-        assert not make_objective(design, ModelConfig(jitter_mode="nugget")).split
-        # the same rows with the two coordinates of every point swapped
-        swap = np.arange(n).reshape(-1, 2)[:, ::-1].ravel()
-        unpaired = TrainingDesign(s=design.s[swap], d=design.d[swap],
-                                  j=design.j[swap], g=design.g[swap],
-                                  y=design.y[swap], lengths=design.lengths)
-        obj = make_objective(unpaired, ModelConfig())
+        n = 2 * len(design.s)
+        # without jitter both modes model the same K, on different paths
+        obj = MarginalLikelihoodObjective(design, ModelConfig(
+            jitter=0.0, jitter_mode="nugget"))
         assert not obj.split
         theta = obj.default_start()
         K, grads = obj.gram_and_grads(theta)
         assert K.shape == (n, n) and all(G.shape == (n, n) for G in grads)
-        paired = make_objective(design, ModelConfig())
+        paired = MarginalLikelihoodObjective(design, ModelConfig(jitter=0.0))
+        assert paired.split
         assert paired.gram_and_grads(theta)[0].shape == (n // 2, n // 2)
-        # the same likelihood whichever path the row order selects
+        # the same likelihood whichever path the jitter mode selects
         value, grad = obj.value_and_grad(theta)
         value_split, grad_split = paired.value_and_grad(theta)
         assert abs(value - value_split) <= 1e-10 * abs(value)
         assert np.max(np.abs(grad - grad_split)) <= 1e-10 * np.max(np.abs(grad))
         kernel, noise = obj.unpack(theta)
-        for d, split in ((design, True), (unpaired, False)):
-            model = assemble_model(d, kernel, noise)
+        for jitter_mode, split in (("constant", True), ("nugget", False)):
+            model = assemble_model(design, kernel,
+                                   replace(noise, jitter_mode=jitter_mode))
             assert model.split == split
             assert [L.shape for L in model.chol] == (
                 [(n // 2, n // 2)] * 2 if split else [(n, n)])
-        assert not assemble_model(design, kernel,
-                                  replace(noise, jitter_mode="nugget")).split
 
     @pytest.mark.parametrize("coord", [
         (np.zeros((2, 1)), np.array([0.8, 0.8])),          # B = 0.8 I: Q = I
@@ -727,7 +746,7 @@ class TestCoordinateSplit:
         (np.array([[0.2, -0.9], [0.7, 0.4]]), np.array([0.3, 0.1]))])
     def test_value_and_grad_at_coordinate_extremes(self, coord):
         design = paired_design(3, 6, ["a", "b", "a"])
-        obj = make_objective(design, ModelConfig(fit_group=True,
+        obj = MarginalLikelihoodObjective(design, ModelConfig(fit_group=True,
                                                  coord_rank=coord[0].shape[1]))
         assert obj.split
         theta = obj.default_start()

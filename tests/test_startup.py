@@ -26,9 +26,9 @@ from curvegp.cli import EXIT_OK, main
 from curvegp.curves import generate_synthetic
 from curvegp.io import predicted_curve_to_dict, save_curve_csv, save_json
 from curvegp.kernels import NoiseSpec
-from curvegp.model import (ModelConfig, OptimizerConfig, TrainingDesign,
-                           assemble_model, fit, log_marginal_likelihood,
-                           make_objective, predict, predict_curve)
+from curvegp.model import (MarginalLikelihoodObjective, ModelConfig,
+                           OptimizerConfig, TrainingDesign, assemble_model, fit,
+                           log_marginal_likelihood, predict, predict_curve)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 OPTIMIZER = ("scipy.optimize", "scipy.sparse", "scipy.special", "scipy.fft",
@@ -157,8 +157,10 @@ FIRST_USE = {
     "assemble_model": lambda x: assemble_model(x["design"], x["kernel"], x["noise"]),
     "log_marginal_likelihood": lambda x: log_marginal_likelihood(
         x["design"], x["kernel"], x["noise"]),
-    "value_and_grad": lambda x: make_objective(x["design"]).value_and_grad(x["theta"]),
-    "value": lambda x: make_objective(x["design"]).value(x["theta"]),
+    "value_and_grad": lambda x: MarginalLikelihoodObjective(
+        x["design"], ModelConfig()).value_and_grad(x["theta"]),
+    "value": lambda x: MarginalLikelihoodObjective(
+        x["design"], ModelConfig()).value(x["theta"]),
     "predict": lambda x: predict(x["model"], x["s"], x["d"], x["j"]),
     "predict_curve": lambda x: predict_curve(x["model"], 1, 9),
     "fit": lambda x: fit(x["design"], ModelConfig(),
@@ -182,7 +184,7 @@ def first_use_inputs() -> dict:
     curves = [generate_synthetic("star", 9), generate_synthetic("ellipse", 7),
               generate_synthetic("circle", 8)]
     design = TrainingDesign.from_curves(curves, ["a", "b", "a"])
-    objective = make_objective(design)
+    objective = MarginalLikelihoodObjective(design, ModelConfig())
     theta = objective.default_start() + 0.01 * np.arange(objective.n_params)
     kernel, _ = objective.unpack(theta)
     noise = NoiseSpec(noise_variance=2e-5)

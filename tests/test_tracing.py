@@ -49,7 +49,7 @@ def test_tracer_hooks_the_library(tracing):
         split_calls = tracer.layer_metrics()["model.vg_calls"]
         model_mod.fit(design, model_mod.ModelConfig(jitter_mode="nugget"),
                       model_mod.OptimizerConfig(restarts=1, seed=0))
-        obj = model_mod.make_objective(design, model_mod.ModelConfig())
+        obj = model_mod.MarginalLikelihoodObjective(design, model_mod.ModelConfig())
         obj.value(obj.default_start())
         model_mod.predict(model, [0.1, 0.2], [0, 1], [1, 1])
         model_mod.predict_curve(model, 1, 10)
@@ -66,13 +66,13 @@ def test_tracer_hooks_the_library(tracing):
     assert metrics["model.fit_calls"] == 2
     assert metrics["model.restarts"] == 2
     assert metrics["model.nfev"] > 0
-    # three matrices per gradient evaluation, whatever the levels: (N/2) x
-    # (N/2) on the split path (constant jitter), N x N with nugget jitter
-    n = design.n_rows
+    # three matrices per gradient evaluation, whatever the levels: P x P on
+    # the split path (constant jitter), 2P x 2P with nugget jitter
+    p = len(design.s)
     dense_calls = metrics["model.vg_calls"] - split_calls
     assert split_calls > 0 and dense_calls > 0
     assert metrics["model.grad_bytes"] == (
-        3 * 8 * (n // 2) ** 2 * split_calls + 3 * 8 * n ** 2 * dense_calls)
+        3 * 8 * p ** 2 * split_calls + 3 * 8 * (2 * p) ** 2 * dense_calls)
     assert metrics["model.chol_s"] > 0
     assert metrics["model.predict_rows"] == 2
     assert metrics["coreg.gram_calls"] > 0
