@@ -108,9 +108,10 @@ def multilevel_gram(kernel: MultiLevelKernel, noise: NoiseSpec,
     The input kernel is evaluated once per distinct arc parameter (`gram`)
     and the level factors once per pair of distinct level tuples (row
     types); both are gathered to the rows, and the entries equal a direct
-    evaluation bit for bit. The jitter constant from ``noise`` is added at
-    the input-kernel level, so it is modulated by the same coreg factors and
-    vanishes across independent levels. Observation noise is not included.
+    evaluation bit for bit. The constant jitter from ``noise`` is added to
+    every entry of the input kernel, so it is modulated by the same coreg
+    factors and vanishes across independent levels. Observation noise is
+    not included.
     """
     K = gram(kernel.input_kernel, noise, s_a, s_b)
     if s_b is None:

@@ -94,8 +94,7 @@ def fit_result_to_dict(model) -> dict:
         "hyperparameters": {"family": hyp.family, "sigma2": hyp.sigma2,
                             "rho": hyp.rho, "tau": hyp.tau},
         "noise": {"noise_variance": model.noise.noise_variance,
-                  "jitter": model.noise.jitter,
-                  "jitter_mode": model.noise.jitter_mode},
+                  "jitter": model.noise.jitter},
         "coregionalization": coreg,
         "log_marginal_likelihood": model.log_marginal_likelihood,
         "restart_scores": diag.get("restart_scores", []),
@@ -111,13 +110,19 @@ def fit_result_to_dict(model) -> dict:
 
 
 def kernel_from_dict(data: dict):
-    """Rebuild (MultiLevelKernel, NoiseSpec) from a fit-result dictionary."""
+    """Rebuild (MultiLevelKernel, NoiseSpec) from a fit-result dictionary.
+
+    The jitter is a constant on the input kernel. Fits saved with a
+    ``noise.jitter_mode`` key carry ``"constant"``; any other mode names a
+    different kernel and is rejected."""
     h = data["hyperparameters"]
     hyp = PeriodicHyperparameters(sigma2=h["sigma2"], rho=h["rho"],
                                   tau=h["tau"], family=h["family"])
     n = data["noise"]
-    noise = NoiseSpec(noise_variance=n["noise_variance"], jitter=n["jitter"],
-                      jitter_mode=n.get("jitter_mode", "constant"))
+    if n.get("jitter_mode", "constant") != "constant":
+        raise ValidationError(f"unsupported noise.jitter_mode {n['jitter_mode']!r} "
+                              "in the fit: only constant jitter is modeled")
+    noise = NoiseSpec(noise_variance=n["noise_variance"], jitter=n["jitter"])
     coreg = data.get("coregionalization", {})
     levels = {}
     for name, tag in LEVEL_TAGS.items():

@@ -40,20 +40,15 @@ class PeriodicHyperparameters:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Observation-noise variance and the stabilizing jitter term.
-
-    ``jitter_mode='constant'`` adds a constant kernel of the given variance
-    to the input kernel; ``'nugget'`` puts it on the Gram diagonal instead.
+    """Observation-noise variance and the jitter term: a constant kernel of
+    variance ``jitter`` added to the input kernel.
     """
 
     noise_variance: float = 1e-5
     jitter: float = DEFAULT_JITTER
-    jitter_mode: str = "constant"
     noise_box: tuple = DEFAULT_NOISE_BOX
 
     def __post_init__(self):
-        if self.jitter_mode not in ("constant", "nugget"):
-            raise ValidationError(f"unknown jitter mode {self.jitter_mode!r}")
         if self.noise_variance < 0 or self.jitter < 0:
             raise ValidationError("noise variance and jitter must be nonnegative")
 
@@ -115,13 +110,11 @@ def theorem1_bounds(hyp: PeriodicHyperparameters, length: float):
 
 def gram(hyp: PeriodicHyperparameters, noise: NoiseSpec, s_a, s_b=None) -> np.ndarray:
     """Gram matrix between arc parameters ``s_a`` and ``s_b`` (``s_a`` with
-    itself when ``s_b`` is None), with the jitter term applied.
+    itself when ``s_b`` is None), with the constant jitter added to every
+    entry.
 
     The kernel is evaluated once per pair of distinct arc parameters and
     gathered to the rows; entries equal a direct evaluation bit for bit.
-    Constant jitter is added to every entry; nugget jitter only to the
-    diagonal of a Gram of ``s_a`` with itself, never to a cross Gram, nor to
-    two different rows that share an arc parameter.
     Observation noise is *not* included; that is a model-level concern.
     """
     s_a = np.asarray(s_a, dtype=float).reshape(-1)
@@ -135,12 +128,8 @@ def gram(hyp: PeriodicHyperparameters, noise: NoiseSpec, s_a, s_b=None) -> np.nd
                                return_inverse=True)
     r = np.abs(u_a[:, None] - u_b[None, :])
     K = hyp.sigma2 * unit_correlation(hyp.family, r, hyp.rho, hyp.tau)
-    if noise.jitter_mode == "constant":
-        K += noise.jitter  # every entry, so the distinct grid suffices
-    K = K.take(row_a, axis=0).take(row_b, axis=1)
-    if noise.jitter_mode == "nugget" and s_b is None:
-        K[np.diag_indices_from(K)] += noise.jitter
-    return K
+    K += noise.jitter  # every entry, so the distinct grid suffices
+    return K.take(row_a, axis=0).take(row_b, axis=1)
 
 
 @dataclass(frozen=True)

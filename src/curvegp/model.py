@@ -5,27 +5,27 @@ prediction with full per-point covariance.
 A `TrainingDesign` holds P points, each with both coordinates, validated
 when built. K is the jittered input Gram K0 times one factor per
 coregionalization level, B = W W^T + diag(kappa), plus noise I, over the
-2P values. With constant jitter, K = K_pts (x) B_coord + noise I exactly,
-K_pts the P x P Gram of the points carrying the curve and group factors.
-With B_coord = Q diag(lam) Q^T (closed form), rotating each point's two
-targets by Q splits K into two P x P blocks lam_e K_pts + noise I
-(Bonilla, Chai & Williams 2008; Saatci 2011). Nugget jitter, on the
-diagonal of the 2P rows only, keeps one dense block over the rows of
-`_training_units` (lam = 1, Q = 1). The same units (points or rows) and
-blocks serve the objective, `log_marginal_likelihood`, `assemble_model`,
-`predict` and `predict_curve`.
+2P values. The jitter is a constant added to every entry of K0, so
+K = K_pts (x) B_coord + noise I exactly, K_pts the P x P Gram of the
+points carrying the curve and group factors. With B_coord = Q diag(lam)
+Q^T (closed form), rotating each point's two targets by Q splits K into
+two P x P blocks lam_e K_pts + noise I (Bonilla, Chai & Williams 2008;
+Saatci 2011). The same points and blocks serve the objective,
+`log_marginal_likelihood`, `assemble_model`, `predict` and
+`predict_curve`; query rows in coordinate pairs share one unit, and an
+unpaired query row is a unit of its own.
 
 The gradient of -log p(y) is -tr(A dK)/2 with A = alpha alpha^T - K^-1
 (Rasmussen & Williams 2006, 5.4.1), contracted by level rather than formed
-per parameter. Over the units it is A_u = sum_e lam_e (alpha_e alpha_e^T -
-K_e^-1). The units fall into T types (tuples of the level values the unit
-Gram carries), so each such factor is the T x T matrix E B E^T, with E the
-one-hot map from types to level values. A_u o K0 is summed over each block
-of types once, G = S^T (A_u o K0) S (S: units to types); a level's M = E^T
+per parameter. Over the points it is A_p = sum_e lam_e (alpha_e alpha_e^T -
+K_e^-1). The points fall into T types (tuples of their curve and group
+values), so each such factor is the T x T matrix E B E^T, with E the
+one-hot map from types to level values. A_p o K0 is summed over each block
+of types once, G = S^T (A_p o K0) S (S: points to types); a level's M = E^T
 (G o the other factors) E, and its W and log kappa gradients are -M W and
--diag(M) kappa/2. On the split path the coordinate level's M = Q Mt Q^T,
+-diag(M) kappa/2. The coordinate level's M = Q Mt Q^T,
 Mt[e, f] = alpha_e^T K_pts alpha_f - [e = f] <K_e^-1, K_pts>. log sigma2
-and log rho take one inner product of A_u with a dense matrix each, and log
+and log rho take one inner product of A_p with a dense matrix each, and log
 noise takes -noise sum_e tr(A_e) / 2. alpha_e and K_e^-1 come from the
 Cholesky factors (LAPACK dpotrs, dpotri); one nugget ladder serves every
 block. Outside the objective, Grams come from `multilevel_gram`, which
@@ -66,8 +66,6 @@ KAPPA_BOX = (1e-8, 10.0)
 
 LOG2PI = np.log(2.0 * np.pi)
 
-# (lam, Q) of the dense path: one block, the rows themselves
-DENSE_BASIS = (np.ones(1), np.ones((1, 1)))
 COORD_IDENTITY = CoregMatrix.identity(2)
 
 
@@ -166,7 +164,6 @@ class ModelConfig:
     family: str = "periodic_matern32"
     tau: object = "auto"  # "auto" fixes tau to the mean polygon length
     jitter: float = DEFAULT_JITTER
-    jitter_mode: str = "constant"
     fit_coord: bool = True
     coord_rank: int = 1
     fit_curve: bool = True
@@ -188,24 +185,19 @@ class OptimizerConfig:
 class FittedModel:
     """Kernel with estimated hyperparameters plus cached training solve.
 
-    ``chol`` holds one Cholesky factor per block and ``basis`` the blocks'
-    (lam, Q): two P x P blocks in the eigenbasis of the coordinate factor,
-    or `DENSE_BASIS` with one 2P x 2P block. ``alpha`` is K^-1 y over the
-    2P values, point by point.
+    ``chol`` holds the Cholesky factors of the two P x P blocks and
+    ``basis`` their (lam, Q), the eigenbasis of the coordinate factor.
+    ``alpha`` is K^-1 y over the 2P values, point by point.
     """
 
     kernel: MultiLevelKernel
     noise: NoiseSpec
     design: TrainingDesign
     chol: list
+    basis: tuple
     alpha: np.ndarray
     log_marginal_likelihood: float
     diagnostics: dict = field(default_factory=dict)
-    basis: tuple = DENSE_BASIS
-
-    @property
-    def split(self) -> bool:
-        return len(self.basis[0]) == 2
 
     def predict(self, s, d, j=None, g=None):
         return predict(self, s, d, j, g)
@@ -236,31 +228,20 @@ class PredictedCurve:
         return self.covariances[:, 0, 1]
 
 
-def _training_units(design: TrainingDesign, split: bool):
-    """(s, d, j, g) of the units a training Gram is formed on: the P points
-    at coordinate 0 on the split path, else the 2P rows, point by point."""
-    if split:
-        return design.s, np.zeros(len(design.s), dtype=int), design.j, design.g
-    return (design.s.repeat(2), np.tile([0, 1], len(design.s)),
-            design.j.repeat(2), design.g.repeat(2))
-
-
 def _is_paired(s, d, j, g) -> bool:
     """Query rows in (d=0, d=1) pairs that share s, curve and group."""
     return bool(len(d) % 2 == 0 and not d[0::2].any() and (d[1::2] == 1).all()
                 and all((a[0::2] == a[1::2]).all() for a in (s, j, g)))
 
 
-def _units(s, d, j, g, split: bool):
+def _units(s, d, j, g):
     """The units a query Gram is formed on, for rows (s, d, j, g): returns
     the units' (s, d, j, g), the unit of each row and the coordinate of each
-    row in the basis. With the coordinate level split off, a pair of rows
-    (d = 0, 1) sharing s, curve and group is one unit at coordinate 0;
-    without it, every row is a unit and the basis has one coordinate."""
+    row in the basis. Units are at coordinate 0, the coordinate level being
+    split off: a pair of rows (d = 0, 1) sharing s, curve and group is one
+    unit, and any other row is a unit of its own."""
     n = len(d)
     rows = np.arange(n)
-    if not split:
-        return (s, d, j, g), rows, np.zeros(n, dtype=int)
     if _is_paired(s, d, j, g):
         return (s[0::2], np.zeros(n // 2, dtype=int), j[0::2], g[0::2]), rows // 2, d
     return (s, np.zeros(n, dtype=int), j, g), rows, d
@@ -320,9 +301,8 @@ class MarginalLikelihoodObjective:
     parameter vector (log sigma2, log rho, log noise, then W / log kappa per
     free coregionalization level). The period tau is held fixed.
 
-    On the split path (constant jitter) the units are the P points and the
-    coordinate level is applied through its eigenbasis; with nugget jitter
-    the units are the 2P rows and every level is in the unit Gram.
+    The Gram is formed on the P points, with the curve and group levels; the
+    coordinate level is applied through its eigenbasis.
     """
 
     def __init__(self, design: TrainingDesign, config: ModelConfig):
@@ -330,21 +310,20 @@ class MarginalLikelihoodObjective:
         self.config = config
         self.tau = (float(np.mean(design.lengths)) if config.tau == "auto"
                     else float(config.tau))
-        self.split = config.jitter_mode == "constant"
-        s, d, j, g = _training_units(design, self.split)
+        s = design.s
         # tau is fixed, so the warped distances are computed once
         self.warp = warped_distance(config.family, np.abs(s[:, None] - s[None, :]),
                                     self.tau)
-        self.n_units = len(s)
-        self.diag = np.diag_indices(self.n_units)
-        self.targets = design.y.reshape(self.n_units, -1).T  # a row per coordinate
-        # level bookkeeping: (name, value of each unit, size, rank, free)
-        self.levels = [("coord", d, 2, config.coord_rank, config.fit_coord)]
+        self.n_points = len(s)
+        self.targets = design.y.T  # a row per coordinate
+        # level bookkeeping: (name, value of each point, size, rank, free);
+        # the coordinate level has no value per point
+        self.levels = [("coord", None, 2, config.coord_rank, config.fit_coord)]
         if design.n_curves > 1:
-            self.levels.append(("curve", j, design.n_curves,
+            self.levels.append(("curve", design.j, design.n_curves,
                                 config.curve_rank, config.fit_curve))
         if design.n_groups > 1:
-            self.levels.append(("group", g, design.n_groups,
+            self.levels.append(("group", design.g, design.n_groups,
                                 config.group_rank, config.fit_group))
         lo, hi = config.noise_box
         rho_lo, rho_hi = (f * self.tau for f in RHO_FRAC_BOX)
@@ -362,21 +341,19 @@ class MarginalLikelihoodObjective:
             self.bounds += [tuple(np.log(KAPPA_BOX))] * size
             pos += size * rank + size
         self.n_params = pos
-        # the levels the unit Gram carries: all but the coordinate level on
-        # the split path. Units are grouped into T types, one per tuple of
-        # those levels' values; one-hot S maps units to types, E per level
-        # types to values
-        self.unit_levels = list(range(1 if self.split else 0, len(self.levels)))
-        types, unit_type = _row_types([self.levels[i][1] for i in self.unit_levels])
-        # without unit levels every unit is of the one type (a 0-d array)
-        unit_type = np.broadcast_to(unit_type, (self.n_units,))
-        n_types = unit_type.max() + 1
-        self.type_onehot = (unit_type[:, None] == np.arange(n_types)).astype(float)
+        # the levels the point Gram carries: all but the coordinate level.
+        # Points are grouped into T types, one per tuple of those levels'
+        # values; one-hot S maps points to types, E per level types to values
+        self.point_levels = list(range(1, len(self.levels)))
+        types, point_type = _row_types([self.levels[i][1] for i in self.point_levels])
+        # without point levels every point is of the one type (a 0-d array)
+        point_type = np.broadcast_to(point_type, (self.n_points,))
+        n_types = point_type.max() + 1
+        self.type_onehot = (point_type[:, None] == np.arange(n_types)).astype(float)
         self.level_onehot = [(values[:, None] == np.arange(self.levels[i][2])).astype(float)
-                             for i, values in zip(self.unit_levels, types)]
+                             for i, values in zip(self.point_levels, types)]
         self._factors = []
         self._wk = {}
-        self._basis = DENSE_BASIS
         self._buffers = {}
 
     # -- packing -----------------------------------------------------------
@@ -416,7 +393,6 @@ class MarginalLikelihoodObjective:
                                       tau=self.tau, family=self.config.family)
         noise = NoiseSpec(noise_variance=float(np.exp(theta[2])),
                           jitter=self.config.jitter,
-                          jitter_mode=self.config.jitter_mode,
                           noise_box=self.config.noise_box)
         coregs = {name: CoregMatrix(*self._coreg(theta, name, size)) if free
                   else CoregMatrix.identity(size)
@@ -434,11 +410,11 @@ class MarginalLikelihoodObjective:
         return theta[w_sl].reshape(size, -1), np.exp(theta[k_sl])
 
     def _buffer(self, key, stack=()):
-        """A (stack x) units x units work array kept across calls: a fresh
+        """A (stack x) points x points work array kept across calls: a fresh
         array of this size costs more in page faults than the arithmetic
         done on it."""
         if key not in self._buffers:
-            self._buffers[key] = np.empty(stack + (self.n_units,) * 2)
+            self._buffers[key] = np.empty(stack + (self.n_points,) * 2)
         return self._buffers[key]
 
     def _level_matrix(self, theta, i):
@@ -452,15 +428,15 @@ class MarginalLikelihoodObjective:
         return B
 
     def gram_and_grads(self, theta, with_grads: bool = True):
-        """The unit Gram K (without noise) and the three dense units x units
-        matrices its gradient is contracted against: dK/dlog(sigma2),
+        """The point Gram K (without noise) and the three dense points x
+        points matrices its gradient is contracted against: dK/dlog(sigma2),
         dK/dlog(rho) and the jittered input Gram K0, whatever the levels.
-        Each unit level's factor E B E^T is formed on the T x T grid of unit
-        types and kept for `value_and_grad`, as is the basis of the
-        coordinate factor on the split path; their product is spread to the
-        units once. K and K0 are work arrays of this objective, overwritten
-        by its next call. Assembled here rather than by `multilevel_gram` to
-        reuse the warped distances and work arrays."""
+        Each point level's factor E B E^T is formed on the T x T grid of
+        point types and kept for `value_and_grad`, as is the basis of the
+        coordinate factor; their product is spread to the points once. K
+        and K0 are work arrays of this objective, overwritten by its next
+        call. Assembled here rather than by `multilevel_gram` to reuse the
+        warped distances and work arrays."""
         sigma2, rho = np.exp(theta[:2])
         family = self.config.family
         if with_grads:
@@ -468,17 +444,11 @@ class MarginalLikelihoodObjective:
         else:
             base = warped_correlation(family, self.warp, rho)
         base *= sigma2
-        K0 = self._buffer("K0")
-        if self.split:  # constant jitter
-            np.add(base, self.config.jitter, out=K0)
-        else:
-            np.copyto(K0, base)
-            K0[self.diag] += self.config.jitter
+        K0 = np.add(base, self.config.jitter, out=self._buffer("K0"))
         # B[level_t, level_u] on the grid of types, exactly
         self._factors = [E @ self._level_matrix(theta, i) @ E.T
-                         for i, E in zip(self.unit_levels, self.level_onehot)]
-        self._basis = (_coord_basis(self._level_matrix(theta, 0)) if self.split
-                       else DENSE_BASIS)
+                         for i, E in zip(self.point_levels, self.level_onehot)]
+        self._basis = _coord_basis(self._level_matrix(theta, 0))
         S = self.type_onehot
         product = (reduce(np.multiply, self._factors) if self._factors
                    else np.ones((S.shape[1],) * 2))
@@ -505,8 +475,7 @@ class MarginalLikelihoodObjective:
         factors, alphas, nll = self._factor(K, noise_var)
         lam, Q = self._basis
         trace_a = float(np.vdot(alphas, alphas))  # sum_e tr(A_e), less tr(K_e^-1) below
-        if self.split:
-            Mt = alphas @ K @ alphas.T
+        Mt = alphas @ K @ alphas.T
         dpotri = _lapack().dpotri
         for e, L in enumerate(factors):
             Ke_inv, info = dpotri(L, lower=1, overwrite_c=1)
@@ -514,30 +483,29 @@ class MarginalLikelihoodObjective:
                 raise NumericalError(
                     f"inverse from the Cholesky factor failed (info={info})")
             trace_a -= Ke_inv.trace()
-            if self.split:  # <K_e^-1, K> from the lower triangle dpotri fills
-                Mt[e, e] -= (2.0 * np.vdot(Ke_inv.T, K)
-                             - Ke_inv.diagonal() @ K.diagonal())
+            # <K_e^-1, K> from the lower triangle dpotri fills
+            Mt[e, e] -= 2.0 * np.vdot(Ke_inv.T, K) - Ke_inv.diagonal() @ K.diagonal()
             Ke_inv *= lam[e]
             if e == 0:
                 Kinv = Ke_inv
             else:
                 Kinv += Ke_inv
-        # A = sum_e lam_e (alpha_e alpha_e^T - K_e^-1) over the units
+        # A = sum_e lam_e (alpha_e alpha_e^T - K_e^-1) over the points
         A = np.matmul(alphas.T * lam, alphas, out=self._buffer("A"))
         A -= Kinv
         A -= Kinv.T  # dpotri fills the lower triangle; the upper one is zero
-        A.reshape(-1)[::self.n_units + 1] += Kinv.diagonal()  # taken twice above
+        A.reshape(-1)[::self.n_points + 1] += Kinv.diagonal()  # taken twice above
         grad = np.empty(self.n_params)
         grad[0] = -0.5 * np.vdot(A, grads[0])
         grad[1] = -0.5 * np.vdot(A, grads[1])
         grad[2] = -0.5 * noise_var * trace_a
-        if self.split and self.levels[0][4]:
+        if self.levels[0][4]:
             self._level_grad(grad, 0, Q @ Mt @ Q.T)
-        # G sums A o K0 over each block of unit types; a level's M sums
-        # A o K0 o (the other unit levels' factors) over its blocks of values
+        # G sums A o K0 over each block of point types; a level's M sums
+        # A o K0 o (the other point levels' factors) over its blocks of values
         S = self.type_onehot
         G = S.T @ np.multiply(A, grads[2], out=A) @ S
-        for k, i in enumerate(self.unit_levels):
+        for k, i in enumerate(self.point_levels):
             if not self.levels[i][4]:
                 continue
             E = self.level_onehot[k]
@@ -574,22 +542,16 @@ def _factor_and_nll(blocks, Y: np.ndarray):
     return factors, nugget, alphas, nll
 
 
-def _unit_kernel(kernel: MultiLevelKernel, split: bool) -> MultiLevelKernel:
-    """The kernel of the unit Gram: without the coordinate factor (an
-    identity at coordinate 0) on the split path."""
-    return replace(kernel, coord=COORD_IDENTITY) if split else kernel
-
-
 def _design_factor(design: TrainingDesign, kernel: MultiLevelKernel,
                    noise: NoiseSpec):
     """(basis, factors, nugget, alpha in row order, -log p(y)) of a design
-    under fixed hyperparameters."""
-    split = noise.jitter_mode == "constant"
-    s, d, j, g = _training_units(design, split)
-    K = multilevel_gram(_unit_kernel(kernel, split), noise, s, d, j, g)
-    lam, Q = basis = _coord_basis(kernel.coord.matrix) if split else DENSE_BASIS
+    under fixed hyperparameters. The point Gram is the Gram of the points
+    at coordinate 0 under an identity coordinate factor."""
+    K = multilevel_gram(replace(kernel, coord=COORD_IDENTITY), noise, design.s,
+                        np.zeros(len(design.s), dtype=int), design.j, design.g)
+    lam, Q = basis = _coord_basis(kernel.coord.matrix)
     factors, nugget, alphas, nll = _factor_and_nll(
-        _blocks(K, lam, noise.noise_variance), Q.T @ design.y.reshape(len(s), -1).T)
+        _blocks(K, lam, noise.noise_variance), Q.T @ design.y.T)
     return basis, factors, nugget, (Q @ alphas).T.ravel(), nll
 
 
@@ -702,15 +664,15 @@ def _restart_record(restart: int, res) -> dict:
 
 def _posterior_mean(model: FittedModel, s, d, j, g):
     """(mean, cross, unit, coord): the means at query rows, the query units'
-    cross Gram against the training units, and each row's unit and
+    cross Gram against the training points, and each row's unit and
     coordinate."""
-    split = model.split
-    (us, ud, uj, ug), unit, coord = _units(s, d, j, g, split)
-    ts, td, tj, tg = _training_units(model.design, split)
-    cross = multilevel_gram(_unit_kernel(model.kernel, split), model.noise,
-                            us, ud, uj, ug, s_b=ts, d_b=td, j_b=tj, g_b=tg)
-    B = model.kernel.coord.matrix if split else model.basis[1]  # Q = [[1]] if dense
-    mean = (cross @ model.alpha.reshape(len(ts), -1) @ B)[unit, coord]
+    (us, ud, uj, ug), unit, coord = _units(s, d, j, g)
+    dz = model.design
+    cross = multilevel_gram(replace(model.kernel, coord=COORD_IDENTITY),
+                            model.noise, us, ud, uj, ug, s_b=dz.s,
+                            d_b=np.zeros(len(dz.s), dtype=int), j_b=dz.j, g_b=dz.g)
+    mean = (cross @ model.alpha.reshape(len(dz.s), 2)
+            @ model.kernel.coord.matrix)[unit, coord]
     return mean, cross, unit, coord
 
 
@@ -769,9 +731,8 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
 
     Only the diagonal blocks of the posterior covariance are formed; the
     kernel is stationary, so every grid point shares one 2x2 prior block.
-    On the split path each block is the prior less sum_e lam_e^2
-    |V_e[:, i]|^2 q_e q_e^T, with V_e = L_e^-1 k_e whitened once per grid
-    point.
+    Each block is the prior less sum_e lam_e^2 |V_e[:, i]|^2 q_e q_e^T, with
+    V_e = L_e^-1 k_e whitened once per grid point.
     """
     if m < 3:
         raise ValidationError("prediction grid needs m >= 3")
@@ -787,11 +748,7 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
     g = np.full(2 * m, model.design.group_of_curve(curve_index), dtype=int)
     mean, parts, _ = _posterior_parts(model, s, d, j, g)
     covs = multilevel_gram(model.kernel, model.noise, s[:2], d[:2], j[:2], g[:2])
-    for V, w in parts:
-        if model.split:  # one unit per grid point; w[:2] = lam_e q_e
-            covs = covs - (np.einsum("km,km->m", V, V)[:, None, None]
-                           * np.outer(w[:2], w[:2]))
-        else:  # one unit per row
-            vq = V.T.reshape(m, 2, -1)
-            covs = covs - np.einsum("mak,mbk->mab", vq, vq)
+    for V, w in parts:  # one unit per grid point; w[:2] = lam_e q_e
+        covs = covs - (np.einsum("km,km->m", V, V)[:, None, None]
+                       * np.outer(w[:2], w[:2]))
     return PredictedCurve(grid=grid, means=mean.reshape(m, 2), covariances=covs)

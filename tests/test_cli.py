@@ -50,7 +50,7 @@ class TestConfig:
 
 # a valid value other than the default, for the keys whose type does not give one
 OTHER_VALUES = {"model.family": "periodic_rbf", "model.tau": "0.5",
-                "model.jitter_mode": "nugget", "opt.method": "anneal"}
+                "opt.method": "anneal"}
 
 
 def other_value(key: str, default) -> str:
@@ -67,10 +67,10 @@ def other_value(key: str, default) -> str:
 class TestConfigKeys:
     def test_keys_in_order(self):
         assert list(CONFIG_DEFAULTS) == [
-            "model.family", "model.tau", "model.jitter", "model.jitter_mode",
-            "model.fit_coord", "model.coord_rank", "model.fit_curve",
-            "model.curve_rank", "model.fit_group", "model.group_rank",
-            "model.noise_lo", "model.noise_hi",
+            "model.family", "model.tau", "model.jitter", "model.fit_coord",
+            "model.coord_rank", "model.fit_curve", "model.curve_rank",
+            "model.fit_group", "model.group_rank", "model.noise_lo",
+            "model.noise_hi",
             "opt.restarts", "opt.seed", "opt.method", "opt.maxiter"]
 
     def test_defaults_are_the_config_defaults(self):
@@ -83,16 +83,19 @@ class TestConfigKeys:
         assert values[key] != CONFIG_DEFAULTS[key]
         assert configs_from_values(values) != configs_from_values(CONFIG_DEFAULTS)
 
-    def test_output_dir_key_rejected_with_file_and_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("output.dir", "elsewhere"),
+                                            ("model.jitter_mode", "nugget")])
+    def test_removed_key_rejected_with_file_and_line(self, tmp_path, capsys,
+                                                     key, value):
         curve = str(tmp_path / "c.csv")
         assert main(["simulate", "--shape", "circle", "--n", "8",
                      "--out", curve]) == EXIT_OK
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("opt.restarts = 1\noutput.dir = elsewhere\n")
+        cfg.write_text(f"opt.restarts = 1\n{key} = {value}\n")
         capsys.readouterr()
         assert main(["fit", "--inputs", curve, "--config", str(cfg),
                      "--out", str(tmp_path / "fit.json")]) == EXIT_VALIDATION
-        assert f"{cfg}:2: unknown config key 'output.dir'" in capsys.readouterr().err
+        assert f"{cfg}:2: unknown config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
 
@@ -155,6 +158,7 @@ class TestFitPredictPipeline:
                      "--out", fit_path]) == EXIT_OK
         data = json.load(open(fit_path))
         assert "hyperparameters" in data and "D" in data["coregionalization"]
+        assert set(data["noise"]) == {"noise_variance", "jitter"}
         pred_path = str(tmp_path / "pred.json")
         svg_path = str(tmp_path / "pred.svg")
         assert main(["predict", "--inputs", curve_path, "--fit", fit_path,
@@ -162,6 +166,33 @@ class TestFitPredictPipeline:
         pred = json.load(open(pred_path))
         assert len(pred["means"]) == 20
         ET.parse(svg_path)  # well-formed XML
+
+    @pytest.mark.parametrize("mode, code", [("constant", EXIT_OK),
+                                            ("nugget", EXIT_VALIDATION)])
+    def test_predict_checks_the_saved_jitter_mode(self, tmp_path, capsys, mode, code):
+        # older fit files carry the jitter mode: "constant" is the kernel
+        # still modeled, and a fit with diagonal (nugget) jitter is refused
+        # rather than predicted under constant jitter
+        curve_path = str(tmp_path / "c.csv")
+        assert main(["simulate", "--shape", "circle", "--n", "10",
+                     "--out", curve_path]) == EXIT_OK
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 1\nopt.maxiter = 10\n")
+        fit_path = str(tmp_path / "fit.json")
+        assert main(["fit", "--inputs", curve_path, "--config", str(cfg),
+                     "--out", fit_path]) == EXIT_OK
+        data = json.load(open(fit_path))
+        data["noise"]["jitter_mode"] = mode
+        save_json(data, fit_path)
+        pred_path = tmp_path / "pred.json"
+        capsys.readouterr()
+        assert main(["predict", "--inputs", curve_path, "--fit", fit_path,
+                     "--m", "10", "--out", str(pred_path)]) == code
+        if code == EXIT_OK:
+            assert len(json.load(open(pred_path))["means"]) == 10
+        else:
+            assert "noise.jitter_mode 'nugget'" in capsys.readouterr().err
+            assert not pred_path.exists()
 
     def test_fit_json_records_each_restart(self, tmp_path):
         paths = []

@@ -158,12 +158,7 @@ def full_grid_input_gram(hyp, noise, s_a, s_b=None):
     s_a = np.asarray(s_a, dtype=float).reshape(-1)
     s = s_a if s_b is None else np.asarray(s_b, dtype=float).reshape(-1)
     r = np.abs(s_a[:, None] - s[None, :])
-    K = hyp.sigma2 * unit_correlation(hyp.family, r, hyp.rho, hyp.tau)
-    if noise.jitter_mode == "constant":
-        K += noise.jitter
-    elif s_b is None:
-        K[np.diag_indices_from(K)] += noise.jitter
-    return K
+    return hyp.sigma2 * unit_correlation(hyp.family, r, hyp.rho, hyp.tau) + noise.jitter
 
 
 def full_grid_gram_oracle(kernel, noise, s_a, d_a, j_a=None, g_a=None,
@@ -213,13 +208,12 @@ LEVELS = {"coord": (0, 0), "curve": (3, 0), "group": (0, 2), "curve+group": (3, 
 
 class TestDistinctInputGram:
     @pytest.mark.parametrize("levels", sorted(LEVELS))
-    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_self_and_cross_match_full_grid(self, family, jitter_mode, levels):
+    def test_self_and_cross_match_full_grid(self, family, levels):
         n_curves, n_groups = LEVELS[levels]
         rng = np.random.default_rng(31)
         kernel = random_kernel(rng, family, n_curves, n_groups)
-        noise = NoiseSpec(jitter=1e-3, jitter_mode=jitter_mode)
+        noise = NoiseSpec(jitter=1e-3)
         a = repeated_design(rng, 25, n_curves, n_groups)
         b = repeated_design(rng, 9, n_curves, n_groups)
         assert len(np.unique(a[0])) < len(a[0]) // 2
@@ -233,39 +227,16 @@ class TestDistinctInputGram:
             assert np.array_equal(gram(hyp, noise, s_a, s_b),
                                   full_grid_input_gram(hyp, noise, s_a, s_b))
 
-    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
-    def test_cross_gram_of_same_values_gets_no_nugget(self, jitter_mode):
+    def test_cross_gram_of_same_values_equals_self_gram(self):
         rng = np.random.default_rng(32)
         kernel = random_kernel(rng, "periodic_matern32", 3, 0)
-        noise = NoiseSpec(jitter=1e-3, jitter_mode=jitter_mode)
+        noise = NoiseSpec(jitter=1e-3)
         s, d, j, g = repeated_design(rng, 12, 3, 0)
         cross = multilevel_gram(kernel, noise, s, d, j, g,
                                 s_b=s.copy(), d_b=d, j_b=j, g_b=g)
         assert np.array_equal(cross, full_grid_gram_oracle(
             kernel, noise, s, d, j, g, s_b=s.copy(), d_b=d, j_b=j, g_b=g))
-        self_gram = multilevel_gram(kernel, noise, s, d, j, g)
-        off = ~np.eye(len(s), dtype=bool)
-        assert np.array_equal(self_gram[off], cross[off])
-        if jitter_mode == "nugget":
-            assert np.all(np.diag(self_gram) > np.diag(cross))
-        else:
-            assert np.array_equal(self_gram, cross)
-
-    def test_nugget_only_on_the_diagonal_of_rows_sharing_s(self):
-        hyp = PeriodicHyperparameters(1.5, 0.2, 1.0)
-        coord = CoregMatrix([[1.0], [0.5]], [0.2, 0.3])
-        kernel = MultiLevelKernel(hyp, coord)
-        noise = NoiseSpec(jitter=1e-3, jitter_mode="nugget")
-        s, d = np.array([0.25, 0.25, 0.6, 0.6]), np.array([0, 1, 0, 1])
-        K = multilevel_gram(kernel, noise, s, d)
-        B = coord.matrix
-        assert np.array_equal(K, full_grid_gram_oracle(kernel, noise, s, d))
-        assert K[0, 1] == K[1, 0] == hyp.sigma2 * B[0, 1]
-        assert K[0, 0] == (hyp.sigma2 + 1e-3) * B[0, 0]
-        assert K[1, 1] == (hyp.sigma2 + 1e-3) * B[1, 1]
-        K0 = gram(hyp, noise, s)
-        assert K0[0, 1] == K0[2, 3] == hyp.sigma2
-        assert np.array_equal(np.diag(K0), np.full(4, hyp.sigma2 + 1e-3))
+        assert np.array_equal(multilevel_gram(kernel, noise, s, d, j, g), cross)
 
     @pytest.mark.parametrize("bad", [
         {"d_a": [0, 2]}, {"j_a": [0, 3]}, {"j_a": [-1, 0]}, {"g_a": [2, 0]},

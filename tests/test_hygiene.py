@@ -1,9 +1,14 @@
-"""Tooling guard: no module imports a name that it never uses.
+"""Tooling guards, by AST scan.
 
-An AST scan of `src/curvegp/*.py`, `tests/*.py` and `scripts/*.py`. A name counts as used when it appears as
-an identifier anywhere in the module, inside a string annotation, or in the
-module's `__all__`. `from __future__` imports are compiler directives and
-are skipped.
+No module of `src/curvegp`, `tests` or `scripts` imports a name that it
+never uses. A name counts as used when it appears as an identifier anywhere
+in the module, inside a string annotation, or in the module's `__all__`.
+`from __future__` imports are compiler directives and are skipped.
+
+No module-level function, class or constant of `src/curvegp` is dead: each
+is referenced by another line of the package or of `scripts`, or exported
+in an `__all__`. References from the tests do not count, so a name that
+only the tests call fails here.
 """
 
 import ast
@@ -44,12 +49,17 @@ def _used(tree):
     for annotation in _string_annotations(tree):
         if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
             used |= _used(ast.parse(annotation.value, mode="eval"))
+    return used | _exported(tree)
+
+
+def _exported(tree):
+    """The names in the module's `__all__`."""
     for node in tree.body if isinstance(tree, ast.Module) else ():
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
-    return used
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def unused_imports(source: str) -> list:
@@ -76,3 +86,83 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _definitions(tree):
+    """Name -> line of every module-level function, class and constant.
+    Dunder names (`__all__`, `__version__`) are module protocol, not API."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return {name: line for name, line in names.items()
+            if not (name.startswith("__") and name.endswith("__"))}
+
+
+def _references(tree):
+    """(name, line) of every name read, attribute, imported name and name in
+    a string annotation."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+    for annotation in _string_annotations(tree):
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            for name in _used(ast.parse(annotation.value, mode="eval")):
+                yield name, annotation.lineno
+
+
+def dead_names(package: dict, scripts=()) -> list:
+    """Module-level names of the package (module name -> source) that no
+    other line of the package or of the scripts references and no `__all__`
+    exports, as 'module.name (line N)'."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    references = {(module, name, line) for module, tree in trees.items()
+                  for name, line in _references(tree)}
+    references |= {(None, name, line) for source in scripts
+                   for name, line in _references(ast.parse(source))}
+    exported = set().union(*map(_exported, trees.values()))
+    return [f"{module}.{name} (line {line})"
+            for module, tree in sorted(trees.items())
+            for name, line in sorted(_definitions(tree).items(), key=lambda d: d[1])
+            if name not in exported
+            and not any(n == name and (m, ln) != (module, line)
+                        for m, n, ln in references)]
+
+
+def test_scan_finds_dead_names():
+    package = {
+        "a": ("BASIS = (1, 2)\n"
+              "LADDER = (0.0,)\n"
+              "def helper():\n"
+              "    return LADDER\n"
+              "def _orphan(x: 'Used'):\n"
+              "    return helper()\n"
+              "class Used:\n"
+              "    pass\n"
+              "def for_scripts():\n"
+              "    pass\n"),
+        "__init__": ("from .a import Used\n"
+                     "__all__ = ['exported']\n"
+                     "def exported():\n"
+                     "    pass\n"
+                     "__version__ = '1'\n")}
+    dead = ["a.BASIS (line 1)", "a._orphan (line 5)"]
+    assert dead_names(package, ["from curvegp.a import for_scripts\n"]) == dead
+    assert dead_names(package) == dead + ["a.for_scripts (line 9)"]
+
+
+def test_no_dead_names():
+    package = {path.stem: path.read_text() for path in ROOT.glob("src/curvegp/*.py")}
+    scripts = [path.read_text() for path in ROOT.glob("scripts/*.py")]
+    assert dead_names(package, scripts) == []

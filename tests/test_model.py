@@ -10,9 +10,10 @@ from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.curves import generate_synthetic
 from curvegp.errors import NumericalError, ValidationError
 from curvegp.kernels import NoiseSpec, PeriodicHyperparameters
-from curvegp.model import (MarginalLikelihoodObjective, ModelConfig,
-                           OptimizerConfig, TrainingDesign, assemble_model, fit,
-                           log_marginal_likelihood, predict, predict_curve)
+from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
+                           ModelConfig, OptimizerConfig, TrainingDesign,
+                           assemble_model, fit, log_marginal_likelihood, predict,
+                           predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 
 IDENTITY_2 = CoregMatrix.identity(2)
@@ -164,14 +165,19 @@ class TestLogMarginalLikelihood:
         assert value == pytest.approx(oracle, abs=1e-10)
 
     def test_alpha_equals_cho_solve(self):
-        # nugget jitter keeps the dense N x N path and its one factor
+        # two P x P factors in the coordinate eigenbasis against the dense
+        # 2P x 2P solve over the rows
         design, _ = circle_design(12)
         hyp = PeriodicHyperparameters(1.1, 0.2, float(design.lengths[0]))
-        model = assemble_model(design, MultiLevelKernel(hyp, IDENTITY_2),
-                               NoiseSpec(noise_variance=1e-5, jitter_mode="nugget"))
-        assert len(model.chol) == 1 and model.chol[0].shape == (24, 24)
-        expected = cho_solve((model.chol[0], True), design.y.ravel())
-        assert model.alpha.tobytes() == expected.tobytes()
+        kernel = MultiLevelKernel(hyp, CoregMatrix(np.array([[0.6], [-0.3]]),
+                                                   np.array([0.4, 0.7])))
+        noise = NoiseSpec(noise_variance=1e-5)
+        model = assemble_model(design, kernel, noise)
+        assert [L.shape for L in model.chol] == [(12, 12)] * 2
+        x, y = rows(design)
+        K = multilevel_gram(kernel, noise, *x) + 1e-5 * np.eye(len(y))
+        expected = cho_solve(cho_factor(K, lower=True), y)
+        assert np.max(np.abs(model.alpha - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestFit:
@@ -342,14 +348,8 @@ class TestPredict:
         paired = assemble_model(paired_design(n_curves=2, n=6),
                                 self.model.kernel, self.noise)
         for model, j in ((self.model, None), (paired, np.repeat([0, 1, 1, 0], 2))):
-            assert model.split
             mean, _ = predict(model, s, d, j)
             assert _predict_mean(model, s, d, j).tobytes() == mean.tobytes()
-        dense = assemble_model(self.design, self.model.kernel,
-                               NoiseSpec(1e-6, jitter=1e-3, jitter_mode="nugget"))
-        assert not dense.split
-        mean, _ = predict(dense, s, d)
-        assert _predict_mean(dense, s, d).tobytes() == mean.tobytes()
 
     def test_periodic_query_consistency(self):
         m1, c1 = predict(self.model, [0.3], [0])
@@ -375,10 +375,9 @@ class TestPredict:
         assert np.allclose(mean, mean_oracle, atol=1e-9)
         assert np.allclose(cov, cov_oracle, atol=1e-9)
 
-    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
-    def test_matches_dense_oracle_with_levels(self, jitter_mode):
-        # a full coordinate factor, curves and groups: the split path
-        # (constant jitter) against the N x N inverse, and the dense path
+    def test_matches_dense_oracle_with_levels(self):
+        # a full coordinate factor, curves and groups: the two P x P blocks
+        # against the N x N inverse
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(3)]
         design = TrainingDesign.from_curves(curves, labels=["a", "b", "a"])
@@ -387,10 +386,9 @@ class TestPredict:
             hyp, CoregMatrix(np.array([[0.6], [-0.3]]), np.array([0.4, 0.7])),
             curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
             group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
-        noise = NoiseSpec(noise_variance=1e-5, jitter_mode=jitter_mode)
+        noise = NoiseSpec(noise_variance=1e-5)
         model = assemble_model(design, kernel, noise)
-        assert model.split == (jitter_mode == "constant")
-        assert len(model.chol) == (2 if model.split else 1)
+        assert len(model.chol) == 2
         d = design
         x, y = rows(design)
         K = multilevel_gram(kernel, noise, *x) + 1e-5 * np.eye(len(y))
@@ -479,8 +477,7 @@ class TestPredictCurve:
         for cov in pred.covariances:
             assert np.min(np.linalg.eigvalsh(cov)) >= -1e-10
 
-    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
-    def test_blocks_match_full_covariance(self, jitter_mode):
+    def test_blocks_match_full_covariance(self):
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(3)]
         design = TrainingDesign.from_curves(curves, labels=["a", "b", "a"])
@@ -489,8 +486,7 @@ class TestPredictCurve:
             hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
             curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
             group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
-        model = assemble_model(design, kernel, NoiseSpec(
-            noise_variance=1e-5, jitter_mode=jitter_mode))
+        model = assemble_model(design, kernel, NoiseSpec(noise_variance=1e-5))
         m = 30
         for curve in range(3):
             pred = predict_curve(model, curve, m)
@@ -592,7 +588,7 @@ def dense_dk_oracle(obj, theta):
             corr = np.exp(-a)
             dcorr = a * corr
     base = sigma2 * corr
-    jitter = cfg.jitter if cfg.jitter_mode == "constant" else cfg.jitter * eye
+    jitter = cfg.jitter
     factors, coregs = {}, {}
     for name, _, size, rank, free in obj.levels:
         idx = level_rows[name]
@@ -649,18 +645,14 @@ LEVEL_CASES = {
 
 class TestContractedGradient:
     @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
-    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
     @pytest.mark.parametrize("family", ["periodic_rbf", "periodic_matern32",
                                         "periodic_matern12"])
-    def test_matches_dense_dk_oracle(self, family, jitter_mode, case):
+    def test_matches_dense_dk_oracle(self, family, case):
         n_curves, labels, levels = LEVEL_CASES[case]
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
         design = TrainingDesign.from_curves(curves, labels)
-        obj = MarginalLikelihoodObjective(design, ModelConfig(
-            family=family, jitter_mode=jitter_mode, **levels))
-        # constant jitter splits K on the coordinate level; nugget does not
-        assert obj.split == (jitter_mode == "constant")
+        obj = MarginalLikelihoodObjective(design, ModelConfig(family=family, **levels))
         rng = np.random.default_rng(3)
         for _ in range(3):
             theta = obj.random_start(rng)
@@ -675,16 +667,14 @@ class TestContractedGradient:
 
 class TestSharedGramBuilder:
     @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
-    @pytest.mark.parametrize("jitter_mode", ["constant", "nugget"])
     @pytest.mark.parametrize("family", ["periodic_rbf", "periodic_matern32",
                                         "periodic_matern12"])
-    def test_objective_gram_is_multilevel_gram(self, family, jitter_mode, case):
+    def test_objective_gram_is_multilevel_gram(self, family, case):
         n_curves, labels, levels = LEVEL_CASES[case]
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
         design = TrainingDesign.from_curves(curves, labels)
-        obj = MarginalLikelihoodObjective(design, ModelConfig(
-            family=family, jitter_mode=jitter_mode, **levels))
+        obj = MarginalLikelihoodObjective(design, ModelConfig(family=family, **levels))
         rng = np.random.default_rng(5)
         n = len(design.s)
         for _ in range(3):
@@ -692,17 +682,14 @@ class TestSharedGramBuilder:
             K, grads = obj.gram_and_grads(theta)
             kernel, noise = obj.unpack(theta)
             full = multilevel_gram(kernel, noise, *rows(design)[0])
-            if jitter_mode == "constant":
-                # the point Gram is the Gram without the coordinate factor
-                expected = multilevel_gram(
-                    replace(kernel, coord=IDENTITY_2), noise, design.s,
-                    np.zeros(n, dtype=int), design.j, design.g)
-                assert K.shape == (n, n)
-                assert np.array_equal(K, expected)
-                assert (np.max(np.abs(np.kron(K, kernel.coord.matrix) - full))
-                        <= 1e-15 * np.max(np.abs(full)))
-            else:
-                assert np.array_equal(K, full)
+            # the point Gram is the Gram without the coordinate factor
+            expected = multilevel_gram(
+                replace(kernel, coord=IDENTITY_2), noise, design.s,
+                np.zeros(n, dtype=int), design.j, design.g)
+            assert K.shape == (n, n)
+            assert np.array_equal(K, expected)
+            assert (np.max(np.abs(np.kron(K, kernel.coord.matrix) - full))
+                    <= 1e-15 * np.max(np.abs(full)))
             assert len(grads) == 3
             assert all(G.shape == K.shape for G in grads)
 
@@ -714,31 +701,23 @@ def paired_design(n_curves=2, n=8, labels=None):
 
 
 class TestCoordinateSplit:
-    def test_dense_path_for_nugget_jitter(self):
+    def test_jitter_free_split_matches_dense_oracle(self):
         design = paired_design()
-        n = 2 * len(design.s)
-        # without jitter both modes model the same K, on different paths
-        obj = MarginalLikelihoodObjective(design, ModelConfig(
-            jitter=0.0, jitter_mode="nugget"))
-        assert not obj.split
+        p = len(design.s)
+        # without jitter, K is the pure product of the input kernel and the
+        # level factors: P x P work arrays, two P x P factors, and the
+        # likelihood of the 2P x 2P system
+        obj = MarginalLikelihoodObjective(design, ModelConfig(jitter=0.0))
         theta = obj.default_start()
         K, grads = obj.gram_and_grads(theta)
-        assert K.shape == (n, n) and all(G.shape == (n, n) for G in grads)
-        paired = MarginalLikelihoodObjective(design, ModelConfig(jitter=0.0))
-        assert paired.split
-        assert paired.gram_and_grads(theta)[0].shape == (n // 2, n // 2)
-        # the same likelihood whichever path the jitter mode selects
+        assert K.shape == (p, p) and all(G.shape == (p, p) for G in grads)
         value, grad = obj.value_and_grad(theta)
-        value_split, grad_split = paired.value_and_grad(theta)
-        assert abs(value - value_split) <= 1e-10 * abs(value)
-        assert np.max(np.abs(grad - grad_split)) <= 1e-10 * np.max(np.abs(grad))
-        kernel, noise = obj.unpack(theta)
-        for jitter_mode, split in (("constant", True), ("nugget", False)):
-            model = assemble_model(design, kernel,
-                                   replace(noise, jitter_mode=jitter_mode))
-            assert model.split == split
-            assert [L.shape for L in model.chol] == (
-                [(n // 2, n // 2)] * 2 if split else [(n, n)])
+        value_oracle, grad_oracle = dense_dk_oracle(obj, theta)
+        assert abs(value - value_oracle) <= 1e-10 * abs(value_oracle)
+        assert np.max(np.abs(grad - grad_oracle)) <= 1e-10 * np.max(np.abs(grad_oracle))
+        model = assemble_model(design, *obj.unpack(theta))
+        assert [L.shape for L in model.chol] == [(p, p)] * 2
+        assert model.log_marginal_likelihood == pytest.approx(-value_oracle, rel=1e-10)
 
     @pytest.mark.parametrize("coord", [
         (np.zeros((2, 1)), np.array([0.8, 0.8])),          # B = 0.8 I: Q = I
@@ -748,7 +727,6 @@ class TestCoordinateSplit:
         design = paired_design(3, 6, ["a", "b", "a"])
         obj = MarginalLikelihoodObjective(design, ModelConfig(fit_group=True,
                                                  coord_rank=coord[0].shape[1]))
-        assert obj.split
         theta = obj.default_start()
         w_sl, k_sl = obj.slices["coord"]
         theta[w_sl] = coord[0].ravel()
@@ -763,19 +741,26 @@ class TestCoordinateSplit:
 
     def test_near_singular_design_escalates_alike(self):
         # a very long length scale without jitter or noise: K is numerically
-        # singular, and both paths need the same rung of the nugget ladder
+        # singular, and the two P x P blocks need the rung of the nugget
+        # ladder that the dense 2P x 2P system of the rows needs
         design = paired_design(2, 30)
         hyp = PeriodicHyperparameters(1.0, 1.0, float(np.mean(design.lengths)),
                                       family="periodic_rbf")
         kernel = MultiLevelKernel(
             hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
             curve=CoregMatrix(np.array([[0.9], [0.5]]), np.full(2, 0.2)))
-        split = assemble_model(design, kernel, NoiseSpec(
-            noise_variance=0.0, jitter=0.0, jitter_mode="constant"))
-        dense = assemble_model(design, kernel, NoiseSpec(
-            noise_variance=0.0, jitter=0.0, jitter_mode="nugget"))
-        assert split.split and not dense.split
-        assert split.diagnostics["nugget"] == dense.diagnostics["nugget"] > 0.0
-        assert split.log_marginal_likelihood == pytest.approx(
-            dense.log_marginal_likelihood, rel=1e-6)
+        noise = NoiseSpec(noise_variance=0.0, jitter=0.0)
+        model = assemble_model(design, kernel, noise)
+        x, y = rows(design)
+        K = multilevel_gram(kernel, noise, *x)
+        for nugget in NUGGET_LADDER:
+            try:
+                c = cho_factor(K + nugget * np.eye(len(y)), lower=True)
+            except np.linalg.LinAlgError:
+                continue
+            break
+        oracle = (-0.5 * y @ cho_solve(c, y) - np.log(np.diag(c[0])).sum()
+                  - 0.5 * len(y) * np.log(2 * np.pi))
+        assert model.diagnostics["nugget"] == nugget > 0.0
+        assert model.log_marginal_likelihood == pytest.approx(oracle, rel=1e-6)
 

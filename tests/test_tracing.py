@@ -46,8 +46,7 @@ def test_tracer_hooks_the_library(tracing):
         design = model_mod.TrainingDesign.from_curves(curves, labels=["a", "b"])
         model = model_mod.fit(design, model_mod.ModelConfig(),
                               model_mod.OptimizerConfig(restarts=1, seed=0))
-        split_calls = tracer.layer_metrics()["model.vg_calls"]
-        model_mod.fit(design, model_mod.ModelConfig(jitter_mode="nugget"),
+        model_mod.fit(design, model_mod.ModelConfig(fit_group=True),
                       model_mod.OptimizerConfig(restarts=1, seed=0))
         obj = model_mod.MarginalLikelihoodObjective(design, model_mod.ModelConfig())
         obj.value(obj.default_start())
@@ -66,13 +65,10 @@ def test_tracer_hooks_the_library(tracing):
     assert metrics["model.fit_calls"] == 2
     assert metrics["model.restarts"] == 2
     assert metrics["model.nfev"] > 0
-    # three matrices per gradient evaluation, whatever the levels: P x P on
-    # the split path (constant jitter), 2P x 2P with nugget jitter
+    # three P x P matrices per gradient evaluation, whatever the levels
     p = len(design.s)
-    dense_calls = metrics["model.vg_calls"] - split_calls
-    assert split_calls > 0 and dense_calls > 0
-    assert metrics["model.grad_bytes"] == (
-        3 * 8 * p ** 2 * split_calls + 3 * 8 * (2 * p) ** 2 * dense_calls)
+    assert metrics["model.vg_calls"] > 0
+    assert metrics["model.grad_bytes"] == 3 * 8 * p ** 2 * metrics["model.vg_calls"]
     assert metrics["model.chol_s"] > 0
     assert metrics["model.predict_rows"] == 2
     assert metrics["coreg.gram_calls"] > 0
