@@ -208,12 +208,13 @@ LEVELS = {"coord": (0, 0), "curve": (3, 0), "group": (0, 2), "curve+group": (3, 
 
 class TestDistinctInputGram:
     @pytest.mark.parametrize("levels", sorted(LEVELS))
+    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_self_and_cross_match_full_grid(self, family, levels):
+    def test_self_and_cross_match_full_grid(self, family, jitter, levels):
         n_curves, n_groups = LEVELS[levels]
         rng = np.random.default_rng(31)
         kernel = random_kernel(rng, family, n_curves, n_groups)
-        noise = NoiseSpec(jitter=1e-3)
+        noise = NoiseSpec(jitter=jitter)
         a = repeated_design(rng, 25, n_curves, n_groups)
         b = repeated_design(rng, 9, n_curves, n_groups)
         assert len(np.unique(a[0])) < len(a[0]) // 2

@@ -127,13 +127,14 @@ class TestGram:
                 assert np.min(np.linalg.eigvalsh(K)) >= -1e-8
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_self_gram_formula(self, family):
+    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
+    def test_self_gram_formula(self, family, jitter):
         s = np.random.default_rng(4).uniform(0, 2, 12)
         h = PeriodicHyperparameters(1.7, 0.3, 1.1, family=family)
-        K = gram(h, NoiseSpec(jitter=1e-3), s)
+        K = gram(h, NoiseSpec(jitter=jitter), s)
         expected = h.sigma2 * unit_correlation(
             family, np.abs(s[:, None] - s[None, :]), h.rho, h.tau)
-        assert np.array_equal(K, expected + 1e-3)
+        assert np.array_equal(K, expected + jitter)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_cross_gram_constant_jitter_everywhere(self, family):
@@ -143,6 +144,15 @@ class TestGram:
         K = gram(h, NoiseSpec(jitter=1e-3), s_a, s_b)
         assert K.shape == (4, 7)
         assert np.array_equal(K, gram(h, NoiseSpec(jitter=0.0), s_a, s_b) + 1e-3)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cross_gram_of_same_values_equals_self_gram(self, family):
+        # the jitter is on every entry, so the diagonal of the self Gram
+        # gets nothing the cross Gram of the same values does not
+        s = np.random.default_rng(6).uniform(0, 1, 6)
+        h = PeriodicHyperparameters(0.8, 0.2, 1.0, family=family)
+        noise = NoiseSpec(jitter=1e-3)
+        assert np.array_equal(gram(h, noise, s, s.copy()), gram(h, noise, s))
 
 
 class TestValidateConstraints:

@@ -9,7 +9,7 @@ from scipy.linalg import cho_factor, cho_solve
 from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.curves import generate_synthetic
 from curvegp.errors import NumericalError, ValidationError
-from curvegp.kernels import NoiseSpec, PeriodicHyperparameters
+from curvegp.kernels import DEFAULT_JITTER, NoiseSpec, PeriodicHyperparameters
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
                            assemble_model, fit, log_marginal_likelihood, predict,
@@ -375,7 +375,8 @@ class TestPredict:
         assert np.allclose(mean, mean_oracle, atol=1e-9)
         assert np.allclose(cov, cov_oracle, atol=1e-9)
 
-    def test_matches_dense_oracle_with_levels(self):
+    @pytest.mark.parametrize("jitter", [0.0, DEFAULT_JITTER])
+    def test_matches_dense_oracle_with_levels(self, jitter):
         # a full coordinate factor, curves and groups: the two P x P blocks
         # against the N x N inverse
         curves = [scale_to_unit_length(center(generate_synthetic(
@@ -386,7 +387,7 @@ class TestPredict:
             hyp, CoregMatrix(np.array([[0.6], [-0.3]]), np.array([0.4, 0.7])),
             curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
             group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
-        noise = NoiseSpec(noise_variance=1e-5)
+        noise = NoiseSpec(noise_variance=1e-5, jitter=jitter)
         model = assemble_model(design, kernel, noise)
         assert len(model.chol) == 2
         d = design
@@ -477,7 +478,8 @@ class TestPredictCurve:
         for cov in pred.covariances:
             assert np.min(np.linalg.eigvalsh(cov)) >= -1e-10
 
-    def test_blocks_match_full_covariance(self):
+    @pytest.mark.parametrize("jitter", [0.0, DEFAULT_JITTER])
+    def test_blocks_match_full_covariance(self, jitter):
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(3)]
         design = TrainingDesign.from_curves(curves, labels=["a", "b", "a"])
@@ -486,7 +488,8 @@ class TestPredictCurve:
             hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
             curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
             group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
-        model = assemble_model(design, kernel, NoiseSpec(noise_variance=1e-5))
+        model = assemble_model(design, kernel,
+                               NoiseSpec(noise_variance=1e-5, jitter=jitter))
         m = 30
         for curve in range(3):
             pred = predict_curve(model, curve, m)
@@ -645,14 +648,16 @@ LEVEL_CASES = {
 
 class TestContractedGradient:
     @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+    @pytest.mark.parametrize("jitter", [0.0, DEFAULT_JITTER])
     @pytest.mark.parametrize("family", ["periodic_rbf", "periodic_matern32",
                                         "periodic_matern12"])
-    def test_matches_dense_dk_oracle(self, family, case):
+    def test_matches_dense_dk_oracle(self, family, jitter, case):
         n_curves, labels, levels = LEVEL_CASES[case]
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
         design = TrainingDesign.from_curves(curves, labels)
-        obj = MarginalLikelihoodObjective(design, ModelConfig(family=family, **levels))
+        obj = MarginalLikelihoodObjective(design, ModelConfig(
+            family=family, jitter=jitter, **levels))
         rng = np.random.default_rng(3)
         for _ in range(3):
             theta = obj.random_start(rng)
@@ -667,14 +672,16 @@ class TestContractedGradient:
 
 class TestSharedGramBuilder:
     @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+    @pytest.mark.parametrize("jitter", [0.0, DEFAULT_JITTER])
     @pytest.mark.parametrize("family", ["periodic_rbf", "periodic_matern32",
                                         "periodic_matern12"])
-    def test_objective_gram_is_multilevel_gram(self, family, case):
+    def test_objective_gram_is_multilevel_gram(self, family, jitter, case):
         n_curves, labels, levels = LEVEL_CASES[case]
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
         design = TrainingDesign.from_curves(curves, labels)
-        obj = MarginalLikelihoodObjective(design, ModelConfig(family=family, **levels))
+        obj = MarginalLikelihoodObjective(design, ModelConfig(
+            family=family, jitter=jitter, **levels))
         rng = np.random.default_rng(5)
         n = len(design.s)
         for _ in range(3):
