@@ -105,10 +105,10 @@ def multilevel_gram(kernel: MultiLevelKernel, noise: NoiseSpec,
                     s_b=None, d_b=None, j_b=None, g_b=None) -> np.ndarray:
     """Cross-Gram between two row designs (or one design with itself).
 
-    The input kernel is evaluated once per distinct arc parameter (`gram`)
-    and the level factors once per pair of distinct level tuples (row
-    types); both are gathered to the rows, and the entries equal a direct
-    evaluation bit for bit. The constant jitter from ``noise`` is added to
+    The input kernel is evaluated at every pair of rows (`gram`), and the
+    level factors once per pair of distinct level tuples (row types) and
+    gathered to the rows; the entries equal a direct evaluation bit for
+    bit. The constant jitter from ``noise`` is added to
     every entry of the input kernel, so it is modulated by the same coreg
     factors and vanishes across independent levels. Observation noise is
     not included.

@@ -109,26 +109,62 @@ def fit_result_to_dict(model) -> dict:
     }
 
 
+def _entry(data: dict, path: str):
+    """The value at a dotted key path of a fit-result dictionary; a missing
+    key is a ValidationError that names it."""
+    keys = path.split(".")
+    value = data
+    for depth, key in enumerate(keys, start=1):
+        if not isinstance(value, dict) or key not in value:
+            raise ValidationError(f"fit file has no {'.'.join(keys[:depth])}")
+        value = value[key]
+    return value
+
+
+def _number(data: dict, path: str):
+    """`_entry`, which must be a JSON number."""
+    value = _entry(data, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"fit file: {path} must be a number, got {value!r}")
+    return value
+
+
+def _numbers(data: dict, path: str) -> np.ndarray:
+    """`_entry` as a float array; entries that are not numbers are rejected."""
+    try:
+        return np.array(_entry(data, path), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"fit file: {path} must hold numbers ({exc})") from exc
+
+
 def kernel_from_dict(data: dict):
     """Rebuild (MultiLevelKernel, NoiseSpec) from a fit-result dictionary.
+    A missing or malformed entry raises ValidationError naming its key.
 
     The jitter is a constant on the input kernel. Fits saved with a
     ``noise.jitter_mode`` key carry ``"constant"``; any other mode names a
     different kernel and is rejected."""
-    h = data["hyperparameters"]
-    hyp = PeriodicHyperparameters(sigma2=h["sigma2"], rho=h["rho"],
-                                  tau=h["tau"], family=h["family"])
-    n = data["noise"]
-    if n.get("jitter_mode", "constant") != "constant":
-        raise ValidationError(f"unsupported noise.jitter_mode {n['jitter_mode']!r} "
+    if not isinstance(data, dict):
+        raise ValidationError(
+            f"a fit file holds a JSON object, got {type(data).__name__}")
+    hyp = PeriodicHyperparameters(sigma2=_number(data, "hyperparameters.sigma2"),
+                                  rho=_number(data, "hyperparameters.rho"),
+                                  tau=_number(data, "hyperparameters.tau"),
+                                  family=_entry(data, "hyperparameters.family"))
+    noise = NoiseSpec(noise_variance=_number(data, "noise.noise_variance"),
+                      jitter=_number(data, "noise.jitter"))
+    mode = data["noise"].get("jitter_mode", "constant")
+    if mode != "constant":
+        raise ValidationError(f"unsupported noise.jitter_mode {mode!r} "
                               "in the fit: only constant jitter is modeled")
-    noise = NoiseSpec(noise_variance=n["noise_variance"], jitter=n["jitter"])
     coreg = data.get("coregionalization", {})
+    if not isinstance(coreg, dict):
+        raise ValidationError("fit file: coregionalization must be an object")
     levels = {}
     for name, tag in LEVEL_TAGS.items():
         if tag in coreg:
-            levels[name] = CoregMatrix(np.array(coreg[tag]["w"], dtype=float),
-                                       np.array(coreg[tag]["kappa"], dtype=float))
+            levels[name] = CoregMatrix(_numbers(data, f"coregionalization.{tag}.w"),
+                                       _numbers(data, f"coregionalization.{tag}.kappa"))
     if "coord" not in levels:
         levels["coord"] = CoregMatrix.identity(2)
     kernel = MultiLevelKernel(input_kernel=hyp, coord=levels["coord"],

@@ -111,25 +111,19 @@ def theorem1_bounds(hyp: PeriodicHyperparameters, length: float):
 def gram(hyp: PeriodicHyperparameters, noise: NoiseSpec, s_a, s_b=None) -> np.ndarray:
     """Gram matrix between arc parameters ``s_a`` and ``s_b`` (``s_a`` with
     itself when ``s_b`` is None), with the constant jitter added to every
-    entry.
+    entry. The kernel is evaluated at every pair of inputs.
 
-    The kernel is evaluated once per pair of distinct arc parameters and
-    gathered to the rows; entries equal a direct evaluation bit for bit.
     Observation noise is *not* included; that is a model-level concern.
     """
     s_a = np.asarray(s_a, dtype=float).reshape(-1)
     if s_a.size == 0:
         raise ValidationError("gram needs at least one input")
-    u_a, row_a = np.unique(s_a, return_inverse=True)
-    if s_b is None:
-        u_b, row_b = u_a, row_a
-    else:
-        u_b, row_b = np.unique(np.asarray(s_b, dtype=float).reshape(-1),
-                               return_inverse=True)
-    r = np.abs(u_a[:, None] - u_b[None, :])
-    K = hyp.sigma2 * unit_correlation(hyp.family, r, hyp.rho, hyp.tau)
-    K += noise.jitter  # every entry, so the distinct grid suffices
-    return K.take(row_a, axis=0).take(row_b, axis=1)
+    s_b = s_a if s_b is None else np.asarray(s_b, dtype=float).reshape(-1)
+    K = unit_correlation(hyp.family, np.abs(s_a[:, None] - s_b[None, :]),
+                         hyp.rho, hyp.tau)
+    K *= hyp.sigma2
+    K += noise.jitter
+    return K
 
 
 @dataclass(frozen=True)

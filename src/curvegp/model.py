@@ -13,7 +13,11 @@ two P x P blocks lam_e K_pts + noise I (Bonilla, Chai & Williams 2008;
 Saatci 2011). The same points and blocks serve the objective,
 `log_marginal_likelihood`, `assemble_model`, `predict` and
 `predict_curve`; query rows in coordinate pairs share one unit, and an
-unpaired query row is a unit of its own.
+unpaired query row is a unit of its own. `predict` forms its prior and
+posterior on the units too, block e as lam_e K_u - lam_e^2 V_e^T V_e, and
+writes each into the rows with the weights Q[d, e] Q[d', e]: for paired
+rows the prior and each block are a quarter of the size of the covariance
+it returns, and no temporary of the covariance's size is made.
 
 The gradient of -log p(y) is -tr(A dK)/2 with A = alpha alpha^T - K^-1
 (Rasmussen & Williams 2006, 5.4.1), contracted by level rather than formed
@@ -28,9 +32,7 @@ Mt[e, f] = alpha_e^T K_pts alpha_f - [e = f] <K_e^-1, K_pts>. log sigma2
 and log rho take one inner product of A_p with a dense matrix each, and log
 noise takes -noise sum_e tr(A_e) / 2. alpha_e and K_e^-1 come from the
 Cholesky factors (LAPACK dpotrs, dpotri); one nugget ladder serves every
-block. Outside the objective, Grams come from `multilevel_gram`, which
-evaluates the input kernel once per distinct arc parameter and the level
-factors once per distinct level tuple, then gathers both to the rows.
+block. Outside the objective, Grams come from `multilevel_gram`.
 
 SciPy is imported only where it is used, so `import curvegp.model` loads
 numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs, dtrtrs) come
@@ -236,15 +238,15 @@ def _is_paired(s, d, j, g) -> bool:
 
 def _units(s, d, j, g):
     """The units a query Gram is formed on, for rows (s, d, j, g): returns
-    the units' (s, d, j, g), the unit of each row and the coordinate of each
-    row in the basis. Units are at coordinate 0, the coordinate level being
-    split off: a pair of rows (d = 0, 1) sharing s, curve and group is one
-    unit, and any other row is a unit of its own."""
+    the units' (s, d, j, g) and the unit of each row. Units are at
+    coordinate 0, the coordinate level being split off: a pair of rows
+    (d = 0, 1) sharing s, curve and group is one unit, and any other row is
+    a unit of its own."""
     n = len(d)
     rows = np.arange(n)
     if _is_paired(s, d, j, g):
-        return (s[0::2], np.zeros(n // 2, dtype=int), j[0::2], g[0::2]), rows // 2, d
-    return (s, np.zeros(n, dtype=int), j, g), rows, d
+        return (s[0::2], np.zeros(n // 2, dtype=int), j[0::2], g[0::2]), rows // 2
+    return (s, np.zeros(n, dtype=int), j, g), rows
 
 
 def _coord_basis(B: np.ndarray):
@@ -662,56 +664,75 @@ def _restart_record(restart: int, res) -> dict:
             "success": bool(res.success), "message": message}
 
 
-def _posterior_mean(model: FittedModel, s, d, j, g):
-    """(mean, cross, unit, coord): the means at query rows, the query units'
-    cross Gram against the training points, and each row's unit and
-    coordinate."""
-    (us, ud, uj, ug), unit, coord = _units(s, d, j, g)
+def _unit_means(model: FittedModel, units):
+    """(means, cross): the posterior means of both coordinates at the query
+    units (units x 2) and the units' cross Gram against the training
+    points."""
     dz = model.design
     cross = multilevel_gram(replace(model.kernel, coord=COORD_IDENTITY),
-                            model.noise, us, ud, uj, ug, s_b=dz.s,
+                            model.noise, *units, s_b=dz.s,
                             d_b=np.zeros(len(dz.s), dtype=int), j_b=dz.j, g_b=dz.g)
-    mean = (cross @ model.alpha.reshape(len(dz.s), 2)
-            @ model.kernel.coord.matrix)[unit, coord]
-    return mean, cross, unit, coord
+    means = cross @ model.alpha.reshape(len(dz.s), 2) @ model.kernel.coord.matrix
+    return means, cross
 
 
-def _posterior_parts(model: FittedModel, s, d, j, g):
-    """Means at query rows and, per block e, (V_e, w_e): V_e = L_e^-1 k_e
-    on the query units and w_e[r] = lam_e Q[coordinate of r, e]. The
-    posterior covariance of rows r, r' is the prior less the sum over e of
-    w_e[r] w_e[r'] V_e[:, u(r)] . V_e[:, u(r')]. Returns (mean, parts, u).
-    """
-    lam, Q = model.basis
-    mean, cross, unit, coord = _posterior_mean(model, s, d, j, g)
-    parts = []
+def _whitened(model: FittedModel, cross):
+    """V_e = L_e^-1 k_e on the query units, one per block."""
     dtrtrs = _lapack().dtrtrs
-    for e, L in enumerate(model.chol):
+    Vs = []
+    for L in model.chol:
         V, info = dtrtrs(L, cross.T, lower=1)
         if info != 0:
             raise NumericalError(f"triangular solve failed (info={info})")
-        parts.append((V, lam[e] * Q[coord, e]))
-    return mean, parts, unit
+        Vs.append(V)
+    return Vs
 
 
 def predict(model: FittedModel, s, d, j=None, g=None):
     """Predictive mean and full covariance at query rows (s*, d, j, g).
 
-    Without ``g`` each row takes the group of its curve in the design."""
+    Without ``g`` each row takes the group of its curve in the design. The
+    covariance of rows r, r' is sum_e Q[d_r, e] Q[d_r', e] M_e[u(r), u(r')]
+    with M_e = lam_e K_u - lam_e^2 V_e^T V_e on the query units u, written
+    into the output one block at a time."""
     s, d, j, g = _query_rows(model, s, d, j, g)
-    cov = multilevel_gram(model.kernel, model.noise, s, d, j, g)  # checks d, j, g
-    mean, parts, unit = _posterior_parts(model, s, d, j, g)
-    rows = np.ix_(unit, unit)
-    for V, w in parts:
-        cov -= np.outer(w, w) * (V.T @ V)[rows]
-    return mean, cov
+    units, unit = _units(s, d, j, g)
+    K = multilevel_gram(replace(model.kernel, coord=COORD_IDENTITY), model.noise,
+                        *units)  # checks j and g
+    means, cross = _unit_means(model, units)
+    lam, Q = model.basis
+    n_units = len(K)
+    cov = np.empty((len(d),) * 2)
+    # paired: rows 2u and 2u + 1 are unit u's coordinates 0 and 1
+    pairs = cov.reshape(n_units, 2, n_units, 2) if n_units < len(d) else None
+    M = None
+    for e, V in enumerate(_whitened(model, cross)):
+        M = np.matmul(V.T, V, out=M)  # in the buffer of the block before
+        M *= -lam[e]
+        M += K
+        M *= lam[e]
+        if pairs is not None:
+            pieces = [(pairs[:, a, :, b], Q[a, e] * Q[b, e])
+                      for a in (0, 1) for b in (0, 1)]
+        else:  # unpaired: row r is unit r
+            M *= Q[d, e][:, None]
+            M *= Q[d, e]
+            pieces = [(cov, 1.0)]
+        for out, c in pieces:
+            if e == 0:
+                np.multiply(M, c, out=out)
+            else:  # e = 1, the last block: K is spent and takes the product
+                out += np.multiply(M, c, out=K)
+    return means[unit, d], cov
 
 
 def _query_rows(model: FittedModel, s, d, j, g):
     """``predict``'s query rows as arrays, each row's group defaulting to
-    its curve's."""
+    its curve's; coordinates other than 0 and 1 are rejected."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=int))
+    if np.any((d < 0) | (d > 1)):
+        raise ValidationError("coordinate index out of range: d must be 0 or 1")
     j = np.zeros_like(d) if j is None else np.atleast_1d(np.asarray(j, dtype=int))
     if g is None:
         dz = model.design
@@ -723,7 +744,9 @@ def _query_rows(model: FittedModel, s, d, j, g):
 
 def _predict_mean(model: FittedModel, s, d, j=None, g=None) -> np.ndarray:
     """``predict``'s means alone, without the prior or posterior covariance."""
-    return _posterior_mean(model, *_query_rows(model, s, d, j, g))[0]
+    s, d, j, g = _query_rows(model, s, d, j, g)
+    units, unit = _units(s, d, j, g)
+    return _unit_means(model, units)[0][unit, d]
 
 
 def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> PredictedCurve:
@@ -742,13 +765,13 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
             f"curve index {curve_index} out of range for {n_curves} curves")
     length = float(model.design.lengths[curve_index])
     grid = np.arange(m) * length / m
-    s = np.repeat(grid, 2)
-    d = np.tile([0, 1], m)
-    j = np.full(2 * m, curve_index, dtype=int)
-    g = np.full(2 * m, model.design.group_of_curve(curve_index), dtype=int)
-    mean, parts, _ = _posterior_parts(model, s, d, j, g)
-    covs = multilevel_gram(model.kernel, model.noise, s[:2], d[:2], j[:2], g[:2])
-    for V, w in parts:  # one unit per grid point; w[:2] = lam_e q_e
-        covs = covs - (np.einsum("km,km->m", V, V)[:, None, None]
-                       * np.outer(w[:2], w[:2]))
-    return PredictedCurve(grid=grid, means=mean.reshape(m, 2), covariances=covs)
+    j = np.full(m, curve_index, dtype=int)
+    g = np.full(m, model.design.group_of_curve(curve_index), dtype=int)
+    means, cross = _unit_means(model, (grid, np.zeros(m, dtype=int), j, g))
+    covs = multilevel_gram(model.kernel, model.noise, grid[[0, 0]], [0, 1],
+                           j[:2], g[:2])
+    lam, Q = model.basis
+    for e, V in enumerate(_whitened(model, cross)):  # one unit per grid point
+        w = lam[e] * Q[:, e]
+        covs = covs - (np.einsum("km,km->m", V, V)[:, None, None] * np.outer(w, w))
+    return PredictedCurve(grid=grid, means=means, covariances=covs)

@@ -146,6 +146,38 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
 
 
+def valid_fit() -> dict:
+    """A fit file of one curve with fixed hyperparameters."""
+    return {"hyperparameters": {"family": "periodic_matern32", "sigma2": 0.5,
+                                "rho": 0.2, "tau": 1.0},
+            "noise": {"noise_variance": 1e-5, "jitter": 1e-3},
+            "coregionalization": {"D": {"w": [[0.3], [0.1]], "kappa": [1.0, 1.0]}}}
+
+
+def _without(path):
+    """A change to a fit dict that deletes the key at a dotted path."""
+    def change(data):
+        *parents, last = path.split(".")
+        entry = data
+        for key in parents:
+            entry = entry[key]
+        del entry[last]
+        return data
+    return change
+
+
+MALFORMED_FITS = {
+    # name: (change to a valid fit dict, key the message names)
+    "no-jitter": (_without("noise.jitter"), "noise.jitter"),
+    "no-sigma2": (_without("hyperparameters.sigma2"), "hyperparameters.sigma2"),
+    "no-noise": (_without("noise"), "fit file has no noise"),
+    "string-sigma2": (lambda data: {**data, "hyperparameters": {
+        **data["hyperparameters"], "sigma2": "abc"}}, "hyperparameters.sigma2"),
+    "no-kappa": (_without("coregionalization.D.kappa"), "coregionalization.D.kappa"),
+    "top-level-list": (lambda data: [data], "JSON object"),
+}
+
+
 class TestFitPredictPipeline:
     def test_end_to_end(self, tmp_path):
         curve_path = str(tmp_path / "c.csv")
@@ -193,6 +225,26 @@ class TestFitPredictPipeline:
         else:
             assert "noise.jitter_mode 'nugget'" in capsys.readouterr().err
             assert not pred_path.exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FITS))
+    def test_predict_on_malformed_fit_exit_2(self, tmp_path, capsys, case):
+        # each of these once escaped as a KeyError or TypeError traceback
+        # (exit 1) from io.kernel_from_dict
+        curve_path = str(tmp_path / "c.csv")
+        save_curve_csv(generate_synthetic("circle", 10), curve_path)
+        fit_path = str(tmp_path / "fit.json")
+        pred_path = tmp_path / "pred.json"
+        argv = ["predict", "--inputs", curve_path, "--fit", fit_path,
+                "--m", "10", "--out", str(pred_path)]
+        save_json(valid_fit(), fit_path)
+        assert main(argv) == EXIT_OK
+        pred_path.unlink()
+        change, key = MALFORMED_FITS[case]
+        save_json(change(valid_fit()), fit_path)
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not pred_path.exists()
 
     def test_fit_json_records_each_restart(self, tmp_path):
         paths = []

@@ -165,7 +165,8 @@ def full_grid_gram_oracle(kernel, noise, s_a, d_a, j_a=None, g_a=None,
                           s_b=None, d_b=None, j_b=None, g_b=None):
     """The multi-level Gram with the input kernel evaluated at every pair of
     rows and every level factor gathered per pair of rows: the test-only
-    reference for the distinct-input `gram` and `multilevel_gram`."""
+    reference for `multilevel_gram`, whose level factors are formed once per
+    pair of row types."""
     K = full_grid_input_gram(kernel.input_kernel, noise, s_a, s_b)
     if s_b is None:
         d_b, j_b, g_b = d_a, j_a, g_a

@@ -1,5 +1,6 @@
 """GP model: marginal likelihood, fitting, prediction."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -375,10 +376,10 @@ class TestPredict:
         assert np.allclose(mean, mean_oracle, atol=1e-9)
         assert np.allclose(cov, cov_oracle, atol=1e-9)
 
-    @pytest.mark.parametrize("jitter", [0.0, DEFAULT_JITTER])
-    def test_matches_dense_oracle_with_levels(self, jitter):
-        # a full coordinate factor, curves and groups: the two P x P blocks
-        # against the N x N inverse
+    @staticmethod
+    def levels_model(jitter):
+        """Three 9-point stars in groups a, b, a, with a full coordinate
+        factor and curve and group levels."""
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(3)]
         design = TrainingDesign.from_curves(curves, labels=["a", "b", "a"])
@@ -387,18 +388,33 @@ class TestPredict:
             hyp, CoregMatrix(np.array([[0.6], [-0.3]]), np.array([0.4, 0.7])),
             curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
             group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
-        noise = NoiseSpec(noise_variance=1e-5, jitter=jitter)
-        model = assemble_model(design, kernel, noise)
+        return assemble_model(design, kernel,
+                              NoiseSpec(noise_variance=1e-5, jitter=jitter))
+
+    @pytest.mark.parametrize("jitter", [0.0, DEFAULT_JITTER])
+    def test_matches_dense_oracle_with_levels(self, jitter):
+        # a full coordinate factor, curves and groups: the two P x P blocks
+        # against the N x N inverse
+        model = self.levels_model(jitter)
+        d, kernel, noise = model.design, model.kernel, model.noise
         assert len(model.chol) == 2
-        d = design
-        x, y = rows(design)
+        x, y = rows(d)
         K = multilevel_gram(kernel, noise, *x) + 1e-5 * np.eye(len(y))
         Kinv = np.linalg.inv(K)
-        # paired rows of curve 1, then unpaired rows over curves 0 and 2
+        # paired rows of curve 1; unpaired rows over curves 0 and 2; pairs
+        # listed d = 1 first (unpaired); paired rows alternating between
+        # curves 0 and 2, and between curves 1 and 2 (two groups); one row
         queries = [(np.repeat([0.05, 0.4, 0.77], 2), np.tile([0, 1], 3),
                     np.full(6, 1)),
                    (np.array([0.3, 0.1, 0.3, 0.9]), np.array([1, 0, 0, 1]),
-                    np.array([0, 2, 0, 2]))]
+                    np.array([0, 2, 0, 2])),
+                   (np.repeat([0.2, 0.6, 0.85], 2), np.tile([1, 0], 3),
+                    np.repeat([0, 1, 2], 2)),
+                   (np.repeat([0.15, 0.5, 0.7, 0.95], 2), np.tile([0, 1], 4),
+                    np.repeat([0, 2, 0, 2], 2)),
+                   (np.repeat([0.25, 0.55, 0.8], 2), np.tile([0, 1], 3),
+                    np.repeat([1, 2, 1], 2)),
+                   (np.array([0.45]), np.array([1]), np.array([2]))]
         for sq, dq, jq in queries:
             gq = np.array([d.group_of_curve(c) for c in jq])
             cross = multilevel_gram(kernel, noise, sq, dq, jq, gq, *x)
@@ -420,6 +436,23 @@ class TestPredict:
                                for i in range(m)])
             assert np.max(np.abs(pred.means.ravel() - cross @ Kinv @ y)) <= 1e-9
             assert np.max(np.abs(pred.covariances - blocks)) <= 1e-9
+
+    def test_paired_covariance_transient_memory(self):
+        # the covariance is formed on the units and written into the output
+        # block by block: no temporary of the output's size
+        model = self.levels_model(DEFAULT_JITTER)
+        m = 200
+        s, d, j = np.repeat(np.arange(m) / m, 2), np.tile([0, 1], m), np.full(2 * m, 1)
+        predict(model, s[:4], d[:4], j[:4])  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            _, cov = predict(model, s, d, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cov.shape == (2 * m, 2 * m)
+        assert peak - held < 2.0 * cov.nbytes
 
     def test_rejects_coordinate_out_of_range(self):
         for d in (2, -1):
