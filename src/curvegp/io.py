@@ -80,9 +80,9 @@ LEVEL_TAGS = {"coord": "D", "curve": "C", "group": "G"}
 def fit_result_to_dict(model) -> dict:
     """JSON-ready summary of a fitted model (hyperparameters, coreg levels
     with D/C/G tags, noise, likelihood, diagnostics -- restart scores, the
-    best restart, the optimizer method, the nugget of the final
-    factorization and one record per restart -- and the group label of each
-    curve so that the design can be rebuilt)."""
+    best restart, the nugget of the final factorization and one record per
+    restart -- and the group label of each curve so that the design can be
+    rebuilt)."""
     hyp, design = model.kernel.input_kernel, model.design
     coreg = {}
     for name, tag in LEVEL_TAGS.items():
@@ -99,7 +99,6 @@ def fit_result_to_dict(model) -> dict:
         "log_marginal_likelihood": model.log_marginal_likelihood,
         "restart_scores": diag.get("restart_scores", []),
         "best_restart": diag.get("best_restart"),
-        "method": diag.get("method"),
         "nugget": diag.get("nugget"),
         "restarts": diag.get("restarts", []),
         "constraint_report": diag.get("constraint_report", {}),

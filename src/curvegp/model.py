@@ -37,9 +37,8 @@ block. Outside the objective, Grams come from `multilevel_gram`.
 SciPy is imported only where it is used, so `import curvegp.model` loads
 numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs, dtrtrs) come
 from `_lapack`, which imports `scipy.linalg.lapack` at the first
-factorization or solve. `scipy.optimize` is imported only when `fit` runs:
-L-BFGS-B through the module's `minimize`, which loads it on its first call,
-and `dual_annealing` inside `fit`.
+factorization or solve. `scipy.optimize` is imported only when `fit` runs,
+by the module's `minimize` (L-BFGS-B) on its first call.
 """
 
 from __future__ import annotations
@@ -174,13 +173,32 @@ class ModelConfig:
     group_rank: int = 1
     noise_box: tuple = DEFAULT_NOISE_BOX
 
+    def __post_init__(self):
+        for name in ("coord_rank", "curve_rank", "group_rank"):
+            _require(getattr(self, name) >= 0, f"model.{name}", ">= 0",
+                     getattr(self, name))
+        _require(self.tau == "auto" or (not isinstance(self.tau, str) and self.tau > 0),
+                 "model.tau", '"auto" or > 0', self.tau)
+        _require(self.jitter >= 0, "model.jitter", ">= 0", self.jitter)
+        _require(0 < self.noise_box[0] <= self.noise_box[1], "model.noise_box",
+                 "(lo, hi) with 0 < lo <= hi", self.noise_box)
+
 
 @dataclass
 class OptimizerConfig:
     restarts: int = 8
     seed: int = 0
-    method: str = "lbfgs"  # or "anneal"
     maxiter: int = 200
+
+    def __post_init__(self):
+        _require(self.restarts >= 1, "opt.restarts", ">= 1", self.restarts)
+        _require(self.maxiter >= 1, "opt.maxiter", ">= 1", self.maxiter)
+
+
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    """A config field's range check: a ValidationError naming the field."""
+    if not ok:
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -429,7 +447,7 @@ class MarginalLikelihoodObjective:
         B.reshape(-1)[::size + 1] += kappa
         return B
 
-    def gram_and_grads(self, theta, with_grads: bool = True):
+    def gram_and_grads(self, theta):
         """The point Gram K (without noise) and the three dense points x
         points matrices its gradient is contracted against: dK/dlog(sigma2),
         dK/dlog(rho) and the jittered input Gram K0, whatever the levels.
@@ -441,10 +459,7 @@ class MarginalLikelihoodObjective:
         warped distances and work arrays."""
         sigma2, rho = np.exp(theta[:2])
         family = self.config.family
-        if with_grads:
-            base, dcorr = warped_correlation(family, self.warp, rho, True)
-        else:
-            base = warped_correlation(family, self.warp, rho)
+        base, dcorr = warped_correlation(family, self.warp, rho, True)
         base *= sigma2
         K0 = np.add(base, self.config.jitter, out=self._buffer("K0"))
         # B[level_t, level_u] on the grid of types, exactly
@@ -455,27 +470,20 @@ class MarginalLikelihoodObjective:
         product = (reduce(np.multiply, self._factors) if self._factors
                    else np.ones((S.shape[1],) * 2))
         Bfull = np.matmul(S @ product, S.T, out=self._buffer("K"))
-        if with_grads:
-            base *= Bfull
-            dcorr *= sigma2
-            dcorr *= Bfull
+        base *= Bfull
+        dcorr *= sigma2
+        dcorr *= Bfull
         K = np.multiply(Bfull, K0, out=Bfull)
-        return K, ([base, dcorr, K0] if with_grads else None)
-
-    def _factor(self, K, noise_var):
-        """Factor the blocks of K + noise I; (factors, alphas, -log p)."""
-        lam, Q = self._basis
-        blocks = _blocks(K, lam, noise_var, self._buffer("blocks", (len(lam),)))
-        factors, _, alphas, nll = _factor_and_nll(blocks, Q.T @ self.targets)
-        return factors, alphas, nll
+        return K, [base, dcorr, K0]
 
     def value_and_grad(self, theta):
         """-log p(y) and its gradient, contracted by level (R&W 2006, 5.4.1):
         with A = alpha alpha^T - K^-1, d(-log p) = -tr(A dK)/2."""
         K, grads = self.gram_and_grads(theta)
         noise_var = math.exp(theta[2])
-        factors, alphas, nll = self._factor(K, noise_var)
         lam, Q = self._basis
+        blocks = _blocks(K, lam, noise_var, self._buffer("blocks", (len(lam),)))
+        factors, _, alphas, nll = _factor_and_nll(blocks, Q.T @ self.targets)
         trace_a = float(np.vdot(alphas, alphas))  # sum_e tr(A_e), less tr(K_e^-1) below
         Mt = alphas @ K @ alphas.T
         dpotri = _lapack().dpotri
@@ -523,8 +531,8 @@ class MarginalLikelihoodObjective:
         grad[k_sl] = -0.5 * M.diagonal() * kappa
 
     def value(self, theta):
-        K, _ = self.gram_and_grads(theta, with_grads=False)
-        return self._factor(K, math.exp(theta[2]))[2]
+        """-log p(y) alone, computed with its gradient."""
+        return self.value_and_grad(theta)[0]
 
 
 def _factor_and_nll(blocks, Y: np.ndarray):
@@ -583,85 +591,44 @@ def minimize(*args, **kwargs):
 
 def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
         opt_config: OptimizerConfig | None = None) -> FittedModel:
-    """Maximize the log marginal likelihood over box-constrained restarts.
+    """Maximize the log marginal likelihood by multi-start L-BFGS-B with the
+    analytic gradient, in the box of each hyperparameter.
 
     Deterministic for a fixed seed; the best restart is returned with all
     restart scores logged in the diagnostics, and one record per restart
     that ran to its end (restart number, iterations, evaluations, the
-    optimizer's success flag and message), in the order of the scores. An
-    L-BFGS-B restart that meets a point it cannot factor, its start
-    included, is skipped with a warning.
+    optimizer's success flag and message), in the order of the scores. A
+    restart that meets a point it cannot factor, its start included, is
+    skipped with a warning.
     """
     import warnings
     model_config = model_config or ModelConfig()
     opt_config = opt_config or OptimizerConfig()
     obj = MarginalLikelihoodObjective(design, model_config)
     rng = np.random.default_rng(opt_config.seed)
-
-    if opt_config.method == "anneal":
-        from scipy.optimize import dual_annealing
-
-        factored = 0
-
-        def value_or_inf(theta):  # a point that cannot be factored scores +inf
-            nonlocal factored
-            try:
-                value = obj.value(theta)
-            except NumericalError:
-                return np.inf
-            factored += 1
-            return value
-
-        no_point = "annealing found no point that could be factored"
+    scores, results, records = [], [], []
+    for i in range(opt_config.restarts):
+        theta0 = obj.default_start() if i == 0 else obj.random_start(rng)
         try:
-            res = dual_annealing(value_or_inf, bounds=obj.bounds,
-                                 seed=opt_config.seed,
-                                 maxiter=max(opt_config.maxiter, 100))
-        except ValueError as exc:  # scipy's reply when no start scores finite
-            if factored:
-                raise
-            raise NumericalError(no_point) from exc
-        if not np.isfinite(res.fun):
-            raise NumericalError(no_point)
-        scores, best_theta, best_index = [-float(res.fun)], res.x, 0
-        records = [_restart_record(0, res)]
-    elif opt_config.method == "lbfgs":
-        scores, results, records = [], [], []
-        for i in range(opt_config.restarts):
-            theta0 = obj.default_start() if i == 0 else obj.random_start(rng)
-            try:
-                res = minimize(obj.value_and_grad, theta0, jac=True,
-                               method="L-BFGS-B", bounds=obj.bounds,
-                               options={"maxiter": opt_config.maxiter})
-            except NumericalError:
-                warnings.warn(f"restart {i}: factorization failed, skipped")
-                continue
-            scores.append(-float(res.fun))
-            results.append(res.x)
-            records.append(_restart_record(i, res))
-        if not results:
-            raise NumericalError("all restarts failed to factorize or converge")
-        best_index = int(np.argmax(scores))
-        best_theta = results[best_index]
-    else:
-        raise ValidationError(f"unknown optimizer method {opt_config.method!r}")
-
-    kernel, noise = obj.unpack(best_theta)
+            res = minimize(obj.value_and_grad, theta0, jac=True,
+                           method="L-BFGS-B", bounds=obj.bounds,
+                           options={"maxiter": opt_config.maxiter})
+        except NumericalError:
+            warnings.warn(f"restart {i}: factorization failed, skipped")
+            continue
+        scores.append(-float(res.fun))
+        results.append(res.x)
+        records.append({"restart": i, "nit": int(res.nit), "nfev": int(res.nfev),
+                        "success": bool(res.success), "message": res.message})
+    if not results:
+        raise NumericalError("all restarts failed to factorize or converge")
+    best_index = int(np.argmax(scores))
+    kernel, noise = obj.unpack(results[best_index])
     report = validate_constraints(kernel.input_kernel, noise,
                                   float(np.mean(design.lengths)))
     diagnostics = {"restart_scores": scores, "best_restart": best_index,
-                   "restarts": records, "constraint_report": report.to_dict(),
-                   "method": opt_config.method}
+                   "restarts": records, "constraint_report": report.to_dict()}
     return assemble_model(design, kernel, noise, diagnostics)
-
-
-def _restart_record(restart: int, res) -> dict:
-    """What the optimizer reported for one restart that ran to its end."""
-    message = res.message
-    if not isinstance(message, str):  # dual_annealing reports a list
-        message = "; ".join(map(str, message))
-    return {"restart": restart, "nit": int(res.nit), "nfev": int(res.nfev),
-            "success": bool(res.success), "message": message}
 
 
 def _unit_means(model: FittedModel, units):
@@ -698,7 +665,7 @@ def predict(model: FittedModel, s, d, j=None, g=None):
     s, d, j, g = _query_rows(model, s, d, j, g)
     units, unit = _units(s, d, j, g)
     K = multilevel_gram(replace(model.kernel, coord=COORD_IDENTITY), model.noise,
-                        *units)  # checks j and g
+                        *units)
     means, cross = _unit_means(model, units)
     lam, Q = model.basis
     n_units = len(K)
@@ -728,18 +695,22 @@ def predict(model: FittedModel, s, d, j=None, g=None):
 
 def _query_rows(model: FittedModel, s, d, j, g):
     """``predict``'s query rows as arrays, each row's group defaulting to
-    its curve's; coordinates other than 0 and 1 are rejected."""
+    its curve's; coordinates other than 0 and 1, curves and groups outside
+    the design are rejected."""
+    dz = model.design
     s = np.atleast_1d(np.asarray(s, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=int))
     if np.any((d < 0) | (d > 1)):
         raise ValidationError("coordinate index out of range: d must be 0 or 1")
     j = np.zeros_like(d) if j is None else np.atleast_1d(np.asarray(j, dtype=int))
+    if np.any((j < 0) | (j >= dz.n_curves)):
+        raise ValidationError(f"curve index out of range for {dz.n_curves} curves")
     if g is None:
-        dz = model.design
-        if np.any((j < 0) | (j >= dz.n_curves)):
-            raise ValidationError(f"curve index out of range for {dz.n_curves} curves")
         g = np.array([dz.group_of_curve(c) for c in range(dz.n_curves)])[j]
-    return s, d, j, np.atleast_1d(np.asarray(g, dtype=int))
+    g = np.atleast_1d(np.asarray(g, dtype=int))
+    if np.any((g < 0) | (g >= dz.n_groups)):
+        raise ValidationError(f"group index out of range for {dz.n_groups} groups")
+    return s, d, j, g
 
 
 def _predict_mean(model: FittedModel, s, d, j=None, g=None) -> np.ndarray:

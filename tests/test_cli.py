@@ -50,7 +50,7 @@ class TestConfig:
 
 # a valid value other than the default, for the keys whose type does not give one
 OTHER_VALUES = {"model.family": "periodic_rbf", "model.tau": "0.5",
-                "opt.method": "anneal"}
+                "model.noise_lo": "1e-07"}
 
 
 def other_value(key: str, default) -> str:
@@ -71,7 +71,7 @@ class TestConfigKeys:
             "model.coord_rank", "model.fit_curve", "model.curve_rank",
             "model.fit_group", "model.group_rank", "model.noise_lo",
             "model.noise_hi",
-            "opt.restarts", "opt.seed", "opt.method", "opt.maxiter"]
+            "opt.restarts", "opt.seed", "opt.maxiter"]
 
     def test_defaults_are_the_config_defaults(self):
         assert configs_from_values(CONFIG_DEFAULTS) == (ModelConfig(),
@@ -84,7 +84,8 @@ class TestConfigKeys:
         assert configs_from_values(values) != configs_from_values(CONFIG_DEFAULTS)
 
     @pytest.mark.parametrize("key, value", [("output.dir", "elsewhere"),
-                                            ("model.jitter_mode", "nugget")])
+                                            ("model.jitter_mode", "nugget"),
+                                            ("opt.method", "anneal")])
     def test_removed_key_rejected_with_file_and_line(self, tmp_path, capsys,
                                                      key, value):
         curve = str(tmp_path / "c.csv")
@@ -96,6 +97,29 @@ class TestConfigKeys:
         assert main(["fit", "--inputs", curve, "--config", str(cfg),
                      "--out", str(tmp_path / "fit.json")]) == EXIT_VALIDATION
         assert f"{cfg}:2: unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("opt.restarts", "0", "opt.restarts"),
+        ("opt.maxiter", "-5", "opt.maxiter"),
+        ("model.jitter", "-1", "model.jitter"),
+        ("model.tau", "-1", "model.tau"),
+        ("model.coord_rank", "-1", "model.coord_rank"),
+        ("model.noise_lo", "1e-3", "model.noise_box"),
+        ("model.noise_lo", "0", "model.noise_box")])
+    def test_value_out_of_range_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                         key, value, field):
+        # these once exited 3 ("all restarts failed"), 0, or 2 with a numpy
+        # message that named no setting
+        curve = str(tmp_path / "c.csv")
+        assert main(["simulate", "--shape", "circle", "--n", "8",
+                     "--out", curve]) == EXIT_OK
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"opt.maxiter = 5\n{key} = {value}\n")
+        capsys.readouterr()
+        assert main(["fit", "--inputs", curve, "--config", str(cfg),
+                     "--out", str(tmp_path / "fit.json")]) == EXIT_VALIDATION
+        assert f"error: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
 
@@ -226,6 +250,25 @@ class TestFitPredictPipeline:
             assert "noise.jitter_mode 'nugget'" in capsys.readouterr().err
             assert not pred_path.exists()
 
+    def test_predict_ignores_the_saved_method(self, tmp_path):
+        # older fit files name the optimizer; the member describes how the
+        # fit was found, not the kernel, so it is ignored
+        curve_path = str(tmp_path / "c.csv")
+        assert main(["simulate", "--shape", "circle", "--n", "10",
+                     "--out", curve_path]) == EXIT_OK
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 1\nopt.maxiter = 10\n")
+        fit_path = str(tmp_path / "fit.json")
+        assert main(["fit", "--inputs", curve_path, "--config", str(cfg),
+                     "--out", fit_path]) == EXIT_OK
+        argv = ["predict", "--inputs", curve_path, "--fit", fit_path, "--m", "10",
+                "--out"]
+        assert main(argv + [str(tmp_path / "current.json")]) == EXIT_OK
+        save_json({**json.load(open(fit_path)), "method": "anneal"}, fit_path)
+        assert main(argv + [str(tmp_path / "older.json")]) == EXIT_OK
+        assert ((tmp_path / "older.json").read_bytes()
+                == (tmp_path / "current.json").read_bytes())
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_FITS))
     def test_predict_on_malformed_fit_exit_2(self, tmp_path, capsys, case):
         # each of these once escaped as a KeyError or TypeError traceback
@@ -259,7 +302,7 @@ class TestFitPredictPipeline:
                      "--out", fit_path]) == EXIT_OK
         data = json.load(open(fit_path))
         scores = data["restart_scores"]
-        assert data["method"] == "lbfgs"
+        assert "method" not in data  # L-BFGS-B is the only optimizer
         assert data["best_restart"] == int(np.argmax(scores))
         assert data["nugget"] in NUGGET_LADDER
         records = data["restarts"]

@@ -225,48 +225,6 @@ class TestFit:
         assert m1.kernel.input_kernel.rho == m2.kernel.input_kernel.rho
         assert m1.log_marginal_likelihood == m2.log_marginal_likelihood
 
-    def test_annealing_switch(self):
-        design, _ = circle_design(6)
-        model = fit(design, ModelConfig(),
-                    OptimizerConfig(method="anneal", seed=0, maxiter=100))
-        assert model.diagnostics["method"] == "anneal"
-        assert np.isfinite(model.log_marginal_likelihood)
-        (record,) = model.diagnostics["restarts"]
-        assert record["restart"] == 0 and record["nfev"] > 0
-        assert isinstance(record["message"], str)
-
-    @staticmethod
-    def fail_when_correlated(monkeypatch, threshold):
-        """Make the factorization fail wherever neighbouring points correlate
-        above the threshold, a band of large rho in the box."""
-        import curvegp.model as model
-        factor = model._chol_with_ladder
-
-        def flaky(blocks):
-            first = np.asarray(blocks)[0]
-            if first[0, 1] > threshold * first[0, 0]:
-                raise NumericalError("forced factorization failure")
-            return factor(blocks)
-
-        monkeypatch.setattr(model, "_chol_with_ladder", flaky)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in scipy
-    def test_annealing_skips_points_that_cannot_be_factored(self, monkeypatch):
-        self.fail_when_correlated(monkeypatch, 0.5)
-        design, _ = circle_design(6)
-        model = fit(design, ModelConfig(),
-                    OptimizerConfig(method="anneal", seed=0, maxiter=100))
-        assert np.isfinite(model.log_marginal_likelihood)
-        K = model.chol[0] @ model.chol[0].T
-        assert K[0, 1] <= 0.5 * K[0, 0]
-
-    def test_annealing_with_no_factorable_point_is_numerical(self, monkeypatch):
-        self.fail_when_correlated(monkeypatch, -np.inf)
-        design, _ = circle_design(6)
-        with pytest.raises(NumericalError, match="no point"):
-            fit(design, ModelConfig(),
-                OptimizerConfig(method="anneal", seed=0, maxiter=100))
-
     def test_each_restart_evaluates_only_inside_the_optimizer(self, monkeypatch):
         """No likelihood evaluation outside L-BFGS-B: per restart, the
         objective runs exactly as often as the optimizer reports."""
@@ -311,11 +269,6 @@ class TestFit:
         assert [r["restart"] for r in fitted.diagnostics["restarts"]] == [1]
         assert fitted.diagnostics["best_restart"] == 0
         assert np.isfinite(fitted.log_marginal_likelihood)
-
-    def test_unknown_method_rejected(self):
-        design, _ = circle_design(6)
-        with pytest.raises(ValidationError):
-            fit(design, ModelConfig(), OptimizerConfig(method="nelder"))
 
     def test_duplicated_curve_gets_positive_coupling(self):
         c = scale_to_unit_length(center(generate_synthetic("star", 12,
@@ -458,6 +411,14 @@ class TestPredict:
         for d in (2, -1):
             with pytest.raises(ValidationError):
                 predict(self.model, [0.1, 0.1], [0, d])
+
+    def test_rejects_curve_or_group_out_of_range_with_explicit_group(self):
+        # a one-curve, one-group model has no curve or group level, so the
+        # Gram never looks at j or g: both once returned a mean
+        with pytest.raises(ValidationError, match="curve index"):
+            predict(self.model, [0.1], [0], [5], [0])
+        with pytest.raises(ValidationError, match="group index"):
+            predict(self.model, [0.1], [0], [0], [3])
 
     def test_noise_monotonicity(self):
         variances = []
