@@ -14,7 +14,7 @@ from .curves import Curve, resample_equally_spaced, xy_to_arc_param
 from .errors import NumericalError, ValidationError
 from .metrics import iuea
 from .model import (FittedModel, ModelConfig, OptimizerConfig, TrainingDesign,
-                    _predict_mean, fit, predict_curve)
+                    _unit_means, fit, predict_curve)
 from .preprocess import apply_alignment, rotation_seed_align
 
 
@@ -82,11 +82,8 @@ def _score_subset(curves, indices, criterion, model_config, opt_config):
     total = 0.0
     for j, (c, sub) in enumerate(zip(curves, subs)):
         s_star = xy_to_arc_param(sub, c.points)
-        s_rows = np.repeat(s_star, 2)
-        d_rows = np.tile([0, 1], c.n)
-        j_rows = np.full(2 * c.n, j, dtype=int)
-        mean = _predict_mean(model, s_rows, d_rows, j_rows)
-        total += float(np.sum((mean.reshape(c.n, 2) - c.points) ** 2) / c.n)
+        mean = _unit_means(model, s_star, np.full(c.n, j), np.zeros(c.n, dtype=int))[0]
+        total += float(np.sum((mean - c.points) ** 2) / c.n)
     return total / len(curves)
 
 

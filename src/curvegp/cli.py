@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -141,7 +141,7 @@ def cmd_fit(args) -> int:
     values = load_config(args.config)
     model_config, opt_config = configs_from_values(values)
     if args.seed is not None:
-        opt_config.seed = args.seed
+        opt_config = replace(opt_config, seed=args.seed)
     curves = _load_curves(args.inputs)
     labels = args.labels.split(",") if args.labels else None
     design = TrainingDesign.from_curves(curves, labels)

@@ -26,9 +26,10 @@ XY_QUERY_BLOCK = 1 << 16
 class Curve:
     """Ordered planar sample points of a closed curve.
 
-    Points are validated on construction: consecutive duplicates are merged
-    (with a warning), an explicit closure row equal to the first point is
-    dropped, and at least 3 distinct points are required.
+    Points are validated on construction: every coordinate must be finite,
+    consecutive duplicates are merged (with a warning), an explicit closure
+    row equal to the first point is dropped, and at least 3 distinct points
+    are required.
     """
 
     points: np.ndarray
@@ -38,6 +39,9 @@ class Curve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise CurveError(f"expected an (n, 2) point array, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
+            raise CurveError(f"curve point {bad} is not finite: {pts[bad].tolist()}")
         if len(pts) > 1 and np.allclose(pts[-1], pts[0]):
             pts = pts[:-1]
         keep = np.ones(len(pts), dtype=bool)

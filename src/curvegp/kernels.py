@@ -65,19 +65,30 @@ def warped_distance(family: str, r, tau: float):
 
 def warped_correlation(family: str, w, rho: float, with_dlogrho: bool = False):
     """Kernel value for sigma2 = 1 at warped distance ``w``; with
-    ``with_dlogrho`` also its derivative in log rho, as (corr, dcorr)."""
-    if family == "periodic_rbf":
-        corr = np.exp(-w / rho)
-        return (corr, corr * w / rho) if with_dlogrho else corr
+    ``with_dlogrho`` also its derivative in log rho, as (corr, dcorr).
+
+    The arithmetic runs in place on the arrays made here, never on ``w``:
+    besides ``w``, two arrays of its size are alive at once, three for the
+    Matern-3/2 derivative."""
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown kernel family {family!r}")
+    a = np.empty(np.shape(w))  # w / rho, times sqrt(3) for Matern-3/2
     if family == "periodic_matern32":
-        a = np.sqrt(3.0) * w / rho
-        e = np.exp(-a)
-        return ((1.0 + a) * e, a ** 2 * e) if with_dlogrho else (1.0 + a) * e
-    if family == "periodic_matern12":
-        a = w / rho
-        e = np.exp(-a)
-        return (e, a * e) if with_dlogrho else e
-    raise ValidationError(f"unknown kernel family {family!r}")
+        np.multiply(w, np.sqrt(3.0), out=a)
+        a /= rho
+    else:
+        np.divide(w, rho, out=a)
+    e = np.empty_like(a)
+    np.exp(np.negative(a, out=e), out=e)
+    if family == "periodic_rbf":  # exp(-a) and exp(-a) w / rho
+        return (e, np.divide(np.multiply(e, w, out=a), rho, out=a)) if with_dlogrho else e
+    if family == "periodic_matern12":  # exp(-a) and a exp(-a)
+        return (e, np.multiply(a, e, out=a)) if with_dlogrho else e
+    # Matern-3/2: (1 + a) exp(-a) and a^2 exp(-a)
+    dcorr = np.square(a, out=np.empty_like(a)) if with_dlogrho else None
+    a += 1.0
+    a *= e
+    return (a, np.multiply(dcorr, e, out=dcorr)) if with_dlogrho else a
 
 
 def unit_correlation(family: str, r, rho: float, tau: float):

@@ -12,12 +12,12 @@ Q^T (closed form), rotating each point's two targets by Q splits K into
 two P x P blocks lam_e K_pts + noise I (Bonilla, Chai & Williams 2008;
 Saatci 2011). The same points and blocks serve the objective,
 `log_marginal_likelihood`, `assemble_model`, `predict` and
-`predict_curve`; query rows in coordinate pairs share one unit, and an
-unpaired query row is a unit of its own. `predict` forms its prior and
-posterior on the units too, block e as lam_e K_u - lam_e^2 V_e^T V_e, and
-writes each into the rows with the weights Q[d, e] Q[d', e]: for paired
-rows the prior and each block are a quarter of the size of the covariance
-it returns, and no temporary of the covariance's size is made.
+`predict_curve`. Queries are points as well: `predict` takes its rows in
+coordinate pairs, one pair per query point, forms its prior and posterior
+on the query points, block e as lam_e K_u - lam_e^2 V_e^T V_e, and writes
+each into the covariance with the weights Q[d, e] Q[d', e]. The prior and
+each block are a quarter of the size of the covariance it returns, and no
+temporary of the covariance's size is made.
 
 The gradient of -log p(y) is -tr(A dK)/2 with A = alpha alpha^T - K^-1
 (Rasmussen & Williams 2006, 5.4.1), contracted by level rather than formed
@@ -177,11 +177,13 @@ class ModelConfig:
         for name in ("coord_rank", "curve_rank", "group_rank"):
             _require(getattr(self, name) >= 0, f"model.{name}", ">= 0",
                      getattr(self, name))
-        _require(self.tau == "auto" or (not isinstance(self.tau, str) and self.tau > 0),
-                 "model.tau", '"auto" or > 0', self.tau)
-        _require(self.jitter >= 0, "model.jitter", ">= 0", self.jitter)
-        _require(0 < self.noise_box[0] <= self.noise_box[1], "model.noise_box",
-                 "(lo, hi) with 0 < lo <= hi", self.noise_box)
+        _require(self.tau == "auto"
+                 or (not isinstance(self.tau, str) and 0 < self.tau < math.inf),
+                 "model.tau", '"auto" or finite and > 0', self.tau)
+        _require(0 <= self.jitter < math.inf, "model.jitter", "finite and >= 0",
+                 self.jitter)
+        _require(0 < self.noise_box[0] <= self.noise_box[1] < math.inf,
+                 "model.noise_box", "(lo, hi) with 0 < lo <= hi < inf", self.noise_box)
 
 
 @dataclass
@@ -192,6 +194,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _require(self.restarts >= 1, "opt.restarts", ">= 1", self.restarts)
+        _require(self.seed >= 0, "opt.seed", ">= 0", self.seed)
         _require(self.maxiter >= 1, "opt.maxiter", ">= 1", self.maxiter)
 
 
@@ -246,25 +249,6 @@ class PredictedCurve:
     @property
     def cross(self) -> np.ndarray:
         return self.covariances[:, 0, 1]
-
-
-def _is_paired(s, d, j, g) -> bool:
-    """Query rows in (d=0, d=1) pairs that share s, curve and group."""
-    return bool(len(d) % 2 == 0 and not d[0::2].any() and (d[1::2] == 1).all()
-                and all((a[0::2] == a[1::2]).all() for a in (s, j, g)))
-
-
-def _units(s, d, j, g):
-    """The units a query Gram is formed on, for rows (s, d, j, g): returns
-    the units' (s, d, j, g) and the unit of each row. Units are at
-    coordinate 0, the coordinate level being split off: a pair of rows
-    (d = 0, 1) sharing s, curve and group is one unit, and any other row is
-    a unit of its own."""
-    n = len(d)
-    rows = np.arange(n)
-    if _is_paired(s, d, j, g):
-        return (s[0::2], np.zeros(n // 2, dtype=int), j[0::2], g[0::2]), rows // 2
-    return (s, np.zeros(n, dtype=int), j, g), rows
 
 
 def _coord_basis(B: np.ndarray):
@@ -631,20 +615,21 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     return assemble_model(design, kernel, noise, diagnostics)
 
 
-def _unit_means(model: FittedModel, units):
-    """(means, cross): the posterior means of both coordinates at the query
-    units (units x 2) and the units' cross Gram against the training
-    points."""
+def _unit_means(model: FittedModel, s, j, g):
+    """(means, cross): the posterior means of both coordinates at query
+    points (s, j, g), points x 2, and the points' cross Gram against the
+    training points."""
     dz = model.design
     cross = multilevel_gram(replace(model.kernel, coord=COORD_IDENTITY),
-                            model.noise, *units, s_b=dz.s,
-                            d_b=np.zeros(len(dz.s), dtype=int), j_b=dz.j, g_b=dz.g)
+                            model.noise, s, np.zeros(len(s), dtype=int), j, g,
+                            s_b=dz.s, d_b=np.zeros(len(dz.s), dtype=int), j_b=dz.j,
+                            g_b=dz.g)
     means = cross @ model.alpha.reshape(len(dz.s), 2) @ model.kernel.coord.matrix
     return means, cross
 
 
 def _whitened(model: FittedModel, cross):
-    """V_e = L_e^-1 k_e on the query units, one per block."""
+    """V_e = L_e^-1 k_e on the query points, one per block."""
     dtrtrs = _lapack().dtrtrs
     Vs = []
     for L in model.chol:
@@ -656,52 +641,43 @@ def _whitened(model: FittedModel, cross):
 
 
 def predict(model: FittedModel, s, d, j=None, g=None):
-    """Predictive mean and full covariance at query rows (s*, d, j, g).
-
-    Without ``g`` each row takes the group of its curve in the design. The
-    covariance of rows r, r' is sum_e Q[d_r, e] Q[d_r', e] M_e[u(r), u(r')]
-    with M_e = lam_e K_u - lam_e^2 V_e^T V_e on the query units u, written
-    into the output one block at a time."""
-    s, d, j, g = _query_rows(model, s, d, j, g)
-    units, unit = _units(s, d, j, g)
+    """Predictive mean and full covariance at query rows (s*, d, j, g) in
+    coordinate pairs: rows 2u and 2u + 1 are coordinates 0 and 1 of point
+    u, with one s, curve and group (anything else is a ValidationError).
+    Without ``g`` each point takes the group of its curve in the design.
+    The covariance's 2 x 2 block of points u, u' is sum_e q_e q_e^T
+    M_e[u, u'], q_e column e of Q and M_e = lam_e K_u - lam_e^2 V_e^T V_e
+    on the query points, written into the output one block at a time."""
+    s, j, g = _query_points(model, s, d, j, g)
+    n = len(s)
     K = multilevel_gram(replace(model.kernel, coord=COORD_IDENTITY), model.noise,
-                        *units)
-    means, cross = _unit_means(model, units)
+                        s, np.zeros(n, dtype=int), j, g)
+    means, cross = _unit_means(model, s, j, g)
     lam, Q = model.basis
-    n_units = len(K)
-    cov = np.empty((len(d),) * 2)
-    # paired: rows 2u and 2u + 1 are unit u's coordinates 0 and 1
-    pairs = cov.reshape(n_units, 2, n_units, 2) if n_units < len(d) else None
+    cov = np.empty((2 * n,) * 2)
+    pairs = cov.reshape(n, 2, n, 2)  # [u, a, u', b]: coordinate a of u, b of u'
     M = None
     for e, V in enumerate(_whitened(model, cross)):
         M = np.matmul(V.T, V, out=M)  # in the buffer of the block before
         M *= -lam[e]
         M += K
         M *= lam[e]
-        if pairs is not None:
-            pieces = [(pairs[:, a, :, b], Q[a, e] * Q[b, e])
-                      for a in (0, 1) for b in (0, 1)]
-        else:  # unpaired: row r is unit r
-            M *= Q[d, e][:, None]
-            M *= Q[d, e]
-            pieces = [(cov, 1.0)]
-        for out, c in pieces:
+        for a, b in np.ndindex(2, 2):
+            out, c = pairs[:, a, :, b], Q[a, e] * Q[b, e]
             if e == 0:
                 np.multiply(M, c, out=out)
             else:  # e = 1, the last block: K is spent and takes the product
                 out += np.multiply(M, c, out=K)
-    return means[unit, d], cov
+    return means.ravel(), cov
 
 
-def _query_rows(model: FittedModel, s, d, j, g):
-    """``predict``'s query rows as arrays, each row's group defaulting to
-    its curve's; coordinates other than 0 and 1, curves and groups outside
-    the design are rejected."""
+def _query_points(model: FittedModel, s, d, j, g):
+    """The query points (s, j, g) of ``predict``'s rows, each point's group
+    defaulting to its curve's. Curves and groups outside the design are
+    rejected, and so are rows that are not coordinate pairs."""
     dz = model.design
     s = np.atleast_1d(np.asarray(s, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=int))
-    if np.any((d < 0) | (d > 1)):
-        raise ValidationError("coordinate index out of range: d must be 0 or 1")
     j = np.zeros_like(d) if j is None else np.atleast_1d(np.asarray(j, dtype=int))
     if np.any((j < 0) | (j >= dz.n_curves)):
         raise ValidationError(f"curve index out of range for {dz.n_curves} curves")
@@ -710,14 +686,13 @@ def _query_rows(model: FittedModel, s, d, j, g):
     g = np.atleast_1d(np.asarray(g, dtype=int))
     if np.any((g < 0) | (g >= dz.n_groups)):
         raise ValidationError(f"group index out of range for {dz.n_groups} groups")
-    return s, d, j, g
-
-
-def _predict_mean(model: FittedModel, s, d, j=None, g=None) -> np.ndarray:
-    """``predict``'s means alone, without the prior or posterior covariance."""
-    s, d, j, g = _query_rows(model, s, d, j, g)
-    units, unit = _units(s, d, j, g)
-    return _unit_means(model, units)[0][unit, d]
+    n = len(d)
+    if (n % 2 or any(a.shape != (n,) for a in (s, d, j, g))
+            or d[0::2].any() or (d[1::2] != 1).any()
+            or any((a[0::2] != a[1::2]).any() for a in (s, j, g))):
+        raise ValidationError("query rows must be coordinate pairs: rows 2u, 2u + 1 "
+                              "are d = 0, 1 of one point, with one s, curve and group")
+    return s[0::2], j[0::2], g[0::2]
 
 
 def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> PredictedCurve:
@@ -738,11 +713,11 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
     grid = np.arange(m) * length / m
     j = np.full(m, curve_index, dtype=int)
     g = np.full(m, model.design.group_of_curve(curve_index), dtype=int)
-    means, cross = _unit_means(model, (grid, np.zeros(m, dtype=int), j, g))
+    means, cross = _unit_means(model, grid, j, g)
     covs = multilevel_gram(model.kernel, model.noise, grid[[0, 0]], [0, 1],
                            j[:2], g[:2])
     lam, Q = model.basis
-    for e, V in enumerate(_whitened(model, cross)):  # one unit per grid point
+    for e, V in enumerate(_whitened(model, cross)):  # a column per grid point
         w = lam[e] * Q[:, e]
         covs = covs - (np.einsum("km,km->m", V, V)[:, None, None] * np.outer(w, w))
     return PredictedCurve(grid=grid, means=means, covariances=covs)

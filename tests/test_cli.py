@@ -106,11 +106,16 @@ class TestConfigKeys:
         ("model.tau", "-1", "model.tau"),
         ("model.coord_rank", "-1", "model.coord_rank"),
         ("model.noise_lo", "1e-3", "model.noise_box"),
-        ("model.noise_lo", "0", "model.noise_box")])
+        ("model.noise_lo", "0", "model.noise_box"),
+        ("model.tau", "inf", "model.tau"),
+        ("model.jitter", "inf", "model.jitter"),
+        ("model.noise_hi", "inf", "model.noise_box"),
+        ("opt.seed", "-1", "opt.seed")])
     def test_value_out_of_range_exits_2_naming_the_field(self, tmp_path, capsys,
                                                          key, value, field):
-        # these once exited 3 ("all restarts failed"), 0, or 2 with a numpy
-        # message that named no setting
+        # these once exited 3 ("all restarts failed"), 0, 1 with a scipy
+        # traceback (model.tau = inf), or 2 with a numpy message that named
+        # no setting
         curve = str(tmp_path / "c.csv")
         assert main(["simulate", "--shape", "circle", "--n", "8",
                      "--out", curve]) == EXIT_OK
@@ -120,6 +125,17 @@ class TestConfigKeys:
         assert main(["fit", "--inputs", curve, "--config", str(cfg),
                      "--out", str(tmp_path / "fit.json")]) == EXIT_VALIDATION
         assert f"error: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_negative_seed_flag_exits_2_naming_the_field(self, tmp_path, capsys):
+        # --seed once set the field after its check, and numpy rejected it
+        curve = str(tmp_path / "c.csv")
+        assert main(["simulate", "--shape", "circle", "--n", "8",
+                     "--out", curve]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["fit", "--inputs", curve, "--seed", "-1",
+                     "--out", str(tmp_path / "fit.json")]) == EXIT_VALIDATION
+        assert "error: opt.seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
 
@@ -378,7 +394,7 @@ class TestFitPredictPipeline:
         assert code == EXIT_VALIDATION
 
     def test_fit_non_finite_coordinate_exit_2(self, tmp_path, capsys):
-        # the design rejects the nan before any arithmetic on it
+        # the curve rejects the nan as it is read, before any arithmetic on it
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n0,0\n1,0\n1,nan\n0,1\n")
         with warnings.catch_warnings():
@@ -386,7 +402,7 @@ class TestFitPredictPipeline:
             code = main(["fit", "--inputs", str(bad),
                          "--out", str(tmp_path / "f.json")])
         assert code == EXIT_VALIDATION
-        assert "non-finite design values" in capsys.readouterr().err
+        assert "curve point 2 is not finite" in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
 
     def test_missing_file_exit_4(self, tmp_path):
@@ -491,6 +507,38 @@ class TestLandmarksCommand:
         data = json.load(open(out))
         assert data["criterion_trace"] == {"4": data["score"]}
         assert data["score"] == min(trial["score"] for trial in data["trials"])
+
+
+class TestNonFiniteCurvePoint:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["plot", "landmarks", "preprocess",
+                                         "register", "metrics"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, value):
+        # plot --observed once wrote an SVG holding nan, landmarks exited 3
+        # ("every landmark trial failed to fit"), and preprocess, register
+        # and metrics exited 2 with a numpy message about the SVD or matrix
+        star = generate_synthetic("star", 8, petals=3, amplitude=0.15)
+        good, bad = str(tmp_path / "good.csv"), tmp_path / "bad.csv"
+        save_curve_csv(star, good)
+        lines = open(good).read().splitlines()
+        lines[4] = f"{value},0.5"  # the fourth point
+        bad.write_text("\n".join(lines) + "\n")
+        pred = tmp_path / "pred.json"
+        save_json({"grid": [0.0, 1.0, 2.0], "means": [[0, 0], [1, 0], [0, 1]],
+                   "covariances": [np.eye(2).tolist()] * 3}, str(pred))
+        out = tmp_path / "out"
+        argv = {"plot": ["--pred", str(pred), "--observed", str(bad),
+                         "--out", str(out / "p.svg")],
+                "landmarks": ["--inputs", str(bad), "--p", "4", "--n-trials", "2",
+                              "--out", str(out / "l.json")],
+                "preprocess": ["--inputs", good, str(bad), "--outdir", str(out)],
+                "register": ["--source", str(bad), "--target", good,
+                             "--out", str(out / "r.json")],
+                "metrics": ["--pair", good, str(bad), "--out", str(out / "m.json")]}
+        capsys.readouterr()
+        assert main([command, *argv[command]]) == EXIT_VALIDATION
+        assert "curve point 3 is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSvg:

@@ -50,6 +50,15 @@ class TestCurveValidation:
             c = Curve(pts)
         assert c.n == 4
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, value):
+        # a nan point once reached every command: plot drew it, the fits
+        # failed on it
+        pts = SQUARE.copy()
+        pts[2, 0] = value
+        with pytest.raises(CurveError, match="curve point 2 is not finite"):
+            Curve(pts)
+
     def test_points_immutable(self):
         c = Curve(SQUARE)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Periodic kernels: evaluation, bounds, Gram assembly, constraints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from curvegp.errors import ValidationError
 from curvegp.kernels import (DEFAULT_NOISE_BOX, FAMILIES, NoiseSpec,
                              PeriodicHyperparameters, gram, periodic_eval,
                              theorem1_bounds, unit_correlation,
-                             validate_constraints)
+                             validate_constraints, warped_correlation,
+                             warped_distance)
 
 positive = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 
@@ -17,6 +20,21 @@ positive = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 def dyadic(lo, hi):
     """Multiples of 2^-10 in [lo, hi]."""
     return st.integers(int(np.ceil(lo * 1024)), int(hi * 1024)).map(lambda k: k / 1024)
+
+
+def warped_correlation_oracle(family, w, rho, with_dlogrho=False):
+    """`warped_correlation` as one expression per family, each step a new
+    array: the form it had before it worked in place."""
+    if family == "periodic_rbf":
+        corr = np.exp(-w / rho)
+        return (corr, corr * w / rho) if with_dlogrho else corr
+    if family == "periodic_matern32":
+        a = np.sqrt(3.0) * w / rho
+        e = np.exp(-a)
+        return ((1.0 + a) * e, a ** 2 * e) if with_dlogrho else (1.0 + a) * e
+    a = w / rho
+    e = np.exp(-a)
+    return (e, a * e) if with_dlogrho else e
 
 
 def hyp_rbf(sigma2=1.0, rho=1.0, tau=1.0):
@@ -153,6 +171,48 @@ class TestGram:
         h = PeriodicHyperparameters(0.8, 0.2, 1.0, family=family)
         noise = NoiseSpec(jitter=1e-3)
         assert np.array_equal(gram(h, noise, s, s.copy()), gram(h, noise, s))
+
+
+class TestWarpedCorrelation:
+    @pytest.mark.parametrize("with_dlogrho", [False, True])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bit_identical_to_the_oracle_and_leaves_w(self, family, with_dlogrho):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            s = rng.uniform(0, 3, (2, rng.integers(1, 30)))
+            w = warped_distance(family, np.abs(np.subtract.outer(*s)),
+                                rng.uniform(0.5, 2.0))
+            w[0, 0] = 0.0
+            before = w.copy()
+            rho = rng.uniform(0.01, 1.0)
+            got = warped_correlation(family, w, rho, with_dlogrho)
+            want = warped_correlation_oracle(family, w, rho, with_dlogrho)
+            if not with_dlogrho:
+                got, want = (got,), (want,)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert np.array_equal(w, before)
+        # a scalar distance gives a scalar value
+        w = warped_distance(family, 0.3, 1.0)
+        value = warped_correlation(family, w, 0.2)
+        assert np.ndim(value) == 0
+        assert value == warped_correlation_oracle(family, w, 0.2)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gram_transient_memory(self, family):
+        # a chain of full-size temporaries once took the Matern Grams to 5x
+        # their output
+        s = np.random.default_rng(9).uniform(0, 1, 400)
+        h = PeriodicHyperparameters(0.7, 0.2, 1.0, family)
+        gram(h, NoiseSpec(), s[:4])
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            K = gram(h, NoiseSpec(), s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 4.5 * K.nbytes
 
 
 class TestValidateConstraints:

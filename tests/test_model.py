@@ -295,33 +295,34 @@ class TestPredict:
         assert np.max(np.diag(cov)) < 1e-4
 
     def test_means_alone_equal_predict_means(self):
-        # the landmark score takes the means without the covariance
-        from curvegp.model import _predict_mean
-        s = np.repeat([0.11, 0.52, 0.9, 0.3], 2)
-        d = np.tile([0, 1], 4)
+        # the landmark score takes the means at its points without the
+        # covariance
+        from curvegp.model import _unit_means
+        s = np.array([0.11, 0.52, 0.9, 0.3])
+        g = np.zeros(4, dtype=int)
         paired = assemble_model(paired_design(n_curves=2, n=6),
                                 self.model.kernel, self.noise)
-        for model, j in ((self.model, None), (paired, np.repeat([0, 1, 1, 0], 2))):
-            mean, _ = predict(model, s, d, j)
-            assert _predict_mean(model, s, d, j).tobytes() == mean.tobytes()
+        for model, j in ((self.model, g), (paired, np.array([0, 1, 1, 0]))):
+            mean, _ = predict(model, s.repeat(2), np.tile([0, 1], 4), j.repeat(2))
+            assert _unit_means(model, s, j, g)[0].ravel().tobytes() == mean.tobytes()
 
     def test_periodic_query_consistency(self):
-        m1, c1 = predict(self.model, [0.3], [0])
-        m2, c2 = predict(self.model, [1.3], [0])
-        assert m1[0] == pytest.approx(m2[0], abs=1e-10)
-        assert c1[0, 0] == pytest.approx(c2[0, 0], abs=1e-10)
+        m1, c1 = predict(self.model, [0.3, 0.3], [0, 1])
+        m2, c2 = predict(self.model, [1.3, 1.3], [0, 1])
+        assert m1 == pytest.approx(m2, abs=1e-10)
+        assert c1 == pytest.approx(c2, abs=1e-10)
 
     def test_matches_dense_oracle(self):
         x, y = rows(self.design)
         K = multilevel_gram(self.model.kernel, self.noise, *x)
         K = K + self.noise.noise_variance * np.eye(len(y))
-        sq = np.array([0.11, 0.52, 0.9])
-        dq = np.array([0, 1, 0])
+        sq = np.repeat([0.11, 0.52, 0.9], 2)
+        dq = np.tile([0, 1], 3)
         cross = multilevel_gram(self.model.kernel, self.noise, sq, dq,
-                                np.zeros(3, dtype=int), np.zeros(3, dtype=int),
+                                np.zeros(6, dtype=int), np.zeros(6, dtype=int),
                                 *x)
         Kqq = multilevel_gram(self.model.kernel, self.noise, sq, dq,
-                              np.zeros(3, dtype=int), np.zeros(3, dtype=int))
+                              np.zeros(6, dtype=int), np.zeros(6, dtype=int))
         Kinv = np.linalg.inv(K)
         mean_oracle = cross @ Kinv @ y
         cov_oracle = Kqq - cross @ Kinv @ cross.T
@@ -354,21 +355,15 @@ class TestPredict:
         x, y = rows(d)
         K = multilevel_gram(kernel, noise, *x) + 1e-5 * np.eye(len(y))
         Kinv = np.linalg.inv(K)
-        # paired rows of curve 1; unpaired rows over curves 0 and 2; pairs
-        # listed d = 1 first (unpaired); paired rows alternating between
-        # curves 0 and 2, and between curves 1 and 2 (two groups); one row
-        queries = [(np.repeat([0.05, 0.4, 0.77], 2), np.tile([0, 1], 3),
-                    np.full(6, 1)),
-                   (np.array([0.3, 0.1, 0.3, 0.9]), np.array([1, 0, 0, 1]),
-                    np.array([0, 2, 0, 2])),
-                   (np.repeat([0.2, 0.6, 0.85], 2), np.tile([1, 0], 3),
-                    np.repeat([0, 1, 2], 2)),
-                   (np.repeat([0.15, 0.5, 0.7, 0.95], 2), np.tile([0, 1], 4),
-                    np.repeat([0, 2, 0, 2], 2)),
-                   (np.repeat([0.25, 0.55, 0.8], 2), np.tile([0, 1], 3),
-                    np.repeat([1, 2, 1], 2)),
-                   (np.array([0.45]), np.array([1]), np.array([2]))]
-        for sq, dq, jq in queries:
+        # points of curve 1; points over curves 0 and 2; one point of each
+        # curve; points alternating between curves 0 and 2, and between
+        # curves 1 and 2 (two groups); one point
+        queries = [([0.05, 0.4, 0.77], [1, 1, 1]), ([0.3, 0.1, 0.9], [0, 2, 2]),
+                   ([0.2, 0.6, 0.85], [0, 1, 2]),
+                   ([0.15, 0.5, 0.7, 0.95], [0, 2, 0, 2]),
+                   ([0.25, 0.55, 0.8], [1, 2, 1]), ([0.45], [2])]
+        for s, j in queries:
+            sq, dq, jq = np.repeat(s, 2), np.tile([0, 1], len(s)), np.repeat(j, 2)
             gq = np.array([d.group_of_curve(c) for c in jq])
             cross = multilevel_gram(kernel, noise, sq, dq, jq, gq, *x)
             Kqq = multilevel_gram(kernel, noise, sq, dq, jq, gq)
@@ -391,8 +386,8 @@ class TestPredict:
             assert np.max(np.abs(pred.covariances - blocks)) <= 1e-9
 
     def test_paired_covariance_transient_memory(self):
-        # the covariance is formed on the units and written into the output
-        # block by block: no temporary of the output's size
+        # the covariance is formed on the query points and written into the
+        # output block by block: no temporary of the output's size
         model = self.levels_model(DEFAULT_JITTER)
         m = 200
         s, d, j = np.repeat(np.arange(m) / m, 2), np.tile([0, 1], m), np.full(2 * m, 1)
@@ -407,10 +402,22 @@ class TestPredict:
         assert cov.shape == (2 * m, 2 * m)
         assert peak - held < 2.0 * cov.nbytes
 
-    def test_rejects_coordinate_out_of_range(self):
-        for d in (2, -1):
-            with pytest.raises(ValidationError):
-                predict(self.model, [0.1, 0.1], [0, d])
+    @pytest.mark.parametrize("s, d, j, g", [
+        ([0.1, 0.1, 0.2], [0, 1, 0], None, None),  # an odd row count
+        ([0.1, 0.1], [1, 0], None, None),  # a pair listed d = 1 first
+        ([0.1, 0.2], [0, 1], None, None),  # s differs within the pair
+        ([0.1, 0.1], [0, 1], [0, 2], None),  # the curve differs
+        ([0.1, 0.1], [0, 1], [0, 0], [0, 1]),  # the group differs
+        ([0.1, 0.1], [0, 2], None, None),  # d outside {0, 1}
+        ([0.1, 0.1], [0, -1], None, None),
+        ([0.1, 0.1, 0.1], [0, 1], None, None)],  # one s too many
+        ids=["odd", "d-1-first", "s-differs", "curve-differs", "group-differs",
+             "d-2", "d-minus-1", "s-longer"])
+    def test_rejects_rows_not_in_coordinate_pairs(self, s, d, j, g):
+        # rows 2u and 2u + 1 must be coordinates 0 and 1 of one point;
+        # the model has curves 0-2 in groups 0, 1, 0
+        with pytest.raises(ValidationError):
+            predict(self.levels_model(DEFAULT_JITTER), s, d, j, g)
 
     def test_rejects_curve_or_group_out_of_range_with_explicit_group(self):
         # a one-curve, one-group model has no curve or group level, so the
@@ -425,19 +432,19 @@ class TestPredict:
         for nv in [1e-6, 1e-5, 1e-4]:
             noise = NoiseSpec(noise_variance=nv, jitter=1e-3)
             m = assemble_model(self.design, self.model.kernel, noise)
-            _, cov = predict(m, [0.37], [0])
-            variances.append(cov[0, 0])
-        assert variances[0] <= variances[1] + 1e-12
-        assert variances[1] <= variances[2] + 1e-12
+            _, cov = predict(m, [0.37, 0.37], [0, 1])
+            variances.append(cov.diagonal())
+        assert np.all(variances[0] <= variances[1] + 1e-12)
+        assert np.all(variances[1] <= variances[2] + 1e-12)
 
     def test_data_augmentation_contracts_variance(self):
         d = self.design
-        _, cov_full = predict(self.model, [0.41], [0])
+        _, cov_full = predict(self.model, [0.41, 0.41], [0, 1])
         sub = TrainingDesign(s=d.s[:-1], j=d.j[:-1], g=d.g[:-1], y=d.y[:-1],
                              lengths=d.lengths)
         m_sub = assemble_model(sub, self.model.kernel, self.noise)
-        _, cov_sub = predict(m_sub, [0.41], [0])
-        assert cov_full[0, 0] <= cov_sub[0, 0] + 1e-12
+        _, cov_sub = predict(m_sub, [0.41, 0.41], [0, 1])
+        assert np.all(cov_full.diagonal() <= cov_sub.diagonal() + 1e-12)
 
     def test_posterior_covariance_psd(self):
         grid = np.linspace(0, 0.9, 10)

@@ -190,8 +190,8 @@ def first_use_inputs() -> dict:
     noise = NoiseSpec(noise_variance=2e-5)
     return {"design": design, "kernel": kernel, "noise": noise, "theta": theta,
             "model": assemble_model(design, kernel, noise),
-            "s": np.linspace(0.0, 3.0, 7), "d": np.arange(7) % 2,
-            "j": np.arange(7) % 3}
+            "s": np.linspace(0.0, 3.0, 7).repeat(2), "d": np.tile([0, 1], 7),
+            "j": (np.arange(7) % 3).repeat(2)}
 
 
 def assert_identical(got, want, where="result"):

@@ -50,7 +50,7 @@ def test_tracer_hooks_the_library(tracing):
                       model_mod.OptimizerConfig(restarts=1, seed=0))
         obj = model_mod.MarginalLikelihoodObjective(design, model_mod.ModelConfig())
         obj.value(obj.default_start())
-        model_mod.predict(model, [0.1, 0.2], [0, 1], [1, 1])
+        model_mod.predict(model, [0.1, 0.1], [0, 1], [1, 1])
         model_mod.predict_curve(model, 1, 10)
         ellipse = generate_synthetic("ellipse", 20, axes=(1.0, 0.5))
         metrics_mod.elastic_register(ellipse, curves[0], grid_size=16)
