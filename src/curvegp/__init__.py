@@ -12,8 +12,8 @@ from .kernels import (NoiseSpec, PeriodicHyperparameters, gram, periodic_eval,
                       theorem1_bounds, validate_constraints)
 from .coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from .model import (FittedModel, ModelConfig, OptimizerConfig, PredictedCurve,
-                    TrainingDesign, assemble_model, fit,
-                    log_marginal_likelihood, predict, predict_curve)
+                    TrainingDesign, assemble_model, fit, predict,
+                    predict_curve)
 from .preprocess import (AlignmentResult, Srvf, apply_alignment, center,
                          preprocess_collection, rotation_seed_align,
                          scale_to_unit_length, srvf)
@@ -38,8 +38,7 @@ __all__ = [
     "CoregMatrix", "MultiLevelKernel", "multilevel_gram",
     # model
     "FittedModel", "ModelConfig", "OptimizerConfig", "PredictedCurve",
-    "TrainingDesign", "assemble_model", "fit", "log_marginal_likelihood",
-    "predict", "predict_curve",
+    "TrainingDesign", "assemble_model", "fit", "predict", "predict_curve",
     # preprocess
     "AlignmentResult", "Srvf", "apply_alignment", "center",
     "preprocess_collection", "rotation_seed_align", "scale_to_unit_length",

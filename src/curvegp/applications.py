@@ -58,6 +58,8 @@ class LandmarkConfig:
             raise ValidationError("need at least one search trial")
         if self.criterion not in ("imspe", "iuea"):
             raise ValidationError(f"unknown criterion {self.criterion!r}")
+        if self.rng_seed < 0:
+            raise ValidationError(f"landmark seed rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

@@ -15,14 +15,12 @@ import os
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from . import applications, metrics as metrics_mod, model as model_mod
 from .curves import Curve, generate_synthetic, resample_equally_spaced
 from .errors import ConfigError, NumericalError, ValidationError
 from .io import (atomic_write_text, fit_result_to_dict, kernel_from_dict,
-                 load_curve_csv, load_json, predicted_curve_to_dict,
-                 save_curve_csv, save_json)
+                 load_curve_csv, load_json, predicted_curve_from_dict,
+                 predicted_curve_to_dict, save_curve_csv, save_json)
 from .model import ModelConfig, OptimizerConfig, TrainingDesign
 from .preprocess import preprocess_collection
 from .svg import emit_svg
@@ -243,10 +241,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    data = load_json(args.pred)
-    pred = model_mod.PredictedCurve(grid=np.array(data["grid"]),
-                                    means=np.array(data["means"]),
-                                    covariances=np.array(data["covariances"]))
+    pred = predicted_curve_from_dict(load_json(args.pred))
     observed = load_curve_csv(args.observed) if args.observed else None
     truth = load_curve_csv(args.truth) if args.truth else None
     atomic_write_text(_out_path(args.out),

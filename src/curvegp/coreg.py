@@ -3,11 +3,16 @@
 Discrete levels (coordinate, curve, group) are coupled through low-rank-
 plus-diagonal PSD matrices B = W W^T + diag(kappa). The full kernel is the
 product of the periodic input kernel with one factor per active level.
+Every Gram formed here is a Gram of points: the input kernel times the
+curve and group factors. The coordinate level acts on each point's two
+coordinates and is applied by the model, through the eigenbasis of its
+2 x 2 matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -40,10 +45,6 @@ class CoregMatrix:
         return self.w.shape[0]
 
     @property
-    def rank(self) -> int:
-        return self.w.shape[1]
-
-    @property
     def matrix(self) -> np.ndarray:
         return self.w @ self.w.T + np.diag(self.kappa)
 
@@ -73,57 +74,59 @@ class MultiLevelKernel:
             raise ValidationError("coordinate-level matrix must be 2x2")
 
 
-def _level_factor(coreg: CoregMatrix, a, b):
-    B = coreg.matrix
-    a = np.asarray(a, dtype=int)
-    b = np.asarray(b, dtype=int)
-    if np.any(a < 0) or np.any(a >= coreg.size) or np.any(b < 0) or np.any(b >= coreg.size):
-        raise ValidationError(f"level index out of range for size {coreg.size}")
-    return B[a, b]
-
-
-def _row_types(levels):
-    """Distinct tuples of level values among the rows of one design.
-
-    ``levels`` holds one index array per level. Each level's values are
-    ranked among its distinct values and the ranks are coded in mixed radix,
-    so the code is exact for any integers, out-of-range ones included.
-    Returns each level's value at every type and the type of every row.
-    """
-    code, ranked = 0, []
-    for idx in levels:
-        values, rank = np.unique(np.asarray(idx, dtype=int).reshape(-1),
-                                 return_inverse=True)
+def _point_types(levels, n: int):
+    """Distinct tuples of level values among n points, as (each level's
+    value at every type, the type of every point). ``levels`` holds (size,
+    one index per point) per level; a value outside 0 .. size - 1 raises.
+    Each level's values are ranked and the ranks coded in mixed radix, so
+    the code is exact for any integers. Without levels there is one type."""
+    code = np.zeros(n, dtype=int)
+    levels = [(size, np.asarray(idx, dtype=int)) for size, idx in levels]
+    for size, idx in levels:
+        if idx.shape != (n,):
+            raise ValidationError(f"one level index per point required ({n} points)")
+        values, rank = np.unique(idx, return_inverse=True)
+        if n and not 0 <= values[0] <= values[-1] < size:
+            raise ValidationError(f"level index out of range for size {size}")
         code = code * len(values) + rank
-        ranked.append((values, rank))
-    _, first, row_type = np.unique(code, return_index=True, return_inverse=True)
-    return [values[rank[first]] for values, rank in ranked], row_type
+    _, first, point_type = np.unique(code, return_index=True, return_inverse=True)
+    return [idx[first] for _, idx in levels], point_type
 
 
-def multilevel_gram(kernel: MultiLevelKernel, noise: NoiseSpec,
-                    s_a, d_a, j_a=None, g_a=None,
-                    s_b=None, d_b=None, j_b=None, g_b=None) -> np.ndarray:
-    """Cross-Gram between two row designs (or one design with itself).
+def level_product(matrices, types_a, types_b, out=None):
+    """(factors, product): each level's factor B[a, b] formed once on the
+    grid of point types of two sides (`_point_types` of each, one level per
+    matrix B), and their product spread to every pair of points, in ``out``
+    when given. The entries equal a product formed per pair of points bit
+    for bit."""
+    (values_a, point_a), (values_b, point_b) = types_a, types_b
+    factors = [B[a[:, None], b[None, :]]
+               for B, a, b in zip(matrices, values_a, values_b)]
+    grid = reduce(np.multiply, factors) if factors else np.ones((1, 1))
+    # columns first, so the large gather copies whole rows; the types always
+    # index the grid, and "clip" spares the copy of out that "raise" makes
+    return factors, np.take(grid.take(point_b, axis=1), point_a, axis=0, out=out,
+                            mode="clip")
 
-    The input kernel is evaluated at every pair of rows (`gram`), and the
-    level factors once per pair of distinct level tuples (row types) and
-    gathered to the rows; the entries equal a direct evaluation bit for
-    bit. The constant jitter from ``noise`` is added to
-    every entry of the input kernel, so it is modulated by the same coreg
+
+def multilevel_gram(kernel: MultiLevelKernel, noise: NoiseSpec, s_a, j_a=None,
+                    g_a=None, *, s_b=None, j_b=None, g_b=None) -> np.ndarray:
+    """Gram between two sets of points (s, j, g), or of one set with
+    itself: the input kernel at every pair of points (`gram`) times the
+    curve and group factors the kernel carries (`level_product`). The
+    coordinate level enters through the eigenbasis of its 2 x 2 matrix
+    (`model._coord_basis`), not here. The constant jitter from ``noise`` is
+    on every entry of the input kernel, so it is modulated by the same
     factors and vanishes across independent levels. Observation noise is
-    not included.
-    """
+    not included."""
     K = gram(kernel.input_kernel, noise, s_a, s_b)
     if s_b is None:
-        d_b, j_b, g_b = d_a, j_a, g_a
+        j_b, g_b = j_a, g_a
     carried = [(coreg, a, b) for coreg, a, b in
-               ((kernel.coord, d_a, d_b), (kernel.curve, j_a, j_b),
-                (kernel.group, g_a, g_b)) if coreg is not None]
-    types_a, row_a = _row_types([a for _, a, _ in carried])
-    types_b, row_b = ((types_a, row_a) if s_b is None
-                      else _row_types([b for _, _, b in carried]))
-    B = 1.0
-    for (coreg, _, _), a, b in zip(carried, types_a, types_b):
-        B = B * _level_factor(coreg, a[:, None], b[None, :])
-    K *= B.take(row_a, axis=0).take(row_b, axis=1)
+               ((kernel.curve, j_a, j_b), (kernel.group, g_a, g_b))
+               if coreg is not None]
+    types_a = _point_types([(c.size, a) for c, a, _ in carried], K.shape[0])
+    types_b = (types_a if s_b is None
+               else _point_types([(c.size, b) for c, _, b in carried], K.shape[1]))
+    K *= level_product([c.matrix for c, _, _ in carried], types_a, types_b)[1]
     return K

@@ -1,4 +1,4 @@
-"""Serialization: curve CSV files and fit-result JSON.
+"""Serialization: curve CSV files, fit-result JSON and prediction JSON.
 
 All writes are atomic (write to a temp file in the target directory, then
 rename). Numbers are serialized in shortest round-trip decimal form, so a
@@ -17,6 +17,7 @@ from .coreg import CoregMatrix, MultiLevelKernel
 from .curves import Curve
 from .errors import ValidationError
 from .kernels import NoiseSpec, PeriodicHyperparameters
+from .model import PredictedCurve
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -108,14 +109,14 @@ def fit_result_to_dict(model) -> dict:
     }
 
 
-def _entry(data: dict, path: str):
-    """The value at a dotted key path of a fit-result dictionary; a missing
-    key is a ValidationError that names it."""
+def _entry(data: dict, path: str, what: str = "fit file"):
+    """The value at a dotted key path of a dictionary read from a ``what``;
+    a missing key is a ValidationError that names it."""
     keys = path.split(".")
     value = data
     for depth, key in enumerate(keys, start=1):
         if not isinstance(value, dict) or key not in value:
-            raise ValidationError(f"fit file has no {'.'.join(keys[:depth])}")
+            raise ValidationError(f"{what} has no {'.'.join(keys[:depth])}")
         value = value[key]
     return value
 
@@ -128,12 +129,13 @@ def _number(data: dict, path: str):
     return value
 
 
-def _numbers(data: dict, path: str) -> np.ndarray:
+def _numbers(data: dict, path: str, what: str = "fit file") -> np.ndarray:
     """`_entry` as a float array; entries that are not numbers are rejected."""
+    value = _entry(data, path, what)
     try:
-        return np.array(_entry(data, path), dtype=float)
+        return np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"fit file: {path} must hold numbers ({exc})") from exc
+        raise ValidationError(f"{what}: {path} must hold numbers ({exc})") from exc
 
 
 def kernel_from_dict(data: dict):
@@ -175,3 +177,20 @@ def kernel_from_dict(data: dict):
 def predicted_curve_to_dict(pred) -> dict:
     return {"grid": pred.grid.tolist(), "means": pred.means.tolist(),
             "covariances": pred.covariances.tolist()}
+
+
+def predicted_curve_from_dict(data) -> PredictedCurve:
+    """Rebuild a PredictedCurve from `predicted_curve_to_dict`'s dictionary.
+    ``grid``, ``means`` and ``covariances`` must hold finite numbers of
+    shapes (m,), (m, 2) and (m, 2, 2), m >= 1; anything else raises
+    ValidationError naming the key."""
+    arrays = {key: _numbers(data, key, "prediction file")
+              for key in ("grid", "means", "covariances")}
+    m = max(arrays["grid"].size, 1)
+    for (key, value), shape in zip(arrays.items(), ((m,), (m, 2), (m, 2, 2))):
+        if value.shape != shape:
+            raise ValidationError(f"prediction file: {key} has shape {value.shape}, "
+                                  f"expected {shape}")
+        if not np.isfinite(value).all():
+            raise ValidationError(f"prediction file: {key} holds non-finite values")
+    return PredictedCurve(**arrays)

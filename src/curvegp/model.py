@@ -11,13 +11,13 @@ points carrying the curve and group factors. With B_coord = Q diag(lam)
 Q^T (closed form), rotating each point's two targets by Q splits K into
 two P x P blocks lam_e K_pts + noise I (Bonilla, Chai & Williams 2008;
 Saatci 2011). The same points and blocks serve the objective,
-`log_marginal_likelihood`, `assemble_model`, `predict` and
-`predict_curve`. Queries are points as well: `predict` takes its rows in
-coordinate pairs, one pair per query point, forms its prior and posterior
-on the query points, block e as lam_e K_u - lam_e^2 V_e^T V_e, and writes
-each into the covariance with the weights Q[d, e] Q[d', e]. The prior and
-each block are a quarter of the size of the covariance it returns, and no
-temporary of the covariance's size is made.
+`assemble_model`, `predict` and `predict_curve`. Queries are points as
+well: `predict` takes its rows in coordinate pairs, one pair per query
+point, forms its prior and posterior on the query points, block e as
+lam_e K_u - lam_e^2 V_e^T V_e, and writes each into the covariance with
+the weights Q[d, e] Q[d', e]; `predict_curve` forms only the diagonal of
+each block. The prior and each block are a quarter of the size of the
+covariance it returns, and no temporary of the covariance's size is made.
 
 The gradient of -log p(y) is -tr(A dK)/2 with A = alpha alpha^T - K^-1
 (Rasmussen & Williams 2006, 5.4.1), contracted by level rather than formed
@@ -32,7 +32,9 @@ Mt[e, f] = alpha_e^T K_pts alpha_f - [e = f] <K_e^-1, K_pts>. log sigma2
 and log rho take one inner product of A_p with a dense matrix each, and log
 noise takes -noise sum_e tr(A_e) / 2. alpha_e and K_e^-1 come from the
 Cholesky factors (LAPACK dpotrs, dpotri); one nugget ladder serves every
-block. Outside the objective, Grams come from `multilevel_gram`.
+block. Every Gram is a Gram of points: `level_product` forms its level
+factors on the grid of point types and spreads their product to the
+points, for the objective and for `multilevel_gram` alike.
 
 SciPy is imported only where it is used, so `import curvegp.model` loads
 numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs, dtrtrs) come
@@ -44,12 +46,13 @@ by the module's `minimize` (L-BFGS-B) on its first call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, reduce
 
 import numpy as np
 
-from .coreg import CoregMatrix, MultiLevelKernel, _row_types, multilevel_gram
+from .coreg import (CoregMatrix, MultiLevelKernel, _point_types, level_product,
+                    multilevel_gram)
 from .errors import NumericalError, ValidationError
 from .kernels import (DEFAULT_JITTER, DEFAULT_NOISE_BOX, NoiseSpec,
                       PeriodicHyperparameters, validate_constraints,
@@ -66,8 +69,6 @@ W_BOUND = 10.0
 KAPPA_BOX = (1e-8, 10.0)
 
 LOG2PI = np.log(2.0 * np.pi)
-
-COORD_IDENTITY = CoregMatrix.identity(2)
 
 
 @dataclass
@@ -346,16 +347,15 @@ class MarginalLikelihoodObjective:
             pos += size * rank + size
         self.n_params = pos
         # the levels the point Gram carries: all but the coordinate level.
-        # Points are grouped into T types, one per tuple of those levels'
-        # values; one-hot S maps points to types, E per level types to values
+        # Points fall into T types, one per tuple of those levels' values;
+        # one-hot S maps points to types, E per level types to values
         self.point_levels = list(range(1, len(self.levels)))
-        types, point_type = _row_types([self.levels[i][1] for i in self.point_levels])
-        # without point levels every point is of the one type (a 0-d array)
-        point_type = np.broadcast_to(point_type, (self.n_points,))
-        n_types = point_type.max() + 1
-        self.type_onehot = (point_type[:, None] == np.arange(n_types)).astype(float)
-        self.level_onehot = [(values[:, None] == np.arange(self.levels[i][2])).astype(float)
-                             for i, values in zip(self.point_levels, types)]
+        self.types = _point_types([(size, idx) for _, idx, size, _, _ in self.levels[1:]],
+                                  self.n_points)
+        values, point_type = self.types
+        self.type_onehot = np.eye(point_type.max() + 1)[point_type]
+        self.level_onehot = [np.eye(self.levels[i][2])[v]
+                             for i, v in zip(self.point_levels, values)]
         self._factors = []
         self._wk = {}
         self._buffers = {}
@@ -435,25 +435,20 @@ class MarginalLikelihoodObjective:
         """The point Gram K (without noise) and the three dense points x
         points matrices its gradient is contracted against: dK/dlog(sigma2),
         dK/dlog(rho) and the jittered input Gram K0, whatever the levels.
-        Each point level's factor E B E^T is formed on the T x T grid of
-        point types and kept for `value_and_grad`, as is the basis of the
-        coordinate factor; their product is spread to the points once. K
-        and K0 are work arrays of this objective, overwritten by its next
-        call. Assembled here rather than by `multilevel_gram` to reuse the
-        warped distances and work arrays."""
+        The input kernel comes from the warped distances cached at
+        construction, the point levels' factors and their product from
+        `level_product`. The factors on the T x T grid of point types are
+        kept for `value_and_grad`, as is the basis of the coordinate factor.
+        K and K0 are work arrays of this objective, overwritten by its next
+        call."""
         sigma2, rho = np.exp(theta[:2])
-        family = self.config.family
-        base, dcorr = warped_correlation(family, self.warp, rho, True)
+        base, dcorr = warped_correlation(self.config.family, self.warp, rho, True)
         base *= sigma2
         K0 = np.add(base, self.config.jitter, out=self._buffer("K0"))
-        # B[level_t, level_u] on the grid of types, exactly
-        self._factors = [E @ self._level_matrix(theta, i) @ E.T
-                         for i, E in zip(self.point_levels, self.level_onehot)]
+        self._factors, Bfull = level_product(
+            [self._level_matrix(theta, i) for i in self.point_levels],
+            self.types, self.types, out=self._buffer("K"))
         self._basis = _coord_basis(self._level_matrix(theta, 0))
-        S = self.type_onehot
-        product = (reduce(np.multiply, self._factors) if self._factors
-                   else np.ones((S.shape[1],) * 2))
-        Bfull = np.matmul(S @ product, S.T, out=self._buffer("K"))
         base *= Bfull
         dcorr *= sigma2
         dcorr *= Bfull
@@ -536,34 +531,20 @@ def _factor_and_nll(blocks, Y: np.ndarray):
     return factors, nugget, alphas, nll
 
 
-def _design_factor(design: TrainingDesign, kernel: MultiLevelKernel,
-                   noise: NoiseSpec):
-    """(basis, factors, nugget, alpha in row order, -log p(y)) of a design
-    under fixed hyperparameters. The point Gram is the Gram of the points
-    at coordinate 0 under an identity coordinate factor."""
-    K = multilevel_gram(replace(kernel, coord=COORD_IDENTITY), noise, design.s,
-                        np.zeros(len(design.s), dtype=int), design.j, design.g)
+def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
+                   noise: NoiseSpec, diagnostics: dict | None = None) -> FittedModel:
+    """Cache the training factorization for a kernel with fixed
+    hyperparameters: the two blocks of the point Gram in the eigenbasis of
+    the coordinate factor, alpha in point order, and log p(y)."""
+    K = multilevel_gram(kernel, noise, design.s, design.j, design.g)
     lam, Q = basis = _coord_basis(kernel.coord.matrix)
     factors, nugget, alphas, nll = _factor_and_nll(
         _blocks(K, lam, noise.noise_variance), Q.T @ design.y.T)
-    return basis, factors, nugget, (Q @ alphas).T.ravel(), nll
-
-
-def log_marginal_likelihood(design: TrainingDesign, kernel: MultiLevelKernel,
-                            noise: NoiseSpec) -> float:
-    """Log marginal likelihood of the design under fixed hyperparameters."""
-    return -_design_factor(design, kernel, noise)[4]
-
-
-def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
-                   noise: NoiseSpec, diagnostics: dict | None = None) -> FittedModel:
-    """Cache the training factorization for a kernel with fixed hyperparameters."""
-    basis, factors, nugget, alpha, nll = _design_factor(design, kernel, noise)
     diag = dict(diagnostics or {})
     diag.setdefault("nugget", nugget)
     return FittedModel(kernel=kernel, noise=noise, design=design, chol=factors,
-                       alpha=alpha, log_marginal_likelihood=-nll, diagnostics=diag,
-                       basis=basis)
+                       alpha=(Q @ alphas).T.ravel(), log_marginal_likelihood=-nll,
+                       diagnostics=diag, basis=basis)
 
 
 def minimize(*args, **kwargs):
@@ -620,10 +601,8 @@ def _unit_means(model: FittedModel, s, j, g):
     points (s, j, g), points x 2, and the points' cross Gram against the
     training points."""
     dz = model.design
-    cross = multilevel_gram(replace(model.kernel, coord=COORD_IDENTITY),
-                            model.noise, s, np.zeros(len(s), dtype=int), j, g,
-                            s_b=dz.s, d_b=np.zeros(len(dz.s), dtype=int), j_b=dz.j,
-                            g_b=dz.g)
+    cross = multilevel_gram(model.kernel, model.noise, s, j, g,
+                            s_b=dz.s, j_b=dz.j, g_b=dz.g)
     means = cross @ model.alpha.reshape(len(dz.s), 2) @ model.kernel.coord.matrix
     return means, cross
 
@@ -650,8 +629,7 @@ def predict(model: FittedModel, s, d, j=None, g=None):
     on the query points, written into the output one block at a time."""
     s, j, g = _query_points(model, s, d, j, g)
     n = len(s)
-    K = multilevel_gram(replace(model.kernel, coord=COORD_IDENTITY), model.noise,
-                        s, np.zeros(n, dtype=int), j, g)
+    K = multilevel_gram(model.kernel, model.noise, s, j, g)
     means, cross = _unit_means(model, s, j, g)
     lam, Q = model.basis
     cov = np.empty((2 * n,) * 2)
@@ -698,9 +676,9 @@ def _query_points(model: FittedModel, s, d, j, g):
 def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> PredictedCurve:
     """Dense predictive mean curve with per-point 2x2 covariance blocks.
 
-    Only the diagonal blocks of the posterior covariance are formed; the
-    kernel is stationary, so every grid point shares one 2x2 prior block.
-    Each block is the prior less sum_e lam_e^2 |V_e[:, i]|^2 q_e q_e^T, with
+    Only the diagonal blocks of `predict`'s covariance are formed: block i
+    is sum_e q_e q_e^T (lam_e k0 - lam_e^2 |V_e[:, i]|^2), with k0 the
+    point prior, the same at every grid point of a stationary kernel, and
     V_e = L_e^-1 k_e whitened once per grid point.
     """
     if m < 3:
@@ -714,10 +692,10 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
     j = np.full(m, curve_index, dtype=int)
     g = np.full(m, model.design.group_of_curve(curve_index), dtype=int)
     means, cross = _unit_means(model, grid, j, g)
-    covs = multilevel_gram(model.kernel, model.noise, grid[[0, 0]], [0, 1],
-                           j[:2], g[:2])
+    k0 = multilevel_gram(model.kernel, model.noise, grid[:1], j[:1], g[:1])[0, 0]
     lam, Q = model.basis
+    covs = np.zeros((m, 2, 2))
     for e, V in enumerate(_whitened(model, cross)):  # a column per grid point
-        w = lam[e] * Q[:, e]
-        covs = covs - (np.einsum("km,km->m", V, V)[:, None, None] * np.outer(w, w))
+        M = lam[e] * (k0 - lam[e] * np.einsum("km,km->m", V, V))  # diag of M_e
+        covs += M[:, None, None] * np.outer(Q[:, e], Q[:, e])
     return PredictedCurve(grid=grid, means=means, covariances=covs)

@@ -63,6 +63,11 @@ class TestLandmarkConfig:
         with pytest.raises(ValidationError):
             LandmarkConfig(criterion="mse")
 
+    def test_negative_seed_names_the_seed(self):
+        # numpy once rejected it with "expected non-negative integer"
+        with pytest.raises(ValidationError, match="seed"):
+            LandmarkConfig(rng_seed=-1)
+
 
 class TestSimultaneousLandmarks:
     def setup_method(self):

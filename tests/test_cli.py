@@ -508,6 +508,62 @@ class TestLandmarksCommand:
         assert data["criterion_trace"] == {"4": data["score"]}
         assert data["score"] == min(trial["score"] for trial in data["trials"])
 
+    def test_negative_seed_exits_2_naming_the_seed(self, tmp_path, capsys):
+        # numpy once rejected it with "expected non-negative integer"
+        curve = str(tmp_path / "s.csv")
+        save_curve_csv(generate_synthetic("star", 8), curve)
+        out = tmp_path / "landmarks.json"
+        capsys.readouterr()
+        assert main(["landmarks", "--inputs", curve, "--p", "4", "--n-trials", "2",
+                     "--seed", "-1", "--out", str(out)]) == EXIT_VALIDATION
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def valid_prediction() -> dict:
+    """A prediction file of three grid points."""
+    return {"grid": [0.0, 1.0, 2.0], "means": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            "covariances": [np.eye(2).tolist()] * 3}
+
+
+def _set(key, value):
+    """A change to a prediction dict that sets one key."""
+    return lambda data: {**data, key: value}
+
+
+MALFORMED_PREDICTIONS = {
+    # name: (change to a valid prediction dict, part of the message)
+    "nan-mean": (_set("means", [[0.0, 0.0], [float("nan"), 0.0], [0.0, 1.0]]),
+                 "means"),
+    "no-grid": (_without("grid"), "grid"),
+    "short-covariances": (_set("covariances", [np.eye(2).tolist()] * 2),
+                          "covariances"),
+    "inf-covariance": (_set("covariances", [[[float("inf"), 0.0], [0.0, 1.0]]]
+                            + [np.eye(2).tolist()] * 2), "covariances"),
+    "one-coordinate-means": (_set("means", [[0.0], [1.0], [0.0]]), "means"),
+    "string-grid": (_set("grid", ["a", "b", "c"]), "grid"),
+    "top-level-list": (lambda data: [data], "prediction file has no grid"),
+}
+
+
+class TestPlotCommand:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PREDICTIONS))
+    def test_malformed_prediction_exits_2_and_writes_no_svg(self, tmp_path, capsys,
+                                                             case):
+        # a nan mean once went into the SVG with exit 0, a file without grid
+        # exited 1 with a KeyError traceback, and short covariances exit 0
+        pred, svg = tmp_path / "pred.json", tmp_path / "out" / "p.svg"
+        argv = ["plot", "--pred", str(pred), "--out", str(svg)]
+        save_json(valid_prediction(), str(pred))
+        assert main(argv) == EXIT_OK
+        svg.unlink()
+        change, key = MALFORMED_PREDICTIONS[case]
+        save_json(change(valid_prediction()), str(pred))
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not svg.exists()
+
 
 class TestNonFiniteCurvePoint:
     @pytest.mark.parametrize("value", ["nan", "inf"])

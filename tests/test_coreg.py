@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvegp.coreg import (CoregMatrix, MultiLevelKernel, _level_factor,
-                           multilevel_gram)
+from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.errors import ValidationError
 from curvegp.kernels import (FAMILIES, NoiseSpec, PeriodicHyperparameters, gram,
-                             periodic_eval, unit_correlation)
+                             periodic_eval)
+from gram_oracle import full_grid_gram_oracle, full_grid_input_gram, level_factor
 
 
 HYP = PeriodicHyperparameters(1.2, 0.3, 1.0, family="periodic_rbf")
@@ -18,17 +18,17 @@ NO_JITTER = NoiseSpec(jitter=0.0)
 
 def multilevel_eval(kernel: MultiLevelKernel, a, b):
     """Kernel element between design rows a = (s, d, j, g) and b = (s', d',
-    j', g'), level by level: the test-only element-wise oracle of
-    `multilevel_gram`. Curve/group indices are ignored for levels the
+    j', g'), level by level: the test-only element-wise oracle of the
+    separable kernel. Curve/group indices are ignored for levels the
     kernel does not carry."""
     s_a, d_a, j_a, g_a = a
     s_b, d_b, j_b, g_b = b
     value = periodic_eval(kernel.input_kernel, s_a, s_b)
-    value = value * _level_factor(kernel.coord, d_a, d_b)
+    value = value * level_factor(kernel.coord, d_a, d_b)
     if kernel.curve is not None:
-        value = value * _level_factor(kernel.curve, j_a, j_b)
+        value = value * level_factor(kernel.curve, j_a, j_b)
     if kernel.group is not None:
-        value = value * _level_factor(kernel.group, g_a, g_b)
+        value = value * level_factor(kernel.group, g_a, g_b)
     return float(value)
 
 
@@ -109,33 +109,35 @@ class TestMultilevelGram:
         K = MultiLevelKernel(HYP, D, curve=C)
         n = 30
         s = rng.uniform(0, 1, n)
-        d = rng.integers(0, 2, n)
         j = rng.integers(0, 3, n)
-        G = multilevel_gram(K, NO_JITTER, s, d, j)
+        G = multilevel_gram(K, NO_JITTER, s, j)
         assert np.allclose(G, G.T)
         assert np.min(np.linalg.eigvalsh(G)) >= -1e-10
 
     def test_matches_elementwise_eval(self):
+        # a Gram of points: the curve factor, and no coordinate factor
+        # (coordinate 0 of an identity factor contributes 1)
         rng = np.random.default_rng(7)
-        D = CoregMatrix(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
-        K = MultiLevelKernel(HYP, D)
+        C = CoregMatrix(rng.normal(size=(3, 1)), rng.uniform(0.1, 1, 3))
+        K = MultiLevelKernel(HYP, CoregMatrix.identity(2), curve=C)
         s = rng.uniform(0, 1, 5)
-        d = rng.integers(0, 2, 5)
-        G = multilevel_gram(K, NO_JITTER, s, d)
+        j = rng.integers(0, 3, 5)
+        G = multilevel_gram(K, NO_JITTER, s, j)
         for a in range(5):
             for b in range(5):
                 assert G[a, b] == pytest.approx(
-                    multilevel_eval(K, (s[a], d[a], 0, 0), (s[b], d[b], 0, 0)),
+                    multilevel_eval(K, (s[a], 0, j[a], 0), (s[b], 0, j[b], 0)),
                     abs=1e-14)
 
     def test_constant_jitter_modulated_by_levels(self):
-        # jitter is part of the input kernel, so it vanishes where D = I
-        # couples independent coordinates
+        # jitter is part of the input kernel, so it vanishes where an
+        # identity curve factor couples independent curves
         noise = NoiseSpec(jitter=1e-3)
-        K = MultiLevelKernel(HYP, CoregMatrix.identity(2))
+        K = MultiLevelKernel(HYP, CoregMatrix.identity(2),
+                             curve=CoregMatrix.identity(2))
         s = np.array([0.2, 0.2])
-        d = np.array([0, 1])
-        G = multilevel_gram(K, noise, s, d)
+        j = np.array([0, 1])
+        G = multilevel_gram(K, noise, s, j)
         assert G[0, 1] == 0.0
         assert G[0, 0] == pytest.approx(HYP.sigma2 + 1e-3, abs=1e-14)
 
@@ -146,38 +148,10 @@ class TestMultilevelGram:
         Gmat = CoregMatrix(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
         K = MultiLevelKernel(HYP, CoregMatrix.identity(2), group=Gmat)
         s = rng.uniform(0, 1, 8)
-        d = rng.integers(0, 2, 8)
         g = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        G1 = multilevel_gram(K, NO_JITTER, s, d, g_a=g)
-        G2 = multilevel_gram(K, NO_JITTER, s, d, g_a=g.copy())
+        G1 = multilevel_gram(K, NO_JITTER, s, g_a=g)
+        G2 = multilevel_gram(K, NO_JITTER, s, g_a=g.copy())
         assert np.array_equal(G1, G2)
-
-
-def full_grid_input_gram(hyp, noise, s_a, s_b=None):
-    """The input kernel evaluated at every pair of rows, then jittered."""
-    s_a = np.asarray(s_a, dtype=float).reshape(-1)
-    s = s_a if s_b is None else np.asarray(s_b, dtype=float).reshape(-1)
-    r = np.abs(s_a[:, None] - s[None, :])
-    return hyp.sigma2 * unit_correlation(hyp.family, r, hyp.rho, hyp.tau) + noise.jitter
-
-
-def full_grid_gram_oracle(kernel, noise, s_a, d_a, j_a=None, g_a=None,
-                          s_b=None, d_b=None, j_b=None, g_b=None):
-    """The multi-level Gram with the input kernel evaluated at every pair of
-    rows and every level factor gathered per pair of rows: the test-only
-    reference for `multilevel_gram`, whose level factors are formed once per
-    pair of row types."""
-    K = full_grid_input_gram(kernel.input_kernel, noise, s_a, s_b)
-    if s_b is None:
-        d_b, j_b, g_b = d_a, j_a, g_a
-    B = 1.0
-    for coreg, a, b in ((kernel.coord, d_a, d_b), (kernel.curve, j_a, j_b),
-                        (kernel.group, g_a, g_b)):
-        if coreg is not None:
-            B = B * _level_factor(coreg, np.asarray(a, dtype=int)[:, None],
-                                  np.asarray(b, dtype=int)[None, :])
-    K *= B
-    return K
 
 
 def random_kernel(rng, family, n_curves, n_groups):
@@ -194,16 +168,17 @@ def random_kernel(rng, family, n_curves, n_groups):
 
 
 def repeated_design(rng, n_points, n_curves, n_groups):
-    """Rows (s, d, j, g) two per point, as `TrainingDesign` lays them out:
-    arc parameters from a coarse grid, so they repeat within and across
-    curves, and level tuples that repeat across points."""
-    s = np.repeat(rng.choice(np.arange(7) / 7, size=n_points), 2)
-    d = np.tile([0, 1], n_points)
-    j = np.repeat(rng.integers(0, max(n_curves, 1), n_points), 2)
-    g = np.repeat(rng.integers(0, max(n_groups, 1), n_points), 2)
-    return s, d, j, g
+    """Points (s, j, g) with arc parameters from a coarse grid, so they
+    repeat within and across curves, and level tuples that repeat across
+    points."""
+    s = rng.choice(np.arange(7) / 7, size=n_points)
+    j = rng.integers(0, max(n_curves, 1), n_points)
+    g = rng.integers(0, max(n_groups, 1), n_points)
+    return s, j, g
 
 
+# the levels each kernel carries: the coordinate level always, and the
+# curve and group levels of these sizes (0: absent)
 LEVELS = {"coord": (0, 0), "curve": (3, 0), "group": (0, 2), "curve+group": (3, 2)}
 
 
@@ -216,14 +191,16 @@ class TestDistinctInputGram:
         rng = np.random.default_rng(31)
         kernel = random_kernel(rng, family, n_curves, n_groups)
         noise = NoiseSpec(jitter=jitter)
-        a = repeated_design(rng, 25, n_curves, n_groups)
-        b = repeated_design(rng, 9, n_curves, n_groups)
+        a = repeated_design(rng, 50, n_curves, n_groups)
+        b = repeated_design(rng, 18, n_curves, n_groups)
         assert len(np.unique(a[0])) < len(a[0]) // 2
+        s, j, g = a
         assert np.array_equal(multilevel_gram(kernel, noise, *a),
-                              full_grid_gram_oracle(kernel, noise, *a))
-        cross = dict(zip(("s_b", "d_b", "j_b", "g_b"), b))
+                              full_grid_gram_oracle(kernel, noise, s, None, j, g))
+        cross = dict(zip(("s_b", "j_b", "g_b"), b))
         assert np.array_equal(multilevel_gram(kernel, noise, *a, **cross),
-                              full_grid_gram_oracle(kernel, noise, *a, **cross))
+                              full_grid_gram_oracle(kernel, noise, s, None, j, g,
+                                                    **cross))
         hyp = kernel.input_kernel
         for s_a, s_b in ((a[0], None), (a[0], b[0]), (b[0], a[0])):
             assert np.array_equal(gram(hyp, noise, s_a, s_b),
@@ -233,24 +210,21 @@ class TestDistinctInputGram:
         rng = np.random.default_rng(32)
         kernel = random_kernel(rng, "periodic_matern32", 3, 0)
         noise = NoiseSpec(jitter=1e-3)
-        s, d, j, g = repeated_design(rng, 12, 3, 0)
-        cross = multilevel_gram(kernel, noise, s, d, j, g,
-                                s_b=s.copy(), d_b=d, j_b=j, g_b=g)
+        s, j, g = repeated_design(rng, 24, 3, 0)
+        cross = multilevel_gram(kernel, noise, s, j, g, s_b=s.copy(), j_b=j, g_b=g)
         assert np.array_equal(cross, full_grid_gram_oracle(
-            kernel, noise, s, d, j, g, s_b=s.copy(), d_b=d, j_b=j, g_b=g))
-        assert np.array_equal(multilevel_gram(kernel, noise, s, d, j, g), cross)
+            kernel, noise, s, None, j, g, s_b=s.copy(), j_b=j, g_b=g))
+        assert np.array_equal(multilevel_gram(kernel, noise, s, j, g), cross)
 
     @pytest.mark.parametrize("bad", [
-        {"d_a": [0, 2]}, {"j_a": [0, 3]}, {"j_a": [-1, 0]}, {"g_a": [2, 0]},
-        {"d_b": [0, 1, 5]}, {"j_b": [0, 0, 3]}])
+        {"j_a": [0, 3]}, {"j_a": [-1, 0]}, {"g_a": [2, 0]}, {"j_b": [0, 0, 3]}])
     def test_level_index_out_of_range(self, bad):
         kernel = random_kernel(np.random.default_rng(33), "periodic_rbf", 3, 2)
-        rows = {"s_a": [0.1, 0.4], "d_a": [0, 1], "j_a": [2, 0], "g_a": [1, 0]}
-        cross = {"s_b": [0.2, 0.3, 0.9], "d_b": [1, 0, 1], "j_b": [0, 2, 1],
-                 "g_b": [0, 1, 1]}
-        rows.update((k, v) for k, v in bad.items() if k.endswith("_a"))
+        points = {"s_a": [0.1, 0.4], "j_a": [2, 0], "g_a": [1, 0]}
+        cross = {"s_b": [0.2, 0.3, 0.9], "j_b": [0, 2, 1], "g_b": [0, 1, 1]}
+        points.update((k, v) for k, v in bad.items() if k.endswith("_a"))
         cross.update((k, v) for k, v in bad.items() if k.endswith("_b"))
-        args = (rows["s_a"], rows["d_a"], rows["j_a"], rows["g_a"])
+        args = (points["s_a"], points["j_a"], points["g_a"])
         with pytest.raises(ValidationError, match="level index out of range"):
             multilevel_gram(kernel, NO_JITTER, *args, **cross)
         if not any(k.endswith("_b") for k in bad):
@@ -258,9 +232,24 @@ class TestDistinctInputGram:
                 multilevel_gram(kernel, NO_JITTER, *args)
 
     def test_out_of_range_index_that_a_raw_code_would_alias(self):
-        # with 3 curves, a raw mixed-radix code d * 3 + j maps (0, 3) onto
-        # the valid tuple (1, 0) of the row before it; the range check must
-        # still see j = 3
-        kernel = random_kernel(np.random.default_rng(34), "periodic_rbf", 3, 0)
+        # with 2 groups, a raw mixed-radix code j * 2 + g maps (0, 2) onto
+        # the valid tuple (1, 0) of the point before it; the range check
+        # must still see g = 2
+        kernel = random_kernel(np.random.default_rng(34), "periodic_rbf", 3, 2)
         with pytest.raises(ValidationError, match="level index out of range"):
-            multilevel_gram(kernel, NO_JITTER, [0.1, 0.5], [1, 0], [0, 3])
+            multilevel_gram(kernel, NO_JITTER, [0.1, 0.5], [1, 0], [0, 2])
+
+    def test_rows_with_a_coordinate_index_are_refused(self):
+        # the Gram takes points; a call in the former (s, d, j, g) row
+        # layout must not read the coordinates as curves
+        kernel = random_kernel(np.random.default_rng(35), "periodic_rbf", 3, 2)
+        s, d, j, g = [0.1, 0.1], [0, 1], [2, 2], [1, 1]
+        with pytest.raises(TypeError):
+            multilevel_gram(kernel, NO_JITTER, s, d, j, g)
+        with pytest.raises(TypeError):
+            multilevel_gram(kernel, NO_JITTER, s, d_a=d, j_a=j, g_a=g)
+
+    def test_one_index_per_point(self):
+        kernel = random_kernel(np.random.default_rng(36), "periodic_rbf", 3, 0)
+        with pytest.raises(ValidationError, match="one level index per point"):
+            multilevel_gram(kernel, NO_JITTER, [0.1, 0.5, 0.7], [1])

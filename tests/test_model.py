@@ -1,7 +1,7 @@
 """GP model: marginal likelihood, fitting, prediction."""
 
+import itertools
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +13,9 @@ from curvegp.errors import NumericalError, ValidationError
 from curvegp.kernels import DEFAULT_JITTER, NoiseSpec, PeriodicHyperparameters
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
-                           assemble_model, fit, log_marginal_likelihood, predict,
-                           predict_curve)
+                           assemble_model, fit, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
+from gram_oracle import full_grid_gram_oracle
 
 IDENTITY_2 = CoregMatrix.identity(2)
 
@@ -28,7 +28,8 @@ def single_point_design(y):
 
 def rows(design):
     """The design's 2P scalar rows (s, d, j, g), point by point, and their
-    targets: the layout of the dense oracles."""
+    targets: the layout of the dense oracles, whose Grams come from the
+    element-wise `full_grid_gram_oracle`."""
     n = len(design.s)
     return ((design.s.repeat(2), np.tile([0, 1], n), design.j.repeat(2),
              design.g.repeat(2)), design.y.ravel())
@@ -137,7 +138,8 @@ class TestLogMarginalLikelihood:
         kernel = MultiLevelKernel(hyp, IDENTITY_2)
         noise = NoiseSpec(noise_variance=1e-4, jitter=1e-3)
         # two independent coordinates, each N(0, 1)
-        value = log_marginal_likelihood(single_point_design(0.0), kernel, noise) / 2
+        model = assemble_model(single_point_design(0.0), kernel, noise)
+        value = model.log_marginal_likelihood / 2
         assert value == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-5)
         assert value == pytest.approx(-0.91894, abs=1e-4)
 
@@ -145,7 +147,8 @@ class TestLogMarginalLikelihood:
         hyp = PeriodicHyperparameters(0.9989, 0.3, 1.0)
         kernel = MultiLevelKernel(hyp, IDENTITY_2)
         noise = NoiseSpec(noise_variance=1e-4, jitter=1e-3)
-        value = log_marginal_likelihood(single_point_design(1.0), kernel, noise) / 2
+        model = assemble_model(single_point_design(1.0), kernel, noise)
+        value = model.log_marginal_likelihood / 2
         assert value == pytest.approx(-0.5 - 0.5 * np.log(2 * np.pi), abs=1e-4)
 
     def test_matches_dense_oracle(self):
@@ -157,9 +160,9 @@ class TestLogMarginalLikelihood:
         D = CoregMatrix(np.array([[0.6], [0.4]]), np.array([0.5, 0.5]))
         kernel = MultiLevelKernel(hyp, D)
         noise = NoiseSpec(noise_variance=1e-4, jitter=1e-3)
-        value = log_marginal_likelihood(design, kernel, noise)
+        value = assemble_model(design, kernel, noise).log_marginal_likelihood
         x, y = rows(design)
-        K = multilevel_gram(kernel, noise, *x) + 1e-4 * np.eye(4)
+        K = full_grid_gram_oracle(kernel, noise, *x) + 1e-4 * np.eye(4)
         oracle = (-0.5 * y @ np.linalg.inv(K) @ y
                   - 0.5 * np.log(np.linalg.det(K))
                   - 2.0 * np.log(2 * np.pi))
@@ -176,7 +179,7 @@ class TestLogMarginalLikelihood:
         model = assemble_model(design, kernel, noise)
         assert [L.shape for L in model.chol] == [(12, 12)] * 2
         x, y = rows(design)
-        K = multilevel_gram(kernel, noise, *x) + 1e-5 * np.eye(len(y))
+        K = full_grid_gram_oracle(kernel, noise, *x) + 1e-5 * np.eye(len(y))
         expected = cho_solve(cho_factor(K, lower=True), y)
         assert np.max(np.abs(model.alpha - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -199,7 +202,7 @@ class TestFit:
         hyp = PeriodicHyperparameters(1.0, rho_true, 1.0)
         kernel = MultiLevelKernel(hyp, IDENTITY_2)
         noise = NoiseSpec(noise_variance=1e-5, jitter=0.0)
-        K = multilevel_gram(kernel, noise, s, np.zeros(n, dtype=int)) + 1e-5 * np.eye(n)
+        K = multilevel_gram(kernel, noise, s) + 1e-5 * np.eye(n)
         # the two coordinates are independent draws from the same prior
         L = np.linalg.cholesky(K)
         y = np.column_stack([L @ rng.normal(size=n), L @ rng.normal(size=n)])
@@ -314,15 +317,15 @@ class TestPredict:
 
     def test_matches_dense_oracle(self):
         x, y = rows(self.design)
-        K = multilevel_gram(self.model.kernel, self.noise, *x)
+        K = full_grid_gram_oracle(self.model.kernel, self.noise, *x)
         K = K + self.noise.noise_variance * np.eye(len(y))
         sq = np.repeat([0.11, 0.52, 0.9], 2)
         dq = np.tile([0, 1], 3)
-        cross = multilevel_gram(self.model.kernel, self.noise, sq, dq,
-                                np.zeros(6, dtype=int), np.zeros(6, dtype=int),
-                                *x)
-        Kqq = multilevel_gram(self.model.kernel, self.noise, sq, dq,
-                              np.zeros(6, dtype=int), np.zeros(6, dtype=int))
+        cross = full_grid_gram_oracle(self.model.kernel, self.noise, sq, dq,
+                                      np.zeros(6, dtype=int), np.zeros(6, dtype=int),
+                                      *x)
+        Kqq = full_grid_gram_oracle(self.model.kernel, self.noise, sq, dq,
+                                    np.zeros(6, dtype=int), np.zeros(6, dtype=int))
         Kinv = np.linalg.inv(K)
         mean_oracle = cross @ Kinv @ y
         cov_oracle = Kqq - cross @ Kinv @ cross.T
@@ -331,15 +334,15 @@ class TestPredict:
         assert np.allclose(cov, cov_oracle, atol=1e-9)
 
     @staticmethod
-    def levels_model(jitter):
+    def levels_model(jitter, coupling=-0.3):
         """Three 9-point stars in groups a, b, a, with a full coordinate
-        factor and curve and group levels."""
+        factor (W = [0.6, coupling]) and curve and group levels."""
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(3)]
         design = TrainingDesign.from_curves(curves, labels=["a", "b", "a"])
         hyp = PeriodicHyperparameters(0.5, 0.2, float(np.mean(design.lengths)))
         kernel = MultiLevelKernel(
-            hyp, CoregMatrix(np.array([[0.6], [-0.3]]), np.array([0.4, 0.7])),
+            hyp, CoregMatrix(np.array([[0.6], [coupling]]), np.array([0.4, 0.7])),
             curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
             group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
         return assemble_model(design, kernel,
@@ -353,7 +356,7 @@ class TestPredict:
         d, kernel, noise = model.design, model.kernel, model.noise
         assert len(model.chol) == 2
         x, y = rows(d)
-        K = multilevel_gram(kernel, noise, *x) + 1e-5 * np.eye(len(y))
+        K = full_grid_gram_oracle(kernel, noise, *x) + 1e-5 * np.eye(len(y))
         Kinv = np.linalg.inv(K)
         # points of curve 1; points over curves 0 and 2; one point of each
         # curve; points alternating between curves 0 and 2, and between
@@ -365,8 +368,8 @@ class TestPredict:
         for s, j in queries:
             sq, dq, jq = np.repeat(s, 2), np.tile([0, 1], len(s)), np.repeat(j, 2)
             gq = np.array([d.group_of_curve(c) for c in jq])
-            cross = multilevel_gram(kernel, noise, sq, dq, jq, gq, *x)
-            Kqq = multilevel_gram(kernel, noise, sq, dq, jq, gq)
+            cross = full_grid_gram_oracle(kernel, noise, sq, dq, jq, gq, *x)
+            Kqq = full_grid_gram_oracle(kernel, noise, sq, dq, jq, gq)
             mean, cov = predict(model, sq, dq, jq, gq)
             assert np.max(np.abs(mean - cross @ Kinv @ y)) <= 1e-9
             assert np.max(np.abs(cov - (Kqq - cross @ Kinv @ cross.T))) <= 1e-9
@@ -377,8 +380,8 @@ class TestPredict:
             dq = np.tile([0, 1], m)
             jq = np.full(2 * m, curve)
             gq = np.full(2 * m, d.group_of_curve(curve))
-            cross = multilevel_gram(kernel, noise, sq, dq, jq, gq, *x)
-            Kqq = multilevel_gram(kernel, noise, sq, dq, jq, gq)
+            cross = full_grid_gram_oracle(kernel, noise, sq, dq, jq, gq, *x)
+            Kqq = full_grid_gram_oracle(kernel, noise, sq, dq, jq, gq)
             cov = Kqq - cross @ Kinv @ cross.T
             blocks = np.array([cov[2 * i:2 * i + 2, 2 * i:2 * i + 2]
                                for i in range(m)])
@@ -481,26 +484,21 @@ class TestPredictCurve:
 
     @pytest.mark.parametrize("jitter", [0.0, DEFAULT_JITTER])
     def test_blocks_match_full_covariance(self, jitter):
-        curves = [scale_to_unit_length(center(generate_synthetic(
-            "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(3)]
-        design = TrainingDesign.from_curves(curves, labels=["a", "b", "a"])
-        hyp = PeriodicHyperparameters(0.5, 0.2, float(np.mean(design.lengths)))
-        kernel = MultiLevelKernel(
-            hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
-            curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
-            group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
-        model = assemble_model(design, kernel,
-                               NoiseSpec(noise_variance=1e-5, jitter=jitter))
+        # coordinate, curve and group levels: predict_curve's means and 2x2
+        # blocks are predict's means and diagonal blocks, to 1e-12 relative
         m = 30
-        for curve in range(3):
+        for model, curve in itertools.product(
+                [TestPredict.levels_model(jitter, c) for c in (0.3, -0.3)], range(3)):
             pred = predict_curve(model, curve, m)
-            g = design.group_of_curve(curve)
+            g = model.design.group_of_curve(curve)
             mean, cov = predict(model, np.repeat(pred.grid, 2), np.tile([0, 1], m),
                                 np.full(2 * m, curve), np.full(2 * m, g))
-            blocks = np.array([cov[2 * i:2 * i + 2, 2 * i:2 * i + 2]
-                               for i in range(m)])
-            assert np.max(np.abs(pred.means - mean.reshape(m, 2))) <= 1e-12
-            assert np.max(np.abs(pred.covariances - blocks)) <= 1e-12
+            blocks = cov.reshape(m, 2, m, 2)[np.arange(m), :, np.arange(m), :]
+            # 1e-12 relative, and no looser than the 1e-12 absolute bound
+            for got, want in ((pred.means, mean.reshape(m, 2)),
+                              (pred.covariances, blocks)):
+                scale = min(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
     def test_rejects_small_grid(self):
         design, _ = circle_design(10)
@@ -689,13 +687,13 @@ class TestSharedGramBuilder:
             theta = obj.random_start(rng)
             K, grads = obj.gram_and_grads(theta)
             kernel, noise = obj.unpack(theta)
-            full = multilevel_gram(kernel, noise, *rows(design)[0])
+            full = full_grid_gram_oracle(kernel, noise, *rows(design)[0])
             # the point Gram is the Gram without the coordinate factor
-            expected = multilevel_gram(
-                replace(kernel, coord=IDENTITY_2), noise, design.s,
-                np.zeros(n, dtype=int), design.j, design.g)
+            expected = multilevel_gram(kernel, noise, design.s, design.j, design.g)
             assert K.shape == (n, n)
             assert np.array_equal(K, expected)
+            assert np.array_equal(K, full_grid_gram_oracle(
+                kernel, noise, design.s, None, design.j, design.g))
             assert (np.max(np.abs(np.kron(K, kernel.coord.matrix) - full))
                     <= 1e-15 * np.max(np.abs(full)))
             assert len(grads) == 3
@@ -744,8 +742,8 @@ class TestCoordinateSplit:
         assert abs(value - value_oracle) <= 1e-10 * abs(value_oracle)
         assert np.max(np.abs(grad - grad_oracle)) <= 1e-10 * np.max(np.abs(grad_oracle))
         kernel, noise = obj.unpack(theta)
-        assert log_marginal_likelihood(design, kernel, noise) == pytest.approx(
-            -value_oracle, rel=1e-10)
+        assert assemble_model(design, kernel, noise).log_marginal_likelihood == (
+            pytest.approx(-value_oracle, rel=1e-10))
 
     def test_near_singular_design_escalates_alike(self):
         # a very long length scale without jitter or noise: K is numerically
@@ -760,7 +758,7 @@ class TestCoordinateSplit:
         noise = NoiseSpec(noise_variance=0.0, jitter=0.0)
         model = assemble_model(design, kernel, noise)
         x, y = rows(design)
-        K = multilevel_gram(kernel, noise, *x)
+        K = full_grid_gram_oracle(kernel, noise, *x)
         for nugget in NUGGET_LADDER:
             try:
                 c = cho_factor(K + nugget * np.eye(len(y)), lower=True)

@@ -28,7 +28,7 @@ from curvegp.io import predicted_curve_to_dict, save_curve_csv, save_json
 from curvegp.kernels import NoiseSpec
 from curvegp.model import (MarginalLikelihoodObjective, ModelConfig,
                            OptimizerConfig, TrainingDesign, assemble_model, fit,
-                           log_marginal_likelihood, predict, predict_curve)
+                           predict, predict_curve)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 OPTIMIZER = ("scipy.optimize", "scipy.sparse", "scipy.special", "scipy.fft",
@@ -155,8 +155,6 @@ def test_fit_goes_through_the_module_minimize(monkeypatch):
 # suite, which has factored long before, passes.
 FIRST_USE = {
     "assemble_model": lambda x: assemble_model(x["design"], x["kernel"], x["noise"]),
-    "log_marginal_likelihood": lambda x: log_marginal_likelihood(
-        x["design"], x["kernel"], x["noise"]),
     "value_and_grad": lambda x: MarginalLikelihoodObjective(
         x["design"], ModelConfig()).value_and_grad(x["theta"]),
     "value": lambda x: MarginalLikelihoodObjective(
