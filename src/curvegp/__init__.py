@@ -9,7 +9,7 @@ means, landmark selection, sub-population fits).
 from .curves import (Curve, arc_to_xy_param, generate_synthetic,
                      polygon_length, resample_equally_spaced, xy_to_arc_param)
 from .kernels import (NoiseSpec, PeriodicHyperparameters, gram, periodic_eval,
-                      theorem1_bounds, validate_constraints)
+                      theorem1_bounds)
 from .coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from .model import (FittedModel, ModelConfig, OptimizerConfig, PredictedCurve,
                     TrainingDesign, assemble_model, fit, predict,
@@ -33,7 +33,7 @@ __all__ = [
     "resample_equally_spaced", "xy_to_arc_param",
     # kernels
     "NoiseSpec", "PeriodicHyperparameters", "gram", "periodic_eval",
-    "theorem1_bounds", "validate_constraints",
+    "theorem1_bounds",
     # coreg
     "CoregMatrix", "MultiLevelKernel", "multilevel_gram",
     # model

@@ -34,20 +34,14 @@ OUTPUT_DIR_ENV = "CURVEGP_OUTPUT_DIR"
 
 
 def _config_fields():
-    """(config class, field name, {key: default}) of every field of
-    ModelConfig and OptimizerConfig. A (lo, hi) box such as ``noise_box`` is
-    set through two keys, ``model.noise_lo`` and ``model.noise_hi``."""
+    """(config class, field name, key, default) of every field of
+    ModelConfig and OptimizerConfig."""
     for section, cls in (("model", ModelConfig), ("opt", OptimizerConfig)):
         for f in fields(cls):
-            if isinstance(f.default, tuple):
-                stem = f"{section}.{f.name.removesuffix('_box')}"
-                yield cls, f.name, dict(zip((stem + "_lo", stem + "_hi"), f.default))
-            else:
-                yield cls, f.name, {f"{section}.{f.name}": f.default}
+            yield cls, f.name, f"{section}.{f.name}", f.default
 
 
-CONFIG_DEFAULTS = {key: value for _, _, keys in _config_fields()
-                   for key, value in keys.items()}
+CONFIG_DEFAULTS = {key: default for _, _, key, default in _config_fields()}
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict:
@@ -74,8 +68,6 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
                 values[key] = int(value)
             elif isinstance(default, float):
                 values[key] = float(value)
-            elif key == "model.tau":
-                values[key] = value if value == "auto" else float(value)
             else:
                 values[key] = value
         except ValueError as exc:
@@ -93,9 +85,8 @@ def load_config(path: str | None) -> dict:
 def configs_from_values(values: dict):
     """(ModelConfig, OptimizerConfig) from a full table of config values."""
     kwargs = {ModelConfig: {}, OptimizerConfig: {}}
-    for cls, name, keys in _config_fields():
-        setting = tuple(values[key] for key in keys)
-        kwargs[cls][name] = setting if len(setting) == 2 else setting[0]
+    for cls, name, key, _ in _config_fields():
+        kwargs[cls][name] = values[key]
     return ModelConfig(**kwargs[ModelConfig]), OptimizerConfig(**kwargs[OptimizerConfig])
 
 

@@ -109,8 +109,8 @@ def level_product(matrices, types_a, types_b, out=None):
                             mode="clip")
 
 
-def multilevel_gram(kernel: MultiLevelKernel, noise: NoiseSpec, s_a, j_a=None,
-                    g_a=None, *, s_b=None, j_b=None, g_b=None) -> np.ndarray:
+def multilevel_gram(kernel: MultiLevelKernel, noise: NoiseSpec, s_a, *, j_a=None,
+                    g_a=None, s_b=None, j_b=None, g_b=None) -> np.ndarray:
     """Gram between two sets of points (s, j, g), or of one set with
     itself: the input kernel at every pair of points (`gram`) times the
     curve and group factors the kernel carries (`level_product`). The

@@ -10,11 +10,12 @@ class DegenerateCurveError(CurveError):
 
 
 class ValidationError(ValueError):
-    """A configuration or constraint check failed."""
+    """Invalid input: a curve, design, fit file or configuration value."""
 
 
 class ConfigError(ValidationError):
-    """Malformed or unknown configuration input."""
+    """A config file's malformed line, unknown key (removed keys included)
+    or unparsable value, reported with the file and line."""
 
 
 class NumericalError(RuntimeError):

@@ -102,7 +102,6 @@ def fit_result_to_dict(model) -> dict:
         "best_restart": diag.get("best_restart"),
         "nugget": diag.get("nugget"),
         "restarts": diag.get("restarts", []),
-        "constraint_report": diag.get("constraint_report", {}),
         "group_labels": [str(label) for label in design.group_labels],
         "curve_labels": [str(design.group_labels[design.group_of_curve(c)])
                          for c in range(design.n_curves)],

@@ -9,7 +9,7 @@ which preserves positive semi-definiteness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .errors import ValidationError
 FAMILIES = ("periodic_rbf", "periodic_matern32", "periodic_matern12")
 
 DEFAULT_JITTER = 1e-3
-DEFAULT_NOISE_BOX = (1e-6, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,12 @@ class PeriodicHyperparameters:
 @dataclass(frozen=True)
 class NoiseSpec:
     """Observation-noise variance and the jitter term: a constant kernel of
-    variance ``jitter`` added to the input kernel.
+    variance ``jitter`` added to the input kernel. The box the fit keeps the
+    noise variance in is `model.NOISE_BOX`.
     """
 
     noise_variance: float = 1e-5
     jitter: float = DEFAULT_JITTER
-    noise_box: tuple = DEFAULT_NOISE_BOX
 
     def __post_init__(self):
         if self.noise_variance < 0 or self.jitter < 0:
@@ -135,39 +134,3 @@ def gram(hyp: PeriodicHyperparameters, noise: NoiseSpec, s_a, s_b=None) -> np.nd
     K *= hyp.sigma2
     K += noise.jitter
     return K
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Outcome of hyperparameter constraint validation."""
-
-    violations: tuple = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "violations": list(self.violations)}
-
-
-def validate_constraints(hyp: PeriodicHyperparameters, noise: NoiseSpec,
-                         length_estimate: float, *, strict: bool = False) -> ConstraintReport:
-    """Check the identifiability constraints tying rho, tau, the curve length
-    and the noise-variance box. Violations are reported; ``strict`` raises."""
-    violations = []
-    if hyp.tau > length_estimate * (1 + 1e-12):
-        violations.append(
-            f"period tau={hyp.tau:g} exceeds curve length estimate {length_estimate:g}")
-    if hyp.rho > hyp.tau / 2 * (1 + 1e-12):
-        violations.append(
-            f"length scale rho={hyp.rho:g} exceeds tau/2={hyp.tau / 2:g}")
-    lo, hi = noise.noise_box
-    # the fit optimizes log noise, and exp(log hi) can exceed hi by an ulp
-    if not (lo * (1 - 1e-12) <= noise.noise_variance <= hi * (1 + 1e-12)):
-        violations.append(
-            f"noise variance {noise.noise_variance:g} outside box ({lo:g}, {hi:g})")
-    report = ConstraintReport(tuple(violations))
-    if strict and not report.passed:
-        raise ValidationError("; ".join(violations))
-    return report

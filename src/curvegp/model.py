@@ -54,17 +54,16 @@ import numpy as np
 from .coreg import (CoregMatrix, MultiLevelKernel, _point_types, level_product,
                     multilevel_gram)
 from .errors import NumericalError, ValidationError
-from .kernels import (DEFAULT_JITTER, DEFAULT_NOISE_BOX, NoiseSpec,
-                      PeriodicHyperparameters, validate_constraints,
+from .kernels import (DEFAULT_JITTER, FAMILIES, NoiseSpec, PeriodicHyperparameters,
                       warped_correlation, warped_distance)
 
 NUGGET_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 
 # Boxes of the fitted hyperparameters: sigma2, rho as a fraction of tau,
-# each W entry (symmetric) and each kappa. The noise box is a ModelConfig
-# setting.
+# the noise variance, each W entry (symmetric) and each kappa.
 SIGMA2_BOX = (1e-8, 10.0)
 RHO_FRAC_BOX = (1e-3, 0.5)
+NOISE_BOX = (1e-6, 1e-4)
 W_BOUND = 10.0
 KAPPA_BOX = (1e-8, 10.0)
 
@@ -159,12 +158,12 @@ def _index_count(name: str, idx: np.ndarray, n_points: int) -> int:
 
 @dataclass
 class ModelConfig:
-    """Structural choices for the multi-level kernel, and the noise box.
-    The CLI sets each field as a ``model.*`` config key; the other
-    hyperparameters' boxes are the module constants above."""
+    """Structural choices for the multi-level kernel. The CLI sets each
+    field as a ``model.*`` config key. The period tau is the mean polygon
+    length of the design, and the hyperparameters' boxes are the module
+    constants above."""
 
     family: str = "periodic_matern32"
-    tau: object = "auto"  # "auto" fixes tau to the mean polygon length
     jitter: float = DEFAULT_JITTER
     fit_coord: bool = True
     coord_rank: int = 1
@@ -172,19 +171,15 @@ class ModelConfig:
     curve_rank: int = 1
     fit_group: bool = False
     group_rank: int = 1
-    noise_box: tuple = DEFAULT_NOISE_BOX
 
     def __post_init__(self):
+        _require(self.family in FAMILIES, "model.family", f"one of {FAMILIES}",
+                 self.family)
         for name in ("coord_rank", "curve_rank", "group_rank"):
             _require(getattr(self, name) >= 0, f"model.{name}", ">= 0",
                      getattr(self, name))
-        _require(self.tau == "auto"
-                 or (not isinstance(self.tau, str) and 0 < self.tau < math.inf),
-                 "model.tau", '"auto" or finite and > 0', self.tau)
         _require(0 <= self.jitter < math.inf, "model.jitter", "finite and >= 0",
                  self.jitter)
-        _require(0 < self.noise_box[0] <= self.noise_box[1] < math.inf,
-                 "model.noise_box", "(lo, hi) with 0 < lo <= hi < inf", self.noise_box)
 
 
 @dataclass
@@ -304,7 +299,8 @@ def _chol_with_ladder(blocks):
 class MarginalLikelihoodObjective:
     """Negative log marginal likelihood and its analytic gradient in a packed
     parameter vector (log sigma2, log rho, log noise, then W / log kappa per
-    free coregionalization level). The period tau is held fixed.
+    free coregionalization level). The period tau is held fixed at the mean
+    polygon length of the design.
 
     The Gram is formed on the P points, with the curve and group levels; the
     coordinate level is applied through its eigenbasis.
@@ -313,8 +309,7 @@ class MarginalLikelihoodObjective:
     def __init__(self, design: TrainingDesign, config: ModelConfig):
         self.design = design
         self.config = config
-        self.tau = (float(np.mean(design.lengths)) if config.tau == "auto"
-                    else float(config.tau))
+        self.tau = float(np.mean(design.lengths))
         s = design.s
         # tau is fixed, so the warped distances are computed once
         self.warp = warped_distance(config.family, np.abs(s[:, None] - s[None, :]),
@@ -330,11 +325,10 @@ class MarginalLikelihoodObjective:
         if design.n_groups > 1:
             self.levels.append(("group", design.g, design.n_groups,
                                 config.group_rank, config.fit_group))
-        lo, hi = config.noise_box
         rho_lo, rho_hi = (f * self.tau for f in RHO_FRAC_BOX)
         self.bounds = [tuple(np.log(SIGMA2_BOX)),
                        (np.log(rho_lo), np.log(rho_hi)),
-                       (np.log(lo), np.log(hi))]
+                       tuple(np.log(NOISE_BOX))]
         self.slices = {}
         pos = 3
         for name, _, size, rank, free in self.levels:
@@ -363,17 +357,20 @@ class MarginalLikelihoodObjective:
     # -- packing -----------------------------------------------------------
 
     def default_start(self) -> np.ndarray:
+        """Every W entry of column 0 at 0.1, column k at 0.1 cos(pi k (i +
+        1/2) / size) in row i: identical columns would get identical
+        gradients and never separate."""
         theta = np.zeros(self.n_params)
         yvar = max(float(np.var(self.design.y)), 1e-6)
         theta[0] = np.log(np.clip(yvar, *SIGMA2_BOX))
         theta[1] = np.log(self.tau / 4.0)
-        lo, hi = self.config.noise_box
-        theta[2] = 0.5 * (np.log(lo) + np.log(hi))
+        theta[2] = 0.5 * (np.log(NOISE_BOX[0]) + np.log(NOISE_BOX[1]))
         for name, _, size, rank, free in self.levels:
             if not free:
                 continue
             w_sl, k_sl = self.slices[name]
-            theta[w_sl] = 0.1
+            rows, cols = np.arange(size) + 0.5, np.arange(rank)
+            theta[w_sl] = (0.1 * np.cos(np.pi / size * np.outer(rows, cols))).ravel()
             theta[k_sl] = np.log(1.0)
         return np.clip(theta, [b[0] for b in self.bounds], [b[1] for b in self.bounds])
 
@@ -396,8 +393,7 @@ class MarginalLikelihoodObjective:
                                       rho=float(np.exp(theta[1])),
                                       tau=self.tau, family=self.config.family)
         noise = NoiseSpec(noise_variance=float(np.exp(theta[2])),
-                          jitter=self.config.jitter,
-                          noise_box=self.config.noise_box)
+                          jitter=self.config.jitter)
         coregs = {name: CoregMatrix(*self._coreg(theta, name, size)) if free
                   else CoregMatrix.identity(size)
                   for name, _, size, _, free in self.levels}
@@ -536,7 +532,7 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
     """Cache the training factorization for a kernel with fixed
     hyperparameters: the two blocks of the point Gram in the eigenbasis of
     the coordinate factor, alpha in point order, and log p(y)."""
-    K = multilevel_gram(kernel, noise, design.s, design.j, design.g)
+    K = multilevel_gram(kernel, noise, design.s, j_a=design.j, g_a=design.g)
     lam, Q = basis = _coord_basis(kernel.coord.matrix)
     factors, nugget, alphas, nll = _factor_and_nll(
         _blocks(K, lam, noise.noise_variance), Q.T @ design.y.T)
@@ -589,10 +585,8 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
         raise NumericalError("all restarts failed to factorize or converge")
     best_index = int(np.argmax(scores))
     kernel, noise = obj.unpack(results[best_index])
-    report = validate_constraints(kernel.input_kernel, noise,
-                                  float(np.mean(design.lengths)))
     diagnostics = {"restart_scores": scores, "best_restart": best_index,
-                   "restarts": records, "constraint_report": report.to_dict()}
+                   "restarts": records}
     return assemble_model(design, kernel, noise, diagnostics)
 
 
@@ -601,7 +595,7 @@ def _unit_means(model: FittedModel, s, j, g):
     points (s, j, g), points x 2, and the points' cross Gram against the
     training points."""
     dz = model.design
-    cross = multilevel_gram(model.kernel, model.noise, s, j, g,
+    cross = multilevel_gram(model.kernel, model.noise, s, j_a=j, g_a=g,
                             s_b=dz.s, j_b=dz.j, g_b=dz.g)
     means = cross @ model.alpha.reshape(len(dz.s), 2) @ model.kernel.coord.matrix
     return means, cross
@@ -629,7 +623,7 @@ def predict(model: FittedModel, s, d, j=None, g=None):
     on the query points, written into the output one block at a time."""
     s, j, g = _query_points(model, s, d, j, g)
     n = len(s)
-    K = multilevel_gram(model.kernel, model.noise, s, j, g)
+    K = multilevel_gram(model.kernel, model.noise, s, j_a=j, g_a=g)
     means, cross = _unit_means(model, s, j, g)
     lam, Q = model.basis
     cov = np.empty((2 * n,) * 2)
@@ -692,7 +686,8 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
     j = np.full(m, curve_index, dtype=int)
     g = np.full(m, model.design.group_of_curve(curve_index), dtype=int)
     means, cross = _unit_means(model, grid, j, g)
-    k0 = multilevel_gram(model.kernel, model.noise, grid[:1], j[:1], g[:1])[0, 0]
+    k0 = multilevel_gram(model.kernel, model.noise, grid[:1], j_a=j[:1],
+                         g_a=g[:1])[0, 0]
     lam, Q = model.basis
     covs = np.zeros((m, 2, 2))
     for e, V in enumerate(_whitened(model, cross)):  # a column per grid point

@@ -12,7 +12,7 @@ from curvegp.applications import _score_subset
 from curvegp.coreg import CoregMatrix, MultiLevelKernel
 from curvegp.curves import Curve, polygon_length
 from curvegp.kernels import FAMILIES
-from curvegp.model import (MarginalLikelihoodObjective, ModelConfig,
+from curvegp.model import (NOISE_BOX, MarginalLikelihoodObjective, ModelConfig,
                            OptimizerConfig, TrainingDesign, assemble_model, fit,
                            predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
@@ -123,7 +123,7 @@ def test_criterion_05_kriging_interpolation(report):
     curve = prep(cg.generate_synthetic("circle", 15))
     design = TrainingDesign.from_curves([curve])
     model = fit(design, ModelConfig(), OptimizerConfig(restarts=8, seed=0))
-    lo, hi = model.noise.noise_box
+    lo, hi = NOISE_BOX
     in_box = lo <= model.noise.noise_variance <= hi
     mean, _ = predict(model, design.s.repeat(2), np.tile([0, 1], len(design.s)))
     train_err = float(np.max(np.abs(mean - design.y.ravel())))

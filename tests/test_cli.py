@@ -25,9 +25,9 @@ class TestConfig:
         assert parse_config_text("") == CONFIG_DEFAULTS
 
     def test_override_and_comments(self):
-        values = parse_config_text("# comment\nopt.restarts = 3\nmodel.tau = 0.5\n")
+        values = parse_config_text("# comment\nopt.restarts = 3\nmodel.jitter = 0.5\n")
         assert values["opt.restarts"] == 3
-        assert values["model.tau"] == 0.5
+        assert values["model.jitter"] == 0.5
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -49,8 +49,7 @@ class TestConfig:
 
 
 # a valid value other than the default, for the keys whose type does not give one
-OTHER_VALUES = {"model.family": "periodic_rbf", "model.tau": "0.5",
-                "model.noise_lo": "1e-07"}
+OTHER_VALUES = {"model.family": "periodic_rbf"}
 
 
 def other_value(key: str, default) -> str:
@@ -67,10 +66,9 @@ def other_value(key: str, default) -> str:
 class TestConfigKeys:
     def test_keys_in_order(self):
         assert list(CONFIG_DEFAULTS) == [
-            "model.family", "model.tau", "model.jitter", "model.fit_coord",
+            "model.family", "model.jitter", "model.fit_coord",
             "model.coord_rank", "model.fit_curve", "model.curve_rank",
-            "model.fit_group", "model.group_rank", "model.noise_lo",
-            "model.noise_hi",
+            "model.fit_group", "model.group_rank",
             "opt.restarts", "opt.seed", "opt.maxiter"]
 
     def test_defaults_are_the_config_defaults(self):
@@ -85,7 +83,10 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("key, value", [("output.dir", "elsewhere"),
                                             ("model.jitter_mode", "nugget"),
-                                            ("opt.method", "anneal")])
+                                            ("opt.method", "anneal"),
+                                            ("model.tau", "auto"),
+                                            ("model.noise_lo", "1e-07"),
+                                            ("model.noise_hi", "1e-3")])
     def test_removed_key_rejected_with_file_and_line(self, tmp_path, capsys,
                                                      key, value):
         curve = str(tmp_path / "c.csv")
@@ -103,19 +104,14 @@ class TestConfigKeys:
         ("opt.restarts", "0", "opt.restarts"),
         ("opt.maxiter", "-5", "opt.maxiter"),
         ("model.jitter", "-1", "model.jitter"),
-        ("model.tau", "-1", "model.tau"),
         ("model.coord_rank", "-1", "model.coord_rank"),
-        ("model.noise_lo", "1e-3", "model.noise_box"),
-        ("model.noise_lo", "0", "model.noise_box"),
-        ("model.tau", "inf", "model.tau"),
         ("model.jitter", "inf", "model.jitter"),
-        ("model.noise_hi", "inf", "model.noise_box"),
-        ("opt.seed", "-1", "opt.seed")])
+        ("opt.seed", "-1", "opt.seed"),
+        ("model.family", "foo", "model.family")])
     def test_value_out_of_range_exits_2_naming_the_field(self, tmp_path, capsys,
                                                          key, value, field):
-        # these once exited 3 ("all restarts failed"), 0, 1 with a scipy
-        # traceback (model.tau = inf), or 2 with a numpy message that named
-        # no setting
+        # these once exited 3 ("all restarts failed"), 0, or 2 with a
+        # message that named no setting
         curve = str(tmp_path / "c.csv")
         assert main(["simulate", "--shape", "circle", "--n", "8",
                      "--out", curve]) == EXIT_OK
@@ -266,9 +262,14 @@ class TestFitPredictPipeline:
             assert "noise.jitter_mode 'nugget'" in capsys.readouterr().err
             assert not pred_path.exists()
 
-    def test_predict_ignores_the_saved_method(self, tmp_path):
-        # older fit files name the optimizer; the member describes how the
-        # fit was found, not the kernel, so it is ignored
+    @pytest.mark.parametrize("member, value", [
+        ("method", "anneal"),
+        ("constraint_report", {"passed": True, "violations": []})],
+        ids=["method", "constraint_report"])
+    def test_predict_ignores_the_saved_method(self, tmp_path, member, value):
+        # older fit files name the optimizer and carry a constraint report;
+        # these members describe how the fit was found, not the kernel, so
+        # they are ignored
         curve_path = str(tmp_path / "c.csv")
         assert main(["simulate", "--shape", "circle", "--n", "10",
                      "--out", curve_path]) == EXIT_OK
@@ -280,7 +281,7 @@ class TestFitPredictPipeline:
         argv = ["predict", "--inputs", curve_path, "--fit", fit_path, "--m", "10",
                 "--out"]
         assert main(argv + [str(tmp_path / "current.json")]) == EXIT_OK
-        save_json({**json.load(open(fit_path)), "method": "anneal"}, fit_path)
+        save_json({**json.load(open(fit_path)), member: value}, fit_path)
         assert main(argv + [str(tmp_path / "older.json")]) == EXIT_OK
         assert ((tmp_path / "older.json").read_bytes()
                 == (tmp_path / "current.json").read_bytes())

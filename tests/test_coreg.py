@@ -110,7 +110,7 @@ class TestMultilevelGram:
         n = 30
         s = rng.uniform(0, 1, n)
         j = rng.integers(0, 3, n)
-        G = multilevel_gram(K, NO_JITTER, s, j)
+        G = multilevel_gram(K, NO_JITTER, s, j_a=j)
         assert np.allclose(G, G.T)
         assert np.min(np.linalg.eigvalsh(G)) >= -1e-10
 
@@ -122,7 +122,7 @@ class TestMultilevelGram:
         K = MultiLevelKernel(HYP, CoregMatrix.identity(2), curve=C)
         s = rng.uniform(0, 1, 5)
         j = rng.integers(0, 3, 5)
-        G = multilevel_gram(K, NO_JITTER, s, j)
+        G = multilevel_gram(K, NO_JITTER, s, j_a=j)
         for a in range(5):
             for b in range(5):
                 assert G[a, b] == pytest.approx(
@@ -137,7 +137,7 @@ class TestMultilevelGram:
                              curve=CoregMatrix.identity(2))
         s = np.array([0.2, 0.2])
         j = np.array([0, 1])
-        G = multilevel_gram(K, noise, s, j)
+        G = multilevel_gram(K, noise, s, j_a=j)
         assert G[0, 1] == 0.0
         assert G[0, 0] == pytest.approx(HYP.sigma2 + 1e-3, abs=1e-14)
 
@@ -195,10 +195,10 @@ class TestDistinctInputGram:
         b = repeated_design(rng, 18, n_curves, n_groups)
         assert len(np.unique(a[0])) < len(a[0]) // 2
         s, j, g = a
-        assert np.array_equal(multilevel_gram(kernel, noise, *a),
+        assert np.array_equal(multilevel_gram(kernel, noise, s, j_a=j, g_a=g),
                               full_grid_gram_oracle(kernel, noise, s, None, j, g))
         cross = dict(zip(("s_b", "j_b", "g_b"), b))
-        assert np.array_equal(multilevel_gram(kernel, noise, *a, **cross),
+        assert np.array_equal(multilevel_gram(kernel, noise, s, j_a=j, g_a=g, **cross),
                               full_grid_gram_oracle(kernel, noise, s, None, j, g,
                                                     **cross))
         hyp = kernel.input_kernel
@@ -211,10 +211,11 @@ class TestDistinctInputGram:
         kernel = random_kernel(rng, "periodic_matern32", 3, 0)
         noise = NoiseSpec(jitter=1e-3)
         s, j, g = repeated_design(rng, 24, 3, 0)
-        cross = multilevel_gram(kernel, noise, s, j, g, s_b=s.copy(), j_b=j, g_b=g)
+        cross = multilevel_gram(kernel, noise, s, j_a=j, g_a=g, s_b=s.copy(), j_b=j,
+                                g_b=g)
         assert np.array_equal(cross, full_grid_gram_oracle(
             kernel, noise, s, None, j, g, s_b=s.copy(), j_b=j, g_b=g))
-        assert np.array_equal(multilevel_gram(kernel, noise, s, j, g), cross)
+        assert np.array_equal(multilevel_gram(kernel, noise, s, j_a=j, g_a=g), cross)
 
     @pytest.mark.parametrize("bad", [
         {"j_a": [0, 3]}, {"j_a": [-1, 0]}, {"g_a": [2, 0]}, {"j_b": [0, 0, 3]}])
@@ -224,12 +225,11 @@ class TestDistinctInputGram:
         cross = {"s_b": [0.2, 0.3, 0.9], "j_b": [0, 2, 1], "g_b": [0, 1, 1]}
         points.update((k, v) for k, v in bad.items() if k.endswith("_a"))
         cross.update((k, v) for k, v in bad.items() if k.endswith("_b"))
-        args = (points["s_a"], points["j_a"], points["g_a"])
         with pytest.raises(ValidationError, match="level index out of range"):
-            multilevel_gram(kernel, NO_JITTER, *args, **cross)
+            multilevel_gram(kernel, NO_JITTER, **points, **cross)
         if not any(k.endswith("_b") for k in bad):
             with pytest.raises(ValidationError, match="level index out of range"):
-                multilevel_gram(kernel, NO_JITTER, *args)
+                multilevel_gram(kernel, NO_JITTER, **points)
 
     def test_out_of_range_index_that_a_raw_code_would_alias(self):
         # with 2 groups, a raw mixed-radix code j * 2 + g maps (0, 2) onto
@@ -237,7 +237,7 @@ class TestDistinctInputGram:
         # must still see g = 2
         kernel = random_kernel(np.random.default_rng(34), "periodic_rbf", 3, 2)
         with pytest.raises(ValidationError, match="level index out of range"):
-            multilevel_gram(kernel, NO_JITTER, [0.1, 0.5], [1, 0], [0, 2])
+            multilevel_gram(kernel, NO_JITTER, [0.1, 0.5], j_a=[1, 0], g_a=[0, 2])
 
     def test_rows_with_a_coordinate_index_are_refused(self):
         # the Gram takes points; a call in the former (s, d, j, g) row
@@ -249,7 +249,17 @@ class TestDistinctInputGram:
         with pytest.raises(TypeError):
             multilevel_gram(kernel, NO_JITTER, s, d_a=d, j_a=j, g_a=g)
 
+    @pytest.mark.parametrize("n_indices", [1, 2])
+    def test_indices_are_keyword_only(self, n_indices):
+        # a stale call in the former (s, d, ...) layout once passed
+        # silently, reading the coordinate index d as curves
+        kernel = random_kernel(np.random.default_rng(37), "periodic_rbf", 3,
+                               2 if n_indices == 2 else 0)
+        s, d, j = [0.1, 0.1], [0, 1], [1, 1]
+        with pytest.raises(TypeError):
+            multilevel_gram(kernel, NO_JITTER, s, *(d, j)[:n_indices])
+
     def test_one_index_per_point(self):
         kernel = random_kernel(np.random.default_rng(36), "periodic_rbf", 3, 0)
         with pytest.raises(ValidationError, match="one level index per point"):
-            multilevel_gram(kernel, NO_JITTER, [0.1, 0.5, 0.7], [1])
+            multilevel_gram(kernel, NO_JITTER, [0.1, 0.5, 0.7], j_a=[1])

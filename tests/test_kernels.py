@@ -1,4 +1,4 @@
-"""Periodic kernels: evaluation, bounds, Gram assembly, constraints."""
+"""Periodic kernels: evaluation, bounds, Gram assembly."""
 
 import tracemalloc
 
@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvegp.errors import ValidationError
-from curvegp.kernels import (DEFAULT_NOISE_BOX, FAMILIES, NoiseSpec,
-                             PeriodicHyperparameters, gram, periodic_eval,
-                             theorem1_bounds, unit_correlation,
-                             validate_constraints, warped_correlation,
-                             warped_distance)
+from curvegp.kernels import (FAMILIES, NoiseSpec, PeriodicHyperparameters, gram,
+                             periodic_eval, theorem1_bounds, unit_correlation,
+                             warped_correlation, warped_distance)
 
 positive = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 
@@ -213,35 +211,3 @@ class TestWarpedCorrelation:
         finally:
             tracemalloc.stop()
         assert peak - held < 4.5 * K.nbytes
-
-
-class TestValidateConstraints:
-    def test_boundary_passes(self):
-        h = hyp_rbf(1.0, 0.5, 1.0)
-        report = validate_constraints(h, NoiseSpec(noise_variance=1e-5), 1.0)
-        assert report.passed
-
-    def test_rho_violation(self):
-        h = hyp_rbf(1.0, 1.0, 1.0)
-        report = validate_constraints(h, NoiseSpec(noise_variance=1e-5), 1.0)
-        assert not report.passed
-        assert any("rho" in v for v in report.violations)
-
-    def test_tau_violation(self):
-        h = hyp_rbf(1.0, 0.5, 1.5)
-        report = validate_constraints(h, NoiseSpec(noise_variance=1e-5), 1.0)
-        assert any("tau" in v for v in report.violations)
-
-    def test_noise_on_log_scale_bounds_passes(self):
-        # exp(log 1e-4) = 1.0000000000000009e-4, one ulp above the box
-        h = hyp_rbf(1.0, 0.5, 1.0)
-        for bound in DEFAULT_NOISE_BOX:
-            noise = NoiseSpec(noise_variance=float(np.exp(np.log(bound))))
-            assert validate_constraints(h, noise, 1.0).passed
-
-    def test_noise_box_violation_and_strict(self):
-        h = hyp_rbf(1.0, 0.5, 1.0)
-        report = validate_constraints(h, NoiseSpec(noise_variance=1e-2), 1.0)
-        assert any("noise" in v for v in report.violations)
-        with pytest.raises(ValidationError):
-            validate_constraints(h, NoiseSpec(noise_variance=1e-2), 1.0, strict=True)

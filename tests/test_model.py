@@ -11,7 +11,7 @@ from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.curves import generate_synthetic
 from curvegp.errors import NumericalError, ValidationError
 from curvegp.kernels import DEFAULT_JITTER, NoiseSpec, PeriodicHyperparameters
-from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
+from curvegp.model import (NOISE_BOX, NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
                            assemble_model, fit, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
@@ -191,7 +191,7 @@ class TestFit:
         (s, d, _, _), y = rows(design)
         mean, _ = predict(model, s, d)
         assert np.max(np.abs(mean - y)) < 1e-3
-        lo, hi = model.noise.noise_box
+        lo, hi = NOISE_BOX
         assert lo <= model.noise.noise_variance <= hi
 
     def test_rho_recovery_within_factor_two(self):
@@ -281,6 +281,32 @@ class TestFit:
         C = model.kernel.curve.matrix
         corr = C[0, 1] / np.sqrt(C[0, 0] * C[1, 1])
         assert corr > 0.9
+
+    @pytest.mark.parametrize("level", ["coord", "curve", "group"])
+    def test_rank_two_level_fits_two_columns(self, level):
+        # the default start once set every W entry to 0.1: identical columns
+        # get identical gradients, so a one-restart fit stayed rank 1
+        curves = [scale_to_unit_length(center(generate_synthetic(
+            "star", 10, rng_seed=k, noise_sd=0.01, amplitude=0.1 + 0.1 * k)))
+            for k in range(2)]
+        labels = ["a", "b"] if level == "group" else None
+        model = fit(TrainingDesign.from_curves(curves, labels),
+                    ModelConfig(fit_group=level == "group", **{f"{level}_rank": 2}),
+                    OptimizerConfig(restarts=1, maxiter=50))
+        W = getattr(model.kernel, level).w
+        assert W.shape == (2, 2)
+        assert np.max(np.abs(W[:, 0] - W[:, 1])) > 1e-3
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_default_start_keeps_column_zero(self, rank):
+        # a rank-1 start, and column 0 of any rank, is 0.1 everywhere as
+        # before; the other columns are linearly independent of it
+        curves = [generate_synthetic("star", 6, rng_seed=k) for k in range(3)]
+        obj = MarginalLikelihoodObjective(TrainingDesign.from_curves(curves),
+                                          ModelConfig(curve_rank=rank))
+        W = obj._coreg(obj.default_start(), "curve", 3)[0]
+        assert np.array_equal(W[:, 0], np.full(3, 0.1))
+        assert np.linalg.matrix_rank(W) == rank
 
 
 class TestPredict:
@@ -689,7 +715,8 @@ class TestSharedGramBuilder:
             kernel, noise = obj.unpack(theta)
             full = full_grid_gram_oracle(kernel, noise, *rows(design)[0])
             # the point Gram is the Gram without the coordinate factor
-            expected = multilevel_gram(kernel, noise, design.s, design.j, design.g)
+            expected = multilevel_gram(kernel, noise, design.s, j_a=design.j,
+                                       g_a=design.g)
             assert K.shape == (n, n)
             assert np.array_equal(K, expected)
             assert np.array_equal(K, full_grid_gram_oracle(
