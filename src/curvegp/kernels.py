@@ -1,10 +1,13 @@
 """Periodic stationary covariance kernels on the circular curve domain.
 
-The base construction warps the input distance r through sin(pi*r/tau),
-making every kernel here tau-periodic. The RBF family uses the warped
-squared distance directly in the exponent; the Matern families are applied
-to the chordal distance d = 2*|sin(pi*r/tau)| of the circle embedding,
-which preserves positive semi-definiteness.
+Each arc parameter s is a point (cos(2*pi*s/tau), sin(2*pi*s/tau)) of the
+circle embedding, and every kernel here is a function of the chord between
+two such points, |2*sin(pi*(a - b)/tau)|, so it is tau-periodic. The RBF
+family uses the squared half chord sin^2(pi*(a - b)/tau) directly in the
+exponent; the Matern families are applied to the chord itself, which
+preserves positive semi-definiteness. The sine of the difference is formed
+from the positions (`warped_distance`), so sin and cos run once per input,
+not once per pair.
 """
 
 from __future__ import annotations
@@ -52,14 +55,27 @@ class NoiseSpec:
             raise ValidationError("noise variance and jitter must be nonnegative")
 
 
-def warped_distance(family: str, r, tau: float):
-    """The period-tau warp of distance r that each family's correlation is a
-    function of: sin^2(pi*r/tau) for the RBF family, the chordal distance
-    2*|sin(pi*r/tau)| for the Matern families."""
+def warped_distance(family: str, s_a, s_b, tau: float):
+    """The period-tau warp of the distance between arc parameters ``s_a``
+    and ``s_b`` (broadcast against each other) that each family's
+    correlation is a function of: u^2 for the RBF family, the chordal
+    distance 2|u| for the Matern families, with u = sin(pi (a - b) / tau).
+
+    u comes from the positions on the circle, by sin(x - y) = sin x cos y -
+    cos x sin y: sin and cos run once per input, and only two products and
+    their difference run per pair. The two products are each other's
+    operands swapped, so u(b, a) = -u(a, b) exactly and u(a, a) = 0."""
     if family not in FAMILIES:
         raise ValidationError(f"unknown kernel family {family!r}")
-    u = np.sin(np.pi * np.asarray(r, dtype=float) / tau)
-    return u ** 2 if family == "periodic_rbf" else 2.0 * np.abs(u)
+    scale = np.pi / tau
+    x = np.multiply(s_a, scale, dtype=float)
+    y = np.multiply(s_b, scale, dtype=float)
+    # the chord's factor 2 goes on one side, where doubling is exact; w is
+    # an array even for scalar inputs, so the steps below can work in place
+    chord = 1.0 if family == "periodic_rbf" else 2.0
+    w = np.asarray(np.multiply(chord * np.sin(x), np.cos(y)))
+    w -= np.multiply(chord * np.cos(x), np.sin(y))
+    return np.square(w, out=w) if family == "periodic_rbf" else np.abs(w, out=w)
 
 
 def warped_correlation(family: str, w, rho: float, with_dlogrho: bool = False):
@@ -90,32 +106,10 @@ def warped_correlation(family: str, w, rho: float, with_dlogrho: bool = False):
     return (a, np.multiply(dcorr, e, out=dcorr)) if with_dlogrho else a
 
 
-def unit_correlation(family: str, r, rho: float, tau: float):
-    """Kernel value at distance r for sigma2 = 1."""
-    return warped_correlation(family, warped_distance(family, r, tau), rho)
-
-
-def periodic_eval(hyp: PeriodicHyperparameters, s_i, s_j):
-    """Covariance between arc parameters ``s_i`` and ``s_j``."""
-    r = np.abs(np.asarray(s_i, dtype=float) - np.asarray(s_j, dtype=float))
-    return hyp.sigma2 * unit_correlation(hyp.family, r, hyp.rho, hyp.tau)
-
-
-def theorem1_bounds(hyp: PeriodicHyperparameters, length: float):
-    """Lower/upper envelope of the periodic-RBF kernel for inputs within
-    half the curve length.
-
-    The lower bound may be negative (vacuous) for rough hyperparameters;
-    it is returned as computed.
-    """
-    if length <= 0:
-        raise ValidationError("curve length must be positive")
-    sigma2, rho, tau = hyp.sigma2, hyp.rho, hyp.tau
-    lower = sigma2 * (1.0 - np.pi ** 2 * length ** 2 / (4.0 * rho * tau ** 2))
-    upper = sigma2 * (1.0 + (1.0 / 64.0) * (2.0 * np.pi ** 4 / (rho ** 2 * tau ** 4)
-                                            + 4.0 * np.pi ** 4 / (3.0 * rho * tau ** 4))
-                      * length ** 4)
-    return float(lower), float(upper)
+def unit_correlation(family: str, s_a, s_b, rho: float, tau: float):
+    """Kernel value between arc parameters ``s_a`` and ``s_b`` (broadcast
+    against each other) for sigma2 = 1."""
+    return warped_correlation(family, warped_distance(family, s_a, s_b, tau), rho)
 
 
 def gram(hyp: PeriodicHyperparameters, noise: NoiseSpec, s_a, s_b=None) -> np.ndarray:
@@ -129,8 +123,7 @@ def gram(hyp: PeriodicHyperparameters, noise: NoiseSpec, s_a, s_b=None) -> np.nd
     if s_a.size == 0:
         raise ValidationError("gram needs at least one input")
     s_b = s_a if s_b is None else np.asarray(s_b, dtype=float).reshape(-1)
-    K = unit_correlation(hyp.family, np.abs(s_a[:, None] - s_b[None, :]),
-                         hyp.rho, hyp.tau)
+    K = unit_correlation(hyp.family, s_a[:, None], s_b[None, :], hyp.rho, hyp.tau)
     K *= hyp.sigma2
     K += noise.jitter
     return K

@@ -312,8 +312,7 @@ class MarginalLikelihoodObjective:
         self.tau = float(np.mean(design.lengths))
         s = design.s
         # tau is fixed, so the warped distances are computed once
-        self.warp = warped_distance(config.family, np.abs(s[:, None] - s[None, :]),
-                                    self.tau)
+        self.warp = warped_distance(config.family, s[:, None], s[None, :], self.tau)
         self.n_points = len(s)
         self.targets = design.y.T  # a row per coordinate
         # level bookkeeping: (name, value of each point, size, rank, free);
@@ -645,10 +644,13 @@ def predict(model: FittedModel, s, d, j=None, g=None):
 
 def _query_points(model: FittedModel, s, d, j, g):
     """The query points (s, j, g) of ``predict``'s rows, each point's group
-    defaulting to its curve's. Curves and groups outside the design are
-    rejected, and so are rows that are not coordinate pairs."""
+    defaulting to its curve's. Non-finite arc parameters, curves and groups
+    outside the design are rejected, and so are rows that are not coordinate
+    pairs."""
     dz = model.design
     s = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.isfinite(s).all():
+        raise ValidationError("query arc parameters must be finite")
     d = np.atleast_1d(np.asarray(d, dtype=int))
     j = np.zeros_like(d) if j is None else np.atleast_1d(np.asarray(j, dtype=int))
     if np.any((j < 0) | (j >= dz.n_curves)):

@@ -1,15 +1,57 @@
-"""Element-wise Gram oracles shared by the tests.
+"""Element-wise Gram oracles and kernel references shared by the tests.
 
-They evaluate the input kernel at every pair of inputs and gather every
-level factor per pair, with none of the library's grouping into types, so
-the library's Grams are checked against them rather than against
-themselves.
+The Gram oracles evaluate the input kernel at every pair of inputs and
+gather every level factor per pair, with none of the library's grouping
+into types, so the library's Grams are checked against them rather than
+against themselves. The kernel references are the periodic kernel as a
+function of the distance r = |a - b| (`periodic_eval`), which the library
+forms from the positions instead, and the Theorem-1 envelope of the
+periodic RBF kernel (`theorem1_bounds`).
 """
 
 import numpy as np
 
 from curvegp.errors import ValidationError
-from curvegp.kernels import unit_correlation
+from curvegp.kernels import unit_correlation, warped_correlation
+
+
+def periodic_eval(hyp, s_i, s_j):
+    """Covariance between arc parameters ``s_i`` and ``s_j`` from their
+    distance r: the warp sin(pi r / tau), squared for the RBF family, twice
+    its modulus (the chord) for the Matern families."""
+    r = np.abs(np.asarray(s_i, dtype=float) - np.asarray(s_j, dtype=float))
+    u = np.sin(np.pi * r / hyp.tau)
+    w = u ** 2 if hyp.family == "periodic_rbf" else 2.0 * np.abs(u)
+    return hyp.sigma2 * warped_correlation(hyp.family, w, hyp.rho)
+
+
+def gram_tolerance(hyp, s):
+    """Bound on the distance of a kernel value between arc parameters in
+    ``s`` from the exact value, and so from `periodic_eval`. The sine u of
+    a difference is off by at most 64 eps (1 + max|s| / tau), as the angles
+    pi s / tau round in proportion to their size; the kernel's slope in u
+    is at most sigma2 * 2 / rho, and the value's own rounding adds sigma2
+    times a few eps."""
+    eps = np.finfo(float).eps
+    return (64 * eps * hyp.sigma2 * (1.0 + 2.0 / hyp.rho)
+            * (1.0 + np.max(np.abs(s)) / hyp.tau))
+
+
+def theorem1_bounds(hyp, length: float):
+    """Lower/upper envelope of the periodic-RBF kernel for inputs within
+    half the curve length.
+
+    The lower bound may be negative (vacuous) for rough hyperparameters;
+    it is returned as computed.
+    """
+    if length <= 0:
+        raise ValidationError("curve length must be positive")
+    sigma2, rho, tau = hyp.sigma2, hyp.rho, hyp.tau
+    lower = sigma2 * (1.0 - np.pi ** 2 * length ** 2 / (4.0 * rho * tau ** 2))
+    upper = sigma2 * (1.0 + (1.0 / 64.0) * (2.0 * np.pi ** 4 / (rho ** 2 * tau ** 4)
+                                            + 4.0 * np.pi ** 4 / (3.0 * rho * tau ** 4))
+                      * length ** 4)
+    return float(lower), float(upper)
 
 
 def level_factor(coreg, a, b):
@@ -25,8 +67,8 @@ def full_grid_input_gram(hyp, noise, s_a, s_b=None):
     """The input kernel evaluated at every pair of inputs, then jittered."""
     s_a = np.asarray(s_a, dtype=float).reshape(-1)
     s = s_a if s_b is None else np.asarray(s_b, dtype=float).reshape(-1)
-    r = np.abs(s_a[:, None] - s[None, :])
-    return hyp.sigma2 * unit_correlation(hyp.family, r, hyp.rho, hyp.tau) + noise.jitter
+    corr = unit_correlation(hyp.family, s_a[:, None], s[None, :], hyp.rho, hyp.tau)
+    return hyp.sigma2 * corr + noise.jitter
 
 
 def full_grid_gram_oracle(kernel, noise, s_a, d_a, j_a=None, g_a=None,

@@ -4,6 +4,7 @@ import json
 import os
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,11 @@ from curvegp.model import (NUGGET_LADDER, ModelConfig, OptimizerConfig,
                            PredictedCurve, TrainingDesign, fit, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 from curvegp.svg import emit_svg
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``."""
+    return json.loads(Path(path).read_text())
 
 
 class TestConfig:
@@ -161,7 +167,7 @@ class TestSaveJson:
         path = str(tmp_path / "obj.json")
         obj = {"a": [0.1, 1e-300, -2.5], "b": {"c": None, "d": "x"}}
         save_json(obj, path)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text == json.dumps(obj) + "\n"
         assert json.loads(text) == obj
 
@@ -174,7 +180,7 @@ class TestSimulate:
                 "--noise-sd", "0.02"]
         assert main(argv + ["--out", out1]) == EXIT_OK
         assert main(argv + ["--out", out2]) == EXIT_OK
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_invalid_params_exit_2(self, tmp_path, capsys):
         code = main(["simulate", "--shape", "star", "--n", "10",
@@ -224,14 +230,14 @@ class TestFitPredictPipeline:
         fit_path = str(tmp_path / "fit.json")
         assert main(["fit", "--inputs", curve_path, "--config", str(cfg),
                      "--out", fit_path]) == EXIT_OK
-        data = json.load(open(fit_path))
+        data = read_json(fit_path)
         assert "hyperparameters" in data and "D" in data["coregionalization"]
         assert set(data["noise"]) == {"noise_variance", "jitter"}
         pred_path = str(tmp_path / "pred.json")
         svg_path = str(tmp_path / "pred.svg")
         assert main(["predict", "--inputs", curve_path, "--fit", fit_path,
                      "--m", "20", "--out", pred_path, "--svg", svg_path]) == EXIT_OK
-        pred = json.load(open(pred_path))
+        pred = read_json(pred_path)
         assert len(pred["means"]) == 20
         ET.parse(svg_path)  # well-formed XML
 
@@ -249,7 +255,7 @@ class TestFitPredictPipeline:
         fit_path = str(tmp_path / "fit.json")
         assert main(["fit", "--inputs", curve_path, "--config", str(cfg),
                      "--out", fit_path]) == EXIT_OK
-        data = json.load(open(fit_path))
+        data = read_json(fit_path)
         data["noise"]["jitter_mode"] = mode
         save_json(data, fit_path)
         pred_path = tmp_path / "pred.json"
@@ -257,7 +263,7 @@ class TestFitPredictPipeline:
         assert main(["predict", "--inputs", curve_path, "--fit", fit_path,
                      "--m", "10", "--out", str(pred_path)]) == code
         if code == EXIT_OK:
-            assert len(json.load(open(pred_path))["means"]) == 10
+            assert len(read_json(pred_path)["means"]) == 10
         else:
             assert "noise.jitter_mode 'nugget'" in capsys.readouterr().err
             assert not pred_path.exists()
@@ -281,7 +287,7 @@ class TestFitPredictPipeline:
         argv = ["predict", "--inputs", curve_path, "--fit", fit_path, "--m", "10",
                 "--out"]
         assert main(argv + [str(tmp_path / "current.json")]) == EXIT_OK
-        save_json({**json.load(open(fit_path)), member: value}, fit_path)
+        save_json({**read_json(fit_path), member: value}, fit_path)
         assert main(argv + [str(tmp_path / "older.json")]) == EXIT_OK
         assert ((tmp_path / "older.json").read_bytes()
                 == (tmp_path / "current.json").read_bytes())
@@ -317,7 +323,7 @@ class TestFitPredictPipeline:
         fit_path = str(tmp_path / "fit.json")
         assert main(["fit", "--inputs", *paths, "--config", str(cfg),
                      "--out", fit_path]) == EXIT_OK
-        data = json.load(open(fit_path))
+        data = read_json(fit_path)
         scores = data["restart_scores"]
         assert "method" not in data  # L-BFGS-B is the only optimizer
         assert data["best_restart"] == int(np.argmax(scores))
@@ -354,11 +360,11 @@ class TestFitPredictPipeline:
 
     def test_predict_uses_fitted_group_labels(self, tmp_path):
         paths, fit_path, model = self._grouped_fit(tmp_path)
-        assert json.load(open(fit_path))["curve_labels"] == ["a", "b", "a"]
+        assert read_json(fit_path)["curve_labels"] == ["a", "b", "a"]
         pred_path = str(tmp_path / "pred.json")
         assert main(["predict", "--inputs", *paths, "--fit", fit_path,
                      "--curve", "1", "--m", "15", "--out", pred_path]) == EXIT_OK
-        pred = json.load(open(pred_path))
+        pred = read_json(pred_path)
         expected = predict_curve(model, 1, 15)
         assert np.allclose(pred["means"], expected.means, rtol=0, atol=1e-10)
         assert np.allclose(pred["covariances"], expected.covariances,
@@ -419,7 +425,7 @@ class TestMetricsCommand:
         out = str(tmp_path / "metrics.json")
         assert main(["metrics", "--pair", path, path, "--m", "40",
                      "--out", out]) == EXIT_OK
-        report = json.load(open(out))
+        report = read_json(out)
         assert report["imspe"] == pytest.approx(0.0, abs=1e-12)
         assert report["wasserstein2"] == pytest.approx(0.0, abs=1e-12)
         assert report["esd"] == pytest.approx(0.0, abs=1e-3)
@@ -434,7 +440,7 @@ class TestRegisterCommand:
         out = str(tmp_path / "reg.json")
         assert main(["register", "--source", b, "--target", a, "--grid", "40",
                      "--out", out]) == EXIT_OK
-        reg = json.load(open(out))
+        reg = read_json(out)
         assert len(reg["gamma"]) == 41
         diffs = np.diff(reg["energies"])
         assert np.all(diffs <= 1e-12)
@@ -448,7 +454,7 @@ class TestRegisterCommand:
         assert main(["register", "--source", b, "--target", a, "--grid", "50",
                      "--out", out]) == EXIT_OK
         expected = esd(load_curve_csv(a), load_curve_csv(b), grid_size=50)
-        assert json.load(open(out))["esd"] == expected
+        assert read_json(out)["esd"] == expected
 
 
 class TestPreprocessCommand:
@@ -461,7 +467,7 @@ class TestPreprocessCommand:
             paths.append(p)
         outdir = str(tmp_path / "out")
         assert main(["preprocess", "--inputs", *paths, "--outdir", outdir]) == EXIT_OK
-        report = json.load(open(os.path.join(outdir, "alignment.json")))
+        report = read_json(os.path.join(outdir, "alignment.json"))
         assert len(report) == 2
         assert os.path.exists(os.path.join(outdir, "c0_pre.csv"))
 
@@ -505,7 +511,7 @@ class TestLandmarksCommand:
         out = str(tmp_path / "landmarks.json")
         assert main(["landmarks", "--inputs", curve, "--p", "4", "--n-trials", "3",
                      "--seed", "2", "--config", str(cfg), "--out", out]) == EXIT_OK
-        data = json.load(open(out))
+        data = read_json(out)
         assert data["criterion_trace"] == {"4": data["score"]}
         assert data["score"] == min(trial["score"] for trial in data["trials"])
 
@@ -577,7 +583,7 @@ class TestNonFiniteCurvePoint:
         star = generate_synthetic("star", 8, petals=3, amplitude=0.15)
         good, bad = str(tmp_path / "good.csv"), tmp_path / "bad.csv"
         save_curve_csv(star, good)
-        lines = open(good).read().splitlines()
+        lines = Path(good).read_text().splitlines()
         lines[4] = f"{value},0.5"  # the fourth point
         bad.write_text("\n".join(lines) + "\n")
         pred = tmp_path / "pred.json"

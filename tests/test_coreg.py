@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.errors import ValidationError
-from curvegp.kernels import (FAMILIES, NoiseSpec, PeriodicHyperparameters, gram,
-                             periodic_eval)
-from gram_oracle import full_grid_gram_oracle, full_grid_input_gram, level_factor
+from curvegp.kernels import FAMILIES, NoiseSpec, PeriodicHyperparameters, gram
+from gram_oracle import (full_grid_gram_oracle, full_grid_input_gram, level_factor,
+                         periodic_eval)
 
 
 HYP = PeriodicHyperparameters(1.2, 0.3, 1.0, family="periodic_rbf")

@@ -448,6 +448,15 @@ class TestPredict:
         with pytest.raises(ValidationError):
             predict(self.levels_model(DEFAULT_JITTER), s, d, j, g)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_arc_parameters(self, value):
+        # inf once gave NaN means and a non-finite covariance with only
+        # RuntimeWarnings, and NaN the pairing message, as NaN != NaN
+        with pytest.raises(ValidationError, match="arc parameters must be finite"):
+            predict(self.model, [value, value], [0, 1])
+        with pytest.raises(ValidationError, match="arc parameters must be finite"):
+            predict(self.model, [0.1, 0.1, value, value], [0, 1, 0, 1])
+
     def test_rejects_curve_or_group_out_of_range_with_explicit_group(self):
         # a one-curve, one-group model has no curve or group level, so the
         # Gram never looks at j or g: both once returned a mean
