@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -232,6 +233,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if not 0.0 < args.scale < math.inf:  # false for nan too
+        raise ValidationError(f"--scale must be finite and > 0, got {args.scale}")
     pred = predicted_curve_from_dict(load_json(args.pred))
     observed = load_curve_csv(args.observed) if args.observed else None
     truth = load_curve_csv(args.truth) if args.truth else None

@@ -100,13 +100,13 @@ def level_product(matrices, types_a, types_b, out=None):
     when given. The entries equal a product formed per pair of points bit
     for bit."""
     (values_a, point_a), (values_b, point_b) = types_a, types_b
-    factors = [B[a[:, None], b[None, :]]
+    factors = [B.take(a, axis=0).take(b, axis=1)
                for B, a, b in zip(matrices, values_a, values_b)]
     grid = reduce(np.multiply, factors) if factors else np.ones((1, 1))
     # columns first, so the large gather copies whole rows; the types always
     # index the grid, and "clip" spares the copy of out that "raise" makes
-    return factors, np.take(grid.take(point_b, axis=1), point_a, axis=0, out=out,
-                            mode="clip")
+    return factors, grid.take(point_b, axis=1).take(point_a, axis=0, out=out,
+                                                    mode="clip")
 
 
 def multilevel_gram(kernel: MultiLevelKernel, noise: NoiseSpec, s_a, *, j_a=None,

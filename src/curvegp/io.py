@@ -81,9 +81,9 @@ LEVEL_TAGS = {"coord": "D", "curve": "C", "group": "G"}
 def fit_result_to_dict(model) -> dict:
     """JSON-ready summary of a fitted model (hyperparameters, coreg levels
     with D/C/G tags, noise, likelihood, diagnostics -- restart scores, the
-    best restart, the nugget of the final factorization and one record per
-    restart -- and the group label of each curve so that the design can be
-    rebuilt)."""
+    best restart, the nugget of the final factorization, the largest nugget
+    the optimization needed and one record per restart -- and the group
+    label of each curve so that the design can be rebuilt)."""
     hyp, design = model.kernel.input_kernel, model.design
     coreg = {}
     for name, tag in LEVEL_TAGS.items():
@@ -101,6 +101,7 @@ def fit_result_to_dict(model) -> dict:
         "restart_scores": diag.get("restart_scores", []),
         "best_restart": diag.get("best_restart"),
         "nugget": diag.get("nugget"),
+        "max_nugget": diag.get("max_nugget"),
         "restarts": diag.get("restarts", []),
         "group_labels": [str(label) for label in design.group_labels],
         "curve_labels": [str(design.group_labels[design.group_of_curve(c)])

@@ -36,6 +36,17 @@ block. Every Gram is a Gram of points: `level_product` forms its level
 factors on the grid of point types and spreads their product to the
 points, for the objective and for `multilevel_gram` alike.
 
+At small P an evaluation's cost is per-call overhead, not arithmetic, so
+the objective keeps its P x P work arrays across calls, `_chol_with_ladder`
+factors into one new stack of Fortran-ordered matrices that dpotrs and
+dpotri then overwrite in place, and the LAPACK flags go by position, which
+f2py parses faster than keywords. `fit` hands the objective to L-BFGS-B as
+two functions: `value` computes -log p(y) with its gradient and keeps the
+gradient with theta's bytes, and `grad` returns the kept gradient when
+theta is the same bit for bit (else computes it anew). Each evaluation
+runs the likelihood once, without scipy's `MemoizeJac`, which compares and
+copies theta twice per evaluation.
+
 SciPy is imported only where it is used, so `import curvegp.model` loads
 numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs, dtrtrs) come
 from `_lapack`, which imports `scipy.linalg.lapack` at the first
@@ -204,15 +215,15 @@ def _require(ok: bool, name: str, rule: str, value) -> None:
 class FittedModel:
     """Kernel with estimated hyperparameters plus cached training solve.
 
-    ``chol`` holds the Cholesky factors of the two P x P blocks and
-    ``basis`` their (lam, Q), the eigenbasis of the coordinate factor.
-    ``alpha`` is K^-1 y over the 2P values, point by point.
+    ``chol`` stacks the Cholesky factors of the two P x P blocks and
+    ``basis`` holds their (lam, Q), the eigenbasis of the coordinate
+    factor. ``alpha`` is K^-1 y over the 2P values, point by point.
     """
 
     kernel: MultiLevelKernel
     noise: NoiseSpec
     design: TrainingDesign
-    chol: list
+    chol: np.ndarray
     basis: tuple
     alpha: np.ndarray
     log_marginal_likelihood: float
@@ -247,10 +258,10 @@ class PredictedCurve:
         return self.covariances[:, 0, 1]
 
 
-def _coord_basis(B: np.ndarray):
-    """(lam, Q) with B = Q diag(lam) Q^T for a symmetric 2 x 2 B, in closed
-    form: Q is a rotation, lam descending, and B = I gives Q = I exactly."""
-    (a, b), (_, c) = B.tolist()
+def _coord_basis(a: float, b: float, c: float):
+    """(lam, Q) with B = Q diag(lam) Q^T for the symmetric 2 x 2 B of
+    entries B[0, 0] = a, B[0, 1] = b and B[1, 1] = c, in closed form: Q is a
+    rotation, lam descending, and B = I gives Q = I exactly."""
     half = 0.5 * (a - c)
     r = math.hypot(half, b)
     phi = 0.5 * math.atan2(b, half)
@@ -276,20 +287,26 @@ def _lapack():
 
 
 def _chol_with_ladder(blocks):
-    """Cholesky factors of every block of a stack with one escalating
-    diagonal nugget: when any block fails, all are factored again with the
-    next nugget, so K + nugget I stays isotropic. Returns (factors, nugget
-    used). Non-finite entries raise ValueError."""
+    """Lower Cholesky factors of every block of a stack of symmetric
+    matrices, with one escalating diagonal nugget: when any block fails,
+    all are factored again with the next nugget, so K + nugget I stays
+    isotropic. Returns (factors, nugget used): factors is a new stack, each
+    matrix Fortran-ordered, so that LAPACK works on it in place. Non-finite
+    entries raise ValueError."""
     blocks = np.asarray_chkfinite(blocks)
     dpotrf = _lapack().dpotrf
+    # a symmetric block's C-ordered copy, read transposed, is the block in
+    # Fortran order
+    copy = np.empty_like(blocks)
+    factors = copy.transpose(0, 2, 1)
     for nugget in NUGGET_LADDER:
-        factors = []
-        for K in blocks:
-            M = K if nugget == 0.0 else K + nugget * np.eye(len(K))
-            L, info = dpotrf(M, lower=1, clean=1)
+        np.copyto(copy, blocks)
+        if nugget:
+            copy.reshape(len(copy), -1)[:, ::copy.shape[-1] + 1] += nugget
+        for L in factors:
+            _, info = dpotrf(L, 1, 1, 1)  # lower, clean, overwrite_a
             if info != 0:
                 break
-            factors.append(L)
         else:
             return factors, nugget
     raise NumericalError(
@@ -351,7 +368,13 @@ class MarginalLikelihoodObjective:
                              for i, v in zip(self.point_levels, values)]
         self._factors = []
         self._wk = {}
-        self._buffers = {}
+        # work arrays, overwritten by every call: a fresh array of this size
+        # costs more in page faults than the arithmetic done on it
+        n = self.n_points
+        self._K0, self._K, self._A = np.empty((3, n, n))
+        self._blocks = np.empty((2, n, n))
+        self.max_nugget = 0.0  # the largest nugget `_chol_with_ladder` used
+        self._kept = (None, None)  # theta's bytes and gradient at the last `value`
 
     # -- packing -----------------------------------------------------------
 
@@ -408,16 +431,9 @@ class MarginalLikelihoodObjective:
         w_sl, k_sl = self.slices[name]
         return theta[w_sl].reshape(size, -1), np.exp(theta[k_sl])
 
-    def _buffer(self, key, stack=()):
-        """A (stack x) points x points work array kept across calls: a fresh
-        array of this size costs more in page faults than the arithmetic
-        done on it."""
-        if key not in self._buffers:
-            self._buffers[key] = np.empty(stack + (self.n_points,) * 2)
-        return self._buffers[key]
-
     def _level_matrix(self, theta, i):
-        """B of level i; (W, kappa) of a free level are kept for its gradient."""
+        """B of point level i; (W, kappa) of a free level are kept for its
+        gradient."""
         name, _, size, _, free = self.levels[i]
         if not free:
             return np.eye(size)
@@ -425,6 +441,17 @@ class MarginalLikelihoodObjective:
         B = W @ W.T
         B.reshape(-1)[::size + 1] += kappa
         return B
+
+    def _coord_level(self, theta):
+        """(lam, Q) of the coordinate factor B = W W^T + diag(kappa), its
+        three entries taken as Python floats; (W, kappa) of a free level are
+        kept for its gradient."""
+        if not self.levels[0][4]:
+            return _coord_basis(1.0, 0.0, 1.0)
+        W, kappa = self._wk[0] = self._coreg(theta, "coord", 2)
+        (a, b), (_, c) = (W @ W.T).tolist()
+        k0, k1 = kappa.tolist()
+        return _coord_basis(a + k0, b, c + k1)
 
     def gram_and_grads(self, theta):
         """The point Gram K (without noise) and the three dense points x
@@ -436,14 +463,14 @@ class MarginalLikelihoodObjective:
         kept for `value_and_grad`, as is the basis of the coordinate factor.
         K and K0 are work arrays of this objective, overwritten by its next
         call."""
-        sigma2, rho = np.exp(theta[:2])
+        sigma2, rho = np.exp(theta[:2]).tolist()
         base, dcorr = warped_correlation(self.config.family, self.warp, rho, True)
         base *= sigma2
-        K0 = np.add(base, self.config.jitter, out=self._buffer("K0"))
+        K0 = np.add(base, self.config.jitter, out=self._K0)
         self._factors, Bfull = level_product(
             [self._level_matrix(theta, i) for i in self.point_levels],
-            self.types, self.types, out=self._buffer("K"))
-        self._basis = _coord_basis(self._level_matrix(theta, 0))
+            self.types, self.types, out=self._K)
+        self._basis = self._coord_level(theta)
         base *= Bfull
         dcorr *= sigma2
         dcorr *= Bfull
@@ -452,30 +479,32 @@ class MarginalLikelihoodObjective:
 
     def value_and_grad(self, theta):
         """-log p(y) and its gradient, contracted by level (R&W 2006, 5.4.1):
-        with A = alpha alpha^T - K^-1, d(-log p) = -tr(A dK)/2."""
+        with A = alpha alpha^T - K^-1, d(-log p) = -tr(A dK)/2. The largest
+        nugget any call needed is kept in ``max_nugget``."""
         K, grads = self.gram_and_grads(theta)
         noise_var = math.exp(theta[2])
         lam, Q = self._basis
-        blocks = _blocks(K, lam, noise_var, self._buffer("blocks", (len(lam),)))
-        factors, _, alphas, nll = _factor_and_nll(blocks, Q.T @ self.targets)
-        trace_a = float(np.vdot(alphas, alphas))  # sum_e tr(A_e), less tr(K_e^-1) below
+        blocks = _blocks(K, lam, noise_var, self._blocks)
+        factors, nugget, alphas, nll = _factor_and_nll(blocks, Q.T @ self.targets)
+        self.max_nugget = max(self.max_nugget, nugget)
         Mt = alphas @ K @ alphas.T
+        K_diagonal = K.diagonal()
         dpotri = _lapack().dpotri
-        for e, L in enumerate(factors):
-            Ke_inv, info = dpotri(L, lower=1, overwrite_c=1)
+        for e, L in enumerate(factors):  # each factor becomes K_e^-1 in place
+            _, info = dpotri(L, 1, 1)  # lower, overwrite_c
             if info != 0:
                 raise NumericalError(
                     f"inverse from the Cholesky factor failed (info={info})")
-            trace_a -= Ke_inv.trace()
             # <K_e^-1, K> from the lower triangle dpotri fills
-            Mt[e, e] -= 2.0 * np.vdot(Ke_inv.T, K) - Ke_inv.diagonal() @ K.diagonal()
-            Ke_inv *= lam[e]
-            if e == 0:
-                Kinv = Ke_inv
-            else:
-                Kinv += Ke_inv
+            Mt[e, e] -= 2.0 * np.vdot(L.T, K) - L.diagonal() @ K_diagonal
+        trace_a = float(np.vdot(alphas, alphas))  # sum_e tr(A_e)
+        for trace in factors.diagonal(axis1=1, axis2=2).sum(axis=1).tolist():
+            trace_a -= trace
+        factors *= lam[:, None, None]
+        Kinv = factors[0]
+        Kinv += factors[1]
         # A = sum_e lam_e (alpha_e alpha_e^T - K_e^-1) over the points
-        A = np.matmul(alphas.T * lam, alphas, out=self._buffer("A"))
+        A = np.matmul(alphas.T * lam, alphas, out=self._A)
         A -= Kinv
         A -= Kinv.T  # dpotri fills the lower triangle; the upper one is zero
         A.reshape(-1)[::self.n_points + 1] += Kinv.diagonal()  # taken twice above
@@ -504,9 +533,22 @@ class MarginalLikelihoodObjective:
         grad[w_sl] = -(M @ W).ravel()
         grad[k_sl] = -0.5 * M.diagonal() * kappa
 
+    # -- the hand-off to L-BFGS-B ------------------------------------------
+
     def value(self, theta):
-        """-log p(y) alone, computed with its gradient."""
-        return self.value_and_grad(theta)[0]
+        """-log p(y) at theta, computed with its gradient, which is kept
+        for `grad` at the same theta."""
+        theta = np.asarray(theta, dtype=float)
+        nll, grad = self.value_and_grad(theta)
+        self._kept = theta.tobytes(), grad
+        return nll
+
+    def grad(self, theta):
+        """The gradient of -log p(y) at theta: the one the last `value` call
+        kept when theta equals its theta bit for bit, else computed anew."""
+        theta = np.asarray(theta, dtype=float)
+        key, grad = self._kept
+        return grad if theta.tobytes() == key else self.value_and_grad(theta)[1]
 
 
 def _factor_and_nll(blocks, Y: np.ndarray):
@@ -514,14 +556,14 @@ def _factor_and_nll(blocks, Y: np.ndarray):
     nugget, alphas, -log p) for independent rows Y[e] ~ N(0, block e);
     alphas[e] = block e^-1 Y[e]."""
     factors, nugget = _chol_with_ladder(blocks)
-    alphas = np.empty_like(Y)
-    logdet = 0.0
+    alphas = Y.copy()
     dpotrs = _lapack().dpotrs
-    for e, L in enumerate(factors):
-        alphas[e], info = dpotrs(L, Y[e], lower=1)
+    for L, alpha in zip(factors, alphas):
+        _, info = dpotrs(L, alpha, 1, 1)  # lower, overwrite_b
         if info != 0:
             raise NumericalError(f"solve with the Cholesky factor failed (info={info})")
-        logdet += float(np.log(L.diagonal()).sum())
+    # the log-determinant of each block, summed over the blocks in order
+    logdet = sum(np.log(factors.diagonal(axis1=1, axis2=2)).sum(axis=1).tolist())
     nll = 0.5 * float(np.vdot(Y, alphas)) + logdet + 0.5 * Y.size * LOG2PI
     return factors, nugget, alphas, nll
 
@@ -532,7 +574,8 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
     hyperparameters: the two blocks of the point Gram in the eigenbasis of
     the coordinate factor, alpha in point order, and log p(y)."""
     K = multilevel_gram(kernel, noise, design.s, j_a=design.j, g_a=design.g)
-    lam, Q = basis = _coord_basis(kernel.coord.matrix)
+    (a, b), (_, c) = kernel.coord.matrix.tolist()
+    lam, Q = basis = _coord_basis(a, b, c)
     factors, nugget, alphas, nll = _factor_and_nll(
         _blocks(K, lam, noise.noise_variance), Q.T @ design.y.T)
     diag = dict(diagnostics or {})
@@ -554,12 +597,18 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     """Maximize the log marginal likelihood by multi-start L-BFGS-B with the
     analytic gradient, in the box of each hyperparameter.
 
+    The optimizer takes the objective's `value` as its function and `grad`
+    as its gradient: `value` computes both and keeps the gradient, and
+    `grad` hands it out at the same theta, so each evaluation runs the
+    likelihood once, without scipy's `MemoizeJac` wrapper around it.
+
     Deterministic for a fixed seed; the best restart is returned with all
     restart scores logged in the diagnostics, and one record per restart
     that ran to its end (restart number, iterations, evaluations, the
-    optimizer's success flag and message), in the order of the scores. A
-    restart that meets a point it cannot factor, its start included, is
-    skipped with a warning.
+    optimizer's success flag and message, and the largest nugget the
+    factorization needed), in the order of the scores, and the largest
+    nugget of all of them. A restart that meets a point it cannot factor,
+    its start included, is skipped with a warning.
     """
     import warnings
     model_config = model_config or ModelConfig()
@@ -569,8 +618,9 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     scores, results, records = [], [], []
     for i in range(opt_config.restarts):
         theta0 = obj.default_start() if i == 0 else obj.random_start(rng)
+        obj.max_nugget = 0.0
         try:
-            res = minimize(obj.value_and_grad, theta0, jac=True,
+            res = minimize(obj.value, theta0, jac=obj.grad,
                            method="L-BFGS-B", bounds=obj.bounds,
                            options={"maxiter": opt_config.maxiter})
         except NumericalError:
@@ -579,13 +629,15 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
         scores.append(-float(res.fun))
         results.append(res.x)
         records.append({"restart": i, "nit": int(res.nit), "nfev": int(res.nfev),
-                        "success": bool(res.success), "message": res.message})
+                        "success": bool(res.success), "message": res.message,
+                        "max_nugget": obj.max_nugget})
     if not results:
         raise NumericalError("all restarts failed to factorize or converge")
     best_index = int(np.argmax(scores))
     kernel, noise = obj.unpack(results[best_index])
     diagnostics = {"restart_scores": scores, "best_restart": best_index,
-                   "restarts": records}
+                   "restarts": records,
+                   "max_nugget": max(r["max_nugget"] for r in records)}
     return assemble_model(design, kernel, noise, diagnostics)
 
 

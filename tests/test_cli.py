@@ -331,8 +331,11 @@ class TestFitPredictPipeline:
         records = data["restarts"]
         assert len(records) == len(scores) == 3
         assert [r["restart"] for r in records] == [0, 1, 2]
+        assert data["max_nugget"] == 0.0
         for record in records:
-            assert set(record) == {"restart", "nit", "nfev", "success", "message"}
+            assert set(record) == {"restart", "nit", "nfev", "success", "message",
+                                   "max_nugget"}
+            assert record["max_nugget"] == 0.0
             assert 0 < record["nit"] <= 4 and record["nfev"] >= record["nit"]
             assert isinstance(record["success"], bool)
             assert isinstance(record["message"], str) and record["message"]
@@ -570,6 +573,31 @@ class TestPlotCommand:
         assert main(argv) == EXIT_VALIDATION
         assert key in capsys.readouterr().err
         assert not svg.exists()
+
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf", "-inf"])
+    def test_scale_not_finite_and_positive_exits_2_and_writes_no_svg(
+            self, tmp_path, capsys, scale):
+        # a negative, zero or nan scale once exited 0 and wrote negative,
+        # zero or nan ellipse radii into the SVG
+        pred, svg = tmp_path / "pred.json", tmp_path / "out" / "p.svg"
+        save_json(valid_prediction(), str(pred))
+        argv = ["plot", "--pred", str(pred), "--out", str(svg), f"--scale={scale}"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "--scale" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_positive_scale_sizes_the_ellipses(self, tmp_path):
+        pred = tmp_path / "pred.json"
+        save_json(valid_prediction(), str(pred))
+        radii = {}
+        for scale in ("0.5", "2"):
+            svg = tmp_path / f"p{scale}.svg"
+            assert main(["plot", "--pred", str(pred), "--out", str(svg),
+                         "--scale", scale]) == EXIT_OK
+            radii[scale] = [float(e.get("rx")) for e in ET.parse(svg).iter()
+                            if e.tag.endswith("ellipse")]
+        assert len(radii["2"]) == 3
+        assert np.allclose(radii["2"], [4 * r for r in radii["0.5"]])
 
 
 class TestNonFiniteCurvePoint:

@@ -742,6 +742,19 @@ def paired_design(n_curves=2, n=8, labels=None):
     return TrainingDesign.from_curves(curves, labels)
 
 
+def near_singular_design():
+    """(design, kernel, noise): a very long length scale without jitter or
+    noise, so K is numerically singular and needs a rung of the nugget
+    ladder."""
+    design = paired_design(2, 30)
+    hyp = PeriodicHyperparameters(1.0, 1.0, float(np.mean(design.lengths)),
+                                  family="periodic_rbf")
+    kernel = MultiLevelKernel(
+        hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
+        curve=CoregMatrix(np.array([[0.9], [0.5]]), np.full(2, 0.2)))
+    return design, kernel, NoiseSpec(noise_variance=0.0, jitter=0.0)
+
+
 class TestCoordinateSplit:
     def test_jitter_free_split_matches_dense_oracle(self):
         design = paired_design()
@@ -782,16 +795,9 @@ class TestCoordinateSplit:
             pytest.approx(-value_oracle, rel=1e-10))
 
     def test_near_singular_design_escalates_alike(self):
-        # a very long length scale without jitter or noise: K is numerically
-        # singular, and the two P x P blocks need the rung of the nugget
-        # ladder that the dense 2P x 2P system of the rows needs
-        design = paired_design(2, 30)
-        hyp = PeriodicHyperparameters(1.0, 1.0, float(np.mean(design.lengths)),
-                                      family="periodic_rbf")
-        kernel = MultiLevelKernel(
-            hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
-            curve=CoregMatrix(np.array([[0.9], [0.5]]), np.full(2, 0.2)))
-        noise = NoiseSpec(noise_variance=0.0, jitter=0.0)
+        # the two P x P blocks need the rung of the nugget ladder that the
+        # dense 2P x 2P system of the rows needs
+        design, kernel, noise = near_singular_design()
         model = assemble_model(design, kernel, noise)
         x, y = rows(design)
         K = full_grid_gram_oracle(kernel, noise, *x)
@@ -806,3 +812,111 @@ class TestCoordinateSplit:
         assert model.diagnostics["nugget"] == nugget > 0.0
         assert model.log_marginal_likelihood == pytest.approx(oracle, rel=1e-6)
 
+
+class TestLargestNugget:
+    def test_objective_keeps_the_rung_of_a_near_singular_design(self):
+        design, kernel, _ = near_singular_design()
+        obj = MarginalLikelihoodObjective(design, ModelConfig(family="periodic_rbf",
+                                                              jitter=0.0))
+        assert obj.max_nugget == 0.0
+        theta = np.concatenate([[0.0, 0.0, -np.inf]] + [  # sigma2 = rho = 1, no noise
+            np.concatenate([level.w.ravel(), np.log(level.kappa)])
+            for level in (kernel.coord, kernel.curve)])
+        obj.value_and_grad(theta)
+        rung = assemble_model(design, *obj.unpack(theta)).diagnostics["nugget"]
+        assert obj.max_nugget == rung > 0.0
+        obj.value_and_grad(obj.default_start())  # needs no nugget: the record stays
+        assert obj.max_nugget == rung
+
+    def test_fit_records_the_largest_nugget_per_restart(self, monkeypatch):
+        # with almost no noise the optimization of the near-singular design
+        # meets the ladder, which the final factorization's nugget need not show
+        import curvegp.model as model
+        monkeypatch.setattr(model, "NOISE_BOX", (1e-300, 1e-290))
+        design = near_singular_design()[0]
+        fitted = fit(design, ModelConfig(family="periodic_rbf", jitter=0.0),
+                     OptimizerConfig(restarts=2, maxiter=5))
+        records = fitted.diagnostics["restarts"]
+        assert len(records) == 2
+        assert all(r["max_nugget"] in NUGGET_LADDER for r in records)
+        assert fitted.diagnostics["max_nugget"] == max(r["max_nugget"] for r in records)
+        assert fitted.diagnostics["max_nugget"] > 0.0
+
+    def test_default_fit_records_zero(self):
+        design, _ = circle_design(8)
+        fitted = fit(design, ModelConfig(), OptimizerConfig(restarts=3, seed=0))
+        assert fitted.diagnostics["max_nugget"] == 0.0
+        assert [r["max_nugget"] for r in fitted.diagnostics["restarts"]] == [0.0] * 3
+
+
+class TestHandOff:
+    def test_grad_recomputes_at_another_theta(self, monkeypatch):
+        design = paired_design()
+        obj = MarginalLikelihoodObjective(design, ModelConfig())
+        rng = np.random.default_rng(11)
+        theta1, theta2 = obj.random_start(rng), obj.random_start(rng)
+        calls = []
+        value_and_grad = MarginalLikelihoodObjective.value_and_grad
+
+        def counted(self, theta):
+            calls.append(theta.copy())
+            return value_and_grad(self, theta)
+
+        monkeypatch.setattr(MarginalLikelihoodObjective, "value_and_grad", counted)
+        value = obj.value(theta1)
+        kept = obj.grad(theta1.copy())  # the same theta: no evaluation
+        assert len(calls) == 1
+        other = obj.grad(theta2)  # another theta: evaluated anew
+        assert len(calls) == 2 and np.array_equal(calls[1], theta2)
+        fresh = MarginalLikelihoodObjective(design, ModelConfig())
+        fresh_value, fresh_grad = fresh.value_and_grad(theta1)
+        assert value == fresh_value and np.array_equal(kept, fresh_grad)
+        assert np.array_equal(other, fresh.value_and_grad(theta2)[1])
+
+    def test_fit_equals_the_memoized_hand_off(self):
+        # the same restarts through scipy's own (value, gradient) hand-off
+        from scipy.optimize import minimize
+        design = paired_design(3, 6)
+        opt = OptimizerConfig(restarts=3, seed=4, maxiter=60)
+        fitted = fit(design, ModelConfig(), opt)
+        obj = MarginalLikelihoodObjective(design, ModelConfig())
+        rng = np.random.default_rng(opt.seed)
+        scores, xs, records = [], [], []
+        for i in range(opt.restarts):
+            theta0 = obj.default_start() if i == 0 else obj.random_start(rng)
+            res = minimize(obj.value_and_grad, theta0, jac=True, method="L-BFGS-B",
+                           bounds=obj.bounds, options={"maxiter": opt.maxiter})
+            scores.append(-float(res.fun))
+            xs.append(res.x)
+            records.append({"restart": i, "nit": int(res.nit), "nfev": int(res.nfev),
+                            "success": bool(res.success), "message": res.message,
+                            "max_nugget": 0.0})
+        diag = fitted.diagnostics
+        assert diag["restart_scores"] == scores
+        assert diag["restarts"] == records
+        kernel, noise = obj.unpack(xs[int(np.argmax(scores))])
+        assert fitted.noise == noise
+        assert fitted.kernel.input_kernel == kernel.input_kernel
+        for name in ("coord", "curve"):
+            got, want = getattr(fitted.kernel, name), getattr(kernel, name)
+            assert np.array_equal(got.w, want.w) and np.array_equal(got.kappa, want.kappa)
+
+
+class TestWorkArrays:
+    @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+    def test_evaluation_does_not_depend_on_the_one_before(self, case):
+        # value_and_grad keeps its work arrays across calls: theta1 after
+        # theta2 gives what a fresh objective gives at theta1, bit for bit
+        n_curves, labels, levels = LEVEL_CASES[case]
+        design = paired_design(n_curves, 6, labels)
+        config = ModelConfig(**levels)
+        obj = MarginalLikelihoodObjective(design, config)
+        rng = np.random.default_rng(13)
+        theta1, theta2 = obj.random_start(rng), obj.random_start(rng)
+        first = obj.value_and_grad(theta1)
+        obj.value_and_grad(theta2)
+        again = obj.value_and_grad(theta1)
+        fresh = MarginalLikelihoodObjective(design, config).value_and_grad(theta1)
+        for value, grad in (first, again):
+            assert value == fresh[0]
+            assert np.array_equal(grad, fresh[1])
