@@ -8,7 +8,7 @@ means, landmark selection, sub-population fits).
 
 from .curves import (Curve, arc_to_xy_param, generate_synthetic,
                      polygon_length, resample_equally_spaced, xy_to_arc_param)
-from .kernels import NoiseSpec, PeriodicHyperparameters, gram
+from .kernels import PeriodicHyperparameters, gram
 from .coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from .model import (FittedModel, ModelConfig, OptimizerConfig, PredictedCurve,
                     TrainingDesign, assemble_model, fit, predict,
@@ -31,7 +31,7 @@ __all__ = [
     "Curve", "arc_to_xy_param", "generate_synthetic", "polygon_length",
     "resample_equally_spaced", "xy_to_arc_param",
     # kernels
-    "NoiseSpec", "PeriodicHyperparameters", "gram",
+    "PeriodicHyperparameters", "gram",
     # coreg
     "CoregMatrix", "MultiLevelKernel", "multilevel_gram",
     # model

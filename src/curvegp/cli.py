@@ -145,14 +145,14 @@ def _model_from_fit(curve_paths, fit_path):
     file (files without them are fitted without groups)."""
     curves = _load_curves(curve_paths)
     data = load_json(fit_path)
-    kernel, noise = kernel_from_dict(data)
+    kernel, noise_variance = kernel_from_dict(data)
     labels = data.get("curve_labels")
     if labels is not None and len(labels) != len(curves):
         raise ValidationError(
             f"{fit_path} holds group labels for {len(labels)} curves, "
             f"but {len(curves)} inputs were given")
     design = TrainingDesign.from_curves(curves, labels)
-    return model_mod.assemble_model(design, kernel, noise)
+    return model_mod.assemble_model(design, kernel, noise_variance)
 
 
 def cmd_predict(args) -> int:

@@ -3,10 +3,10 @@
 Discrete levels (coordinate, curve, group) are coupled through low-rank-
 plus-diagonal PSD matrices B = W W^T + diag(kappa). The full kernel is the
 product of the periodic input kernel with one factor per active level.
-Every Gram formed here is a Gram of points: the input kernel times the
-curve and group factors. The coordinate level acts on each point's two
-coordinates and is applied by the model, through the eigenbasis of its
-2 x 2 matrix.
+Every Gram formed here is a Gram of points: the input kernel, its jitter
+included, times the curve and group factors. The coordinate level acts on
+each point's two coordinates and is applied by the model, through the
+eigenbasis of its 2 x 2 matrix.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from functools import reduce
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import NoiseSpec, PeriodicHyperparameters, gram
+from .kernels import PeriodicHyperparameters, gram
 
 
 @dataclass(frozen=True)
 class CoregMatrix:
-    """Low-rank-plus-diagonal PSD matrix W W^T + diag(kappa)."""
+    """Low-rank-plus-diagonal PSD matrix W W^T + diag(kappa), with finite
+    W and finite, nonnegative kappa."""
 
     w: np.ndarray
     kappa: np.ndarray
@@ -30,11 +31,11 @@ class CoregMatrix:
     def __post_init__(self):
         w = np.atleast_2d(np.asarray(self.w, dtype=float))
         kappa = np.asarray(self.kappa, dtype=float).reshape(-1)
-        if w.shape[0] != kappa.shape[0]:
-            raise ValidationError(
-                f"W has {w.shape[0]} rows but kappa has {kappa.shape[0]} entries")
-        if np.any(kappa < 0):
-            raise ValidationError("kappa entries must be nonnegative")
+        if w.ndim != 2 or w.shape[0] != kappa.shape[0]:
+            raise ValidationError(f"W must be a matrix with one row per kappa entry "
+                                  f"({kappa.shape[0]}), got shape {w.shape}")
+        if not (np.isfinite(w).all() and np.isfinite(kappa).all() and (kappa >= 0).all()):
+            raise ValidationError("W entries must be finite, kappa entries finite and >= 0")
         w = w.copy(); w.setflags(write=False)
         kappa = kappa.copy(); kappa.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -109,17 +110,16 @@ def level_product(matrices, types_a, types_b, out=None):
                                                     mode="clip")
 
 
-def multilevel_gram(kernel: MultiLevelKernel, noise: NoiseSpec, s_a, *, j_a=None,
-                    g_a=None, s_b=None, j_b=None, g_b=None) -> np.ndarray:
+def multilevel_gram(kernel: MultiLevelKernel, s_a, *, j_a=None, g_a=None, s_b=None,
+                    j_b=None, g_b=None) -> np.ndarray:
     """Gram between two sets of points (s, j, g), or of one set with
     itself: the input kernel at every pair of points (`gram`) times the
     curve and group factors the kernel carries (`level_product`). The
     coordinate level enters through the eigenbasis of its 2 x 2 matrix
-    (`model._coord_basis`), not here. The constant jitter from ``noise`` is
-    on every entry of the input kernel, so it is modulated by the same
-    factors and vanishes across independent levels. Observation noise is
-    not included."""
-    K = gram(kernel.input_kernel, noise, s_a, s_b)
+    (`model._coord_basis`), not here. The input kernel's jitter is on
+    every entry of it, so it is modulated by the same factors and vanishes
+    across independent levels. Observation noise is not included."""
+    K = gram(kernel.input_kernel, s_a, s_b)
     if s_b is None:
         j_b, g_b = j_a, g_a
     carried = [(coreg, a, b) for coreg, a, b in

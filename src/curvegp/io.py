@@ -2,12 +2,16 @@
 
 All writes are atomic (write to a temp file in the target directory, then
 rename). Numbers are serialized in shortest round-trip decimal form, so a
-load(save(x)) round trip reproduces values exactly.
+load(save(x)) round trip reproduces values exactly. A fit file stores the
+jitter beside the noise variance (``noise.jitter``), and `kernel_from_dict`
+puts it back on the input kernel; every number read from a fit or
+prediction file must be finite, and a bad one is named by its key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -16,7 +20,7 @@ import numpy as np
 from .coreg import CoregMatrix, MultiLevelKernel
 from .curves import Curve
 from .errors import ValidationError
-from .kernels import NoiseSpec, PeriodicHyperparameters
+from .kernels import PeriodicHyperparameters
 from .model import PredictedCurve
 
 
@@ -94,8 +98,7 @@ def fit_result_to_dict(model) -> dict:
     return {
         "hyperparameters": {"family": hyp.family, "sigma2": hyp.sigma2,
                             "rho": hyp.rho, "tau": hyp.tau},
-        "noise": {"noise_variance": model.noise.noise_variance,
-                  "jitter": model.noise.jitter},
+        "noise": {"noise_variance": model.noise_variance, "jitter": hyp.jitter},
         "coregionalization": coreg,
         "log_marginal_likelihood": model.log_marginal_likelihood,
         "restart_scores": diag.get("restart_scores", []),
@@ -104,8 +107,7 @@ def fit_result_to_dict(model) -> dict:
         "max_nugget": diag.get("max_nugget"),
         "restarts": diag.get("restarts", []),
         "group_labels": [str(label) for label in design.group_labels],
-        "curve_labels": [str(design.group_labels[design.group_of_curve(c)])
-                         for c in range(design.n_curves)],
+        "curve_labels": [str(design.group_labels[g]) for g in design.curve_group],
     }
 
 
@@ -121,26 +123,34 @@ def _entry(data: dict, path: str, what: str = "fit file"):
     return value
 
 
-def _number(data: dict, path: str):
-    """`_entry`, which must be a JSON number."""
+def _number(data: dict, path: str, nonnegative: bool = False):
+    """`_entry`, which must be a finite JSON number, and >= 0 when
+    ``nonnegative``."""
     value = _entry(data, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"fit file: {path} must be a number, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (nonnegative and value < 0)):
+        rule = "a finite number >= 0" if nonnegative else "a finite number"
+        raise ValidationError(f"fit file: {path} must be {rule}, got {value!r}")
     return value
 
 
 def _numbers(data: dict, path: str, what: str = "fit file") -> np.ndarray:
-    """`_entry` as a float array; entries that are not numbers are rejected."""
+    """`_entry` as a float array; entries that are not finite numbers are
+    rejected."""
     value = _entry(data, path, what)
     try:
-        return np.array(value, dtype=float)
+        array = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what}: {path} must hold numbers ({exc})") from exc
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{what}: {path} holds non-finite values")
+    return array
 
 
 def kernel_from_dict(data: dict):
-    """Rebuild (MultiLevelKernel, NoiseSpec) from a fit-result dictionary.
-    A missing or malformed entry raises ValidationError naming its key.
+    """Rebuild (MultiLevelKernel, noise variance) from a fit-result
+    dictionary. A missing or malformed entry raises ValidationError naming
+    its key.
 
     The jitter is a constant on the input kernel. Fits saved with a
     ``noise.jitter_mode`` key carry ``"constant"``; any other mode names a
@@ -151,9 +161,9 @@ def kernel_from_dict(data: dict):
     hyp = PeriodicHyperparameters(sigma2=_number(data, "hyperparameters.sigma2"),
                                   rho=_number(data, "hyperparameters.rho"),
                                   tau=_number(data, "hyperparameters.tau"),
-                                  family=_entry(data, "hyperparameters.family"))
-    noise = NoiseSpec(noise_variance=_number(data, "noise.noise_variance"),
-                      jitter=_number(data, "noise.jitter"))
+                                  family=_entry(data, "hyperparameters.family"),
+                                  jitter=_number(data, "noise.jitter", nonnegative=True))
+    noise_variance = _number(data, "noise.noise_variance", nonnegative=True)
     mode = data["noise"].get("jitter_mode", "constant")
     if mode != "constant":
         raise ValidationError(f"unsupported noise.jitter_mode {mode!r} "
@@ -164,14 +174,18 @@ def kernel_from_dict(data: dict):
     levels = {}
     for name, tag in LEVEL_TAGS.items():
         if tag in coreg:
-            levels[name] = CoregMatrix(_numbers(data, f"coregionalization.{tag}.w"),
-                                       _numbers(data, f"coregionalization.{tag}.kappa"))
+            path = f"coregionalization.{tag}"
+            w, kappa = _numbers(data, f"{path}.w"), _numbers(data, f"{path}.kappa")
+            try:
+                levels[name] = CoregMatrix(w, kappa)
+            except ValidationError as exc:
+                raise ValidationError(f"fit file: {path}: {exc}") from exc
     if "coord" not in levels:
         levels["coord"] = CoregMatrix.identity(2)
     kernel = MultiLevelKernel(input_kernel=hyp, coord=levels["coord"],
                               curve=levels.get("curve"),
                               group=levels.get("group"))
-    return kernel, noise
+    return kernel, noise_variance
 
 
 def predicted_curve_to_dict(pred) -> dict:
@@ -191,6 +205,4 @@ def predicted_curve_from_dict(data) -> PredictedCurve:
         if value.shape != shape:
             raise ValidationError(f"prediction file: {key} has shape {value.shape}, "
                                   f"expected {shape}")
-        if not np.isfinite(value).all():
-            raise ValidationError(f"prediction file: {key} holds non-finite values")
     return PredictedCurve(**arrays)

@@ -7,7 +7,9 @@ family uses the squared half chord sin^2(pi*(a - b)/tau) directly in the
 exponent; the Matern families are applied to the chord itself, which
 preserves positive semi-definiteness. The sine of the difference is formed
 from the positions (`warped_distance`), so sin and cos run once per input,
-not once per pair.
+not once per pair. The jitter is a field of the kernel: a constant added to
+every entry of its Gram (`gram`). Observation noise is not part of the
+kernel; the model keeps it as a variance of its own.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ DEFAULT_JITTER = 1e-3
 
 @dataclass(frozen=True)
 class PeriodicHyperparameters:
-    """Variance, length scale and period of a periodic kernel."""
+    """Variance, length scale and period of a periodic kernel, and its
+    jitter: a constant kernel of variance ``jitter`` added to it."""
 
     sigma2: float
     rho: float
     tau: float
     family: str = "periodic_matern32"
+    jitter: float = DEFAULT_JITTER
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -38,21 +42,8 @@ class PeriodicHyperparameters:
         for label, value in (("sigma2", self.sigma2), ("rho", self.rho), ("tau", self.tau)):
             if not np.isfinite(value) or value <= 0:
                 raise ValidationError(f"hyperparameter {label} must be positive, got {value}")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Observation-noise variance and the jitter term: a constant kernel of
-    variance ``jitter`` added to the input kernel. The box the fit keeps the
-    noise variance in is `model.NOISE_BOX`.
-    """
-
-    noise_variance: float = 1e-5
-    jitter: float = DEFAULT_JITTER
-
-    def __post_init__(self):
-        if self.noise_variance < 0 or self.jitter < 0:
-            raise ValidationError("noise variance and jitter must be nonnegative")
+        if not 0 <= self.jitter < np.inf:
+            raise ValidationError(f"jitter must be finite and >= 0, got {self.jitter}")
 
 
 def warped_distance(family: str, s_a, s_b, tau: float):
@@ -112,9 +103,9 @@ def unit_correlation(family: str, s_a, s_b, rho: float, tau: float):
     return warped_correlation(family, warped_distance(family, s_a, s_b, tau), rho)
 
 
-def gram(hyp: PeriodicHyperparameters, noise: NoiseSpec, s_a, s_b=None) -> np.ndarray:
+def gram(hyp: PeriodicHyperparameters, s_a, s_b=None) -> np.ndarray:
     """Gram matrix between arc parameters ``s_a`` and ``s_b`` (``s_a`` with
-    itself when ``s_b`` is None), with the constant jitter added to every
+    itself when ``s_b`` is None), with the kernel's jitter added to every
     entry. The kernel is evaluated at every pair of inputs.
 
     Observation noise is *not* included; that is a model-level concern.
@@ -125,5 +116,5 @@ def gram(hyp: PeriodicHyperparameters, noise: NoiseSpec, s_a, s_b=None) -> np.nd
     s_b = s_a if s_b is None else np.asarray(s_b, dtype=float).reshape(-1)
     K = unit_correlation(hyp.family, s_a[:, None], s_b[None, :], hyp.rho, hyp.tau)
     K *= hyp.sigma2
-    K += noise.jitter
+    K += hyp.jitter
     return K

@@ -41,22 +41,16 @@ DP_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
 DP_PAD = max(max(step) for step in DP_STEPS)
 
 
-def _as_points(predicted) -> np.ndarray:
-    means = getattr(predicted, "means", predicted)
-    means = np.asarray(means, dtype=float)
-    if means.ndim != 2 or means.shape[1] != 2:
-        raise ValidationError(f"expected an (m, 2) point array, got {means.shape}")
-    return means
-
-
 def imspe(predicted, truth: Curve, m: int | None = None) -> float:
     """Mean over an equally spaced arc grid of the squared coordinate errors.
 
-    ``predicted`` is a PredictedCurve or an (m, 2) array of means evaluated
-    at grid fractions i/m of its domain; the truth curve is evaluated at the
-    same fractions of its own polygon length.
+    ``predicted`` is an (m, 2) array of means evaluated at grid fractions
+    i/m of its domain; the truth curve is evaluated at the same fractions
+    of its own polygon length.
     """
-    pts = _as_points(predicted)
+    pts = np.asarray(predicted, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValidationError(f"expected an (m, 2) point array, got {pts.shape}")
     m = len(pts) if m is None else m
     if len(pts) != m:
         raise ValidationError(f"predicted grid has {len(pts)} points, expected {m}")

@@ -3,9 +3,10 @@ likelihood with analytic gradients, constrained multi-start fitting, and
 prediction with full per-point covariance.
 
 A `TrainingDesign` holds P points, each with both coordinates, validated
-when built. K is the jittered input Gram K0 times one factor per
-coregionalization level, B = W W^T + diag(kappa), plus noise I, over the
-2P values. The jitter is a constant added to every entry of K0, so
+when built, and the group of each curve. K is the input Gram K0 times one
+factor per coregionalization level, B = W W^T + diag(kappa), plus noise I,
+over the 2P values; the noise variance is a float beside the kernel. The
+input kernel's jitter is a constant on every entry of K0, so
 K = K_pts (x) B_coord + noise I exactly, K_pts the P x P Gram of the
 points carrying the curve and group factors. With B_coord = Q diag(lam)
 Q^T (closed form), rotating each point's two targets by Q splits K into
@@ -65,7 +66,7 @@ import numpy as np
 from .coreg import (CoregMatrix, MultiLevelKernel, _point_types, level_product,
                     multilevel_gram)
 from .errors import NumericalError, ValidationError
-from .kernels import (DEFAULT_JITTER, FAMILIES, NoiseSpec, PeriodicHyperparameters,
+from .kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                       warped_correlation, warped_distance)
 
 NUGGET_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
@@ -86,9 +87,10 @@ class TrainingDesign:
     """Sample points of closed curves, validated at construction.
 
     Per point: arc parameter ``s``, curve ``j``, group ``g`` and both
-    coordinates ``y`` (P x 2). Per curve: its polygon length. One label per
-    group. Curve and group indices run from 0 without gaps, and each curve
-    lies in one group.
+    coordinates ``y`` (P x 2). Per curve: its polygon length and, set at
+    construction, its group (``curve_group``). One label per group. Curve
+    and group indices run from 0 without gaps, and each curve lies in one
+    group.
     """
 
     s: np.ndarray
@@ -97,6 +99,7 @@ class TrainingDesign:
     y: np.ndarray
     lengths: np.ndarray
     group_labels: tuple = ((),)
+    curve_group: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.s, self.y, self.lengths = (np.asarray(a, dtype=float)
@@ -111,9 +114,9 @@ class TrainingDesign:
         n_curves = _index_count("curve", self.j, n)
         if _index_count("group", self.g, n) != len(self.group_labels):
             raise ValidationError("one group label per group required")
-        curve_group = np.empty(n_curves, dtype=int)
-        curve_group[self.j] = self.g
-        if (curve_group[self.j] != self.g).any():
+        self.curve_group = np.empty(n_curves, dtype=int)
+        self.curve_group[self.j] = self.g
+        if (self.curve_group[self.j] != self.g).any():
             raise ValidationError("each curve must lie in one group")
         if self.lengths.shape != (n_curves,) or (self.lengths <= 0).any():
             raise ValidationError(f"one positive length per curve required "
@@ -126,9 +129,6 @@ class TrainingDesign:
     @property
     def n_groups(self) -> int:
         return len(self.group_labels)
-
-    def group_of_curve(self, curve_index: int) -> int:
-        return int(self.g[self.j == curve_index][0])
 
     @classmethod
     def from_curves(cls, curve_list, labels=None) -> "TrainingDesign":
@@ -221,7 +221,7 @@ class FittedModel:
     """
 
     kernel: MultiLevelKernel
-    noise: NoiseSpec
+    noise_variance: float
     design: TrainingDesign
     chol: np.ndarray
     basis: tuple
@@ -231,9 +231,6 @@ class FittedModel:
 
     def predict(self, s, d, j=None, g=None):
         return predict(self, s, d, j, g)
-
-    def predict_curve(self, curve_index: int = 0, m: int = 100):
-        return predict_curve(self, curve_index, m)
 
 
 @dataclass
@@ -411,18 +408,18 @@ class MarginalLikelihoodObjective:
         return theta
 
     def unpack(self, theta):
+        """(kernel, noise variance) at theta."""
         hyp = PeriodicHyperparameters(sigma2=float(np.exp(theta[0])),
                                       rho=float(np.exp(theta[1])),
-                                      tau=self.tau, family=self.config.family)
-        noise = NoiseSpec(noise_variance=float(np.exp(theta[2])),
-                          jitter=self.config.jitter)
+                                      tau=self.tau, family=self.config.family,
+                                      jitter=self.config.jitter)
         coregs = {name: CoregMatrix(*self._coreg(theta, name, size)) if free
                   else CoregMatrix.identity(size)
                   for name, _, size, _, free in self.levels}
         kernel = MultiLevelKernel(input_kernel=hyp, coord=coregs["coord"],
                                   curve=coregs.get("curve"),
                                   group=coregs.get("group"))
-        return kernel, noise
+        return kernel, float(np.exp(theta[2]))
 
     # -- likelihood --------------------------------------------------------
 
@@ -569,20 +566,22 @@ def _factor_and_nll(blocks, Y: np.ndarray):
 
 
 def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
-                   noise: NoiseSpec, diagnostics: dict | None = None) -> FittedModel:
-    """Cache the training factorization for a kernel with fixed
-    hyperparameters: the two blocks of the point Gram in the eigenbasis of
-    the coordinate factor, alpha in point order, and log p(y)."""
-    K = multilevel_gram(kernel, noise, design.s, j_a=design.j, g_a=design.g)
+                   noise_variance: float, diagnostics: dict | None = None) -> FittedModel:
+    """Cache the training factorization for a kernel and a noise variance
+    (finite and >= 0): the two blocks of the point Gram in the eigenbasis
+    of the coordinate factor, alpha in point order, and log p(y)."""
+    _require(0 <= noise_variance < math.inf, "noise_variance", "finite and >= 0",
+             noise_variance)
+    K = multilevel_gram(kernel, design.s, j_a=design.j, g_a=design.g)
     (a, b), (_, c) = kernel.coord.matrix.tolist()
     lam, Q = basis = _coord_basis(a, b, c)
     factors, nugget, alphas, nll = _factor_and_nll(
-        _blocks(K, lam, noise.noise_variance), Q.T @ design.y.T)
+        _blocks(K, lam, noise_variance), Q.T @ design.y.T)
     diag = dict(diagnostics or {})
     diag.setdefault("nugget", nugget)
-    return FittedModel(kernel=kernel, noise=noise, design=design, chol=factors,
-                       alpha=(Q @ alphas).T.ravel(), log_marginal_likelihood=-nll,
-                       diagnostics=diag, basis=basis)
+    return FittedModel(kernel=kernel, noise_variance=noise_variance, design=design,
+                       chol=factors, alpha=(Q @ alphas).T.ravel(),
+                       log_marginal_likelihood=-nll, diagnostics=diag, basis=basis)
 
 
 def minimize(*args, **kwargs):
@@ -634,11 +633,11 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     if not results:
         raise NumericalError("all restarts failed to factorize or converge")
     best_index = int(np.argmax(scores))
-    kernel, noise = obj.unpack(results[best_index])
+    kernel, noise_variance = obj.unpack(results[best_index])
     diagnostics = {"restart_scores": scores, "best_restart": best_index,
                    "restarts": records,
                    "max_nugget": max(r["max_nugget"] for r in records)}
-    return assemble_model(design, kernel, noise, diagnostics)
+    return assemble_model(design, kernel, noise_variance, diagnostics)
 
 
 def _unit_means(model: FittedModel, s, j, g):
@@ -646,8 +645,8 @@ def _unit_means(model: FittedModel, s, j, g):
     points (s, j, g), points x 2, and the points' cross Gram against the
     training points."""
     dz = model.design
-    cross = multilevel_gram(model.kernel, model.noise, s, j_a=j, g_a=g,
-                            s_b=dz.s, j_b=dz.j, g_b=dz.g)
+    cross = multilevel_gram(model.kernel, s, j_a=j, g_a=g, s_b=dz.s, j_b=dz.j,
+                            g_b=dz.g)
     means = cross @ model.alpha.reshape(len(dz.s), 2) @ model.kernel.coord.matrix
     return means, cross
 
@@ -674,7 +673,7 @@ def predict(model: FittedModel, s, d, j=None, g=None):
     on the query points, written into the output one block at a time."""
     s, j, g = _query_points(model, s, d, j, g)
     n = len(s)
-    K = multilevel_gram(model.kernel, model.noise, s, j_a=j, g_a=g)
+    K = multilevel_gram(model.kernel, s, j_a=j, g_a=g)
     means, cross = _unit_means(model, s, j, g)
     lam, Q = model.basis
     cov = np.empty((2 * n,) * 2)
@@ -708,7 +707,7 @@ def _query_points(model: FittedModel, s, d, j, g):
     if np.any((j < 0) | (j >= dz.n_curves)):
         raise ValidationError(f"curve index out of range for {dz.n_curves} curves")
     if g is None:
-        g = np.array([dz.group_of_curve(c) for c in range(dz.n_curves)])[j]
+        g = dz.curve_group[j]
     g = np.atleast_1d(np.asarray(g, dtype=int))
     if np.any((g < 0) | (g >= dz.n_groups)):
         raise ValidationError(f"group index out of range for {dz.n_groups} groups")
@@ -738,10 +737,9 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
     length = float(model.design.lengths[curve_index])
     grid = np.arange(m) * length / m
     j = np.full(m, curve_index, dtype=int)
-    g = np.full(m, model.design.group_of_curve(curve_index), dtype=int)
+    g = np.full(m, model.design.curve_group[curve_index])
     means, cross = _unit_means(model, grid, j, g)
-    k0 = multilevel_gram(model.kernel, model.noise, grid[:1], j_a=j[:1],
-                         g_a=g[:1])[0, 0]
+    k0 = multilevel_gram(model.kernel, grid[:1], j_a=j[:1], g_a=g[:1])[0, 0]
     lam, Q = model.basis
     covs = np.zeros((m, 2, 2))
     for e, V in enumerate(_whitened(model, cross)):  # a column per grid point

@@ -63,22 +63,22 @@ def level_factor(coreg, a, b):
     return coreg.matrix[a, b]
 
 
-def full_grid_input_gram(hyp, noise, s_a, s_b=None):
+def full_grid_input_gram(hyp, s_a, s_b=None):
     """The input kernel evaluated at every pair of inputs, then jittered."""
     s_a = np.asarray(s_a, dtype=float).reshape(-1)
     s = s_a if s_b is None else np.asarray(s_b, dtype=float).reshape(-1)
     corr = unit_correlation(hyp.family, s_a[:, None], s[None, :], hyp.rho, hyp.tau)
-    return hyp.sigma2 * corr + noise.jitter
+    return hyp.sigma2 * corr + hyp.jitter
 
 
-def full_grid_gram_oracle(kernel, noise, s_a, d_a, j_a=None, g_a=None,
+def full_grid_gram_oracle(kernel, s_a, d_a, j_a=None, g_a=None,
                           s_b=None, d_b=None, j_b=None, g_b=None):
     """The multi-level Gram with the input kernel evaluated at every pair
     and every level factor gathered per pair: over rows (s, d, j, g), one
     coordinate d of one point each, or with ``d_a`` None over points
     (s, j, g), without the coordinate level, the reference for
     `multilevel_gram`."""
-    K = full_grid_input_gram(kernel.input_kernel, noise, s_a, s_b)
+    K = full_grid_input_gram(kernel.input_kernel, s_a, s_b)
     if s_b is None:
         d_b, j_b, g_b = d_a, j_a, g_a
     B = 1.0

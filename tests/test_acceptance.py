@@ -88,8 +88,8 @@ def test_criterion_03_gram_psd(report):
             inputs = rng.uniform(0, 1, n)
             h = cg.PeriodicHyperparameters(rng.uniform(0.1, 5.0),
                                            rng.uniform(0.05, 0.5), 1.0,
-                                           family=family)
-            K = cg.gram(h, cg.NoiseSpec(jitter=0.0), inputs)
+                                           family=family, jitter=0.0)
+            K = cg.gram(h, inputs)
             min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(K))))
     report(3, "Gram PSD pre-jitter", min_eig >= -1e-8, f"min eig {min_eig:.2e}")
 
@@ -128,7 +128,7 @@ def test_criterion_05_kriging_interpolation(report):
     design = TrainingDesign.from_curves([curve])
     model = fit(design, ModelConfig(), OptimizerConfig(restarts=8, seed=0))
     lo, hi = NOISE_BOX
-    in_box = lo <= model.noise.noise_variance <= hi
+    in_box = lo <= model.noise_variance <= hi
     mean, _ = predict(model, design.s.repeat(2), np.tile([0, 1], len(design.s)))
     train_err = float(np.max(np.abs(mean - design.y.ravel())))
     pred = predict_curve(model, 0, 200)
@@ -143,12 +143,11 @@ def test_criterion_05_kriging_interpolation(report):
 def test_criterion_06_cyclic_invariance(report):
     curve = prep(cg.generate_synthetic("circle", 12))
     hyp = cg.PeriodicHyperparameters(0.5, 0.2, 1.0)  # tau = ell = 1
-    noise = cg.NoiseSpec(noise_variance=1e-5)
     kernel = MultiLevelKernel(hyp, CoregMatrix(np.array([[0.3], [0.2]]),
                                                np.array([0.5, 0.7])))
 
     def mean_set(c):
-        model = assemble_model(TrainingDesign.from_curves([c]), kernel, noise)
+        model = assemble_model(TrainingDesign.from_curves([c]), kernel, 1e-5)
         return predict_curve(model, 0, 36).means
 
     def hausdorff(a, b):
@@ -166,14 +165,13 @@ def test_criterion_07_block_diagonal_consistency(report):
     c1 = prep(cg.generate_synthetic("star", 12, rng_seed=1, noise_sd=0.02))
     c2 = prep(cg.generate_synthetic("ellipse", 12, rng_seed=2, noise_sd=0.02))
     hyp = cg.PeriodicHyperparameters(0.5, 0.2, 1.0)
-    noise = cg.NoiseSpec(noise_variance=1e-5)
     joint_kernel = MultiLevelKernel(hyp, CoregMatrix.identity(2),
                                     curve=CoregMatrix.identity(2))
-    joint = assemble_model(TrainingDesign.from_curves([c1, c2]), joint_kernel, noise)
+    joint = assemble_model(TrainingDesign.from_curves([c1, c2]), joint_kernel, 1e-5)
     separate_kernel = MultiLevelKernel(hyp, CoregMatrix.identity(2))
     worst = 0.0
     for j, c in enumerate([c1, c2]):
-        sep = assemble_model(TrainingDesign.from_curves([c]), separate_kernel, noise)
+        sep = assemble_model(TrainingDesign.from_curves([c]), separate_kernel, 1e-5)
         pj = predict_curve(joint, j, 40)
         ps = predict_curve(sep, 0, 40)
         worst = max(worst, float(np.max(np.abs(pj.means - ps.means))),

@@ -196,21 +196,49 @@ def valid_fit() -> dict:
             "coregionalization": {"D": {"w": [[0.3], [0.1]], "kappa": [1.0, 1.0]}}}
 
 
-def _without(path):
-    """A change to a fit dict that deletes the key at a dotted path."""
+def _at(path, edit):
+    """A change to a fit dict that calls ``edit(entry, key)`` on the entry
+    holding the last key of a dotted path."""
     def change(data):
         *parents, last = path.split(".")
         entry = data
         for key in parents:
             entry = entry[key]
-        del entry[last]
+        edit(entry, last)
         return data
     return change
+
+
+def _without(path):
+    """A change to a fit dict that deletes the key at a dotted path."""
+    return _at(path, dict.pop)
+
+
+def _setting(path, value):
+    """A change to a fit dict that sets the key at a dotted path."""
+    return _at(path, lambda entry, key: entry.__setitem__(key, value))
 
 
 MALFORMED_FITS = {
     # name: (change to a valid fit dict, key the message names)
     "no-jitter": (_without("noise.jitter"), "noise.jitter"),
+    # each non-finite noise value once exited 2 with numpy's "array must not
+    # contain infs or NaNs", naming no key, and a negative one named neither
+    # key exactly
+    **{f"{value}-{key}": (_setting(f"noise.{key}", value), f"noise.{key}")
+       for key in ("noise_variance", "jitter")
+       for value in (float("nan"), float("inf"), float("-inf"), -1e-3)},
+    # a nan W or kappa entry once passed CoregMatrix unchecked
+    "nan-w": (_setting("coregionalization.D.w", [[0.3], [float("nan")]]),
+              "coregionalization.D.w"),
+    "nan-kappa": (_setting("coregionalization.D.kappa", [float("nan"), 1.0]),
+                  "coregionalization.D.kappa"),
+    # a negative kappa once went unnamed, and a 3-d W exited 1 with a
+    # TypeError traceback from the coordinate basis
+    "negative-kappa": (_setting("coregionalization.D.kappa", [-1.0, 1.0]),
+                       "coregionalization.D"),
+    "3d-w": (_setting("coregionalization.D.w", [[[0.3]], [[0.1]]]),
+             "coregionalization.D"),
     "no-sigma2": (_without("hyperparameters.sigma2"), "hyperparameters.sigma2"),
     "no-noise": (_without("noise"), "fit file has no noise"),
     "string-sigma2": (lambda data: {**data, "hyperparameters": {

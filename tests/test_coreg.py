@@ -1,5 +1,7 @@
 """Coregionalization matrices and the separable multi-level kernel."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,12 @@ from hypothesis import strategies as st
 
 from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.errors import ValidationError
-from curvegp.kernels import FAMILIES, NoiseSpec, PeriodicHyperparameters, gram
+from curvegp.kernels import FAMILIES, PeriodicHyperparameters, gram
 from gram_oracle import (full_grid_gram_oracle, full_grid_input_gram, level_factor,
                          periodic_eval)
 
 
-HYP = PeriodicHyperparameters(1.2, 0.3, 1.0, family="periodic_rbf")
-NO_JITTER = NoiseSpec(jitter=0.0)
+HYP = PeriodicHyperparameters(1.2, 0.3, 1.0, family="periodic_rbf", jitter=0.0)
 
 
 def multilevel_eval(kernel: MultiLevelKernel, a, b):
@@ -45,9 +46,19 @@ class TestCoregMatrix:
         with pytest.raises(ValidationError):
             CoregMatrix(np.zeros((2, 1)), [1.0, -0.1])
 
+    @pytest.mark.parametrize("w, kappa", [
+        ([[np.nan], [0.1]], [1.0, 1.0]), ([[0.3], [np.inf]], [1.0, 1.0]),
+        ([[0.3], [0.1]], [np.nan, 1.0]), ([[0.3], [0.1]], [1.0, np.inf])])
+    def test_non_finite_entries_rejected(self, w, kappa):
+        # a nan W or kappa once passed, as only kappa < 0 was tested
+        with pytest.raises(ValidationError, match="finite"):
+            CoregMatrix(w, kappa)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             CoregMatrix(np.zeros((3, 1)), [1.0, 1.0])
+        with pytest.raises(ValidationError, match="matrix"):
+            CoregMatrix(np.zeros((2, 1, 1)), [1.0, 1.0])
 
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(min_value=1, max_value=6),
@@ -85,7 +96,7 @@ class TestMultilevelEval:
         C = CoregMatrix(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
         K = MultiLevelKernel(HYP, D, curve=C)
         s = np.array([0.1, 0.35, 0.8])
-        Ks = gram(HYP, NO_JITTER, s)
+        Ks = gram(HYP, s)
         full = np.kron(C.matrix, np.kron(D.matrix, Ks))
         # index (j, d, i) ordering to match the Kronecker layout
         for j1 in range(2):
@@ -110,7 +121,7 @@ class TestMultilevelGram:
         n = 30
         s = rng.uniform(0, 1, n)
         j = rng.integers(0, 3, n)
-        G = multilevel_gram(K, NO_JITTER, s, j_a=j)
+        G = multilevel_gram(K, s, j_a=j)
         assert np.allclose(G, G.T)
         assert np.min(np.linalg.eigvalsh(G)) >= -1e-10
 
@@ -122,7 +133,7 @@ class TestMultilevelGram:
         K = MultiLevelKernel(HYP, CoregMatrix.identity(2), curve=C)
         s = rng.uniform(0, 1, 5)
         j = rng.integers(0, 3, 5)
-        G = multilevel_gram(K, NO_JITTER, s, j_a=j)
+        G = multilevel_gram(K, s, j_a=j)
         for a in range(5):
             for b in range(5):
                 assert G[a, b] == pytest.approx(
@@ -132,12 +143,11 @@ class TestMultilevelGram:
     def test_constant_jitter_modulated_by_levels(self):
         # jitter is part of the input kernel, so it vanishes where an
         # identity curve factor couples independent curves
-        noise = NoiseSpec(jitter=1e-3)
-        K = MultiLevelKernel(HYP, CoregMatrix.identity(2),
+        K = MultiLevelKernel(replace(HYP, jitter=1e-3), CoregMatrix.identity(2),
                              curve=CoregMatrix.identity(2))
         s = np.array([0.2, 0.2])
         j = np.array([0, 1])
-        G = multilevel_gram(K, noise, s, j_a=j)
+        G = multilevel_gram(K, s, j_a=j)
         assert G[0, 1] == 0.0
         assert G[0, 0] == pytest.approx(HYP.sigma2 + 1e-3, abs=1e-14)
 
@@ -149,15 +159,15 @@ class TestMultilevelGram:
         K = MultiLevelKernel(HYP, CoregMatrix.identity(2), group=Gmat)
         s = rng.uniform(0, 1, 8)
         g = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        G1 = multilevel_gram(K, NO_JITTER, s, g_a=g)
-        G2 = multilevel_gram(K, NO_JITTER, s, g_a=g.copy())
+        G1 = multilevel_gram(K, s, g_a=g)
+        G2 = multilevel_gram(K, s, g_a=g.copy())
         assert np.array_equal(G1, G2)
 
 
-def random_kernel(rng, family, n_curves, n_groups):
+def random_kernel(rng, family, n_curves, n_groups, jitter=1e-3):
     """A kernel with random factors; a level of size 0 is absent."""
     hyp = PeriodicHyperparameters(rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.4),
-                                  1.0, family=family)
+                                  1.0, family=family, jitter=jitter)
 
     def level(size):
         return (CoregMatrix(rng.normal(size=(size, 1)), rng.uniform(0.1, 1, size))
@@ -189,33 +199,28 @@ class TestDistinctInputGram:
     def test_self_and_cross_match_full_grid(self, family, jitter, levels):
         n_curves, n_groups = LEVELS[levels]
         rng = np.random.default_rng(31)
-        kernel = random_kernel(rng, family, n_curves, n_groups)
-        noise = NoiseSpec(jitter=jitter)
+        kernel = random_kernel(rng, family, n_curves, n_groups, jitter)
         a = repeated_design(rng, 50, n_curves, n_groups)
         b = repeated_design(rng, 18, n_curves, n_groups)
         assert len(np.unique(a[0])) < len(a[0]) // 2
         s, j, g = a
-        assert np.array_equal(multilevel_gram(kernel, noise, s, j_a=j, g_a=g),
-                              full_grid_gram_oracle(kernel, noise, s, None, j, g))
+        assert np.array_equal(multilevel_gram(kernel, s, j_a=j, g_a=g),
+                              full_grid_gram_oracle(kernel, s, None, j, g))
         cross = dict(zip(("s_b", "j_b", "g_b"), b))
-        assert np.array_equal(multilevel_gram(kernel, noise, s, j_a=j, g_a=g, **cross),
-                              full_grid_gram_oracle(kernel, noise, s, None, j, g,
-                                                    **cross))
+        assert np.array_equal(multilevel_gram(kernel, s, j_a=j, g_a=g, **cross),
+                              full_grid_gram_oracle(kernel, s, None, j, g, **cross))
         hyp = kernel.input_kernel
         for s_a, s_b in ((a[0], None), (a[0], b[0]), (b[0], a[0])):
-            assert np.array_equal(gram(hyp, noise, s_a, s_b),
-                                  full_grid_input_gram(hyp, noise, s_a, s_b))
+            assert np.array_equal(gram(hyp, s_a, s_b), full_grid_input_gram(hyp, s_a, s_b))
 
     def test_cross_gram_of_same_values_equals_self_gram(self):
         rng = np.random.default_rng(32)
         kernel = random_kernel(rng, "periodic_matern32", 3, 0)
-        noise = NoiseSpec(jitter=1e-3)
         s, j, g = repeated_design(rng, 24, 3, 0)
-        cross = multilevel_gram(kernel, noise, s, j_a=j, g_a=g, s_b=s.copy(), j_b=j,
-                                g_b=g)
+        cross = multilevel_gram(kernel, s, j_a=j, g_a=g, s_b=s.copy(), j_b=j, g_b=g)
         assert np.array_equal(cross, full_grid_gram_oracle(
-            kernel, noise, s, None, j, g, s_b=s.copy(), j_b=j, g_b=g))
-        assert np.array_equal(multilevel_gram(kernel, noise, s, j_a=j, g_a=g), cross)
+            kernel, s, None, j, g, s_b=s.copy(), j_b=j, g_b=g))
+        assert np.array_equal(multilevel_gram(kernel, s, j_a=j, g_a=g), cross)
 
     @pytest.mark.parametrize("bad", [
         {"j_a": [0, 3]}, {"j_a": [-1, 0]}, {"g_a": [2, 0]}, {"j_b": [0, 0, 3]}])
@@ -226,10 +231,10 @@ class TestDistinctInputGram:
         points.update((k, v) for k, v in bad.items() if k.endswith("_a"))
         cross.update((k, v) for k, v in bad.items() if k.endswith("_b"))
         with pytest.raises(ValidationError, match="level index out of range"):
-            multilevel_gram(kernel, NO_JITTER, **points, **cross)
+            multilevel_gram(kernel, **points, **cross)
         if not any(k.endswith("_b") for k in bad):
             with pytest.raises(ValidationError, match="level index out of range"):
-                multilevel_gram(kernel, NO_JITTER, **points)
+                multilevel_gram(kernel, **points)
 
     def test_out_of_range_index_that_a_raw_code_would_alias(self):
         # with 2 groups, a raw mixed-radix code j * 2 + g maps (0, 2) onto
@@ -237,7 +242,7 @@ class TestDistinctInputGram:
         # must still see g = 2
         kernel = random_kernel(np.random.default_rng(34), "periodic_rbf", 3, 2)
         with pytest.raises(ValidationError, match="level index out of range"):
-            multilevel_gram(kernel, NO_JITTER, [0.1, 0.5], j_a=[1, 0], g_a=[0, 2])
+            multilevel_gram(kernel, [0.1, 0.5], j_a=[1, 0], g_a=[0, 2])
 
     def test_rows_with_a_coordinate_index_are_refused(self):
         # the Gram takes points; a call in the former (s, d, j, g) row
@@ -245,9 +250,16 @@ class TestDistinctInputGram:
         kernel = random_kernel(np.random.default_rng(35), "periodic_rbf", 3, 2)
         s, d, j, g = [0.1, 0.1], [0, 1], [2, 2], [1, 1]
         with pytest.raises(TypeError):
-            multilevel_gram(kernel, NO_JITTER, s, d, j, g)
+            multilevel_gram(kernel, s, d, j, g)
         with pytest.raises(TypeError):
-            multilevel_gram(kernel, NO_JITTER, s, d_a=d, j_a=j, g_a=g)
+            multilevel_gram(kernel, s, d_a=d, j_a=j, g_a=g)
+
+    def test_a_noise_argument_is_refused(self):
+        # the jitter is a field of the input kernel, so the former
+        # (kernel, noise, s) call has one positional argument too many
+        kernel = random_kernel(np.random.default_rng(38), "periodic_rbf", 3, 0)
+        with pytest.raises(TypeError):
+            multilevel_gram(kernel, object(), [0.1, 0.5])
 
     @pytest.mark.parametrize("n_indices", [1, 2])
     def test_indices_are_keyword_only(self, n_indices):
@@ -257,9 +269,9 @@ class TestDistinctInputGram:
                                2 if n_indices == 2 else 0)
         s, d, j = [0.1, 0.1], [0, 1], [1, 1]
         with pytest.raises(TypeError):
-            multilevel_gram(kernel, NO_JITTER, s, *(d, j)[:n_indices])
+            multilevel_gram(kernel, s, *(d, j)[:n_indices])
 
     def test_one_index_per_point(self):
         kernel = random_kernel(np.random.default_rng(36), "periodic_rbf", 3, 0)
         with pytest.raises(ValidationError, match="one level index per point"):
-            multilevel_gram(kernel, NO_JITTER, [0.1, 0.5, 0.7], j_a=[1])
+            multilevel_gram(kernel, [0.1, 0.5, 0.7], j_a=[1])

@@ -1,6 +1,7 @@
 """Periodic kernels: evaluation, bounds, Gram assembly."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvegp.errors import ValidationError
-from curvegp.kernels import (DEFAULT_JITTER, FAMILIES, NoiseSpec,
-                             PeriodicHyperparameters, gram, unit_correlation,
-                             warped_correlation, warped_distance)
+from curvegp.kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters, gram,
+                             unit_correlation, warped_correlation, warped_distance)
 from gram_oracle import gram_tolerance, periodic_eval, theorem1_bounds
 
 
@@ -29,8 +29,9 @@ def warped_correlation_oracle(family, w, rho, with_dlogrho=False):
     return (e, a * e) if with_dlogrho else e
 
 
-def hyp_rbf(sigma2=1.0, rho=1.0, tau=1.0):
-    return PeriodicHyperparameters(sigma2, rho, tau, family="periodic_rbf")
+def hyp_rbf(sigma2=1.0, rho=1.0, tau=1.0, jitter=DEFAULT_JITTER):
+    return PeriodicHyperparameters(sigma2, rho, tau, family="periodic_rbf",
+                                   jitter=jitter)
 
 
 def kernel(h, a, b):
@@ -59,6 +60,13 @@ class TestKernelValues:
         with pytest.raises(ValidationError):
             PeriodicHyperparameters(1.0, 1.0, 1.0, family="rbf")
 
+    def test_jitter_defaults_and_is_checked(self):
+        assert PeriodicHyperparameters(1.0, 1.0, 1.0).jitter == DEFAULT_JITTER
+        assert PeriodicHyperparameters(1.0, 1.0, 1.0, jitter=0.0).jitter == 0.0
+        for bad in (-1e-3, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="jitter"):
+                PeriodicHyperparameters(1.0, 1.0, 1.0, jitter=bad)
+
     def test_rbf_range(self):
         h = hyp_rbf(sigma2=3.0, rho=0.4, tau=1.0)
         rng = np.random.default_rng(0)
@@ -67,10 +75,10 @@ class TestKernelValues:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_scalar_inputs_give_a_scalar(self, family):
-        h = PeriodicHyperparameters(1.3, 0.5, 1.1, family=family)
+        h = PeriodicHyperparameters(1.3, 0.5, 1.1, family=family, jitter=0.0)
         value = kernel(h, 0.2, 0.7)
         assert np.ndim(value) == 0
-        assert value == gram(h, NoiseSpec(jitter=0.0), [0.2], [0.7])[0, 0]
+        assert value == gram(h, [0.2], [0.7])[0, 0]
 
 
 class TestKernelProperties:
@@ -115,14 +123,14 @@ class TestTheorem1:
 
 class TestGram:
     def test_single_input(self):
-        h = hyp_rbf(2.0, 0.5, 1.0)
-        K = gram(h, NoiseSpec(jitter=1e-3), [0.4])
+        h = hyp_rbf(2.0, 0.5, 1.0, jitter=1e-3)
+        K = gram(h, [0.4])
         assert K.shape == (1, 1)
         assert K[0, 0] == pytest.approx(2.0 + 1e-3, abs=1e-12)
 
     def test_distance_tau_perfect_correlation(self):
-        h = hyp_rbf(1.5, 0.3, 0.7)
-        K = gram(h, NoiseSpec(jitter=0.0), [0.0, 0.7])
+        h = hyp_rbf(1.5, 0.3, 0.7, jitter=0.0)
+        K = gram(h, [0.0, 0.7])
         assert K[0, 1] == pytest.approx(1.5, abs=1e-12)
 
     def test_psd_all_families(self):
@@ -133,16 +141,16 @@ class TestGram:
                 s = rng.uniform(0, 1, n)
                 h = PeriodicHyperparameters(rng.uniform(0.1, 5),
                                             rng.uniform(0.05, 0.5), 1.0,
-                                            family=family)
-                K = gram(h, NoiseSpec(jitter=0.0), s)
+                                            family=family, jitter=0.0)
+                K = gram(h, s)
                 assert np.min(np.linalg.eigvalsh(K)) >= -1e-8
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("jitter", [0.0, 1e-3])
     def test_self_gram_formula(self, family, jitter):
         s = np.random.default_rng(4).uniform(0, 2, 12)
-        h = PeriodicHyperparameters(1.7, 0.3, 1.1, family=family)
-        K = gram(h, NoiseSpec(jitter=jitter), s)
+        h = PeriodicHyperparameters(1.7, 0.3, 1.1, family=family, jitter=jitter)
+        K = gram(h, s)
         expected = h.sigma2 * unit_correlation(family, s[:, None], s[None, :],
                                                h.rho, h.tau)
         assert np.array_equal(K, expected + jitter)
@@ -151,19 +159,18 @@ class TestGram:
     def test_cross_gram_constant_jitter_everywhere(self, family):
         rng = np.random.default_rng(5)
         s_a, s_b = rng.uniform(0, 1, 4), rng.uniform(0, 1, 7)
-        h = PeriodicHyperparameters(0.8, 0.2, 1.0, family=family)
-        K = gram(h, NoiseSpec(jitter=1e-3), s_a, s_b)
+        h = PeriodicHyperparameters(0.8, 0.2, 1.0, family=family, jitter=1e-3)
+        K = gram(h, s_a, s_b)
         assert K.shape == (4, 7)
-        assert np.array_equal(K, gram(h, NoiseSpec(jitter=0.0), s_a, s_b) + 1e-3)
+        assert np.array_equal(K, gram(replace(h, jitter=0.0), s_a, s_b) + 1e-3)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_cross_gram_of_same_values_equals_self_gram(self, family):
         # the jitter is on every entry, so the diagonal of the self Gram
         # gets nothing the cross Gram of the same values does not
         s = np.random.default_rng(6).uniform(0, 1, 6)
-        h = PeriodicHyperparameters(0.8, 0.2, 1.0, family=family)
-        noise = NoiseSpec(jitter=1e-3)
-        assert np.array_equal(gram(h, noise, s, s.copy()), gram(h, noise, s))
+        h = PeriodicHyperparameters(0.8, 0.2, 1.0, family=family, jitter=1e-3)
+        assert np.array_equal(gram(h, s, s.copy()), gram(h, s))
 
 
 @st.composite
@@ -172,10 +179,10 @@ def gram_cases(draw):
     near-duplicates (a nudge of a few ulps up to 1e-6 periods) of others."""
     family = draw(st.sampled_from(FAMILIES))
     tau = draw(st.floats(min_value=0.05, max_value=20.0))
-    h = PeriodicHyperparameters(draw(st.floats(min_value=1e-3, max_value=10.0)),
-                                draw(st.floats(min_value=1e-3, max_value=4.0)),
-                                tau, family=family)
+    sigma2 = draw(st.floats(min_value=1e-3, max_value=10.0))
+    rho = draw(st.floats(min_value=1e-3, max_value=4.0))
     jitter = draw(st.sampled_from([0.0, DEFAULT_JITTER]))
+    h = PeriodicHyperparameters(sigma2, rho, tau, family=family, jitter=jitter)
     periods = draw(st.lists(st.floats(min_value=-4.0, max_value=4.0),
                             min_size=1, max_size=24))
     s = tau * np.array(periods)
@@ -183,7 +190,7 @@ def gram_cases(draw):
                                    st.floats(min_value=-1e-6, max_value=1e-6)),
                          max_size=8))
     nudged = [np.nextafter(s[i], np.inf) + tau * d for i, d in near]
-    return h, NoiseSpec(jitter=jitter), np.concatenate([s, nudged])
+    return h, np.concatenate([s, nudged])
 
 
 # bounded run time: about a second per property
@@ -197,21 +204,21 @@ class TestGramProperties:
     @GRAM_PROPERTY
     @given(case=gram_cases())
     def test_exact_identities(self, case):
-        h, noise, s = case
-        K = gram(h, noise, s)
+        h, s = case
+        K = gram(h, s)
         assert np.array_equal(K, K.T)
-        assert np.all(np.diag(K) == h.sigma2 + noise.jitter)
-        assert np.array_equal(gram(h, noise, s, s.copy()), K)
+        assert np.all(np.diag(K) == h.sigma2 + h.jitter)
+        assert np.array_equal(gram(h, s, s.copy()), K)
 
     @GRAM_PROPERTY
     @given(case=gram_cases())
     def test_periodic_and_agrees_with_the_distance_form(self, case):
-        h, noise, s = case
+        h, s = case
         tol = gram_tolerance(h, np.concatenate([s, s + h.tau]))
-        K = gram(h, noise, s)
-        assert np.max(np.abs(gram(h, noise, s + h.tau, s) - K)) <= tol
-        assert np.max(np.abs(gram(h, noise, s, s + h.tau) - K)) <= tol
-        oracle = periodic_eval(h, s[:, None], s[None, :]) + noise.jitter
+        K = gram(h, s)
+        assert np.max(np.abs(gram(h, s + h.tau, s) - K)) <= tol
+        assert np.max(np.abs(gram(h, s, s + h.tau) - K)) <= tol
+        oracle = periodic_eval(h, s[:, None], s[None, :]) + h.jitter
         assert np.max(np.abs(K - oracle)) <= tol
 
     @GRAM_PROPERTY
@@ -220,8 +227,8 @@ class TestGramProperties:
         # the entries' own rounding and eigvalsh's backward error each move
         # the spectrum by up to a few n eps max|K|: on near-singular Grams
         # the distance form, too, falls below -n eps max|K|
-        h, noise, s = case
-        K = gram(h, noise, s)
+        h, s = case
+        K = gram(h, s)
         bound = 4 * len(s) * np.finfo(float).eps * np.max(np.abs(K))
         assert np.min(np.linalg.eigvalsh(K)) >= -bound
 
@@ -257,11 +264,11 @@ class TestWarpedCorrelation:
         # their output, and the distances r, kept beside the warp, to 4x
         s = np.random.default_rng(9).uniform(0, 1, 400)
         h = PeriodicHyperparameters(0.7, 0.2, 1.0, family)
-        gram(h, NoiseSpec(), s[:4])
+        gram(h, s[:4])
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            K = gram(h, NoiseSpec(), s)
+            K = gram(h, s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

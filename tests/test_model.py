@@ -10,7 +10,7 @@ from scipy.linalg import cho_factor, cho_solve
 from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.curves import generate_synthetic
 from curvegp.errors import NumericalError, ValidationError
-from curvegp.kernels import DEFAULT_JITTER, NoiseSpec, PeriodicHyperparameters
+from curvegp.kernels import DEFAULT_JITTER, PeriodicHyperparameters
 from curvegp.model import (NOISE_BOX, NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
                            assemble_model, fit, predict, predict_curve)
@@ -98,6 +98,9 @@ class TestTrainingDesign:
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
         assert design.group_labels == oracle.group_labels
+        # the group of each curve, as the first point of the curve has it
+        assert design.curve_group.tolist() == [int(design.g[design.j == c][0])
+                                               for c in range(design.n_curves)]
 
     @pytest.mark.parametrize("case", sorted(INVALID_DESIGNS))
     def test_rejects_invalid_design(self, case):
@@ -136,9 +139,8 @@ class TestLogMarginalLikelihood:
         # sigma2 + jitter + noise = 0.9989 + 1e-3 + 1e-4 = 1.0
         hyp = PeriodicHyperparameters(0.9989, 0.3, 1.0)
         kernel = MultiLevelKernel(hyp, IDENTITY_2)
-        noise = NoiseSpec(noise_variance=1e-4, jitter=1e-3)
         # two independent coordinates, each N(0, 1)
-        model = assemble_model(single_point_design(0.0), kernel, noise)
+        model = assemble_model(single_point_design(0.0), kernel, 1e-4)
         value = model.log_marginal_likelihood / 2
         assert value == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-5)
         assert value == pytest.approx(-0.91894, abs=1e-4)
@@ -146,8 +148,7 @@ class TestLogMarginalLikelihood:
     def test_unit_variance_unit_observation(self):
         hyp = PeriodicHyperparameters(0.9989, 0.3, 1.0)
         kernel = MultiLevelKernel(hyp, IDENTITY_2)
-        noise = NoiseSpec(noise_variance=1e-4, jitter=1e-3)
-        model = assemble_model(single_point_design(1.0), kernel, noise)
+        model = assemble_model(single_point_design(1.0), kernel, 1e-4)
         value = model.log_marginal_likelihood / 2
         assert value == pytest.approx(-0.5 - 0.5 * np.log(2 * np.pi), abs=1e-4)
 
@@ -159,10 +160,9 @@ class TestLogMarginalLikelihood:
         hyp = PeriodicHyperparameters(1.3, 0.25, 1.0)
         D = CoregMatrix(np.array([[0.6], [0.4]]), np.array([0.5, 0.5]))
         kernel = MultiLevelKernel(hyp, D)
-        noise = NoiseSpec(noise_variance=1e-4, jitter=1e-3)
-        value = assemble_model(design, kernel, noise).log_marginal_likelihood
+        value = assemble_model(design, kernel, 1e-4).log_marginal_likelihood
         x, y = rows(design)
-        K = full_grid_gram_oracle(kernel, noise, *x) + 1e-4 * np.eye(4)
+        K = full_grid_gram_oracle(kernel, *x) + 1e-4 * np.eye(4)
         oracle = (-0.5 * y @ np.linalg.inv(K) @ y
                   - 0.5 * np.log(np.linalg.det(K))
                   - 2.0 * np.log(2 * np.pi))
@@ -175,13 +175,19 @@ class TestLogMarginalLikelihood:
         hyp = PeriodicHyperparameters(1.1, 0.2, float(design.lengths[0]))
         kernel = MultiLevelKernel(hyp, CoregMatrix(np.array([[0.6], [-0.3]]),
                                                    np.array([0.4, 0.7])))
-        noise = NoiseSpec(noise_variance=1e-5)
-        model = assemble_model(design, kernel, noise)
+        model = assemble_model(design, kernel, 1e-5)
         assert [L.shape for L in model.chol] == [(12, 12)] * 2
         x, y = rows(design)
-        K = full_grid_gram_oracle(kernel, noise, *x) + 1e-5 * np.eye(len(y))
+        K = full_grid_gram_oracle(kernel, *x) + 1e-5 * np.eye(len(y))
         expected = cho_solve(cho_factor(K, lower=True), y)
         assert np.max(np.abs(model.alpha - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+    @pytest.mark.parametrize("noise_variance", [-1e-5, np.nan, np.inf, -np.inf])
+    def test_rejects_noise_variance_not_finite_and_nonnegative(self, noise_variance):
+        kernel = MultiLevelKernel(PeriodicHyperparameters(1.0, 0.3, 1.0), IDENTITY_2)
+        with pytest.raises(ValidationError, match="noise_variance"):
+            assemble_model(single_point_design(0.0), kernel, noise_variance)
 
 
 class TestFit:
@@ -192,17 +198,16 @@ class TestFit:
         mean, _ = predict(model, s, d)
         assert np.max(np.abs(mean - y)) < 1e-3
         lo, hi = NOISE_BOX
-        assert lo <= model.noise.noise_variance <= hi
+        assert lo <= model.noise_variance <= hi
 
     def test_rho_recovery_within_factor_two(self):
         rng = np.random.default_rng(21)
         n = 50
         s = np.sort(rng.uniform(0, 1, n))
         rho_true = 0.1
-        hyp = PeriodicHyperparameters(1.0, rho_true, 1.0)
+        hyp = PeriodicHyperparameters(1.0, rho_true, 1.0, jitter=0.0)
         kernel = MultiLevelKernel(hyp, IDENTITY_2)
-        noise = NoiseSpec(noise_variance=1e-5, jitter=0.0)
-        K = multilevel_gram(kernel, noise, s) + 1e-5 * np.eye(n)
+        K = multilevel_gram(kernel, s) + 1e-5 * np.eye(n)
         # the two coordinates are independent draws from the same prior
         L = np.linalg.cholesky(K)
         y = np.column_stack([L @ rng.normal(size=n), L @ rng.normal(size=n)])
@@ -314,8 +319,8 @@ class TestPredict:
         self.design, self.curve = circle_design(12)
         hyp = PeriodicHyperparameters(0.5, 0.2, 1.0)
         kernel = MultiLevelKernel(hyp, IDENTITY_2)
-        self.noise = NoiseSpec(noise_variance=1e-6, jitter=1e-3)
-        self.model = assemble_model(self.design, kernel, self.noise)
+        self.noise_variance = 1e-6
+        self.model = assemble_model(self.design, kernel, self.noise_variance)
 
     def test_interpolation_at_training_inputs(self):
         (s, d, _, _), y = rows(self.design)
@@ -330,7 +335,7 @@ class TestPredict:
         s = np.array([0.11, 0.52, 0.9, 0.3])
         g = np.zeros(4, dtype=int)
         paired = assemble_model(paired_design(n_curves=2, n=6),
-                                self.model.kernel, self.noise)
+                                self.model.kernel, self.noise_variance)
         for model, j in ((self.model, g), (paired, np.array([0, 1, 1, 0]))):
             mean, _ = predict(model, s.repeat(2), np.tile([0, 1], 4), j.repeat(2))
             assert _unit_means(model, s, j, g)[0].ravel().tobytes() == mean.tobytes()
@@ -343,14 +348,14 @@ class TestPredict:
 
     def test_matches_dense_oracle(self):
         x, y = rows(self.design)
-        K = full_grid_gram_oracle(self.model.kernel, self.noise, *x)
-        K = K + self.noise.noise_variance * np.eye(len(y))
+        K = full_grid_gram_oracle(self.model.kernel, *x)
+        K = K + self.noise_variance * np.eye(len(y))
         sq = np.repeat([0.11, 0.52, 0.9], 2)
         dq = np.tile([0, 1], 3)
-        cross = full_grid_gram_oracle(self.model.kernel, self.noise, sq, dq,
+        cross = full_grid_gram_oracle(self.model.kernel, sq, dq,
                                       np.zeros(6, dtype=int), np.zeros(6, dtype=int),
                                       *x)
-        Kqq = full_grid_gram_oracle(self.model.kernel, self.noise, sq, dq,
+        Kqq = full_grid_gram_oracle(self.model.kernel, sq, dq,
                                     np.zeros(6, dtype=int), np.zeros(6, dtype=int))
         Kinv = np.linalg.inv(K)
         mean_oracle = cross @ Kinv @ y
@@ -366,23 +371,23 @@ class TestPredict:
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(3)]
         design = TrainingDesign.from_curves(curves, labels=["a", "b", "a"])
-        hyp = PeriodicHyperparameters(0.5, 0.2, float(np.mean(design.lengths)))
+        hyp = PeriodicHyperparameters(0.5, 0.2, float(np.mean(design.lengths)),
+                                      jitter=jitter)
         kernel = MultiLevelKernel(
             hyp, CoregMatrix(np.array([[0.6], [coupling]]), np.array([0.4, 0.7])),
             curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
             group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
-        return assemble_model(design, kernel,
-                              NoiseSpec(noise_variance=1e-5, jitter=jitter))
+        return assemble_model(design, kernel, 1e-5)
 
     @pytest.mark.parametrize("jitter", [0.0, DEFAULT_JITTER])
     def test_matches_dense_oracle_with_levels(self, jitter):
         # a full coordinate factor, curves and groups: the two P x P blocks
         # against the N x N inverse
         model = self.levels_model(jitter)
-        d, kernel, noise = model.design, model.kernel, model.noise
+        d, kernel = model.design, model.kernel
         assert len(model.chol) == 2
         x, y = rows(d)
-        K = full_grid_gram_oracle(kernel, noise, *x) + 1e-5 * np.eye(len(y))
+        K = full_grid_gram_oracle(kernel, *x) + 1e-5 * np.eye(len(y))
         Kinv = np.linalg.inv(K)
         # points of curve 1; points over curves 0 and 2; one point of each
         # curve; points alternating between curves 0 and 2, and between
@@ -393,9 +398,9 @@ class TestPredict:
                    ([0.25, 0.55, 0.8], [1, 2, 1]), ([0.45], [2])]
         for s, j in queries:
             sq, dq, jq = np.repeat(s, 2), np.tile([0, 1], len(s)), np.repeat(j, 2)
-            gq = np.array([d.group_of_curve(c) for c in jq])
-            cross = full_grid_gram_oracle(kernel, noise, sq, dq, jq, gq, *x)
-            Kqq = full_grid_gram_oracle(kernel, noise, sq, dq, jq, gq)
+            gq = d.curve_group[jq]
+            cross = full_grid_gram_oracle(kernel, sq, dq, jq, gq, *x)
+            Kqq = full_grid_gram_oracle(kernel, sq, dq, jq, gq)
             mean, cov = predict(model, sq, dq, jq, gq)
             assert np.max(np.abs(mean - cross @ Kinv @ y)) <= 1e-9
             assert np.max(np.abs(cov - (Kqq - cross @ Kinv @ cross.T))) <= 1e-9
@@ -405,9 +410,9 @@ class TestPredict:
             sq = np.repeat(pred.grid, 2)
             dq = np.tile([0, 1], m)
             jq = np.full(2 * m, curve)
-            gq = np.full(2 * m, d.group_of_curve(curve))
-            cross = full_grid_gram_oracle(kernel, noise, sq, dq, jq, gq, *x)
-            Kqq = full_grid_gram_oracle(kernel, noise, sq, dq, jq, gq)
+            gq = np.full(2 * m, d.curve_group[curve])
+            cross = full_grid_gram_oracle(kernel, sq, dq, jq, gq, *x)
+            Kqq = full_grid_gram_oracle(kernel, sq, dq, jq, gq)
             cov = Kqq - cross @ Kinv @ cross.T
             blocks = np.array([cov[2 * i:2 * i + 2, 2 * i:2 * i + 2]
                                for i in range(m)])
@@ -468,8 +473,7 @@ class TestPredict:
     def test_noise_monotonicity(self):
         variances = []
         for nv in [1e-6, 1e-5, 1e-4]:
-            noise = NoiseSpec(noise_variance=nv, jitter=1e-3)
-            m = assemble_model(self.design, self.model.kernel, noise)
+            m = assemble_model(self.design, self.model.kernel, nv)
             _, cov = predict(m, [0.37, 0.37], [0, 1])
             variances.append(cov.diagonal())
         assert np.all(variances[0] <= variances[1] + 1e-12)
@@ -480,7 +484,7 @@ class TestPredict:
         _, cov_full = predict(self.model, [0.41, 0.41], [0, 1])
         sub = TrainingDesign(s=d.s[:-1], j=d.j[:-1], g=d.g[:-1], y=d.y[:-1],
                              lengths=d.lengths)
-        m_sub = assemble_model(sub, self.model.kernel, self.noise)
+        m_sub = assemble_model(sub, self.model.kernel, self.noise_variance)
         _, cov_sub = predict(m_sub, [0.41, 0.41], [0, 1])
         assert np.all(cov_full.diagonal() <= cov_sub.diagonal() + 1e-12)
 
@@ -497,7 +501,7 @@ class TestPredictCurve:
         design, _ = circle_design(10)
         hyp = PeriodicHyperparameters(0.5, 0.2, 1.0)
         model = assemble_model(design, MultiLevelKernel(hyp, IDENTITY_2),
-                               NoiseSpec(noise_variance=1e-5))
+                               1e-5)
         pred = predict_curve(model, 0, 25)
         assert np.max(np.abs(pred.cross)) < 1e-12
 
@@ -505,7 +509,7 @@ class TestPredictCurve:
         design, _ = circle_design(10)
         hyp = PeriodicHyperparameters(0.5, 0.2, 1.0)
         model = assemble_model(design, MultiLevelKernel(hyp, IDENTITY_2),
-                               NoiseSpec(noise_variance=1e-5))
+                               1e-5)
         m0, _ = predict(model, [0.0, 0.0], [0, 1])
         m1, _ = predict(model, [1.0, 1.0], [0, 1])
         assert np.allclose(m0, m1, atol=1e-8)
@@ -525,7 +529,7 @@ class TestPredictCurve:
         for model, curve in itertools.product(
                 [TestPredict.levels_model(jitter, c) for c in (0.3, -0.3)], range(3)):
             pred = predict_curve(model, curve, m)
-            g = model.design.group_of_curve(curve)
+            g = model.design.curve_group[curve]
             mean, cov = predict(model, np.repeat(pred.grid, 2), np.tile([0, 1], m),
                                 np.full(2 * m, curve), np.full(2 * m, g))
             blocks = cov.reshape(m, 2, m, 2)[np.arange(m), :, np.arange(m), :]
@@ -549,7 +553,7 @@ class TestPredictCurve:
         kernel = MultiLevelKernel(
             hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
             curve=CoregMatrix(np.array([[0.9], [0.5]]), np.full(2, 0.2)))
-        model = assemble_model(design, kernel, NoiseSpec(noise_variance=1e-5))
+        model = assemble_model(design, kernel, 1e-5)
         assert predict_curve(model, 1, 10).means.shape == (10, 2)
         for curve in (2, -1, 7):
             with pytest.raises(ValidationError, match="out of range"):
@@ -566,7 +570,7 @@ class TestPredictCurve:
             hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
             curve=CoregMatrix(np.array([[0.9], [0.5], [0.8]]), np.full(3, 0.2)),
             group=CoregMatrix(np.array([[0.7], [0.2]]), np.array([0.3, 0.6])))
-        model = assemble_model(design, kernel, NoiseSpec(noise_variance=1e-5))
+        model = assemble_model(design, kernel, 1e-5)
         m = 30
         for curve in range(3):
             pred = predict_curve(model, curve, m)
@@ -721,15 +725,14 @@ class TestSharedGramBuilder:
         for _ in range(3):
             theta = obj.random_start(rng)
             K, grads = obj.gram_and_grads(theta)
-            kernel, noise = obj.unpack(theta)
-            full = full_grid_gram_oracle(kernel, noise, *rows(design)[0])
+            kernel, _ = obj.unpack(theta)
+            full = full_grid_gram_oracle(kernel, *rows(design)[0])
             # the point Gram is the Gram without the coordinate factor
-            expected = multilevel_gram(kernel, noise, design.s, j_a=design.j,
-                                       g_a=design.g)
+            expected = multilevel_gram(kernel, design.s, j_a=design.j, g_a=design.g)
             assert K.shape == (n, n)
             assert np.array_equal(K, expected)
             assert np.array_equal(K, full_grid_gram_oracle(
-                kernel, noise, design.s, None, design.j, design.g))
+                kernel, design.s, None, design.j, design.g))
             assert (np.max(np.abs(np.kron(K, kernel.coord.matrix) - full))
                     <= 1e-15 * np.max(np.abs(full)))
             assert len(grads) == 3
@@ -743,16 +746,16 @@ def paired_design(n_curves=2, n=8, labels=None):
 
 
 def near_singular_design():
-    """(design, kernel, noise): a very long length scale without jitter or
-    noise, so K is numerically singular and needs a rung of the nugget
-    ladder."""
+    """(design, kernel, noise variance): a very long length scale without
+    jitter or noise, so K is numerically singular and needs a rung of the
+    nugget ladder."""
     design = paired_design(2, 30)
     hyp = PeriodicHyperparameters(1.0, 1.0, float(np.mean(design.lengths)),
-                                  family="periodic_rbf")
+                                  family="periodic_rbf", jitter=0.0)
     kernel = MultiLevelKernel(
         hyp, CoregMatrix(np.array([[0.6], [0.3]]), np.array([0.4, 0.7])),
         curve=CoregMatrix(np.array([[0.9], [0.5]]), np.full(2, 0.2)))
-    return design, kernel, NoiseSpec(noise_variance=0.0, jitter=0.0)
+    return design, kernel, 0.0
 
 
 class TestCoordinateSplit:
@@ -790,17 +793,16 @@ class TestCoordinateSplit:
         value_oracle, grad_oracle = dense_dk_oracle(obj, theta)
         assert abs(value - value_oracle) <= 1e-10 * abs(value_oracle)
         assert np.max(np.abs(grad - grad_oracle)) <= 1e-10 * np.max(np.abs(grad_oracle))
-        kernel, noise = obj.unpack(theta)
-        assert assemble_model(design, kernel, noise).log_marginal_likelihood == (
+        assert assemble_model(design, *obj.unpack(theta)).log_marginal_likelihood == (
             pytest.approx(-value_oracle, rel=1e-10))
 
     def test_near_singular_design_escalates_alike(self):
         # the two P x P blocks need the rung of the nugget ladder that the
         # dense 2P x 2P system of the rows needs
-        design, kernel, noise = near_singular_design()
-        model = assemble_model(design, kernel, noise)
+        design, kernel, noise_variance = near_singular_design()
+        model = assemble_model(design, kernel, noise_variance)
         x, y = rows(design)
-        K = full_grid_gram_oracle(kernel, noise, *x)
+        K = full_grid_gram_oracle(kernel, *x)
         for nugget in NUGGET_LADDER:
             try:
                 c = cho_factor(K + nugget * np.eye(len(y)), lower=True)
@@ -894,8 +896,8 @@ class TestHandOff:
         diag = fitted.diagnostics
         assert diag["restart_scores"] == scores
         assert diag["restarts"] == records
-        kernel, noise = obj.unpack(xs[int(np.argmax(scores))])
-        assert fitted.noise == noise
+        kernel, noise_variance = obj.unpack(xs[int(np.argmax(scores))])
+        assert fitted.noise_variance == noise_variance
         assert fitted.kernel.input_kernel == kernel.input_kernel
         for name in ("coord", "curve"):
             got, want = getattr(fitted.kernel, name), getattr(kernel, name)

@@ -25,7 +25,6 @@ import curvegp.model
 from curvegp.cli import EXIT_OK, main
 from curvegp.curves import generate_synthetic
 from curvegp.io import predicted_curve_to_dict, save_curve_csv, save_json
-from curvegp.kernels import NoiseSpec
 from curvegp.model import (MarginalLikelihoodObjective, ModelConfig,
                            OptimizerConfig, TrainingDesign, assemble_model, fit,
                            predict, predict_curve)
@@ -154,7 +153,8 @@ def test_fit_goes_through_the_module_minimize(monkeypatch):
 # unbound on one of these paths would fail there even when the in-process
 # suite, which has factored long before, passes.
 FIRST_USE = {
-    "assemble_model": lambda x: assemble_model(x["design"], x["kernel"], x["noise"]),
+    "assemble_model": lambda x: assemble_model(x["design"], x["kernel"],
+                                               x["noise_variance"]),
     "value_and_grad": lambda x: MarginalLikelihoodObjective(
         x["design"], ModelConfig()).value_and_grad(x["theta"]),
     "value": lambda x: MarginalLikelihoodObjective(
@@ -185,9 +185,8 @@ def first_use_inputs() -> dict:
     objective = MarginalLikelihoodObjective(design, ModelConfig())
     theta = objective.default_start() + 0.01 * np.arange(objective.n_params)
     kernel, _ = objective.unpack(theta)
-    noise = NoiseSpec(noise_variance=2e-5)
-    return {"design": design, "kernel": kernel, "noise": noise, "theta": theta,
-            "model": assemble_model(design, kernel, noise),
+    return {"design": design, "kernel": kernel, "noise_variance": 2e-5, "theta": theta,
+            "model": assemble_model(design, kernel, 2e-5),
             "s": np.linspace(0.0, 3.0, 7).repeat(2), "d": np.tile([0, 1], 7),
             "j": (np.arange(7) % 3).repeat(2)}
 
