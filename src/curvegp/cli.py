@@ -19,9 +19,10 @@ from dataclasses import fields, replace
 from . import applications, metrics as metrics_mod, model as model_mod
 from .curves import Curve, generate_synthetic, resample_equally_spaced
 from .errors import ConfigError, NumericalError, ValidationError
-from .io import (atomic_write_text, fit_result_to_dict, kernel_from_dict,
-                 load_curve_csv, load_json, predicted_curve_from_dict,
-                 predicted_curve_to_dict, save_curve_csv, save_json)
+from .io import (LEVEL_TAGS, atomic_write_text, fit_result_to_dict,
+                 kernel_from_dict, load_curve_csv, load_json,
+                 predicted_curve_from_dict, predicted_curve_to_dict,
+                 save_curve_csv, save_json)
 from .model import ModelConfig, OptimizerConfig, TrainingDesign
 from .preprocess import preprocess_collection
 from .svg import emit_svg
@@ -142,7 +143,8 @@ def cmd_fit(args) -> int:
 
 def _model_from_fit(curve_paths, fit_path):
     """Rebuild the fitted model; per-curve group labels come from the fit
-    file (files without them are fitted without groups)."""
+    file (files without them are fitted without groups). A fitted curve or
+    group level must have one row per input curve or per group."""
     curves = _load_curves(curve_paths)
     data = load_json(fit_path)
     kernel, noise_variance = kernel_from_dict(data)
@@ -152,6 +154,13 @@ def _model_from_fit(curve_paths, fit_path):
             f"{fit_path} holds group labels for {len(labels)} curves, "
             f"but {len(curves)} inputs were given")
     design = TrainingDesign.from_curves(curves, labels)
+    for name, count, unit in (("curve", design.n_curves, "input curves"),
+                              ("group", design.n_groups, "groups")):
+        level = getattr(kernel, name)
+        if level is not None and level.size != count:
+            raise ValidationError(
+                f"{fit_path}: coregionalization.{LEVEL_TAGS[name]} has {level.size} "
+                f"rows, but the design has {count} {unit}")
     return model_mod.assemble_model(design, kernel, noise_variance)
 
 

@@ -41,18 +41,19 @@ At small P an evaluation's cost is per-call overhead, not arithmetic, so
 the objective keeps its P x P work arrays across calls, `_chol_with_ladder`
 factors into one new stack of Fortran-ordered matrices that dpotrs and
 dpotri then overwrite in place, and the LAPACK flags go by position, which
-f2py parses faster than keywords. `fit` hands the objective to L-BFGS-B as
-two functions: `value` computes -log p(y) with its gradient and keeps the
-gradient with theta's bytes, and `grad` returns the kept gradient when
-theta is the same bit for bit (else computes it anew). Each evaluation
-runs the likelihood once, without scipy's `MemoizeJac`, which compares and
-copies theta twice per evaluation.
+f2py parses faster than keywords. The module's `minimize` drives
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) through scipy's
+reverse-communication routine `setulb` and calls `value_and_grad` once for
+each point the routine asks for: scipy's `minimize` takes the same steps
+with the same constants but wraps each evaluation in `ScalarFunction` and
+`MemoizeJac`, whose copies and comparisons of theta cost over a third as
+much as the likelihood itself at P = 12.
 
 SciPy is imported only where it is used, so `import curvegp.model` loads
 numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs, dtrtrs) come
 from `_lapack`, which imports `scipy.linalg.lapack` at the first
 factorization or solve. `scipy.optimize` is imported only when `fit` runs,
-by the module's `minimize` (L-BFGS-B) on its first call.
+by `minimize` on its first call.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -371,7 +373,6 @@ class MarginalLikelihoodObjective:
         self._K0, self._K, self._A = np.empty((3, n, n))
         self._blocks = np.empty((2, n, n))
         self.max_nugget = 0.0  # the largest nugget `_chol_with_ladder` used
-        self._kept = (None, None)  # theta's bytes and gradient at the last `value`
 
     # -- packing -----------------------------------------------------------
 
@@ -530,22 +531,9 @@ class MarginalLikelihoodObjective:
         grad[w_sl] = -(M @ W).ravel()
         grad[k_sl] = -0.5 * M.diagonal() * kappa
 
-    # -- the hand-off to L-BFGS-B ------------------------------------------
-
     def value(self, theta):
-        """-log p(y) at theta, computed with its gradient, which is kept
-        for `grad` at the same theta."""
-        theta = np.asarray(theta, dtype=float)
-        nll, grad = self.value_and_grad(theta)
-        self._kept = theta.tobytes(), grad
-        return nll
-
-    def grad(self, theta):
-        """The gradient of -log p(y) at theta: the one the last `value` call
-        kept when theta equals its theta bit for bit, else computed anew."""
-        theta = np.asarray(theta, dtype=float)
-        key, grad = self._kept
-        return grad if theta.tobytes() == key else self.value_and_grad(theta)[1]
+        """-log p(y) at theta (computed with its gradient)."""
+        return self.value_and_grad(theta)[0]
 
 
 def _factor_and_nll(blocks, Y: np.ndarray):
@@ -584,11 +572,75 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
                        log_marginal_likelihood=-nll, diagnostics=diag, basis=basis)
 
 
-def minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call so that only a
-    process that fits pays for loading `scipy.optimize`."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+class LbfgsResult(NamedTuple):
+    """The end of one L-BFGS-B run: the point, the last value computed,
+    iterations, evaluations, the convergence flag and scipy's message."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+    message: str
+
+
+# scipy's L-BFGS-B defaults: the number of corrections kept (maxcor), the
+# relative reduction of the value in machine epsilons (ftol / eps), the
+# projected gradient tolerance (gtol), the evaluation limit and the line
+# search's step limit
+LBFGS_MAXCOR, LBFGS_FACTR, LBFGS_PGTOL = 10, 1e7, 1e-5
+LBFGS_MAXFUN, LBFGS_MAXLS = 15000, 20
+
+
+@cache
+def _lbfgsb():
+    """L-BFGS-B's reverse-communication routine `setulb` and scipy's tables
+    of its status and task messages, imported on the first call so that
+    only a process that fits pays for loading `scipy.optimize`."""
+    from scipy.optimize._lbfgsb import setulb
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+    return setulb, status_messages, task_messages
+
+
+def minimize(fun, x0, bounds, maxiter: int) -> LbfgsResult:
+    """Minimize ``fun`` (theta -> (value, gradient)) by L-BFGS-B in a box of
+    finite (lower, upper) bounds, one per parameter, as scipy's
+    `minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+    options={"maxiter": maxiter})` does, evaluation for evaluation: `setulb`
+    projects x0 into the box (scipy clips it), ``fun`` runs once per point
+    `setulb` asks for, and a point equal to the last one evaluated reuses
+    its value and gradient. An iteration count of ``maxiter`` or more than
+    `LBFGS_MAXFUN` evaluations stops the run at the end of an iteration."""
+    setulb, status_messages, task_messages = _lbfgsb()
+    lo, hi = np.array(bounds, dtype=float).T.copy()  # contiguous rows for setulb
+    x = np.array(x0, dtype=float)  # setulb's iterate, updated in place
+    n, m = len(x), LBFGS_MAXCOR
+    nbd = np.full(n, 2, dtype=np.int32)  # both bounds on every parameter
+    wa, dsave = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(29)
+    iwa, task, ln_task, lsave, isave = (np.zeros(k, dtype=np.int32)
+                                        for k in (3 * n, 2, 2, 4, 44))
+    f, g = 0.0, np.zeros(n)
+    point = value = grad = None  # the last point evaluated, as a list
+    nfev = nit = 0
+    while True:
+        setulb(m, x, lo, hi, nbd, f, g, LBFGS_FACTR, LBFGS_PGTOL, wa, iwa, task,
+               lsave, isave, dsave, LBFGS_MAXLS, ln_task)
+        if task[0] == 3:  # FG: the value and gradient at x
+            if (key := x.tolist()) != point:  # equal as floats, as scipy compares
+                point = key
+                value, grad = fun(x.copy())
+                nfev += 1
+            f, g = value, grad
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > LBFGS_MAXFUN:
+                task[:] = 5, 502
+        else:
+            break
+    message = f"{status_messages[task[0]]}: {task_messages[task[1]]}"
+    return LbfgsResult(x, f, nit, nfev, bool(task[0] == 4), message)
 
 
 def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
@@ -596,10 +648,9 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     """Maximize the log marginal likelihood by multi-start L-BFGS-B with the
     analytic gradient, in the box of each hyperparameter.
 
-    The optimizer takes the objective's `value` as its function and `grad`
-    as its gradient: `value` computes both and keeps the gradient, and
-    `grad` hands it out at the same theta, so each evaluation runs the
-    likelihood once, without scipy's `MemoizeJac` wrapper around it.
+    Each restart is one call of the module's `minimize`, which runs the
+    objective's `value_and_grad` once per evaluation and ends where scipy's
+    `minimize(..., jac=True, method="L-BFGS-B")` would, bit for bit.
 
     Deterministic for a fixed seed; the best restart is returned with all
     restart scores logged in the diagnostics, and one record per restart
@@ -619,16 +670,15 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
         theta0 = obj.default_start() if i == 0 else obj.random_start(rng)
         obj.max_nugget = 0.0
         try:
-            res = minimize(obj.value, theta0, jac=obj.grad,
-                           method="L-BFGS-B", bounds=obj.bounds,
-                           options={"maxiter": opt_config.maxiter})
+            res = minimize(obj.value_and_grad, theta0, obj.bounds,
+                           opt_config.maxiter)
         except NumericalError:
             warnings.warn(f"restart {i}: factorization failed, skipped")
             continue
         scores.append(-float(res.fun))
         results.append(res.x)
-        records.append({"restart": i, "nit": int(res.nit), "nfev": int(res.nfev),
-                        "success": bool(res.success), "message": res.message,
+        records.append({"restart": i, "nit": res.nit, "nfev": res.nfev,
+                        "success": res.success, "message": res.message,
                         "max_nugget": obj.max_nugget})
     if not results:
         raise NumericalError("all restarts failed to factorize or converge")

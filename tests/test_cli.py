@@ -407,6 +407,28 @@ class TestFitPredictPipeline:
                      "--out", str(tmp_path / "pred.json")])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("inputs, curve, key", [
+        (2, "0", "coregionalization.C"), (4, "3", "coregionalization.C"),
+        (3, "0", "coregionalization.G")])
+    def test_predict_level_size_mismatch_exit_2(self, tmp_path, capsys, inputs,
+                                                curve, key):
+        # a 3-curve, 2-group fit without its labels: 2 inputs once predicted
+        # with exit 0 from the first two rows of C, 4 inputs exited 2 naming
+        # no key, and 3 inputs read as one group used G's 2 rows
+        paths, fit_path, _ = self._grouped_fit(tmp_path)
+        data = read_json(fit_path)
+        del data["curve_labels"], data["group_labels"]
+        save_json(data, fit_path)
+        extra = str(tmp_path / "c3.csv")
+        save_curve_csv(generate_synthetic("circle", 10), extra)
+        pred_path = tmp_path / "pred.json"
+        capsys.readouterr()
+        code = main(["predict", "--inputs", *(paths + [extra])[:inputs], "--fit",
+                     fit_path, "--curve", curve, "--out", str(pred_path)])
+        assert code == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not pred_path.exists()
+
     @pytest.mark.parametrize("curve", ["2", "-1"])
     def test_predict_curve_out_of_range_exit_2(self, tmp_path, capsys, curve):
         paths = []

@@ -851,57 +851,117 @@ class TestLargestNugget:
         assert [r["max_nugget"] for r in fitted.diagnostics["restarts"]] == [0.0] * 3
 
 
-class TestHandOff:
-    def test_grad_recomputes_at_another_theta(self, monkeypatch):
-        design = paired_design()
-        obj = MarginalLikelihoodObjective(design, ModelConfig())
-        rng = np.random.default_rng(11)
-        theta1, theta2 = obj.random_start(rng), obj.random_start(rng)
-        calls = []
-        value_and_grad = MarginalLikelihoodObjective.value_and_grad
+# name: (design, model config, optimizer config, a message one of its
+# restarts must end with, so that each case takes the path it names)
+SCIPY_ORACLE_CASES = {
+    "converges": (lambda: paired_design(2, 6), ModelConfig(fit_curve=False),
+                  OptimizerConfig(restarts=3, seed=0), "CONVERGENCE: NORM OF PROJECTED"),
+    "stops-at-maxiter": (lambda: paired_design(3, 6), ModelConfig(),
+                         OptimizerConfig(restarts=3, seed=4, maxiter=60),
+                         "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+    "landmarks-3x4": (lambda: paired_design(3, 4), ModelConfig(),
+                      OptimizerConfig(restarts=2, seed=1), "CONVERGENCE: RELATIVE"),
+    "fit-group": (lambda: paired_design(3, 6, ["a", "b", "a"]),
+                  ModelConfig(fit_group=True), OptimizerConfig(restarts=2, seed=2),
+                  "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+}
 
-        def counted(self, theta):
-            calls.append(theta.copy())
-            return value_and_grad(self, theta)
 
-        monkeypatch.setattr(MarginalLikelihoodObjective, "value_and_grad", counted)
-        value = obj.value(theta1)
-        kept = obj.grad(theta1.copy())  # the same theta: no evaluation
-        assert len(calls) == 1
-        other = obj.grad(theta2)  # another theta: evaluated anew
-        assert len(calls) == 2 and np.array_equal(calls[1], theta2)
-        fresh = MarginalLikelihoodObjective(design, ModelConfig())
-        fresh_value, fresh_grad = fresh.value_and_grad(theta1)
-        assert value == fresh_value and np.array_equal(kept, fresh_grad)
-        assert np.array_equal(other, fresh.value_and_grad(theta2)[1])
+def scipy_restarts(design, model_config, opt):
+    """`fit`'s restarts through `scipy.optimize.minimize` (jac=True): the
+    restart records and scores `fit` logs, and each restart's x."""
+    from scipy.optimize import minimize
+    obj = MarginalLikelihoodObjective(design, model_config)
+    rng = np.random.default_rng(opt.seed)
+    scores, xs, records = [], [], []
+    for i in range(opt.restarts):
+        theta0 = obj.default_start() if i == 0 else obj.random_start(rng)
+        res = minimize(obj.value_and_grad, theta0, jac=True, method="L-BFGS-B",
+                       bounds=obj.bounds, options={"maxiter": opt.maxiter})
+        scores.append(-float(res.fun))
+        xs.append(res.x)
+        records.append({"restart": i, "nit": int(res.nit), "nfev": int(res.nfev),
+                        "success": bool(res.success), "message": res.message,
+                        "max_nugget": 0.0})
+    return obj, scores, xs, records
 
-    def test_fit_equals_the_memoized_hand_off(self):
-        # the same restarts through scipy's own (value, gradient) hand-off
-        from scipy.optimize import minimize
-        design = paired_design(3, 6)
-        opt = OptimizerConfig(restarts=3, seed=4, maxiter=60)
-        fitted = fit(design, ModelConfig(), opt)
-        obj = MarginalLikelihoodObjective(design, ModelConfig())
-        rng = np.random.default_rng(opt.seed)
-        scores, xs, records = [], [], []
-        for i in range(opt.restarts):
-            theta0 = obj.default_start() if i == 0 else obj.random_start(rng)
-            res = minimize(obj.value_and_grad, theta0, jac=True, method="L-BFGS-B",
-                           bounds=obj.bounds, options={"maxiter": opt.maxiter})
-            scores.append(-float(res.fun))
-            xs.append(res.x)
-            records.append({"restart": i, "nit": int(res.nit), "nfev": int(res.nfev),
-                            "success": bool(res.success), "message": res.message,
-                            "max_nugget": 0.0})
+
+class TestMinimize:
+    @pytest.mark.parametrize("case", sorted(SCIPY_ORACLE_CASES))
+    def test_fit_equals_scipy_minimize(self, case):
+        # the same restarts through scipy's own L-BFGS-B wrapper, bit for bit
+        make_design, model_config, opt, message = SCIPY_ORACLE_CASES[case]
+        design = make_design()
+        fitted = fit(design, model_config, opt)
+        obj, scores, xs, records = scipy_restarts(design, model_config, opt)
         diag = fitted.diagnostics
+        assert any(r["message"].startswith(message) for r in records)
         assert diag["restart_scores"] == scores
         assert diag["restarts"] == records
         kernel, noise_variance = obj.unpack(xs[int(np.argmax(scores))])
         assert fitted.noise_variance == noise_variance
         assert fitted.kernel.input_kernel == kernel.input_kernel
-        for name in ("coord", "curve"):
+        for name in ("coord", "curve", "group"):
             got, want = getattr(fitted.kernel, name), getattr(kernel, name)
-            assert np.array_equal(got.w, want.w) and np.array_equal(got.kappa, want.kappa)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got.w, want.w)
+                assert np.array_equal(got.kappa, want.kappa)
+
+    @pytest.mark.parametrize("maxfun", [None, 7])
+    @pytest.mark.parametrize("fun", ["wrong-sign-gradient", "rosenbrock", "kinked"])
+    def test_driver_equals_scipy_minimize(self, monkeypatch, fun, maxfun):
+        # every stop of the driver, an abnormal line search and the
+        # evaluation limit included, against scipy; x0 lies outside the box
+        from scipy.optimize import minimize as scipy_minimize
+        import curvegp.model as model
+
+        def rosenbrock(x):
+            r = x[1:] - x[:-1] ** 2
+            g = np.zeros_like(x)
+            g[:-1] = -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
+            g[1:] += 200.0 * r
+            return float(100.0 * r @ r + (1.0 - x[:-1]) @ (1.0 - x[:-1])), g
+
+        funs = {"wrong-sign-gradient": lambda x: (float(x @ x), -2.0 * x),
+                "rosenbrock": rosenbrock,
+                "kinked": lambda x: (float(np.abs(x).sum() + 1e-3 * np.sin(1e4 * x).sum()),
+                                     np.sign(x))}
+        options = {"maxiter": 200}
+        if maxfun is not None:
+            monkeypatch.setattr(model, "LBFGS_MAXFUN", maxfun)
+            options["maxfun"] = maxfun
+        bounds = [(-2.0, 2.0)] * 5
+        x0 = np.array([1.5, -1.0, 0.5, 3.0, -0.7])
+        got = model.minimize(funs[fun], x0, bounds, 200)
+        want = scipy_minimize(funs[fun], x0, jac=True, method="L-BFGS-B",
+                              bounds=bounds, options=options)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert type(got.fun) is type(want.fun) and got.fun == want.fun
+        assert (got.nit, got.nfev, got.success, got.message) == (
+            want.nit, want.nfev, want.success, want.message)
+
+    def test_restart_failing_partway_is_skipped(self, monkeypatch):
+        # a factorization failing in the middle of restart 1 drops that
+        # restart alone: the other restarts' records stay as they were
+        import curvegp.model as model
+        design = paired_design(3, 4)
+        opt = OptimizerConfig(restarts=3, seed=1)
+        records = fit(design, ModelConfig(), opt).diagnostics["restarts"]
+        assert records[1]["nfev"] > 5
+        fail_at = records[0]["nfev"] + 5  # the fifth evaluation of restart 1
+        factor, calls = model._chol_with_ladder, [0]
+
+        def fails_once(blocks):
+            calls[0] += 1
+            if calls[0] == fail_at:
+                raise NumericalError("forced factorization failure")
+            return factor(blocks)
+
+        monkeypatch.setattr(model, "_chol_with_ladder", fails_once)
+        with pytest.warns(UserWarning, match="restart 1: factorization failed, skipped"):
+            fitted = fit(design, ModelConfig(), opt)
+        assert fitted.diagnostics["restarts"] == [records[0], records[2]]
 
 
 class TestWorkArrays:

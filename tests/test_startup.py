@@ -135,17 +135,19 @@ def test_fit_and_wasserstein_load_the_optimizer_when_called():
 
 def test_fit_goes_through_the_module_minimize(monkeypatch):
     """L-BFGS-B runs through `curvegp.model.minimize`, the module global that
-    imports `scipy.optimize` on first use (and the name tracers wrap)."""
-    minimize, methods = curvegp.model.minimize, []
+    imports `scipy.optimize` on first use (and the name tracers wrap), once
+    per restart."""
+    minimize, results = curvegp.model.minimize, []
 
     def spy(*args, **kwargs):
-        methods.append(kwargs["method"])
-        return minimize(*args, **kwargs)
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(curvegp.model, "minimize", spy)
-    fit(TrainingDesign.from_curves([generate_synthetic("circle", 6)]),
-        ModelConfig(), OptimizerConfig(restarts=2, maxiter=20, seed=0))
-    assert methods == ["L-BFGS-B", "L-BFGS-B"]
+    fitted = fit(TrainingDesign.from_curves([generate_synthetic("circle", 6)]),
+                 ModelConfig(), OptimizerConfig(restarts=2, maxiter=20, seed=0))
+    assert [r["nfev"] for r in fitted.diagnostics["restarts"]] == [
+        r.nfev for r in results]
 
 
 # Each entry point that factors or solves, called first in a fresh
