@@ -4,38 +4,50 @@ prediction with full per-point covariance.
 
 A `TrainingDesign` holds P points, each with both coordinates, validated
 when built, and the group of each curve. K is the input Gram K0 times one
-factor per coregionalization level, B = W W^T + diag(kappa), plus noise I,
-over the 2P values; the noise variance is a float beside the kernel. The
-input kernel's jitter is a constant on every entry of K0, so
-K = K_pts (x) B_coord + noise I exactly, K_pts the P x P Gram of the
-points carrying the curve and group factors. With B_coord = Q diag(lam)
-Q^T (closed form), rotating each point's two targets by Q splits K into
-two P x P blocks lam_e K_pts + noise I (Bonilla, Chai & Williams 2008;
-Saatci 2011). The same points and blocks serve the objective,
-`assemble_model`, `predict` and `predict_curve`. Queries are points as
-well: `predict` takes its rows in coordinate pairs, one pair per query
-point, forms its prior and posterior on the query points, block e as
-lam_e K_u - lam_e^2 V_e^T V_e, and writes each into the covariance with
-the weights Q[d, e] Q[d', e]; `predict_curve` forms only the diagonal of
-each block. The prior and each block are a quarter of the size of the
+factor per coregionalization level, plus noise I, over the 2P values; the
+noise variance is a float beside the kernel. The input kernel's jitter is a
+constant on every entry of K0, so K = K_pts (x) B_coord + noise I exactly,
+K_pts the P x P Gram of the points carrying the curve and group factors.
+With B_coord = Q diag(lam) Q^T (closed form), rotating each point's two
+targets by Q splits K into two P x P blocks lam_e K_pts + noise I (Bonilla,
+Chai & Williams 2008; Saatci 2011). The same points and blocks serve the
+objective, `assemble_model`, `predict` and `predict_curve`. Queries are
+points as well: `predict` takes its rows in coordinate pairs, one pair per
+query point, forms its prior and posterior on the query points, block e as
+lam_e K_u - lam_e^2 V_e^T V_e, and writes each into the covariance with the
+weights Q[d, e] Q[d', e]; `predict_curve` forms only the diagonal of each
+block. The prior and each block are a quarter of the size of the
 covariance it returns, and no temporary of the covariance's size is made.
 
-The gradient of -log p(y) is -tr(A dK)/2 with A = alpha alpha^T - K^-1
+The fit profiles sigma2 out (Santner, Williams & Notz 2003): K = sigma2 (R
++ eta I), with R the Gram at sigma2 = 1, its jitter the fraction
+`ModelConfig.jitter` of sigma2 and eta the noise as a fraction of sigma2.
+sigma2's estimate is s2 = y^T (R + eta I)^-1 y / 2P, and -log p at s2 is P
+log s2 + log|R + eta I| / 2 + P (1 + log 2 pi). No level carries a scale,
+so every packed parameter is a direction of the model (Pinheiro & Bates
+1996): a level of size 2 is B = L L^T with L = [[1, 0], [a, e^b]], a
+larger one B = W W^T + diag(kappa) with kappa_0 = 1. The fitted kernel
+holds s2, the jitter and noise as absolute values and L as W, with kappa
+0, so a fit file has the format it always had.
+
+s2 is a stationary point of the full likelihood, so the gradient of -log
+p at s2 is -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1
 (Rasmussen & Williams 2006, 5.4.1), contracted by level rather than formed
-per parameter. Over the points it is A_p = sum_e lam_e (alpha_e alpha_e^T -
-K_e^-1). The points fall into T types (tuples of their curve and group
-values), so each such factor is the T x T matrix E B E^T, with E the
+per parameter. Over the points it is A_p = sum_e lam_e (alpha_e alpha_e^T
+/ s2 - R_e^-1). The points fall into T types (tuples of their curve and
+group values), so each such factor is the T x T matrix E B E^T, with E the
 one-hot map from types to level values. A_p o K0 is summed over each block
 of types once, G = S^T (A_p o K0) S (S: points to types); a level's M = E^T
-(G o the other factors) E, and its W and log kappa gradients are -M W and
--diag(M) kappa/2. The coordinate level's M = Q Mt Q^T,
-Mt[e, f] = alpha_e^T K_pts alpha_f - [e = f] <K_e^-1, K_pts>. log sigma2
-and log rho take one inner product of A_p with a dense matrix each, and log
-noise takes -noise sum_e tr(A_e) / 2. alpha_e and K_e^-1 come from the
-Cholesky factors (LAPACK dpotrs, dpotri); one nugget ladder serves every
-block. Every Gram is a Gram of points: `level_product` forms its level
-factors on the grid of point types and spreads their product to the
-points, for the objective and for `multilevel_gram` alike.
+(G o the other factors) E, and d(-log p) = -tr(M dB)/2 gives its W
+gradient -M W, its log kappa gradient -diag(M) kappa/2, and L's entries
+the same -M W. The coordinate level's M = Q Mt Q^T, Mt[e, f] = alpha_e^T
+K_pts alpha_f / s2 - [e = f] <R_e^-1, K_pts>. log rho takes one inner
+product of A_p with a dense matrix, and log eta takes -eta sum_e tr(A_e) /
+2. alpha_e and R_e^-1 come from the Cholesky factors (LAPACK dpotrs,
+dpotri); one nugget ladder serves every block. Every Gram is a Gram of
+points: `level_product` forms its level factors on the grid of point types
+and spreads their product to the points, for the objective and for
+`multilevel_gram` alike.
 
 At small P an evaluation's cost is per-call overhead, not arithmetic, so
 the objective keeps its P x P work arrays across calls, `_chol_with_ladder`
@@ -73,9 +85,11 @@ from .kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
 
 NUGGET_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 
-# Boxes of the fitted hyperparameters: sigma2, rho as a fraction of tau,
-# the noise variance, each W entry (symmetric) and each kappa.
-SIGMA2_BOX = (1e-8, 10.0)
+# Boxes of the fitted hyperparameters: rho as a fraction of tau, the noise
+# variance (the noise ratio eta's box is this box over var(y)), each W
+# entry and each entry below the diagonal of a unit-corner factor
+# (symmetric), and each kappa and each squared diagonal entry of such a
+# factor.
 RHO_FRAC_BOX = (1e-3, 0.5)
 NOISE_BOX = (1e-6, 1e-4)
 W_BOUND = 10.0
@@ -172,14 +186,15 @@ def _index_count(name: str, idx: np.ndarray, n_points: int) -> int:
 @dataclass
 class ModelConfig:
     """Structural choices for the multi-level kernel. The CLI sets each
-    field as a ``model.*`` config key. The period tau is the mean polygon
-    length of the design, and the hyperparameters' boxes are the module
-    constants above."""
+    field as a ``model.*`` config key. ``jitter`` is a fraction of sigma2.
+    The coordinate level, and a curve or group level of size 2, is always
+    the full 2 x 2 family; a rank sets W's columns of a larger level. The
+    period tau is the mean polygon length of the design, and the
+    hyperparameters' boxes are the module constants above."""
 
     family: str = "periodic_matern32"
     jitter: float = DEFAULT_JITTER
     fit_coord: bool = True
-    coord_rank: int = 1
     fit_curve: bool = True
     curve_rank: int = 1
     fit_group: bool = False
@@ -188,7 +203,7 @@ class ModelConfig:
     def __post_init__(self):
         _require(self.family in FAMILIES, "model.family", f"one of {FAMILIES}",
                  self.family)
-        for name in ("coord_rank", "curve_rank", "group_rank"):
+        for name in ("curve_rank", "group_rank"):
             _require(getattr(self, name) >= 0, f"model.{name}", ">= 0",
                      getattr(self, name))
         _require(0 <= self.jitter < math.inf, "model.jitter", "finite and >= 0",
@@ -313,10 +328,17 @@ def _chol_with_ladder(blocks):
 
 
 class MarginalLikelihoodObjective:
-    """Negative log marginal likelihood and its analytic gradient in a packed
-    parameter vector (log sigma2, log rho, log noise, then W / log kappa per
-    free coregionalization level). The period tau is held fixed at the mean
-    polygon length of the design.
+    """Negative log marginal likelihood, with sigma2 profiled out, and its
+    analytic gradient in a packed parameter vector: log rho, log eta, then
+    each free coregionalization level's parameters. The period tau is held
+    fixed at the mean polygon length of the design.
+
+    K = sigma2 (R + eta I), with R the Gram at sigma2 = 1 and the jitter a
+    fraction ``config.jitter`` of sigma2. A level of size 2 is B = L L^T
+    with L = [[1, 0], [a, e^b]] (parameters a, b); a larger level is
+    W W^T + diag(kappa) with kappa_0 = 1 (parameters W, then log kappa_1 ..
+    kappa_{size - 1}). So no level carries a scale, and sigma2, which
+    carries all of it, takes its closed-form estimate at every theta.
 
     The Gram is formed on the P points, with the curve and group levels; the
     coordinate level is applied through its eigenbasis.
@@ -332,8 +354,9 @@ class MarginalLikelihoodObjective:
         self.n_points = len(s)
         self.targets = design.y.T  # a row per coordinate
         # level bookkeeping: (name, value of each point, size, rank, free);
-        # the coordinate level has no value per point
-        self.levels = [("coord", None, 2, config.coord_rank, config.fit_coord)]
+        # the coordinate level has neither a value per point nor a rank, and
+        # a rank shapes only a level of size 3 or more
+        self.levels = [("coord", None, 2, None, config.fit_coord)]
         if design.n_curves > 1:
             self.levels.append(("curve", design.j, design.n_curves,
                                 config.curve_rank, config.fit_curve))
@@ -341,20 +364,24 @@ class MarginalLikelihoodObjective:
             self.levels.append(("group", design.g, design.n_groups,
                                 config.group_rank, config.fit_group))
         rho_lo, rho_hi = (f * self.tau for f in RHO_FRAC_BOX)
-        self.bounds = [tuple(np.log(SIGMA2_BOX)),
-                       (np.log(rho_lo), np.log(rho_hi)),
-                       tuple(np.log(NOISE_BOX))]
+        # eta's box is the noise box at sigma2 = var(y)
+        yvar = float(np.var(design.y))
+        if not yvar > 0.0:
+            raise ValidationError("a fit needs targets that vary: var(y) is 0")
+        self.eta_box = tuple(b / yvar for b in NOISE_BOX)
+        self.bounds = [(np.log(rho_lo), np.log(rho_hi)), tuple(np.log(self.eta_box))]
         self.slices = {}
-        pos = 3
         for name, _, size, rank, free in self.levels:
             if not free:
                 continue
-            self.slices[name] = (slice(pos, pos + size * rank),
-                                 slice(pos + size * rank, pos + size * rank + size))
-            self.bounds += [(-W_BOUND, W_BOUND)] * (size * rank)
-            self.bounds += [tuple(np.log(KAPPA_BOX))] * size
-            pos += size * rank + size
-        self.n_params = pos
+            if size == 2:  # a, then b = log L[1, 1]
+                bounds = [(-W_BOUND, W_BOUND), tuple(0.5 * np.log(KAPPA_BOX))]
+            else:  # W, then log kappa_1 .. kappa_{size - 1}
+                bounds = ([(-W_BOUND, W_BOUND)] * (size * rank)
+                          + [tuple(np.log(KAPPA_BOX))] * (size - 1))
+            self.slices[name] = slice(len(self.bounds), len(self.bounds) + len(bounds))
+            self.bounds += bounds
+        self.n_params = len(self.bounds)
         # the levels the point Gram carries: all but the coordinate level.
         # Points fall into T types, one per tuple of those levels' values;
         # one-hot S maps points to types, E per level types to values
@@ -377,57 +404,70 @@ class MarginalLikelihoodObjective:
     # -- packing -----------------------------------------------------------
 
     def default_start(self) -> np.ndarray:
-        """Every W entry of column 0 at 0.1, column k at 0.1 cos(pi k (i +
-        1/2) / size) in row i: identical columns would get identical
-        gradients and never separate."""
+        """rho a quarter of tau, eta in the middle of its box (in logs), B =
+        I on a level of size 2, and on a larger one kappa = 1 and every W
+        entry of column 0 at 0.1, column k at 0.1 cos(pi k (i + 1/2) / size)
+        in row i: identical columns would get identical gradients and never
+        separate."""
         theta = np.zeros(self.n_params)
-        yvar = max(float(np.var(self.design.y)), 1e-6)
-        theta[0] = np.log(np.clip(yvar, *SIGMA2_BOX))
-        theta[1] = np.log(self.tau / 4.0)
-        theta[2] = 0.5 * (np.log(NOISE_BOX[0]) + np.log(NOISE_BOX[1]))
+        theta[0] = np.log(self.tau / 4.0)
+        theta[1] = 0.5 * sum(self.bounds[1])
         for name, _, size, rank, free in self.levels:
-            if not free:
-                continue
-            w_sl, k_sl = self.slices[name]
-            rows, cols = np.arange(size) + 0.5, np.arange(rank)
-            theta[w_sl] = (0.1 * np.cos(np.pi / size * np.outer(rows, cols))).ravel()
-            theta[k_sl] = np.log(1.0)
+            if free and size > 2:
+                rows, cols = np.arange(size) + 0.5, np.arange(rank)
+                theta[self.slices[name]][:size * rank] = (
+                    0.1 * np.cos(np.pi / size * np.outer(rows, cols))).ravel()
         return np.clip(theta, [b[0] for b in self.bounds], [b[1] for b in self.bounds])
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
-        theta = self.default_start()
-        lo0, hi0 = self.bounds[0]
-        theta[0] = np.clip(theta[0] + rng.uniform(-2.0, 2.0), lo0, hi0)
+        """rho and eta uniform in their boxes (in logs), each W entry and a
+        normal with sd 0.3, each kappa and e^2b uniform on [0.1, 2]."""
+        theta = np.empty(self.n_params)
+        theta[0] = rng.uniform(*self.bounds[0])
         theta[1] = rng.uniform(*self.bounds[1])
-        theta[2] = rng.uniform(*self.bounds[2])
         for name, _, size, rank, free in self.levels:
             if not free:
                 continue
-            w_sl, k_sl = self.slices[name]
-            theta[w_sl] = rng.normal(scale=0.3, size=size * rank)
-            theta[k_sl] = np.log(rng.uniform(0.1, 2.0, size=size))
+            sl = self.slices[name]
+            n_w = 1 if size == 2 else size * rank
+            theta[sl] = np.concatenate([rng.normal(scale=0.3, size=n_w), np.log(
+                rng.uniform(0.1, 2.0, size=sl.stop - sl.start - n_w))])
+            if size == 2:  # b is half the log of e^2b
+                theta[sl.stop - 1] *= 0.5
         return theta
 
-    def unpack(self, theta):
-        """(kernel, noise variance) at theta."""
-        hyp = PeriodicHyperparameters(sigma2=float(np.exp(theta[0])),
-                                      rho=float(np.exp(theta[1])),
+    def kernel_at(self, theta, sigma2: float):
+        """(kernel, noise variance) at theta with the scale sigma2: the
+        jitter and the noise variance are its fractions config.jitter and
+        eta."""
+        hyp = PeriodicHyperparameters(sigma2=sigma2, rho=math.exp(theta[0]),
                                       tau=self.tau, family=self.config.family,
-                                      jitter=self.config.jitter)
+                                      jitter=self.config.jitter * sigma2)
         coregs = {name: CoregMatrix(*self._coreg(theta, name, size)) if free
                   else CoregMatrix.identity(size)
                   for name, _, size, _, free in self.levels}
         kernel = MultiLevelKernel(input_kernel=hyp, coord=coregs["coord"],
                                   curve=coregs.get("curve"),
                                   group=coregs.get("group"))
-        return kernel, float(np.exp(theta[2]))
+        return kernel, math.exp(theta[1]) * sigma2
+
+    def unpack(self, theta):
+        """(kernel, noise variance) at theta, with sigma2 at its estimate
+        y^T (R + eta I)^-1 y / 2P, from the Gram `assemble_model` forms."""
+        kernel, eta = self.kernel_at(theta, 1.0)
+        *_, Y, alphas = _solve_points(self.design, kernel, eta)
+        return self.kernel_at(theta, float(np.vdot(Y, alphas)) / Y.size)
 
     # -- likelihood --------------------------------------------------------
 
     def _coreg(self, theta, name, size):
-        """(W, kappa) of a free level, unpacked from theta."""
-        w_sl, k_sl = self.slices[name]
-        return theta[w_sl].reshape(size, -1), np.exp(theta[k_sl])
+        """(W, kappa) of a free level, unpacked from theta: W = L and kappa
+        = 0 for a level of size 2."""
+        p = theta[self.slices[name]]
+        if size == 2:
+            return np.array([[1.0, 0.0], [p[0], math.exp(p[1])]]), np.zeros(2)
+        n_w = len(p) - (size - 1)
+        return p[:n_w].reshape(size, -1), np.exp(np.concatenate([[0.0], p[n_w:]]))
 
     def _level_matrix(self, theta, i):
         """B of point level i; (W, kappa) of a free level are kept for its
@@ -442,8 +482,9 @@ class MarginalLikelihoodObjective:
 
     def _coord_level(self, theta):
         """(lam, Q) of the coordinate factor B = W W^T + diag(kappa), its
-        three entries taken as Python floats; (W, kappa) of a free level are
-        kept for its gradient."""
+        three entries taken as Python floats and formed as
+        `CoregMatrix.matrix` forms them, so that `assemble_model` finds the
+        same basis; (W, kappa) of a free level are kept for its gradient."""
         if not self.levels[0][4]:
             return _coord_basis(1.0, 0.0, 1.0)
         W, kappa = self._wk[0] = self._coreg(theta, "coord", 2)
@@ -452,39 +493,42 @@ class MarginalLikelihoodObjective:
         return _coord_basis(a + k0, b, c + k1)
 
     def gram_and_grads(self, theta):
-        """The point Gram K (without noise) and the three dense points x
-        points matrices its gradient is contracted against: dK/dlog(sigma2),
-        dK/dlog(rho) and the jittered input Gram K0, whatever the levels.
-        The input kernel comes from the warped distances cached at
+        """The point Gram R (at sigma2 = 1, without noise) and the two dense
+        points x points matrices its gradient is contracted against:
+        dR/dlog(rho) and the jittered input correlation K0, whatever the
+        levels. The input kernel comes from the warped distances cached at
         construction, the point levels' factors and their product from
         `level_product`. The factors on the T x T grid of point types are
         kept for `value_and_grad`, as is the basis of the coordinate factor.
-        K and K0 are work arrays of this objective, overwritten by its next
+        R and K0 are work arrays of this objective, overwritten by its next
         call."""
-        sigma2, rho = np.exp(theta[:2]).tolist()
-        base, dcorr = warped_correlation(self.config.family, self.warp, rho, True)
-        base *= sigma2
-        K0 = np.add(base, self.config.jitter, out=self._K0)
+        corr, dcorr = warped_correlation(self.config.family, self.warp,
+                                         math.exp(theta[0]), True)
+        K0 = np.add(corr, self.config.jitter, out=self._K0)
         self._factors, Bfull = level_product(
             [self._level_matrix(theta, i) for i in self.point_levels],
             self.types, self.types, out=self._K)
         self._basis = self._coord_level(theta)
-        base *= Bfull
-        dcorr *= sigma2
         dcorr *= Bfull
         K = np.multiply(Bfull, K0, out=Bfull)
-        return K, [base, dcorr, K0]
+        return K, [dcorr, K0]
 
     def value_and_grad(self, theta):
-        """-log p(y) and its gradient, contracted by level (R&W 2006, 5.4.1):
-        with A = alpha alpha^T - K^-1, d(-log p) = -tr(A dK)/2. The largest
-        nugget any call needed is kept in ``max_nugget``."""
+        """-log p(y) at sigma2's estimate s2 = y^T (R + eta I)^-1 y / 2P,
+        P log s2 + log|R + eta I| / 2 + P (1 + log 2 pi), and its gradient,
+        contracted by level (R&W 2006, 5.4.1): s2 is a stationary point, so
+        d(-log p) = -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1.
+        The largest nugget any call needed is kept in ``max_nugget``."""
         K, grads = self.gram_and_grads(theta)
-        noise_var = math.exp(theta[2])
+        eta = math.exp(theta[1])
         lam, Q = self._basis
-        blocks = _blocks(K, lam, noise_var, self._blocks)
-        factors, nugget, alphas, nll = _factor_and_nll(blocks, Q.T @ self.targets)
+        Y = Q.T @ self.targets
+        factors, nugget, alphas = _factor_and_solve(_blocks(K, lam, eta, self._blocks), Y)
         self.max_nugget = max(self.max_nugget, nugget)
+        sigma2 = float(np.vdot(Y, alphas)) / Y.size
+        nll = (0.5 * Y.size * (math.log(sigma2) + 1.0 + LOG2PI)
+               + _half_logdet(factors))
+        alphas *= 1.0 / math.sqrt(sigma2)  # A = alphas alphas^T - (R + eta I)^-1
         Mt = alphas @ K @ alphas.T
         K_diagonal = K.diagonal()
         dpotri = _lapack().dpotri
@@ -508,14 +552,13 @@ class MarginalLikelihoodObjective:
         A.reshape(-1)[::self.n_points + 1] += Kinv.diagonal()  # taken twice above
         grad = np.empty(self.n_params)
         grad[0] = -0.5 * np.vdot(A, grads[0])
-        grad[1] = -0.5 * np.vdot(A, grads[1])
-        grad[2] = -0.5 * noise_var * trace_a
+        grad[1] = -0.5 * eta * trace_a
         if self.levels[0][4]:
             self._level_grad(grad, 0, Q @ Mt @ Q.T)
         # G sums A o K0 over each block of point types; a level's M sums
         # A o K0 o (the other point levels' factors) over its blocks of values
         S = self.type_onehot
-        G = S.T @ np.multiply(A, grads[2], out=A) @ S
+        G = S.T @ np.multiply(A, grads[1], out=A) @ S
         for k, i in enumerate(self.point_levels):
             if not self.levels[i][4]:
                 continue
@@ -525,21 +568,28 @@ class MarginalLikelihoodObjective:
         return nll, grad
 
     def _level_grad(self, grad, i, M):
-        """W and log kappa gradients of free level i from its M."""
+        """The gradient of free level i from its M, with d(-log p) = -tr(M
+        dB)/2: -M W in W, of which a factor L = W of a level of size 2 takes
+        the entries a = L[1, 0] and, times L[1, 1], b; -diag(M) kappa/2 in
+        log kappa_1 .. kappa_{size - 1}."""
         W, kappa = self._wk[i]
-        w_sl, k_sl = self.slices[self.levels[i][0]]
-        grad[w_sl] = -(M @ W).ravel()
-        grad[k_sl] = -0.5 * M.diagonal() * kappa
+        name, _, size, _, _ = self.levels[i]
+        sl = self.slices[name]
+        MW = M @ W
+        if size == 2:
+            grad[sl] = -MW[1, 0], -MW[1, 1] * W[1, 1]
+        else:
+            grad[sl] = np.concatenate([-MW.ravel(), -0.5 * M.diagonal()[1:] * kappa[1:]])
 
     def value(self, theta):
         """-log p(y) at theta (computed with its gradient)."""
         return self.value_and_grad(theta)[0]
 
 
-def _factor_and_nll(blocks, Y: np.ndarray):
+def _factor_and_solve(blocks, Y: np.ndarray):
     """Factor the blocks (with one nugget ladder) and return (factors,
-    nugget, alphas, -log p) for independent rows Y[e] ~ N(0, block e);
-    alphas[e] = block e^-1 Y[e]."""
+    nugget, alphas) for independent rows Y[e] ~ N(0, block e); alphas[e] =
+    block e^-1 Y[e]."""
     factors, nugget = _chol_with_ladder(blocks)
     alphas = Y.copy()
     dpotrs = _lapack().dpotrs
@@ -547,10 +597,25 @@ def _factor_and_nll(blocks, Y: np.ndarray):
         _, info = dpotrs(L, alpha, 1, 1)  # lower, overwrite_b
         if info != 0:
             raise NumericalError(f"solve with the Cholesky factor failed (info={info})")
-    # the log-determinant of each block, summed over the blocks in order
-    logdet = sum(np.log(factors.diagonal(axis1=1, axis2=2)).sum(axis=1).tolist())
-    nll = 0.5 * float(np.vdot(Y, alphas)) + logdet + 0.5 * Y.size * LOG2PI
-    return factors, nugget, alphas, nll
+    return factors, nugget, alphas
+
+
+def _half_logdet(factors) -> float:
+    """Half the log-determinant of the factored blocks, summed in order."""
+    return sum(np.log(factors.diagonal(axis1=1, axis2=2)).sum(axis=1).tolist())
+
+
+def _solve_points(design: TrainingDesign, kernel: MultiLevelKernel,
+                  noise_variance: float):
+    """(basis, factors, nugget, Y, alphas): the point Gram's two blocks in
+    the eigenbasis (lam, Q) of the coordinate factor, factored, the targets
+    Y rotated by Q and alphas = block^-1 Y."""
+    K = multilevel_gram(kernel, design.s, j_a=design.j, g_a=design.g)
+    (a, b), (_, c) = kernel.coord.matrix.tolist()
+    lam, Q = basis = _coord_basis(a, b, c)
+    Y = Q.T @ design.y.T
+    factors, nugget, alphas = _factor_and_solve(_blocks(K, lam, noise_variance), Y)
+    return basis, factors, nugget, Y, alphas
 
 
 def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
@@ -560,15 +625,12 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
     of the coordinate factor, alpha in point order, and log p(y)."""
     _require(0 <= noise_variance < math.inf, "noise_variance", "finite and >= 0",
              noise_variance)
-    K = multilevel_gram(kernel, design.s, j_a=design.j, g_a=design.g)
-    (a, b), (_, c) = kernel.coord.matrix.tolist()
-    lam, Q = basis = _coord_basis(a, b, c)
-    factors, nugget, alphas, nll = _factor_and_nll(
-        _blocks(K, lam, noise_variance), Q.T @ design.y.T)
+    basis, factors, nugget, Y, alphas = _solve_points(design, kernel, noise_variance)
+    nll = 0.5 * float(np.vdot(Y, alphas)) + _half_logdet(factors) + 0.5 * Y.size * LOG2PI
     diag = dict(diagnostics or {})
     diag.setdefault("nugget", nugget)
     return FittedModel(kernel=kernel, noise_variance=noise_variance, design=design,
-                       chol=factors, alpha=(Q @ alphas).T.ravel(),
+                       chol=factors, alpha=(basis[1] @ alphas).T.ravel(),
                        log_marginal_likelihood=-nll, diagnostics=diag, basis=basis)
 
 
@@ -645,8 +707,10 @@ def minimize(fun, x0, bounds, maxiter: int) -> LbfgsResult:
 
 def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
         opt_config: OptimizerConfig | None = None) -> FittedModel:
-    """Maximize the log marginal likelihood by multi-start L-BFGS-B with the
-    analytic gradient, in the box of each hyperparameter.
+    """Maximize the log marginal likelihood, sigma2 profiled out, by
+    multi-start L-BFGS-B with the analytic gradient, in the box of each
+    hyperparameter; the returned kernel holds sigma2's estimate at the best
+    restart (`MarginalLikelihoodObjective.unpack`).
 
     Each restart is one call of the module's `minimize`, which runs the
     objective's `value_and_grad` once per evaluation and ends where scipy's

@@ -12,7 +12,7 @@ from curvegp.applications import _score_subset
 from curvegp.coreg import CoregMatrix, MultiLevelKernel
 from curvegp.curves import Curve, polygon_length
 from curvegp.kernels import FAMILIES, unit_correlation
-from curvegp.model import (NOISE_BOX, MarginalLikelihoodObjective, ModelConfig,
+from curvegp.model import (MarginalLikelihoodObjective, ModelConfig,
                            OptimizerConfig, TrainingDesign, assemble_model, fit,
                            predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
@@ -127,8 +127,10 @@ def test_criterion_05_kriging_interpolation(report):
     curve = prep(cg.generate_synthetic("circle", 15))
     design = TrainingDesign.from_curves([curve])
     model = fit(design, ModelConfig(), OptimizerConfig(restarts=8, seed=0))
-    lo, hi = NOISE_BOX
-    in_box = lo <= model.noise_variance <= hi
+    # the fit's box is on the noise ratio eta = noise variance / sigma2
+    lo, hi = MarginalLikelihoodObjective(design, ModelConfig()).eta_box
+    eta = model.noise_variance / model.kernel.input_kernel.sigma2
+    in_box = lo * (1 - 1e-12) <= eta <= hi * (1 + 1e-12)
     mean, _ = predict(model, design.s.repeat(2), np.tile([0, 1], len(design.s)))
     train_err = float(np.max(np.abs(mean - design.y.ravel())))
     pred = predict_curve(model, 0, 200)

@@ -73,7 +73,7 @@ class TestConfigKeys:
     def test_keys_in_order(self):
         assert list(CONFIG_DEFAULTS) == [
             "model.family", "model.jitter", "model.fit_coord",
-            "model.coord_rank", "model.fit_curve", "model.curve_rank",
+            "model.fit_curve", "model.curve_rank",
             "model.fit_group", "model.group_rank",
             "opt.restarts", "opt.seed", "opt.maxiter"]
 
@@ -92,7 +92,8 @@ class TestConfigKeys:
                                             ("opt.method", "anneal"),
                                             ("model.tau", "auto"),
                                             ("model.noise_lo", "1e-07"),
-                                            ("model.noise_hi", "1e-3")])
+                                            ("model.noise_hi", "1e-3"),
+                                            ("model.coord_rank", "2")])
     def test_removed_key_rejected_with_file_and_line(self, tmp_path, capsys,
                                                      key, value):
         curve = str(tmp_path / "c.csv")
@@ -110,7 +111,7 @@ class TestConfigKeys:
         ("opt.restarts", "0", "opt.restarts"),
         ("opt.maxiter", "-5", "opt.maxiter"),
         ("model.jitter", "-1", "model.jitter"),
-        ("model.coord_rank", "-1", "model.coord_rank"),
+        ("model.curve_rank", "-1", "model.curve_rank"),
         ("model.jitter", "inf", "model.jitter"),
         ("opt.seed", "-1", "opt.seed"),
         ("model.family", "foo", "model.family")])

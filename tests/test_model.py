@@ -11,7 +11,7 @@ from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.curves import generate_synthetic
 from curvegp.errors import NumericalError, ValidationError
 from curvegp.kernels import DEFAULT_JITTER, PeriodicHyperparameters
-from curvegp.model import (NOISE_BOX, NUGGET_LADDER, MarginalLikelihoodObjective,
+from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
                            assemble_model, fit, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
@@ -197,8 +197,10 @@ class TestFit:
         (s, d, _, _), y = rows(design)
         mean, _ = predict(model, s, d)
         assert np.max(np.abs(mean - y)) < 1e-3
-        lo, hi = NOISE_BOX
-        assert lo <= model.noise_variance <= hi
+        # the box the fit enforces is eta's, on the noise as a fraction of sigma2
+        lo, hi = MarginalLikelihoodObjective(design, ModelConfig()).eta_box
+        eta = model.noise_variance / model.kernel.input_kernel.sigma2
+        assert lo * (1 - 1e-12) <= eta <= hi * (1 + 1e-12)
 
     def test_rho_recovery_within_factor_two(self):
         rng = np.random.default_rng(21)
@@ -278,6 +280,14 @@ class TestFit:
         assert fitted.diagnostics["best_restart"] == 0
         assert np.isfinite(fitted.log_marginal_likelihood)
 
+    def test_constant_targets_rejected(self):
+        # eta's box is the noise box over var(y), which is 0 here
+        design = TrainingDesign(s=np.array([0.0, 0.5]), j=np.zeros(2, dtype=int),
+                                g=np.zeros(2, dtype=int), y=np.ones((2, 2)),
+                                lengths=np.array([1.0]))
+        with pytest.raises(ValidationError, match="var"):
+            fit(design, ModelConfig(), OptimizerConfig(restarts=1))
+
     def test_duplicated_curve_gets_positive_coupling(self):
         c = scale_to_unit_length(center(generate_synthetic("star", 12,
                                                            amplitude=0.2)))
@@ -290,16 +300,19 @@ class TestFit:
     @pytest.mark.parametrize("level", ["coord", "curve", "group"])
     def test_rank_two_level_fits_two_columns(self, level):
         # the default start once set every W entry to 0.1: identical columns
-        # get identical gradients, so a one-restart fit stayed rank 1
+        # get identical gradients, so a one-restart fit stayed rank 1. The
+        # coordinate level is always the full 2 x 2 factor, so the curve and
+        # group levels have three values here, and rank 2
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 10, rng_seed=k, noise_sd=0.01, amplitude=0.1 + 0.1 * k)))
-            for k in range(2)]
-        labels = ["a", "b"] if level == "group" else None
+            for k in range(3)]
+        labels = ["a", "b", "c"] if level == "group" else None
+        ranks = {} if level == "coord" else {f"{level}_rank": 2}
         model = fit(TrainingDesign.from_curves(curves, labels),
-                    ModelConfig(fit_group=level == "group", **{f"{level}_rank": 2}),
+                    ModelConfig(fit_group=level == "group", **ranks),
                     OptimizerConfig(restarts=1, maxiter=50))
         W = getattr(model.kernel, level).w
-        assert W.shape == (2, 2)
+        assert W.shape == (2 if level == "coord" else 3, 2)
         assert np.max(np.abs(W[:, 0] - W[:, 1])) > 1e-3
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -605,14 +618,18 @@ class TestGradients:
 
 
 def dense_dk_oracle(obj, theta):
-    """-log p(y) and its gradient with one dense dK per parameter, reduced
-    against A = alpha alpha^T - K^-1 with K^-1 from cho_solve(L, I)."""
+    """-log p(y) with sigma2 profiled out and its gradient with one dense dR
+    per parameter: R = (corr + jitter) B + eta I at sigma2 = 1, s2 = y^T
+    R^-1 y / n, -log p = n/2 (log s2 + 1 + log 2 pi) + log|R| / 2, reduced
+    against A = alpha alpha^T / s2 - R^-1 with R^-1 from cho_solve(L, I).
+    A level of size 2 is L L^T with L = [[1, 0], [a, e^b]], a larger one W
+    W^T + diag(1, kappa_1, ...)."""
     cfg = obj.config
     (s, d, j, g), y = rows(obj.design)
     level_rows = {"coord": d, "curve": j, "group": g}
     n = len(y)
     eye = np.eye(n)
-    sigma2, rho, noise_var = np.exp(theta[:3])
+    rho, eta = np.exp(theta[:2])
     r = np.abs(s[:, None] - s[None, :])
     if cfg.family == "periodic_rbf":
         u = np.sin(np.pi * r / obj.tau) ** 2
@@ -628,59 +645,62 @@ def dense_dk_oracle(obj, theta):
             a = dist / rho
             corr = np.exp(-a)
             dcorr = a * corr
-    base = sigma2 * corr
-    jitter = cfg.jitter
-    factors, coregs = {}, {}
+    factors, dBs = {}, {}
     for name, _, size, rank, free in obj.levels:
-        idx = level_rows[name]
+        B = np.eye(size)
         if free:
-            w_sl, k_sl = obj.slices[name]
-            W = theta[w_sl].reshape(size, rank)
-            kappa = np.exp(theta[k_sl])
-            coregs[name] = (idx, W, kappa)
-            B = W @ W.T + np.diag(kappa)
-        else:
-            B = np.eye(size)
+            p = theta[obj.slices[name]]
+            dBs[name] = []
+            if size == 2:
+                a, e = p[0], np.exp(p[1])
+                B = np.array([[1.0, a], [a, a * a + e * e]])
+                dBs[name] += [np.array([[0.0, 1.0], [1.0, 2.0 * a]]),
+                              np.array([[0.0, 0.0], [0.0, 2.0 * e * e]])]
+            else:
+                W = p[:size * rank].reshape(size, rank)
+                kappa = np.concatenate([[1.0], np.exp(p[size * rank:])])
+                B = W @ W.T + np.diag(kappa)
+                for a, k in itertools.product(range(size), range(rank)):
+                    dB = np.zeros((size, size))
+                    dB[a, :] += W[:, k]
+                    dB[:, a] += W[:, k]
+                    dBs[name].append(dB)
+                for a in range(1, size):
+                    dB = np.zeros((size, size))
+                    dB[a, a] = kappa[a]
+                    dBs[name].append(dB)
+        idx = level_rows[name]
         factors[name] = B[idx[:, None], idx[None, :]]
     Bfull = np.prod(list(factors.values()), axis=0)
-    K = (base + jitter) * Bfull + noise_var * eye
-    dKs = [base * Bfull, sigma2 * dcorr * Bfull, noise_var * eye]
-    for name, (idx, W, kappa) in coregs.items():
+    R = (corr + cfg.jitter) * Bfull + eta * eye
+    dRs = [dcorr * Bfull, eta * eye]
+    for name, level_dBs in dBs.items():
+        idx = level_rows[name]
         others = np.prod([F for other, F in factors.items() if other != name]
                          + [np.ones((n, n))], axis=0)
-        pre = (base + jitter) * others
-        size, rank = W.shape
-        for a in range(size):
-            for k in range(rank):
-                dB = np.zeros((size, size))
-                dB[a, :] += W[:, k]
-                dB[:, a] += W[:, k]
-                dKs.append(pre * dB[idx[:, None], idx[None, :]])
-        for a in range(size):
-            dB = np.zeros((size, size))
-            dB[a, a] = kappa[a]
-            dKs.append(pre * dB[idx[:, None], idx[None, :]])
-    c = cho_factor(K, lower=True)
+        dRs += [(corr + cfg.jitter) * others * dB[idx[:, None], idx[None, :]]
+                for dB in level_dBs]
+    c = cho_factor(R, lower=True)
     alpha = cho_solve(c, y)
-    nll = (0.5 * y @ alpha + np.sum(np.log(np.diag(c[0])))
-           + 0.5 * n * np.log(2 * np.pi))
-    A = np.outer(alpha, alpha) - cho_solve(c, eye)
-    return nll, np.array([-0.5 * np.sum(A * dK) for dK in dKs])
+    s2 = y @ alpha / n
+    nll = 0.5 * n * (np.log(s2) + 1.0 + np.log(2 * np.pi)) + np.sum(np.log(np.diag(c[0])))
+    A = np.outer(alpha, alpha) / s2 - cho_solve(c, eye)
+    return nll, np.array([-0.5 * np.sum(A * dR) for dR in dRs])
 
 
 LEVEL_CASES = {
     # name: (curves, labels, ModelConfig level settings)
-    "coord-only-rank2": (1, None, dict(coord_rank=2)),
+    "coord-only": (1, None, dict()),
     "all-fixed": (1, None, dict(fit_coord=False)),
     "all-free-rank1": (3, ["a", "b", "a"], dict(fit_group=True)),
     "all-free-rank2": (3, ["a", "b", "a"], dict(
-        fit_group=True, coord_rank=2, curve_rank=2, group_rank=2)),
+        fit_group=True, curve_rank=2, group_rank=2)),
     "coord-fixed": (3, ["a", "b", "a"], dict(
         fit_coord=False, curve_rank=2, fit_group=True)),
-    "curve-and-group-fixed": (3, ["a", "b", "a"], dict(
-        fit_curve=False, coord_rank=2)),
+    "curve-and-group-fixed": (3, ["a", "b", "a"], dict(fit_curve=False)),
     "group-free-only": (3, ["a", "b", "b"], dict(
         fit_coord=False, fit_curve=False, fit_group=True, group_rank=2)),
+    "three-groups-rank0": (3, ["a", "b", "c"], dict(fit_group=True, group_rank=0)),
 }
 
 
@@ -704,8 +724,12 @@ class TestContractedGradient:
             assert len(grad) == len(grad_oracle) == obj.n_params
             assert obj.value(theta) == value
             assert abs(value - value_oracle) <= 1e-10 * abs(value_oracle)
+            # a start with rho at the low end of its box can make the input
+            # correlation I to the last bit: without jitter R is then (1 +
+            # eta) I, the profile likelihood is flat in every parameter and
+            # both gradients are rounding (1e-19), so the scale has a floor
             assert (np.max(np.abs(grad - grad_oracle))
-                    <= 1e-10 * np.max(np.abs(grad_oracle)))
+                    <= 1e-10 * max(np.max(np.abs(grad_oracle)), 1e-8))
 
 
 class TestSharedGramBuilder:
@@ -725,7 +749,7 @@ class TestSharedGramBuilder:
         for _ in range(3):
             theta = obj.random_start(rng)
             K, grads = obj.gram_and_grads(theta)
-            kernel, _ = obj.unpack(theta)
+            kernel, _ = obj.kernel_at(theta, 1.0)  # the Gram at sigma2 = 1
             full = full_grid_gram_oracle(kernel, *rows(design)[0])
             # the point Gram is the Gram without the coordinate factor
             expected = multilevel_gram(kernel, design.s, j_a=design.j, g_a=design.g)
@@ -735,7 +759,7 @@ class TestSharedGramBuilder:
                 kernel, design.s, None, design.j, design.g))
             assert (np.max(np.abs(np.kron(K, kernel.coord.matrix) - full))
                     <= 1e-15 * np.max(np.abs(full)))
-            assert len(grads) == 3
+            assert len(grads) == 2
             assert all(G.shape == K.shape for G in grads)
 
 
@@ -778,17 +802,15 @@ class TestCoordinateSplit:
         assert model.log_marginal_likelihood == pytest.approx(-value_oracle, rel=1e-10)
 
     @pytest.mark.parametrize("coord", [
-        (np.zeros((2, 1)), np.array([0.8, 0.8])),          # B = 0.8 I: Q = I
-        (np.array([[2.0], [-1.5]]), np.array([1e-3, 2e-3])),  # near rank 1
-        (np.array([[0.2, -0.9], [0.7, 0.4]]), np.array([0.3, 0.1]))])
+        (0.0, 0.0),                  # B = I: Q = I
+        (-0.75, np.log(0.03)),       # near rank 1
+        (0.4, np.log(0.7))])
     def test_value_and_grad_at_coordinate_extremes(self, coord):
+        # coord is (a, b) of the coordinate factor L = [[1, 0], [a, e^b]]
         design = paired_design(3, 6, ["a", "b", "a"])
-        obj = MarginalLikelihoodObjective(design, ModelConfig(fit_group=True,
-                                                 coord_rank=coord[0].shape[1]))
+        obj = MarginalLikelihoodObjective(design, ModelConfig(fit_group=True))
         theta = obj.default_start()
-        w_sl, k_sl = obj.slices["coord"]
-        theta[w_sl] = coord[0].ravel()
-        theta[k_sl] = np.log(coord[1])
+        theta[obj.slices["coord"]] = coord
         value, grad = obj.value_and_grad(theta)
         value_oracle, grad_oracle = dense_dk_oracle(obj, theta)
         assert abs(value - value_oracle) <= 1e-10 * abs(value_oracle)
@@ -815,17 +837,24 @@ class TestCoordinateSplit:
         assert model.log_marginal_likelihood == pytest.approx(oracle, rel=1e-6)
 
 
+def unit_corner(B):
+    """(a, b) of the unit-corner factor L = [[1, 0], [a, e^b]] of a 2 x 2
+    matrix B, scaled to B[0, 0] = 1."""
+    a = B[0, 1] / B[0, 0]
+    return np.array([a, 0.5 * np.log(B[1, 1] / B[0, 0] - a * a)])
+
+
 class TestLargestNugget:
     def test_objective_keeps_the_rung_of_a_near_singular_design(self):
         design, kernel, _ = near_singular_design()
         obj = MarginalLikelihoodObjective(design, ModelConfig(family="periodic_rbf",
                                                               jitter=0.0))
         assert obj.max_nugget == 0.0
-        theta = np.concatenate([[0.0, 0.0, -np.inf]] + [  # sigma2 = rho = 1, no noise
-            np.concatenate([level.w.ravel(), np.log(level.kappa)])
-            for level in (kernel.coord, kernel.curve)])
+        # rho = 1, no noise, and the kernel's levels as unit-corner factors
+        theta = np.concatenate([[0.0, -np.inf]] + [
+            unit_corner(level.matrix) for level in (kernel.coord, kernel.curve)])
         obj.value_and_grad(theta)
-        rung = assemble_model(design, *obj.unpack(theta)).diagnostics["nugget"]
+        rung = assemble_model(design, *obj.kernel_at(theta, 1.0)).diagnostics["nugget"]
         assert obj.max_nugget == rung > 0.0
         obj.value_and_grad(obj.default_start())  # needs no nugget: the record stays
         assert obj.max_nugget == rung
@@ -837,7 +866,7 @@ class TestLargestNugget:
         monkeypatch.setattr(model, "NOISE_BOX", (1e-300, 1e-290))
         design = near_singular_design()[0]
         fitted = fit(design, ModelConfig(family="periodic_rbf", jitter=0.0),
-                     OptimizerConfig(restarts=2, maxiter=5))
+                     OptimizerConfig(restarts=2, maxiter=5, seed=1))
         records = fitted.diagnostics["restarts"]
         assert len(records) == 2
         assert all(r["max_nugget"] in NUGGET_LADDER for r in records)
@@ -863,7 +892,7 @@ SCIPY_ORACLE_CASES = {
                       OptimizerConfig(restarts=2, seed=1), "CONVERGENCE: RELATIVE"),
     "fit-group": (lambda: paired_design(3, 6, ["a", "b", "a"]),
                   ModelConfig(fit_group=True), OptimizerConfig(restarts=2, seed=2),
-                  "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+                  "CONVERGENCE: RELATIVE"),
 }
 
 
@@ -962,6 +991,99 @@ class TestMinimize:
         with pytest.warns(UserWarning, match="restart 1: factorization failed, skipped"):
             fitted = fit(design, ModelConfig(), opt)
         assert fitted.diagnostics["restarts"] == [records[0], records[2]]
+
+
+def shape_design(n_curves):
+    """Star, ellipse and circle (10 points, noise sd 0.003, seeds 0, 1, 2),
+    the first ``n_curves`` of them, centered and scaled to unit length."""
+    shapes = [("star", {}), ("ellipse", {"axes": (1.0, 0.6)}), ("circle", {})]
+    return TrainingDesign.from_curves([scale_to_unit_length(center(generate_synthetic(
+        shape, 10, rng_seed=k, noise_sd=0.003, **kw)))
+        for k, (shape, kw) in enumerate(shapes[:n_curves])])
+
+
+def scaled_outputs(obj, log_scale, theta):
+    """The full 2P x 2P covariance and the log noise variance of the model
+    at theta, its scale multiplied by exp(log_scale)."""
+    kernel, noise_variance = obj.unpack(theta)
+    d = obj.design
+    C = np.kron(multilevel_gram(kernel, d.s, j_a=d.j, g_a=d.g), kernel.coord.matrix)
+    C += noise_variance * np.eye(len(C))
+    return np.concatenate([np.exp(log_scale) * C.ravel(),
+                           [log_scale + np.log(noise_variance)]])
+
+
+class TestIdentifiability:
+    @pytest.mark.parametrize("n_curves", [2, 3])
+    def test_every_parameter_moves_the_model(self, n_curves):
+        # the Jacobian of (covariance, log noise) in (log scale, theta) has
+        # full column rank: no packed direction leaves the model, or its
+        # scale, unchanged. A parameter vector with a scale of its own, or a
+        # level with a scale of its own, duplicates the log scale column
+        obj = MarginalLikelihoodObjective(shape_design(n_curves), ModelConfig())
+        x = np.concatenate([[0.0], obj.random_start(np.random.default_rng(0))])
+        columns = []
+        for k in range(len(x)):
+            step = np.zeros(len(x))
+            step[k] = 1e-5
+            plus, minus = x + step, x - step
+            columns.append((scaled_outputs(obj, plus[0], plus[1:])
+                            - scaled_outputs(obj, minus[0], minus[1:])) / 2e-5)
+        singular = np.linalg.svd(np.array(columns).T, compute_uv=False)
+        assert np.sum(singular > 1e-7 * singular[0]) == obj.n_params + 1
+
+    @pytest.mark.parametrize("n_curves, n_params", [(1, 4), (2, 6), (3, 9)])
+    def test_parameter_count(self, n_curves, n_params):
+        # log rho, log eta, a and b of the coordinate factor, a and b of a
+        # two-curve factor, and W and log kappa_1, kappa_2 of three curves
+        obj = MarginalLikelihoodObjective(shape_design(n_curves), ModelConfig())
+        assert obj.n_params == n_params == len(obj.bounds)
+
+
+class TestProfileLikelihood:
+    @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+    def test_value_is_the_likelihood_at_the_estimated_scale(self, case):
+        # value(theta) is -log p(y) of the model unpack assembles, whose
+        # sigma2 is y^T R^-1 y / 2P; moving sigma2 either way lowers log p
+        n_curves, labels, levels = LEVEL_CASES[case]
+        design = paired_design(n_curves, 6, labels)
+        obj = MarginalLikelihoodObjective(design, ModelConfig(**levels))
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            theta = obj.random_start(rng)
+            value = obj.value(theta)
+            kernel, noise_variance = obj.unpack(theta)
+            best = assemble_model(design, kernel, noise_variance).log_marginal_likelihood
+            assert abs(value + best) <= 1e-10 * abs(value)
+            sigma2 = kernel.input_kernel.sigma2
+            for factor in (1 - 1e-3, 1 + 1e-3):
+                moved = assemble_model(design, *obj.kernel_at(theta, factor * sigma2))
+                assert moved.log_marginal_likelihood < best
+
+    def test_scale_of_the_targets_goes_to_sigma2_alone(self):
+        # y -> c y at the same theta multiplies sigma2, the jitter and the
+        # noise variance by c^2, adds 2P log c to -log p and leaves the
+        # gradient as it was; eta's box moves by -log c^2 with var(y)
+        design = paired_design(3, 6)
+        scaled = TrainingDesign(s=design.s, j=design.j, g=design.g, y=1e3 * design.y,
+                                lengths=design.lengths)
+        obj = MarginalLikelihoodObjective(design, ModelConfig())
+        obj_scaled = MarginalLikelihoodObjective(scaled, ModelConfig())
+        assert obj_scaled.bounds[1] == pytest.approx(
+            (obj.bounds[1][0] - np.log(1e6), obj.bounds[1][1] - np.log(1e6)))
+        theta = obj.random_start(np.random.default_rng(2))
+        (kernel, noise_variance), (kernel_scaled, noise_scaled) = (
+            o.unpack(theta) for o in (obj, obj_scaled))
+        hyp, hyp_scaled = kernel.input_kernel, kernel_scaled.input_kernel
+        assert hyp_scaled.sigma2 == pytest.approx(1e6 * hyp.sigma2, rel=1e-10)
+        assert hyp_scaled.jitter == pytest.approx(1e6 * hyp.jitter, rel=1e-10)
+        assert noise_scaled == pytest.approx(1e6 * noise_variance, rel=1e-10)
+        assert hyp_scaled.rho == hyp.rho
+        value, grad = obj.value_and_grad(theta)
+        value_scaled, grad_scaled = obj_scaled.value_and_grad(theta)
+        assert value_scaled == pytest.approx(value + design.y.size * np.log(1e3),
+                                             rel=1e-10)
+        assert np.max(np.abs(grad_scaled - grad)) <= 1e-8 * np.max(np.abs(grad))
 
 
 class TestWorkArrays:
