@@ -2,8 +2,9 @@
 
 Periodic kernels over arc length, coregionalization across coordinates,
 curves and groups, SRVF-based preprocessing and elastic registration,
-shape metrics, and curve-analysis workflows (reconstruction, pointwise
-means, landmark selection, sub-population fits).
+shape metrics, and curve-analysis workflows (reconstruction, landmark
+selection). A grouped fit is ``fit(TrainingDesign.from_curves(curves,
+labels))``: two or more groups always fit the group level.
 """
 
 from .curves import (Curve, arc_to_xy_param, generate_synthetic,
@@ -17,9 +18,8 @@ from .preprocess import (AlignmentResult, Srvf, apply_alignment, center,
                          preprocess_collection, rotation_seed_align,
                          scale_to_unit_length, srvf)
 from .metrics import Registration, elastic_register, esd, imspe, iuea, wasserstein2
-from .applications import (LandmarkConfig, LandmarkResult, fit_subpopulations,
-                           pointwise_mean, reconstruct, sequential_landmark,
-                           simultaneous_landmarks)
+from .applications import (LandmarkConfig, LandmarkResult, reconstruct,
+                           sequential_landmark, simultaneous_landmarks)
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,6 @@ __all__ = [
     # metrics
     "Registration", "elastic_register", "esd", "imspe", "iuea", "wasserstein2",
     # applications
-    "LandmarkConfig", "LandmarkResult", "fit_subpopulations", "pointwise_mean",
-    "reconstruct", "sequential_landmark", "simultaneous_landmarks",
+    "LandmarkConfig", "LandmarkResult", "reconstruct", "sequential_landmark",
+    "simultaneous_landmarks",
 ]

@@ -1,6 +1,7 @@
 """Curve-analysis workflows built on the GP model: reconstruction from
-partial observations, representative pointwise means, simultaneous and
-sequential landmark selection, and sub-population (grouped) fitting."""
+partial observations and simultaneous and sequential landmark selection.
+A grouped fit needs no workflow of its own: it is
+``fit(TrainingDesign.from_curves(curves, labels))``."""
 
 from __future__ import annotations
 
@@ -10,12 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import Curve, resample_equally_spaced, xy_to_arc_param
+from .curves import Curve, xy_to_arc_param
 from .errors import NumericalError, ValidationError
 from .metrics import iuea
 from .model import (FittedModel, ModelConfig, OptimizerConfig, TrainingDesign,
                     _unit_means, fit, predict_curve)
-from .preprocess import apply_alignment, rotation_seed_align
 
 
 def reconstruct(curves, model_config: ModelConfig | None = None,
@@ -31,15 +31,6 @@ def reconstruct(curves, model_config: ModelConfig | None = None,
     model = fit(design, model_config, opt_config)
     predictions = [predict_curve(model, j, m) for j in range(len(curves))]
     return model, predictions
-
-
-def pointwise_mean(model: FittedModel, m: int = 100) -> Curve:
-    """Average of the per-curve predictive means on a common grid."""
-    n_curves = model.design.n_curves
-    means = np.zeros((m, 2))
-    for j in range(n_curves):
-        means += predict_curve(model, j, m).means
-    return Curve(means / n_curves, name="pointwise_mean")
 
 
 @dataclass
@@ -154,47 +145,3 @@ def sequential_landmark(model: FittedModel, lam: float = 0.5,
     pred = predict_curve(model, 0, m=n_candidates)
     criterion = lam * pred.sd1 + (1.0 - lam) * pred.sd2
     return float(pred.grid[int(np.argmax(criterion))])
-
-
-def _align_within_classes(curves, labels):
-    """Rotate every curve onto the first curve of its class (seed + rotation
-    when point counts match, rotation only otherwise)."""
-    templates: dict = {}
-    aligned = []
-    for curve, label in zip(curves, labels):
-        if label not in templates:
-            templates[label] = curve
-            aligned.append(curve)
-            continue
-        template = templates[label]
-        if curve.n == template.n:
-            res = rotation_seed_align(curve, template)
-            aligned.append(apply_alignment(curve, res))
-        else:
-            m = min(curve.n, template.n)
-            res = rotation_seed_align(resample_equally_spaced(curve, m),
-                                      resample_equally_spaced(template, m))
-            aligned.append(curve.with_points(curve.points @ res.rotation.T))
-    return aligned
-
-
-def fit_subpopulations(curves, labels, model_config: ModelConfig | None = None,
-                       opt_config: OptimizerConfig | None = None,
-                       align: bool = True) -> FittedModel:
-    """Fit the grouped model: curves carry class labels coupled through a
-    group-level coregionalization matrix.
-
-    Curves are first rotation-aligned to the first curve of their class.
-    Group labels are encoded by order of first appearance, so any injective
-    relabeling yields identical predictions.
-    """
-    if not curves:
-        raise ValidationError("need at least one curve")
-    if len(labels) != len(curves):
-        raise ValidationError("one class label per curve required")
-    if align:
-        curves = _align_within_classes(curves, labels)
-    if model_config is None:
-        model_config = ModelConfig(fit_group=True)
-    design = TrainingDesign.from_curves(curves, labels)
-    return fit(design, model_config, opt_config)

@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the multi-output GP model")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--labels", default=None,
-                   help="comma-separated group labels, one per curve")
+                   help="comma-separated group labels, one per curve; two "
+                        "or more groups fit the group level")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)

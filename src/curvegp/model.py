@@ -187,8 +187,11 @@ def _index_count(name: str, idx: np.ndarray, n_points: int) -> int:
 class ModelConfig:
     """Structural choices for the multi-level kernel. The CLI sets each
     field as a ``model.*`` config key. ``jitter`` is a fraction of sigma2.
-    The coordinate level, and a curve or group level of size 2, is always
-    the full 2 x 2 family; a rank sets W's columns of a larger level. The
+    ``fit_coord`` and ``fit_curve`` = False hold the coordinate or curve
+    level at the identity; a design of two or more groups always fits its
+    group level, so group labels couple curves across groups. The
+    coordinate level, and a curve or group level of size 2, is always the
+    full 2 x 2 family; a rank sets W's columns of a larger level. The
     period tau is the mean polygon length of the design, and the
     hyperparameters' boxes are the module constants above."""
 
@@ -197,7 +200,6 @@ class ModelConfig:
     fit_coord: bool = True
     fit_curve: bool = True
     curve_rank: int = 1
-    fit_group: bool = False
     group_rank: int = 1
 
     def __post_init__(self):
@@ -354,15 +356,16 @@ class MarginalLikelihoodObjective:
         self.n_points = len(s)
         self.targets = design.y.T  # a row per coordinate
         # level bookkeeping: (name, value of each point, size, rank, free);
-        # the coordinate level has neither a value per point nor a rank, and
-        # a rank shapes only a level of size 3 or more
+        # the coordinate level has neither a value per point nor a rank, a
+        # rank shapes only a level of size 3 or more, and the group level is
+        # always free
         self.levels = [("coord", None, 2, None, config.fit_coord)]
         if design.n_curves > 1:
             self.levels.append(("curve", design.j, design.n_curves,
                                 config.curve_rank, config.fit_curve))
         if design.n_groups > 1:
             self.levels.append(("group", design.g, design.n_groups,
-                                config.group_rank, config.fit_group))
+                                config.group_rank, True))
         rho_lo, rho_hi = (f * self.tau for f in RHO_FRAC_BOX)
         # eta's box is the noise box at sigma2 = var(y)
         yvar = float(np.var(design.y))

@@ -312,8 +312,7 @@ def test_criterion_13_subpopulation_benefit(report):
         truths.append(Curve((shape_pts(kinds[i], theta) - centroid) / length))
     labels = ["c", "c", "c", "e", "e", "e"]
     opt = OptimizerConfig(restarts=4, maxiter=150, seed=0)
-    grouped = cg.fit_subpopulations(normalized, labels,
-                                    ModelConfig(fit_group=True), opt, align=False)
+    grouped = fit(TrainingDesign.from_curves(normalized, labels), ModelConfig(), opt)
     pooled = fit(TrainingDesign.from_curves(normalized), ModelConfig(), opt)
 
     def mean_imspe(model):
@@ -323,8 +322,8 @@ def test_criterion_13_subpopulation_benefit(report):
     grouped_err = mean_imspe(grouped)
     pooled_err = mean_imspe(pooled)
 
-    renamed = cg.fit_subpopulations(normalized, [1, 1, 1, 3, 3, 3],
-                                    ModelConfig(fit_group=True), opt, align=False)
+    renamed = fit(TrainingDesign.from_curves(normalized, [1, 1, 1, 3, 3, 3]),
+                  ModelConfig(), opt)
     identical = all(np.array_equal(predict_curve(grouped, j, 50).means,
                                    predict_curve(renamed, j, 50).means)
                     for j in range(6))
@@ -338,7 +337,7 @@ def test_criterion_14_gradient_check(report):
     c1 = prep(cg.generate_synthetic("star", 8, rng_seed=1, noise_sd=0.02))
     c2 = prep(cg.generate_synthetic("star", 8, rng_seed=2, noise_sd=0.02))
     design = TrainingDesign.from_curves([c1, c2], labels=["a", "b"])
-    objective = MarginalLikelihoodObjective(design, ModelConfig(fit_group=True))
+    objective = MarginalLikelihoodObjective(design, ModelConfig())
     worst = 0.0
     for _ in range(20):
         theta = objective.random_start(rng)

@@ -1,13 +1,11 @@
-"""Application workflows: reconstruction, pointwise mean, landmarks,
-sub-population fits."""
+"""Application workflows: reconstruction and landmarks."""
 
 import numpy as np
 import pytest
 
-from curvegp.applications import (LandmarkConfig, fit_subpopulations,
-                                  pointwise_mean, reconstruct,
+from curvegp.applications import (LandmarkConfig, reconstruct,
                                   sequential_landmark, simultaneous_landmarks)
-from curvegp.curves import Curve, generate_synthetic
+from curvegp.curves import generate_synthetic
 from curvegp.errors import ValidationError
 from curvegp.model import (ModelConfig, OptimizerConfig, TrainingDesign, fit,
                            predict_curve)
@@ -34,24 +32,6 @@ class TestReconstruct:
         m0, _ = predict(model, [0.0, 0.0], [0, 1])
         m1, _ = predict(model, [1.0, 1.0], [0, 1])
         assert np.allclose(m0, m1, atol=1e-8)
-
-
-class TestPointwiseMean:
-    def test_single_curve(self):
-        c = prep(generate_synthetic("ellipse", 12))
-        model, _ = reconstruct([c], opt_config=FAST)
-        mean = pointwise_mean(model, 40)
-        assert np.allclose(mean.points, predict_curve(model, 0, 40).means)
-
-    def test_duplicates_match_single(self):
-        c = prep(generate_synthetic("circle", 10))
-        design1 = TrainingDesign.from_curves([c])
-        m1 = fit(design1, ModelConfig(), FAST)
-        single = predict_curve(m1, 0, 30).means
-        design3 = TrainingDesign.from_curves([c, c, c])
-        m3 = fit(design3, ModelConfig(), FAST)
-        triple = pointwise_mean(m3, 30).points
-        assert np.max(np.abs(single - triple)) < 1e-3
 
 
 class TestLandmarkConfig:
@@ -126,52 +106,3 @@ class TestSequentialLandmark:
             sequential_landmark(self.model, 2.0)
         with pytest.raises(ValidationError):
             sequential_landmark(self.model, 0.5, n_candidates=5)
-
-
-class TestFitSubpopulations:
-    def make_classes(self):
-        curves, labels = [], []
-        rng = np.random.default_rng(2)
-        for i in range(2):
-            th = 2 * np.pi * np.arange(10) / 10 + rng.uniform(0, 0.5)
-            curves.append(prep(Curve(np.column_stack([np.cos(th), np.sin(th)]))))
-            labels.append("circle")
-        for i in range(2):
-            th = 2 * np.pi * np.arange(10) / 10 + rng.uniform(0, 0.5)
-            curves.append(prep(Curve(np.column_stack([np.cos(th),
-                                                      0.5 * np.sin(th)]))))
-            labels.append("ellipse")
-        return curves, labels
-
-    def test_group_level_present(self):
-        curves, labels = self.make_classes()
-        model = fit_subpopulations(curves, labels, opt_config=FAST, align=False)
-        assert model.kernel.group is not None
-        assert model.design.n_groups == 2
-
-    def test_label_renaming_bit_identical(self):
-        curves, labels = self.make_classes()
-        m1 = fit_subpopulations(curves, labels, opt_config=FAST, align=False)
-        renamed = [1 if lab == "circle" else 3 for lab in labels]
-        m2 = fit_subpopulations(curves, renamed, opt_config=FAST, align=False)
-        for j in range(len(curves)):
-            p1 = predict_curve(m1, j, 25).means
-            p2 = predict_curve(m2, j, 25).means
-            assert np.array_equal(p1, p2)
-
-    def test_label_count_mismatch(self):
-        curves, labels = self.make_classes()
-        with pytest.raises(ValidationError):
-            fit_subpopulations(curves, labels[:-1])
-
-    def test_alignment_rotates_to_class_template(self):
-        base = generate_synthetic("star", 20, amplitude=0.25, petals=7)
-        R = np.array([[0.0, -1.0], [1.0, 0.0]])
-        rotated = Curve(base.points @ R.T)
-        curves = [prep(base), prep(rotated)]
-        model = fit_subpopulations(curves, ["a", "a"], opt_config=FAST)
-        # after alignment both curves contribute nearly identical designs
-        d = model.design
-        y0 = d.y[d.j == 0]
-        y1 = d.y[d.j == 1]
-        assert np.max(np.abs(y0 - y1)) < 1e-6

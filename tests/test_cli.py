@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from curvegp.cli import (CONFIG_DEFAULTS, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
-                         configs_from_values, main, parse_config_text)
+                         _model_from_fit, configs_from_values, main,
+                         parse_config_text)
+from curvegp.coreg import multilevel_gram
 from curvegp.curves import generate_synthetic
 from curvegp.errors import ConfigError
 from curvegp.metrics import esd
@@ -73,8 +75,7 @@ class TestConfigKeys:
     def test_keys_in_order(self):
         assert list(CONFIG_DEFAULTS) == [
             "model.family", "model.jitter", "model.fit_coord",
-            "model.fit_curve", "model.curve_rank",
-            "model.fit_group", "model.group_rank",
+            "model.fit_curve", "model.curve_rank", "model.group_rank",
             "opt.restarts", "opt.seed", "opt.maxiter"]
 
     def test_defaults_are_the_config_defaults(self):
@@ -93,7 +94,8 @@ class TestConfigKeys:
                                             ("model.tau", "auto"),
                                             ("model.noise_lo", "1e-07"),
                                             ("model.noise_hi", "1e-3"),
-                                            ("model.coord_rank", "2")])
+                                            ("model.coord_rank", "2"),
+                                            ("model.fit_group", "true")])
     def test_removed_key_rejected_with_file_and_line(self, tmp_path, capsys,
                                                      key, value):
         curve = str(tmp_path / "c.csv")
@@ -380,14 +382,12 @@ class TestFitPredictPipeline:
             paths.append(str(tmp_path / f"c{k}.csv"))
             save_curve_csv(curve, paths[-1])
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("model.fit_group = true\nopt.restarts = 1\n"
-                       "opt.maxiter = 30\n")
+        cfg.write_text("opt.restarts = 1\nopt.maxiter = 30\n")
         fit_path = str(tmp_path / "fit.json")
         assert main(["fit", "--inputs", *paths, "--labels", "a,b,a",
                      "--config", str(cfg), "--out", fit_path]) == EXIT_OK
         model = fit(TrainingDesign.from_curves(curves, ["a", "b", "a"]),
-                    ModelConfig(fit_group=True),
-                    OptimizerConfig(restarts=1, maxiter=30))
+                    ModelConfig(), OptimizerConfig(restarts=1, maxiter=30))
         return paths, fit_path, model
 
     def test_predict_uses_fitted_group_labels(self, tmp_path):
@@ -401,6 +401,22 @@ class TestFitPredictPipeline:
         assert np.allclose(pred["means"], expected.means, rtol=0, atol=1e-10)
         assert np.allclose(pred["covariances"], expected.covariances,
                            rtol=0, atol=1e-10)
+
+    def test_labels_couple_curves_across_groups(self, tmp_path):
+        # labels fit the group level, so curves in different groups share
+        # covariance: with G held at I every cross-group entry would be 0.0
+        paths = []
+        for k, n in enumerate((10, 11, 12)):
+            paths.append(str(tmp_path / f"c{k}.csv"))
+            save_curve_csv(scale_to_unit_length(center(generate_synthetic(
+                "star", n, rng_seed=k, noise_sd=0.01))), paths[-1])
+        fit_path = str(tmp_path / "fit.json")
+        assert main(["fit", "--inputs", *paths, "--labels", "a,b,a",
+                     "--out", fit_path]) == EXIT_OK
+        model = _model_from_fit(paths, fit_path)
+        d = model.design
+        K = multilevel_gram(model.kernel, d.s, j_a=d.j, g_a=d.g)
+        assert np.any(K[d.g[:, None] != d.g[None, :]] != 0.0)
 
     def test_predict_label_count_mismatch_exit_2(self, tmp_path):
         paths, fit_path, _ = self._grouped_fit(tmp_path)

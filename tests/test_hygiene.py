@@ -7,8 +7,9 @@ in the module, inside a string annotation, or in the module's `__all__`.
 
 No module-level function, class or constant of `src/curvegp` is dead: each
 is referenced by another line of the package or of `scripts`, or exported
-in an `__all__`. References from the tests do not count, so a name that
-only the tests call fails here.
+in its own module's `__all__`. References from the tests do not count, so a
+name that only the tests call fails here. Nor do the package's import
+lines: a name that `__init__` re-exports and nothing uses is dead.
 """
 
 import ast
@@ -105,15 +106,15 @@ def _definitions(tree):
             if not (name.startswith("__") and name.endswith("__"))}
 
 
-def _references(tree):
-    """(name, line) of every name read, attribute, imported name and name in
-    a string annotation."""
+def _references(tree, imports=True):
+    """(name, line) of every name read, attribute, imported name (unless
+    ``imports`` is false) and name in a string annotation."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.end_lineno
-        elif isinstance(node, ast.ImportFrom):
+        elif imports and isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield alias.name, node.lineno
     for annotation in _string_annotations(tree):
@@ -124,18 +125,20 @@ def _references(tree):
 
 def dead_names(package: dict, scripts=()) -> list:
     """Module-level names of the package (module name -> source) that no
-    other line of the package or of the scripts references and no `__all__`
-    exports, as 'module.name (line N)'."""
+    other line of the package or of the scripts references and their own
+    module's `__all__` does not export, as 'module.name (line N)'. An
+    import line of the package is no reference (a package module that
+    imports a name without using it fails `test_no_unused_imports`); one of
+    a script is."""
     trees = {module: ast.parse(source) for module, source in package.items()}
     references = {(module, name, line) for module, tree in trees.items()
-                  for name, line in _references(tree)}
+                  for name, line in _references(tree, imports=False)}
     references |= {(None, name, line) for source in scripts
                    for name, line in _references(ast.parse(source))}
-    exported = set().union(*map(_exported, trees.values()))
     return [f"{module}.{name} (line {line})"
             for module, tree in sorted(trees.items())
             for name, line in sorted(_definitions(tree).items(), key=lambda d: d[1])
-            if name not in exported
+            if name not in _exported(tree)
             and not any(n == name and (m, ln) != (module, line)
                         for m, n, ln in references)]
 
@@ -151,15 +154,21 @@ def test_scan_finds_dead_names():
               "class Used:\n"
               "    pass\n"
               "def for_scripts():\n"
+              "    pass\n"
+              "def reexported():\n"
               "    pass\n"),
-        "__init__": ("from .a import Used\n"
-                     "__all__ = ['exported']\n"
+        "__init__": ("from .a import Used, reexported\n"
+                     "__all__ = ['exported', 'reexported']\n"
                      "def exported():\n"
                      "    pass\n"
                      "__version__ = '1'\n")}
-    dead = ["a.BASIS (line 1)", "a._orphan (line 5)"]
-    assert dead_names(package, ["from curvegp.a import for_scripts\n"]) == dead
-    assert dead_names(package) == dead + ["a.for_scripts (line 9)"]
+    # a re-export in `__init__` (its import and its `__all__` entry) is no
+    # use of `a.reexported`
+    dead = ["a.BASIS (line 1)", "a._orphan (line 5)", "a.for_scripts (line 9)",
+            "a.reexported (line 11)"]
+    assert dead_names(package, ["from curvegp.a import for_scripts\n"]) == [
+        name for name in dead if "for_scripts" not in name]
+    assert dead_names(package) == dead
 
 
 def test_no_dead_names():

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
-from curvegp.curves import generate_synthetic
+from curvegp.curves import Curve, generate_synthetic
 from curvegp.errors import NumericalError, ValidationError
 from curvegp.kernels import DEFAULT_JITTER, PeriodicHyperparameters
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
@@ -309,7 +309,7 @@ class TestFit:
         labels = ["a", "b", "c"] if level == "group" else None
         ranks = {} if level == "coord" else {f"{level}_rank": 2}
         model = fit(TrainingDesign.from_curves(curves, labels),
-                    ModelConfig(fit_group=level == "group", **ranks),
+                    ModelConfig(**ranks),
                     OptimizerConfig(restarts=1, maxiter=50))
         W = getattr(model.kernel, level).w
         assert W.shape == (2 if level == "coord" else 3, 2)
@@ -325,6 +325,52 @@ class TestFit:
         W = obj._coreg(obj.default_start(), "curve", 3)[0]
         assert np.array_equal(W[:, 0], np.full(3, 0.1))
         assert np.linalg.matrix_rank(W) == rank
+
+
+class TestGroupedFit:
+    """Group labels fit the group level: a grouped fit is `fit` on a design
+    built with labels."""
+
+    FAST = OptimizerConfig(restarts=2, maxiter=100, seed=0)
+
+    def make_classes(self):
+        curves, labels = [], []
+        rng = np.random.default_rng(2)
+        for i in range(2):
+            th = 2 * np.pi * np.arange(10) / 10 + rng.uniform(0, 0.5)
+            curves.append(scale_to_unit_length(center(Curve(
+                np.column_stack([np.cos(th), np.sin(th)])))))
+            labels.append("circle")
+        for i in range(2):
+            th = 2 * np.pi * np.arange(10) / 10 + rng.uniform(0, 0.5)
+            curves.append(scale_to_unit_length(center(Curve(
+                np.column_stack([np.cos(th), 0.5 * np.sin(th)])))))
+            labels.append("ellipse")
+        return curves, labels
+
+    def test_group_level_present(self):
+        curves, labels = self.make_classes()
+        model = fit(TrainingDesign.from_curves(curves, labels), ModelConfig(),
+                    self.FAST)
+        assert model.kernel.group is not None
+        assert model.design.n_groups == 2
+
+    def test_label_renaming_bit_identical(self):
+        curves, labels = self.make_classes()
+        m1 = fit(TrainingDesign.from_curves(curves, labels), ModelConfig(),
+                 self.FAST)
+        renamed = [1 if lab == "circle" else 3 for lab in labels]
+        m2 = fit(TrainingDesign.from_curves(curves, renamed), ModelConfig(),
+                 self.FAST)
+        for j in range(len(curves)):
+            p1 = predict_curve(m1, j, 25).means
+            p2 = predict_curve(m2, j, 25).means
+            assert np.array_equal(p1, p2)
+
+    def test_label_count_mismatch(self):
+        curves, labels = self.make_classes()
+        with pytest.raises(ValidationError):
+            TrainingDesign.from_curves(curves, labels[:-1])
 
 
 class TestPredict:
@@ -603,7 +649,7 @@ class TestGradients:
         design = TrainingDesign.from_curves(
             [scale_to_unit_length(center(c1)), scale_to_unit_length(center(c2))],
             labels=["a", "b"])
-        obj = MarginalLikelihoodObjective(design, ModelConfig(fit_group=True))
+        obj = MarginalLikelihoodObjective(design, ModelConfig())
         for _ in range(5):
             theta = obj.random_start(rng)
             _, grad = obj.value_and_grad(theta)
@@ -692,15 +738,13 @@ LEVEL_CASES = {
     # name: (curves, labels, ModelConfig level settings)
     "coord-only": (1, None, dict()),
     "all-fixed": (1, None, dict(fit_coord=False)),
-    "all-free-rank1": (3, ["a", "b", "a"], dict(fit_group=True)),
-    "all-free-rank2": (3, ["a", "b", "a"], dict(
-        fit_group=True, curve_rank=2, group_rank=2)),
-    "coord-fixed": (3, ["a", "b", "a"], dict(
-        fit_coord=False, curve_rank=2, fit_group=True)),
-    "curve-and-group-fixed": (3, ["a", "b", "a"], dict(fit_curve=False)),
+    "all-free-rank1": (3, ["a", "b", "a"], dict()),
+    "all-free-rank2": (3, ["a", "b", "a"], dict(curve_rank=2, group_rank=2)),
+    "coord-fixed": (3, ["a", "b", "a"], dict(fit_coord=False, curve_rank=2)),
+    "curve-fixed": (3, ["a", "b", "a"], dict(fit_curve=False)),
     "group-free-only": (3, ["a", "b", "b"], dict(
-        fit_coord=False, fit_curve=False, fit_group=True, group_rank=2)),
-    "three-groups-rank0": (3, ["a", "b", "c"], dict(fit_group=True, group_rank=0)),
+        fit_coord=False, fit_curve=False, group_rank=2)),
+    "three-groups-rank0": (3, ["a", "b", "c"], dict(group_rank=0)),
 }
 
 
@@ -808,7 +852,7 @@ class TestCoordinateSplit:
     def test_value_and_grad_at_coordinate_extremes(self, coord):
         # coord is (a, b) of the coordinate factor L = [[1, 0], [a, e^b]]
         design = paired_design(3, 6, ["a", "b", "a"])
-        obj = MarginalLikelihoodObjective(design, ModelConfig(fit_group=True))
+        obj = MarginalLikelihoodObjective(design, ModelConfig())
         theta = obj.default_start()
         theta[obj.slices["coord"]] = coord
         value, grad = obj.value_and_grad(theta)
@@ -891,7 +935,7 @@ SCIPY_ORACLE_CASES = {
     "landmarks-3x4": (lambda: paired_design(3, 4), ModelConfig(),
                       OptimizerConfig(restarts=2, seed=1), "CONVERGENCE: RELATIVE"),
     "fit-group": (lambda: paired_design(3, 6, ["a", "b", "a"]),
-                  ModelConfig(fit_group=True), OptimizerConfig(restarts=2, seed=2),
+                  ModelConfig(), OptimizerConfig(restarts=2, seed=2),
                   "CONVERGENCE: RELATIVE"),
 }
 
