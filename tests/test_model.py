@@ -372,6 +372,30 @@ class TestGroupedFit:
         with pytest.raises(ValidationError):
             TrainingDesign.from_curves(curves, labels[:-1])
 
+    def test_groups_share_covariance(self):
+        # the group level is fitted, not held at I: some curves in
+        # different groups covary, where G = I would make every
+        # cross-group entry of the Gram 0.0
+        curves, labels = self.make_classes()
+        model = fit(TrainingDesign.from_curves(curves, labels), ModelConfig(),
+                    self.FAST)
+        d = model.design
+        K = multilevel_gram(model.kernel, d.s, j_a=d.j, g_a=d.g)
+        assert np.any(K[d.g[:, None] != d.g[None, :]] != 0.0)
+
+    def test_one_label_is_no_labels(self):
+        # a design with a single group has no group level to fit, so one
+        # shared label fits exactly what no labels fit
+        curves, labels = self.make_classes()
+        m1 = fit(TrainingDesign.from_curves(curves, ["all"] * len(curves)),
+                 ModelConfig(), self.FAST)
+        m2 = fit(TrainingDesign.from_curves(curves), ModelConfig(), self.FAST)
+        assert m1.kernel.group is None and m2.kernel.group is None
+        for j in range(len(curves)):
+            p1 = predict_curve(m1, j, 25).means
+            p2 = predict_curve(m2, j, 25).means
+            assert np.array_equal(p1, p2)
+
 
 class TestPredict:
     def setup_method(self):
