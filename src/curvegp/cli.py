@@ -62,11 +62,7 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         default = CONFIG_DEFAULTS[key]
         try:
-            if isinstance(default, bool):
-                if value.lower() not in ("true", "false"):
-                    raise ValueError("expected true/false")
-                values[key] = value.lower() == "true"
-            elif isinstance(default, int):
+            if isinstance(default, int):
                 values[key] = int(value)
             elif isinstance(default, float):
                 values[key] = float(value)
@@ -149,10 +145,13 @@ def _model_from_fit(curve_paths, fit_path):
     data = load_json(fit_path)
     kernel, noise_variance = kernel_from_dict(data)
     labels = data.get("curve_labels")
-    if labels is not None and len(labels) != len(curves):
-        raise ValidationError(
-            f"{fit_path} holds group labels for {len(labels)} curves, "
-            f"but {len(curves)} inputs were given")
+    if labels is not None:
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ValidationError(f"{fit_path}: curve_labels must be a list of strings")
+        if len(labels) != len(curves):
+            raise ValidationError(
+                f"{fit_path} holds group labels for {len(labels)} curves, "
+                f"but {len(curves)} inputs were given")
     design = TrainingDesign.from_curves(curves, labels)
     for name, count, unit in (("curve", design.n_curves, "input curves"),
                               ("group", design.n_groups, "groups")):
@@ -256,8 +255,6 @@ def cmd_plot(args) -> int:
 def cmd_config(args) -> int:
     if args.action == "print-defaults":
         for key, value in CONFIG_DEFAULTS.items():
-            if isinstance(value, bool):
-                value = "true" if value else "false"
             print(f"{key} = {value}")
         return EXIT_OK
     raise ValidationError(f"unknown config action {args.action!r}")

@@ -26,9 +26,9 @@ sigma2's estimate is s2 = y^T (R + eta I)^-1 y / 2P, and -log p at s2 is P
 log s2 + log|R + eta I| / 2 + P (1 + log 2 pi). No level carries a scale,
 so every packed parameter is a direction of the model (Pinheiro & Bates
 1996): a level of size 2 is B = L L^T with L = [[1, 0], [a, e^b]], a
-larger one B = W W^T + diag(kappa) with kappa_0 = 1. The fitted kernel
-holds s2, the jitter and noise as absolute values and L as W, with kappa
-0, so a fit file has the format it always had.
+larger one B = W W^T + diag(kappa) with W one column and kappa_0 = 1. The
+fitted kernel holds s2, the jitter and noise as absolute values and L as
+W, with kappa 0, so a fit file has the format it always had.
 
 s2 is a stationary point of the full likelihood, so the gradient of -log
 p at s2 is -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1
@@ -185,29 +185,20 @@ def _index_count(name: str, idx: np.ndarray, n_points: int) -> int:
 
 @dataclass
 class ModelConfig:
-    """Structural choices for the multi-level kernel. The CLI sets each
-    field as a ``model.*`` config key. ``jitter`` is a fraction of sigma2.
-    ``fit_coord`` and ``fit_curve`` = False hold the coordinate or curve
-    level at the identity; a design of two or more groups always fits its
-    group level, so group labels couple curves across groups. The
-    coordinate level, and a curve or group level of size 2, is always the
-    full 2 x 2 family; a rank sets W's columns of a larger level. The
+    """Choices for the multi-level kernel. The CLI sets each field as a
+    ``model.*`` config key. ``jitter`` is a fraction of sigma2. Every level
+    the design has is fitted, so group labels couple curves across groups:
+    the coordinate level, and a curve or group level of size 2, as the full
+    2 x 2 family, a larger curve or group level with one column of W. The
     period tau is the mean polygon length of the design, and the
     hyperparameters' boxes are the module constants above."""
 
     family: str = "periodic_matern32"
     jitter: float = DEFAULT_JITTER
-    fit_coord: bool = True
-    fit_curve: bool = True
-    curve_rank: int = 1
-    group_rank: int = 1
 
     def __post_init__(self):
         _require(self.family in FAMILIES, "model.family", f"one of {FAMILIES}",
                  self.family)
-        for name in ("curve_rank", "group_rank"):
-            _require(getattr(self, name) >= 0, f"model.{name}", ">= 0",
-                     getattr(self, name))
         _require(0 <= self.jitter < math.inf, "model.jitter", "finite and >= 0",
                  self.jitter)
 
@@ -332,15 +323,16 @@ def _chol_with_ladder(blocks):
 class MarginalLikelihoodObjective:
     """Negative log marginal likelihood, with sigma2 profiled out, and its
     analytic gradient in a packed parameter vector: log rho, log eta, then
-    each free coregionalization level's parameters. The period tau is held
+    each coregionalization level's parameters. The period tau is held
     fixed at the mean polygon length of the design.
 
     K = sigma2 (R + eta I), with R the Gram at sigma2 = 1 and the jitter a
     fraction ``config.jitter`` of sigma2. A level of size 2 is B = L L^T
     with L = [[1, 0], [a, e^b]] (parameters a, b); a larger level is
-    W W^T + diag(kappa) with kappa_0 = 1 (parameters W, then log kappa_1 ..
-    kappa_{size - 1}). So no level carries a scale, and sigma2, which
-    carries all of it, takes its closed-form estimate at every theta.
+    W W^T + diag(kappa) with W one column and kappa_0 = 1 (parameters W,
+    then log kappa_1 .. kappa_{size - 1}). So no level carries a scale, and
+    sigma2, which carries all of it, takes its closed-form estimate at every
+    theta.
 
     The Gram is formed on the P points, with the curve and group levels; the
     coordinate level is applied through its eigenbasis.
@@ -355,17 +347,13 @@ class MarginalLikelihoodObjective:
         self.warp = warped_distance(config.family, s[:, None], s[None, :], self.tau)
         self.n_points = len(s)
         self.targets = design.y.T  # a row per coordinate
-        # level bookkeeping: (name, value of each point, size, rank, free);
-        # the coordinate level has neither a value per point nor a rank, a
-        # rank shapes only a level of size 3 or more, and the group level is
-        # always free
-        self.levels = [("coord", None, 2, None, config.fit_coord)]
+        # level bookkeeping: (name, value of each point, size); the
+        # coordinate level has no value per point
+        self.levels = [("coord", None, 2)]
         if design.n_curves > 1:
-            self.levels.append(("curve", design.j, design.n_curves,
-                                config.curve_rank, config.fit_curve))
+            self.levels.append(("curve", design.j, design.n_curves))
         if design.n_groups > 1:
-            self.levels.append(("group", design.g, design.n_groups,
-                                config.group_rank, True))
+            self.levels.append(("group", design.g, design.n_groups))
         rho_lo, rho_hi = (f * self.tau for f in RHO_FRAC_BOX)
         # eta's box is the noise box at sigma2 = var(y)
         yvar = float(np.var(design.y))
@@ -374,13 +362,11 @@ class MarginalLikelihoodObjective:
         self.eta_box = tuple(b / yvar for b in NOISE_BOX)
         self.bounds = [(np.log(rho_lo), np.log(rho_hi)), tuple(np.log(self.eta_box))]
         self.slices = {}
-        for name, _, size, rank, free in self.levels:
-            if not free:
-                continue
+        for name, _, size in self.levels:
             if size == 2:  # a, then b = log L[1, 1]
                 bounds = [(-W_BOUND, W_BOUND), tuple(0.5 * np.log(KAPPA_BOX))]
             else:  # W, then log kappa_1 .. kappa_{size - 1}
-                bounds = ([(-W_BOUND, W_BOUND)] * (size * rank)
+                bounds = ([(-W_BOUND, W_BOUND)] * size
                           + [tuple(np.log(KAPPA_BOX))] * (size - 1))
             self.slices[name] = slice(len(self.bounds), len(self.bounds) + len(bounds))
             self.bounds += bounds
@@ -389,7 +375,7 @@ class MarginalLikelihoodObjective:
         # Points fall into T types, one per tuple of those levels' values;
         # one-hot S maps points to types, E per level types to values
         self.point_levels = list(range(1, len(self.levels)))
-        self.types = _point_types([(size, idx) for _, idx, size, _, _ in self.levels[1:]],
+        self.types = _point_types([(size, idx) for _, idx, size in self.levels[1:]],
                                   self.n_points)
         values, point_type = self.types
         self.type_onehot = np.eye(point_type.max() + 1)[point_type]
@@ -408,19 +394,20 @@ class MarginalLikelihoodObjective:
 
     def default_start(self) -> np.ndarray:
         """rho a quarter of tau, eta in the middle of its box (in logs), B =
-        I on a level of size 2, and on a larger one kappa = 1 and every W
-        entry of column 0 at 0.1, column k at 0.1 cos(pi k (i + 1/2) / size)
-        in row i: identical columns would get identical gradients and never
-        separate."""
+        I on the coordinate level and on a curve level of size 2, a = 0.1 on
+        a group level of size 2, and on a larger level kappa = 1 and every
+        W entry at 0.1. With the curve and group levels both at B = I, the
+        cross-group covariance C[0, 1] G[0, 1] would have no gradient in
+        either off-diagonal."""
         theta = np.zeros(self.n_params)
         theta[0] = np.log(self.tau / 4.0)
         theta[1] = 0.5 * sum(self.bounds[1])
-        for name, _, size, rank, free in self.levels:
-            if free and size > 2:
-                rows, cols = np.arange(size) + 0.5, np.arange(rank)
-                theta[self.slices[name]][:size * rank] = (
-                    0.1 * np.cos(np.pi / size * np.outer(rows, cols))).ravel()
-        return np.clip(theta, [b[0] for b in self.bounds], [b[1] for b in self.bounds])
+        for name, _, size in self.levels:
+            if size > 2:
+                theta[self.slices[name]][:size] = 0.1
+            elif name == "group":
+                theta[self.slices[name]][0] = 0.1
+        return theta
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
         """rho and eta uniform in their boxes (in logs), each W entry and a
@@ -428,11 +415,9 @@ class MarginalLikelihoodObjective:
         theta = np.empty(self.n_params)
         theta[0] = rng.uniform(*self.bounds[0])
         theta[1] = rng.uniform(*self.bounds[1])
-        for name, _, size, rank, free in self.levels:
-            if not free:
-                continue
+        for name, _, size in self.levels:
             sl = self.slices[name]
-            n_w = 1 if size == 2 else size * rank
+            n_w = 1 if size == 2 else size
             theta[sl] = np.concatenate([rng.normal(scale=0.3, size=n_w), np.log(
                 rng.uniform(0.1, 2.0, size=sl.stop - sl.start - n_w))])
             if size == 2:  # b is half the log of e^2b
@@ -446,9 +431,8 @@ class MarginalLikelihoodObjective:
         hyp = PeriodicHyperparameters(sigma2=sigma2, rho=math.exp(theta[0]),
                                       tau=self.tau, family=self.config.family,
                                       jitter=self.config.jitter * sigma2)
-        coregs = {name: CoregMatrix(*self._coreg(theta, name, size)) if free
-                  else CoregMatrix.identity(size)
-                  for name, _, size, _, free in self.levels}
+        coregs = {name: CoregMatrix(*self._coreg(theta, name, size))
+                  for name, _, size in self.levels}
         kernel = MultiLevelKernel(input_kernel=hyp, coord=coregs["coord"],
                                   curve=coregs.get("curve"),
                                   group=coregs.get("group"))
@@ -464,20 +448,16 @@ class MarginalLikelihoodObjective:
     # -- likelihood --------------------------------------------------------
 
     def _coreg(self, theta, name, size):
-        """(W, kappa) of a free level, unpacked from theta: W = L and kappa
-        = 0 for a level of size 2."""
+        """(W, kappa) of a level, unpacked from theta: W = L and kappa = 0
+        for a level of size 2."""
         p = theta[self.slices[name]]
         if size == 2:
             return np.array([[1.0, 0.0], [p[0], math.exp(p[1])]]), np.zeros(2)
-        n_w = len(p) - (size - 1)
-        return p[:n_w].reshape(size, -1), np.exp(np.concatenate([[0.0], p[n_w:]]))
+        return p[:size, None], np.exp(np.concatenate([[0.0], p[size:]]))
 
     def _level_matrix(self, theta, i):
-        """B of point level i; (W, kappa) of a free level are kept for its
-        gradient."""
-        name, _, size, _, free = self.levels[i]
-        if not free:
-            return np.eye(size)
+        """B of point level i; its (W, kappa) are kept for its gradient."""
+        name, _, size = self.levels[i]
         W, kappa = self._wk[i] = self._coreg(theta, name, size)
         B = W @ W.T
         B.reshape(-1)[::size + 1] += kappa
@@ -487,9 +467,7 @@ class MarginalLikelihoodObjective:
         """(lam, Q) of the coordinate factor B = W W^T + diag(kappa), its
         three entries taken as Python floats and formed as
         `CoregMatrix.matrix` forms them, so that `assemble_model` finds the
-        same basis; (W, kappa) of a free level are kept for its gradient."""
-        if not self.levels[0][4]:
-            return _coord_basis(1.0, 0.0, 1.0)
+        same basis; its (W, kappa) are kept for its gradient."""
         W, kappa = self._wk[0] = self._coreg(theta, "coord", 2)
         (a, b), (_, c) = (W @ W.T).tolist()
         k0, k1 = kappa.tolist()
@@ -556,27 +534,24 @@ class MarginalLikelihoodObjective:
         grad = np.empty(self.n_params)
         grad[0] = -0.5 * np.vdot(A, grads[0])
         grad[1] = -0.5 * eta * trace_a
-        if self.levels[0][4]:
-            self._level_grad(grad, 0, Q @ Mt @ Q.T)
+        self._level_grad(grad, 0, Q @ Mt @ Q.T)
         # G sums A o K0 over each block of point types; a level's M sums
         # A o K0 o (the other point levels' factors) over its blocks of values
         S = self.type_onehot
         G = S.T @ np.multiply(A, grads[1], out=A) @ S
         for k, i in enumerate(self.point_levels):
-            if not self.levels[i][4]:
-                continue
             E = self.level_onehot[k]
             others = [F for m, F in enumerate(self._factors) if m != k]
             self._level_grad(grad, i, E.T @ reduce(np.multiply, others, G) @ E)
         return nll, grad
 
     def _level_grad(self, grad, i, M):
-        """The gradient of free level i from its M, with d(-log p) = -tr(M
+        """The gradient of level i from its M, with d(-log p) = -tr(M
         dB)/2: -M W in W, of which a factor L = W of a level of size 2 takes
         the entries a = L[1, 0] and, times L[1, 1], b; -diag(M) kappa/2 in
         log kappa_1 .. kappa_{size - 1}."""
         W, kappa = self._wk[i]
-        name, _, size, _, _ = self.levels[i]
+        name, _, size = self.levels[i]
         sl = self.slices[name]
         MW = M @ W
         if size == 2:

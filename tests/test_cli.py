@@ -64,8 +64,6 @@ def other_value(key: str, default) -> str:
     """Config text for a valid value of ``key`` other than its default."""
     if key in OTHER_VALUES:
         return OTHER_VALUES[key]
-    if isinstance(default, bool):
-        return "false" if default else "true"
     if isinstance(default, (int, float)):
         return str(2 * default + 1)
     return default + "-other"
@@ -74,9 +72,8 @@ def other_value(key: str, default) -> str:
 class TestConfigKeys:
     def test_keys_in_order(self):
         assert list(CONFIG_DEFAULTS) == [
-            "model.family", "model.jitter", "model.fit_coord",
-            "model.fit_curve", "model.curve_rank", "model.group_rank",
-            "opt.restarts", "opt.seed", "opt.maxiter"]
+            "model.family", "model.jitter", "opt.restarts", "opt.seed",
+            "opt.maxiter"]
 
     def test_defaults_are_the_config_defaults(self):
         assert configs_from_values(CONFIG_DEFAULTS) == (ModelConfig(),
@@ -95,7 +92,11 @@ class TestConfigKeys:
                                             ("model.noise_lo", "1e-07"),
                                             ("model.noise_hi", "1e-3"),
                                             ("model.coord_rank", "2"),
-                                            ("model.fit_group", "true")])
+                                            ("model.fit_group", "true"),
+                                            ("model.fit_coord", "false"),
+                                            ("model.fit_curve", "false"),
+                                            ("model.curve_rank", "2"),
+                                            ("model.group_rank", "1")])
     def test_removed_key_rejected_with_file_and_line(self, tmp_path, capsys,
                                                      key, value):
         curve = str(tmp_path / "c.csv")
@@ -113,7 +114,6 @@ class TestConfigKeys:
         ("opt.restarts", "0", "opt.restarts"),
         ("opt.maxiter", "-5", "opt.maxiter"),
         ("model.jitter", "-1", "model.jitter"),
-        ("model.curve_rank", "-1", "model.curve_rank"),
         ("model.jitter", "inf", "model.jitter"),
         ("opt.seed", "-1", "opt.seed"),
         ("model.family", "foo", "model.family")])
@@ -417,6 +417,20 @@ class TestFitPredictPipeline:
         d = model.design
         K = multilevel_gram(model.kernel, d.s, j_a=d.j, g_a=d.g)
         assert np.any(K[d.g[:, None] != d.g[None, :]] != 0.0)
+
+    @pytest.mark.parametrize("labels", [5, [[1], [2], [1]], "aba", [1, 2, 1]])
+    def test_predict_bad_curve_labels_exit_2(self, tmp_path, capsys, labels):
+        # a fit writes curve_labels as a list of strings: a number or nested
+        # lists once ended in a TypeError traceback (exit 1), and a string or
+        # numbers were read as labels without complaint
+        paths, fit_path, _ = self._grouped_fit(tmp_path)
+        save_json({**read_json(fit_path), "curve_labels": labels}, fit_path)
+        pred_path = tmp_path / "pred.json"
+        capsys.readouterr()
+        assert main(["predict", "--inputs", *paths, "--fit", fit_path,
+                     "--out", str(pred_path)]) == EXIT_VALIDATION
+        assert "curve_labels" in capsys.readouterr().err
+        assert not pred_path.exists()
 
     def test_predict_label_count_mismatch_exit_2(self, tmp_path):
         paths, fit_path, _ = self._grouped_fit(tmp_path)

@@ -216,7 +216,7 @@ class TestFit:
         design = TrainingDesign(s=s, j=np.zeros(n, dtype=int),
                                 g=np.zeros(n, dtype=int), y=y,
                                 lengths=np.array([1.0]))
-        model = fit(design, ModelConfig(fit_coord=False, jitter=0.0),
+        model = fit(design, ModelConfig(jitter=0.0),
                     OptimizerConfig(restarts=6, seed=1))
         rho_hat = model.kernel.input_kernel.rho
         assert rho_true / 2 <= rho_hat <= rho_true * 2
@@ -297,34 +297,17 @@ class TestFit:
         corr = C[0, 1] / np.sqrt(C[0, 0] * C[1, 1])
         assert corr > 0.9
 
-    @pytest.mark.parametrize("level", ["coord", "curve", "group"])
-    def test_rank_two_level_fits_two_columns(self, level):
-        # the default start once set every W entry to 0.1: identical columns
-        # get identical gradients, so a one-restart fit stayed rank 1. The
-        # coordinate level is always the full 2 x 2 factor, so the curve and
-        # group levels have three values here, and rank 2
+    def test_coordinate_level_fits_two_columns(self):
+        # the coordinate level is always the full 2 x 2 factor L, whose
+        # columns a one-restart fit keeps apart
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 10, rng_seed=k, noise_sd=0.01, amplitude=0.1 + 0.1 * k)))
             for k in range(3)]
-        labels = ["a", "b", "c"] if level == "group" else None
-        ranks = {} if level == "coord" else {f"{level}_rank": 2}
-        model = fit(TrainingDesign.from_curves(curves, labels),
-                    ModelConfig(**ranks),
+        model = fit(TrainingDesign.from_curves(curves), ModelConfig(),
                     OptimizerConfig(restarts=1, maxiter=50))
-        W = getattr(model.kernel, level).w
-        assert W.shape == (2 if level == "coord" else 3, 2)
+        W = model.kernel.coord.w
+        assert W.shape == (2, 2)
         assert np.max(np.abs(W[:, 0] - W[:, 1])) > 1e-3
-
-    @pytest.mark.parametrize("rank", [1, 2, 3])
-    def test_default_start_keeps_column_zero(self, rank):
-        # a rank-1 start, and column 0 of any rank, is 0.1 everywhere as
-        # before; the other columns are linearly independent of it
-        curves = [generate_synthetic("star", 6, rng_seed=k) for k in range(3)]
-        obj = MarginalLikelihoodObjective(TrainingDesign.from_curves(curves),
-                                          ModelConfig(curve_rank=rank))
-        W = obj._coreg(obj.default_start(), "curve", 3)[0]
-        assert np.array_equal(W[:, 0], np.full(3, 0.1))
-        assert np.linalg.matrix_rank(W) == rank
 
 
 class TestGroupedFit:
@@ -382,6 +365,19 @@ class TestGroupedFit:
         d = model.design
         K = multilevel_gram(model.kernel, d.s, j_a=d.j, g_a=d.g)
         assert np.any(K[d.g[:, None] != d.g[None, :]] != 0.0)
+
+    def test_one_restart_leaves_the_cross_group_saddle(self):
+        # with curve and group levels both starting at B = I, the cross-group
+        # covariance C[0, 1] G[0, 1] has no gradient in either off-diagonal,
+        # and a one-restart fit of two curves in two groups kept both at 0.0
+        curves = [scale_to_unit_length(center(generate_synthetic(
+            shape, 12, rng_seed=k + 1, noise_sd=0.01, **kw)))
+            for k, (shape, kw) in enumerate([("star", {}),
+                                             ("ellipse", {"axes": (1.0, 0.6)})])]
+        model = fit(TrainingDesign.from_curves(curves, ["a", "b"]), ModelConfig(),
+                    OptimizerConfig(restarts=1))
+        C, G = model.kernel.curve.matrix, model.kernel.group.matrix
+        assert C[0, 1] * G[0, 1] != 0.0
 
     def test_one_label_is_no_labels(self):
         # a design with a single group has no group level to fit, so one
@@ -716,29 +712,27 @@ def dense_dk_oracle(obj, theta):
             corr = np.exp(-a)
             dcorr = a * corr
     factors, dBs = {}, {}
-    for name, _, size, rank, free in obj.levels:
-        B = np.eye(size)
-        if free:
-            p = theta[obj.slices[name]]
-            dBs[name] = []
-            if size == 2:
-                a, e = p[0], np.exp(p[1])
-                B = np.array([[1.0, a], [a, a * a + e * e]])
-                dBs[name] += [np.array([[0.0, 1.0], [1.0, 2.0 * a]]),
-                              np.array([[0.0, 0.0], [0.0, 2.0 * e * e]])]
-            else:
-                W = p[:size * rank].reshape(size, rank)
-                kappa = np.concatenate([[1.0], np.exp(p[size * rank:])])
-                B = W @ W.T + np.diag(kappa)
-                for a, k in itertools.product(range(size), range(rank)):
-                    dB = np.zeros((size, size))
-                    dB[a, :] += W[:, k]
-                    dB[:, a] += W[:, k]
-                    dBs[name].append(dB)
-                for a in range(1, size):
-                    dB = np.zeros((size, size))
-                    dB[a, a] = kappa[a]
-                    dBs[name].append(dB)
+    for name, _, size in obj.levels:
+        p = theta[obj.slices[name]]
+        dBs[name] = []
+        if size == 2:
+            a, e = p[0], np.exp(p[1])
+            B = np.array([[1.0, a], [a, a * a + e * e]])
+            dBs[name] += [np.array([[0.0, 1.0], [1.0, 2.0 * a]]),
+                          np.array([[0.0, 0.0], [0.0, 2.0 * e * e]])]
+        else:
+            w = p[:size]
+            kappa = np.concatenate([[1.0], np.exp(p[size:])])
+            B = np.outer(w, w) + np.diag(kappa)
+            for a in range(size):
+                dB = np.zeros((size, size))
+                dB[a, :] += w
+                dB[:, a] += w
+                dBs[name].append(dB)
+            for a in range(1, size):
+                dB = np.zeros((size, size))
+                dB[a, a] = kappa[a]
+                dBs[name].append(dB)
         idx = level_rows[name]
         factors[name] = B[idx[:, None], idx[None, :]]
     Bfull = np.prod(list(factors.values()), axis=0)
@@ -759,17 +753,41 @@ def dense_dk_oracle(obj, theta):
 
 
 LEVEL_CASES = {
-    # name: (curves, labels, ModelConfig level settings)
-    "coord-only": (1, None, dict()),
-    "all-fixed": (1, None, dict(fit_coord=False)),
-    "all-free-rank1": (3, ["a", "b", "a"], dict()),
-    "all-free-rank2": (3, ["a", "b", "a"], dict(curve_rank=2, group_rank=2)),
-    "coord-fixed": (3, ["a", "b", "a"], dict(fit_coord=False, curve_rank=2)),
-    "curve-fixed": (3, ["a", "b", "a"], dict(fit_curve=False)),
-    "group-free-only": (3, ["a", "b", "b"], dict(
-        fit_coord=False, fit_curve=False, group_rank=2)),
-    "three-groups-rank0": (3, ["a", "b", "c"], dict(group_rank=0)),
+    # name: (curves, labels)
+    "coord-only": (1, None),
+    "two-curves": (2, None),
+    "three-curves": (3, None),
+    "all-free-rank1": (3, ["a", "b", "a"]),
+    "two-groups": (2, ["a", "b"]),  # curve and group levels both 2 x 2
+    "three-groups": (3, ["a", "b", "c"]),
+    "four-curves-three-groups": (4, ["a", "b", "c", "a"]),  # two W levels
+    "four-curves-two-groups": (4, ["a", "a", "b", "b"]),  # W curve, 2 x 2 group
 }
+
+
+class TestDefaultStart:
+    @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+    def test_every_level_starts_where_documented(self, case):
+        # B = I on the coordinate level and on a curve level of size 2, a =
+        # 0.1 on a group level of size 2 (off the cross-group saddle), and on
+        # a larger level one W column of 0.1 with kappa = 1
+        n_curves, labels = LEVEL_CASES[case]
+        obj = MarginalLikelihoodObjective(paired_design(n_curves, 6, labels),
+                                          ModelConfig())
+        theta = obj.default_start()
+        kernel, _ = obj.kernel_at(theta, 1.0)
+        assert theta[0] == np.log(obj.tau / 4.0)
+        assert [name for name, _, _ in obj.levels] == [
+            "coord", "curve", "group"][:len(obj.levels)]
+        for name, _, size in obj.levels:
+            B = getattr(kernel, name).matrix
+            if size > 2:
+                expected = np.full((size, size), 0.01) + np.eye(size)
+            elif name == "group":
+                expected = np.array([[1.0, 0.1], [0.1, 1.01]])
+            else:
+                expected = np.eye(2)
+            assert np.allclose(B, expected, rtol=0.0, atol=1e-15)
 
 
 class TestContractedGradient:
@@ -778,12 +796,12 @@ class TestContractedGradient:
     @pytest.mark.parametrize("family", ["periodic_rbf", "periodic_matern32",
                                         "periodic_matern12"])
     def test_matches_dense_dk_oracle(self, family, jitter, case):
-        n_curves, labels, levels = LEVEL_CASES[case]
+        n_curves, labels = LEVEL_CASES[case]
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
         design = TrainingDesign.from_curves(curves, labels)
         obj = MarginalLikelihoodObjective(design, ModelConfig(
-            family=family, jitter=jitter, **levels))
+            family=family, jitter=jitter))
         rng = np.random.default_rng(3)
         for _ in range(3):
             theta = obj.random_start(rng)
@@ -806,12 +824,12 @@ class TestSharedGramBuilder:
     @pytest.mark.parametrize("family", ["periodic_rbf", "periodic_matern32",
                                         "periodic_matern12"])
     def test_objective_gram_is_multilevel_gram(self, family, jitter, case):
-        n_curves, labels, levels = LEVEL_CASES[case]
+        n_curves, labels = LEVEL_CASES[case]
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
         design = TrainingDesign.from_curves(curves, labels)
         obj = MarginalLikelihoodObjective(design, ModelConfig(
-            family=family, jitter=jitter, **levels))
+            family=family, jitter=jitter))
         rng = np.random.default_rng(5)
         n = len(design.s)
         for _ in range(3):
@@ -951,7 +969,7 @@ class TestLargestNugget:
 # name: (design, model config, optimizer config, a message one of its
 # restarts must end with, so that each case takes the path it names)
 SCIPY_ORACLE_CASES = {
-    "converges": (lambda: paired_design(2, 6), ModelConfig(fit_curve=False),
+    "converges": (lambda: paired_design(1, 6), ModelConfig(),
                   OptimizerConfig(restarts=3, seed=0), "CONVERGENCE: NORM OF PROJECTED"),
     "stops-at-maxiter": (lambda: paired_design(3, 6), ModelConfig(),
                          OptimizerConfig(restarts=3, seed=4, maxiter=60),
@@ -1113,9 +1131,9 @@ class TestProfileLikelihood:
     def test_value_is_the_likelihood_at_the_estimated_scale(self, case):
         # value(theta) is -log p(y) of the model unpack assembles, whose
         # sigma2 is y^T R^-1 y / 2P; moving sigma2 either way lowers log p
-        n_curves, labels, levels = LEVEL_CASES[case]
+        n_curves, labels = LEVEL_CASES[case]
         design = paired_design(n_curves, 6, labels)
-        obj = MarginalLikelihoodObjective(design, ModelConfig(**levels))
+        obj = MarginalLikelihoodObjective(design, ModelConfig())
         rng = np.random.default_rng(7)
         for _ in range(3):
             theta = obj.random_start(rng)
@@ -1159,9 +1177,9 @@ class TestWorkArrays:
     def test_evaluation_does_not_depend_on_the_one_before(self, case):
         # value_and_grad keeps its work arrays across calls: theta1 after
         # theta2 gives what a fresh objective gives at theta1, bit for bit
-        n_curves, labels, levels = LEVEL_CASES[case]
+        n_curves, labels = LEVEL_CASES[case]
         design = paired_design(n_curves, 6, labels)
-        config = ModelConfig(**levels)
+        config = ModelConfig()
         obj = MarginalLikelihoodObjective(design, config)
         rng = np.random.default_rng(13)
         theta1, theta2 = obj.random_start(rng), obj.random_start(rng)

@@ -46,7 +46,8 @@ def test_tracer_hooks_the_library(tracing):
         design = model_mod.TrainingDesign.from_curves(curves, labels=["a", "b"])
         model = model_mod.fit(design, model_mod.ModelConfig(),
                               model_mod.OptimizerConfig(restarts=1, seed=0))
-        model_mod.fit(design, model_mod.ModelConfig(fit_curve=False),
+        model_mod.fit(model_mod.TrainingDesign.from_curves(curves),
+                      model_mod.ModelConfig(),
                       model_mod.OptimizerConfig(restarts=1, seed=0))
         obj = model_mod.MarginalLikelihoodObjective(design, model_mod.ModelConfig())
         obj.value(obj.default_start())
