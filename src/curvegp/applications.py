@@ -75,7 +75,7 @@ def _score_subset(curves, indices, criterion, model_config, opt_config):
     total = 0.0
     for j, (c, sub) in enumerate(zip(curves, subs)):
         s_star = xy_to_arc_param(sub, c.points)
-        mean = _unit_means(model, s_star, np.full(c.n, j), np.zeros(c.n, dtype=int))[0]
+        mean = _unit_means(model, s_star, np.full(c.n, j))[0]
         total += float(np.sum((mean - c.points) ** 2) / c.n)
     return total / len(curves)
 

@@ -202,8 +202,7 @@ def cmd_landmarks(args) -> int:
         payload = {"p": args.p, "best_indices": list(result.indices),
                    "best_params": result.params.tolist(), "score": result.score,
                    "trials": [{"indices": list(sub), "score": score}
-                              for sub, score in result.trials],
-                   "criterion_trace": {str(args.p): result.score}}
+                              for sub, score in result.trials]}
     else:
         design = TrainingDesign.from_curves(curves)
         model = model_mod.fit(design, model_config, opt_config)

@@ -4,9 +4,11 @@ Discrete levels (coordinate, curve, group) are coupled through low-rank-
 plus-diagonal PSD matrices B = W W^T + diag(kappa). The full kernel is the
 product of the periodic input kernel with one factor per active level.
 Every Gram formed here is a Gram of points: the input kernel, its jitter
-included, times the curve and group factors. The coordinate level acts on
-each point's two coordinates and is applied by the model, through the
-eigenbasis of its 2 x 2 matrix.
+included, times the curve and group factors. The levels are nested: each
+curve lies in one group, so both factors of two points depend only on the
+points' curves and form one factor F between curves. The coordinate level
+acts on each point's two coordinates and is applied by the model, through
+the eigenbasis of its 2 x 2 matrix.
 """
 
 from __future__ import annotations
@@ -75,58 +77,55 @@ class MultiLevelKernel:
             raise ValidationError("coordinate-level matrix must be 2x2")
 
 
-def _point_types(levels, n: int):
-    """Distinct tuples of level values among n points, as (each level's
-    value at every type, the type of every point). ``levels`` holds (size,
-    one index per point) per level; a value outside 0 .. size - 1 raises.
-    Each level's values are ranked and the ranks coded in mixed radix, so
-    the code is exact for any integers. Without levels there is one type."""
-    code = np.zeros(n, dtype=int)
-    levels = [(size, np.asarray(idx, dtype=int)) for size, idx in levels]
-    for size, idx in levels:
-        if idx.shape != (n,):
-            raise ValidationError(f"one level index per point required ({n} points)")
-        values, rank = np.unique(idx, return_inverse=True)
-        if n and not 0 <= values[0] <= values[-1] < size:
-            raise ValidationError(f"level index out of range for size {size}")
-        code = code * len(values) + rank
-    _, first, point_type = np.unique(code, return_index=True, return_inverse=True)
-    return [idx[first] for _, idx in levels], point_type
+def curve_factor(curve, group, curve_group=None):
+    """(factors, F): the curve and group factors between every two curves,
+    one per level present (None: absent), the curve level's matrix C and
+    the group level's G[cg, cg] with cg the group of each curve, and their
+    product F = C o G[cg, cg], [[1.0]] without either level. A curve lies
+    in one group, so the factor of two points is F at their curves."""
+    factors = [] if curve is None else [curve]
+    if group is not None:
+        factors.append(group.take(curve_group, axis=0).take(curve_group, axis=1))
+    return factors, reduce(np.multiply, factors, np.ones((1, 1)))
 
 
-def level_product(matrices, types_a, types_b, out=None):
-    """(factors, product): each level's factor B[a, b] formed once on the
-    grid of point types of two sides (`_point_types` of each, one level per
-    matrix B), and their product spread to every pair of points, in ``out``
-    when given. The entries equal a product formed per pair of points bit
-    for bit."""
-    (values_a, point_a), (values_b, point_b) = types_a, types_b
-    factors = [B.take(a, axis=0).take(b, axis=1)
-               for B, a, b in zip(matrices, values_a, values_b)]
-    grid = reduce(np.multiply, factors) if factors else np.ones((1, 1))
-    # columns first, so the large gather copies whole rows; the types always
-    # index the grid, and "clip" spares the copy of out that "raise" makes
-    return factors, grid.take(point_b, axis=1).take(point_a, axis=0, out=out,
-                                                    mode="clip")
+def _indices(name: str, idx, n: int, size: int, unit: str = "point") -> np.ndarray:
+    """One integer per point (or curve) in 0 .. size - 1, or a
+    ValidationError that names the argument."""
+    if idx is None:
+        raise ValidationError(f"{name} is required when the kernel carries a "
+                              f"curve or group level")
+    idx = np.asarray(idx, dtype=int)
+    if idx.shape != (n,):
+        raise ValidationError(f"{name}: one level index per {unit} required "
+                              f"({n} {unit}s)")
+    if n and not 0 <= idx.min() <= idx.max() < size:
+        raise ValidationError(f"{name}: level index out of range for size {size}")
+    return idx
 
 
-def multilevel_gram(kernel: MultiLevelKernel, s_a, *, j_a=None, g_a=None, s_b=None,
-                    j_b=None, g_b=None) -> np.ndarray:
-    """Gram between two sets of points (s, j, g), or of one set with
-    itself: the input kernel at every pair of points (`gram`) times the
-    curve and group factors the kernel carries (`level_product`). The
-    coordinate level enters through the eigenbasis of its 2 x 2 matrix
-    (`model._coord_basis`), not here. The input kernel's jitter is on
-    every entry of it, so it is modulated by the same factors and vanishes
-    across independent levels. Observation noise is not included."""
+def multilevel_gram(kernel: MultiLevelKernel, s_a, *, j_a=None, s_b=None, j_b=None,
+                    curve_group=None) -> np.ndarray:
+    """Gram between two sets of points (s, j), or of one set with itself:
+    the input kernel at every pair of points (`gram`) times the curve and
+    group factors the kernel carries, F = C o G[cg, cg] between the
+    points' curves (`curve_factor`), ``curve_group`` cg the group of each
+    curve. A point's group is its curve's group. The coordinate level
+    enters through the eigenbasis of its 2 x 2 matrix
+    (`model._coord_basis`), not here. The input kernel's jitter is on every
+    entry of it, so it is modulated by the same factors and vanishes across
+    independent levels. Observation noise is not included."""
     K = gram(kernel.input_kernel, s_a, s_b)
-    if s_b is None:
-        j_b, g_b = j_a, g_a
-    carried = [(coreg, a, b) for coreg, a, b in
-               ((kernel.curve, j_a, j_b), (kernel.group, g_a, g_b))
-               if coreg is not None]
-    types_a = _point_types([(c.size, a) for c, a, _ in carried], K.shape[0])
-    types_b = (types_a if s_b is None
-               else _point_types([(c.size, b) for c, _, b in carried], K.shape[1]))
-    K *= level_product([c.matrix for c, _, _ in carried], types_a, types_b)[1]
+    if kernel.curve is None and kernel.group is None:
+        return K
+    curve, group = (None if level is None else level.matrix
+                    for level in (kernel.curve, kernel.group))
+    if group is not None:
+        n_curves = np.size(curve_group) if curve is None else len(curve)
+        curve_group = _indices("curve_group", curve_group, n_curves, len(group),
+                               "curve")
+    F = curve_factor(curve, group, curve_group)[1]
+    j_a = _indices("j_a", j_a, K.shape[0], len(F))
+    j_b = j_a if s_b is None else _indices("j_b", j_b, K.shape[1], len(F))
+    K *= F.take(j_b, axis=1).take(j_a, axis=0)
     return K

@@ -3,21 +3,23 @@ likelihood with analytic gradients, constrained multi-start fitting, and
 prediction with full per-point covariance.
 
 A `TrainingDesign` holds P points, each with both coordinates, validated
-when built, and the group of each curve. K is the input Gram K0 times one
-factor per coregionalization level, plus noise I, over the 2P values; the
-noise variance is a float beside the kernel. The input kernel's jitter is a
-constant on every entry of K0, so K = K_pts (x) B_coord + noise I exactly,
-K_pts the P x P Gram of the points carrying the curve and group factors.
-With B_coord = Q diag(lam) Q^T (closed form), rotating each point's two
-targets by Q splits K into two P x P blocks lam_e K_pts + noise I (Bonilla,
-Chai & Williams 2008; Saatci 2011). The same points and blocks serve the
-objective, `assemble_model`, `predict` and `predict_curve`. Queries are
-points as well: `predict` takes its rows in coordinate pairs, one pair per
-query point, forms its prior and posterior on the query points, block e as
-lam_e K_u - lam_e^2 V_e^T V_e, and writes each into the covariance with the
-weights Q[d, e] Q[d', e]; `predict_curve` forms only the diagonal of each
-block. The prior and each block are a quarter of the size of the
-covariance it returns, and no temporary of the covariance's size is made.
+when built, and the group of each curve: the curve level is nested in the
+group level, so a point's group is its curve's group. K is the input Gram
+K0 times one factor per coregionalization level, plus noise I, over the 2P
+values; the noise variance is a float beside the kernel. The input kernel's
+jitter is a constant on every entry of K0, so K = K_pts (x) B_coord + noise
+I exactly, K_pts the P x P Gram of the points carrying the curve and group
+factors. With B_coord = Q diag(lam) Q^T (closed form), rotating each
+point's two targets by Q splits K into two P x P blocks lam_e K_pts + noise
+I (Bonilla, Chai & Williams 2008; Saatci 2011). The same points and blocks
+serve the objective, `assemble_model`, `predict` and `predict_curve`.
+Queries are points as well: `predict` takes its rows in coordinate pairs,
+one pair per query point, forms its prior and posterior on the query
+points, block e as lam_e K_u - lam_e^2 V_e^T V_e, and writes each into the
+covariance with the weights Q[d, e] Q[d', e]; `predict_curve` forms only
+the diagonal of each block. The prior and each block are a quarter of the
+size of the covariance it returns, and no temporary of the covariance's
+size is made.
 
 The fit profiles sigma2 out (Santner, Williams & Notz 2003): K = sigma2 (R
 + eta I), with R the Gram at sigma2 = 1, its jitter the fraction
@@ -34,20 +36,21 @@ s2 is a stationary point of the full likelihood, so the gradient of -log
 p at s2 is -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1
 (Rasmussen & Williams 2006, 5.4.1), contracted by level rather than formed
 per parameter. Over the points it is A_p = sum_e lam_e (alpha_e alpha_e^T
-/ s2 - R_e^-1). The points fall into T types (tuples of their curve and
-group values), so each such factor is the T x T matrix E B E^T, with E the
-one-hot map from types to level values. A_p o K0 is summed over each block
-of types once, G = S^T (A_p o K0) S (S: points to types); a level's M = E^T
-(G o the other factors) E, and d(-log p) = -tr(M dB)/2 gives its W
-gradient -M W, its log kappa gradient -diag(M) kappa/2, and L's entries
-the same -M W. The coordinate level's M = Q Mt Q^T, Mt[e, f] = alpha_e^T
-K_pts alpha_f / s2 - [e = f] <R_e^-1, K_pts>. log rho takes one inner
-product of A_p with a dense matrix, and log eta takes -eta sum_e tr(A_e) /
-2. alpha_e and R_e^-1 come from the Cholesky factors (LAPACK dpotrs,
-dpotri); one nugget ladder serves every block. Every Gram is a Gram of
-points: `level_product` forms its level factors on the grid of point types
-and spreads their product to the points, for the objective and for
-`multilevel_gram` alike.
+/ s2 - R_e^-1). The curve and group factors of two points are those of
+their curves, C and G[cg, cg] with cg the group of each curve, and their
+product F = C o G[cg, cg] is gathered by curve (`coreg.curve_factor`).
+A_p o K0 is summed over each block of curves once, Gt = S^T (A_p o K0) S
+(S: the one-hot map from points to curves); the curve level's M = Gt o
+G[cg, cg], the group level's M = E^T (Gt o C) E (E: curves to groups), and
+d(-log p) = -tr(M dB)/2 gives a level's W gradient -M W, its log kappa
+gradient -diag(M) kappa/2, and L's entries the same -M W. The coordinate
+level's M = Q Mt Q^T, Mt[e, f] = alpha_e^T K_pts alpha_f / s2 - [e = f]
+<R_e^-1, K_pts>. log rho takes one inner product of A_p with a dense
+matrix, and log eta takes -eta sum_e tr(A_e) / 2. alpha_e and R_e^-1 come
+from the Cholesky factors (LAPACK dpotrs, dpotri); one nugget ladder
+serves every block. Every Gram is a Gram of
+points: `curve_factor` forms F between curves and the Gram gathers it by
+the points' curves, for the objective and for `multilevel_gram` alike.
 
 At small P an evaluation's cost is per-call overhead, not arithmetic, so
 the objective keeps its P x P work arrays across calls, `_chol_with_ladder`
@@ -77,8 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coreg import (CoregMatrix, MultiLevelKernel, _point_types, level_product,
-                    multilevel_gram)
+from .coreg import CoregMatrix, MultiLevelKernel, curve_factor, multilevel_gram
 from .errors import NumericalError, ValidationError
 from .kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                       warped_correlation, warped_distance)
@@ -102,41 +104,39 @@ LOG2PI = np.log(2.0 * np.pi)
 class TrainingDesign:
     """Sample points of closed curves, validated at construction.
 
-    Per point: arc parameter ``s``, curve ``j``, group ``g`` and both
-    coordinates ``y`` (P x 2). Per curve: its polygon length and, set at
-    construction, its group (``curve_group``). One label per group. Curve
-    and group indices run from 0 without gaps, and each curve lies in one
-    group.
+    Per point: arc parameter ``s``, curve ``j`` and both coordinates ``y``
+    (P x 2). Per curve: its polygon length and its group (``curve_group``;
+    without it every curve is in one group), so a point's group is its
+    curve's group. One label per group. Curve and group indices run from 0
+    without gaps.
     """
 
     s: np.ndarray
     j: np.ndarray
-    g: np.ndarray
     y: np.ndarray
     lengths: np.ndarray
+    curve_group: np.ndarray | None = None
     group_labels: tuple = ((),)
-    curve_group: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.s, self.y, self.lengths = (np.asarray(a, dtype=float)
                                         for a in (self.s, self.y, self.lengths))
-        self.j, self.g = np.asarray(self.j), np.asarray(self.g)
+        self.j = np.asarray(self.j)
         n = len(self.s)
         if self.s.shape != (n,) or self.y.shape != (n, 2):
             raise ValidationError(f"a design needs s of shape (P,) and y of shape "
                                   f"(P, 2), got {self.s.shape} and {self.y.shape}")
         if not all(np.isfinite(a).all() for a in (self.s, self.y, self.lengths)):
             raise ValidationError("non-finite design values in s, y or lengths")
-        n_curves = _index_count("curve", self.j, n)
-        if _index_count("group", self.g, n) != len(self.group_labels):
-            raise ValidationError("one group label per group required")
-        self.curve_group = np.empty(n_curves, dtype=int)
-        self.curve_group[self.j] = self.g
-        if (self.curve_group[self.j] != self.g).any():
-            raise ValidationError("each curve must lie in one group")
+        n_curves = _index_count("curve", self.j, n, "point")
         if self.lengths.shape != (n_curves,) or (self.lengths <= 0).any():
             raise ValidationError(f"one positive length per curve required "
                                   f"({n_curves} curves)")
+        self.curve_group = np.asarray(np.zeros(n_curves, dtype=int)
+                                      if self.curve_group is None else self.curve_group)
+        if _index_count("group", self.curve_group, n_curves, "curve") != len(
+                self.group_labels):
+            raise ValidationError("one group label per group required")
 
     @property
     def n_curves(self) -> int:
@@ -166,19 +166,18 @@ class TrainingDesign:
         points = np.array([curve.n for curve in curve_list])  # per curve
         return cls(s=np.concatenate([a[:-1] for a in arcs]),
                    j=np.arange(len(points)).repeat(points),
-                   g=np.array(groups).repeat(points),
                    y=np.concatenate([curve.points for curve in curve_list]),
                    lengths=np.array([a[-1] for a in arcs]),
-                   group_labels=tuple(encoding))
+                   curve_group=np.array(groups), group_labels=tuple(encoding))
 
 
-def _index_count(name: str, idx: np.ndarray, n_points: int) -> int:
+def _index_count(name: str, idx: np.ndarray, n: int, unit: str) -> int:
     """The number of values of a curve or group index: one integer per
-    point, running from 0 without gaps."""
+    point or curve, running from 0 without gaps."""
     values = np.unique(idx)
-    if (idx.shape != (n_points,) or not np.issubdtype(idx.dtype, np.integer)
+    if (idx.shape != (n,) or not np.issubdtype(idx.dtype, np.integer)
             or not len(values) or values[0] != 0 or values[-1] != len(values) - 1):
-        raise ValidationError(f"{name} indices must be integers, one per point, "
+        raise ValidationError(f"{name} indices must be integers, one per {unit}, "
                               f"running from 0 without gaps")
     return len(values)
 
@@ -239,8 +238,8 @@ class FittedModel:
     log_marginal_likelihood: float
     diagnostics: dict = field(default_factory=dict)
 
-    def predict(self, s, d, j=None, g=None):
-        return predict(self, s, d, j, g)
+    def predict(self, s, d, j=None):
+        return predict(self, s, d, j)
 
 
 @dataclass
@@ -334,8 +333,9 @@ class MarginalLikelihoodObjective:
     sigma2, which carries all of it, takes its closed-form estimate at every
     theta.
 
-    The Gram is formed on the P points, with the curve and group levels; the
-    coordinate level is applied through its eigenbasis.
+    The Gram is formed on the P points, with the curve and group levels as
+    one factor between curves; the coordinate level is applied through its
+    eigenbasis.
     """
 
     def __init__(self, design: TrainingDesign, config: ModelConfig):
@@ -347,13 +347,12 @@ class MarginalLikelihoodObjective:
         self.warp = warped_distance(config.family, s[:, None], s[None, :], self.tau)
         self.n_points = len(s)
         self.targets = design.y.T  # a row per coordinate
-        # level bookkeeping: (name, value of each point, size); the
-        # coordinate level has no value per point
-        self.levels = [("coord", None, 2)]
+        # level bookkeeping: (name, size)
+        self.levels = [("coord", 2)]
         if design.n_curves > 1:
-            self.levels.append(("curve", design.j, design.n_curves))
+            self.levels.append(("curve", design.n_curves))
         if design.n_groups > 1:
-            self.levels.append(("group", design.g, design.n_groups))
+            self.levels.append(("group", design.n_groups))
         rho_lo, rho_hi = (f * self.tau for f in RHO_FRAC_BOX)
         # eta's box is the noise box at sigma2 = var(y)
         yvar = float(np.var(design.y))
@@ -362,7 +361,7 @@ class MarginalLikelihoodObjective:
         self.eta_box = tuple(b / yvar for b in NOISE_BOX)
         self.bounds = [(np.log(rho_lo), np.log(rho_hi)), tuple(np.log(self.eta_box))]
         self.slices = {}
-        for name, _, size in self.levels:
+        for name, size in self.levels:
             if size == 2:  # a, then b = log L[1, 1]
                 bounds = [(-W_BOUND, W_BOUND), tuple(0.5 * np.log(KAPPA_BOX))]
             else:  # W, then log kappa_1 .. kappa_{size - 1}
@@ -371,16 +370,9 @@ class MarginalLikelihoodObjective:
             self.slices[name] = slice(len(self.bounds), len(self.bounds) + len(bounds))
             self.bounds += bounds
         self.n_params = len(self.bounds)
-        # the levels the point Gram carries: all but the coordinate level.
-        # Points fall into T types, one per tuple of those levels' values;
-        # one-hot S maps points to types, E per level types to values
-        self.point_levels = list(range(1, len(self.levels)))
-        self.types = _point_types([(size, idx) for _, idx, size in self.levels[1:]],
-                                  self.n_points)
-        values, point_type = self.types
-        self.type_onehot = np.eye(point_type.max() + 1)[point_type]
-        self.level_onehot = [np.eye(self.levels[i][2])[v]
-                             for i, v in zip(self.point_levels, values)]
+        # one-hot maps from points to curves (S) and from curves to groups (E)
+        self.curve_onehot = np.eye(design.n_curves)[design.j]
+        self.group_onehot = np.eye(design.n_groups)[design.curve_group]
         self._factors = []
         self._wk = {}
         # work arrays, overwritten by every call: a fresh array of this size
@@ -402,7 +394,7 @@ class MarginalLikelihoodObjective:
         theta = np.zeros(self.n_params)
         theta[0] = np.log(self.tau / 4.0)
         theta[1] = 0.5 * sum(self.bounds[1])
-        for name, _, size in self.levels:
+        for name, size in self.levels:
             if size > 2:
                 theta[self.slices[name]][:size] = 0.1
             elif name == "group":
@@ -415,7 +407,7 @@ class MarginalLikelihoodObjective:
         theta = np.empty(self.n_params)
         theta[0] = rng.uniform(*self.bounds[0])
         theta[1] = rng.uniform(*self.bounds[1])
-        for name, _, size in self.levels:
+        for name, size in self.levels:
             sl = self.slices[name]
             n_w = 1 if size == 2 else size
             theta[sl] = np.concatenate([rng.normal(scale=0.3, size=n_w), np.log(
@@ -432,7 +424,7 @@ class MarginalLikelihoodObjective:
                                       tau=self.tau, family=self.config.family,
                                       jitter=self.config.jitter * sigma2)
         coregs = {name: CoregMatrix(*self._coreg(theta, name, size))
-                  for name, _, size in self.levels}
+                  for name, size in self.levels}
         kernel = MultiLevelKernel(input_kernel=hyp, coord=coregs["coord"],
                                   curve=coregs.get("curve"),
                                   group=coregs.get("group"))
@@ -456,8 +448,8 @@ class MarginalLikelihoodObjective:
         return p[:size, None], np.exp(np.concatenate([[0.0], p[size:]]))
 
     def _level_matrix(self, theta, i):
-        """B of point level i; its (W, kappa) are kept for its gradient."""
-        name, _, size = self.levels[i]
+        """B of level i; its (W, kappa) are kept for its gradient."""
+        name, size = self.levels[i]
         W, kappa = self._wk[i] = self._coreg(theta, name, size)
         B = W @ W.T
         B.reshape(-1)[::size + 1] += kappa
@@ -478,17 +470,22 @@ class MarginalLikelihoodObjective:
         points x points matrices its gradient is contracted against:
         dR/dlog(rho) and the jittered input correlation K0, whatever the
         levels. The input kernel comes from the warped distances cached at
-        construction, the point levels' factors and their product from
-        `level_product`. The factors on the T x T grid of point types are
-        kept for `value_and_grad`, as is the basis of the coordinate factor.
-        R and K0 are work arrays of this objective, overwritten by its next
-        call."""
+        construction, the curve and group factors between curves and their
+        product F from `curve_factor`, F gathered by the points' curves. The
+        factors are kept for `value_and_grad`, as is the basis of the
+        coordinate factor. R and K0 are work arrays of this objective,
+        overwritten by its next call."""
         corr, dcorr = warped_correlation(self.config.family, self.warp,
                                          math.exp(theta[0]), True)
         K0 = np.add(corr, self.config.jitter, out=self._K0)
-        self._factors, Bfull = level_product(
-            [self._level_matrix(theta, i) for i in self.point_levels],
-            self.types, self.types, out=self._K)
+        # levels 1 and 2, the curve and group levels, when the design has them
+        curve, group = (self._level_matrix(theta, i) if i < len(self.levels) else None
+                        for i in (1, 2))
+        self._factors, F = curve_factor(curve, group, self.design.curve_group)
+        # columns first, so the large gather copies whole rows; the curves
+        # always index F, and "clip" spares the copy of out that "raise" makes
+        j = self.design.j
+        Bfull = F.take(j, axis=1).take(j, axis=0, out=self._K, mode="clip")
         self._basis = self._coord_level(theta)
         dcorr *= Bfull
         K = np.multiply(Bfull, K0, out=Bfull)
@@ -535,14 +532,15 @@ class MarginalLikelihoodObjective:
         grad[0] = -0.5 * np.vdot(A, grads[0])
         grad[1] = -0.5 * eta * trace_a
         self._level_grad(grad, 0, Q @ Mt @ Q.T)
-        # G sums A o K0 over each block of point types; a level's M sums
-        # A o K0 o (the other point levels' factors) over its blocks of values
-        S = self.type_onehot
-        G = S.T @ np.multiply(A, grads[1], out=A) @ S
-        for k, i in enumerate(self.point_levels):
-            E = self.level_onehot[k]
-            others = [F for m, F in enumerate(self._factors) if m != k]
-            self._level_grad(grad, i, E.T @ reduce(np.multiply, others, G) @ E)
+        # Gt sums A o K0 over each block of curves; the curve level's M is Gt
+        # o G[cg, cg], and the group level's sums Gt o C over blocks of groups
+        S = self.curve_onehot
+        Gt = S.T @ np.multiply(A, grads[1], out=A) @ S
+        for k, (name, _) in enumerate(self.levels[1:]):
+            M = reduce(np.multiply, self._factors[:k] + self._factors[k + 1:], Gt)
+            if name == "group":
+                M = self.group_onehot.T @ M @ self.group_onehot
+            self._level_grad(grad, k + 1, M)
         return nll, grad
 
     def _level_grad(self, grad, i, M):
@@ -551,7 +549,7 @@ class MarginalLikelihoodObjective:
         the entries a = L[1, 0] and, times L[1, 1], b; -diag(M) kappa/2 in
         log kappa_1 .. kappa_{size - 1}."""
         W, kappa = self._wk[i]
-        name, _, size = self.levels[i]
+        name, size = self.levels[i]
         sl = self.slices[name]
         MW = M @ W
         if size == 2:
@@ -588,7 +586,8 @@ def _solve_points(design: TrainingDesign, kernel: MultiLevelKernel,
     """(basis, factors, nugget, Y, alphas): the point Gram's two blocks in
     the eigenbasis (lam, Q) of the coordinate factor, factored, the targets
     Y rotated by Q and alphas = block^-1 Y."""
-    K = multilevel_gram(kernel, design.s, j_a=design.j, g_a=design.g)
+    K = multilevel_gram(kernel, design.s, j_a=design.j,
+                        curve_group=design.curve_group)
     (a, b), (_, c) = kernel.coord.matrix.tolist()
     lam, Q = basis = _coord_basis(a, b, c)
     Y = Q.T @ design.y.T
@@ -695,11 +694,11 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     `minimize(..., jac=True, method="L-BFGS-B")` would, bit for bit.
 
     Deterministic for a fixed seed; the best restart is returned with all
-    restart scores logged in the diagnostics, and one record per restart
-    that ran to its end (restart number, iterations, evaluations, the
-    optimizer's success flag and message, and the largest nugget the
-    factorization needed), in the order of the scores, and the largest
-    nugget of all of them. A restart that meets a point it cannot factor,
+    restart scores logged in the diagnostics, its restart number as
+    ``best_restart``, and one record per restart that ran to its end
+    (restart number, iterations, evaluations, the optimizer's success flag
+    and message, and the largest nugget the factorization needed), in the
+    order of the scores, and the largest nugget of all of them. A restart that meets a point it cannot factor,
     its start included, is skipped with a warning.
     """
     import warnings
@@ -726,19 +725,20 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
         raise NumericalError("all restarts failed to factorize or converge")
     best_index = int(np.argmax(scores))
     kernel, noise_variance = obj.unpack(results[best_index])
-    diagnostics = {"restart_scores": scores, "best_restart": best_index,
+    diagnostics = {"restart_scores": scores,
+                   "best_restart": records[best_index]["restart"],
                    "restarts": records,
                    "max_nugget": max(r["max_nugget"] for r in records)}
     return assemble_model(design, kernel, noise_variance, diagnostics)
 
 
-def _unit_means(model: FittedModel, s, j, g):
+def _unit_means(model: FittedModel, s, j):
     """(means, cross): the posterior means of both coordinates at query
-    points (s, j, g), points x 2, and the points' cross Gram against the
+    points (s, j), points x 2, and the points' cross Gram against the
     training points."""
     dz = model.design
-    cross = multilevel_gram(model.kernel, s, j_a=j, g_a=g, s_b=dz.s, j_b=dz.j,
-                            g_b=dz.g)
+    cross = multilevel_gram(model.kernel, s, j_a=j, s_b=dz.s, j_b=dz.j,
+                            curve_group=dz.curve_group)
     means = cross @ model.alpha.reshape(len(dz.s), 2) @ model.kernel.coord.matrix
     return means, cross
 
@@ -755,18 +755,18 @@ def _whitened(model: FittedModel, cross):
     return Vs
 
 
-def predict(model: FittedModel, s, d, j=None, g=None):
-    """Predictive mean and full covariance at query rows (s*, d, j, g) in
+def predict(model: FittedModel, s, d, j=None):
+    """Predictive mean and full covariance at query rows (s*, d, j) in
     coordinate pairs: rows 2u and 2u + 1 are coordinates 0 and 1 of point
-    u, with one s, curve and group (anything else is a ValidationError).
-    Without ``g`` each point takes the group of its curve in the design.
-    The covariance's 2 x 2 block of points u, u' is sum_e q_e q_e^T
-    M_e[u, u'], q_e column e of Q and M_e = lam_e K_u - lam_e^2 V_e^T V_e
-    on the query points, written into the output one block at a time."""
-    s, j, g = _query_points(model, s, d, j, g)
+    u, with one s and curve (anything else is a ValidationError); without
+    ``j`` every row is on curve 0. A point's group is its curve's group in
+    the design. The covariance's 2 x 2 block of points u, u' is sum_e q_e
+    q_e^T M_e[u, u'], q_e column e of Q and M_e = lam_e K_u - lam_e^2 V_e^T
+    V_e on the query points, written into the output one block at a time."""
+    s, j = _query_points(model, s, d, j)
     n = len(s)
-    K = multilevel_gram(model.kernel, s, j_a=j, g_a=g)
-    means, cross = _unit_means(model, s, j, g)
+    K = multilevel_gram(model.kernel, s, j_a=j, curve_group=model.design.curve_group)
+    means, cross = _unit_means(model, s, j)
     lam, Q = model.basis
     cov = np.empty((2 * n,) * 2)
     pairs = cov.reshape(n, 2, n, 2)  # [u, a, u', b]: coordinate a of u, b of u'
@@ -785,11 +785,10 @@ def predict(model: FittedModel, s, d, j=None, g=None):
     return means.ravel(), cov
 
 
-def _query_points(model: FittedModel, s, d, j, g):
-    """The query points (s, j, g) of ``predict``'s rows, each point's group
-    defaulting to its curve's. Non-finite arc parameters, curves and groups
-    outside the design are rejected, and so are rows that are not coordinate
-    pairs."""
+def _query_points(model: FittedModel, s, d, j):
+    """The query points (s, j) of ``predict``'s rows. Non-finite arc
+    parameters and curves outside the design are rejected, and so are rows
+    that are not coordinate pairs."""
     dz = model.design
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.isfinite(s).all():
@@ -798,18 +797,13 @@ def _query_points(model: FittedModel, s, d, j, g):
     j = np.zeros_like(d) if j is None else np.atleast_1d(np.asarray(j, dtype=int))
     if np.any((j < 0) | (j >= dz.n_curves)):
         raise ValidationError(f"curve index out of range for {dz.n_curves} curves")
-    if g is None:
-        g = dz.curve_group[j]
-    g = np.atleast_1d(np.asarray(g, dtype=int))
-    if np.any((g < 0) | (g >= dz.n_groups)):
-        raise ValidationError(f"group index out of range for {dz.n_groups} groups")
     n = len(d)
-    if (n % 2 or any(a.shape != (n,) for a in (s, d, j, g))
+    if (n % 2 or any(a.shape != (n,) for a in (s, d, j))
             or d[0::2].any() or (d[1::2] != 1).any()
-            or any((a[0::2] != a[1::2]).any() for a in (s, j, g))):
+            or any((a[0::2] != a[1::2]).any() for a in (s, j))):
         raise ValidationError("query rows must be coordinate pairs: rows 2u, 2u + 1 "
-                              "are d = 0, 1 of one point, with one s, curve and group")
-    return s[0::2], j[0::2], g[0::2]
+                              "are d = 0, 1 of one point, with one s and curve")
+    return s[0::2], j[0::2]
 
 
 def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> PredictedCurve:
@@ -829,9 +823,9 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
     length = float(model.design.lengths[curve_index])
     grid = np.arange(m) * length / m
     j = np.full(m, curve_index, dtype=int)
-    g = np.full(m, model.design.curve_group[curve_index])
-    means, cross = _unit_means(model, grid, j, g)
-    k0 = multilevel_gram(model.kernel, grid[:1], j_a=j[:1], g_a=g[:1])[0, 0]
+    means, cross = _unit_means(model, grid, j)
+    k0 = multilevel_gram(model.kernel, grid[:1], j_a=j[:1],
+                         curve_group=model.design.curve_group)[0, 0]
     lam, Q = model.basis
     covs = np.zeros((m, 2, 2))
     for e, V in enumerate(_whitened(model, cross)):  # a column per grid point

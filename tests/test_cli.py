@@ -415,8 +415,9 @@ class TestFitPredictPipeline:
                      "--out", fit_path]) == EXIT_OK
         model = _model_from_fit(paths, fit_path)
         d = model.design
-        K = multilevel_gram(model.kernel, d.s, j_a=d.j, g_a=d.g)
-        assert np.any(K[d.g[:, None] != d.g[None, :]] != 0.0)
+        K = multilevel_gram(model.kernel, d.s, j_a=d.j, curve_group=d.curve_group)
+        g = d.curve_group[d.j]
+        assert np.any(K[g[:, None] != g[None, :]] != 0.0)
 
     @pytest.mark.parametrize("labels", [5, [[1], [2], [1]], "aba", [1, 2, 1]])
     def test_predict_bad_curve_labels_exit_2(self, tmp_path, capsys, labels):
@@ -586,7 +587,7 @@ class TestOutputDirEnv:
 
 
 class TestLandmarksCommand:
-    def test_criterion_trace_holds_the_best_score(self, tmp_path):
+    def test_score_is_the_best_trial_score(self, tmp_path):
         curve = str(tmp_path / "s.csv")
         assert main(["simulate", "--shape", "star", "--n", "8", "--petals", "3",
                      "--amplitude", "0.15", "--out", curve]) == EXIT_OK
@@ -596,7 +597,7 @@ class TestLandmarksCommand:
         assert main(["landmarks", "--inputs", curve, "--p", "4", "--n-trials", "3",
                      "--seed", "2", "--config", str(cfg), "--out", out]) == EXIT_OK
         data = read_json(out)
-        assert data["criterion_trace"] == {"4": data["score"]}
+        assert set(data) == {"p", "best_indices", "best_params", "score", "trials"}
         assert data["score"] == min(trial["score"] for trial in data["trials"])
 
     def test_negative_seed_exits_2_naming_the_seed(self, tmp_path, capsys):

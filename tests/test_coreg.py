@@ -158,10 +158,23 @@ class TestMultilevelGram:
         Gmat = CoregMatrix(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
         K = MultiLevelKernel(HYP, CoregMatrix.identity(2), group=Gmat)
         s = rng.uniform(0, 1, 8)
-        g = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        G1 = multilevel_gram(K, s, g_a=g)
-        G2 = multilevel_gram(K, s, g_a=g.copy())
+        j = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+        curve_group = np.array([0, 0, 1, 1])
+        G1 = multilevel_gram(K, s, j_a=j, curve_group=curve_group)
+        G2 = multilevel_gram(K, s, j_a=j.copy(), curve_group=curve_group.copy())
         assert np.array_equal(G1, G2)
+
+    def test_group_only_kernel_takes_each_curve_group(self):
+        # without a curve level, two points meet at G[g, g'] of their
+        # curves' groups: curves 0 and 1 share group 0, curve 2 is group 1
+        rng = np.random.default_rng(9)
+        Gmat = CoregMatrix(rng.normal(size=(2, 1)), rng.uniform(0.1, 1, 2))
+        K = MultiLevelKernel(HYP, CoregMatrix.identity(2), group=Gmat)
+        s, j = np.array([0.2, 0.2, 0.2]), np.array([0, 1, 2])
+        G = multilevel_gram(K, s, j_a=j, curve_group=[0, 0, 1])
+        k = gram(HYP, s[:1])[0, 0]
+        assert G[0, 1] == k * Gmat.matrix[0, 0]
+        assert G[0, 2] == k * Gmat.matrix[0, 1]
 
 
 def random_kernel(rng, family, n_curves, n_groups, jitter=1e-3):
@@ -177,19 +190,21 @@ def random_kernel(rng, family, n_curves, n_groups, jitter=1e-3):
                             group=level(n_groups))
 
 
-def repeated_design(rng, n_points, n_curves, n_groups):
-    """Points (s, j, g) with arc parameters from a coarse grid, so they
-    repeat within and across curves, and level tuples that repeat across
-    points."""
-    s = rng.choice(np.arange(7) / 7, size=n_points)
-    j = rng.integers(0, max(n_curves, 1), n_points)
-    g = rng.integers(0, max(n_groups, 1), n_points)
-    return s, j, g
-
-
 # the levels each kernel carries: the coordinate level always, and the
-# curve and group levels of these sizes (0: absent)
+# curve and group levels of these sizes (0: absent); the points lie on
+# N_CURVES curves in the groups CURVE_GROUP
 LEVELS = {"coord": (0, 0), "curve": (3, 0), "group": (0, 2), "curve+group": (3, 2)}
+N_CURVES = 3
+CURVE_GROUP = np.array([1, 0, 1])
+
+
+def repeated_design(rng, n_points):
+    """Points (s, j) on the N_CURVES curves with arc parameters from a
+    coarse grid, so they repeat within and across curves, and curves that
+    repeat across points."""
+    s = rng.choice(np.arange(7) / 7, size=n_points)
+    j = rng.integers(0, N_CURVES, n_points)
+    return s, j
 
 
 class TestDistinctInputGram:
@@ -200,15 +215,20 @@ class TestDistinctInputGram:
         n_curves, n_groups = LEVELS[levels]
         rng = np.random.default_rng(31)
         kernel = random_kernel(rng, family, n_curves, n_groups, jitter)
-        a = repeated_design(rng, 50, n_curves, n_groups)
-        b = repeated_design(rng, 18, n_curves, n_groups)
+        a = repeated_design(rng, 50)
+        b = repeated_design(rng, 18)
         assert len(np.unique(a[0])) < len(a[0]) // 2
-        s, j, g = a
-        assert np.array_equal(multilevel_gram(kernel, s, j_a=j, g_a=g),
-                              full_grid_gram_oracle(kernel, s, None, j, g))
-        cross = dict(zip(("s_b", "j_b", "g_b"), b))
-        assert np.array_equal(multilevel_gram(kernel, s, j_a=j, g_a=g, **cross),
-                              full_grid_gram_oracle(kernel, s, None, j, g, **cross))
+        # the oracle takes each point's group, its curve's
+        s, j = a
+        g = CURVE_GROUP[j]
+        assert np.array_equal(
+            multilevel_gram(kernel, s, j_a=j, curve_group=CURVE_GROUP),
+            full_grid_gram_oracle(kernel, s, None, j, g))
+        assert np.array_equal(
+            multilevel_gram(kernel, s, j_a=j, s_b=b[0], j_b=b[1],
+                            curve_group=CURVE_GROUP),
+            full_grid_gram_oracle(kernel, s, None, j, g, s_b=b[0], j_b=b[1],
+                                  g_b=CURVE_GROUP[b[1]]))
         hyp = kernel.input_kernel
         for s_a, s_b in ((a[0], None), (a[0], b[0]), (b[0], a[0])):
             assert np.array_equal(gram(hyp, s_a, s_b), full_grid_input_gram(hyp, s_a, s_b))
@@ -216,33 +236,50 @@ class TestDistinctInputGram:
     def test_cross_gram_of_same_values_equals_self_gram(self):
         rng = np.random.default_rng(32)
         kernel = random_kernel(rng, "periodic_matern32", 3, 0)
-        s, j, g = repeated_design(rng, 24, 3, 0)
-        cross = multilevel_gram(kernel, s, j_a=j, g_a=g, s_b=s.copy(), j_b=j, g_b=g)
+        s, j = repeated_design(rng, 24)
+        cross = multilevel_gram(kernel, s, j_a=j, s_b=s.copy(), j_b=j)
         assert np.array_equal(cross, full_grid_gram_oracle(
-            kernel, s, None, j, g, s_b=s.copy(), j_b=j, g_b=g))
-        assert np.array_equal(multilevel_gram(kernel, s, j_a=j, g_a=g), cross)
+            kernel, s, None, j, CURVE_GROUP[j], s_b=s.copy(), j_b=j,
+            g_b=CURVE_GROUP[j]))
+        assert np.array_equal(multilevel_gram(kernel, s, j_a=j), cross)
 
     @pytest.mark.parametrize("bad", [
-        {"j_a": [0, 3]}, {"j_a": [-1, 0]}, {"g_a": [2, 0]}, {"j_b": [0, 0, 3]}])
+        {"j_a": [0, 3]}, {"j_a": [-1, 0]}, {"curve_group": [1, 2, 0]},
+        {"curve_group": [-1, 0, 0]}, {"j_b": [0, 0, 3]}])
     def test_level_index_out_of_range(self, bad):
         kernel = random_kernel(np.random.default_rng(33), "periodic_rbf", 3, 2)
-        points = {"s_a": [0.1, 0.4], "j_a": [2, 0], "g_a": [1, 0]}
-        cross = {"s_b": [0.2, 0.3, 0.9], "j_b": [0, 2, 1], "g_b": [0, 1, 1]}
-        points.update((k, v) for k, v in bad.items() if k.endswith("_a"))
-        cross.update((k, v) for k, v in bad.items() if k.endswith("_b"))
+        points = {"s_a": [0.1, 0.4], "j_a": [2, 0], "curve_group": [1, 0, 1]}
+        cross = {"s_b": [0.2, 0.3, 0.9], "j_b": [0, 2, 1]}
+        points.update((k, v) for k, v in bad.items() if k != "j_b")
+        cross.update((k, v) for k, v in bad.items() if k == "j_b")
         with pytest.raises(ValidationError, match="level index out of range"):
             multilevel_gram(kernel, **points, **cross)
-        if not any(k.endswith("_b") for k in bad):
+        if "j_b" not in bad:
             with pytest.raises(ValidationError, match="level index out of range"):
                 multilevel_gram(kernel, **points)
 
-    def test_out_of_range_index_that_a_raw_code_would_alias(self):
-        # with 2 groups, a raw mixed-radix code j * 2 + g maps (0, 2) onto
-        # the valid tuple (1, 0) of the point before it; the range check
-        # must still see g = 2
-        kernel = random_kernel(np.random.default_rng(34), "periodic_rbf", 3, 2)
-        with pytest.raises(ValidationError, match="level index out of range"):
-            multilevel_gram(kernel, [0.1, 0.5], j_a=[1, 0], g_a=[0, 2])
+    @pytest.mark.parametrize("levels", ["curve", "group", "curve+group"])
+    def test_missing_curve_index_names_it(self, levels):
+        # a kernel with a curve or group level once failed on a left-out
+        # index with numpy's bare TypeError
+        n_curves, n_groups = LEVELS[levels]
+        kernel = random_kernel(np.random.default_rng(39), "periodic_rbf",
+                               n_curves, n_groups)
+        s, s_b, j = [0.1, 0.4], [0.2, 0.3, 0.9], [2, 0]
+        with pytest.raises(ValidationError, match="j_a"):
+            multilevel_gram(kernel, s, curve_group=CURVE_GROUP)
+        with pytest.raises(ValidationError, match="j_a"):
+            multilevel_gram(kernel, s, s_b=s_b, j_b=[0, 1, 2],
+                            curve_group=CURVE_GROUP)
+        with pytest.raises(ValidationError, match="j_b"):
+            multilevel_gram(kernel, s, j_a=j, s_b=s_b, curve_group=CURVE_GROUP)
+
+    def test_group_level_needs_curve_group(self):
+        kernel = random_kernel(np.random.default_rng(40), "periodic_rbf", 3, 2)
+        with pytest.raises(ValidationError, match="curve_group"):
+            multilevel_gram(kernel, [0.1, 0.4], j_a=[2, 0])
+        with pytest.raises(ValidationError, match="one level index per curve"):
+            multilevel_gram(kernel, [0.1, 0.4], j_a=[2, 0], curve_group=[0, 1])
 
     def test_rows_with_a_coordinate_index_are_refused(self):
         # the Gram takes points; a call in the former (s, d, j, g) row
@@ -252,7 +289,13 @@ class TestDistinctInputGram:
         with pytest.raises(TypeError):
             multilevel_gram(kernel, s, d, j, g)
         with pytest.raises(TypeError):
-            multilevel_gram(kernel, s, d_a=d, j_a=j, g_a=g)
+            multilevel_gram(kernel, s, d_a=d, j_a=j, curve_group=CURVE_GROUP)
+
+    def test_a_per_point_group_is_refused(self):
+        # a point's group is its curve's: the former g_a keyword is gone
+        kernel = random_kernel(np.random.default_rng(41), "periodic_rbf", 3, 2)
+        with pytest.raises(TypeError):
+            multilevel_gram(kernel, [0.1, 0.5], j_a=[1, 0], g_a=[0, 1])
 
     def test_a_noise_argument_is_refused(self):
         # the jitter is a field of the input kernel, so the former

@@ -22,17 +22,17 @@ IDENTITY_2 = CoregMatrix.identity(2)
 
 def single_point_design(y):
     """One point at s = 0 with both coordinates equal to y."""
-    return TrainingDesign(s=np.array([0.0]), j=np.array([0]), g=np.array([0]),
+    return TrainingDesign(s=np.array([0.0]), j=np.array([0]),
                           y=np.array([[y, y]]), lengths=np.array([1.0]))
 
 
 def rows(design):
-    """The design's 2P scalar rows (s, d, j, g), point by point, and their
-    targets: the layout of the dense oracles, whose Grams come from the
-    element-wise `full_grid_gram_oracle`."""
+    """The design's 2P scalar rows (s, d, j, g), point by point, each
+    point's group g its curve's, and their targets: the layout of the dense
+    oracles, whose Grams come from the element-wise `full_grid_gram_oracle`."""
     n = len(design.s)
     return ((design.s.repeat(2), np.tile([0, 1], n), design.j.repeat(2),
-             design.g.repeat(2)), design.y.ravel())
+             design.curve_group[design.j].repeat(2)), design.y.ravel())
 
 
 def circle_design(n=15):
@@ -47,11 +47,14 @@ INVALID_DESIGNS = {
     "curve-gap": (dict(j=[0] * 4 + [2] * 4, lengths=[1.0] * 3), "curve indices"),
     "unused-curve-0": (dict(j=[1] * 8, lengths=[1.0]), "curve indices"),
     "float-curve": (dict(j=np.repeat([0.0, 1.0], 4)), "curve indices"),
-    "group-gap": (dict(g=[0] * 4 + [2] * 4, group_labels=("a", "b", "c")),
+    "group-gap": (dict(curve_group=[0, 2], group_labels=("a", "b", "c")),
                   "group indices"),
-    "group-within-curve": (dict(g=[0, 0, 0, 1, 1, 1, 1, 1], group_labels=("a", "b")),
-                           "lie in one group"),
-    "group-label-count": (dict(g=[0] * 4 + [1] * 4), "group label"),
+    # a group per point, the layout in which a curve could span two groups
+    "group-per-point": (dict(curve_group=[0, 0, 0, 1, 1, 1, 1, 1],
+                             group_labels=("a", "b")), "group indices"),
+    "float-group": (dict(curve_group=[0.0, 1.0], group_labels=("a", "b")),
+                    "group indices"),
+    "group-label-count": (dict(curve_group=[0, 1]), "group label"),
     "nan-s": (dict(s=[0.0, 0.1, np.nan, 0.3, 0.0, 0.1, 0.2, 0.3]), "non-finite"),
     "inf-y": (dict(y=np.full((8, 2), np.inf)), "non-finite"),
     "nan-length": (dict(lengths=[1.0, np.nan]), "non-finite"),
@@ -66,7 +69,8 @@ INVALID_DESIGNS = {
 class TestTrainingDesign:
     def test_one_entry_per_point(self):
         design, c = circle_design(10)
-        assert design.s.shape == design.j.shape == design.g.shape == (10,)
+        assert design.s.shape == design.j.shape == (10,)
+        assert design.curve_group.tolist() == [0]
         assert np.array_equal(design.y, c.points)
         assert design.s[0] == 0.0 and np.all(np.diff(design.s) > 0)
 
@@ -78,7 +82,7 @@ class TestTrainingDesign:
         c = generate_synthetic("circle", 5)
         d1 = TrainingDesign.from_curves([c, c, c], labels=["b", "a", "b"])
         d2 = TrainingDesign.from_curves([c, c, c], labels=[7, 3, 7])
-        assert np.array_equal(d1.g, d2.g)
+        assert np.array_equal(d1.curve_group, d2.curve_group)
         assert d1.n_groups == 2
 
     def test_label_count_mismatch(self):
@@ -93,20 +97,17 @@ class TestTrainingDesign:
                   generate_synthetic("circle", 4)]
         design = TrainingDesign.from_curves(curves, labels)
         oracle = from_curves_oracle(curves, labels)
-        for name in ("s", "j", "g", "y", "lengths"):
+        for name in ("s", "j", "curve_group", "y", "lengths"):
             got, want = getattr(design, name), getattr(oracle, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
         assert design.group_labels == oracle.group_labels
-        # the group of each curve, as the first point of the curve has it
-        assert design.curve_group.tolist() == [int(design.g[design.j == c][0])
-                                               for c in range(design.n_curves)]
 
     @pytest.mark.parametrize("case", sorted(INVALID_DESIGNS))
     def test_rejects_invalid_design(self, case):
         change, message = INVALID_DESIGNS[case]
         valid = dict(s=np.tile([0.0, 0.1, 0.2, 0.3], 2), j=[0] * 4 + [1] * 4,
-                     g=[0] * 8, y=np.arange(16.0).reshape(8, 2), lengths=[1.0, 1.0])
+                     y=np.arange(16.0).reshape(8, 2), lengths=[1.0, 1.0])
         assert TrainingDesign(**valid).n_curves == 2
         with pytest.raises(ValidationError, match=message):
             TrainingDesign(**{**valid, **change})
@@ -118,20 +119,20 @@ def from_curves_oracle(curve_list, labels=None) -> TrainingDesign:
     if labels is None:
         labels = [0] * len(curve_list)
     encoding: dict = {}
-    points_s, points_j, points_g, points_y = [], [], [], []
-    lengths = []
+    points_s, points_j, points_y = [], [], []
+    lengths, curve_group = [], []
     for j, (curve, label) in enumerate(zip(curve_list, labels)):
-        g = encoding.setdefault(label, len(encoding))
+        curve_group.append(encoding.setdefault(label, len(encoding)))
         arcs = curve.cumulative_arc()
         lengths.append(arcs[-1])
         for i in range(curve.n):
             points_s.append(arcs[i])
             points_j.append(j)
-            points_g.append(g)
             points_y.append(curve.points[i])
     return TrainingDesign(s=np.array(points_s), j=np.array(points_j, dtype=int),
-                          g=np.array(points_g, dtype=int), y=np.array(points_y),
-                          lengths=np.array(lengths), group_labels=tuple(encoding))
+                          y=np.array(points_y), lengths=np.array(lengths),
+                          curve_group=np.array(curve_group, dtype=int),
+                          group_labels=tuple(encoding))
 
 
 class TestLogMarginalLikelihood:
@@ -155,8 +156,7 @@ class TestLogMarginalLikelihood:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
         design = TrainingDesign(s=rng.uniform(0, 1, 2), j=np.zeros(2, dtype=int),
-                                g=np.zeros(2, dtype=int), y=rng.normal(size=(2, 2)),
-                                lengths=np.array([1.0]))
+                                y=rng.normal(size=(2, 2)), lengths=np.array([1.0]))
         hyp = PeriodicHyperparameters(1.3, 0.25, 1.0)
         D = CoregMatrix(np.array([[0.6], [0.4]]), np.array([0.5, 0.5]))
         kernel = MultiLevelKernel(hyp, D)
@@ -213,8 +213,7 @@ class TestFit:
         # the two coordinates are independent draws from the same prior
         L = np.linalg.cholesky(K)
         y = np.column_stack([L @ rng.normal(size=n), L @ rng.normal(size=n)])
-        design = TrainingDesign(s=s, j=np.zeros(n, dtype=int),
-                                g=np.zeros(n, dtype=int), y=y,
+        design = TrainingDesign(s=s, j=np.zeros(n, dtype=int), y=y,
                                 lengths=np.array([1.0]))
         model = fit(design, ModelConfig(jitter=0.0),
                     OptimizerConfig(restarts=6, seed=1))
@@ -277,14 +276,15 @@ class TestFit:
         with pytest.warns(UserWarning, match="restart 0"):
             fitted = fit(design, ModelConfig(), OptimizerConfig(restarts=2, seed=0))
         assert [r["restart"] for r in fitted.diagnostics["restarts"]] == [1]
-        assert fitted.diagnostics["best_restart"] == 0
+        # the restart number of the best record, not its place among the
+        # restarts that finished
+        assert fitted.diagnostics["best_restart"] == 1
         assert np.isfinite(fitted.log_marginal_likelihood)
 
     def test_constant_targets_rejected(self):
         # eta's box is the noise box over var(y), which is 0 here
         design = TrainingDesign(s=np.array([0.0, 0.5]), j=np.zeros(2, dtype=int),
-                                g=np.zeros(2, dtype=int), y=np.ones((2, 2)),
-                                lengths=np.array([1.0]))
+                                y=np.ones((2, 2)), lengths=np.array([1.0]))
         with pytest.raises(ValidationError, match="var"):
             fit(design, ModelConfig(), OptimizerConfig(restarts=1))
 
@@ -363,8 +363,9 @@ class TestGroupedFit:
         model = fit(TrainingDesign.from_curves(curves, labels), ModelConfig(),
                     self.FAST)
         d = model.design
-        K = multilevel_gram(model.kernel, d.s, j_a=d.j, g_a=d.g)
-        assert np.any(K[d.g[:, None] != d.g[None, :]] != 0.0)
+        K = multilevel_gram(model.kernel, d.s, j_a=d.j, curve_group=d.curve_group)
+        g = d.curve_group[d.j]
+        assert np.any(K[g[:, None] != g[None, :]] != 0.0)
 
     def test_one_restart_leaves_the_cross_group_saddle(self):
         # with curve and group levels both starting at B = I, the cross-group
@@ -412,12 +413,12 @@ class TestPredict:
         # covariance
         from curvegp.model import _unit_means
         s = np.array([0.11, 0.52, 0.9, 0.3])
-        g = np.zeros(4, dtype=int)
         paired = assemble_model(paired_design(n_curves=2, n=6),
                                 self.model.kernel, self.noise_variance)
-        for model, j in ((self.model, g), (paired, np.array([0, 1, 1, 0]))):
+        for model, j in ((self.model, np.zeros(4, dtype=int)),
+                         (paired, np.array([0, 1, 1, 0]))):
             mean, _ = predict(model, s.repeat(2), np.tile([0, 1], 4), j.repeat(2))
-            assert _unit_means(model, s, j, g)[0].ravel().tobytes() == mean.tobytes()
+            assert _unit_means(model, s, j)[0].ravel().tobytes() == mean.tobytes()
 
     def test_periodic_query_consistency(self):
         m1, c1 = predict(self.model, [0.3, 0.3], [0, 1])
@@ -480,7 +481,7 @@ class TestPredict:
             gq = d.curve_group[jq]
             cross = full_grid_gram_oracle(kernel, sq, dq, jq, gq, *x)
             Kqq = full_grid_gram_oracle(kernel, sq, dq, jq, gq)
-            mean, cov = predict(model, sq, dq, jq, gq)
+            mean, cov = predict(model, sq, dq, jq)
             assert np.max(np.abs(mean - cross @ Kinv @ y)) <= 1e-9
             assert np.max(np.abs(cov - (Kqq - cross @ Kinv @ cross.T))) <= 1e-9
         m = 25
@@ -515,22 +516,30 @@ class TestPredict:
         assert cov.shape == (2 * m, 2 * m)
         assert peak - held < 2.0 * cov.nbytes
 
-    @pytest.mark.parametrize("s, d, j, g", [
-        ([0.1, 0.1, 0.2], [0, 1, 0], None, None),  # an odd row count
-        ([0.1, 0.1], [1, 0], None, None),  # a pair listed d = 1 first
-        ([0.1, 0.2], [0, 1], None, None),  # s differs within the pair
-        ([0.1, 0.1], [0, 1], [0, 2], None),  # the curve differs
-        ([0.1, 0.1], [0, 1], [0, 0], [0, 1]),  # the group differs
-        ([0.1, 0.1], [0, 2], None, None),  # d outside {0, 1}
-        ([0.1, 0.1], [0, -1], None, None),
-        ([0.1, 0.1, 0.1], [0, 1], None, None)],  # one s too many
-        ids=["odd", "d-1-first", "s-differs", "curve-differs", "group-differs",
-             "d-2", "d-minus-1", "s-longer"])
-    def test_rejects_rows_not_in_coordinate_pairs(self, s, d, j, g):
+    @pytest.mark.parametrize("s, d, j", [
+        ([0.1, 0.1, 0.2], [0, 1, 0], None),  # an odd row count
+        ([0.1, 0.1], [1, 0], None),  # a pair listed d = 1 first
+        ([0.1, 0.2], [0, 1], None),  # s differs within the pair
+        ([0.1, 0.1], [0, 1], [0, 2]),  # the curve differs
+        ([0.1, 0.1], [0, 2], None),  # d outside {0, 1}
+        ([0.1, 0.1], [0, -1], None),
+        ([0.1, 0.1, 0.1], [0, 1], None)],  # one s too many
+        ids=["odd", "d-1-first", "s-differs", "curve-differs", "d-2", "d-minus-1",
+             "s-longer"])
+    def test_rejects_rows_not_in_coordinate_pairs(self, s, d, j):
         # rows 2u and 2u + 1 must be coordinates 0 and 1 of one point;
         # the model has curves 0-2 in groups 0, 1, 0
         with pytest.raises(ValidationError):
-            predict(self.levels_model(DEFAULT_JITTER), s, d, j, g)
+            predict(self.levels_model(DEFAULT_JITTER), s, d, j)
+
+    def test_a_group_argument_is_refused(self):
+        # a query point's group is its curve's: the former (s, d, j, g)
+        # call has one positional argument too many
+        model = self.levels_model(DEFAULT_JITTER)
+        with pytest.raises(TypeError):
+            predict(model, [0.1, 0.1], [0, 1], [0, 0], [1, 1])
+        with pytest.raises(TypeError):
+            model.predict([0.1, 0.1], [0, 1], [0, 0], [1, 1])
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_arc_parameters(self, value):
@@ -541,13 +550,11 @@ class TestPredict:
         with pytest.raises(ValidationError, match="arc parameters must be finite"):
             predict(self.model, [0.1, 0.1, value, value], [0, 1, 0, 1])
 
-    def test_rejects_curve_or_group_out_of_range_with_explicit_group(self):
+    def test_rejects_curve_out_of_range(self):
         # a one-curve, one-group model has no curve or group level, so the
-        # Gram never looks at j or g: both once returned a mean
+        # Gram never looks at j: it once returned a mean
         with pytest.raises(ValidationError, match="curve index"):
-            predict(self.model, [0.1], [0], [5], [0])
-        with pytest.raises(ValidationError, match="group index"):
-            predict(self.model, [0.1], [0], [0], [3])
+            predict(self.model, [0.1, 0.1], [0, 1], [5, 5])
 
     def test_noise_monotonicity(self):
         variances = []
@@ -561,8 +568,7 @@ class TestPredict:
     def test_data_augmentation_contracts_variance(self):
         d = self.design
         _, cov_full = predict(self.model, [0.41, 0.41], [0, 1])
-        sub = TrainingDesign(s=d.s[:-1], j=d.j[:-1], g=d.g[:-1], y=d.y[:-1],
-                             lengths=d.lengths)
+        sub = TrainingDesign(s=d.s[:-1], j=d.j[:-1], y=d.y[:-1], lengths=d.lengths)
         m_sub = assemble_model(sub, self.model.kernel, self.noise_variance)
         _, cov_sub = predict(m_sub, [0.41, 0.41], [0, 1])
         assert np.all(cov_full.diagonal() <= cov_sub.diagonal() + 1e-12)
@@ -608,9 +614,8 @@ class TestPredictCurve:
         for model, curve in itertools.product(
                 [TestPredict.levels_model(jitter, c) for c in (0.3, -0.3)], range(3)):
             pred = predict_curve(model, curve, m)
-            g = model.design.curve_group[curve]
             mean, cov = predict(model, np.repeat(pred.grid, 2), np.tile([0, 1], m),
-                                np.full(2 * m, curve), np.full(2 * m, g))
+                                np.full(2 * m, curve))
             blocks = cov.reshape(m, 2, m, 2)[np.arange(m), :, np.arange(m), :]
             # 1e-12 relative, and no looser than the 1e-12 absolute bound
             for got, want in ((pred.means, mean.reshape(m, 2)),
@@ -639,8 +644,8 @@ class TestPredictCurve:
                 predict_curve(model, curve, 10)
 
     def test_predict_without_groups_takes_group_of_curve(self):
-        # curve 1 is the only curve of group "b"; without g its rows must
-        # still meet group b's row of the group-level matrix
+        # curve 1 is the only curve of group "b"; its rows, which carry no
+        # group, must meet group b's row of the group-level matrix
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 9, rng_seed=k, noise_sd=0.01))) for k in range(3)]
         design = TrainingDesign.from_curves(curves, labels=["a", "b", "a"])
@@ -712,7 +717,7 @@ def dense_dk_oracle(obj, theta):
             corr = np.exp(-a)
             dcorr = a * corr
     factors, dBs = {}, {}
-    for name, _, size in obj.levels:
+    for name, size in obj.levels:
         p = theta[obj.slices[name]]
         dBs[name] = []
         if size == 2:
@@ -777,9 +782,9 @@ class TestDefaultStart:
         theta = obj.default_start()
         kernel, _ = obj.kernel_at(theta, 1.0)
         assert theta[0] == np.log(obj.tau / 4.0)
-        assert [name for name, _, _ in obj.levels] == [
+        assert [name for name, _ in obj.levels] == [
             "coord", "curve", "group"][:len(obj.levels)]
-        for name, _, size in obj.levels:
+        for name, size in obj.levels:
             B = getattr(kernel, name).matrix
             if size > 2:
                 expected = np.full((size, size), 0.01) + np.eye(size)
@@ -837,12 +842,16 @@ class TestSharedGramBuilder:
             K, grads = obj.gram_and_grads(theta)
             kernel, _ = obj.kernel_at(theta, 1.0)  # the Gram at sigma2 = 1
             full = full_grid_gram_oracle(kernel, *rows(design)[0])
-            # the point Gram is the Gram without the coordinate factor
-            expected = multilevel_gram(kernel, design.s, j_a=design.j, g_a=design.g)
+            # the point Gram is the Gram without the coordinate factor; the
+            # oracle takes each point's group, its curve's
+            expected = multilevel_gram(kernel, design.s, j_a=design.j,
+                                       curve_group=design.curve_group)
+            oracle = full_grid_gram_oracle(kernel, design.s, None, design.j,
+                                           design.curve_group[design.j])
             assert K.shape == (n, n)
             assert np.array_equal(K, expected)
-            assert np.array_equal(K, full_grid_gram_oracle(
-                kernel, design.s, None, design.j, design.g))
+            assert np.array_equal(K, oracle)
+            assert np.array_equal(expected, oracle)
             assert (np.max(np.abs(np.kron(K, kernel.coord.matrix) - full))
                     <= 1e-15 * np.max(np.abs(full)))
             assert len(grads) == 2
@@ -1093,7 +1102,8 @@ def scaled_outputs(obj, log_scale, theta):
     at theta, its scale multiplied by exp(log_scale)."""
     kernel, noise_variance = obj.unpack(theta)
     d = obj.design
-    C = np.kron(multilevel_gram(kernel, d.s, j_a=d.j, g_a=d.g), kernel.coord.matrix)
+    C = np.kron(multilevel_gram(kernel, d.s, j_a=d.j, curve_group=d.curve_group),
+                kernel.coord.matrix)
     C += noise_variance * np.eye(len(C))
     return np.concatenate([np.exp(log_scale) * C.ravel(),
                            [log_scale + np.log(noise_variance)]])
@@ -1151,8 +1161,8 @@ class TestProfileLikelihood:
         # noise variance by c^2, adds 2P log c to -log p and leaves the
         # gradient as it was; eta's box moves by -log c^2 with var(y)
         design = paired_design(3, 6)
-        scaled = TrainingDesign(s=design.s, j=design.j, g=design.g, y=1e3 * design.y,
-                                lengths=design.lengths)
+        scaled = TrainingDesign(s=design.s, j=design.j, y=1e3 * design.y,
+                                lengths=design.lengths, curve_group=design.curve_group)
         obj = MarginalLikelihoodObjective(design, ModelConfig())
         obj_scaled = MarginalLikelihoodObjective(scaled, ModelConfig())
         assert obj_scaled.bounds[1] == pytest.approx(
