@@ -49,8 +49,8 @@ def main():
     _, joint_preds = cg.reconstruct(curves, ModelConfig(), opt, m=args.m)
     _, sep_preds = cg.reconstruct([curves[0]], ModelConfig(), opt, m=args.m)
 
-    joint_err = cg.imspe(joint_preds[0].means, truth, args.m)
-    sep_err = cg.imspe(sep_preds[0].means, truth, args.m)
+    joint_err = cg.imspe(joint_preds[0].means, truth)
+    sep_err = cg.imspe(sep_preds[0].means, truth)
     print(f"clustered-curve IMSPE  joint fit: {joint_err:.3e}")
     print(f"clustered-curve IMSPE single fit: {sep_err:.3e}")
     print(f"improvement factor: {sep_err / joint_err:.1f}x")

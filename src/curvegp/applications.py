@@ -64,7 +64,7 @@ class LandmarkResult:
 def _score_subset(curves, indices, criterion, model_config, opt_config):
     """Fit a joint model to the landmark subsets and score against the dense
     originals (squared-error per dense point, or average ellipse area)."""
-    subs = [Curve(c.points[list(indices)], name=c.name) for c in curves]
+    subs = [Curve(c.points[list(indices)]) for c in curves]
     design = TrainingDesign.from_curves(subs)
     model = fit(design, model_config, opt_config)
     if criterion == "iuea":

@@ -2,8 +2,8 @@
 
 Subcommands: simulate, preprocess, fit, predict, reconstruct, landmarks,
 register, metrics, plot, config. Exit codes: 0 success, 2 validation
-error, 3 numerical failure, 4 I/O error. The CURVEGP_OUTPUT_DIR environment
-variable overrides output locations. Config files (``--config``) set the
+error, 3 numerical failure, 4 I/O error. Each command writes where its
+``--out`` or ``--outdir`` flag says. Config files (``--config``) set the
 fields of ModelConfig and OptimizerConfig as ``model.*`` and ``opt.*`` keys.
 """
 
@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from . import applications, metrics as metrics_mod, model as model_mod
 from .curves import Curve, generate_synthetic, resample_equally_spaced
@@ -31,8 +31,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-OUTPUT_DIR_ENV = "CURVEGP_OUTPUT_DIR"
 
 
 def _config_fields():
@@ -88,13 +86,6 @@ def configs_from_values(values: dict):
     return ModelConfig(**kwargs[ModelConfig]), OptimizerConfig(**kwargs[OptimizerConfig])
 
 
-def _out_path(path: str) -> str:
-    override = os.environ.get(OUTPUT_DIR_ENV)
-    if override:
-        return os.path.join(override, os.path.basename(path))
-    return path
-
-
 def _load_curves(paths):
     return [load_curve_csv(p) for p in paths]
 
@@ -106,7 +97,7 @@ def cmd_simulate(args) -> int:
         args.shape, args.n, radius=args.radius, axes=tuple(args.axes),
         amplitude=args.amplitude, petals=args.petals, scheme=args.scheme,
         noise_sd=args.noise_sd, rng_seed=args.seed)
-    save_curve_csv(curve, _out_path(args.out))
+    save_curve_csv(curve, args.out)
     return EXIT_OK
 
 
@@ -116,24 +107,21 @@ def cmd_preprocess(args) -> int:
     report = []
     for path, curve, res in zip(args.inputs, processed, results):
         base = os.path.splitext(os.path.basename(path))[0]
-        out_csv = _out_path(os.path.join(args.outdir, base + "_pre.csv"))
-        save_curve_csv(curve, out_csv)
+        save_curve_csv(curve, os.path.join(args.outdir, base + "_pre.csv"))
         report.append({"curve_id": base, "rotation": res.rotation.tolist(),
                        "shift": int(res.shift), "residual": res.residual})
-    save_json(report, _out_path(os.path.join(args.outdir, "alignment.json")))
+    save_json(report, os.path.join(args.outdir, "alignment.json"))
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     values = load_config(args.config)
     model_config, opt_config = configs_from_values(values)
-    if args.seed is not None:
-        opt_config = replace(opt_config, seed=args.seed)
     curves = _load_curves(args.inputs)
     labels = args.labels.split(",") if args.labels else None
     design = TrainingDesign.from_curves(curves, labels)
     model = model_mod.fit(design, model_config, opt_config)
-    save_json(fit_result_to_dict(model), _out_path(args.out))
+    save_json(fit_result_to_dict(model), args.out)
     return EXIT_OK
 
 
@@ -166,9 +154,7 @@ def _model_from_fit(curve_paths, fit_path):
 def cmd_predict(args) -> int:
     model = _model_from_fit(args.inputs, args.fit)
     pred = model_mod.predict_curve(model, args.curve, args.m)
-    save_json(predicted_curve_to_dict(pred), _out_path(args.out))
-    if args.svg:
-        atomic_write_text(_out_path(args.svg), emit_svg(pred))
+    save_json(predicted_curve_to_dict(pred), args.out)
     return EXIT_OK
 
 
@@ -178,14 +164,13 @@ def cmd_reconstruct(args) -> int:
     curves = _load_curves(args.inputs)
     model, preds = applications.reconstruct(curves, model_config, opt_config,
                                             m=args.m)
-    save_json(fit_result_to_dict(model),
-              _out_path(os.path.join(args.outdir, "fit.json")))
+    save_json(fit_result_to_dict(model), os.path.join(args.outdir, "fit.json"))
     for path, pred in zip(args.inputs, preds):
         base = os.path.splitext(os.path.basename(path))[0]
         save_curve_csv(Curve(pred.means),
-                       _out_path(os.path.join(args.outdir, base + "_mean.csv")))
+                       os.path.join(args.outdir, base + "_mean.csv"))
         save_json(predicted_curve_to_dict(pred),
-                  _out_path(os.path.join(args.outdir, base + "_pred.json")))
+                  os.path.join(args.outdir, base + "_pred.json"))
     return EXIT_OK
 
 
@@ -209,7 +194,7 @@ def cmd_landmarks(args) -> int:
         s_star = applications.sequential_landmark(model, lam=args.lam,
                                                   n_candidates=args.candidates)
         payload = {"lambda": args.lam, "selected_param": s_star}
-    save_json(payload, _out_path(args.out))
+    save_json(payload, args.out)
     return EXIT_OK
 
 
@@ -221,7 +206,7 @@ def cmd_register(args) -> int:
                "shift": int(reg.shift), "energy": reg.energy,
                "energies": list(reg.energies),
                "esd": reg.esd}
-    save_json(payload, _out_path(args.out))
+    save_json(payload, args.out)
     return EXIT_OK
 
 
@@ -231,11 +216,10 @@ def cmd_metrics(args) -> int:
     m = args.m
     ra = resample_equally_spaced(a, m)
     rb = resample_equally_spaced(b, m)
-    payload = {"pair": [args.pair[0], args.pair[1]],
-               "imspe": metrics_mod.imspe(ra.points, b, m),
+    payload = {"imspe": metrics_mod.imspe(ra.points, b),
                "wasserstein2": metrics_mod.wasserstein2(ra.points, rb.points),
                "esd": metrics_mod.esd(a, b, grid_size=min(m, 100))}
-    save_json(payload, _out_path(args.out))
+    save_json(payload, args.out)
     return EXIT_OK
 
 
@@ -245,9 +229,8 @@ def cmd_plot(args) -> int:
     pred = predicted_curve_from_dict(load_json(args.pred))
     observed = load_curve_csv(args.observed) if args.observed else None
     truth = load_curve_csv(args.truth) if args.truth else None
-    atomic_write_text(_out_path(args.out),
-                      emit_svg(pred, observed=observed, truth=truth,
-                               title=args.title, scale=args.scale))
+    atomic_write_text(args.out, emit_svg(pred, observed=observed, truth=truth,
+                                         title=args.title, scale=args.scale))
     return EXIT_OK
 
 
@@ -291,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated group labels, one per curve; two "
                         "or more groups fit the group level")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -301,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", type=int, default=0)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--out", required=True)
-    p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("reconstruct", help="joint fit + dense resampling")

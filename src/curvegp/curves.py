@@ -33,7 +33,6 @@ class Curve:
     """
 
     points: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -71,9 +70,6 @@ class Curve:
     def cumulative_arc(self) -> np.ndarray:
         """Arc-length parameter of each point plus the total length (n+1 values)."""
         return np.concatenate([[0.0], np.cumsum(self.segment_lengths())])
-
-    def with_points(self, pts: np.ndarray) -> "Curve":
-        return Curve(pts, name=self.name)
 
 
 def polygon_length(curve: Curve) -> float:
@@ -149,7 +145,7 @@ def resample_equally_spaced(curve: Curve, m: int) -> Curve:
     if m < 3:
         raise CurveError("resampling needs m >= 3")
     length = polygon_length(curve)
-    return Curve(arc_to_xy_param(curve, np.arange(m) * length / m), name=curve.name)
+    return Curve(arc_to_xy_param(curve, np.arange(m) * length / m))
 
 
 def _angles(n: int, scheme: str, cluster_center: float, cluster_width: float,
@@ -174,8 +170,7 @@ def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
                        cluster_center: float = 0.0,
                        cluster_width: float = np.pi / 2,
                        cluster_frac: float = 0.8,
-                       noise_sd: float = 0.0, rng_seed=None,
-                       name: str = "") -> Curve:
+                       noise_sd: float = 0.0, rng_seed=None) -> Curve:
     """Sample points from an analytic closed shape, optionally with noise.
 
     Shapes: ``circle`` (radius), ``ellipse`` (semi-axes), ``star`` with radial
@@ -205,4 +200,4 @@ def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
     if noise_sd > 0.0:
         rng = np.random.default_rng(rng_seed)
         pts = pts + rng.normal(scale=noise_sd, size=pts.shape)
-    return Curve(pts, name=name or shape)
+    return Curve(pts)

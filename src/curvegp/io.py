@@ -64,8 +64,7 @@ def load_curve_csv(path: str) -> Curve:
             points.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    name = os.path.splitext(os.path.basename(path))[0]
-    return Curve(np.array(points), name=name)
+    return Curve(np.array(points))
 
 
 def save_json(obj, path: str) -> None:
@@ -87,7 +86,9 @@ def fit_result_to_dict(model) -> dict:
     with D/C/G tags, noise, likelihood, diagnostics -- restart scores, the
     best restart, the nugget of the final factorization, the largest nugget
     the optimization needed and one record per restart -- and the group
-    label of each curve so that the design can be rebuilt)."""
+    label of each curve so that the design can be rebuilt). The nuggets
+    are rungs of `model.NUGGET_LADDER`, fractions of the mean diagonal of
+    the blocks factored."""
     hyp, design = model.kernel.input_kernel, model.design
     coreg = {}
     for name, tag in LEVEL_TAGS.items():
@@ -106,7 +107,6 @@ def fit_result_to_dict(model) -> dict:
         "nugget": diag.get("nugget"),
         "max_nugget": diag.get("max_nugget"),
         "restarts": diag.get("restarts", []),
-        "group_labels": [str(label) for label in design.group_labels],
         "curve_labels": [str(design.group_labels[g]) for g in design.curve_group],
     }
 

@@ -41,7 +41,7 @@ DP_STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
 DP_PAD = max(max(step) for step in DP_STEPS)
 
 
-def imspe(predicted, truth: Curve, m: int | None = None) -> float:
+def imspe(predicted, truth: Curve) -> float:
     """Mean over an equally spaced arc grid of the squared coordinate errors.
 
     ``predicted`` is an (m, 2) array of means evaluated at grid fractions
@@ -51,9 +51,7 @@ def imspe(predicted, truth: Curve, m: int | None = None) -> float:
     pts = np.asarray(predicted, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValidationError(f"expected an (m, 2) point array, got {pts.shape}")
-    m = len(pts) if m is None else m
-    if len(pts) != m:
-        raise ValidationError(f"predicted grid has {len(pts)} points, expected {m}")
+    m = len(pts)
     length = polygon_length(truth)
     truth_pts = arc_to_xy_param(truth, np.arange(m) * length / m)
     return float(np.sum((pts - truth_pts) ** 2) / m)

@@ -85,6 +85,8 @@ from .errors import NumericalError, ValidationError
 from .kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                       warped_correlation, warped_distance)
 
+# The rungs of the nugget ladder, fractions of the mean diagonal entry of
+# the blocks factored (`_chol_with_ladder`).
 NUGGET_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 
 # Boxes of the fitted hyperparameters: rho as a fraction of tau, the noise
@@ -152,7 +154,8 @@ class TrainingDesign:
 
         ``labels`` are optional per-curve group labels; they are encoded as
         contiguous integers in order of first appearance, so any injective
-        relabeling yields an identical design.
+        relabeling yields an identical design. Distinct labels must print
+        differently.
         """
         if not curve_list:
             raise ValidationError("need at least one curve")
@@ -162,6 +165,12 @@ class TrainingDesign:
             raise ValidationError("one group label per curve required")
         encoding: dict = {}
         groups = [encoding.setdefault(label, len(encoding)) for label in labels]
+        printed: dict = {}
+        for label in encoding:  # a fit file holds each label as its str()
+            first = printed.setdefault(str(label), label)
+            if first is not label:
+                raise ValidationError(f"group labels {first!r} and {label!r} are "
+                                      f"distinct but both print as {str(label)!r}")
         arcs = [curve.cumulative_arc() for curve in curve_list]
         points = np.array([curve.n for curve in curve_list])  # per curve
         return cls(s=np.concatenate([a[:-1] for a in arcs]),
@@ -259,10 +268,6 @@ class PredictedCurve:
     def sd2(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.covariances[:, 1, 1], 0.0))
 
-    @property
-    def cross(self) -> np.ndarray:
-        return self.covariances[:, 0, 1]
-
 
 def _coord_basis(a: float, b: float, c: float):
     """(lam, Q) with B = Q diag(lam) Q^T for the symmetric 2 x 2 B of
@@ -295,26 +300,30 @@ def _lapack():
 def _chol_with_ladder(blocks):
     """Lower Cholesky factors of every block of a stack of symmetric
     matrices, with one escalating diagonal nugget: when any block fails,
-    all are factored again with the next nugget, so K + nugget I stays
-    isotropic. Returns (factors, nugget used): factors is a new stack, each
-    matrix Fortran-ordered, so that LAPACK works on it in place. Non-finite
-    entries raise ValueError."""
+    all are factored again with the next rung of `NUGGET_LADDER` times the
+    mean diagonal entry of all blocks. One nugget for every block keeps K +
+    nugget I isotropic, and blocks scaled by any factor take the rung they
+    take unscaled, so the objective at sigma2 = 1 and `assemble_model` at
+    sigma2's estimate factor alike. Returns (factors, rung used): factors
+    is a new stack, each matrix Fortran-ordered, so that LAPACK works on it
+    in place. Non-finite entries raise ValueError."""
     blocks = np.asarray_chkfinite(blocks)
     dpotrf = _lapack().dpotrf
     # a symmetric block's C-ordered copy, read transposed, is the block in
     # Fortran order
     copy = np.empty_like(blocks)
     factors = copy.transpose(0, 2, 1)
-    for nugget in NUGGET_LADDER:
+    for rung in NUGGET_LADDER:
         np.copyto(copy, blocks)
-        if nugget:
-            copy.reshape(len(copy), -1)[:, ::copy.shape[-1] + 1] += nugget
+        if rung:
+            copy.reshape(len(copy), -1)[:, ::copy.shape[-1] + 1] += (
+                rung * blocks.diagonal(axis1=1, axis2=2).mean())
         for L in factors:
             _, info = dpotrf(L, 1, 1, 1)  # lower, clean, overwrite_a
             if info != 0:
                 break
         else:
-            return factors, nugget
+            return factors, rung
     raise NumericalError(
         f"covariance factorization failed after nugget ladder {NUGGET_LADDER}")
 

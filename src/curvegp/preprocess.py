@@ -21,12 +21,12 @@ from .errors import ValidationError
 
 def center(curve: Curve) -> Curve:
     """Translate so the centroid of the sample points is the origin."""
-    return curve.with_points(curve.points - curve.points.mean(axis=0))
+    return Curve(curve.points - curve.points.mean(axis=0))
 
 
 def scale_to_unit_length(curve: Curve) -> Curve:
     """Scale so the enclosed polygon has total length 1."""
-    return curve.with_points(curve.points / polygon_length(curve))
+    return Curve(curve.points / polygon_length(curve))
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def _mean_row_residual(b: np.ndarray, a: np.ndarray) -> float:
 def apply_alignment(curve: Curve, result: AlignmentResult) -> Curve:
     """Apply a cyclic seed shift then a rotation to the curve's points."""
     pts = np.roll(curve.points, -result.shift, axis=0)
-    return curve.with_points(pts @ result.rotation.T)
+    return Curve(pts @ result.rotation.T)
 
 
 def preprocess_collection(curves, template_index: int = 0):

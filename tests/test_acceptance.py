@@ -135,7 +135,7 @@ def test_criterion_05_kriging_interpolation(report):
     train_err = float(np.max(np.abs(mean - design.y.ravel())))
     pred = predict_curve(model, 0, 200)
     truth = prep(cg.generate_synthetic("circle", 4000))
-    err = cg.imspe(pred.means, truth, 200)
+    err = cg.imspe(pred.means, truth)
     elapsed = time.perf_counter() - start
     report(5, "kriging interpolation",
            in_box and train_err < 1e-3 and err < 1e-3 and elapsed < 30.0,
@@ -204,9 +204,9 @@ def test_criterion_08_reconstruction_benefit(report):
                    - centroid) / length)
     opt = OptimizerConfig(restarts=4, maxiter=150, seed=0)
     _, joint_preds = cg.reconstruct(curves, ModelConfig(), opt, m=200)
-    joint_err = cg.imspe(joint_preds[0].means, truth, 200)
+    joint_err = cg.imspe(joint_preds[0].means, truth)
     _, sep_preds = cg.reconstruct([curves[0]], ModelConfig(), opt, m=200)
-    sep_err = cg.imspe(sep_preds[0].means, truth, 200)
+    sep_err = cg.imspe(sep_preds[0].means, truth)
     elapsed = time.perf_counter() - start
     report(8, "reconstruction benefit for clustered sampling",
            joint_err <= sep_err and elapsed < 60.0,
@@ -235,7 +235,7 @@ def test_criterion_09_metric_oracles(report):
     length = polygon_length(truth)
     pts = np.array([cg.arc_to_xy_param(truth, i * length / 40)
                     for i in range(40)]) + 0.1
-    imspe_ok = abs(cg.imspe(pts, truth, 40) - 0.02) < 1e-12
+    imspe_ok = abs(cg.imspe(pts, truth) - 0.02) < 1e-12
     report(9, "metric oracles", brute_ok and iuea_ok and imspe_ok)
 
 
@@ -316,8 +316,8 @@ def test_criterion_13_subpopulation_benefit(report):
     pooled = fit(TrainingDesign.from_curves(normalized), ModelConfig(), opt)
 
     def mean_imspe(model):
-        return float(np.mean([cg.imspe(predict_curve(model, j, 200).means,
-                                       truths[j], 200) for j in range(6)]))
+        return float(np.mean([cg.imspe(predict_curve(model, j, 200).means, truths[j])
+                              for j in range(6)]))
 
     grouped_err = mean_imspe(grouped)
     pooled_err = mean_imspe(pooled)

@@ -132,16 +132,22 @@ class TestConfigKeys:
         assert f"error: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
-    def test_negative_seed_flag_exits_2_naming_the_field(self, tmp_path, capsys):
-        # --seed once set the field after its check, and numpy rejected it
+    @pytest.mark.parametrize("command, flag", [("fit", "--seed"), ("predict", "--svg")])
+    def test_removed_flag_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                     command, flag):
+        # the fit's seed is the config key opt.seed, and `plot --pred` draws
+        # a prediction
         curve = str(tmp_path / "c.csv")
-        assert main(["simulate", "--shape", "circle", "--n", "8",
-                     "--out", curve]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["fit", "--inputs", curve, "--seed", "-1",
-                     "--out", str(tmp_path / "fit.json")]) == EXIT_VALIDATION
-        assert "error: opt.seed must be >= 0, got -1" in capsys.readouterr().err
-        assert not (tmp_path / "fit.json").exists()
+        save_curve_csv(generate_synthetic("circle", 8), curve)
+        fit_path = str(tmp_path / "fit.json")
+        argv = {"fit": ["fit", "--inputs", curve, "--out", fit_path],
+                "predict": ["predict", "--inputs", curve, "--fit", fit_path,
+                            "--out", str(tmp_path / "pred.json")]}[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [flag, str(tmp_path / "x")])
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.csv"]
 
 
 class TestCurveCsv:
@@ -267,9 +273,10 @@ class TestFitPredictPipeline:
         pred_path = str(tmp_path / "pred.json")
         svg_path = str(tmp_path / "pred.svg")
         assert main(["predict", "--inputs", curve_path, "--fit", fit_path,
-                     "--m", "20", "--out", pred_path, "--svg", svg_path]) == EXIT_OK
+                     "--m", "20", "--out", pred_path]) == EXIT_OK
         pred = read_json(pred_path)
         assert len(pred["means"]) == 20
+        assert main(["plot", "--pred", pred_path, "--out", svg_path]) == EXIT_OK
         ET.parse(svg_path)  # well-formed XML
 
     @pytest.mark.parametrize("mode, code", [("constant", EXIT_OK),
@@ -449,7 +456,7 @@ class TestFitPredictPipeline:
         # no key, and 3 inputs read as one group used G's 2 rows
         paths, fit_path, _ = self._grouped_fit(tmp_path)
         data = read_json(fit_path)
-        del data["curve_labels"], data["group_labels"]
+        del data["curve_labels"]
         save_json(data, fit_path)
         extra = str(tmp_path / "c3.csv")
         save_curve_csv(generate_synthetic("circle", 10), extra)
@@ -557,33 +564,17 @@ class TestPreprocessCommand:
         assert os.path.exists(os.path.join(outdir, "c0_pre.csv"))
 
 
-class TestOutputDirEnv:
-    def test_env_overrides_output(self, tmp_path, monkeypatch):
-        override = tmp_path / "override"
-        override.mkdir()
-        monkeypatch.setenv("CURVEGP_OUTPUT_DIR", str(override))
-        main(["simulate", "--shape", "circle", "--n", "5",
-              "--out", str(tmp_path / "c.csv")])
-        assert (override / "c.csv").exists()
-        assert not (tmp_path / "c.csv").exists()
-
-    def test_reconstruct_writes_only_into_the_override(self, tmp_path, monkeypatch):
+class TestReconstructCommand:
+    def test_creates_its_output_directory(self, tmp_path):
         curve = str(tmp_path / "c.csv")
         assert main(["simulate", "--shape", "ellipse", "--n", "8",
                      "--out", curve]) == EXIT_OK
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("opt.restarts = 1\nopt.maxiter = 20\n")
-        argv = ["reconstruct", "--inputs", curve, "--config", str(cfg),
-                "--m", "12", "--outdir"]
-        # without the override the output directory is created
-        assert main(argv + [str(tmp_path / "a" / "recon")]) == EXIT_OK
+        assert main(["reconstruct", "--inputs", curve, "--config", str(cfg),
+                     "--m", "12", "--outdir", str(tmp_path / "a" / "recon")]) == EXIT_OK
         assert sorted(os.listdir(tmp_path / "a" / "recon")) == [
             "c_mean.csv", "c_pred.json", "fit.json"]
-        override = tmp_path / "override"
-        monkeypatch.setenv("CURVEGP_OUTPUT_DIR", str(override))
-        assert main(argv + ["recon"]) == EXIT_OK
-        assert sorted(os.listdir(override)) == ["c_mean.csv", "c_pred.json",
-                                                "fit.json"]
 
 
 class TestLandmarksCommand:

@@ -10,6 +10,11 @@ is referenced by another line of the package or of `scripts`, or exported
 in its own module's `__all__`. References from the tests do not count, so a
 name that only the tests call fails here. Nor do the package's import
 lines: a name that `__init__` re-exports and nothing uses is dead.
+
+No method or property of a class of `src/curvegp` is dead either: each is
+read as an attribute by the package, `scripts` or the benchmark in
+`perfbench`, or named in the benchmark tracer's `TARGETS`. Dunder methods
+are protocol and dataclass fields are data, so neither is scanned.
 """
 
 import ast
@@ -123,24 +128,60 @@ def _references(tree, imports=True):
                 yield name, annotation.lineno
 
 
-def dead_names(package: dict, scripts=()) -> list:
-    """Module-level names of the package (module name -> source) that no
-    other line of the package or of the scripts references and their own
-    module's `__all__` does not export, as 'module.name (line N)'. An
-    import line of the package is no reference (a package module that
-    imports a name without using it fails `test_no_unused_imports`); one of
-    a script is."""
+def _members(tree):
+    """'Class.member' -> line of every method and property of the module's
+    classes, dunder methods left out."""
+    return {f"{node.name}.{item.name}": item.lineno
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))}
+
+
+def _traced(tree):
+    """The 'Class.member' paths that the tracer's `TARGETS` list names:
+    the third entry of each of its tuples, when it holds a dot."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                        for t in node.targets)):
+            return {target.elts[2].value for target in node.value.elts
+                    if "." in target.elts[2].value}
+    return set()
+
+
+def dead_names(package: dict, scripts=(), benchmark=()) -> list:
+    """Names of the package (module name -> source) that nothing uses, as
+    'module.name (line N)':
+
+    - module-level names that no other line of the package or of the
+      scripts references and their own module's `__all__` does not export.
+      An import line of the package is no reference (a package module that
+      imports a name without using it fails `test_no_unused_imports`); one
+      of a script is;
+    - methods and properties, as 'module.Class.member (line N)', that no
+      attribute of the package, the scripts or the benchmark sources reads
+      and no `TARGETS` list of the scripts or benchmark sources names."""
     trees = {module: ast.parse(source) for module, source in package.items()}
     references = {(module, name, line) for module, tree in trees.items()
                   for name, line in _references(tree, imports=False)}
     references |= {(None, name, line) for source in scripts
                    for name, line in _references(ast.parse(source))}
-    return [f"{module}.{name} (line {line})"
-            for module, tree in sorted(trees.items())
-            for name, line in sorted(_definitions(tree).items(), key=lambda d: d[1])
-            if name not in _exported(tree)
-            and not any(n == name and (m, ln) != (module, line)
-                        for m, n, ln in references)]
+    external = [ast.parse(source) for source in (*scripts, *benchmark)]
+    attributes = {node.attr for tree in (*trees.values(), *external)
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    traced = set().union(*map(_traced, external))
+    dead = []
+    for module, tree in sorted(trees.items()):
+        names = {name: line for name, line in _definitions(tree).items()
+                 if name not in _exported(tree)
+                 and not any(n == name and (m, ln) != (module, line)
+                             for m, n, ln in references)}
+        names.update((path, line) for path, line in _members(tree).items()
+                     if path not in traced and path.split(".")[1] not in attributes)
+        dead += [f"{module}.{name} (line {line})"
+                 for name, line in sorted(names.items(), key=lambda d: d[1])]
+    return dead
 
 
 def test_scan_finds_dead_names():
@@ -171,7 +212,34 @@ def test_scan_finds_dead_names():
     assert dead_names(package) == dead
 
 
+def test_scan_finds_dead_members():
+    package = {"m": ("from dataclasses import dataclass\n"
+                     "__all__ = ['Fit']\n"
+                     "@dataclass\n"
+                     "class Fit:\n"
+                     "    grid: list\n"
+                     "    def __post_init__(self):\n"
+                     "        self.grid = list(self.grid)\n"
+                     "    @property\n"
+                     "    def size(self):\n"
+                     "        return len(self.grid)\n"
+                     "    def for_tests(self):\n"
+                     "        return self.size\n"
+                     "    def traced(self):\n"
+                     "        pass\n"
+                     "    def benchmarked(self):\n"
+                     "        pass\n")}
+    benchmark = ("TARGETS = [('m.traced', 'curvegp.m', 'Fit.traced', None)]\n"
+                 "Fit([]).benchmarked()\n")
+    # a test calling `for_tests` is no use; the field `grid`, the dunder,
+    # and the property the package reads are not scanned or are used
+    assert dead_names(package, benchmark=[benchmark]) == ["m.Fit.for_tests (line 11)"]
+    assert dead_names(package) == ["m.Fit.for_tests (line 11)", "m.Fit.traced (line 13)",
+                                   "m.Fit.benchmarked (line 15)"]
+
+
 def test_no_dead_names():
     package = {path.stem: path.read_text() for path in ROOT.glob("src/curvegp/*.py")}
     scripts = [path.read_text() for path in ROOT.glob("scripts/*.py")]
-    assert dead_names(package, scripts) == []
+    benchmark = [path.read_text() for path in ROOT.glob("perfbench/*.py")]
+    assert dead_names(package, scripts, benchmark) == []

@@ -24,13 +24,13 @@ class TestImspe:
         c = generate_synthetic("circle", 50)
         pts = np.array([arc_to_xy_param(c, i * polygon_length(c) / 40)
                         for i in range(40)])
-        assert imspe(pts, c, 40) == pytest.approx(0.0, abs=1e-20)
+        assert imspe(pts, c) == pytest.approx(0.0, abs=1e-20)
 
     def test_constant_offset(self):
         c = generate_synthetic("circle", 50)
         pts = np.array([arc_to_xy_param(c, i * polygon_length(c) / 40)
                         for i in range(40)]) + 0.1
-        assert imspe(pts, c, 40) == pytest.approx(0.02, abs=1e-12)
+        assert imspe(pts, c) == pytest.approx(0.02, abs=1e-12)
 
     def test_matches_direct_summation(self):
         c = generate_synthetic("circle", 200)
@@ -39,12 +39,13 @@ class TestImspe:
         length = polygon_length(c)
         oracle = sum(np.sum((pts[i] - arc_to_xy_param(c, i * length / 200)) ** 2)
                      for i in range(200)) / 200
-        assert imspe(pts, c, 200) == pytest.approx(oracle, abs=1e-10)
+        assert imspe(pts, c) == pytest.approx(oracle, abs=1e-10)
 
-    def test_size_mismatch_rejected(self):
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 2)])
+    def test_points_not_pairs_rejected(self, shape):
         c = generate_synthetic("circle", 10)
-        with pytest.raises(ValidationError):
-            imspe(np.zeros((5, 2)), c, 7)
+        with pytest.raises(ValidationError, match=r"\(m, 2\) point array"):
+            imspe(np.zeros(shape), c)
 
 
 class TestIuea:

@@ -1,6 +1,7 @@
 """GP model: marginal likelihood, fitting, prediction."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,12 @@ from scipy.linalg import cho_factor, cho_solve
 from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.curves import Curve, generate_synthetic
 from curvegp.errors import NumericalError, ValidationError
+from curvegp.io import fit_result_to_dict, kernel_from_dict
 from curvegp.kernels import DEFAULT_JITTER, PeriodicHyperparameters
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
-                           assemble_model, fit, predict, predict_curve)
+                           _chol_with_ladder, assemble_model, fit, predict,
+                           predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 from gram_oracle import full_grid_gram_oracle
 
@@ -89,6 +92,15 @@ class TestTrainingDesign:
         c = generate_synthetic("circle", 5)
         with pytest.raises(ValidationError):
             TrainingDesign.from_curves([c], labels=["a", "b"])
+
+    @pytest.mark.parametrize("labels, named", [([1, "1"], "1 and '1'"),
+                                               (["a", 2.0, "2.0"], "2.0 and '2.0'")])
+    def test_rejects_labels_that_print_alike(self, labels, named):
+        # a fit file holds each label as its str(): [1, "1"] once fitted two
+        # groups that the file then named alike, and `predict` exited 2
+        c = generate_synthetic("circle", 5)
+        with pytest.raises(ValidationError, match=f"group labels {named} are distinct"):
+            TrainingDesign.from_curves([c] * len(labels), labels)
 
     @pytest.mark.parametrize("labels", [None, ["a", "b", "c"], ["c", "b", "a"],
                                         ["b", "a", "b"], [7, 7, 7], [3, 1, 3]])
@@ -380,6 +392,24 @@ class TestGroupedFit:
         C, G = model.kernel.curve.matrix, model.kernel.group.matrix
         assert C[0, 1] * G[0, 1] != 0.0
 
+    def test_library_fit_round_trips_through_its_fit_file(self):
+        curves = [generate_synthetic("star", 10, rng_seed=k, noise_sd=0.01)
+                  for k in (1, 2, 3)]
+        model = fit(TrainingDesign.from_curves(curves, ["a", "b", "a"]),
+                    ModelConfig(), OptimizerConfig(restarts=1))
+        data = json.loads(json.dumps(fit_result_to_dict(model)))
+        design = TrainingDesign.from_curves(curves, data["curve_labels"])
+        loaded = assemble_model(design, *kernel_from_dict(data))
+        assert loaded.log_marginal_likelihood == model.log_marginal_likelihood
+        for got, want in zip(vars(predict_curve(loaded, 2, 20)).values(),
+                             vars(predict_curve(model, 2, 20)).values()):
+            assert np.array_equal(got, want)
+        grid = np.repeat(np.linspace(0.0, 5.0, 7), 2)
+        for j in (1, 2):
+            query = (grid, np.tile([0, 1], 7), np.full(14, j))
+            for got, want in zip(predict(loaded, *query), predict(model, *query)):
+                assert np.array_equal(got, want)
+
     def test_one_label_is_no_labels(self):
         # a design with a single group has no group level to fit, so one
         # shared label fits exactly what no labels fit
@@ -588,7 +618,7 @@ class TestPredictCurve:
         model = assemble_model(design, MultiLevelKernel(hyp, IDENTITY_2),
                                1e-5)
         pred = predict_curve(model, 0, 25)
-        assert np.max(np.abs(pred.cross)) < 1e-12
+        assert np.max(np.abs(pred.covariances[:, 0, 1])) < 1e-12
 
     def test_closure_of_mean(self):
         design, _ = circle_design(10)
@@ -915,14 +945,16 @@ class TestCoordinateSplit:
 
     def test_near_singular_design_escalates_alike(self):
         # the two P x P blocks need the rung of the nugget ladder that the
-        # dense 2P x 2P system of the rows needs
+        # dense 2P x 2P system of the rows needs; a rung is a fraction of the
+        # mean diagonal entry, which the rotation into the blocks keeps
         design, kernel, noise_variance = near_singular_design()
         model = assemble_model(design, kernel, noise_variance)
         x, y = rows(design)
         K = full_grid_gram_oracle(kernel, *x)
         for nugget in NUGGET_LADDER:
             try:
-                c = cho_factor(K + nugget * np.eye(len(y)), lower=True)
+                c = cho_factor(K + nugget * np.mean(np.diag(K)) * np.eye(len(y)),
+                               lower=True)
             except np.linalg.LinAlgError:
                 continue
             break
@@ -973,6 +1005,34 @@ class TestLargestNugget:
         fitted = fit(design, ModelConfig(), OptimizerConfig(restarts=3, seed=0))
         assert fitted.diagnostics["max_nugget"] == 0.0
         assert [r["max_nugget"] for r in fitted.diagnostics["restarts"]] == [0.0] * 3
+
+
+class TestRelativeNugget:
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_rung_does_not_depend_on_scale(self, scale):
+        # a rank-1 block needs the first nonzero rung at any scale; an
+        # absolute 1e-8 nugget is lost in rounding at 1e12
+        blocks = np.ones((2, 4, 4)) * [[[1.0]], [[3.0]]]
+        factors, rung = _chol_with_ladder(scale * blocks)
+        assert rung == NUGGET_LADDER[1]
+        nugget = rung * 2.0 * scale  # the mean diagonal entry is 2 scale
+        for L, block in zip(factors, blocks):
+            L = np.tril(L)
+            assert np.allclose(L @ L.T, scale * block + nugget * np.eye(4),
+                               rtol=1e-12, atol=0.0)
+
+    def test_fit_in_units_of_a_million(self):
+        # both restarts converge at sigma2 = 1 with a nugget, and the final
+        # factorization at sigma2's estimate, about 1e19, once needed a
+        # nugget that an absolute ladder could not give (NumericalError)
+        curves = [Curve(1e6 * generate_synthetic("star", 30, rng_seed=k,
+                                                 noise_sd=0.01).points)
+                  for k in (1, 2)]
+        model = fit(TrainingDesign.from_curves(curves), ModelConfig(),
+                    OptimizerConfig(restarts=2))
+        assert model.diagnostics["nugget"] in NUGGET_LADDER
+        pred = predict_curve(model, 0, 20)
+        assert np.isfinite(pred.means).all() and np.isfinite(pred.covariances).all()
 
 
 # name: (design, model config, optimizer config, a message one of its

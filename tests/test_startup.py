@@ -103,7 +103,7 @@ def test_predict_command_never_loads_the_optimizer(tmp_path):
                  str(tmp_path / "cfg.txt"), "--out", str(tmp_path / "fit.json")]) == EXIT_OK
     proc = run_python("-X", "importtime", "-m", "curvegp.cli", "predict",
                       "--inputs", "c.csv", "--fit", "fit.json", "--m", "12",
-                      "--out", "pred.json", "--svg", "pred.svg", cwd=tmp_path)
+                      "--out", "pred.json", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads((tmp_path / "pred.json").read_text())["means"]) == 12
     loaded = imported_modules(proc.stderr)
