@@ -15,10 +15,9 @@ from curvegp.curves import Curve
 
 def describe(name, source, target):
     reg = cg.elastic_register(source, target)
-    dist = cg.esd(source, target)
     energies = " -> ".join(f"{e:.4f}" for e in reg.energies[:6])
     print(f"{name}:")
-    print(f"  ESD = {dist:.4f}")
+    print(f"  ESD = {reg.esd:.4f}")
     print(f"  rotation angle = {np.degrees(np.arctan2(reg.rotation[1, 0], reg.rotation[0, 0])):.2f} deg")
     print(f"  seed shift = {reg.shift}, fractional offset = {reg.offset:.4f}")
     print(f"  energy trace: {energies}{' -> ...' if len(reg.energies) > 6 else ''}")

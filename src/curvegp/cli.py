@@ -90,6 +90,21 @@ def _load_curves(paths):
     return [load_curve_csv(p) for p in paths]
 
 
+def _stems(paths):
+    """Each input's file name without its extension, which names its
+    outputs; two inputs with one stem would overwrite each other's, so
+    they are a ValidationError naming both."""
+    seen = {}
+    for path in paths:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if stem in seen:
+            raise ValidationError(f"inputs {seen[stem]!r} and {path!r} share the "
+                                  f"file stem {stem!r}, so their outputs would "
+                                  f"overwrite each other")
+        seen[stem] = path
+    return list(seen)
+
+
 # -- subcommand handlers ----------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -102,11 +117,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    stems = _stems(args.inputs)
     curves = _load_curves(args.inputs)
     processed, results = preprocess_collection(curves, args.template)
     report = []
-    for path, curve, res in zip(args.inputs, processed, results):
-        base = os.path.splitext(os.path.basename(path))[0]
+    for base, curve, res in zip(stems, processed, results):
         save_curve_csv(curve, os.path.join(args.outdir, base + "_pre.csv"))
         report.append({"curve_id": base, "rotation": res.rotation.tolist(),
                        "shift": int(res.shift), "residual": res.residual})
@@ -161,12 +176,12 @@ def cmd_predict(args) -> int:
 def cmd_reconstruct(args) -> int:
     values = load_config(args.config)
     model_config, opt_config = configs_from_values(values)
+    stems = _stems(args.inputs)
     curves = _load_curves(args.inputs)
     model, preds = applications.reconstruct(curves, model_config, opt_config,
                                             m=args.m)
     save_json(fit_result_to_dict(model), os.path.join(args.outdir, "fit.json"))
-    for path, pred in zip(args.inputs, preds):
-        base = os.path.splitext(os.path.basename(path))[0]
+    for base, pred in zip(stems, preds):
         save_curve_csv(Curve(pred.means),
                        os.path.join(args.outdir, base + "_mean.csv"))
         save_json(predicted_curve_to_dict(pred),
@@ -235,11 +250,10 @@ def cmd_plot(args) -> int:
 
 
 def cmd_config(args) -> int:
-    if args.action == "print-defaults":
-        for key, value in CONFIG_DEFAULTS.items():
-            print(f"{key} = {value}")
-        return EXIT_OK
-    raise ValidationError(f"unknown config action {args.action!r}")
+    # print-defaults, the one action the parser accepts
+    for key, value in CONFIG_DEFAULTS.items():
+        print(f"{key} = {value}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,14 @@ from .errors import ValidationError
 from .kernels import PeriodicHyperparameters, gram
 
 
+def level_matrix(w, kappa) -> np.ndarray:
+    """B = W W^T + diag(kappa), a new array: the one spelling of a level's
+    matrix, for `CoregMatrix.matrix` and the likelihood alike."""
+    B = w @ w.T
+    B.reshape(-1)[::len(B) + 1] += kappa
+    return B
+
+
 @dataclass(frozen=True)
 class CoregMatrix:
     """Low-rank-plus-diagonal PSD matrix W W^T + diag(kappa), with finite
@@ -49,7 +57,7 @@ class CoregMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.w @ self.w.T + np.diag(self.kappa)
+        return level_matrix(self.w, self.kappa)
 
     @classmethod
     def identity(cls, m: int) -> "CoregMatrix":

@@ -21,15 +21,30 @@ OVERSAMPLE = 19
 # Query-by-polygon distances formed at once by `xy_to_arc_param`.
 XY_QUERY_BLOCK = 1 << 16
 
+# A last row within this fraction of the curve's extent of the first row is
+# a closure row (`closure_row`).
+CLOSURE_RTOL = 1e-6
+
+
+def closure_row(points: np.ndarray):
+    """Whether the last row of an (n, 2) point array, or of each array of a
+    (..., n, 2) stack, repeats its first: no coordinate differs from the
+    first row's by more than `CLOSURE_RTOL` times the curve's extent, the
+    largest such difference of any row. Being relative, the test does not
+    depend on where the curve sits or on its units, and an exact repeat
+    always passes it."""
+    gaps = np.abs(points - points[..., :1, :])
+    return gaps[..., -1, :].max(axis=-1) <= CLOSURE_RTOL * gaps.max(axis=(-2, -1))
+
 
 @dataclass(frozen=True)
 class Curve:
     """Ordered planar sample points of a closed curve.
 
     Points are validated on construction: every coordinate must be finite,
-    consecutive duplicates are merged (with a warning), an explicit closure
-    row equal to the first point is dropped, and at least 3 distinct points
-    are required.
+    consecutive duplicates are merged (with a warning), then an explicit
+    closure row repeating the first point (`closure_row`) is dropped, and
+    at least 3 distinct points are required.
     """
 
     points: np.ndarray
@@ -41,13 +56,13 @@ class Curve:
         if not np.isfinite(pts).all():
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
             raise CurveError(f"curve point {bad} is not finite: {pts[bad].tolist()}")
-        if len(pts) > 1 and np.allclose(pts[-1], pts[0]):
-            pts = pts[:-1]
         keep = np.ones(len(pts), dtype=bool)
         keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
         if not keep.all():
             warnings.warn("merged duplicated consecutive points", stacklevel=2)
             pts = pts[keep]
+        if len(pts) > 1 and closure_row(pts):
+            pts = pts[:-1]
         if len(pts) < 3:
             raise CurveError(f"a closed curve needs at least 3 points, got {len(pts)}")
         pts = pts.copy()

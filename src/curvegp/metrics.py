@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, arc_to_xy_param, polygon_length, resample_equally_spaced
+from .curves import (Curve, arc_to_xy_param, closure_row, polygon_length,
+                     resample_equally_spaced)
 from .errors import NumericalError, ValidationError
 from .preprocess import (SCORE_BAND, _contenders, _procrustes_rotation,
                          _rotated_energies, _seed_search, _srvf_arrays, center,
@@ -127,7 +128,7 @@ def _offset_energies(curve: Curve, q1: np.ndarray, offsets: np.ndarray) -> np.nd
     """Bulk energies against q1 of the curve resampled from each offset, as
     `_q_at_offset` and a Procrustes rotation give them, from one batched
     resampling. NaN marks an offset whose resampled points `Curve` would
-    alter (a closure row equal to the first point)."""
+    alter (a last row repeating the first, `closure_row`)."""
     n = len(q1)
     pts = arc_to_xy_param(curve, (offsets[:, None] + np.arange(n) / n) % 1.0)
     q, w = _srvf_arrays(np.concatenate([pts, pts[:, :1]], axis=1))
@@ -135,7 +136,7 @@ def _offset_energies(curve: Curve, q1: np.ndarray, offsets: np.ndarray) -> np.nd
     norm_sq = np.sum(w * q_sq, axis=1)  # each SRVF is normalized through H and |q|^2
     H = np.matmul(q.transpose(0, 2, 1), q1) / np.sqrt(norm_sq)[:, None, None]
     bulk = _rotated_energies(H, np.sum(q_sq, axis=1) / norm_sq + np.sum(q1 ** 2), n)
-    bulk[np.all(np.isclose(pts[:, -1], pts[:, 0]), axis=1)] = np.nan
+    bulk[closure_row(pts)] = np.nan
     return bulk
 
 

@@ -30,7 +30,15 @@ so every packed parameter is a direction of the model (Pinheiro & Bates
 1996): a level of size 2 is B = L L^T with L = [[1, 0], [a, e^b]], a
 larger one B = W W^T + diag(kappa) with W one column and kappa_0 = 1. The
 fitted kernel holds s2, the jitter and noise as absolute values and L as
-W, with kappa 0, so a fit file has the format it always had.
+W, with kappa 0.
+
+One routine, `_solve`, forms the two blocks, factors them with the nugget
+ladder, solves the rotated targets and returns y^T K^-1 y and log|K| / 2.
+The objective calls it on its work arrays; `unpack` and `assemble_model`
+call it on the Gram `multilevel_gram` forms. So s2, the profiled -log p
+and the fitted model's log p are each one line over the same numbers, and
+both paths take the coordinate basis from the one spelling of a level's
+matrix, `coreg.level_matrix`.
 
 s2 is a stationary point of the full likelihood, so the gradient of -log
 p at s2 is -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1
@@ -80,7 +88,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coreg import CoregMatrix, MultiLevelKernel, curve_factor, multilevel_gram
+from .coreg import (CoregMatrix, MultiLevelKernel, curve_factor, level_matrix,
+                    multilevel_gram)
 from .errors import NumericalError, ValidationError
 from .kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                       warped_correlation, warped_distance)
@@ -269,24 +278,17 @@ class PredictedCurve:
         return np.sqrt(np.maximum(self.covariances[:, 1, 1], 0.0))
 
 
-def _coord_basis(a: float, b: float, c: float):
-    """(lam, Q) with B = Q diag(lam) Q^T for the symmetric 2 x 2 B of
-    entries B[0, 0] = a, B[0, 1] = b and B[1, 1] = c, in closed form: Q is a
-    rotation, lam descending, and B = I gives Q = I exactly."""
+def _coord_basis(B: np.ndarray):
+    """(lam, Q) with B = Q diag(lam) Q^T for a symmetric 2 x 2 B, in closed
+    form from B[0, 0], B[0, 1] and B[1, 1]: Q is a rotation, lam
+    descending, and B = I gives Q = I exactly."""
+    (a, b), (_, c) = B.tolist()
     half = 0.5 * (a - c)
     r = math.hypot(half, b)
     phi = 0.5 * math.atan2(b, half)
     cos, sin = math.cos(phi), math.sin(phi)
     mid = 0.5 * (a + c)
     return np.array([mid + r, mid - r]), np.array([[cos, -sin], [sin, cos]])
-
-
-def _blocks(K: np.ndarray, lam: np.ndarray, noise_var: float, out=None):
-    """The systems lam_e K + noise I, one per eigenvalue of the basis,
-    stacked along the first axis (in ``out`` when given)."""
-    blocks = np.multiply(lam[:, None, None], K, out=out)
-    blocks.reshape(len(lam), -1)[:, ::len(K) + 1] += noise_var  # the diagonals
-    return blocks
 
 
 @cache
@@ -443,8 +445,8 @@ class MarginalLikelihoodObjective:
         """(kernel, noise variance) at theta, with sigma2 at its estimate
         y^T (R + eta I)^-1 y / 2P, from the Gram `assemble_model` forms."""
         kernel, eta = self.kernel_at(theta, 1.0)
-        *_, Y, alphas = _solve_points(self.design, kernel, eta)
-        return self.kernel_at(theta, float(np.vdot(Y, alphas)) / Y.size)
+        _, _, _, alphas, quad, _ = _solve_points(self.design, kernel, eta)
+        return self.kernel_at(theta, quad / alphas.size)
 
     # -- likelihood --------------------------------------------------------
 
@@ -457,22 +459,10 @@ class MarginalLikelihoodObjective:
         return p[:size, None], np.exp(np.concatenate([[0.0], p[size:]]))
 
     def _level_matrix(self, theta, i):
-        """B of level i; its (W, kappa) are kept for its gradient."""
-        name, size = self.levels[i]
-        W, kappa = self._wk[i] = self._coreg(theta, name, size)
-        B = W @ W.T
-        B.reshape(-1)[::size + 1] += kappa
-        return B
-
-    def _coord_level(self, theta):
-        """(lam, Q) of the coordinate factor B = W W^T + diag(kappa), its
-        three entries taken as Python floats and formed as
-        `CoregMatrix.matrix` forms them, so that `assemble_model` finds the
-        same basis; its (W, kappa) are kept for its gradient."""
-        W, kappa = self._wk[0] = self._coreg(theta, "coord", 2)
-        (a, b), (_, c) = (W @ W.T).tolist()
-        k0, k1 = kappa.tolist()
-        return _coord_basis(a + k0, b, c + k1)
+        """B of level i, as `CoregMatrix.matrix` forms it (`level_matrix`);
+        its (W, kappa) are kept for its gradient."""
+        W, kappa = self._wk[i] = self._coreg(theta, *self.levels[i])
+        return level_matrix(W, kappa)
 
     def gram_and_grads(self, theta):
         """The point Gram R (at sigma2 = 1, without noise) and the two dense
@@ -495,7 +485,7 @@ class MarginalLikelihoodObjective:
         # always index F, and "clip" spares the copy of out that "raise" makes
         j = self.design.j
         Bfull = F.take(j, axis=1).take(j, axis=0, out=self._K, mode="clip")
-        self._basis = self._coord_level(theta)
+        self._basis = _coord_basis(self._level_matrix(theta, 0))
         dcorr *= Bfull
         K = np.multiply(Bfull, K0, out=Bfull)
         return K, [dcorr, K0]
@@ -509,12 +499,11 @@ class MarginalLikelihoodObjective:
         K, grads = self.gram_and_grads(theta)
         eta = math.exp(theta[1])
         lam, Q = self._basis
-        Y = Q.T @ self.targets
-        factors, nugget, alphas = _factor_and_solve(_blocks(K, lam, eta, self._blocks), Y)
+        factors, nugget, alphas, quad, half_logdet = _solve(
+            K, self._basis, eta, self.targets, self._blocks)
         self.max_nugget = max(self.max_nugget, nugget)
-        sigma2 = float(np.vdot(Y, alphas)) / Y.size
-        nll = (0.5 * Y.size * (math.log(sigma2) + 1.0 + LOG2PI)
-               + _half_logdet(factors))
+        sigma2 = quad / alphas.size
+        nll = 0.5 * alphas.size * (math.log(sigma2) + 1.0 + LOG2PI) + half_logdet
         alphas *= 1.0 / math.sqrt(sigma2)  # A = alphas alphas^T - (R + eta I)^-1
         Mt = alphas @ K @ alphas.T
         K_diagonal = K.diagonal()
@@ -571,37 +560,36 @@ class MarginalLikelihoodObjective:
         return self.value_and_grad(theta)[0]
 
 
-def _factor_and_solve(blocks, Y: np.ndarray):
-    """Factor the blocks (with one nugget ladder) and return (factors,
-    nugget, alphas) for independent rows Y[e] ~ N(0, block e); alphas[e] =
-    block e^-1 Y[e]."""
+def _solve(K: np.ndarray, basis: tuple, noise_var: float, y: np.ndarray, out=None):
+    """Factor and solve the training covariance of the point Gram K in the
+    coordinate basis (lam, Q): its two blocks lam_e K + noise I (in ``out``
+    when given), factored with one nugget ladder, and the targets y (a row
+    per coordinate) rotated by Q. Returns (factors, nugget, alphas, y^T
+    C^-1 y, log|C| / 2), C the covariance of all 2P values and alphas[e] =
+    block e^-1 (Q^T y)[e]."""
+    lam, Q = basis
+    blocks = np.multiply(lam[:, None, None], K, out=out)
+    blocks.reshape(len(lam), -1)[:, ::len(K) + 1] += noise_var  # the diagonals
     factors, nugget = _chol_with_ladder(blocks)
+    Y = Q.T @ y
     alphas = Y.copy()
     dpotrs = _lapack().dpotrs
     for L, alpha in zip(factors, alphas):
         _, info = dpotrs(L, alpha, 1, 1)  # lower, overwrite_b
         if info != 0:
             raise NumericalError(f"solve with the Cholesky factor failed (info={info})")
-    return factors, nugget, alphas
-
-
-def _half_logdet(factors) -> float:
-    """Half the log-determinant of the factored blocks, summed in order."""
-    return sum(np.log(factors.diagonal(axis1=1, axis2=2)).sum(axis=1).tolist())
+    half_logdet = sum(np.log(factors.diagonal(axis1=1, axis2=2)).sum(axis=1).tolist())
+    return factors, nugget, alphas, float(np.vdot(Y, alphas)), half_logdet
 
 
 def _solve_points(design: TrainingDesign, kernel: MultiLevelKernel,
                   noise_variance: float):
-    """(basis, factors, nugget, Y, alphas): the point Gram's two blocks in
-    the eigenbasis (lam, Q) of the coordinate factor, factored, the targets
-    Y rotated by Q and alphas = block^-1 Y."""
+    """(basis, *`_solve`) on the design's point Gram from `multilevel_gram`,
+    in the eigenbasis of the kernel's coordinate factor."""
     K = multilevel_gram(kernel, design.s, j_a=design.j,
                         curve_group=design.curve_group)
-    (a, b), (_, c) = kernel.coord.matrix.tolist()
-    lam, Q = basis = _coord_basis(a, b, c)
-    Y = Q.T @ design.y.T
-    factors, nugget, alphas = _factor_and_solve(_blocks(K, lam, noise_variance), Y)
-    return basis, factors, nugget, Y, alphas
+    basis = _coord_basis(kernel.coord.matrix)
+    return basis, *_solve(K, basis, noise_variance, design.y.T)
 
 
 def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
@@ -611,8 +599,9 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
     of the coordinate factor, alpha in point order, and log p(y)."""
     _require(0 <= noise_variance < math.inf, "noise_variance", "finite and >= 0",
              noise_variance)
-    basis, factors, nugget, Y, alphas = _solve_points(design, kernel, noise_variance)
-    nll = 0.5 * float(np.vdot(Y, alphas)) + _half_logdet(factors) + 0.5 * Y.size * LOG2PI
+    basis, factors, nugget, alphas, quad, half_logdet = _solve_points(
+        design, kernel, noise_variance)
+    nll = 0.5 * quad + half_logdet + 0.5 * alphas.size * LOG2PI
     diag = dict(diagnostics or {})
     diag.setdefault("nugget", nugget)
     return FittedModel(kernel=kernel, noise_variance=noise_variance, design=design,

@@ -55,6 +55,12 @@ class TestConfig:
         reparsed = parse_config_text(out)
         assert reparsed == CONFIG_DEFAULTS
 
+    def test_unknown_action_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["config", "bogus"])
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
 
 # a valid value other than the default, for the keys whose type does not give one
 OTHER_VALUES = {"model.family": "periodic_rbf"}
@@ -562,6 +568,43 @@ class TestPreprocessCommand:
         report = read_json(os.path.join(outdir, "alignment.json"))
         assert len(report) == 2
         assert os.path.exists(os.path.join(outdir, "c0_pre.csv"))
+
+    def test_curve_far_from_the_origin_keeps_every_point(self, tmp_path):
+        # written as text: at the old closure test the 40th point of this
+        # star was silently dropped
+        star = generate_synthetic("star", 40).points + [1e6, 2e6]
+        path = tmp_path / "far.csv"
+        path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in star.tolist()))
+        outdir = tmp_path / "out"
+        assert main(["preprocess", "--inputs", str(path), "--outdir", str(outdir)]) == EXIT_OK
+        assert load_curve_csv(str(outdir / "far_pre.csv")).n == 40
+
+
+class TestSharedStem:
+    """Each input's outputs are named after its file stem, so two inputs
+    with one stem exit 2, naming both, before anything is written."""
+
+    @pytest.mark.parametrize("names", [("a/c.csv", "b/c.csv"), ("c.csv", "c.txt")])
+    @pytest.mark.parametrize("command", ["preprocess", "reconstruct"])
+    def test_exits_2_naming_both_and_writes_nothing(self, tmp_path, capsys, command,
+                                                    names):
+        paths = []
+        for seed, name in enumerate(names):
+            path = tmp_path / "in" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            save_curve_csv(generate_synthetic("star", 10, noise_sd=0.01, rng_seed=seed),
+                           str(path))
+            paths.append(str(path))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 1\nopt.maxiter = 20\n")
+        outdir = tmp_path / "out"
+        argv = [command, "--inputs", *paths, "--outdir", str(outdir)]
+        if command == "reconstruct":
+            argv += ["--config", str(cfg), "--m", "12"]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{paths[0]!r} and {paths[1]!r} share the file stem 'c'" in err
+        assert not outdir.exists()
 
 
 class TestReconstructCommand:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvegp.curves import (Curve, arc_to_xy_param, generate_synthetic,
-                            polygon_length, resample_equally_spaced,
-                            xy_to_arc_param, _oversampled_polygon)
+from curvegp.curves import (Curve, arc_to_xy_param, closure_row,
+                            generate_synthetic, polygon_length,
+                            resample_equally_spaced, xy_to_arc_param,
+                            _oversampled_polygon)
 from curvegp.errors import CurveError, DegenerateCurveError
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -43,6 +44,34 @@ class TestCurveValidation:
     def test_closure_row_dropped(self):
         c = Curve(np.vstack([SQUARE, SQUARE[:1]]))
         assert c.n == 4
+
+    def test_doubled_closure_row_dropped(self):
+        # dropping the closure row before merging duplicates left the
+        # second copy, a closing segment of length 0
+        with pytest.warns(UserWarning, match="merged duplicated"):
+            c = Curve(np.vstack([SQUARE, SQUARE[:1], SQUARE[:1]]))
+        assert c.points.tolist() == SQUARE.tolist()
+
+    @pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (1e5, 1.0), (0.0, 1e-9),
+                                              (-3e7, 1e-4), (1e6, 1e3)])
+    def test_kept_rows_do_not_depend_on_where_the_curve_sits(self, shift, scale):
+        # np.allclose's tolerance grew with the distance from the origin and
+        # never fell below 1e-8, so a moved or shrunk circle lost a real point
+        t = 2 * np.pi * np.arange(30) / 30
+        pts = scale * np.column_stack([np.cos(t), np.sin(t)]) + shift
+        assert Curve(pts).n == 30
+        assert Curve(np.vstack([pts, pts[:1]])).n == 30  # an exact closure row
+        # a closure row off by rounding, a trillionth of the extent
+        assert Curve(np.vstack([pts, pts[:1] + 1e-12 * scale])).n == 30
+
+    def test_closure_row_of_a_stack_is_that_of_each_array(self):
+        rng = np.random.default_rng(0)
+        stack = (rng.normal(size=(4, 10, 2)) * np.array([1.0, 1e-9, 1e6, 1.0])[:, None, None]
+                 + np.array([[0.0, 0.0], [5.0, 5.0], [1e9, -1e9], [1e5, 1e5]])[:, None])
+        stack[0, -1] = stack[0, 0]
+        stack[2, -1] = stack[2, 0]
+        assert closure_row(stack).tolist() == [closure_row(a) for a in stack] == [
+            True, False, True, False]
 
     def test_duplicate_points_merged_with_warning(self):
         pts = np.array([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], dtype=float)

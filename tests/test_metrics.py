@@ -333,6 +333,22 @@ class TestVectorizedRegistration:
         assert _sweep_contenders(bulk, np.r_[offsets[:10], offsets[0]], 0.0,
                                  0.5).tolist() == list(range(11))
 
+    def test_offset_energies_of_a_curve_far_from_the_origin(self):
+        # NaN marks only an offset whose points `Curve` would alter; its old
+        # np.isclose test marked every offset of a curve at (1e5, 1e5)
+        from curvegp.metrics import _offset_energies, _procrustes_rotation, _q_at_offset
+        circle = generate_synthetic("circle", 40, radius=1 / (2 * np.pi))
+        far = Curve(circle.points + 1e5)
+        n = 30
+        q1 = _q_at_offset(generate_synthetic("ellipse", 40), n, 0.0)
+        offsets = np.linspace(0.0, 0.05, 11)
+        bulk = _offset_energies(far, q1, offsets)
+        assert np.isfinite(bulk).all()
+        for offset, e in zip(offsets, bulk):
+            cand = _q_at_offset(far, n, offset)
+            assert e == pytest.approx(_energy(q1, cand @ _procrustes_rotation(cand, q1).T),
+                                      rel=1e-9)
+
     @pytest.mark.parametrize("n", [3, 4, 8, 15, 16, 17, 33, 50, 100, 200])
     def test_dp_matches_per_row_oracle_bitwise(self, n):
         rng = np.random.default_rng(n)

@@ -15,8 +15,8 @@ from curvegp.io import fit_result_to_dict, kernel_from_dict
 from curvegp.kernels import DEFAULT_JITTER, PeriodicHyperparameters
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
-                           _chol_with_ladder, assemble_model, fit, predict,
-                           predict_curve)
+                           _chol_with_ladder, _coord_basis, assemble_model, fit,
+                           predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 from gram_oracle import full_grid_gram_oracle
 
@@ -886,6 +886,10 @@ class TestSharedGramBuilder:
                     <= 1e-15 * np.max(np.abs(full)))
             assert len(grads) == 2
             assert all(G.shape == K.shape for G in grads)
+            # the coordinate basis `assemble_model` forms from the kernel
+            lam, Q = obj._basis
+            lam_k, Q_k = _coord_basis(kernel.coord.matrix)
+            assert lam.tobytes() == lam_k.tobytes() and Q.tobytes() == Q_k.tobytes()
 
 
 def paired_design(n_curves=2, n=8, labels=None):
