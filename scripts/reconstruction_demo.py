@@ -31,8 +31,7 @@ def main():
         return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
     clustered = cg.generate_synthetic("star", args.n, scheme="clustered",
-                                      cluster_frac=0.8, amplitude=amp,
-                                      petals=petals)
+                                      amplitude=amp, petals=petals)
     full1 = cg.generate_synthetic("star", args.n, amplitude=amp, petals=petals)
     full2 = Curve(star(2 * np.pi * np.arange(args.n) / args.n + 0.05))
     curves, _ = cg.preprocess_collection([clustered, full1, full2],

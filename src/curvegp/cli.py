@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -19,10 +18,9 @@ from dataclasses import fields
 from . import applications, metrics as metrics_mod, model as model_mod
 from .curves import Curve, generate_synthetic, resample_equally_spaced
 from .errors import ConfigError, NumericalError, ValidationError
-from .io import (LEVEL_TAGS, atomic_write_text, fit_result_to_dict,
-                 kernel_from_dict, load_curve_csv, load_json,
-                 predicted_curve_from_dict, predicted_curve_to_dict,
-                 save_curve_csv, save_json)
+from .io import (atomic_write_text, fit_result_from_dict, fit_result_to_dict,
+                 load_curve_csv, load_json, predicted_curve_from_dict,
+                 predicted_curve_to_dict, save_curve_csv, save_json)
 from .model import ModelConfig, OptimizerConfig, TrainingDesign
 from .preprocess import preprocess_collection
 from .svg import emit_svg
@@ -140,34 +138,9 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _model_from_fit(curve_paths, fit_path):
-    """Rebuild the fitted model; per-curve group labels come from the fit
-    file (files without them are fitted without groups). A fitted curve or
-    group level must have one row per input curve or per group."""
-    curves = _load_curves(curve_paths)
-    data = load_json(fit_path)
-    kernel, noise_variance = kernel_from_dict(data)
-    labels = data.get("curve_labels")
-    if labels is not None:
-        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
-            raise ValidationError(f"{fit_path}: curve_labels must be a list of strings")
-        if len(labels) != len(curves):
-            raise ValidationError(
-                f"{fit_path} holds group labels for {len(labels)} curves, "
-                f"but {len(curves)} inputs were given")
-    design = TrainingDesign.from_curves(curves, labels)
-    for name, count, unit in (("curve", design.n_curves, "input curves"),
-                              ("group", design.n_groups, "groups")):
-        level = getattr(kernel, name)
-        if level is not None and level.size != count:
-            raise ValidationError(
-                f"{fit_path}: coregionalization.{LEVEL_TAGS[name]} has {level.size} "
-                f"rows, but the design has {count} {unit}")
-    return model_mod.assemble_model(design, kernel, noise_variance)
-
-
 def cmd_predict(args) -> int:
-    model = _model_from_fit(args.inputs, args.fit)
+    curves = _load_curves(args.inputs)
+    model = fit_result_from_dict(load_json(args.fit), curves)
     pred = model_mod.predict_curve(model, args.curve, args.m)
     save_json(predicted_curve_to_dict(pred), args.out)
     return EXIT_OK
@@ -239,8 +212,6 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if not 0.0 < args.scale < math.inf:  # false for nan too
-        raise ValidationError(f"--scale must be finite and > 0, got {args.scale}")
     pred = predicted_curve_from_dict(load_json(args.pred))
     observed = load_curve_csv(args.observed) if args.observed else None
     truth = load_curve_csv(args.truth) if args.truth else None

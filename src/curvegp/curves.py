@@ -25,6 +25,10 @@ XY_QUERY_BLOCK = 1 << 16
 # a closure row (`closure_row`).
 CLOSURE_RTOL = 1e-6
 
+# Fraction of the points and angular window of the ``clustered`` scheme.
+CLUSTER_FRAC = 0.8
+CLUSTER_WIDTH = np.pi / 2
+
 
 def closure_row(points: np.ndarray):
     """Whether the last row of an (n, 2) point array, or of each array of a
@@ -163,19 +167,17 @@ def resample_equally_spaced(curve: Curve, m: int) -> Curve:
     return Curve(arc_to_xy_param(curve, np.arange(m) * length / m))
 
 
-def _angles(n: int, scheme: str, cluster_center: float, cluster_width: float,
-            cluster_frac: float) -> np.ndarray:
+def _angles(n: int, scheme: str, cluster_center: float) -> np.ndarray:
     if scheme == "equal":
         return 2.0 * np.pi * np.arange(n) / n
     if scheme == "clustered":
-        n_in = max(int(round(cluster_frac * n)), 1)
+        n_in = max(int(round(CLUSTER_FRAC * n)), 1)
         n_out = n - n_in
-        lo = cluster_center - cluster_width / 2.0
-        inside = lo + cluster_width * np.arange(n_in) / n_in
-        outside = (lo + cluster_width
-                   + (2.0 * np.pi - cluster_width) * np.arange(n_out) / max(n_out, 1))
-        theta = np.sort(np.concatenate([inside, outside[:n_out]]) % (2.0 * np.pi))
-        return theta
+        lo = cluster_center - CLUSTER_WIDTH / 2.0
+        inside = lo + CLUSTER_WIDTH * np.arange(n_in) / n_in
+        outside = (lo + CLUSTER_WIDTH
+                   + (2.0 * np.pi - CLUSTER_WIDTH) * np.arange(n_out) / max(n_out, 1))
+        return np.sort(np.concatenate([inside, outside]) % (2.0 * np.pi))
     raise ValueError(f"unknown sampling scheme {scheme!r}")
 
 
@@ -183,21 +185,19 @@ def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
                        axes: tuple = (1.0, 0.5), amplitude: float = 0.3,
                        petals: int = 5, scheme: str = "equal",
                        cluster_center: float = 0.0,
-                       cluster_width: float = np.pi / 2,
-                       cluster_frac: float = 0.8,
                        noise_sd: float = 0.0, rng_seed=None) -> Curve:
     """Sample points from an analytic closed shape, optionally with noise.
 
     Shapes: ``circle`` (radius), ``ellipse`` (semi-axes), ``star`` with radial
     profile radius * (1 + amplitude*cos(petals*theta)). The ``clustered``
-    scheme concentrates a fraction of the points in an angular window.
+    scheme puts `CLUSTER_FRAC` of the points in a `CLUSTER_WIDTH` window.
     Deterministic for a fixed ``rng_seed``.
     """
     if n < 3:
         raise CurveError("need n >= 3 sample points")
     if noise_sd < 0:
         raise ValueError("noise_sd must be nonnegative")
-    theta = _angles(n, scheme, cluster_center, cluster_width, cluster_frac)
+    theta = _angles(n, scheme, cluster_center)
     if shape == "circle":
         pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
     elif shape == "ellipse":

@@ -6,6 +6,7 @@ load(save(x)) round trip reproduces values exactly. A fit file stores the
 jitter beside the noise variance (``noise.jitter``), and `kernel_from_dict`
 puts it back on the input kernel; every number read from a fit or
 prediction file must be finite, and a bad one is named by its key.
+`fit_result_from_dict` rebuilds the FittedModel from a fit and its curves.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .coreg import CoregMatrix, MultiLevelKernel
 from .curves import Curve
 from .errors import ValidationError
 from .kernels import PeriodicHyperparameters
-from .model import PredictedCurve
+from .model import PredictedCurve, TrainingDesign, assemble_model
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -186,6 +187,20 @@ def kernel_from_dict(data: dict):
                               curve=levels.get("curve"),
                               group=levels.get("group"))
     return kernel, noise_variance
+
+
+def fit_result_from_dict(data: dict, curves):
+    """The inverse of `fit_result_to_dict`, given the fitted curves: the
+    kernel from `kernel_from_dict`, the design from the curves and the
+    fit's ``curve_labels`` (a list of strings; absent, one group), then
+    `assemble_model`, which checks each level's size against the design."""
+    kernel, noise_variance = kernel_from_dict(data)
+    labels = data.get("curve_labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise ValidationError("fit file: curve_labels must be a list of strings")
+    return assemble_model(TrainingDesign.from_curves(curves, labels), kernel,
+                          noise_variance)
 
 
 def predicted_curve_to_dict(pred) -> dict:

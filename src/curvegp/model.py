@@ -171,7 +171,8 @@ class TrainingDesign:
         if labels is None:
             labels = [0] * len(curve_list)
         if len(labels) != len(curve_list):
-            raise ValidationError("one group label per curve required")
+            raise ValidationError(f"one group label per curve required: "
+                                  f"{len(labels)} labels for {len(curve_list)} curves")
         encoding: dict = {}
         groups = [encoding.setdefault(label, len(encoding)) for label in labels]
         printed: dict = {}
@@ -596,9 +597,16 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
                    noise_variance: float, diagnostics: dict | None = None) -> FittedModel:
     """Cache the training factorization for a kernel and a noise variance
     (finite and >= 0): the two blocks of the point Gram in the eigenbasis
-    of the coordinate factor, alpha in point order, and log p(y)."""
+    of the coordinate factor, alpha in point order, and log p(y). A curve
+    or group level needs one row per design curve or group; a
+    ValidationError names the level and both counts."""
     _require(0 <= noise_variance < math.inf, "noise_variance", "finite and >= 0",
              noise_variance)
+    for name, count in (("curve", design.n_curves), ("group", design.n_groups)):
+        level = getattr(kernel, name)
+        if level is not None and level.size != count:
+            raise ValidationError(f"the kernel's {name} level has {level.size} rows, "
+                                  f"but the design has {count} {name}s")
     basis, factors, nugget, alphas, quad, half_logdet = _solve_points(
         design, kernel, noise_variance)
     nll = 0.5 * quad + half_logdet + 0.5 * alphas.size * LOG2PI

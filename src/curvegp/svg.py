@@ -4,9 +4,12 @@ optional truth path, and one uncertainty ellipse per grid point, in a
 
 from __future__ import annotations
 
+import math
 from html import escape
 
 import numpy as np
+
+from .errors import ValidationError
 
 MEAN_STYLE = 'fill="none" stroke="black" stroke-width="0.8%"'
 TRUTH_STYLE = 'fill="none" stroke="gold" stroke-width="0.8%"'
@@ -41,7 +44,10 @@ def emit_svg(predicted, observed=None, truth=None, title: str = "",
 
     One ellipse element per grid point, semi-axes scale*sd along the
     covariance eigenvectors; 1:1 aspect with a 10% padded bounding box.
+    A scale that is not finite and > 0 is a ValidationError.
     """
+    if not 0.0 < scale < math.inf:  # false for nan too
+        raise ValidationError(f"scale must be finite and > 0, got {scale}")
     means = np.asarray(predicted.means, dtype=float)
     covs = np.asarray(predicted.covariances, dtype=float)
     all_pts = [means]

@@ -191,8 +191,7 @@ def test_criterion_08_reconstruction_benefit(report):
         return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
     clustered = cg.generate_synthetic("star", 30, scheme="clustered",
-                                      cluster_frac=0.8, amplitude=amp,
-                                      petals=petals)
+                                      amplitude=amp, petals=petals)
     full1 = cg.generate_synthetic("star", 30, amplitude=amp, petals=petals)
     full2 = Curve(star(2 * np.pi * np.arange(30) / 30 + 0.05))
     curves, _ = cg.preprocess_collection([clustered, full1, full2],

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -10,13 +11,13 @@ import numpy as np
 import pytest
 
 from curvegp.cli import (CONFIG_DEFAULTS, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
-                         _model_from_fit, configs_from_values, main,
-                         parse_config_text)
+                         configs_from_values, main, parse_config_text)
 from curvegp.coreg import multilevel_gram
 from curvegp.curves import generate_synthetic
-from curvegp.errors import ConfigError
+from curvegp.errors import ConfigError, ValidationError
 from curvegp.metrics import esd
-from curvegp.io import load_curve_csv, save_curve_csv, save_json
+from curvegp.io import (fit_result_from_dict, load_curve_csv, save_curve_csv,
+                        save_json)
 from curvegp.model import (NUGGET_LADDER, ModelConfig, OptimizerConfig,
                            PredictedCurve, TrainingDesign, fit, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
@@ -426,7 +427,8 @@ class TestFitPredictPipeline:
         fit_path = str(tmp_path / "fit.json")
         assert main(["fit", "--inputs", *paths, "--labels", "a,b,a",
                      "--out", fit_path]) == EXIT_OK
-        model = _model_from_fit(paths, fit_path)
+        model = fit_result_from_dict(read_json(fit_path),
+                                     [load_curve_csv(p) for p in paths])
         d = model.design
         K = multilevel_gram(model.kernel, d.s, j_a=d.j, curve_group=d.curve_group)
         g = d.curve_group[d.j]
@@ -452,11 +454,13 @@ class TestFitPredictPipeline:
                      "--out", str(tmp_path / "pred.json")])
         assert code == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("inputs, curve, key", [
-        (2, "0", "coregionalization.C"), (4, "3", "coregionalization.C"),
-        (3, "0", "coregionalization.G")])
+    @pytest.mark.parametrize("inputs, curve, message", [
+        (2, "0", "curve level has 3 rows, but the design has 2 curves"),
+        (4, "3", "curve level has 3 rows, but the design has 4 curves"),
+        (3, "0", "group level has 2 rows, but the design has 1 groups")],
+        ids=["C-on-2-curves", "C-on-4-curves", "G-on-1-group"])
     def test_predict_level_size_mismatch_exit_2(self, tmp_path, capsys, inputs,
-                                                curve, key):
+                                                curve, message):
         # a 3-curve, 2-group fit without its labels: 2 inputs once predicted
         # with exit 0 from the first two rows of C, 4 inputs exited 2 naming
         # no key, and 3 inputs read as one group used G's 2 rows
@@ -471,7 +475,7 @@ class TestFitPredictPipeline:
         code = main(["predict", "--inputs", *(paths + [extra])[:inputs], "--fit",
                      fit_path, "--curve", curve, "--out", str(pred_path)])
         assert code == EXIT_VALIDATION
-        assert key in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not pred_path.exists()
 
     @pytest.mark.parametrize("curve", ["2", "-1"])
@@ -699,7 +703,8 @@ class TestPlotCommand:
         save_json(valid_prediction(), str(pred))
         argv = ["plot", "--pred", str(pred), "--out", str(svg), f"--scale={scale}"]
         assert main(argv) == EXIT_VALIDATION
-        assert "--scale" in capsys.readouterr().err
+        assert (capsys.readouterr().err
+                == f"error: scale must be finite and > 0, got {float(scale)}\n")
         assert not svg.exists()
 
     def test_positive_scale_sizes_the_ellipses(self, tmp_path):
@@ -775,6 +780,15 @@ class TestSvg:
                 "{http://www.w3.org/2000/svg}title").text == title
         else:
             assert "<title>" not in doc
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_scale_not_finite_and_positive_rejected(self, scale):
+        # a negative or nan scale once wrote rx="-0.1" or rx="nan"
+        pred = PredictedCurve(grid=np.arange(3) / 3, means=np.eye(3, 2),
+                              covariances=np.tile(np.eye(2), (3, 1, 1)))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"scale must be finite and > 0, got {scale}")):
+            emit_svg(pred, scale=scale)
 
     def test_zero_covariance_degenerate(self):
         pred = PredictedCurve(grid=np.arange(5) / 5,

@@ -313,8 +313,7 @@ class TestGenerateSynthetic:
 
     def test_clustered_scheme(self):
         c = generate_synthetic("circle", 30, scheme="clustered",
-                               cluster_center=0.0, cluster_width=np.pi / 2,
-                               cluster_frac=0.8)
+                               cluster_center=0.0)
         theta = np.arctan2(c.points[:, 1], c.points[:, 0])
         inside = np.sum(np.abs(((theta + np.pi) % (2 * np.pi)) - np.pi) <= np.pi / 4 + 1e-9)
         assert inside >= 0.7 * 30

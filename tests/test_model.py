@@ -11,7 +11,7 @@ from scipy.linalg import cho_factor, cho_solve
 from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
 from curvegp.curves import Curve, generate_synthetic
 from curvegp.errors import NumericalError, ValidationError
-from curvegp.io import fit_result_to_dict, kernel_from_dict
+from curvegp.io import fit_result_from_dict, fit_result_to_dict
 from curvegp.kernels import DEFAULT_JITTER, PeriodicHyperparameters
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
@@ -201,6 +201,23 @@ class TestLogMarginalLikelihood:
         with pytest.raises(ValidationError, match="noise_variance"):
             assemble_model(single_point_design(0.0), kernel, noise_variance)
 
+    @pytest.mark.parametrize("n_curves, curve, group, message", [
+        # a 3-row curve level on 2 curves was taken, its third row unused
+        (2, 3, None, "curve level has 3 rows, but the design has 2 curves"),
+        # a 2-row group level on one group was taken, scaling K by G[0, 0]
+        (2, 2, 2, "group level has 2 rows, but the design has 1 groups"),
+        # a 2-row curve level on 3 curves raised "j_a: level index out of range"
+        (3, 2, None, "curve level has 2 rows, but the design has 3 curves")],
+        ids=["3-row-C-on-2-curves", "2-row-G-on-1-group", "2-row-C-on-3-curves"])
+    def test_rejects_a_level_of_the_wrong_size(self, n_curves, curve, group,
+                                               message):
+        level = lambda size: CoregMatrix(np.full((size, 1), 0.5), np.ones(size))
+        kernel = MultiLevelKernel(PeriodicHyperparameters(1.0, 0.3, 1.0), IDENTITY_2,
+                                  curve=level(curve),
+                                  group=level(group) if group else None)
+        with pytest.raises(ValidationError, match=message):
+            assemble_model(paired_design(n_curves), kernel, 1e-4)
+
 
 class TestFit:
     def test_interpolates_noiseless_circle(self):
@@ -364,7 +381,7 @@ class TestGroupedFit:
 
     def test_label_count_mismatch(self):
         curves, labels = self.make_classes()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="3 labels for 4 curves"):
             TrainingDesign.from_curves(curves, labels[:-1])
 
     def test_groups_share_covariance(self):
@@ -392,20 +409,22 @@ class TestGroupedFit:
         C, G = model.kernel.curve.matrix, model.kernel.group.matrix
         assert C[0, 1] * G[0, 1] != 0.0
 
-    def test_library_fit_round_trips_through_its_fit_file(self):
+    @pytest.mark.parametrize("layout", ["none", "a,b", "a,b,a", "a,a,b,b"])
+    def test_library_fit_round_trips_through_its_fit_file(self, layout):
+        labels = None if layout == "none" else layout.split(",")
         curves = [generate_synthetic("star", 10, rng_seed=k, noise_sd=0.01)
-                  for k in (1, 2, 3)]
-        model = fit(TrainingDesign.from_curves(curves, ["a", "b", "a"]),
+                  for k in range(1, 1 + len(labels or "abc"))]
+        model = fit(TrainingDesign.from_curves(curves, labels),
                     ModelConfig(), OptimizerConfig(restarts=1))
         data = json.loads(json.dumps(fit_result_to_dict(model)))
-        design = TrainingDesign.from_curves(curves, data["curve_labels"])
-        loaded = assemble_model(design, *kernel_from_dict(data))
+        loaded = fit_result_from_dict(data, curves)
         assert loaded.log_marginal_likelihood == model.log_marginal_likelihood
-        for got, want in zip(vars(predict_curve(loaded, 2, 20)).values(),
-                             vars(predict_curve(model, 2, 20)).values()):
+        last = len(curves) - 1
+        for got, want in zip(vars(predict_curve(loaded, last, 20)).values(),
+                             vars(predict_curve(model, last, 20)).values()):
             assert np.array_equal(got, want)
         grid = np.repeat(np.linspace(0.0, 5.0, 7), 2)
-        for j in (1, 2):
+        for j in (1, last):
             query = (grid, np.tile([0, 1], 7), np.full(14, j))
             for got, want in zip(predict(loaded, *query), predict(model, *query)):
                 assert np.array_equal(got, want)
