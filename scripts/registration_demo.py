@@ -18,7 +18,8 @@ def describe(name, source, target):
     energies = " -> ".join(f"{e:.4f}" for e in reg.energies[:6])
     print(f"{name}:")
     print(f"  ESD = {reg.esd:.4f}")
-    print(f"  rotation angle = {np.degrees(np.arctan2(reg.rotation[1, 0], reg.rotation[0, 0])):.2f} deg")
+    angle = np.degrees(np.arctan2(reg.rotation[1, 0], reg.rotation[0, 0]))
+    print(f"  rotation angle = {angle:.2f} deg")
     print(f"  seed shift = {reg.shift}, fractional offset = {reg.offset:.4f}")
     print(f"  energy trace: {energies}{' -> ...' if len(reg.energies) > 6 else ''}")
 

@@ -22,11 +22,14 @@ from .errors import ValidationError
 from .kernels import PeriodicHyperparameters, gram
 
 
-def level_matrix(w, kappa) -> np.ndarray:
+def level_matrix(w, kappa=None) -> np.ndarray:
     """B = W W^T + diag(kappa), a new array: the one spelling of a level's
-    matrix, for `CoregMatrix.matrix` and the likelihood alike."""
+    matrix, for `CoregMatrix.matrix` and the likelihood alike. Without
+    ``kappa``, W W^T: the likelihood's levels of size 2, whose kappa is 0,
+    skip adding it."""
     B = w @ w.T
-    B.reshape(-1)[::len(B) + 1] += kappa
+    if kappa is not None:
+        B.reshape(-1)[::len(B) + 1] += kappa
     return B
 
 
@@ -89,12 +92,13 @@ def curve_factor(curve, group, curve_group=None):
     """(factors, F): the curve and group factors between every two curves,
     one per level present (None: absent), the curve level's matrix C and
     the group level's G[cg, cg] with cg the group of each curve, and their
-    product F = C o G[cg, cg], [[1.0]] without either level. A curve lies
-    in one group, so the factor of two points is F at their curves."""
+    product F = C o G[cg, cg], [[1.0]] without either level; with one
+    level F is that level's factor itself, not a copy. A curve lies in one
+    group, so the factor of two points is F at their curves."""
     factors = [] if curve is None else [curve]
     if group is not None:
         factors.append(group.take(curve_group, axis=0).take(curve_group, axis=1))
-    return factors, reduce(np.multiply, factors, np.ones((1, 1)))
+    return factors, reduce(np.multiply, factors) if factors else np.ones((1, 1))
 
 
 def _indices(name: str, idx, n: int, size: int, unit: str = "point") -> np.ndarray:

@@ -69,32 +69,42 @@ def warped_distance(family: str, s_a, s_b, tau: float):
     return np.square(w, out=w) if family == "periodic_rbf" else np.abs(w, out=w)
 
 
-def warped_correlation(family: str, w, rho: float, with_dlogrho: bool = False):
+def warped_correlation(family: str, w, rho: float, with_dlogrho: bool = False,
+                       out=None):
     """Kernel value for sigma2 = 1 at warped distance ``w``; with
     ``with_dlogrho`` also its derivative in log rho, as (corr, dcorr).
 
-    The arithmetic runs in place on the arrays made here, never on ``w``:
-    besides ``w``, two arrays of its size are alive at once, three for the
-    Matern-3/2 derivative."""
+    The arithmetic runs in place, never on ``w``. Without ``out`` it runs
+    on arrays made here and returned: besides ``w``, two arrays of its size
+    are alive at once, three for the Matern-3/2 derivative. ``out`` is a
+    stack of three arrays of ``w``'s shape that a caller keeps across calls
+    (the likelihood's work arrays): nothing of that size is made, every
+    slot is overwritten, and corr and dcorr are two of the slots, which
+    two depending on the family."""
     if family not in FAMILIES:
         raise ValidationError(f"unknown kernel family {family!r}")
-    a = np.empty(np.shape(w))  # w / rho, times sqrt(3) for Matern-3/2
-    if family == "periodic_matern32":
-        np.multiply(w, np.sqrt(3.0), out=a)
-        a /= rho
+    if out is None:
+        a = np.empty(np.shape(w))  # a = w / rho, times sqrt(3) for Matern-3/2
+        e, d = np.empty_like(a), None
     else:
-        np.divide(w, rho, out=a)
-    e = np.empty_like(a)
-    np.exp(np.negative(a, out=e), out=e)
+        a, e, d = out
+    if family == "periodic_matern12":
+        np.exp(np.negative(np.divide(w, rho, out=a), out=e), out=e)
+        return (e, np.multiply(a, e, out=a)) if with_dlogrho else e  # exp(-a), a exp(-a)
+    # -a directly, as x / -rho = -(x / rho) exactly
     if family == "periodic_rbf":  # exp(-a) and exp(-a) w / rho
+        np.exp(np.divide(w, -rho, out=a), out=e)
         return (e, np.divide(np.multiply(e, w, out=a), rho, out=a)) if with_dlogrho else e
-    if family == "periodic_matern12":  # exp(-a) and a exp(-a)
-        return (e, np.multiply(a, e, out=a)) if with_dlogrho else e
-    # Matern-3/2: (1 + a) exp(-a) and a^2 exp(-a)
-    dcorr = np.square(a, out=np.empty_like(a)) if with_dlogrho else None
-    a += 1.0
+    # Matern-3/2: (1 + a) exp(-a) and a^2 exp(-a), with 1 - (-a) = 1 + a and
+    # (-a)^2 = a^2 exactly
+    np.multiply(w, np.sqrt(3.0), out=a)
+    a /= -rho
+    np.exp(a, out=e)
+    if with_dlogrho:
+        d = np.square(a, out=np.empty_like(a) if d is None else d)
+    np.subtract(1.0, a, out=a)
     a *= e
-    return (a, np.multiply(dcorr, e, out=dcorr)) if with_dlogrho else a
+    return (a, np.multiply(d, e, out=d)) if with_dlogrho else a
 
 
 def unit_correlation(family: str, s_a, s_b, rho: float, tau: float):

@@ -61,16 +61,24 @@ points: `curve_factor` forms F between curves and the Gram gathers it by
 the points' curves, for the objective and for `multilevel_gram` alike.
 
 At small P an evaluation's cost is per-call overhead, not arithmetic, so
-the objective keeps its P x P work arrays across calls, `_chol_with_ladder`
-factors into one new stack of Fortran-ordered matrices that dpotrs and
-dpotri then overwrite in place, and the LAPACK flags go by position, which
-f2py parses faster than keywords. The module's `minimize` drives
-L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) through scipy's
-reverse-communication routine `setulb` and calls `value_and_grad` once for
-each point the routine asks for: scipy's `minimize` takes the same steps
-with the same constants but wraps each evaluation in `ScalarFunction` and
-`MemoizeJac`, whose copies and comparisons of theta cost over a third as
-much as the likelihood itself at P = 12.
+the objective computes once what does not depend on theta (the warped
+distances and views of the diagonals it updates) and keeps its work
+arrays across calls: the three slots `warped_correlation` writes K0 and
+dR/dlog rho into, R, A, the two blocks and the stack `_chol_with_ladder`
+factors them into, which dpotrs and dpotri then overwrite in place, and
+the W and kappa of each level. New on every call are the arrays whose
+values leave the call, the gradient and alpha, and those no larger than a
+level times P: the coordinate basis, each level's matrix and the columns
+of F gathered by point. `unpack` and `assemble_model` pass no work arrays,
+so a fitted model shares no memory with an objective. The LAPACK flags go
+by position, which f2py parses faster than keywords. The module's
+`minimize` drives L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al.
+1997) through scipy's reverse-communication routine `setulb` and calls
+`value_and_grad` once for each point the routine asks for: scipy's
+`minimize` takes the same steps with the same constants but wraps each
+evaluation in `ScalarFunction` and `MemoizeJac`, whose copies and
+comparisons of theta cost over a third as much as the likelihood itself
+at P = 12.
 
 SciPy is imported only where it is used, so `import curvegp.model` loads
 numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs, dtrtrs) come
@@ -300,7 +308,7 @@ def _lapack():
     return lapack
 
 
-def _chol_with_ladder(blocks):
+def _chol_with_ladder(blocks, out=None):
     """Lower Cholesky factors of every block of a stack of symmetric
     matrices, with one escalating diagonal nugget: when any block fails,
     all are factored again with the next rung of `NUGGET_LADDER` times the
@@ -308,13 +316,18 @@ def _chol_with_ladder(blocks):
     nugget I isotropic, and blocks scaled by any factor take the rung they
     take unscaled, so the objective at sigma2 = 1 and `assemble_model` at
     sigma2's estimate factor alike. Returns (factors, rung used): factors
-    is a new stack, each matrix Fortran-ordered, so that LAPACK works on it
-    in place. Non-finite entries raise ValueError."""
-    blocks = np.asarray_chkfinite(blocks)
+    is ``out``, a C-ordered stack of the blocks' shape, read transposed, or
+    a new stack without it, each matrix Fortran-ordered, so that LAPACK
+    works on it in place. A block with an entry that is not finite raises
+    a ValidationError naming the training covariance."""
+    # a finite sum of squares shows every entry finite, in one dot product
+    if not math.isfinite(np.vdot(blocks, blocks)) and not np.isfinite(blocks).all():
+        raise ValidationError("the training covariance is not finite: the kernel's "
+                              "sigma2 or level matrices are too large")
     dpotrf = _lapack().dpotrf
     # a symmetric block's C-ordered copy, read transposed, is the block in
     # Fortran order
-    copy = np.empty_like(blocks)
+    copy = np.empty_like(blocks) if out is None else out
     factors = copy.transpose(0, 2, 1)
     for rung in NUGGET_LADDER:
         np.copyto(copy, blocks)
@@ -387,11 +400,20 @@ class MarginalLikelihoodObjective:
         self.group_onehot = np.eye(design.n_groups)[design.curve_group]
         self._factors = []
         self._wk = {}
-        # work arrays, overwritten by every call: a fresh array of this size
-        # costs more in page faults than the arithmetic done on it
+        # work arrays, overwritten by every call: at small P a new array
+        # costs more than the arithmetic done on it. The three slots of
+        # `warped_correlation` (K0 and dR/dlog rho are two of them), the
+        # point Gram and A, and `_solve`'s two blocks and their factors
         n = self.n_points
-        self._K0, self._K, self._A = np.empty((3, n, n))
-        self._blocks = np.empty((2, n, n))
+        self._corr = np.empty((3, n, n))
+        self._K, self._A = np.empty((2, n, n))
+        self._solve_work = np.empty((2, 2, n, n))
+        self._K_diagonal = self._K.diagonal()
+        self._A_diagonal = self._A.reshape(-1)[::n + 1]
+        # W of a level of size 2, L = [[1, 0], [a, e^b]], with its kappa 0;
+        # kappa of a larger level, kappa_0 = 1
+        self._level_work = {name: (np.eye(2), np.zeros(2)) if size == 2
+                            else (None, np.ones(size)) for name, size in self.levels}
         self.max_nugget = 0.0  # the largest nugget `_chol_with_ladder` used
 
     # -- packing -----------------------------------------------------------
@@ -453,17 +475,23 @@ class MarginalLikelihoodObjective:
 
     def _coreg(self, theta, name, size):
         """(W, kappa) of a level, unpacked from theta: W = L and kappa = 0
-        for a level of size 2."""
+        for a level of size 2, W a view of theta for a larger one. Both are
+        work arrays of this objective, overwritten by its next call."""
         p = theta[self.slices[name]]
+        W, kappa = self._level_work[name]
         if size == 2:
-            return np.array([[1.0, 0.0], [p[0], math.exp(p[1])]]), np.zeros(2)
-        return p[:size, None], np.exp(np.concatenate([[0.0], p[size:]]))
+            W[1, 0] = p[0]
+            W[1, 1] = math.exp(p[1])
+            return W, kappa
+        np.exp(p[size:], out=kappa[1:])
+        return p[:size, None], kappa
 
     def _level_matrix(self, theta, i):
-        """B of level i, as `CoregMatrix.matrix` forms it (`level_matrix`);
-        its (W, kappa) are kept for its gradient."""
+        """B of level i, as `CoregMatrix.matrix` forms it (`level_matrix`),
+        without adding the zero kappa of a level of size 2; its (W, kappa)
+        are kept for its gradient."""
         W, kappa = self._wk[i] = self._coreg(theta, *self.levels[i])
-        return level_matrix(W, kappa)
+        return level_matrix(W, None if len(W) == 2 else kappa)
 
     def gram_and_grads(self, theta):
         """The point Gram R (at sigma2 = 1, without noise) and the two dense
@@ -473,11 +501,11 @@ class MarginalLikelihoodObjective:
         construction, the curve and group factors between curves and their
         product F from `curve_factor`, F gathered by the points' curves. The
         factors are kept for `value_and_grad`, as is the basis of the
-        coordinate factor. R and K0 are work arrays of this objective,
-        overwritten by its next call."""
+        coordinate factor. R, K0 and dR/dlog(rho) are work arrays of this
+        objective, overwritten by its next call."""
         corr, dcorr = warped_correlation(self.config.family, self.warp,
-                                         math.exp(theta[0]), True)
-        K0 = np.add(corr, self.config.jitter, out=self._K0)
+                                         math.exp(theta[0]), True, self._corr)
+        K0 = np.add(corr, self.config.jitter, out=corr)
         # levels 1 and 2, the curve and group levels, when the design has them
         curve, group = (self._level_matrix(theta, i) if i < len(self.levels) else None
                         for i in (1, 2))
@@ -501,13 +529,13 @@ class MarginalLikelihoodObjective:
         eta = math.exp(theta[1])
         lam, Q = self._basis
         factors, nugget, alphas, quad, half_logdet = _solve(
-            K, self._basis, eta, self.targets, self._blocks)
+            K, self._basis, eta, self.targets, self._solve_work)
         self.max_nugget = max(self.max_nugget, nugget)
         sigma2 = quad / alphas.size
         nll = 0.5 * alphas.size * (math.log(sigma2) + 1.0 + LOG2PI) + half_logdet
         alphas *= 1.0 / math.sqrt(sigma2)  # A = alphas alphas^T - (R + eta I)^-1
         Mt = alphas @ K @ alphas.T
-        K_diagonal = K.diagonal()
+        K_diagonal = self._K_diagonal
         dpotri = _lapack().dpotri
         for e, L in enumerate(factors):  # each factor becomes K_e^-1 in place
             _, info = dpotri(L, 1, 1)  # lower, overwrite_c
@@ -517,7 +545,7 @@ class MarginalLikelihoodObjective:
             # <K_e^-1, K> from the lower triangle dpotri fills
             Mt[e, e] -= 2.0 * np.vdot(L.T, K) - L.diagonal() @ K_diagonal
         trace_a = float(np.vdot(alphas, alphas))  # sum_e tr(A_e)
-        for trace in factors.diagonal(axis1=1, axis2=2).sum(axis=1).tolist():
+        for trace in np.add.reduce(factors.diagonal(axis1=1, axis2=2), axis=1).tolist():
             trace_a -= trace
         factors *= lam[:, None, None]
         Kinv = factors[0]
@@ -526,7 +554,7 @@ class MarginalLikelihoodObjective:
         A = np.matmul(alphas.T * lam, alphas, out=self._A)
         A -= Kinv
         A -= Kinv.T  # dpotri fills the lower triangle; the upper one is zero
-        A.reshape(-1)[::self.n_points + 1] += Kinv.diagonal()  # taken twice above
+        self._A_diagonal += Kinv.diagonal()  # taken twice above
         grad = np.empty(self.n_params)
         grad[0] = -0.5 * np.vdot(A, grads[0])
         grad[1] = -0.5 * eta * trace_a
@@ -552,9 +580,14 @@ class MarginalLikelihoodObjective:
         sl = self.slices[name]
         MW = M @ W
         if size == 2:
-            grad[sl] = -MW[1, 0], -MW[1, 1] * W[1, 1]
+            _, (m10, m11) = MW.tolist()
+            grad[sl.start] = -m10
+            grad[sl.start + 1] = -m11 * W[1, 1]
         else:
-            grad[sl] = np.concatenate([-MW.ravel(), -0.5 * M.diagonal()[1:] * kappa[1:]])
+            g = grad[sl]
+            np.negative(MW[:, 0], out=g[:size])
+            np.multiply(M.diagonal()[1:], -0.5, out=g[size:])
+            g[size:] *= kappa[1:]
 
     def value(self, theta):
         """-log p(y) at theta (computed with its gradient)."""
@@ -563,15 +596,17 @@ class MarginalLikelihoodObjective:
 
 def _solve(K: np.ndarray, basis: tuple, noise_var: float, y: np.ndarray, out=None):
     """Factor and solve the training covariance of the point Gram K in the
-    coordinate basis (lam, Q): its two blocks lam_e K + noise I (in ``out``
-    when given), factored with one nugget ladder, and the targets y (a row
-    per coordinate) rotated by Q. Returns (factors, nugget, alphas, y^T
-    C^-1 y, log|C| / 2), C the covariance of all 2P values and alphas[e] =
-    block e^-1 (Q^T y)[e]."""
+    coordinate basis (lam, Q): its two blocks lam_e K + noise I, factored
+    with one nugget ladder, and the targets y (a row per coordinate)
+    rotated by Q. Returns (factors, nugget, alphas, y^T C^-1 y, log|C| /
+    2), C the covariance of all 2P values and alphas[e] = block e^-1 (Q^T
+    y)[e]. ``out``, when given, is a (2, 2, P, P) work stack: the blocks go
+    into out[0] and their factors into out[1]; without it both are new."""
     lam, Q = basis
-    blocks = np.multiply(lam[:, None, None], K, out=out)
+    blocks, room = (None, None) if out is None else out
+    blocks = np.multiply(lam[:, None, None], K, out=blocks)
     blocks.reshape(len(lam), -1)[:, ::len(K) + 1] += noise_var  # the diagonals
-    factors, nugget = _chol_with_ladder(blocks)
+    factors, nugget = _chol_with_ladder(blocks, room)
     Y = Q.T @ y
     alphas = Y.copy()
     dpotrs = _lapack().dpotrs
@@ -579,7 +614,8 @@ def _solve(K: np.ndarray, basis: tuple, noise_var: float, y: np.ndarray, out=Non
         _, info = dpotrs(L, alpha, 1, 1)  # lower, overwrite_b
         if info != 0:
             raise NumericalError(f"solve with the Cholesky factor failed (info={info})")
-    half_logdet = sum(np.log(factors.diagonal(axis1=1, axis2=2)).sum(axis=1).tolist())
+    half_logdet = sum(np.add.reduce(np.log(factors.diagonal(axis1=1, axis2=2)),
+                                    axis=1).tolist())
     return factors, nugget, alphas, float(np.vdot(Y, alphas)), half_logdet
 
 
@@ -699,13 +735,15 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     objective's `value_and_grad` once per evaluation and ends where scipy's
     `minimize(..., jac=True, method="L-BFGS-B")` would, bit for bit.
 
-    Deterministic for a fixed seed; the best restart is returned with all
-    restart scores logged in the diagnostics, its restart number as
-    ``best_restart``, and one record per restart that ran to its end
-    (restart number, iterations, evaluations, the optimizer's success flag
-    and message, and the largest nugget the factorization needed), in the
-    order of the scores, and the largest nugget of all of them. A restart that meets a point it cannot factor,
-    its start included, is skipped with a warning.
+    Deterministic for a fixed seed. The diagnostics hold the score of each
+    restart that ran to its end (``restart_scores``), the restart number of
+    the best one (``best_restart``), one record per such restart
+    (``restarts``: restart number, iterations, evaluations, the optimizer's
+    success flag and message, and the largest nugget the factorization
+    needed) and the largest nugget of all of them. Scores and records are
+    both in restart order, so the k-th record is that of the k-th score. A
+    restart that meets a point it cannot factor, its start included, is
+    skipped with a warning.
     """
     import warnings
     model_config = model_config or ModelConfig()

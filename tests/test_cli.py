@@ -478,6 +478,33 @@ class TestFitPredictPipeline:
         assert message in capsys.readouterr().err
         assert not pred_path.exists()
 
+    def test_predict_overflowing_fit_exit_2(self, tmp_path, capsys):
+        # sigma2 = 1e308 times a curve level of 100 overflows the training
+        # covariance: numpy's "array must not contain infs or NaNs" once
+        # reached the user in its place
+        paths = []
+        for k in range(2):
+            paths.append(str(tmp_path / f"c{k}.csv"))
+            save_curve_csv(generate_synthetic("star", 8, rng_seed=k,
+                                              noise_sd=0.01), paths[-1])
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 1\nopt.maxiter = 10\n")
+        fit_path = str(tmp_path / "fit.json")
+        assert main(["fit", "--inputs", *paths, "--config", str(cfg),
+                     "--out", fit_path]) == EXIT_OK
+        data = read_json(fit_path)
+        data["hyperparameters"]["sigma2"] = 1e308
+        data["coregionalization"]["C"]["w"] = [[10.0], [10.0]]
+        save_json(data, fit_path)
+        pred_path = tmp_path / "pred.json"
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            code = main(["predict", "--inputs", *paths, "--fit", fit_path,
+                         "--out", str(pred_path)])
+        assert code == EXIT_VALIDATION
+        assert "training covariance is not finite" in capsys.readouterr().err
+        assert not pred_path.exists()
+
     @pytest.mark.parametrize("curve", ["2", "-1"])
     def test_predict_curve_out_of_range_exit_2(self, tmp_path, capsys, curve):
         paths = []

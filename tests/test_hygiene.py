@@ -1,9 +1,10 @@
-"""Tooling guards, by AST scan.
+"""Tooling guards, by AST scan and, for line length, by text.
 
 No module of `src/curvegp`, `tests` or `scripts` imports a name that it
 never uses. A name counts as used when it appears as an identifier anywhere
 in the module, inside a string annotation, or in the module's `__all__`.
-`from __future__` imports are compiler directives and are skipped.
+`from __future__` imports are compiler directives and are skipped. No line
+of those modules is longer than 100 characters.
 
 No module-level function, class or constant of `src/curvegp` is dead: each
 is referenced by another line of the package or of `scripts`, or exported
@@ -92,6 +93,23 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+MAX_LINE = 100
+
+
+def long_lines(source: str) -> list:
+    """The numbers of the lines longer than `MAX_LINE` characters."""
+    return [k for k, line in enumerate(source.splitlines(), 1) if len(line) > MAX_LINE]
+
+
+def test_scan_finds_long_lines():
+    assert long_lines("x = 1\n" + "y" * MAX_LINE + "\n" + "z" * (MAX_LINE + 1)) == [3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_line_over_100_characters(path):
+    assert long_lines(path.read_text()) == []
 
 
 def _definitions(tree):

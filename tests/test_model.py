@@ -2,17 +2,19 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from curvegp.coreg import CoregMatrix, MultiLevelKernel, multilevel_gram
+from curvegp.coreg import CoregMatrix, MultiLevelKernel, curve_factor, multilevel_gram
 from curvegp.curves import Curve, generate_synthetic
 from curvegp.errors import NumericalError, ValidationError
 from curvegp.io import fit_result_from_dict, fit_result_to_dict
-from curvegp.kernels import DEFAULT_JITTER, PeriodicHyperparameters
+from curvegp.kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
+                             warped_correlation)
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
                            _chol_with_ladder, _coord_basis, assemble_model, fit,
@@ -294,11 +296,11 @@ class TestFit:
         import curvegp.model as model
         factor, calls = model._chol_with_ladder, [0]
 
-        def fails_first(blocks):  # the first evaluation is restart 0's start
+        def fails_first(blocks, out=None):  # the first evaluation is restart 0's start
             calls[0] += 1
             if calls[0] == 1:
                 raise NumericalError("forced factorization failure")
-            return factor(blocks)
+            return factor(blocks, out)
 
         monkeypatch.setattr(model, "_chol_with_ladder", fails_first)
         design, _ = circle_design(8)
@@ -1159,11 +1161,11 @@ class TestMinimize:
         fail_at = records[0]["nfev"] + 5  # the fifth evaluation of restart 1
         factor, calls = model._chol_with_ladder, [0]
 
-        def fails_once(blocks):
+        def fails_once(blocks, out=None):
             calls[0] += 1
             if calls[0] == fail_at:
                 raise NumericalError("forced factorization failure")
-            return factor(blocks)
+            return factor(blocks, out)
 
         monkeypatch.setattr(model, "_chol_with_ladder", fails_once)
         with pytest.warns(UserWarning, match="restart 1: factorization failed, skipped"):
@@ -1283,3 +1285,91 @@ class TestWorkArrays:
         for value, grad in (first, again):
             assert value == fresh[0]
             assert np.array_equal(grad, fresh[1])
+
+    def test_gradient_is_a_new_array_every_call(self):
+        # the caller owns the gradient: writing into it leaves the next
+        # call's value and gradient as they were, bit for bit
+        obj = MarginalLikelihoodObjective(paired_design(3, 4), ModelConfig())
+        theta = obj.default_start()
+        value, grad = obj.value_and_grad(theta)
+        kept = grad.copy()
+        grad[:] = np.nan
+        again, grad2 = obj.value_and_grad(theta)
+        assert not np.shares_memory(grad, grad2)
+        assert again == value
+        assert grad2.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("labels", [None, ["a", "b", "a"]], ids=["one-group", "a,b,a"])
+    def test_fitted_model_shares_no_memory_with_the_objective(self, monkeypatch, labels):
+        import curvegp.model as model
+        made = []
+
+        class Recorded(MarginalLikelihoodObjective):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(model, "MarginalLikelihoodObjective", Recorded)
+        fitted = fit(paired_design(3, 5, labels), ModelConfig(),
+                     OptimizerConfig(restarts=2, maxiter=10))
+        assert len(made) == 1
+        buffers = list(_arrays(vars(made[0])))
+        assert len(buffers) > 10
+        for array in (fitted.chol, fitted.alpha):
+            assert not any(np.shares_memory(array, buffer) for buffer in buffers)
+        # so a further evaluation leaves the fitted model as it was
+        chol, alpha = fitted.chol.copy(), fitted.alpha.copy()
+        made[0].value_and_grad(made[0].default_start())
+        assert fitted.chol.tobytes() == chol.tobytes()
+        assert fitted.alpha.tobytes() == alpha.tobytes()
+
+    def test_objectives_of_different_sizes_called_in_turn(self):
+        # each objective keeps work arrays of its own size: evaluations of
+        # a P = 8 and a P = 15 objective interleaved give what a fresh
+        # objective gives, bit for bit
+        designs = [paired_design(2, 4), paired_design(3, 5, ["a", "b", "a"])]
+        objs = [MarginalLikelihoodObjective(d, ModelConfig()) for d in designs]
+        assert [o.n_points for o in objs] == [8, 15]
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            for design, obj in zip(designs, objs):
+                theta = obj.random_start(rng)
+                value, grad = obj.value_and_grad(theta)
+                fresh = MarginalLikelihoodObjective(design, ModelConfig()).value_and_grad(
+                    theta)
+                assert value == fresh[0]
+                assert grad.tobytes() == fresh[1].tobytes()
+
+    @pytest.mark.parametrize("case", ["coord-only", "three-curves",
+                                      "four-curves-three-groups"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_dR_dlogrho_is_the_kernels_derivative_times_the_curve_factor(self, family,
+                                                                        case):
+        # the objective's correlation work arrays give what a call of
+        # `warped_correlation` without them gives, times F at the points' curves
+        n_curves, labels = LEVEL_CASES[case]
+        design = paired_design(n_curves, 5, labels)
+        obj = MarginalLikelihoodObjective(design, ModelConfig(family=family))
+        rng = np.random.default_rng(4)
+        for theta in (obj.default_start(), obj.random_start(rng)):
+            _, (dR, _) = obj.gram_and_grads(theta)
+            kernel, _ = obj.kernel_at(theta, 1.0)
+            curve, group = (None if level is None else level.matrix
+                            for level in (kernel.curve, kernel.group))
+            F = curve_factor(curve, group, design.curve_group)[1]
+            j = design.j
+            expected = (warped_correlation(family, obj.warp, math.exp(theta[0]), True)[1]
+                        * F[np.ix_(j, j)])
+            assert dR.tobytes() == expected.tobytes()
+
+
+def _arrays(value):
+    """Every numpy array in a value, looking into tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
