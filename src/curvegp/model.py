@@ -13,24 +13,20 @@ factors. With B_coord = Q diag(lam) Q^T (closed form), rotating each
 point's two targets by Q splits K into two P x P blocks lam_e K_pts + noise
 I (Bonilla, Chai & Williams 2008; Saatci 2011). The same points and blocks
 serve the objective, `assemble_model`, `predict` and `predict_curve`.
-Queries are points as well: `predict` takes its rows in coordinate pairs,
-one pair per query point, forms its prior and posterior on the query
-points, block e as lam_e K_u - lam_e^2 V_e^T V_e, and writes each into the
-covariance with the weights Q[d, e] Q[d', e]; `predict_curve` forms only
-the diagonal of each block. The prior and each block are a quarter of the
-size of the covariance it returns, and no temporary of the covariance's
-size is made.
+Queries are points as well: `predict` takes its rows in coordinate pairs
+and forms its prior and posterior on the query points block by block, each
+a quarter of the size of the covariance it returns, with no temporary of
+the covariance's size; `predict_curve` forms only the diagonal of each
+block.
 
 The fit profiles sigma2 out (Santner, Williams & Notz 2003): K = sigma2 (R
 + eta I), with R the Gram at sigma2 = 1, its jitter the fraction
 `ModelConfig.jitter` of sigma2 and eta the noise as a fraction of sigma2.
 sigma2's estimate is s2 = y^T (R + eta I)^-1 y / 2P, and -log p at s2 is P
-log s2 + log|R + eta I| / 2 + P (1 + log 2 pi). No level carries a scale,
-so every packed parameter is a direction of the model (Pinheiro & Bates
-1996): a level of size 2 is B = L L^T with L = [[1, 0], [a, e^b]], a
-larger one B = W W^T + diag(kappa) with W one column and kappa_0 = 1. The
-fitted kernel holds s2, the jitter and noise as absolute values and L as
-W, with kappa 0.
+log s2 + log|R + eta I| / 2 + P (1 + log 2 pi). The packed theta is log
+rho, log eta, then one block per coregionalization level, whose record
+`_Level` states how the level is packed. The fitted kernel holds s2, the
+jitter and noise as absolute values.
 
 One routine, `_solve`, forms the two blocks, factors them with the nugget
 ladder, solves the rotated targets and returns y^T K^-1 y and log|K| / 2.
@@ -40,25 +36,23 @@ and the fitted model's log p are each one line over the same numbers, and
 both paths take the coordinate basis from the one spelling of a level's
 matrix, `coreg.level_matrix`.
 
-s2 is a stationary point of the full likelihood, so the gradient of -log
-p at s2 is -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1
+s2 is a stationary point of the full likelihood, so the gradient of -log p
+at s2 is -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1
 (Rasmussen & Williams 2006, 5.4.1), contracted by level rather than formed
 per parameter. Over the points it is A_p = sum_e lam_e (alpha_e alpha_e^T
 / s2 - R_e^-1). The curve and group factors of two points are those of
 their curves, C and G[cg, cg] with cg the group of each curve, and their
-product F = C o G[cg, cg] is gathered by curve (`coreg.curve_factor`).
-A_p o K0 is summed over each block of curves once, Gt = S^T (A_p o K0) S
-(S: the one-hot map from points to curves); the curve level's M = Gt o
-G[cg, cg], the group level's M = E^T (Gt o C) E (E: curves to groups), and
-d(-log p) = -tr(M dB)/2 gives a level's W gradient -M W, its log kappa
-gradient -diag(M) kappa/2, and L's entries the same -M W. The coordinate
-level's M = Q Mt Q^T, Mt[e, f] = alpha_e^T K_pts alpha_f / s2 - [e = f]
-<R_e^-1, K_pts>. log rho takes one inner product of A_p with a dense
+product F = C o G[cg, cg] is gathered by curve (`coreg.curve_factor`), for
+the objective and for `multilevel_gram` alike. A_p o K0 is summed over
+each block of curves once, Gt = S^T (A_p o K0) S (S: the one-hot map from
+points to curves); the curve level's M = Gt o G[cg, cg], the group level's
+M = E^T (Gt o C) E (E: curves to groups), and the coordinate level's M = Q
+Mt Q^T, Mt[e, f] = alpha_e^T K_pts alpha_f / s2 - [e = f] <R_e^-1, K_pts>.
+Each level takes its gradient from its M, d(-log p) = -tr(M dB)/2
+(`_Level.grad`). log rho takes one inner product of A_p with a dense
 matrix, and log eta takes -eta sum_e tr(A_e) / 2. alpha_e and R_e^-1 come
 from the Cholesky factors (LAPACK dpotrs, dpotri); one nugget ladder
-serves every block. Every Gram is a Gram of
-points: `curve_factor` forms F between curves and the Gram gathers it by
-the points' curves, for the objective and for `multilevel_gram` alike.
+serves every block.
 
 At small P an evaluation's cost is per-call overhead, not arithmetic, so
 the objective computes once what does not depend on theta (the warped
@@ -344,24 +338,93 @@ def _chol_with_ladder(blocks, out=None):
         f"covariance factorization failed after nugget ladder {NUGGET_LADDER}")
 
 
+class _Level:
+    """One coregionalization level's block of the packed theta, and the
+    level's W and kappa work arrays.
+
+    No level carries a scale, so every parameter is a direction of the
+    model (Pinheiro & Bates 1996), and sigma2 carries all of the scale. A
+    level of size 2 is B = L L^T with L = [[1, 0], [a, e^b]], packed as
+    ``<name>.a`` and ``<name>.b``; its W is L and its kappa 0. A larger
+    level is B = W W^T + diag(kappa) with W one column and kappa_0 = 1,
+    packed as ``<name>.W[i]`` for every row i, then ``<name>.kappa[i]`` for
+    i >= 1 in logs. Every W entry and a lie within +-`W_BOUND`, and every
+    kappa and e^2b within `KAPPA_BOX`. The default start is B = I, except
+    that every W entry starts at 0.1 and so does a group level's a: with
+    the curve and group levels both at B = I, the cross-group covariance
+    C[0, 1] G[0, 1] would have no gradient in either off-diagonal. A random
+    start draws W and a normal with sd 0.3, then kappa and e^2b uniform on
+    [0.1, 2]."""
+
+    def __init__(self, name: str, size: int, offset: int):
+        self.name, self.size = name, size
+        if size == 2:  # a, then b = log L[1, 1], half the log of e^2b
+            self.names = [f"{name}.a", f"{name}.b"]
+            self.bounds = [(-W_BOUND, W_BOUND), tuple(0.5 * np.log(KAPPA_BOX))]
+            self.start = [0.1 if name == "group" else 0.0, 0.0]
+            self.W, self.kappa = np.eye(2), np.zeros(2)
+        else:  # W, then log kappa_1 .. kappa_{size - 1}
+            self.names = ([f"{name}.W[{i}]" for i in range(size)]
+                          + [f"{name}.kappa[{i}]" for i in range(1, size)])
+            self.bounds = ([(-W_BOUND, W_BOUND)] * size
+                           + [tuple(np.log(KAPPA_BOX))] * (size - 1))
+            self.start = [0.1] * size + [0.0] * (size - 1)
+            self.W, self.kappa = None, np.ones(size)
+        self.slice = slice(offset, offset + len(self.names))
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """The level's random start: W (or a), then kappa (or e^2b)."""
+        n_w = 1 if self.size == 2 else self.size
+        p = np.concatenate([rng.normal(scale=0.3, size=n_w), np.log(
+            rng.uniform(0.1, 2.0, size=len(self.names) - n_w))])
+        if self.size == 2:  # b is half the log of e^2b
+            p[1] *= 0.5
+        return p
+
+    def unpack(self, theta):
+        """(W, kappa) at theta: the work arrays W = L and kappa = 0 of a level
+        of size 2, W a view of theta and the work array kappa of a larger
+        one; both are overwritten by the next call."""
+        p = theta[self.slice]
+        if self.size == 2:
+            self.W[1, 0] = p[0]
+            self.W[1, 1] = math.exp(p[1])
+        else:
+            self.W = p[:self.size, None]
+            np.exp(p[self.size:], out=self.kappa[1:])
+        return self.W, self.kappa
+
+    def matrix(self, theta):
+        """B at theta by `level_matrix`, without the zero kappa of a level of
+        size 2; its W and kappa stay for `grad`."""
+        W, kappa = self.unpack(theta)
+        return level_matrix(W, None if self.size == 2 else kappa)
+
+    def grad(self, grad, M):
+        """The level's block of the gradient at the theta `matrix` last read,
+        from its M with d(-log p) = -tr(M dB)/2: -M W in W, of which L takes
+        a = L[1, 0] and, times L[1, 1], b; -diag(M) kappa/2 in log kappa."""
+        MW = M @ self.W
+        g = grad[self.slice]
+        if self.size == 2:
+            _, (m10, m11) = MW.tolist()
+            g[0] = -m10
+            g[1] = -m11 * self.W[1, 1]
+        else:
+            np.negative(MW[:, 0], out=g[:self.size])
+            np.multiply(M.diagonal()[1:], -0.5, out=g[self.size:])
+            g[self.size:] *= self.kappa[1:]
+
+
 class MarginalLikelihoodObjective:
     """Negative log marginal likelihood, with sigma2 profiled out, and its
     analytic gradient in a packed parameter vector: log rho, log eta, then
-    each coregionalization level's parameters. The period tau is held
-    fixed at the mean polygon length of the design.
-
-    K = sigma2 (R + eta I), with R the Gram at sigma2 = 1 and the jitter a
-    fraction ``config.jitter`` of sigma2. A level of size 2 is B = L L^T
-    with L = [[1, 0], [a, e^b]] (parameters a, b); a larger level is
-    W W^T + diag(kappa) with W one column and kappa_0 = 1 (parameters W,
-    then log kappa_1 .. kappa_{size - 1}). So no level carries a scale, and
-    sigma2, which carries all of it, takes its closed-form estimate at every
-    theta.
-
-    The Gram is formed on the P points, with the curve and group levels as
-    one factor between curves; the coordinate level is applied through its
-    eigenbasis.
-    """
+    each coregionalization level's block (`_Level`). ``names`` names every
+    coordinate. The period tau is held fixed at the mean polygon length of
+    the design. K = sigma2 (R + eta I), with R the Gram at sigma2 = 1 and
+    the jitter a fraction ``config.jitter`` of sigma2; sigma2 takes its
+    closed-form estimate at every theta. The Gram is formed on the P points,
+    the coordinate level applied through its eigenbasis."""
 
     def __init__(self, design: TrainingDesign, config: ModelConfig):
         self.design = design
@@ -372,12 +435,6 @@ class MarginalLikelihoodObjective:
         self.warp = warped_distance(config.family, s[:, None], s[None, :], self.tau)
         self.n_points = len(s)
         self.targets = design.y.T  # a row per coordinate
-        # level bookkeeping: (name, size)
-        self.levels = [("coord", 2)]
-        if design.n_curves > 1:
-            self.levels.append(("curve", design.n_curves))
-        if design.n_groups > 1:
-            self.levels.append(("group", design.n_groups))
         rho_lo, rho_hi = (f * self.tau for f in RHO_FRAC_BOX)
         # eta's box is the noise box at sigma2 = var(y)
         yvar = float(np.var(design.y))
@@ -385,21 +442,17 @@ class MarginalLikelihoodObjective:
             raise ValidationError("a fit needs targets that vary: var(y) is 0")
         self.eta_box = tuple(b / yvar for b in NOISE_BOX)
         self.bounds = [(np.log(rho_lo), np.log(rho_hi)), tuple(np.log(self.eta_box))]
-        self.slices = {}
-        for name, size in self.levels:
-            if size == 2:  # a, then b = log L[1, 1]
-                bounds = [(-W_BOUND, W_BOUND), tuple(0.5 * np.log(KAPPA_BOX))]
-            else:  # W, then log kappa_1 .. kappa_{size - 1}
-                bounds = ([(-W_BOUND, W_BOUND)] * size
-                          + [tuple(np.log(KAPPA_BOX))] * (size - 1))
-            self.slices[name] = slice(len(self.bounds), len(self.bounds) + len(bounds))
-            self.bounds += bounds
+        self.levels = []  # one curve or one group makes no level
+        for name, size in (("coord", 2), ("curve", design.n_curves),
+                           ("group", design.n_groups)):
+            if size > 1:
+                self.levels.append(_Level(name, size, len(self.bounds)))
+                self.bounds += self.levels[-1].bounds
+        self.names = ("rho", "eta", *(n for level in self.levels for n in level.names))
         self.n_params = len(self.bounds)
         # one-hot maps from points to curves (S) and from curves to groups (E)
         self.curve_onehot = np.eye(design.n_curves)[design.j]
         self.group_onehot = np.eye(design.n_groups)[design.curve_group]
-        self._factors = []
-        self._wk = {}
         # work arrays, overwritten by every call: at small P a new array
         # costs more than the arithmetic done on it. The three slots of
         # `warped_correlation` (K0 and dR/dlog rho are two of them), the
@@ -410,44 +463,28 @@ class MarginalLikelihoodObjective:
         self._solve_work = np.empty((2, 2, n, n))
         self._K_diagonal = self._K.diagonal()
         self._A_diagonal = self._A.reshape(-1)[::n + 1]
-        # W of a level of size 2, L = [[1, 0], [a, e^b]], with its kappa 0;
-        # kappa of a larger level, kappa_0 = 1
-        self._level_work = {name: (np.eye(2), np.zeros(2)) if size == 2
-                            else (None, np.ones(size)) for name, size in self.levels}
         self.max_nugget = 0.0  # the largest nugget `_chol_with_ladder` used
 
     # -- packing -----------------------------------------------------------
 
     def default_start(self) -> np.ndarray:
-        """rho a quarter of tau, eta in the middle of its box (in logs), B =
-        I on the coordinate level and on a curve level of size 2, a = 0.1 on
-        a group level of size 2, and on a larger level kappa = 1 and every
-        W entry at 0.1. With the curve and group levels both at B = I, the
-        cross-group covariance C[0, 1] G[0, 1] would have no gradient in
-        either off-diagonal."""
-        theta = np.zeros(self.n_params)
+        """rho a quarter of tau, eta in the middle of its box (in logs), and
+        each level's default start."""
+        theta = np.empty(self.n_params)
         theta[0] = np.log(self.tau / 4.0)
         theta[1] = 0.5 * sum(self.bounds[1])
-        for name, size in self.levels:
-            if size > 2:
-                theta[self.slices[name]][:size] = 0.1
-            elif name == "group":
-                theta[self.slices[name]][0] = 0.1
+        for level in self.levels:
+            theta[level.slice] = level.start
         return theta
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
-        """rho and eta uniform in their boxes (in logs), each W entry and a
-        normal with sd 0.3, each kappa and e^2b uniform on [0.1, 2]."""
+        """rho and eta uniform in their boxes (in logs), then each level's
+        random draw, in this order."""
         theta = np.empty(self.n_params)
         theta[0] = rng.uniform(*self.bounds[0])
         theta[1] = rng.uniform(*self.bounds[1])
-        for name, size in self.levels:
-            sl = self.slices[name]
-            n_w = 1 if size == 2 else size
-            theta[sl] = np.concatenate([rng.normal(scale=0.3, size=n_w), np.log(
-                rng.uniform(0.1, 2.0, size=sl.stop - sl.start - n_w))])
-            if size == 2:  # b is half the log of e^2b
-                theta[sl.stop - 1] *= 0.5
+        for level in self.levels:
+            theta[level.slice] = level.draw(rng)
         return theta
 
     def kernel_at(self, theta, sigma2: float):
@@ -457,11 +494,8 @@ class MarginalLikelihoodObjective:
         hyp = PeriodicHyperparameters(sigma2=sigma2, rho=math.exp(theta[0]),
                                       tau=self.tau, family=self.config.family,
                                       jitter=self.config.jitter * sigma2)
-        coregs = {name: CoregMatrix(*self._coreg(theta, name, size))
-                  for name, size in self.levels}
-        kernel = MultiLevelKernel(input_kernel=hyp, coord=coregs["coord"],
-                                  curve=coregs.get("curve"),
-                                  group=coregs.get("group"))
+        kernel = MultiLevelKernel(hyp, **{level.name: CoregMatrix(*level.unpack(theta))
+                                          for level in self.levels})
         return kernel, math.exp(theta[1]) * sigma2
 
     def unpack(self, theta):
@@ -472,26 +506,6 @@ class MarginalLikelihoodObjective:
         return self.kernel_at(theta, quad / alphas.size)
 
     # -- likelihood --------------------------------------------------------
-
-    def _coreg(self, theta, name, size):
-        """(W, kappa) of a level, unpacked from theta: W = L and kappa = 0
-        for a level of size 2, W a view of theta for a larger one. Both are
-        work arrays of this objective, overwritten by its next call."""
-        p = theta[self.slices[name]]
-        W, kappa = self._level_work[name]
-        if size == 2:
-            W[1, 0] = p[0]
-            W[1, 1] = math.exp(p[1])
-            return W, kappa
-        np.exp(p[size:], out=kappa[1:])
-        return p[:size, None], kappa
-
-    def _level_matrix(self, theta, i):
-        """B of level i, as `CoregMatrix.matrix` forms it (`level_matrix`),
-        without adding the zero kappa of a level of size 2; its (W, kappa)
-        are kept for its gradient."""
-        W, kappa = self._wk[i] = self._coreg(theta, *self.levels[i])
-        return level_matrix(W, None if len(W) == 2 else kappa)
 
     def gram_and_grads(self, theta):
         """The point Gram R (at sigma2 = 1, without noise) and the two dense
@@ -507,14 +521,14 @@ class MarginalLikelihoodObjective:
                                          math.exp(theta[0]), True, self._corr)
         K0 = np.add(corr, self.config.jitter, out=corr)
         # levels 1 and 2, the curve and group levels, when the design has them
-        curve, group = (self._level_matrix(theta, i) if i < len(self.levels) else None
+        curve, group = (self.levels[i].matrix(theta) if i < len(self.levels) else None
                         for i in (1, 2))
         self._factors, F = curve_factor(curve, group, self.design.curve_group)
         # columns first, so the large gather copies whole rows; the curves
         # always index F, and "clip" spares the copy of out that "raise" makes
         j = self.design.j
         Bfull = F.take(j, axis=1).take(j, axis=0, out=self._K, mode="clip")
-        self._basis = _coord_basis(self._level_matrix(theta, 0))
+        self._basis = _coord_basis(self.levels[0].matrix(theta))
         dcorr *= Bfull
         K = np.multiply(Bfull, K0, out=Bfull)
         return K, [dcorr, K0]
@@ -558,36 +572,17 @@ class MarginalLikelihoodObjective:
         grad = np.empty(self.n_params)
         grad[0] = -0.5 * np.vdot(A, grads[0])
         grad[1] = -0.5 * eta * trace_a
-        self._level_grad(grad, 0, Q @ Mt @ Q.T)
+        self.levels[0].grad(grad, Q @ Mt @ Q.T)
         # Gt sums A o K0 over each block of curves; the curve level's M is Gt
         # o G[cg, cg], and the group level's sums Gt o C over blocks of groups
         S = self.curve_onehot
         Gt = S.T @ np.multiply(A, grads[1], out=A) @ S
-        for k, (name, _) in enumerate(self.levels[1:]):
+        for k, level in enumerate(self.levels[1:]):
             M = reduce(np.multiply, self._factors[:k] + self._factors[k + 1:], Gt)
-            if name == "group":
+            if level.name == "group":
                 M = self.group_onehot.T @ M @ self.group_onehot
-            self._level_grad(grad, k + 1, M)
+            level.grad(grad, M)
         return nll, grad
-
-    def _level_grad(self, grad, i, M):
-        """The gradient of level i from its M, with d(-log p) = -tr(M
-        dB)/2: -M W in W, of which a factor L = W of a level of size 2 takes
-        the entries a = L[1, 0] and, times L[1, 1], b; -diag(M) kappa/2 in
-        log kappa_1 .. kappa_{size - 1}."""
-        W, kappa = self._wk[i]
-        name, size = self.levels[i]
-        sl = self.slices[name]
-        MW = M @ W
-        if size == 2:
-            _, (m10, m11) = MW.tolist()
-            grad[sl.start] = -m10
-            grad[sl.start + 1] = -m11 * W[1, 1]
-        else:
-            g = grad[sl]
-            np.negative(MW[:, 0], out=g[:size])
-            np.multiply(M.diagonal()[1:], -0.5, out=g[size:])
-            g[size:] *= kappa[1:]
 
     def value(self, theta):
         """-log p(y) at theta (computed with its gradient)."""
@@ -623,9 +618,10 @@ def _solve_points(design: TrainingDesign, kernel: MultiLevelKernel,
                   noise_variance: float):
     """(basis, *`_solve`) on the design's point Gram from `multilevel_gram`,
     in the eigenbasis of the kernel's coordinate factor."""
-    K = multilevel_gram(kernel, design.s, j_a=design.j,
-                        curve_group=design.curve_group)
-    basis = _coord_basis(kernel.coord.matrix)
+    with np.errstate(over="ignore"):  # `_chol_with_ladder` rejects what overflows
+        K = multilevel_gram(kernel, design.s, j_a=design.j,
+                            curve_group=design.curve_group)
+        basis = _coord_basis(kernel.coord.matrix)
     return basis, *_solve(K, basis, noise_variance, design.y.T)
 
 
@@ -729,11 +725,8 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     """Maximize the log marginal likelihood, sigma2 profiled out, by
     multi-start L-BFGS-B with the analytic gradient, in the box of each
     hyperparameter; the returned kernel holds sigma2's estimate at the best
-    restart (`MarginalLikelihoodObjective.unpack`).
-
-    Each restart is one call of the module's `minimize`, which runs the
-    objective's `value_and_grad` once per evaluation and ends where scipy's
-    `minimize(..., jac=True, method="L-BFGS-B")` would, bit for bit.
+    restart (`MarginalLikelihoodObjective.unpack`). Each restart is one call
+    of the module's `minimize`.
 
     Deterministic for a fixed seed. The diagnostics hold the score of each
     restart that ran to its end (``restart_scores``), the restart number of
@@ -831,16 +824,13 @@ def predict(model: FittedModel, s, d, j=None):
 
 def _query_points(model: FittedModel, s, d, j):
     """The query points (s, j) of ``predict``'s rows. Non-finite arc
-    parameters and curves outside the design are rejected, and so are rows
-    that are not coordinate pairs."""
-    dz = model.design
+    parameters and curves that are not the design's (`_curve_indices`) are
+    rejected, and so are rows that are not coordinate pairs, d = 0 then 1."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.isfinite(s).all():
         raise ValidationError("query arc parameters must be finite")
-    d = np.atleast_1d(np.asarray(d, dtype=int))
-    j = np.zeros_like(d) if j is None else np.atleast_1d(np.asarray(j, dtype=int))
-    if np.any((j < 0) | (j >= dz.n_curves)):
-        raise ValidationError(f"curve index out of range for {dz.n_curves} curves")
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    j = np.zeros(len(d), dtype=int) if j is None else _curve_indices(model, j, "j")
     n = len(d)
     if (n % 2 or any(a.shape != (n,) for a in (s, d, j))
             or d[0::2].any() or (d[1::2] != 1).any()
@@ -848,6 +838,19 @@ def _query_points(model: FittedModel, s, d, j):
         raise ValidationError("query rows must be coordinate pairs: rows 2u, 2u + 1 "
                               "are d = 0, 1 of one point, with one s and curve")
     return s[0::2], j[0::2]
+
+
+def _curve_indices(model: FittedModel, j, name: str) -> np.ndarray:
+    """``j`` as indices of the design's curves, with at least one dimension:
+    a value that is not a whole number, or no curve of the design, is a
+    ValidationError naming the argument ``name``."""
+    n_curves = model.design.n_curves
+    j = np.atleast_1d(np.asarray(j, dtype=float))
+    if not (np.isfinite(j) & (j == np.trunc(j))).all():
+        raise ValidationError(f"{name}: a curve index must be a whole number")
+    if ((j < 0) | (j >= n_curves)).any():
+        raise ValidationError(f"{name}: curve index out of range for {n_curves} curves")
+    return j.astype(int)
 
 
 def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> PredictedCurve:
@@ -860,10 +863,7 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
     """
     if m < 3:
         raise ValidationError("prediction grid needs m >= 3")
-    n_curves = model.design.n_curves
-    if not 0 <= curve_index < n_curves:
-        raise ValidationError(
-            f"curve index {curve_index} out of range for {n_curves} curves")
+    curve_index = _curve_indices(model, curve_index, "curve_index").item()
     length = float(model.design.lengths[curve_index])
     grid = np.arange(m) * length / m
     j = np.full(m, curve_index, dtype=int)

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import curvegp
 from curvegp.cli import (CONFIG_DEFAULTS, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                          configs_from_values, main, parse_config_text)
 from curvegp.coreg import multilevel_gram
@@ -478,10 +481,16 @@ class TestFitPredictPipeline:
         assert message in capsys.readouterr().err
         assert not pred_path.exists()
 
-    def test_predict_overflowing_fit_exit_2(self, tmp_path, capsys):
-        # sigma2 = 1e308 times a curve level of 100 overflows the training
-        # covariance: numpy's "array must not contain infs or NaNs" once
-        # reached the user in its place
+    @pytest.mark.parametrize("edit", [
+        {"hyperparameters.sigma2": 1e308, "coregionalization.C.w": [[10.0], [10.0]]},
+        {"coregionalization.C.w": [[1e200], [1e200]]},
+        {"coregionalization.D.w": [[1.0, 0.0], [1e200, 1.0]]}],
+        ids=["sigma2-times-C", "C-w", "D-w"])
+    def test_predict_overflowing_fit_exit_2(self, tmp_path, edit):
+        # each overflows the training covariance: numpy's "array must not
+        # contain infs or NaNs" once reached the user in place of the
+        # message, and then its "overflow encountered" warning came before
+        # it; a new interpreter shows stderr as a user sees it
         paths = []
         for k in range(2):
             paths.append(str(tmp_path / f"c{k}.csv"))
@@ -493,16 +502,19 @@ class TestFitPredictPipeline:
         assert main(["fit", "--inputs", *paths, "--config", str(cfg),
                      "--out", fit_path]) == EXIT_OK
         data = read_json(fit_path)
-        data["hyperparameters"]["sigma2"] = 1e308
-        data["coregionalization"]["C"]["w"] = [[10.0], [10.0]]
+        for path, value in edit.items():
+            _setting(path, value)(data)
         save_json(data, fit_path)
         pred_path = tmp_path / "pred.json"
-        capsys.readouterr()
-        with np.errstate(over="ignore"):
-            code = main(["predict", "--inputs", *paths, "--fit", fit_path,
-                         "--out", str(pred_path)])
-        assert code == EXIT_VALIDATION
-        assert "training covariance is not finite" in capsys.readouterr().err
+        src = Path(curvegp.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvegp.cli", "predict", "--inputs", *paths,
+             "--fit", fit_path, "--out", str(pred_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr == ("error: the training covariance is not finite: the "
+                               "kernel's sigma2 or level matrices are too large\n")
         assert not pred_path.exists()
 
     @pytest.mark.parametrize("curve", ["2", "-1"])

@@ -606,6 +606,19 @@ class TestPredict:
         # Gram never looks at j: it once returned a mean
         with pytest.raises(ValidationError, match="curve index"):
             predict(self.model, [0.1, 0.1], [0, 1], [5, 5])
+        # indices that are not whole numbers were once cast to whole ones: d
+        # = [0.4, 1.6] and j = [1.7, 1.2] predicted d = [0, 1] on curve 1
+        model = self.levels_model(DEFAULT_JITTER)
+        for d, j, message in (([0.4, 1.6], [1, 1], "d = 0, 1"),
+                              ([0, 1], [1.7, 1.2], "j: a curve index must be a whole"),
+                              ([0.4, 1.6], [1.7, 1.2], "j: a curve index"),
+                              ([0, 1], [np.nan, np.nan], "j: a curve index")):
+            with pytest.raises(ValidationError, match=message):
+                predict(model, [0.1, 0.1], d, j)
+        # a whole-number float is an index
+        for a, b in zip(predict(model, [0.1, 0.1], [0.0, 1.0], [1.0, 1.0]),
+                        predict(model, [0.1, 0.1], [0, 1], [1, 1])):
+            assert np.array_equal(a, b)
 
     def test_noise_monotonicity(self):
         variances = []
@@ -693,6 +706,13 @@ class TestPredictCurve:
         for curve in (2, -1, 7):
             with pytest.raises(ValidationError, match="out of range"):
                 predict_curve(model, curve, 10)
+        # a fraction once met numpy's IndexError; a whole-number float is an
+        # index
+        for curve in (1.5, 0.5, np.nan):
+            with pytest.raises(ValidationError, match="curve_index: a curve index"):
+                predict_curve(model, curve, 10)
+        assert np.array_equal(predict_curve(model, 1.0, 10).covariances,
+                              predict_curve(model, 1, 10).covariances)
 
     def test_predict_without_groups_takes_group_of_curve(self):
         # curve 1 is the only curve of group "b"; its rows, which carry no
@@ -768,8 +788,8 @@ def dense_dk_oracle(obj, theta):
             corr = np.exp(-a)
             dcorr = a * corr
     factors, dBs = {}, {}
-    for name, size in obj.levels:
-        p = theta[obj.slices[name]]
+    for level in obj.levels:  # the record gives the slice; the arithmetic is here
+        name, size, p = level.name, level.size, theta[level.slice]
         dBs[name] = []
         if size == 2:
             a, e = p[0], np.exp(p[1])
@@ -833,9 +853,23 @@ class TestDefaultStart:
         theta = obj.default_start()
         kernel, _ = obj.kernel_at(theta, 1.0)
         assert theta[0] == np.log(obj.tau / 4.0)
-        assert [name for name, _ in obj.levels] == [
+        assert [level.name for level in obj.levels] == [
             "coord", "curve", "group"][:len(obj.levels)]
-        for name, size in obj.levels:
+        # theta's names in the documented order, one per coordinate: a
+        # level of size 2 packs (a, b), a larger one W, then log kappa_1 ..
+        names = ["rho", "eta"]
+        for level in obj.levels:
+            name, size = level.name, level.size
+            assert level.slice == slice(len(names), len(names) + len(level.names))
+            names += ([f"{name}.a", f"{name}.b"] if size == 2 else
+                      [f"{name}.W[{i}]" for i in range(size)]
+                      + [f"{name}.kappa[{i}]" for i in range(1, size)])
+        assert obj.names == tuple(names)
+        assert len(set(obj.names)) == len(obj.bounds) == obj.n_params
+        for start, (lo, hi) in zip(theta, obj.bounds, strict=True):
+            assert lo <= start <= hi
+        for level in obj.levels:
+            name, size = level.name, level.size
             B = getattr(kernel, name).matrix
             if size > 2:
                 expected = np.full((size, size), 0.01) + np.eye(size)
@@ -844,6 +878,22 @@ class TestDefaultStart:
             else:
                 expected = np.eye(2)
             assert np.allclose(B, expected, rtol=0.0, atol=1e-15)
+
+
+class TestRandomStart:
+    def test_draws_in_a_fixed_order(self):
+        # rho, eta, then per level its W (or a) by normal and its kappa (or
+        # e^2b) by uniform: a change of this order changes every fit, and
+        # moves these values by far more than the last bits, in which np.log
+        # may differ between CPUs
+        obj = MarginalLikelihoodObjective(
+            paired_design(4, 6, LEVEL_CASES["four-curves-two-groups"][1]), ModelConfig())
+        assert obj.random_start(np.random.default_rng(0)).tolist() == pytest.approx([
+            -2.9492880185695634, -8.285648810710523, 0.1921267951329846,
+            -1.0147450450644426, -0.16070081194833327, 0.10847851647284541,
+            0.39120001353904116, 0.2841242889387726, 0.12476966889233078,
+            0.6294816676780216, 0.5008490747846626, 0.01239779380417308,
+            0.2737913038058361], rel=1e-14, abs=0.0)
 
 
 class TestContractedGradient:
@@ -960,7 +1010,7 @@ class TestCoordinateSplit:
         design = paired_design(3, 6, ["a", "b", "a"])
         obj = MarginalLikelihoodObjective(design, ModelConfig())
         theta = obj.default_start()
-        theta[obj.slices["coord"]] = coord
+        theta[obj.levels[0].slice] = coord
         value, grad = obj.value_and_grad(theta)
         value_oracle, grad_oracle = dense_dk_oracle(obj, theta)
         assert abs(value - value_oracle) <= 1e-10 * abs(value_oracle)
