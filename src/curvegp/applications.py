@@ -140,8 +140,9 @@ def sequential_landmark(model: FittedModel, lam: float = 0.5,
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError("lambda weight must lie in [0, 1]")
-    if n_candidates < 10:
-        raise ValidationError("candidate grid needs at least 10 points")
+    if not (float(n_candidates).is_integer() and n_candidates >= 10):
+        raise ValidationError(f"n_candidates: the candidate grid needs a whole number "
+                              f"of at least 10 points, got {n_candidates!r}")
     pred = predict_curve(model, 0, m=n_candidates)
     criterion = lam * pred.sd1 + (1.0 - lam) * pred.sd2
     return float(pred.grid[int(np.argmax(criterion))])

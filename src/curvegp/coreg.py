@@ -101,19 +101,26 @@ def curve_factor(curve, group, curve_group=None):
     return factors, reduce(np.multiply, factors) if factors else np.ones((1, 1))
 
 
-def _indices(name: str, idx, n: int, size: int, unit: str = "point") -> np.ndarray:
-    """One integer per point (or curve) in 0 .. size - 1, or a
-    ValidationError that names the argument."""
+def level_indices(name: str, idx, size: int, n: int | None = None,
+                  unit: str = "point", kind: str = "level") -> np.ndarray:
+    """``idx`` as integer indices into a level of ``size`` entries, the one
+    index rule of Grams and queries: whole numbers in 0 .. size - 1, 1.0
+    included, and, given ``n``, one per ``unit``. Anything else (a
+    fraction, NaN, inf) is a ValidationError that names ``name`` and calls
+    an index a ``kind`` index. An integer array skips the float round trip."""
     if idx is None:
-        raise ValidationError(f"{name} is required when the kernel carries a "
-                              f"curve or group level")
-    idx = np.asarray(idx, dtype=int)
-    if idx.shape != (n,):
-        raise ValidationError(f"{name}: one level index per {unit} required "
+        raise ValidationError(f"{name}: {kind} indices are required")
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu":
+        idx = idx.astype(float, copy=False)
+        if not (np.isfinite(idx) & (idx == np.trunc(idx))).all():
+            raise ValidationError(f"{name}: a {kind} index must be a whole number")
+    if n is not None and idx.shape != (n,):
+        raise ValidationError(f"{name}: one {kind} index per {unit} required "
                               f"({n} {unit}s)")
-    if n and not 0 <= idx.min() <= idx.max() < size:
-        raise ValidationError(f"{name}: level index out of range for size {size}")
-    return idx
+    if idx.size and not 0 <= idx.min() <= idx.max() < size:
+        raise ValidationError(f"{name}: {kind} index out of range for size {size}")
+    return idx.astype(int, copy=False)
 
 
 def multilevel_gram(kernel: MultiLevelKernel, s_a, *, j_a=None, s_b=None, j_b=None,
@@ -134,10 +141,10 @@ def multilevel_gram(kernel: MultiLevelKernel, s_a, *, j_a=None, s_b=None, j_b=No
                     for level in (kernel.curve, kernel.group))
     if group is not None:
         n_curves = np.size(curve_group) if curve is None else len(curve)
-        curve_group = _indices("curve_group", curve_group, n_curves, len(group),
-                               "curve")
+        curve_group = level_indices("curve_group", curve_group, len(group),
+                                    n_curves, "curve")
     F = curve_factor(curve, group, curve_group)[1]
-    j_a = _indices("j_a", j_a, K.shape[0], len(F))
-    j_b = j_a if s_b is None else _indices("j_b", j_b, K.shape[1], len(F))
+    j_a = level_indices("j_a", j_a, len(F), K.shape[0])
+    j_b = j_a if s_b is None else level_indices("j_b", j_b, len(F), K.shape[1])
     K *= F.take(j_b, axis=1).take(j_a, axis=0)
     return K

@@ -161,8 +161,9 @@ def arc_to_xy_param(curve: Curve, s) -> np.ndarray:
 
 def resample_equally_spaced(curve: Curve, m: int) -> Curve:
     """Resample to ``m`` points equally spaced in arc length, keeping the seed."""
-    if m < 3:
-        raise CurveError("resampling needs m >= 3")
+    if not (float(m).is_integer() and m >= 3):
+        raise CurveError(f"m: resampling needs a whole number m >= 3, got {m!r}")
+    m = int(m)
     length = polygon_length(curve)
     return Curve(arc_to_xy_param(curve, np.arange(m) * length / m))
 

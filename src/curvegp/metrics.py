@@ -279,8 +279,10 @@ def elastic_register(source: Curve, target: Curve, grid_size: int = 100) -> Regi
     exactly, in order, so the result is that of a per-candidate search.
     """
     import warnings
-    if grid_size < 8:
-        raise ValidationError("registration grid needs at least 8 points")
+    if not (float(grid_size).is_integer() and grid_size >= 8):
+        raise ValidationError(f"grid_size: the registration grid needs a whole number "
+                              f"of at least 8 points, got {grid_size!r}")
+    grid_size = int(grid_size)
     target_n = scale_to_unit_length(center(target))
     source_n = scale_to_unit_length(center(source))
     c1 = resample_equally_spaced(target_n, grid_size)

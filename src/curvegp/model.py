@@ -90,8 +90,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coreg import (CoregMatrix, MultiLevelKernel, curve_factor, level_matrix,
-                    multilevel_gram)
+from .coreg import (CoregMatrix, MultiLevelKernel, curve_factor, level_indices,
+                    level_matrix, multilevel_gram)
 from .errors import NumericalError, ValidationError
 from .kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                       warped_correlation, warped_distance)
@@ -824,13 +824,14 @@ def predict(model: FittedModel, s, d, j=None):
 
 def _query_points(model: FittedModel, s, d, j):
     """The query points (s, j) of ``predict``'s rows. Non-finite arc
-    parameters and curves that are not the design's (`_curve_indices`) are
+    parameters and curves that are not the design's (`level_indices`) are
     rejected, and so are rows that are not coordinate pairs, d = 0 then 1."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.isfinite(s).all():
         raise ValidationError("query arc parameters must be finite")
     d = np.atleast_1d(np.asarray(d, dtype=float))
-    j = np.zeros(len(d), dtype=int) if j is None else _curve_indices(model, j, "j")
+    j = (np.zeros(len(d), dtype=int) if j is None
+         else level_indices("j", j, model.design.n_curves, kind="curve"))
     n = len(d)
     if (n % 2 or any(a.shape != (n,) for a in (s, d, j))
             or d[0::2].any() or (d[1::2] != 1).any()
@@ -838,19 +839,6 @@ def _query_points(model: FittedModel, s, d, j):
         raise ValidationError("query rows must be coordinate pairs: rows 2u, 2u + 1 "
                               "are d = 0, 1 of one point, with one s and curve")
     return s[0::2], j[0::2]
-
-
-def _curve_indices(model: FittedModel, j, name: str) -> np.ndarray:
-    """``j`` as indices of the design's curves, with at least one dimension:
-    a value that is not a whole number, or no curve of the design, is a
-    ValidationError naming the argument ``name``."""
-    n_curves = model.design.n_curves
-    j = np.atleast_1d(np.asarray(j, dtype=float))
-    if not (np.isfinite(j) & (j == np.trunc(j))).all():
-        raise ValidationError(f"{name}: a curve index must be a whole number")
-    if ((j < 0) | (j >= n_curves)).any():
-        raise ValidationError(f"{name}: curve index out of range for {n_curves} curves")
-    return j.astype(int)
 
 
 def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> PredictedCurve:
@@ -861,9 +849,12 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
     point prior, the same at every grid point of a stationary kernel, and
     V_e = L_e^-1 k_e whitened once per grid point.
     """
-    if m < 3:
-        raise ValidationError("prediction grid needs m >= 3")
-    curve_index = _curve_indices(model, curve_index, "curve_index").item()
+    if not (float(m).is_integer() and m >= 3):
+        raise ValidationError(f"m: the prediction grid needs a whole number m >= 3, "
+                              f"got {m!r}")
+    m = int(m)
+    curve_index = level_indices("curve_index", curve_index, model.design.n_curves,
+                                kind="curve").item()
     length = float(model.design.lengths[curve_index])
     grid = np.arange(m) * length / m
     j = np.full(m, curve_index, dtype=int)

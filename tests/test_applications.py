@@ -5,8 +5,9 @@ import pytest
 
 from curvegp.applications import (LandmarkConfig, reconstruct,
                                   sequential_landmark, simultaneous_landmarks)
-from curvegp.curves import generate_synthetic
+from curvegp.curves import Curve, generate_synthetic
 from curvegp.errors import ValidationError
+from curvegp.metrics import iuea
 from curvegp.model import (ModelConfig, OptimizerConfig, TrainingDesign, fit,
                            predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
@@ -73,6 +74,20 @@ class TestSimultaneousLandmarks:
         res_sub = simultaneous_landmarks(self.curves, cfg_sub, opt_config=FAST)
         assert res_all.score <= min(score for _, score in res_sub.trials) + 1e-9
 
+    def test_iuea_criterion(self):
+        # a trial's iuea score is the iuea of the dense prediction of a fit
+        # to the subset, here of the one curve
+        cfg = LandmarkConfig(p=4, n_trials=3, criterion="iuea", rng_seed=9)
+        r1 = simultaneous_landmarks(self.curves, cfg, opt_config=FAST)
+        r2 = simultaneous_landmarks(self.curves, cfg, opt_config=FAST)
+        assert r1.indices == r2.indices
+        assert r1.score == r2.score == min(score for _, score in r1.trials)
+        assert np.isfinite([score for _, score in r1.trials]).all()
+        curve = self.curves[0]
+        model = fit(TrainingDesign.from_curves([Curve(curve.points[list(r1.indices)])]),
+                    opt_config=FAST)
+        assert r1.score == iuea(predict_curve(model, 0, m=curve.n))
+
     def test_p_exceeding_n_rejected(self):
         with pytest.raises(ValidationError):
             simultaneous_landmarks(self.curves, LandmarkConfig(p=10, n_trials=1))
@@ -106,3 +121,7 @@ class TestSequentialLandmark:
             sequential_landmark(self.model, 2.0)
         with pytest.raises(ValidationError):
             sequential_landmark(self.model, 0.5, n_candidates=5)
+        # a grid size that is not a whole number once met numpy's TypeError
+        # in predict_curve
+        with pytest.raises(ValidationError, match="n_candidates: the candidate grid"):
+            sequential_landmark(self.model, 0.5, 20.5)

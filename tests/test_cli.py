@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import curvegp
+from curvegp.applications import sequential_landmark
 from curvegp.cli import (CONFIG_DEFAULTS, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                          configs_from_values, main, parse_config_text)
 from curvegp.coreg import multilevel_gram
@@ -676,6 +677,22 @@ class TestLandmarksCommand:
         data = read_json(out)
         assert set(data) == {"p", "best_indices", "best_params", "score", "trials"}
         assert data["score"] == min(trial["score"] for trial in data["trials"])
+
+    def test_sequential_mode_writes_the_sequential_landmark(self, tmp_path):
+        # --mode sequential fits the curves and writes sequential_landmark's
+        # choice on that fit
+        curve = str(tmp_path / "s.csv")
+        save_curve_csv(generate_synthetic("star", 8, petals=3, amplitude=0.15), curve)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 1\nopt.maxiter = 30\n")
+        out = str(tmp_path / "landmarks.json")
+        assert main(["landmarks", "--inputs", curve, "--mode", "sequential",
+                     "--lam", "0.3", "--candidates", "50", "--config", str(cfg),
+                     "--out", out]) == EXIT_OK
+        model = fit(TrainingDesign.from_curves([load_curve_csv(curve)]),
+                    *configs_from_values(parse_config_text(cfg.read_text())))
+        assert read_json(out) == {"lambda": 0.3, "selected_param": sequential_landmark(
+            model, lam=0.3, n_candidates=50)}
 
     def test_negative_seed_exits_2_naming_the_seed(self, tmp_path, capsys):
         # numpy once rejected it with "expected non-negative integer"

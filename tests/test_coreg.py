@@ -258,6 +258,23 @@ class TestDistinctInputGram:
             with pytest.raises(ValidationError, match="level index out of range"):
                 multilevel_gram(kernel, **points)
 
+    @pytest.mark.parametrize("value", [0.5, -0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["j_a", "j_b", "curve_group"])
+    def test_level_index_must_be_a_whole_number(self, name, value):
+        # a fraction was once truncated: j_a = [0.5, 1.7] gave the Gram of
+        # [0, 1] and -0.5 passed as 0; NaN and inf met numpy's ValueError
+        # and OverflowError. A whole-number float is an index.
+        kernel = random_kernel(np.random.default_rng(42), "periodic_rbf", 3, 2)
+        ints = {"s_a": [0.1, 0.4], "j_a": [2, 0], "s_b": [0.2, 0.3, 0.9],
+                "j_b": [0, 2, 1], "curve_group": [1, 0, 1]}
+        floats = {**ints, name: np.asarray(ints[name], dtype=float)}
+        assert np.array_equal(multilevel_gram(kernel, **floats),
+                              multilevel_gram(kernel, **ints))
+        bad = {**ints, name: [value, *ints[name][1:]]}
+        with pytest.raises(ValidationError,
+                           match=f"^{name}: a level index must be a whole number"):
+            multilevel_gram(kernel, **bad)
+
     @pytest.mark.parametrize("levels", ["curve", "group", "curve+group"])
     def test_missing_curve_index_names_it(self, levels):
         # a kernel with a curve or group level once failed on a left-out

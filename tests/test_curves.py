@@ -268,8 +268,13 @@ class TestResample:
         assert np.max(np.abs(r.points - expected)) < 1e-3
 
     def test_rejects_small_m(self):
-        with pytest.raises(CurveError):
-            resample_equally_spaced(Curve(SQUARE), 2)
+        # m = 10.5 was once rounded up to 11 points; a whole-number float is
+        # a count
+        for m in (2, 10.5, np.nan, np.inf):
+            with pytest.raises(CurveError, match="m: resampling needs a whole number"):
+                resample_equally_spaced(Curve(SQUARE), m)
+        assert np.array_equal(resample_equally_spaced(Curve(SQUARE), 10.0).points,
+                              resample_equally_spaced(Curve(SQUARE), 10).points)
 
 
 class TestPerimeterConsistency:

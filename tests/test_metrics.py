@@ -157,6 +157,19 @@ class TestElasticRegister:
         assert reg.gamma[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(reg.gamma) > 0)
 
+    def test_rejects_grid_size_that_is_not_a_whole_number(self):
+        # grid_size = 10.5 once registered on an 11-point grid (12 gamma
+        # entries); a whole-number float is a grid size
+        circle = generate_synthetic("circle", 30)
+        star = generate_synthetic("star", 30, amplitude=0.3)
+        for grid_size in (10.5, 7, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="grid_size: the registration grid"):
+                elastic_register(star, circle, grid_size=grid_size)
+        got = elastic_register(star, circle, grid_size=10.0)
+        want = elastic_register(star, circle, grid_size=10)
+        assert len(got.gamma) == 11
+        assert np.array_equal(got.gamma, want.gamma) and got.energy == want.energy
+
     def test_dp_matches_exhaustive_paths_on_tiny_grid(self):
         # enumerate every monotone path with the same step set on an 8-node
         # grid and verify the DP finds the minimum energy

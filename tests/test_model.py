@@ -692,6 +692,14 @@ class TestPredictCurve:
         model = fit(design, ModelConfig(), OptimizerConfig(restarts=1, seed=0))
         with pytest.raises(ValidationError):
             predict_curve(model, 0, 2)
+        # an m that was not an int, 10.0 included, once met numpy's TypeError
+        # in np.full; a whole-number float is a grid size, as 1.0 is an index
+        for m in (10.5, 2.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="m: the prediction grid"):
+                predict_curve(model, 0, m)
+        got, want = predict_curve(model, 0, 10.0), predict_curve(model, 0, 10)
+        for key in ("grid", "means", "covariances"):
+            assert np.array_equal(getattr(got, key), getattr(want, key))
 
     def test_rejects_curve_index_out_of_range(self):
         curves = [scale_to_unit_length(center(generate_synthetic(
