@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import Curve, xy_to_arc_param
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, whole_number
 from .metrics import iuea
 from .model import (FittedModel, ModelConfig, OptimizerConfig, TrainingDesign,
                     _unit_means, fit, predict_curve)
@@ -43,14 +43,11 @@ class LandmarkConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.p < 3:
-            raise ValidationError("landmark count p must be >= 3")
-        if self.n_trials < 1:
-            raise ValidationError("need at least one search trial")
+        self.p = whole_number("p", self.p, 3)
+        self.n_trials = whole_number("n_trials", self.n_trials, 1)
         if self.criterion not in ("imspe", "iuea"):
             raise ValidationError(f"unknown criterion {self.criterion!r}")
-        if self.rng_seed < 0:
-            raise ValidationError(f"landmark seed rng_seed must be >= 0, got {self.rng_seed}")
+        self.rng_seed = whole_number("rng_seed", self.rng_seed, 0)
 
 
 @dataclass
@@ -140,9 +137,7 @@ def sequential_landmark(model: FittedModel, lam: float = 0.5,
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError("lambda weight must lie in [0, 1]")
-    if not (float(n_candidates).is_integer() and n_candidates >= 10):
-        raise ValidationError(f"n_candidates: the candidate grid needs a whole number "
-                              f"of at least 10 points, got {n_candidates!r}")
+    n_candidates = whole_number("n_candidates", n_candidates, 10)
     pred = predict_curve(model, 0, m=n_candidates)
     criterion = lam * pred.sd1 + (1.0 - lam) * pred.sd2
     return float(pred.grid[int(np.argmax(criterion))])

@@ -69,11 +69,12 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     return values
 
 
-def load_config(path: str | None) -> dict:
+def load_config(path: str | None):
+    """(ModelConfig, OptimizerConfig) from a config file, or the defaults."""
     if path is None:
-        return dict(CONFIG_DEFAULTS)
+        return configs_from_values(CONFIG_DEFAULTS)
     with open(path) as handle:
-        return parse_config_text(handle.read(), path)
+        return configs_from_values(parse_config_text(handle.read(), path))
 
 
 def configs_from_values(values: dict):
@@ -128,8 +129,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    values = load_config(args.config)
-    model_config, opt_config = configs_from_values(values)
+    model_config, opt_config = load_config(args.config)
     curves = _load_curves(args.inputs)
     labels = args.labels.split(",") if args.labels else None
     design = TrainingDesign.from_curves(curves, labels)
@@ -147,8 +147,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    values = load_config(args.config)
-    model_config, opt_config = configs_from_values(values)
+    model_config, opt_config = load_config(args.config)
     stems = _stems(args.inputs)
     curves = _load_curves(args.inputs)
     model, preds = applications.reconstruct(curves, model_config, opt_config,
@@ -164,8 +163,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_landmarks(args) -> int:
     curves = _load_curves(args.inputs)
-    values = load_config(args.config)
-    model_config, opt_config = configs_from_values(values)
+    model_config, opt_config = load_config(args.config)
     if args.mode == "simultaneous":
         config = applications.LandmarkConfig(
             p=args.p, n_trials=args.n_trials,

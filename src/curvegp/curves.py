@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurveError, DegenerateCurveError
+from .errors import CurveError, DegenerateCurveError, whole_number
 
 # Interior points per polygon segment in `xy_to_arc_param`'s search.
 OVERSAMPLE = 19
@@ -161,9 +161,7 @@ def arc_to_xy_param(curve: Curve, s) -> np.ndarray:
 
 def resample_equally_spaced(curve: Curve, m: int) -> Curve:
     """Resample to ``m`` points equally spaced in arc length, keeping the seed."""
-    if not (float(m).is_integer() and m >= 3):
-        raise CurveError(f"m: resampling needs a whole number m >= 3, got {m!r}")
-    m = int(m)
+    m = whole_number("m", m, 3, CurveError)
     length = polygon_length(curve)
     return Curve(arc_to_xy_param(curve, np.arange(m) * length / m))
 
@@ -194,8 +192,7 @@ def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
     scheme puts `CLUSTER_FRAC` of the points in a `CLUSTER_WIDTH` window.
     Deterministic for a fixed ``rng_seed``.
     """
-    if n < 3:
-        raise CurveError("need n >= 3 sample points")
+    n = whole_number("n", n, 3, CurveError)
     if noise_sd < 0:
         raise ValueError("noise_sd must be nonnegative")
     theta = _angles(n, scheme, cluster_center)
@@ -207,8 +204,7 @@ def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
     elif shape == "star":
         if not 0.0 <= amplitude < 1.0:
             raise ValueError("star amplitude must lie in [0, 1)")
-        if petals < 1:
-            raise ValueError("star needs at least one petal")
+        petals = whole_number("petals", petals, 1, CurveError)
         r = radius * (1.0 + amplitude * np.cos(petals * theta))
         pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     else:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import (Curve, arc_to_xy_param, closure_row, polygon_length,
                      resample_equally_spaced)
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, whole_number
 from .preprocess import (SCORE_BAND, _contenders, _procrustes_rotation,
                          _rotated_energies, _seed_search, _srvf_arrays, center,
                          scale_to_unit_length, srvf)
@@ -279,10 +279,7 @@ def elastic_register(source: Curve, target: Curve, grid_size: int = 100) -> Regi
     exactly, in order, so the result is that of a per-candidate search.
     """
     import warnings
-    if not (float(grid_size).is_integer() and grid_size >= 8):
-        raise ValidationError(f"grid_size: the registration grid needs a whole number "
-                              f"of at least 8 points, got {grid_size!r}")
-    grid_size = int(grid_size)
+    grid_size = whole_number("grid_size", grid_size, 8)
     target_n = scale_to_unit_length(center(target))
     source_n = scale_to_unit_length(center(source))
     c1 = resample_equally_spaced(target_n, grid_size)

@@ -92,7 +92,7 @@ import numpy as np
 
 from .coreg import (CoregMatrix, MultiLevelKernel, curve_factor, level_indices,
                     level_matrix, multilevel_gram)
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, whole_number
 from .kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                       warped_correlation, warped_distance)
 
@@ -230,9 +230,9 @@ class OptimizerConfig:
     maxiter: int = 200
 
     def __post_init__(self):
-        _require(self.restarts >= 1, "opt.restarts", ">= 1", self.restarts)
-        _require(self.seed >= 0, "opt.seed", ">= 0", self.seed)
-        _require(self.maxiter >= 1, "opt.maxiter", ">= 1", self.maxiter)
+        self.restarts = whole_number("opt.restarts", self.restarts, 1)
+        self.seed = whole_number("opt.seed", self.seed, 0)
+        self.maxiter = whole_number("opt.maxiter", self.maxiter, 1)
 
 
 def _require(ok: bool, name: str, rule: str, value) -> None:
@@ -849,10 +849,7 @@ def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> Pre
     point prior, the same at every grid point of a stationary kernel, and
     V_e = L_e^-1 k_e whitened once per grid point.
     """
-    if not (float(m).is_integer() and m >= 3):
-        raise ValidationError(f"m: the prediction grid needs a whole number m >= 3, "
-                              f"got {m!r}")
-    m = int(m)
+    m = whole_number("m", m, 3)
     curve_index = level_indices("curve_index", curve_index, model.design.n_curves,
                                 kind="curve").item()
     length = float(model.design.lengths[curve_index])

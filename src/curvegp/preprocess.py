@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, polygon_length
-from .errors import ValidationError
+from .errors import ValidationError, whole_number
 
 
 def center(curve: Curve) -> Curve:
@@ -167,8 +167,9 @@ def preprocess_collection(curves, template_index: int = 0):
     """
     if not curves:
         raise ValidationError("need at least one curve")
-    if not 0 <= template_index < len(curves):
-        raise ValidationError("template index out of range")
+    template_index = whole_number("template_index", template_index, 0)
+    if template_index >= len(curves):
+        raise ValidationError(f"template_index {template_index} is out of range")
     normalized = [scale_to_unit_length(center(c)) for c in curves]
     template = normalized[template_index]
     identity = AlignmentResult(rotation=np.eye(2), shift=0, residual=0.0)

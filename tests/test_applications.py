@@ -43,6 +43,15 @@ class TestLandmarkConfig:
             LandmarkConfig(n_trials=0)
         with pytest.raises(ValidationError):
             LandmarkConfig(criterion="mse")
+        # p = 4.0 or 4.5 once met a TypeError in the search, and n_trials =
+        # 1.5 ran 2 trials
+        for name, minimum in (("p", 3), ("n_trials", 1), ("rng_seed", 0)):
+            for value in (4.5, 1.5, np.nan, np.inf, "3", None):
+                with pytest.raises(ValidationError,
+                                   match=f"{name} must be a whole number >= {minimum}"):
+                    LandmarkConfig(**{name: value})
+        assert LandmarkConfig(p=4.0, n_trials=2.0, rng_seed=9.0) == LandmarkConfig(
+            p=4, n_trials=2, rng_seed=9)
 
     def test_negative_seed_names_the_seed(self):
         # numpy once rejected it with "expected non-negative integer"
@@ -61,6 +70,11 @@ class TestSimultaneousLandmarks:
         r2 = simultaneous_landmarks(self.curves, cfg, opt_config=FAST)
         assert r1.indices == r2.indices
         assert r1.score == r2.score
+        # whole-number floats are counts and a seed
+        r3 = simultaneous_landmarks(self.curves, LandmarkConfig(p=4.0, n_trials=5.0,
+                                                                rng_seed=9.0),
+                                    opt_config=FAST)
+        assert (r3.indices, r3.score, r3.trials) == (r1.indices, r1.score, r1.trials)
 
     def test_best_not_worse_than_trials(self):
         cfg = LandmarkConfig(p=4, n_trials=10, rng_seed=1)
@@ -123,5 +137,9 @@ class TestSequentialLandmark:
             sequential_landmark(self.model, 0.5, n_candidates=5)
         # a grid size that is not a whole number once met numpy's TypeError
         # in predict_curve
-        with pytest.raises(ValidationError, match="n_candidates: the candidate grid"):
-            sequential_landmark(self.model, 0.5, 20.5)
+        for n_candidates in (20.5, 1.5, np.nan, np.inf, "3", None):
+            with pytest.raises(ValidationError,
+                               match="n_candidates must be a whole number >= 10"):
+                sequential_landmark(self.model, 0.5, n_candidates)
+        assert (sequential_landmark(self.model, 0.5, 50.0)
+                == sequential_landmark(self.model, 0.5, 50))

@@ -270,8 +270,8 @@ class TestResample:
     def test_rejects_small_m(self):
         # m = 10.5 was once rounded up to 11 points; a whole-number float is
         # a count
-        for m in (2, 10.5, np.nan, np.inf):
-            with pytest.raises(CurveError, match="m: resampling needs a whole number"):
+        for m in (2, 10.5, 1.5, np.nan, np.inf, "3", None):
+            with pytest.raises(CurveError, match="m must be a whole number >= 3"):
                 resample_equally_spaced(Curve(SQUARE), m)
         assert np.array_equal(resample_equally_spaced(Curve(SQUARE), 10.0).points,
                               resample_equally_spaced(Curve(SQUARE), 10).points)
@@ -315,6 +315,18 @@ class TestGenerateSynthetic:
             generate_synthetic("star", 10, amplitude=1.5)
         with pytest.raises(ValueError):
             generate_synthetic("star", 10, petals=0)
+
+    def test_counts_must_be_whole_numbers(self):
+        # n = 10.5 once gave an 11-point curve, and petals = 2.5 a star that
+        # does not close
+        for n in (10.5, 2, 1.5, np.nan, np.inf, "3", None):
+            with pytest.raises(CurveError, match="n must be a whole number >= 3"):
+                generate_synthetic("circle", n)
+        for petals in (2.5, 0, 1.5, np.nan, np.inf, "3", None):
+            with pytest.raises(CurveError, match="petals must be a whole number >= 1"):
+                generate_synthetic("star", 10, petals=petals)
+        assert np.array_equal(generate_synthetic("star", 10.0, petals=3.0).points,
+                              generate_synthetic("star", 10, petals=3).points)
 
     def test_clustered_scheme(self):
         c = generate_synthetic("circle", 30, scheme="clustered",

@@ -162,8 +162,8 @@ class TestElasticRegister:
         # entries); a whole-number float is a grid size
         circle = generate_synthetic("circle", 30)
         star = generate_synthetic("star", 30, amplitude=0.3)
-        for grid_size in (10.5, 7, np.nan, np.inf):
-            with pytest.raises(ValidationError, match="grid_size: the registration grid"):
+        for grid_size in (10.5, 7, 1.5, np.nan, np.inf, "3", None):
+            with pytest.raises(ValidationError, match="grid_size must be a whole number >= 8"):
                 elastic_register(star, circle, grid_size=grid_size)
         got = elastic_register(star, circle, grid_size=10.0)
         want = elastic_register(star, circle, grid_size=10)

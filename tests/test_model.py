@@ -312,6 +312,24 @@ class TestFit:
         assert fitted.diagnostics["best_restart"] == 1
         assert np.isfinite(fitted.log_marginal_likelihood)
 
+    def test_optimizer_counts_are_whole_numbers(self):
+        # restarts = 1.5 or 2.0 once met a TypeError in fit, and maxiter =
+        # 20.5 reached the optimizer; a whole-number float is a count
+        for name, minimum in (("restarts", 1), ("seed", 0), ("maxiter", 1)):
+            for value in (1.5, 20.5, -1, np.nan, np.inf, "3", None):
+                with pytest.raises(ValidationError,
+                                   match=f"opt.{name} must be a whole number >= {minimum}"):
+                    OptimizerConfig(**{name: value})
+        floats = OptimizerConfig(restarts=2.0, seed=1.0, maxiter=20.0)
+        assert floats == OptimizerConfig(restarts=2, seed=1, maxiter=20)
+        assert all(type(v) is int for v in (floats.restarts, floats.seed, floats.maxiter))
+        design, _ = circle_design(8)
+        got = fit(design, ModelConfig(), floats)
+        want = fit(design, ModelConfig(), OptimizerConfig(restarts=2, seed=1, maxiter=20))
+        assert got.log_marginal_likelihood == want.log_marginal_likelihood
+        assert np.array_equal(got.alpha, want.alpha)
+        assert got.diagnostics["restarts"] == want.diagnostics["restarts"]
+
     def test_constant_targets_rejected(self):
         # eta's box is the noise box over var(y), which is 0 here
         design = TrainingDesign(s=np.array([0.0, 0.5]), j=np.zeros(2, dtype=int),
@@ -694,8 +712,8 @@ class TestPredictCurve:
             predict_curve(model, 0, 2)
         # an m that was not an int, 10.0 included, once met numpy's TypeError
         # in np.full; a whole-number float is a grid size, as 1.0 is an index
-        for m in (10.5, 2.0, np.nan, np.inf):
-            with pytest.raises(ValidationError, match="m: the prediction grid"):
+        for m in (10.5, 2.0, 1.5, np.nan, np.inf, "3", None):
+            with pytest.raises(ValidationError, match="m must be a whole number >= 3"):
                 predict_curve(model, 0, m)
         got, want = predict_curve(model, 0, 10.0), predict_curve(model, 0, 10)
         for key in ("grid", "means", "covariances"):

@@ -235,3 +235,15 @@ class TestPreprocessCollection:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             preprocess_collection([])
+
+    def test_template_index_is_a_whole_number_in_range(self):
+        # 0.5 and 1.0 once met the list's TypeError, not a ValidationError
+        curves = [generate_synthetic("star", 12, amplitude=0.2, petals=k) for k in (3, 4)]
+        for index in (0.5, -1, 2, np.nan, np.inf, "0", None):
+            with pytest.raises(ValidationError, match="template_index"):
+                preprocess_collection(curves, index)
+        (got, got_res), (want, want_res) = (preprocess_collection(curves, index)
+                                            for index in (1.0, 1))
+        assert all(np.array_equal(a.points, b.points) for a, b in zip(got, want))
+        assert all(np.array_equal(a.rotation, b.rotation) and (a.shift, a.residual)
+                   == (b.shift, b.residual) for a, b in zip(got_res, want_res))
