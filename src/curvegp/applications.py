@@ -15,7 +15,7 @@ from .curves import Curve, xy_to_arc_param
 from .errors import NumericalError, ValidationError, whole_number
 from .metrics import iuea
 from .model import (FittedModel, ModelConfig, OptimizerConfig, TrainingDesign,
-                    _unit_means, fit, predict_curve)
+                    _unit_means, fit, fit_designs, predict_curve)
 
 
 def reconstruct(curves, model_config: ModelConfig | None = None,
@@ -58,12 +58,12 @@ class LandmarkResult:
     trials: list = field(default_factory=list)
 
 
-def _score_subset(curves, indices, criterion, model_config, opt_config):
-    """Fit a joint model to the landmark subsets and score against the dense
-    originals (squared-error per dense point, or average ellipse area)."""
-    subs = [Curve(c.points[list(indices)]) for c in curves]
-    design = TrainingDesign.from_curves(subs)
-    model = fit(design, model_config, opt_config)
+def _score_subset(curves, subs, model, criterion):
+    """Score the joint model fitted to the landmark subsets ``subs`` against
+    the dense originals (squared-error per dense point, or average ellipse
+    area); a fit that failed raises its NumericalError."""
+    if isinstance(model, NumericalError):
+        raise model
     if criterion == "iuea":
         total = 0.0
         for j, c in enumerate(curves):
@@ -97,8 +97,10 @@ def simultaneous_landmarks(curves, config: LandmarkConfig,
     """Random search over common landmark subsets of the dense sample points.
 
     All curves must share the same point count; each trial fits a joint model
-    to the subset and scores it against the dense originals. Deterministic
-    for a fixed rng_seed. Returns the argmin trial and every trial's score.
+    to the subset and scores it against the dense originals. The trials'
+    fits run together in one lockstep (`fit_designs`), each equal to its
+    fit alone. Deterministic for a fixed rng_seed. Returns the argmin trial
+    and every trial's score.
     """
     if not curves:
         raise ValidationError("need at least one curve")
@@ -108,11 +110,14 @@ def simultaneous_landmarks(curves, config: LandmarkConfig,
     if config.p > n:
         raise ValidationError(f"p={config.p} exceeds dense point count {n}")
 
+    subsets = _distinct_subsets(n, config.p, config.n_trials, config.rng_seed)
+    subs = [[Curve(c.points[list(subset)]) for c in curves] for subset in subsets]
+    models = fit_designs([TrainingDesign.from_curves(sub) for sub in subs],
+                         model_config, opt_config)
     best_subset, best_score, trials = None, np.inf, []
-    for subset in _distinct_subsets(n, config.p, config.n_trials, config.rng_seed):
+    for subset, sub, model in zip(subsets, subs, models):
         try:
-            score = _score_subset(curves, subset, config.criterion,
-                                  model_config, opt_config)
+            score = _score_subset(curves, sub, model, config.criterion)
         except NumericalError as exc:
             warnings.warn(f"landmark trial {subset} skipped: {exc}")
             continue

@@ -23,13 +23,14 @@ from .kernels import PeriodicHyperparameters, gram
 
 
 def level_matrix(w, kappa=None) -> np.ndarray:
-    """B = W W^T + diag(kappa), a new array: the one spelling of a level's
-    matrix, for `CoregMatrix.matrix` and the likelihood alike. Without
-    ``kappa``, W W^T: the likelihood's levels of size 2, whose kappa is 0,
-    skip adding it."""
-    B = w @ w.T
+    """B = W W^T + diag(kappa), a new array, or one per row of stacks of W
+    and kappa: the one spelling of a level's matrix, for
+    `CoregMatrix.matrix` and the likelihood alike. Without ``kappa``, W
+    W^T: the likelihood's levels of size 2, whose kappa is 0, skip adding
+    it."""
+    B = w @ w.swapaxes(-1, -2)
     if kappa is not None:
-        B.reshape(-1)[::len(B) + 1] += kappa
+        B.reshape(*B.shape[:-2], -1)[..., ::B.shape[-1] + 1] += kappa
     return B
 
 
@@ -94,10 +95,11 @@ def curve_factor(curve, group, curve_group=None):
     the group level's G[cg, cg] with cg the group of each curve, and their
     product F = C o G[cg, cg], [[1.0]] without either level; with one
     level F is that level's factor itself, not a copy. A curve lies in one
-    group, so the factor of two points is F at their curves."""
+    group, so the factor of two points is F at their curves. Stacks of
+    level matrices give stacks of factors."""
     factors = [] if curve is None else [curve]
     if group is not None:
-        factors.append(group.take(curve_group, axis=0).take(curve_group, axis=1))
+        factors.append(group.take(curve_group, axis=-2).take(curve_group, axis=-1))
     return factors, reduce(np.multiply, factors) if factors else np.ones((1, 1))
 
 

@@ -80,7 +80,10 @@ def warped_correlation(family: str, w, rho: float, with_dlogrho: bool = False,
     stack of three arrays of ``w``'s shape that a caller keeps across calls
     (the likelihood's work arrays): nothing of that size is made, every
     slot is overwritten, and corr and dcorr are two of the slots, which
-    two depending on the family."""
+    two depending on the family. With ``out``, ``rho`` may be an array
+    that broadcasts against ``w`` to the slots' shape, as one length scale
+    per matrix of a stack does; every entry is then what a call on its
+    matrix and length scale alone gives."""
     if family not in FAMILIES:
         raise ValidationError(f"unknown kernel family {family!r}")
     if out is None:

@@ -56,29 +56,40 @@ serves every block.
 
 At small P an evaluation's cost is per-call overhead, not arithmetic, so
 the objective computes once what does not depend on theta (the warped
-distances and views of the diagonals it updates) and keeps its work
-arrays across calls: the three slots `warped_correlation` writes K0 and
-dR/dlog rho into, R, A, the two blocks and the stack `_chol_with_ladder`
-factors them into, which dpotrs and dpotri then overwrite in place, and
-the W and kappa of each level. New on every call are the arrays whose
-values leave the call, the gradient and alpha, and those no larger than a
-level times P: the coordinate basis, each level's matrix and the columns
-of F gathered by point. `unpack` and `assemble_model` pass no work arrays,
-so a fitted model shares no memory with an objective. The LAPACK flags go
-by position, which f2py parses faster than keywords. The module's
-`minimize` drives L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al.
-1997) through scipy's reverse-communication routine `setulb` and calls
-`value_and_grad` once for each point the routine asks for: scipy's
-`minimize` takes the same steps with the same constants but wraps each
-evaluation in `ScalarFunction` and `MemoizeJac`, whose copies and
-comparisons of theta cost over a third as much as the likelihood itself
-at P = 12.
+distances), keeps its work arrays across calls (the three slots
+`warped_correlation` writes K0 and dR/dlog rho into, R, A, the two blocks
+and the stack `_chol_with_ladder` factors them into, which dpotrs and
+dpotri then overwrite in place), and evaluates a stack of thetas in one
+call, each row on the design of an objective of one layout (the same
+config, curve indices and groups). Elementwise arithmetic, sums along an
+axis and matrix products run on the whole stack, each slice as it runs
+alone; the rest stays one call per row: the coordinate basis's scalar math,
+the factorization with its nugget ladder, dpotrs, dpotri and every inner
+product (`np.vdot`). So each row of a stacked call equals the call on that
+row alone, bit for bit. New on every call are the arrays whose values
+leave the call, the gradients and alphas, and those no larger than a level
+times P per row. `unpack` and `assemble_model` pass no work arrays, so a
+fitted model shares no memory with an objective. The LAPACK flags go by
+position, which f2py parses faster than keywords.
+
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) runs through
+scipy's reverse-communication routine `setulb`, one state per run, with
+scipy's constants, so each run takes the steps scipy's `minimize` takes,
+evaluation for evaluation. `_lockstep` runs many such runs side by side:
+each round, the runs that ask for a point are evaluated in one stacked
+`value_and_grad` (as GPyTorch batches independent GPs, Gardner et al.
+2018), and runs leave as they end. `fit` runs its restarts this way, and
+`fit_designs` the restarts of many designs of one layout, the trials of a
+landmark search; every run's path, and so every fit, equals the one it
+takes alone. At most `LOCKSTEP_ENTRIES` / P^2 runs are active at once, so
+a large design runs its restarts one after another in the memory one run
+needs. `minimize` is the lockstep of one run on a function of one theta.
 
 SciPy is imported only where it is used, so `import curvegp.model` loads
 numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs, dtrtrs) come
 from `_lapack`, which imports `scipy.linalg.lapack` at the first
-factorization or solve. `scipy.optimize` is imported only when `fit` runs,
-by `minimize` on its first call.
+factorization or solve. `scipy.optimize` is imported only when a fit or
+`minimize` runs, by `_lbfgsb` on its first call.
 """
 
 from __future__ import annotations
@@ -95,6 +106,12 @@ from .coreg import (CoregMatrix, MultiLevelKernel, curve_factor, level_indices,
 from .errors import NumericalError, ValidationError, whole_number
 from .kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                       warped_correlation, warped_distance)
+
+# the public API; `minimize`, the one-run case of the lockstep driver, is
+# called by no fit and kept for callers that minimize a function of their own
+__all__ = ["FittedModel", "LbfgsResult", "MarginalLikelihoodObjective", "ModelConfig",
+           "NUGGET_LADDER", "OptimizerConfig", "PredictedCurve", "TrainingDesign",
+           "assemble_model", "fit", "fit_designs", "minimize", "predict", "predict_curve"]
 
 # The rungs of the nugget ladder, fractions of the mean diagonal entry of
 # the blocks factored (`_chol_with_ladder`).
@@ -282,16 +299,21 @@ class PredictedCurve:
 
 
 def _coord_basis(B: np.ndarray):
-    """(lam, Q) with B = Q diag(lam) Q^T for a symmetric 2 x 2 B, in closed
-    form from B[0, 0], B[0, 1] and B[1, 1]: Q is a rotation, lam
-    descending, and B = I gives Q = I exactly."""
-    (a, b), (_, c) = B.tolist()
-    half = 0.5 * (a - c)
-    r = math.hypot(half, b)
-    phi = 0.5 * math.atan2(b, half)
-    cos, sin = math.cos(phi), math.sin(phi)
-    mid = 0.5 * (a + c)
-    return np.array([mid + r, mid - r]), np.array([[cos, -sin], [sin, cos]])
+    """(lam, Q) with B = Q diag(lam) Q^T for a symmetric 2 x 2 B, or for
+    each matrix of a stack (..., 2, 2), in closed form from B[0, 0], B[0,
+    1] and B[1, 1] by scalar math, one matrix at a time: Q is a rotation,
+    lam descending, and B = I gives Q = I exactly."""
+    lams, Qs = [], []
+    for (a, b), (_, c) in B.reshape(-1, 2, 2).tolist():
+        half = 0.5 * (a - c)
+        r = math.hypot(half, b)
+        phi = 0.5 * math.atan2(b, half)
+        cos, sin = math.cos(phi), math.sin(phi)
+        mid = 0.5 * (a + c)
+        lams.append((mid + r, mid - r))
+        Qs.append(((cos, -sin), (sin, cos)))
+    stack = B.shape[:-2]
+    return np.array(lams).reshape(*stack, 2), np.array(Qs).reshape(*stack, 2, 2)
 
 
 @cache
@@ -340,7 +362,7 @@ def _chol_with_ladder(blocks, out=None):
 
 class _Level:
     """One coregionalization level's block of the packed theta, and the
-    level's W and kappa work arrays.
+    level's W and kappa at the stack of thetas it last unpacked.
 
     No level carries a scale, so every parameter is a direction of the
     model (Pinheiro & Bates 1996), and sigma2 carries all of the scale. A
@@ -362,14 +384,12 @@ class _Level:
             self.names = [f"{name}.a", f"{name}.b"]
             self.bounds = [(-W_BOUND, W_BOUND), tuple(0.5 * np.log(KAPPA_BOX))]
             self.start = [0.1 if name == "group" else 0.0, 0.0]
-            self.W, self.kappa = np.eye(2), np.zeros(2)
         else:  # W, then log kappa_1 .. kappa_{size - 1}
             self.names = ([f"{name}.W[{i}]" for i in range(size)]
                           + [f"{name}.kappa[{i}]" for i in range(1, size)])
             self.bounds = ([(-W_BOUND, W_BOUND)] * size
                            + [tuple(np.log(KAPPA_BOX))] * (size - 1))
             self.start = [0.1] * size + [0.0] * (size - 1)
-            self.W, self.kappa = None, np.ones(size)
         self.slice = slice(offset, offset + len(self.names))
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
@@ -382,38 +402,38 @@ class _Level:
         return p
 
     def unpack(self, theta):
-        """(W, kappa) at theta: the work arrays W = L and kappa = 0 of a level
-        of size 2, W a view of theta and the work array kappa of a larger
-        one; both are overwritten by the next call."""
-        p = theta[self.slice]
+        """(W, kappa) at a stack of thetas (B x n), one matrix and one vector
+        per row: W = L and kappa = 0 for a level of size 2, W a view of
+        theta for a larger one. Both are kept for `grad`."""
+        p = theta[:, self.slice]
         if self.size == 2:
-            self.W[1, 0] = p[0]
-            self.W[1, 1] = math.exp(p[1])
+            self.W = np.array([((1.0, 0.0), (a, math.exp(b))) for a, b in p.tolist()])
+            self.kappa = np.zeros((len(p), 2))
         else:
-            self.W = p[:self.size, None]
-            np.exp(p[self.size:], out=self.kappa[1:])
+            self.W, self.kappa = p[:, :self.size, None], np.ones((len(p), self.size))
+            np.exp(p[:, self.size:], out=self.kappa[:, 1:])
         return self.W, self.kappa
 
     def matrix(self, theta):
-        """B at theta by `level_matrix`, without the zero kappa of a level of
-        size 2; its W and kappa stay for `grad`."""
+        """B at each theta of a stack by `level_matrix`, without the zero
+        kappa of a level of size 2; its W and kappa stay for `grad`."""
         W, kappa = self.unpack(theta)
         return level_matrix(W, None if self.size == 2 else kappa)
 
     def grad(self, grad, M):
-        """The level's block of the gradient at the theta `matrix` last read,
-        from its M with d(-log p) = -tr(M dB)/2: -M W in W, of which L takes
-        a = L[1, 0] and, times L[1, 1], b; -diag(M) kappa/2 in log kappa."""
+        """The level's block of each row of a stack of gradients at the
+        thetas `matrix` last read, from its M with d(-log p) = -tr(M dB)/2:
+        -M W in W, of which L takes a = L[1, 0] and, times L[1, 1], b;
+        -diag(M) kappa/2 in log kappa."""
         MW = M @ self.W
-        g = grad[self.slice]
+        g = grad[:, self.slice]
         if self.size == 2:
-            _, (m10, m11) = MW.tolist()
-            g[0] = -m10
-            g[1] = -m11 * self.W[1, 1]
+            np.negative(MW[:, 1], out=g)  # -m10, -m11
+            g[:, 1] *= self.W[:, 1, 1]
         else:
-            np.negative(MW[:, 0], out=g[:self.size])
-            np.multiply(M.diagonal()[1:], -0.5, out=g[self.size:])
-            g[self.size:] *= self.kappa[1:]
+            np.negative(MW[:, :, 0], out=g[:, :self.size])
+            np.multiply(M.diagonal(axis1=1, axis2=2)[:, 1:], -0.5, out=g[:, self.size:])
+            g[:, self.size:] *= self.kappa[:, 1:]
 
 
 class MarginalLikelihoodObjective:
@@ -424,7 +444,13 @@ class MarginalLikelihoodObjective:
     the design. K = sigma2 (R + eta I), with R the Gram at sigma2 = 1 and
     the jitter a fraction ``config.jitter`` of sigma2; sigma2 takes its
     closed-form estimate at every theta. The Gram is formed on the P points,
-    the coordinate level applied through its eigenbasis."""
+    the coordinate level applied through its eigenbasis.
+
+    One call evaluates one theta or a stack of them, each row on the design
+    of this objective or of another one of its ``layout``: the same config,
+    curve indices and groups, so the same P and levels. Each row keeps its
+    own warped distances, targets and nugget ladder, and equals the call on
+    that row alone, bit for bit."""
 
     def __init__(self, design: TrainingDesign, config: ModelConfig):
         self.design = design
@@ -450,20 +476,28 @@ class MarginalLikelihoodObjective:
                 self.bounds += self.levels[-1].bounds
         self.names = ("rho", "eta", *(n for level in self.levels for n in level.names))
         self.n_params = len(self.bounds)
+        self.layout = (config.family, config.jitter, tuple(design.j.tolist()),
+                       tuple(design.curve_group.tolist()))
         # one-hot maps from points to curves (S) and from curves to groups (E)
         self.curve_onehot = np.eye(design.n_curves)[design.j]
         self.group_onehot = np.eye(design.n_groups)[design.curve_group]
-        # work arrays, overwritten by every call: at small P a new array
-        # costs more than the arithmetic done on it. The three slots of
-        # `warped_correlation` (K0 and dR/dlog rho are two of them), the
-        # point Gram and A, and `_solve`'s two blocks and their factors
-        n = self.n_points
-        self._corr = np.empty((3, n, n))
-        self._K, self._A = np.empty((2, n, n))
-        self._solve_work = np.empty((2, 2, n, n))
-        self._K_diagonal = self._K.diagonal()
-        self._A_diagonal = self._A.reshape(-1)[::n + 1]
+        self._capacity = 0  # the rows the work arrays hold, made at the first call
         self.max_nugget = 0.0  # the largest nugget `_chol_with_ladder` used
+
+    def _grow(self, rows: int):
+        """Work arrays for a stack of ``rows`` thetas, overwritten by every
+        call: at small P a new array costs more than the arithmetic done on
+        it. The three slots of `warped_correlation` (K0 and dR/dlog rho are
+        two of them), the point Gram and A, `_solve`'s blocks and their
+        factors, and the warped distances and targets of the rows."""
+        n, self._capacity = self.n_points, rows
+        self._corr = np.empty((3, rows, n, n))
+        self._K, self._A = np.empty((2, rows, n, n))
+        self._solve_work = np.empty((2, rows, 2, n, n))
+        self._K_diagonal = self._K.diagonal(axis1=1, axis2=2)
+        self._A_diagonal = self._A.reshape(rows, -1)[:, ::n + 1]
+        self._warps = np.empty((rows, n, n))
+        self._ys = np.empty((rows, n, 2))
 
     # -- packing -----------------------------------------------------------
 
@@ -494,8 +528,10 @@ class MarginalLikelihoodObjective:
         hyp = PeriodicHyperparameters(sigma2=sigma2, rho=math.exp(theta[0]),
                                       tau=self.tau, family=self.config.family,
                                       jitter=self.config.jitter * sigma2)
-        kernel = MultiLevelKernel(hyp, **{level.name: CoregMatrix(*level.unpack(theta))
-                                          for level in self.levels})
+        row = np.reshape(theta, (1, -1))
+        kernel = MultiLevelKernel(hyp, **{
+            level.name: CoregMatrix(*(a[0] for a in level.unpack(row)))
+            for level in self.levels})
         return kernel, math.exp(theta[1]) * sigma2
 
     def unpack(self, theta):
@@ -507,122 +543,201 @@ class MarginalLikelihoodObjective:
 
     # -- likelihood --------------------------------------------------------
 
-    def gram_and_grads(self, theta):
+    def gram_and_grads(self, theta, rows=None):
         """The point Gram R (at sigma2 = 1, without noise) and the two dense
         points x points matrices its gradient is contracted against:
         dR/dlog(rho) and the jittered input correlation K0, whatever the
-        levels. The input kernel comes from the warped distances cached at
+        levels; for a stack of thetas, row b on the design of ``rows[b]``
+        (`value_and_grad`), a stack of each.
+        The input kernel comes from the warped distances cached at
         construction, the curve and group factors between curves and their
         product F from `curve_factor`, F gathered by the points' curves. The
         factors are kept for `value_and_grad`, as is the basis of the
         coordinate factor. R, K0 and dR/dlog(rho) are work arrays of this
         objective, overwritten by its next call."""
-        corr, dcorr = warped_correlation(self.config.family, self.warp,
-                                         math.exp(theta[0]), True, self._corr)
+        stack = np.asarray(theta, dtype=float).reshape(-1, self.n_params)
+        n_rows = len(stack)
+        if n_rows > self._capacity:
+            self._grow(n_rows)
+        warp = self.warp[None] if rows is None else np.stack(
+            [row.warp for row in rows], out=self._warps[:n_rows])
+        rho = np.array([math.exp(t) for t in stack[:, 0].tolist()])[:, None, None]
+        corr, dcorr = warped_correlation(self.config.family, warp, rho, True,
+                                         self._corr[:, :n_rows])
         K0 = np.add(corr, self.config.jitter, out=corr)
         # levels 1 and 2, the curve and group levels, when the design has them
-        curve, group = (self.levels[i].matrix(theta) if i < len(self.levels) else None
+        curve, group = (self.levels[i].matrix(stack) if i < len(self.levels) else None
                         for i in (1, 2))
         self._factors, F = curve_factor(curve, group, self.design.curve_group)
         # columns first, so the large gather copies whole rows; the curves
         # always index F, and "clip" spares the copy of out that "raise" makes
+        if F.ndim == 2:  # no curve or group level: F is 1
+            F = np.ones((n_rows, 1, 1))
         j = self.design.j
-        Bfull = F.take(j, axis=1).take(j, axis=0, out=self._K, mode="clip")
-        self._basis = _coord_basis(self.levels[0].matrix(theta))
+        Bfull = F.take(j, axis=2).take(j, axis=1, out=self._K[:n_rows], mode="clip")
+        self._basis = _coord_basis(self.levels[0].matrix(stack))
         dcorr *= Bfull
         K = np.multiply(Bfull, K0, out=Bfull)
+        if np.ndim(theta) == 1:
+            return K[0], [dcorr[0], K0[0]]
         return K, [dcorr, K0]
 
-    def value_and_grad(self, theta):
+    def value_and_grad(self, theta, rows=None):
         """-log p(y) at sigma2's estimate s2 = y^T (R + eta I)^-1 y / 2P,
         P log s2 + log|R + eta I| / 2 + P (1 + log 2 pi), and its gradient,
         contracted by level (R&W 2006, 5.4.1): s2 is a stationary point, so
         d(-log p) = -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1.
-        The largest nugget any call needed is kept in ``max_nugget``."""
-        K, grads = self.gram_and_grads(theta)
-        eta = math.exp(theta[1])
+
+        One theta gives (value, gradient) and raises the NumericalError of
+        a covariance that cannot be factored. A stack of B thetas, row b on
+        the design of the objective ``rows[b]`` (this one without
+        ``rows``), gives (values, gradients, nuggets, errors): per row its
+        value, a row of the B x n gradients, the nugget its factorization
+        needed and None, or, for a row that cannot be factored, None, NaN,
+        None and its NumericalError. Each row's objective keeps the largest
+        nugget its rows needed in ``max_nugget``."""
+        stack = np.asarray(theta, dtype=float).reshape(-1, self.n_params)
+        if rows is not None and all(row is self for row in rows):
+            rows = None
+        if rows is not None and any(row.layout != self.layout for row in rows):
+            raise ValidationError("a stack of thetas needs objectives of one layout: "
+                                  "one config, curve indices and groups")
+        K, (dR, K0) = self.gram_and_grads(stack, rows)
+        n_rows, size = len(stack), 2 * self.n_points
+        etas = [math.exp(t) for t in stack[:, 1].tolist()]
         lam, Q = self._basis
-        factors, nugget, alphas, quad, half_logdet = _solve(
-            K, self._basis, eta, self.targets, self._solve_work)
-        self.max_nugget = max(self.max_nugget, nugget)
-        sigma2 = quad / alphas.size
-        nll = 0.5 * alphas.size * (math.log(sigma2) + 1.0 + LOG2PI) + half_logdet
-        alphas *= 1.0 / math.sqrt(sigma2)  # A = alphas alphas^T - (R + eta I)^-1
-        Mt = alphas @ K @ alphas.T
-        K_diagonal = self._K_diagonal
+        y = self.targets if rows is None else np.stack(
+            [row.design.y for row in rows], out=self._ys[:n_rows]).transpose(0, 2, 1)
+        factors, nuggets, alphas, quads, half_logdets, errors = _solve(
+            K, self._basis, np.array(etas), y, self._solve_work[:, :n_rows])
+        values, scales = [None] * n_rows, [1.0] * n_rows
+        for b, error in enumerate(errors):
+            if error is None:
+                sigma2 = quads[b] / size
+                values[b] = 0.5 * size * (math.log(sigma2) + 1.0 + LOG2PI) + half_logdets[b]
+                scales[b] = 1.0 / math.sqrt(sigma2)
+        alphas *= np.array(scales)[:, None, None]  # A = alphas alphas^T - (R + eta I)^-1
+        Mt = alphas @ K @ alphas.transpose(0, 2, 1)
         dpotri = _lapack().dpotri
-        for e, L in enumerate(factors):  # each factor becomes K_e^-1 in place
-            _, info = dpotri(L, 1, 1)  # lower, overwrite_c
-            if info != 0:
-                raise NumericalError(
-                    f"inverse from the Cholesky factor failed (info={info})")
-            # <K_e^-1, K> from the lower triangle dpotri fills
-            Mt[e, e] -= 2.0 * np.vdot(L.T, K) - L.diagonal() @ K_diagonal
-        trace_a = float(np.vdot(alphas, alphas))  # sum_e tr(A_e)
-        for trace in np.add.reduce(factors.diagonal(axis1=1, axis2=2), axis=1).tolist():
-            trace_a -= trace
-        factors *= lam[:, None, None]
-        Kinv = factors[0]
-        Kinv += factors[1]
+        for b, error in enumerate(errors):
+            if error is not None:
+                continue
+            for e, L in enumerate(factors[b]):  # each factor becomes K_e^-1 in place
+                _, info = dpotri(L, 1, 1)  # lower, overwrite_c
+                if info != 0:
+                    errors[b] = NumericalError(
+                        f"inverse from the Cholesky factor failed (info={info})")
+                    factors[b] = np.eye(self.n_points)
+                    break
+                # <K_e^-1, K> from the lower triangle dpotri fills
+                Mt[b, e, e] -= (2.0 * np.vdot(L.T, K[b])
+                                - L.diagonal() @ self._K_diagonal[b])
+        traces = []  # sum_e tr(A_e) per row
+        for alpha, inverse_traces in zip(alphas, np.add.reduce(
+                factors.diagonal(axis1=2, axis2=3), axis=2).tolist()):
+            traces.append(float(np.vdot(alpha, alpha)))
+            for trace in inverse_traces:
+                traces[-1] -= trace
+        factors *= lam[:, :, None, None]
+        Kinv = factors[:, 0]
+        Kinv += factors[:, 1]
         # A = sum_e lam_e (alpha_e alpha_e^T - K_e^-1) over the points
-        A = np.matmul(alphas.T * lam, alphas, out=self._A)
+        A = np.matmul(alphas.transpose(0, 2, 1) * lam[:, None, :], alphas,
+                      out=self._A[:n_rows])
         A -= Kinv
-        A -= Kinv.T  # dpotri fills the lower triangle; the upper one is zero
-        self._A_diagonal += Kinv.diagonal()  # taken twice above
-        grad = np.empty(self.n_params)
-        grad[0] = -0.5 * np.vdot(A, grads[0])
-        grad[1] = -0.5 * eta * trace_a
-        self.levels[0].grad(grad, Q @ Mt @ Q.T)
+        A -= Kinv.transpose(0, 2, 1)  # dpotri fills the lower triangle; the upper is zero
+        self._A_diagonal[:n_rows] += Kinv.diagonal(axis1=1, axis2=2)  # taken twice above
+        grad = np.empty((n_rows, self.n_params))
+        for b in range(n_rows):
+            grad[b, 0] = -0.5 * np.vdot(A[b], dR[b])
+            grad[b, 1] = -0.5 * etas[b] * traces[b]
+        self.levels[0].grad(grad, Q @ Mt @ Q.transpose(0, 2, 1))
         # Gt sums A o K0 over each block of curves; the curve level's M is Gt
         # o G[cg, cg], and the group level's sums Gt o C over blocks of groups
         S = self.curve_onehot
-        Gt = S.T @ np.multiply(A, grads[1], out=A) @ S
+        Gt = S.T @ np.multiply(A, K0, out=A) @ S
         for k, level in enumerate(self.levels[1:]):
             M = reduce(np.multiply, self._factors[:k] + self._factors[k + 1:], Gt)
             if level.name == "group":
                 M = self.group_onehot.T @ M @ self.group_onehot
             level.grad(grad, M)
-        return nll, grad
+        for b, (row, error) in enumerate(zip(rows or [self] * n_rows, errors)):
+            if error is None:
+                row.max_nugget = max(row.max_nugget, nuggets[b])
+            else:
+                values[b] = nuggets[b] = None
+                grad[b] = np.nan
+        if np.ndim(theta) == 1:
+            if errors[0] is not None:
+                raise errors[0]
+            return values[0], grad[0]
+        return values, grad, nuggets, errors
 
     def value(self, theta):
         """-log p(y) at theta (computed with its gradient)."""
         return self.value_and_grad(theta)[0]
 
 
-def _solve(K: np.ndarray, basis: tuple, noise_var: float, y: np.ndarray, out=None):
-    """Factor and solve the training covariance of the point Gram K in the
-    coordinate basis (lam, Q): its two blocks lam_e K + noise I, factored
-    with one nugget ladder, and the targets y (a row per coordinate)
-    rotated by Q. Returns (factors, nugget, alphas, y^T C^-1 y, log|C| /
-    2), C the covariance of all 2P values and alphas[e] = block e^-1 (Q^T
-    y)[e]. ``out``, when given, is a (2, 2, P, P) work stack: the blocks go
-    into out[0] and their factors into out[1]; without it both are new."""
+def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
+    """Factor and solve the training covariance of each point Gram of a
+    stack K (B x P x P) in its coordinate basis (lam, Q), a stack of each:
+    its two blocks lam_e K + noise I, with the row's entry of the array
+    ``noise_var``, factored with one nugget ladder per row, and the targets
+    y (a row per coordinate, one set for every row or one per row) rotated
+    by Q. Returns (factors, nuggets, alphas, quads, half_logdets, errors):
+    the B x 2 x P x P factors and B x 2 x P alphas, alphas[b, e] = block
+    e^-1 (Q^T y)[e], and per row the nugget, y^T C^-1 y, log|C| / 2 (C
+    the covariance of all 2P values) and None, or, for a row whose
+    factorization or solve fails, its NumericalError, the row's factors
+    then I, so that arithmetic on the whole stack stays finite. ``out``,
+    when given, is a (2, B, 2, P, P) work stack: the blocks go into out[0]
+    and their factors into out[1]; without it both are new."""
     lam, Q = basis
-    blocks, room = (None, None) if out is None else out
-    blocks = np.multiply(lam[:, None, None], K, out=blocks)
-    blocks.reshape(len(lam), -1)[:, ::len(K) + 1] += noise_var  # the diagonals
-    factors, nugget = _chol_with_ladder(blocks, room)
-    Y = Q.T @ y
+    n_rows, n = len(K), K.shape[-1]
+    # apart without ``out``, so that the factors, which a fitted model keeps,
+    # keep no blocks alive
+    blocks, room = (np.empty((n_rows, 2, n, n)) for _ in range(2)) if out is None else out
+    np.multiply(lam[:, :, None, None], K[:, None], out=blocks)
+    blocks.reshape(n_rows, 2, -1)[:, :, ::n + 1] += noise_var[:, None, None]
+    factors = room.transpose(0, 1, 3, 2)
+    Y = Q.transpose(0, 2, 1) @ y
     alphas = Y.copy()
     dpotrs = _lapack().dpotrs
-    for L, alpha in zip(factors, alphas):
-        _, info = dpotrs(L, alpha, 1, 1)  # lower, overwrite_b
-        if info != 0:
-            raise NumericalError(f"solve with the Cholesky factor failed (info={info})")
-    half_logdet = sum(np.add.reduce(np.log(factors.diagonal(axis1=1, axis2=2)),
-                                    axis=1).tolist())
-    return factors, nugget, alphas, float(np.vdot(Y, alphas)), half_logdet
+    nuggets, quads, errors = ([None] * n_rows for _ in range(3))
+    for b in range(n_rows):
+        try:
+            _, nuggets[b] = _chol_with_ladder(blocks[b], room[b])
+            for L, alpha in zip(factors[b], alphas[b]):
+                _, info = dpotrs(L, alpha, 1, 1)  # lower, overwrite_b
+                if info != 0:
+                    raise NumericalError(
+                        f"solve with the Cholesky factor failed (info={info})")
+        except NumericalError as exc:
+            errors[b] = exc
+            room[b] = np.eye(n)
+            continue
+        quads[b] = float(np.vdot(Y[b], alphas[b]))
+    half_logdets = [sum(pair) for pair in np.add.reduce(
+        np.log(factors.diagonal(axis1=2, axis2=3)), axis=2).tolist()]
+    return factors, nuggets, alphas, quads, half_logdets, errors
 
 
 def _solve_points(design: TrainingDesign, kernel: MultiLevelKernel,
                   noise_variance: float):
-    """(basis, *`_solve`) on the design's point Gram from `multilevel_gram`,
-    in the eigenbasis of the kernel's coordinate factor."""
+    """(basis, factors, nugget, alphas, y^T C^-1 y, log|C| / 2) of `_solve`
+    on the design's point Gram from `multilevel_gram`, in the eigenbasis of
+    the kernel's coordinate factor; a factorization or solve that fails
+    raises its NumericalError."""
     with np.errstate(over="ignore"):  # `_chol_with_ladder` rejects what overflows
         K = multilevel_gram(kernel, design.s, j_a=design.j,
                             curve_group=design.curve_group)
-        basis = _coord_basis(kernel.coord.matrix)
-    return basis, *_solve(K, basis, noise_variance, design.y.T)
+        basis = _coord_basis(kernel.coord.matrix[None])
+    factors, nuggets, alphas, quads, half_logdets, errors = _solve(
+        K[None], basis, np.array([noise_variance]), design.y.T)
+    if errors[0] is not None:
+        raise errors[0]
+    return ((basis[0][0], basis[1][0]), factors[0], nuggets[0], alphas[0], quads[0],
+            half_logdets[0])
 
 
 def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
@@ -679,6 +794,99 @@ def _lbfgsb():
     return setulb, status_messages, task_messages
 
 
+# The runs of a lockstep active at once are at most this number over P^2,
+# and at least one: its work arrays, about ten P x P matrices per run, stay
+# within ten times this number of floats (1.3 MB), and a design of more
+# than 90 points runs its restarts one after another, in the memory one run
+# needs. Results do not depend on it.
+LOCKSTEP_ENTRIES = 1 << 14
+
+
+class _Run:
+    """One L-BFGS-B run: `setulb`'s iterate and work arrays, the last point
+    evaluated with its value and gradient, and the run's counts."""
+
+    def __init__(self, x0, bounds):
+        self.lo, self.hi = np.array(bounds, dtype=float).T.copy()  # contiguous rows
+        self.x = np.array(x0, dtype=float)  # setulb's iterate, updated in place
+        n, m = len(self.x), LBFGS_MAXCOR
+        self.nbd = np.full(n, 2, dtype=np.int32)  # both bounds on every parameter
+        self.wa, self.dsave = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(29)
+        self.iwa, self.task, self.ln_task, self.lsave, self.isave = (
+            np.zeros(k, dtype=np.int32) for k in (3 * n, 2, 2, 4, 44))
+        self.f, self.g = 0.0, np.zeros(n)
+        self.point = None  # the last point evaluated, as a list
+        self.nfev = self.nit = 0
+        self.max_nugget = 0.0
+        self.error = None  # the NumericalError that ended the run
+
+    def advance(self, maxiter: int) -> bool:
+        """Call `setulb` until it asks for a point not evaluated yet (True)
+        or stops (False). A point equal to the last one evaluated reuses its
+        value and gradient; an iteration count of ``maxiter`` or more than
+        `LBFGS_MAXFUN` evaluations stops the run at the end of an
+        iteration."""
+        setulb = _lbfgsb()[0]
+        task = self.task
+        while True:
+            setulb(LBFGS_MAXCOR, self.x, self.lo, self.hi, self.nbd, self.f, self.g,
+                   LBFGS_FACTR, LBFGS_PGTOL, self.wa, self.iwa, task, self.lsave,
+                   self.isave, self.dsave, LBFGS_MAXLS, self.ln_task)
+            if task[0] == 3:  # FG: the value and gradient at x
+                if (key := self.x.tolist()) != self.point:  # equal as floats, as scipy
+                    self.point = key
+                    return True
+            elif task[0] == 1:  # NEW_X: an iteration ended
+                self.nit += 1
+                if self.nit >= maxiter:
+                    task[:] = 5, 504
+                elif self.nfev > LBFGS_MAXFUN:
+                    task[:] = 5, 502
+            else:
+                return False
+
+    def result(self) -> LbfgsResult:
+        _, status_messages, task_messages = _lbfgsb()
+        message = f"{status_messages[self.task[0]]}: {task_messages[self.task[1]]}"
+        return LbfgsResult(self.x, self.f, self.nit, self.nfev, bool(self.task[0] == 4),
+                           message)
+
+
+def _lockstep(evaluate, starts, maxiter: int, width: int) -> list:
+    """Run L-BFGS-B from every (x0, bounds) of ``starts`` side by side, each
+    as `minimize` runs it alone. Every round collects the runs that ask for
+    a new point and hands their points, stacked as the rows of one array,
+    and their indices in ``starts`` to ``evaluate``, which returns (values,
+    gradients, nuggets, errors) as a stacked `value_and_grad` does; a run
+    whose row has an error ends with it. At most ``width`` runs are active
+    at once, started in order as others end. Returns the `_Run` of every
+    start."""
+    runs = [_Run(x0, bounds) for x0, bounds in starts]
+    waiting = iter(range(len(runs)))
+    asking = []
+    while True:
+        stepping, asking = asking, []
+        for k in stepping:
+            if runs[k].advance(maxiter):
+                asking.append(k)
+        while len(asking) < width and (k := next(waiting, None)) is not None:
+            if runs[k].advance(maxiter):
+                asking.append(k)
+        if not asking:
+            return runs
+        values, grads, nuggets, errors = evaluate(
+            np.array([runs[k].x for k in asking]), asking)
+        for k, value, grad, nugget, error in zip(asking, values, grads, nuggets, errors):
+            run = runs[k]
+            if error is None:
+                run.f, run.g = value, grad
+                run.nfev += 1
+                run.max_nugget = max(run.max_nugget, nugget)
+            else:
+                run.error = error
+        asking = [k for k in asking if runs[k].error is None]
+
+
 def minimize(fun, x0, bounds, maxiter: int) -> LbfgsResult:
     """Minimize ``fun`` (theta -> (value, gradient)) by L-BFGS-B in a box of
     finite (lower, upper) bounds, one per parameter, as scipy's
@@ -687,37 +895,13 @@ def minimize(fun, x0, bounds, maxiter: int) -> LbfgsResult:
     projects x0 into the box (scipy clips it), ``fun`` runs once per point
     `setulb` asks for, and a point equal to the last one evaluated reuses
     its value and gradient. An iteration count of ``maxiter`` or more than
-    `LBFGS_MAXFUN` evaluations stops the run at the end of an iteration."""
-    setulb, status_messages, task_messages = _lbfgsb()
-    lo, hi = np.array(bounds, dtype=float).T.copy()  # contiguous rows for setulb
-    x = np.array(x0, dtype=float)  # setulb's iterate, updated in place
-    n, m = len(x), LBFGS_MAXCOR
-    nbd = np.full(n, 2, dtype=np.int32)  # both bounds on every parameter
-    wa, dsave = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(29)
-    iwa, task, ln_task, lsave, isave = (np.zeros(k, dtype=np.int32)
-                                        for k in (3 * n, 2, 2, 4, 44))
-    f, g = 0.0, np.zeros(n)
-    point = value = grad = None  # the last point evaluated, as a list
-    nfev = nit = 0
-    while True:
-        setulb(m, x, lo, hi, nbd, f, g, LBFGS_FACTR, LBFGS_PGTOL, wa, iwa, task,
-               lsave, isave, dsave, LBFGS_MAXLS, ln_task)
-        if task[0] == 3:  # FG: the value and gradient at x
-            if (key := x.tolist()) != point:  # equal as floats, as scipy compares
-                point = key
-                value, grad = fun(x.copy())
-                nfev += 1
-            f, g = value, grad
-        elif task[0] == 1:  # NEW_X: an iteration ended
-            nit += 1
-            if nit >= maxiter:
-                task[:] = 5, 504
-            elif nfev > LBFGS_MAXFUN:
-                task[:] = 5, 502
-        else:
-            break
-    message = f"{status_messages[task[0]]}: {task_messages[task[1]]}"
-    return LbfgsResult(x, f, nit, nfev, bool(task[0] == 4), message)
+    `LBFGS_MAXFUN` evaluations stops the run at the end of an iteration.
+    This is the lockstep of one run (`_lockstep`)."""
+    def evaluate(points, _):
+        value, grad = fun(points[0])
+        return [value], [grad], [0.0], [None]
+
+    return _lockstep(evaluate, [(x0, bounds)], maxiter, 1)[0].result()
 
 
 def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
@@ -725,8 +909,8 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     """Maximize the log marginal likelihood, sigma2 profiled out, by
     multi-start L-BFGS-B with the analytic gradient, in the box of each
     hyperparameter; the returned kernel holds sigma2's estimate at the best
-    restart (`MarginalLikelihoodObjective.unpack`). Each restart is one call
-    of the module's `minimize`.
+    restart (`MarginalLikelihoodObjective.unpack`). The restarts run in
+    lockstep (`fit_designs`), each with the path it takes alone.
 
     Deterministic for a fixed seed. The diagnostics hold the score of each
     restart that ran to its end (``restart_scores``), the restart number of
@@ -736,37 +920,69 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     needed) and the largest nugget of all of them. Scores and records are
     both in restart order, so the k-th record is that of the k-th score. A
     restart that meets a point it cannot factor, its start included, is
-    skipped with a warning.
+    skipped with a warning; when every restart is, a NumericalError says
+    so.
     """
+    model = fit_designs([design], model_config, opt_config)[0]
+    if isinstance(model, NumericalError):
+        raise model
+    return model
+
+
+def fit_designs(designs, model_config: ModelConfig | None = None,
+                opt_config: OptimizerConfig | None = None) -> list:
+    """`fit` of every design of a list, all their restarts in one lockstep
+    (`_lockstep`): each round evaluates every restart that asks for a point
+    in one stacked `value_and_grad`. The designs need one layout: the same
+    curve indices and groups. Each design's fit equals its `fit` alone, bit
+    for bit. Returns per design its FittedModel, or the NumericalError its
+    fit met."""
     import warnings
+    if not designs:
+        raise ValidationError("need at least one design")
     model_config = model_config or ModelConfig()
     opt_config = opt_config or OptimizerConfig()
-    obj = MarginalLikelihoodObjective(design, model_config)
-    rng = np.random.default_rng(opt_config.seed)
-    scores, results, records = [], [], []
-    for i in range(opt_config.restarts):
-        theta0 = obj.default_start() if i == 0 else obj.random_start(rng)
-        obj.max_nugget = 0.0
-        try:
-            res = minimize(obj.value_and_grad, theta0, obj.bounds,
-                           opt_config.maxiter)
-        except NumericalError:
-            warnings.warn(f"restart {i}: factorization failed, skipped")
+    objs = [MarginalLikelihoodObjective(design, model_config) for design in designs]
+    lead = objs[0]
+    if any(obj.layout != lead.layout for obj in objs):
+        raise ValidationError("designs fitted together need one layout: the same "
+                              "curve indices and groups")
+    starts = []  # (objective, start), restart by restart, design by design
+    for obj in objs:
+        rng = np.random.default_rng(opt_config.seed)
+        starts += [(obj, obj.default_start() if i == 0 else obj.random_start(rng))
+                   for i in range(opt_config.restarts)]
+    runs = _lockstep(
+        lambda points, active: lead.value_and_grad(points, [starts[k][0] for k in active]),
+        [(theta0, obj.bounds) for obj, theta0 in starts], opt_config.maxiter,
+        max(1, LOCKSTEP_ENTRIES // lead.n_points ** 2))
+    models = []
+    for d, obj in enumerate(objs):
+        scores, results, records = [], [], []
+        for i, run in enumerate(runs[d * opt_config.restarts:(d + 1) * opt_config.restarts]):
+            if run.error is not None:
+                warnings.warn(f"restart {i}: factorization failed, skipped")
+                continue
+            res = run.result()
+            scores.append(-float(res.fun))
+            results.append(res.x)
+            records.append({"restart": i, "nit": res.nit, "nfev": res.nfev,
+                            "success": res.success, "message": res.message,
+                            "max_nugget": run.max_nugget})
+        if not results:
+            models.append(NumericalError("all restarts failed to factorize"))
             continue
-        scores.append(-float(res.fun))
-        results.append(res.x)
-        records.append({"restart": i, "nit": res.nit, "nfev": res.nfev,
-                        "success": res.success, "message": res.message,
-                        "max_nugget": obj.max_nugget})
-    if not results:
-        raise NumericalError("all restarts failed to factorize or converge")
-    best_index = int(np.argmax(scores))
-    kernel, noise_variance = obj.unpack(results[best_index])
-    diagnostics = {"restart_scores": scores,
-                   "best_restart": records[best_index]["restart"],
-                   "restarts": records,
-                   "max_nugget": max(r["max_nugget"] for r in records)}
-    return assemble_model(design, kernel, noise_variance, diagnostics)
+        best_index = int(np.argmax(scores))
+        diagnostics = {"restart_scores": scores,
+                       "best_restart": records[best_index]["restart"],
+                       "restarts": records,
+                       "max_nugget": max(r["max_nugget"] for r in records)}
+        try:
+            kernel, noise_variance = obj.unpack(results[best_index])
+            models.append(assemble_model(obj.design, kernel, noise_variance, diagnostics))
+        except NumericalError as exc:
+            models.append(exc)
+    return models
 
 
 def _unit_means(model: FittedModel, s, j):

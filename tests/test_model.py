@@ -1,5 +1,6 @@
 """GP model: marginal likelihood, fitting, prediction."""
 
+import collections
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from curvegp.kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
                            _chol_with_ladder, _coord_basis, assemble_model, fit,
-                           predict, predict_curve)
+                           fit_designs, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 from gram_oracle import full_grid_gram_oracle
 
@@ -267,30 +268,29 @@ class TestFit:
 
     def test_each_restart_evaluates_only_inside_the_optimizer(self, monkeypatch):
         """No likelihood evaluation outside L-BFGS-B: per restart, the
-        objective runs exactly as often as the optimizer reports."""
+        lockstep hands the objective exactly as many points as the optimizer
+        reports, and the objective evaluates no other row."""
         import curvegp.model as model
-        calls, per_restart = [0], []
-        value_and_grad = model.MarginalLikelihoodObjective.value_and_grad
-        minimize = model.minimize
+        rows, per_run = [0], collections.Counter()
+        value_and_grad, lockstep = model.MarginalLikelihoodObjective.value_and_grad, model._lockstep
 
-        def counted(self, theta):
-            calls[0] += 1
-            return value_and_grad(self, theta)
+        def counted(self, theta, stack_rows=None):
+            rows[0] += len(np.atleast_2d(theta))
+            return value_and_grad(self, theta, stack_rows)
 
-        def recorded(*args, **kwargs):
-            before = calls[0]
-            res = minimize(*args, **kwargs)
-            per_restart.append((calls[0] - before, int(res.nfev)))
-            return res
+        def recorded(evaluate, *args):
+            def each(points, active):
+                per_run.update(active)
+                return evaluate(points, active)
+            return lockstep(each, *args)
 
-        monkeypatch.setattr(model.MarginalLikelihoodObjective, "value_and_grad",
-                            counted)
-        monkeypatch.setattr(model, "minimize", recorded)
+        monkeypatch.setattr(model.MarginalLikelihoodObjective, "value_and_grad", counted)
+        monkeypatch.setattr(model, "_lockstep", recorded)
         design, _ = circle_design(8)
         fitted = fit(design, ModelConfig(), OptimizerConfig(restarts=3, seed=0))
-        assert len(per_restart) == 3
-        assert all(made == nfev for made, nfev in per_restart)
-        assert calls[0] == sum(r["nfev"] for r in fitted.diagnostics["restarts"])
+        nfev = [r["nfev"] for r in fitted.diagnostics["restarts"]]
+        assert [per_run[k] for k in range(3)] == nfev
+        assert rows[0] == sum(nfev)
 
     def test_start_that_cannot_be_factored_is_skipped(self, monkeypatch):
         import curvegp.model as model
@@ -1227,26 +1227,80 @@ class TestMinimize:
             want.nit, want.nfev, want.success, want.message)
 
     def test_restart_failing_partway_is_skipped(self, monkeypatch):
-        # a factorization failing in the middle of restart 1 drops that
-        # restart alone: the other restarts' records stay as they were
+        # a factorization failing at the fifth point of restart 1, in the
+        # middle of the lockstep, drops that restart alone: the other
+        # restarts' records stay as they were
         import curvegp.model as model
         design = paired_design(3, 4)
         opt = OptimizerConfig(restarts=3, seed=1)
         records = fit(design, ModelConfig(), opt).diagnostics["restarts"]
         assert records[1]["nfev"] > 5
-        fail_at = records[0]["nfev"] + 5  # the fifth evaluation of restart 1
-        factor, calls = model._chol_with_ladder, [0]
+        raised = fail_at_point(monkeypatch, design, opt, restart=1, k=5)
+        rows, value_and_grad = [0], model.MarginalLikelihoodObjective.value_and_grad
 
-        def fails_once(blocks, out=None):
-            calls[0] += 1
-            if calls[0] == fail_at:
-                raise NumericalError("forced factorization failure")
-            return factor(blocks, out)
+        def counted(self, theta, stack_rows=None):
+            rows[0] += len(np.atleast_2d(theta))
+            return value_and_grad(self, theta, stack_rows)
 
-        monkeypatch.setattr(model, "_chol_with_ladder", fails_once)
+        monkeypatch.setattr(model.MarginalLikelihoodObjective, "value_and_grad", counted)
         with pytest.warns(UserWarning, match="restart 1: factorization failed, skipped"):
             fitted = fit(design, ModelConfig(), opt)
+        assert raised == [1]
         assert fitted.diagnostics["restarts"] == [records[0], records[2]]
+        # restart 1 evaluates nothing after its failing fifth point
+        assert rows[0] == records[0]["nfev"] + records[2]["nfev"] + 5
+
+    def test_every_restart_failing_names_the_factorization(self, monkeypatch):
+        # restarts that end without converging are kept; only a failed
+        # factorization skips one, so that is what the error names
+        import curvegp.model as model
+
+        def fails(blocks, out=None):
+            raise NumericalError("forced factorization failure")
+
+        monkeypatch.setattr(model, "_chol_with_ladder", fails)
+        with pytest.warns(UserWarning) as caught:
+            with pytest.raises(NumericalError, match="^all restarts failed to factorize$"):
+                fit(paired_design(2, 4), ModelConfig(), OptimizerConfig(restarts=2))
+        assert [str(w.message) for w in caught] == [
+            f"restart {i}: factorization failed, skipped" for i in (0, 1)]
+
+
+def fail_at_point(monkeypatch, design, opt, restart, k):
+    """Make the factorization fail at the k-th point that restart
+    ``restart`` of a fit of ``design`` (default model config, optimizer
+    config ``opt``) evaluates, wherever the lockstep puts that row: the
+    point comes from running the restart alone through `minimize`, and
+    `_chol_with_ladder` raises on that point's blocks alone. Returns a list
+    that gets a 1 for every failure raised."""
+    import curvegp.model as model
+    obj = MarginalLikelihoodObjective(design, ModelConfig())
+    rng = np.random.default_rng(opt.seed)
+    starts = [obj.default_start()] + [obj.random_start(rng) for _ in range(1, opt.restarts)]
+    points = []
+
+    def recorded(theta):
+        points.append(theta.copy())
+        return obj.value_and_grad(theta)
+
+    model.minimize(recorded, starts[restart], obj.bounds, opt.maxiter)
+    factor, seen, raised = model._chol_with_ladder, [], []
+
+    def spy(blocks, out=None):
+        seen.append(blocks.copy())
+        return factor(blocks, out)
+
+    monkeypatch.setattr(model, "_chol_with_ladder", spy)
+    obj.value_and_grad(points[k - 1])
+
+    def fails_there(blocks, out=None):
+        if np.array_equal(blocks, seen[-1]):
+            raised.append(1)
+            raise NumericalError("forced factorization failure")
+        return factor(blocks, out)
+
+    monkeypatch.setattr(model, "_chol_with_ladder", fails_there)
+    return raised
 
 
 def shape_design(n_curves):
@@ -1399,6 +1453,16 @@ class TestWorkArrays:
         assert fitted.chol.tobytes() == chol.tobytes()
         assert fitted.alpha.tobytes() == alpha.tobytes()
 
+    def test_fitted_factors_keep_no_other_array_alive(self):
+        # the factors a fitted model keeps own no memory beyond their own,
+        # so the blocks they were factored from are freed with the call
+        obj = MarginalLikelihoodObjective(paired_design(2, 6), ModelConfig())
+        fitted = assemble_model(obj.design, *obj.unpack(obj.default_start()))
+        owner = fitted.chol
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == fitted.chol.nbytes
+
     def test_objectives_of_different_sizes_called_in_turn(self):
         # each objective keeps work arrays of its own size: evaluations of
         # a P = 8 and a P = 15 objective interleaved give what a fresh
@@ -1437,6 +1501,197 @@ class TestWorkArrays:
             expected = (warped_correlation(family, obj.warp, math.exp(theta[0]), True)[1]
                         * F[np.ix_(j, j)])
             assert dR.tobytes() == expected.tobytes()
+
+
+def layout_designs(n_curves, labels, n=6, count=3):
+    """``count`` designs of one layout (the curve indices and groups of
+    ``paired_design(n_curves, n, labels)``) with different stars."""
+    return [TrainingDesign.from_curves([scale_to_unit_length(center(generate_synthetic(
+        "star", n, rng_seed=10 * d + k, noise_sd=0.02))) for k in range(n_curves)], labels)
+        for d in range(count)]
+
+
+def assert_same_row(got, want):
+    """A row of a stacked call against a one-row call: value and gradient
+    bit for bit."""
+    value, grad = want
+    assert type(got[0]) is type(value) and got[0] == value
+    assert got[1].tobytes() == grad.tobytes()
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_row_equals_its_one_row_call(self, family, case):
+        # rows from three designs of one layout, two rows per design, in
+        # one call of the first design's objective
+        n_curves, labels = LEVEL_CASES[case]
+        designs = layout_designs(n_curves, labels)
+        config = ModelConfig(family=family)
+        objs = [MarginalLikelihoodObjective(d, config) for d in designs]
+        rng = np.random.default_rng(31)
+        order = [0, 1, 2, 2, 0, 1]
+        X = np.array([objs[d].random_start(rng) for d in order])
+        values, grads, nuggets, errors = objs[0].value_and_grad(X, [objs[d] for d in order])
+        assert grads.shape == (len(order), objs[0].n_params)
+        assert errors == [None] * len(order)
+        assert nuggets == [0.0] * len(order)
+        for b, d in enumerate(order):
+            fresh = MarginalLikelihoodObjective(designs[d], config)
+            assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
+        # the stacked Gram of the rows, one P x P matrix each
+        K, (dR, K0) = objs[0].gram_and_grads(X, [objs[d] for d in order])
+        for b, d in enumerate(order):
+            want = MarginalLikelihoodObjective(designs[d], config).gram_and_grads(X[b])
+            assert K[b].tobytes() == want[0].tobytes()
+            assert dR[b].tobytes() == want[1][0].tobytes()
+            assert K0[b].tobytes() == want[1][1].tobytes()
+
+    def test_a_row_that_escalates_the_nugget_moves_only_its_record(self):
+        design, kernel, _ = near_singular_design()
+        config = ModelConfig(family="periodic_rbf", jitter=0.0)
+        other = layout_designs(2, None, n=30, count=2)[1]
+        singular, plain = (MarginalLikelihoodObjective(d, config) for d in (design, other))
+        theta = np.concatenate([[0.0, -np.inf]] + [
+            unit_corner(level.matrix) for level in (kernel.coord, kernel.curve)])
+        X = np.array([plain.default_start(), theta, singular.default_start()])
+        values, grads, nuggets, errors = plain.value_and_grad(X, [plain, singular, singular])
+        rung = assemble_model(design, *singular.kernel_at(theta, 1.0)).diagnostics["nugget"]
+        assert nuggets == [0.0, rung, 0.0] and rung > 0.0
+        assert (plain.max_nugget, singular.max_nugget) == (0.0, rung)
+        assert errors == [None] * 3
+        for b, d in enumerate([other, design, design]):
+            fresh = MarginalLikelihoodObjective(d, config)
+            assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
+
+    def test_a_row_that_cannot_be_factored_fails_alone(self, monkeypatch):
+        import curvegp.model as model
+        objs = [MarginalLikelihoodObjective(d, ModelConfig())
+                for d in layout_designs(3, ["a", "b", "a"])]
+        rng = np.random.default_rng(5)
+        X = np.array([obj.random_start(rng) for obj in objs])
+        want = [MarginalLikelihoodObjective(obj.design, ModelConfig()).value_and_grad(x)
+                for obj, x in zip(objs, X)]
+        factor, calls = model._chol_with_ladder, [0]
+
+        def fails_second(blocks, out=None):  # rows are factored in order
+            calls[0] += 1
+            if calls[0] == 2:
+                raise NumericalError("forced factorization failure")
+            return factor(blocks, out)
+
+        monkeypatch.setattr(model, "_chol_with_ladder", fails_second)
+        values, grads, nuggets, errors = objs[0].value_and_grad(X, objs)
+        assert isinstance(errors[1], NumericalError) and errors[0] is errors[2] is None
+        assert values[1] is None and nuggets[1] is None and np.isnan(grads[1]).all()
+        for b in (0, 2):
+            assert_same_row((values[b], grads[b]), want[b])
+        calls[0] = 1  # alone, the row raises
+        with pytest.raises(NumericalError, match="forced"):
+            objs[1].value_and_grad(X[1])
+
+    def test_rows_need_one_layout(self):
+        a, b = (MarginalLikelihoodObjective(d, ModelConfig())
+                for d in (paired_design(2, 4), paired_design(2, 4, ["a", "b"])))
+        with pytest.raises(ValidationError, match="one layout"):
+            a.value_and_grad(np.array([a.default_start()] * 2), [a, b])
+        with pytest.raises(ValidationError, match="one layout"):
+            fit_designs([a.design, b.design])
+        with pytest.raises(ValidationError, match="at least one design"):
+            fit_designs([])
+
+
+def assert_same_fit(got, want):
+    """Two FittedModels bit for bit: restart records and scores, kernel,
+    noise, factors, alpha and log p."""
+    assert got.diagnostics == want.diagnostics
+    assert got.kernel.input_kernel == want.kernel.input_kernel
+    for name in ("coord", "curve", "group"):
+        a, b = getattr(got.kernel, name), getattr(want.kernel, name)
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert a.w.tobytes() == b.w.tobytes() and a.kappa.tobytes() == b.kappa.tobytes()
+    assert got.noise_variance == want.noise_variance
+    assert got.log_marginal_likelihood == want.log_marginal_likelihood
+    for name in ("chol", "alpha"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("case", ["three-curves", "four-curves-two-groups"])
+    def test_designs_fitted_together_equal_their_fits_alone(self, case):
+        n_curves, labels = LEVEL_CASES[case]
+        designs = layout_designs(n_curves, labels, n=5)
+        opt = OptimizerConfig(restarts=3, seed=4, maxiter=80)
+        together = fit_designs(designs, ModelConfig(), opt)
+        for got, design in zip(together, designs):
+            assert_same_fit(got, fit(design, ModelConfig(), opt))
+
+    def test_a_restart_failing_partway_drops_that_run_alone(self, monkeypatch):
+        designs = layout_designs(3, None, n=4)
+        opt = OptimizerConfig(restarts=3, seed=1)
+        alone = [fit(d, ModelConfig(), opt) for d in designs]
+        assert alone[1].diagnostics["restarts"][1]["nfev"] > 5
+        raised = fail_at_point(monkeypatch, designs[1], opt, restart=1, k=5)
+        with pytest.warns(UserWarning, match="restart 1: factorization failed, skipped"):
+            together = fit_designs(designs, ModelConfig(), opt)
+        assert raised == [1]
+        for b in (0, 2):
+            assert_same_fit(together[b], alone[b])
+        records = alone[1].diagnostics["restarts"]
+        assert together[1].diagnostics["restarts"] == [records[0], records[2]]
+
+    def test_a_design_whose_restarts_all_fail_gets_its_error(self, monkeypatch):
+        # both starts of design 1 cannot be factored: design 1 gets the
+        # NumericalError that `fit` raises, design 0 its fit
+        designs = layout_designs(2, None, n=4)
+        opt = OptimizerConfig(restarts=2, seed=3)
+        alone = fit(designs[0], ModelConfig(), opt)
+        raised = [fail_at_point(monkeypatch, designs[1], opt, restart=i, k=1) for i in (0, 1)]
+        with pytest.warns(UserWarning) as caught:
+            together = fit_designs(designs, ModelConfig(), opt)
+        assert raised == [[1], [1]]
+        assert [str(w.message) for w in caught] == [
+            f"restart {i}: factorization failed, skipped" for i in (0, 1)]
+        assert_same_fit(together[0], alone)
+        assert isinstance(together[1], NumericalError)
+        assert str(together[1]) == "all restarts failed to factorize"
+
+    @pytest.mark.parametrize("entries", ["one-run", "all-runs"])
+    def test_results_do_not_depend_on_the_run_cap(self, monkeypatch, entries):
+        import curvegp.model as model
+        designs = layout_designs(2, ["a", "b"], n=5)
+        opt = OptimizerConfig(restarts=3, seed=2, maxiter=60)
+        want = fit_designs(designs, ModelConfig(), opt)
+        p = len(designs[0].s)
+        widths = []
+        lockstep = model._lockstep
+
+        def recorded(evaluate, starts, maxiter, width):
+            widths.append(width)
+            return lockstep(evaluate, starts, maxiter, width)
+
+        monkeypatch.setattr(model, "_lockstep", recorded)
+        monkeypatch.setattr(model, "LOCKSTEP_ENTRIES", 1 if entries == "one-run"
+                            else len(designs) * opt.restarts * p * p)
+        got = fit_designs(designs, ModelConfig(), opt)
+        assert widths == [1 if entries == "one-run" else len(designs) * opt.restarts]
+        for a, b in zip(got, want):
+            assert_same_fit(a, b)
+
+    def test_landmark_search_is_pinned(self):
+        # the trials' fits in one lockstep give the indices, score and
+        # trials that fitting each trial alone gave
+        from curvegp.applications import LandmarkConfig, simultaneous_landmarks
+        curves = [generate_synthetic("star", 12, rng_seed=k, noise_sd=0.01) for k in (1, 2, 3)]
+        result = simultaneous_landmarks(curves, LandmarkConfig(p=4, n_trials=4, rng_seed=2),
+                                        opt_config=OptimizerConfig(restarts=2))
+        assert result.indices == (0, 3, 6, 9)
+        assert result.score == 0.09183860499259999
+        assert result.trials == [((1, 2, 3, 7), 0.28927888499686705),
+                                 ((0, 3, 6, 9), 0.09183860499259999),
+                                 ((0, 3, 6, 7), 0.1529795836562864),
+                                 ((1, 2, 5, 8), 0.19473496966958836)]
 
 
 def _arrays(value):

@@ -133,21 +133,35 @@ def test_fit_and_wasserstein_load_the_optimizer_when_called():
     assert int(nfev) > 0
 
 
-def test_fit_goes_through_the_module_minimize(monkeypatch):
-    """L-BFGS-B runs through `curvegp.model.minimize`, the module global that
-    imports `scipy.optimize` on first use (and the name tracers wrap), once
-    per restart."""
-    minimize, results = curvegp.model.minimize, []
-
-    def spy(*args, **kwargs):
-        results.append(minimize(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(curvegp.model, "minimize", spy)
-    fitted = fit(TrainingDesign.from_curves([generate_synthetic("circle", 6)]),
-                 ModelConfig(), OptimizerConfig(restarts=2, maxiter=20, seed=0))
-    assert [r["nfev"] for r in fitted.diagnostics["restarts"]] == [
-        r.nfev for r in results]
+def test_fit_goes_through_the_lockstep_driver():
+    """L-BFGS-B runs through `curvegp.model._lockstep`, which imports
+    `scipy.optimize` at the first fit and not at an evaluation before it,
+    and hands the objective each restart's points as often as the
+    restart's record counts them."""
+    script = (
+        "import collections, json, sys\n"
+        "import curvegp.model as model\n"
+        "from curvegp.curves import generate_synthetic\n"
+        "design = model.TrainingDesign.from_curves([generate_synthetic('circle', 6)])\n"
+        "objective = model.MarginalLikelihoodObjective(design, model.ModelConfig())\n"
+        "objective.value_and_grad(objective.default_start())\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "evaluated, lockstep = collections.Counter(), model._lockstep\n"
+        "def spy(evaluate, *args):\n"
+        "    def counted(points, active):\n"
+        "        evaluated.update(active)\n"
+        "        return evaluate(points, active)\n"
+        "    return lockstep(counted, *args)\n"
+        "model._lockstep = spy\n"
+        "fitted = model.fit(design, model.ModelConfig(),\n"
+        "                   model.OptimizerConfig(restarts=2, maxiter=20, seed=0))\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        "print(json.dumps([[r['nfev'] for r in fitted.diagnostics['restarts']],\n"
+        "                  [evaluated[k] for k in range(2)]]))\n")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    nfev, evaluated = json.loads(proc.stdout)
+    assert evaluated == nfev and all(n > 0 for n in nfev)
 
 
 # Each entry point that factors or solves, called first in a fresh
