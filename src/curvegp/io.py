@@ -6,7 +6,8 @@ load(save(x)) round trip reproduces values exactly. A fit file stores the
 jitter beside the noise variance (``noise.jitter``), and `kernel_from_dict`
 puts it back on the input kernel; every number read from a fit or
 prediction file must be finite, and a bad one is named by its key.
-`fit_result_from_dict` rebuilds the FittedModel from a fit and its curves.
+`fit_result_from_dict` rebuilds the FittedModel from a fit and its curves,
+which must give back the fit's log marginal likelihood when it has one.
 """
 
 from __future__ import annotations
@@ -189,18 +190,35 @@ def kernel_from_dict(data: dict):
     return kernel, noise_variance
 
 
+# The largest relative gap between a fit file's log p and the one its
+# curves give: far above LAPACK's differences between machines, far below
+# the gap of other curves or of the fitted curves in another order.
+LOG_P_RTOL = 1e-9
+
+
 def fit_result_from_dict(data: dict, curves):
     """The inverse of `fit_result_to_dict`, given the fitted curves: the
     kernel from `kernel_from_dict`, the design from the curves and the
     fit's ``curve_labels`` (a list of strings; absent, one group), then
-    `assemble_model`, which checks each level's size against the design."""
+    `assemble_model`, which checks each level's size against the design.
+    A fit that records ``log_marginal_likelihood`` must get it back from
+    the curves, to a relative `LOG_P_RTOL`: other curves, or the fitted
+    curves in another order, are a ValidationError naming both values."""
     kernel, noise_variance = kernel_from_dict(data)
     labels = data.get("curve_labels")
     if labels is not None and not (isinstance(labels, list)
                                    and all(isinstance(x, str) for x in labels)):
         raise ValidationError("fit file: curve_labels must be a list of strings")
-    return assemble_model(TrainingDesign.from_curves(curves, labels), kernel,
-                          noise_variance)
+    model = assemble_model(TrainingDesign.from_curves(curves, labels), kernel,
+                           noise_variance)
+    if "log_marginal_likelihood" in data:
+        saved = _number(data, "log_marginal_likelihood")
+        got = float(model.log_marginal_likelihood)
+        if abs(got - saved) > LOG_P_RTOL * abs(saved):
+            raise ValidationError(
+                f"fit file: log_marginal_likelihood is {saved!r}, but these inputs "
+                f"give {got!r}: they are not the fitted curves in the fitted order")
+    return model
 
 
 def predicted_curve_to_dict(pred) -> dict:

@@ -61,16 +61,17 @@ distances), keeps its work arrays across calls (the three slots
 and the stack `_chol_with_ladder` factors them into, which dpotrs and
 dpotri then overwrite in place), and evaluates a stack of thetas in one
 call, each row on the design of an objective of one layout (the same
-config, curve indices and groups). Elementwise arithmetic, sums along an
-axis and matrix products run on the whole stack, each slice as it runs
-alone; the rest stays one call per row: the coordinate basis's scalar math,
-the factorization with its nugget ladder, dpotrs, dpotri and every inner
-product (`np.vdot`). So each row of a stacked call equals the call on that
-row alone, bit for bit. New on every call are the arrays whose values
-leave the call, the gradients and alphas, and those no larger than a level
-times P per row. `unpack` and `assemble_model` pass no work arrays, so a
-fitted model shares no memory with an objective. The LAPACK flags go by
-position, which f2py parses faster than keywords.
+config, curve indices and groups). Only LAPACK and scalar math run per row
+(the factorization with its nugget ladder, dpotrs, dpotri, the coordinate
+basis, a 2 x 2 level's W, logs and exponentials); the rest runs once per
+stack, each slice as it runs alone: the finiteness check and copy of the
+blocks, elementwise arithmetic, axis sums, matrix products and every inner
+product (`_dots`). So each row of a stacked call equals the call on that
+row alone, bit for bit. New on every call are the arrays whose values leave
+the call, the gradients and alphas, and those no larger than a level times
+P per row. `unpack` and `assemble_model` pass no work arrays, so a fitted
+model shares no memory with an objective. The LAPACK flags go by position,
+which f2py parses faster than keywords.
 
 L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) runs through
 scipy's reverse-communication routine `setulb`, one state per run, with
@@ -310,8 +311,8 @@ def _coord_basis(B: np.ndarray):
         phi = 0.5 * math.atan2(b, half)
         cos, sin = math.cos(phi), math.sin(phi)
         mid = 0.5 * (a + c)
-        lams.append((mid + r, mid - r))
-        Qs.append(((cos, -sin), (sin, cos)))
+        lams += (mid + r, mid - r)
+        Qs += (cos, -sin, sin, cos)
     stack = B.shape[:-2]
     return np.array(lams).reshape(*stack, 2), np.array(Qs).reshape(*stack, 2, 2)
 
@@ -325,29 +326,23 @@ def _lapack():
 
 
 def _chol_with_ladder(blocks, out=None):
-    """Lower Cholesky factors of every block of a stack of symmetric
+    """Lower Cholesky factors of every block of a stack of finite symmetric
     matrices, with one escalating diagonal nugget: when any block fails,
     all are factored again with the next rung of `NUGGET_LADDER` times the
     mean diagonal entry of all blocks. One nugget for every block keeps K +
     nugget I isotropic, and blocks scaled by any factor take the rung they
     take unscaled, so the objective at sigma2 = 1 and `assemble_model` at
     sigma2's estimate factor alike. Returns (factors, rung used): factors
-    is ``out``, a C-ordered stack of the blocks' shape, read transposed, or
-    a new stack without it, each matrix Fortran-ordered, so that LAPACK
-    works on it in place. A block with an entry that is not finite raises
-    a ValidationError naming the training covariance."""
-    # a finite sum of squares shows every entry finite, in one dot product
-    if not math.isfinite(np.vdot(blocks, blocks)) and not np.isfinite(blocks).all():
-        raise ValidationError("the training covariance is not finite: the kernel's "
-                              "sigma2 or level matrices are too large")
+    is ``out``, holding a copy of the blocks when called, or a new copy,
+    C-ordered and read transposed: Fortran-ordered, for LAPACK in place."""
     dpotrf = _lapack().dpotrf
     # a symmetric block's C-ordered copy, read transposed, is the block in
     # Fortran order
-    copy = np.empty_like(blocks) if out is None else out
+    copy = blocks.copy() if out is None else out
     factors = copy.transpose(0, 2, 1)
     for rung in NUGGET_LADDER:
-        np.copyto(copy, blocks)
         if rung:
+            np.copyto(copy, blocks)
             copy.reshape(len(copy), -1)[:, ::copy.shape[-1] + 1] += (
                 rung * blocks.diagonal(axis1=1, axis2=2).mean())
         for L in factors:
@@ -358,6 +353,12 @@ def _chol_with_ladder(blocks, out=None):
             return factors, rung
     raise NumericalError(
         f"covariance factorization failed after nugget ladder {NUGGET_LADDER}")
+
+
+def _dots(a, b):
+    """The `np.vdot` of each pair of vectors (..., n) of two stacks, bit for
+    bit on the same strides, as one matmul (..., 1, n) @ (..., n, 1)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 class _Level:
@@ -447,10 +448,8 @@ class MarginalLikelihoodObjective:
     the coordinate level applied through its eigenbasis.
 
     One call evaluates one theta or a stack of them, each row on the design
-    of this objective or of another one of its ``layout``: the same config,
-    curve indices and groups, so the same P and levels. Each row keeps its
-    own warped distances, targets and nugget ladder, and equals the call on
-    that row alone, bit for bit."""
+    of an objective of this one's ``layout`` (config, curve indices and
+    groups), with its own nugget ladder, equal to its call alone bit for bit."""
 
     def __init__(self, design: TrainingDesign, config: ModelConfig):
         self.design = design
@@ -494,7 +493,6 @@ class MarginalLikelihoodObjective:
         self._corr = np.empty((3, rows, n, n))
         self._K, self._A = np.empty((2, rows, n, n))
         self._solve_work = np.empty((2, rows, 2, n, n))
-        self._K_diagonal = self._K.diagonal(axis1=1, axis2=2)
         self._A_diagonal = self._A.reshape(rows, -1)[:, ::n + 1]
         self._warps = np.empty((rows, n, n))
         self._ys = np.empty((rows, n, 2))
@@ -559,8 +557,9 @@ class MarginalLikelihoodObjective:
         n_rows = len(stack)
         if n_rows > self._capacity:
             self._grow(n_rows)
-        warp = self.warp[None] if rows is None else np.stack(
-            [row.warp for row in rows], out=self._warps[:n_rows])
+        warp = self.warp[None] if rows is None else self._warps[:n_rows]
+        if rows is not None:  # np.stack's copy, in one concatenate
+            np.concatenate([row.warp for row in rows], out=warp.reshape(-1, self.n_points))
         rho = np.array([math.exp(t) for t in stack[:, 0].tolist()])[:, None, None]
         corr, dcorr = warped_correlation(self.config.family, warp, rho, True,
                                          self._corr[:, :n_rows])
@@ -604,40 +603,41 @@ class MarginalLikelihoodObjective:
                                   "one config, curve indices and groups")
         K, (dR, K0) = self.gram_and_grads(stack, rows)
         n_rows, size = len(stack), 2 * self.n_points
-        etas = [math.exp(t) for t in stack[:, 1].tolist()]
+        etas = np.array([math.exp(t) for t in stack[:, 1].tolist()])
         lam, Q = self._basis
-        y = self.targets if rows is None else np.stack(
-            [row.design.y for row in rows], out=self._ys[:n_rows]).transpose(0, 2, 1)
+        y = self.targets if rows is None else self._ys[:n_rows].transpose(0, 2, 1)
+        if rows is not None:  # np.stack's copy, in one concatenate
+            np.concatenate([row.design.y for row in rows], out=self._ys[:n_rows].reshape(-1, 2))
         factors, nuggets, alphas, quads, half_logdets, errors = _solve(
-            K, self._basis, np.array(etas), y, self._solve_work[:, :n_rows])
+            K, self._basis, etas, y, self._solve_work[:, :n_rows])
         values, scales = [None] * n_rows, [1.0] * n_rows
-        for b, error in enumerate(errors):
-            if error is None:
-                sigma2 = quads[b] / size
-                values[b] = 0.5 * size * (math.log(sigma2) + 1.0 + LOG2PI) + half_logdets[b]
-                scales[b] = 1.0 / math.sqrt(sigma2)
-        alphas *= np.array(scales)[:, None, None]  # A = alphas alphas^T - (R + eta I)^-1
-        Mt = alphas @ K @ alphas.transpose(0, 2, 1)
         dpotri = _lapack().dpotri
-        for b, error in enumerate(errors):
-            if error is not None:
-                continue
-            for e, L in enumerate(factors[b]):  # each factor becomes K_e^-1 in place
+        for b, row in enumerate(rows or [self] * n_rows):
+            for L in factors[b] if errors[b] is None else ():  # each becomes K_e^-1 in place
                 _, info = dpotri(L, 1, 1)  # lower, overwrite_c
                 if info != 0:
                     errors[b] = NumericalError(
                         f"inverse from the Cholesky factor failed (info={info})")
                     factors[b] = np.eye(self.n_points)
                     break
-                # <K_e^-1, K> from the lower triangle dpotri fills
-                Mt[b, e, e] -= (2.0 * np.vdot(L.T, K[b])
-                                - L.diagonal() @ self._K_diagonal[b])
-        traces = []  # sum_e tr(A_e) per row
-        for alpha, inverse_traces in zip(alphas, np.add.reduce(
-                factors.diagonal(axis1=2, axis2=3), axis=2).tolist()):
-            traces.append(float(np.vdot(alpha, alpha)))
-            for trace in inverse_traces:
-                traces[-1] -= trace
+            if errors[b] is not None:
+                nuggets[b] = None
+                continue
+            sigma2 = quads[b] / size
+            values[b] = 0.5 * size * (math.log(sigma2) + 1.0 + LOG2PI) + half_logdets[b]
+            scales[b] = 1.0 / math.sqrt(sigma2)
+            row.max_nugget = max(row.max_nugget, nuggets[b])
+        alphas *= np.array(scales)[:, None, None]  # A = alphas alphas^T - (R + eta I)^-1
+        Mt = alphas @ K @ alphas.transpose(0, 2, 1)
+        # <K_e^-1, K> from the lower triangle dpotri fills, read C-ordered
+        diagonals = factors.diagonal(axis1=2, axis2=3)
+        Mt.reshape(n_rows, 4)[:, ::3] -= (
+            2.0 * _dots(factors.transpose(0, 1, 3, 2).reshape(n_rows, 2, -1),
+                        K.reshape(n_rows, 1, -1))
+            - _dots(diagonals, K.diagonal(axis1=1, axis2=2)[:, None]))
+        inverse_traces = np.add.reduce(diagonals, axis=2)
+        traces = (_dots(alphas.reshape(n_rows, -1), alphas.reshape(n_rows, -1))
+                  - inverse_traces[:, 0] - inverse_traces[:, 1])  # sum_e tr(A_e)
         factors *= lam[:, :, None, None]
         Kinv = factors[:, 0]
         Kinv += factors[:, 1]
@@ -648,9 +648,8 @@ class MarginalLikelihoodObjective:
         A -= Kinv.transpose(0, 2, 1)  # dpotri fills the lower triangle; the upper is zero
         self._A_diagonal[:n_rows] += Kinv.diagonal(axis1=1, axis2=2)  # taken twice above
         grad = np.empty((n_rows, self.n_params))
-        for b in range(n_rows):
-            grad[b, 0] = -0.5 * np.vdot(A[b], dR[b])
-            grad[b, 1] = -0.5 * etas[b] * traces[b]
+        grad[:, 0] = -0.5 * _dots(A.reshape(n_rows, -1), dR.reshape(n_rows, -1))
+        grad[:, 1] = -0.5 * etas * traces
         self.levels[0].grad(grad, Q @ Mt @ Q.transpose(0, 2, 1))
         # Gt sums A o K0 over each block of curves; the curve level's M is Gt
         # o G[cg, cg], and the group level's sums Gt o C over blocks of groups
@@ -661,12 +660,8 @@ class MarginalLikelihoodObjective:
             if level.name == "group":
                 M = self.group_onehot.T @ M @ self.group_onehot
             level.grad(grad, M)
-        for b, (row, error) in enumerate(zip(rows or [self] * n_rows, errors)):
-            if error is None:
-                row.max_nugget = max(row.max_nugget, nuggets[b])
-            else:
-                values[b] = nuggets[b] = None
-                grad[b] = np.nan
+        for b in (b for b, error in enumerate(errors) if error is not None):
+            grad[b] = np.nan
         if np.ndim(theta) == 1:
             if errors[0] is not None:
                 raise errors[0]
@@ -689,7 +684,8 @@ def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
     e^-1 (Q^T y)[e], and per row the nugget, y^T C^-1 y, log|C| / 2 (C
     the covariance of all 2P values) and None, or, for a row whose
     factorization or solve fails, its NumericalError, the row's factors
-    then I, so that arithmetic on the whole stack stays finite. ``out``,
+    then I, so that arithmetic on the whole stack stays finite (a block
+    entry that is not finite fails the stack: a ValidationError). ``out``,
     when given, is a (2, B, 2, P, P) work stack: the blocks go into out[0]
     and their factors into out[1]; without it both are new."""
     lam, Q = basis
@@ -699,11 +695,16 @@ def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
     blocks, room = (np.empty((n_rows, 2, n, n)) for _ in range(2)) if out is None else out
     np.multiply(lam[:, :, None, None], K[:, None], out=blocks)
     blocks.reshape(n_rows, 2, -1)[:, :, ::n + 1] += noise_var[:, None, None]
+    # a finite sum of squares shows every entry finite, in one dot product
+    if not math.isfinite(np.vdot(blocks, blocks)) and not np.isfinite(blocks).all():
+        raise ValidationError("the training covariance is not finite: the kernel's "
+                              "sigma2 or level matrices are too large")
+    np.copyto(room, blocks)  # each row's copy, factored in place
     factors = room.transpose(0, 1, 3, 2)
     Y = Q.transpose(0, 2, 1) @ y
     alphas = Y.copy()
     dpotrs = _lapack().dpotrs
-    nuggets, quads, errors = ([None] * n_rows for _ in range(3))
+    nuggets, errors = [None] * n_rows, [None] * n_rows
     for b in range(n_rows):
         try:
             _, nuggets[b] = _chol_with_ladder(blocks[b], room[b])
@@ -715,11 +716,9 @@ def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
         except NumericalError as exc:
             errors[b] = exc
             room[b] = np.eye(n)
-            continue
-        quads[b] = float(np.vdot(Y[b], alphas[b]))
-    half_logdets = [sum(pair) for pair in np.add.reduce(
-        np.log(factors.diagonal(axis1=2, axis2=3)), axis=2).tolist()]
-    return factors, nuggets, alphas, quads, half_logdets, errors
+    quads = _dots(Y.reshape(n_rows, -1), alphas.reshape(n_rows, -1)).tolist()
+    logdets = np.add.reduce(np.log(factors.diagonal(axis1=2, axis2=3)), axis=2)
+    return factors, nuggets, alphas, quads, (logdets[:, 0] + logdets[:, 1]).tolist(), errors
 
 
 def _solve_points(design: TrainingDesign, kernel: MultiLevelKernel,
@@ -728,7 +727,7 @@ def _solve_points(design: TrainingDesign, kernel: MultiLevelKernel,
     on the design's point Gram from `multilevel_gram`, in the eigenbasis of
     the kernel's coordinate factor; a factorization or solve that fails
     raises its NumericalError."""
-    with np.errstate(over="ignore"):  # `_chol_with_ladder` rejects what overflows
+    with np.errstate(over="ignore"):  # `_solve` rejects what overflows
         K = multilevel_gram(kernel, design.s, j_a=design.j,
                             curve_group=design.curve_group)
         basis = _coord_basis(kernel.coord.matrix[None])
@@ -935,8 +934,8 @@ def fit_designs(designs, model_config: ModelConfig | None = None,
     (`_lockstep`): each round evaluates every restart that asks for a point
     in one stacked `value_and_grad`. The designs need one layout: the same
     curve indices and groups. Each design's fit equals its `fit` alone, bit
-    for bit. Returns per design its FittedModel, or the NumericalError its
-    fit met."""
+    for bit; a skipped restart's warning names its design (its index).
+    Returns per design its FittedModel, or the NumericalError its fit met."""
     import warnings
     if not designs:
         raise ValidationError("need at least one design")
@@ -961,7 +960,8 @@ def fit_designs(designs, model_config: ModelConfig | None = None,
         scores, results, records = [], [], []
         for i, run in enumerate(runs[d * opt_config.restarts:(d + 1) * opt_config.restarts]):
             if run.error is not None:
-                warnings.warn(f"restart {i}: factorization failed, skipped")
+                where = f"design {d}, " if len(objs) > 1 else ""
+                warnings.warn(f"{where}restart {i}: factorization failed, skipped")
                 continue
             res = run.result()
             scores.append(-float(res.fun))

@@ -265,6 +265,9 @@ MALFORMED_FITS = {
         **data["hyperparameters"], "sigma2": "abc"}}, "hyperparameters.sigma2"),
     "no-kappa": (_without("coregionalization.D.kappa"), "coregionalization.D.kappa"),
     "top-level-list": (lambda data: [data], "JSON object"),
+    # the recorded log p the inputs are checked against must be a number
+    **{f"{value}-log-p": (_setting("log_marginal_likelihood", value),
+                          "log_marginal_likelihood") for value in (float("nan"), "abc")},
 }
 
 
@@ -416,9 +419,8 @@ class TestFitPredictPipeline:
                      "--curve", "1", "--m", "15", "--out", pred_path]) == EXIT_OK
         pred = read_json(pred_path)
         expected = predict_curve(model, 1, 15)
-        assert np.allclose(pred["means"], expected.means, rtol=0, atol=1e-10)
-        assert np.allclose(pred["covariances"], expected.covariances,
-                           rtol=0, atol=1e-10)
+        for key in ("grid", "means", "covariances"):  # bit for bit
+            assert np.array(pred[key]).tobytes() == getattr(expected, key).tobytes()
 
     def test_labels_couple_curves_across_groups(self, tmp_path):
         # labels fit the group level, so curves in different groups share
@@ -451,6 +453,65 @@ class TestFitPredictPipeline:
                      "--out", str(pred_path)]) == EXIT_VALIDATION
         assert "curve_labels" in capsys.readouterr().err
         assert not pred_path.exists()
+
+    def _pair_fit(self, tmp_path):
+        """A star, an ellipse and a circle (30 points, noise sd 0.01, seeds
+        1, 2, 3), and a fit of the star and the ellipse."""
+        paths = []
+        for k, shape in enumerate(("star", "ellipse", "circle"), start=1):
+            paths.append(str(tmp_path / f"s{k}.csv"))
+            assert main(["simulate", "--shape", shape, "--n", "30", "--noise-sd", "0.01",
+                         "--seed", str(k), "--out", paths[-1]]) == EXIT_OK
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 1\nopt.maxiter = 30\n")
+        fit_path = str(tmp_path / "fit.json")
+        assert main(["fit", "--inputs", *paths[:2], "--config", str(cfg),
+                     "--out", fit_path]) == EXIT_OK
+        return paths, fit_path
+
+    @pytest.mark.parametrize("inputs", [(1, 0), (0, 2)], ids=["swapped", "foreign"])
+    def test_predict_on_curves_the_fit_is_not_of_exit_2(self, tmp_path, capsys, inputs):
+        # the fit's log p names its curves in their order: the swapped pair
+        # and a foreign curve once predicted with exit 0
+        paths, fit_path = self._pair_fit(tmp_path)
+        saved = read_json(fit_path)["log_marginal_likelihood"]
+        pred_path = tmp_path / "pred.json"
+        capsys.readouterr()
+        assert main(["predict", "--inputs", *(paths[i] for i in inputs), "--fit", fit_path,
+                     "--out", str(pred_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: fit file: log_marginal_likelihood is "
+                            rf"{re.escape(repr(saved))}, but these inputs give "
+                            r"-?\d+\.\d+(e-?\d+)?: they are not the fitted curves in "
+                            r"the fitted order\n", err)
+        assert not pred_path.exists()
+
+    def test_predict_on_the_fitted_curves_is_the_fit_bit_for_bit(self, tmp_path):
+        paths, fit_path = self._pair_fit(tmp_path)
+        curves = [load_curve_csv(p) for p in paths[:2]]
+        model = fit(TrainingDesign.from_curves(curves), ModelConfig(),
+                    OptimizerConfig(restarts=1, maxiter=30))
+        assert read_json(fit_path)["log_marginal_likelihood"] == model.log_marginal_likelihood
+        for curve in ("0", "1"):
+            pred_path = tmp_path / f"pred{curve}.json"
+            assert main(["predict", "--inputs", *paths[:2], "--fit", fit_path,
+                         "--curve", curve, "--m", "15", "--out", str(pred_path)]) == EXIT_OK
+            want = predict_curve(model, int(curve), 15)
+            pred = read_json(pred_path)
+            for key in ("grid", "means", "covariances"):
+                assert np.array(pred[key]).tobytes() == getattr(want, key).tobytes()
+
+    def test_fit_without_a_log_p_is_not_checked(self, tmp_path):
+        # a hand-made fit file of hyperparameters and noise alone predicts
+        # on any curves of its layout
+        paths, fit_path = self._pair_fit(tmp_path)
+        data = read_json(fit_path)
+        del data["log_marginal_likelihood"]
+        save_json(data, fit_path)
+        pred_path = tmp_path / "pred.json"
+        assert main(["predict", "--inputs", paths[1], paths[0], "--fit", fit_path,
+                     "--out", str(pred_path)]) == EXIT_OK
+        assert pred_path.exists()
 
     def test_predict_label_count_mismatch_exit_2(self, tmp_path):
         paths, fit_path, _ = self._grouped_fit(tmp_path)

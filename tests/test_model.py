@@ -18,8 +18,8 @@ from curvegp.kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                              warped_correlation)
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
-                           _chol_with_ladder, _coord_basis, assemble_model, fit,
-                           fit_designs, predict, predict_curve)
+                           _chol_with_ladder, _coord_basis, _dots, assemble_model,
+                           fit, fit_designs, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 from gram_oracle import full_grid_gram_oracle
 
@@ -1590,6 +1590,113 @@ class TestStackedEvaluation:
         with pytest.raises(NumericalError, match="forced"):
             objs[1].value_and_grad(X[1])
 
+    @pytest.mark.parametrize("points", [4, 20], ids=["P=12", "P=60"])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 12])
+    def test_stacks_of_any_size_equal_their_one_row_calls(self, n_rows, points):
+        # one design per row, three curves of ``points`` points each
+        objs = [MarginalLikelihoodObjective(d, ModelConfig())
+                for d in layout_designs(3, None, n=points, count=n_rows)]
+        rng = np.random.default_rng(n_rows)
+        X = np.array([obj.random_start(rng) for obj in objs])
+        values, grads, nuggets, errors = objs[0].value_and_grad(X, objs)
+        assert grads.shape == (n_rows, objs[0].n_params)
+        assert errors == [None] * n_rows and nuggets == [0.0] * n_rows
+        for b, obj in enumerate(objs):
+            fresh = MarginalLikelihoodObjective(obj.design, ModelConfig())
+            assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
+
+    @pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", ["escalates", "unfactorable"])
+    def test_a_hard_row_anywhere_in_the_stack(self, monkeypatch, kind, position):
+        # a row of a near-singular design needs a rung of the nugget ladder,
+        # and with the ladder cut to its first rung it cannot be factored;
+        # the other rows equal their one-row calls wherever it sits
+        import curvegp.model as model
+        if kind == "unfactorable":
+            monkeypatch.setattr(model, "NUGGET_LADDER", (0.0,))
+        design, kernel, _ = near_singular_design()
+        config = ModelConfig(family="periodic_rbf", jitter=0.0)
+        singular = MarginalLikelihoodObjective(design, config)
+        plain = [MarginalLikelihoodObjective(d, config)
+                 for d in layout_designs(2, None, n=30, count=4)]
+        objs = plain[:position] + [singular] + plain[position:]
+        X = np.array([obj.default_start() for obj in objs])
+        X[position] = np.concatenate([[0.0, -np.inf]] + [
+            unit_corner(level.matrix) for level in (kernel.coord, kernel.curve)])
+        values, grads, nuggets, errors = objs[0].value_and_grad(X, objs)
+        for b, obj in enumerate(objs):
+            fresh = MarginalLikelihoodObjective(obj.design, config)
+            if b != position:
+                assert errors[b] is None and nuggets[b] == 0.0
+                assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
+            elif kind == "escalates":
+                assert errors[b] is None and nuggets[b] > 0.0
+                assert singular.max_nugget == nuggets[b]
+                assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
+            else:
+                assert isinstance(errors[b], NumericalError)
+                assert values[b] is None and nuggets[b] is None
+                assert np.isnan(grads[b]).all() and singular.max_nugget == 0.0
+                with pytest.raises(NumericalError, match="nugget ladder"):
+                    fresh.value_and_grad(X[b])
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_a_non_finite_row_anywhere_in_the_stack_raises(self, position):
+        # a curve level of 1e200 overflows that row's covariance: the whole
+        # call raises the ValidationError a one-row call raises
+        objs = [MarginalLikelihoodObjective(d, ModelConfig())
+                for d in layout_designs(3, None, n=4)]
+        rng = np.random.default_rng(2)
+        X = np.array([obj.random_start(rng) for obj in objs])
+        curve = objs[0].levels[1]
+        X[position, curve.slice][:curve.size] = 1e200
+        message = "the training covariance is not finite"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match=message):
+                objs[0].value_and_grad(X, objs)
+            with pytest.raises(ValidationError, match=message):
+                objs[position].value_and_grad(X[position])
+
+    @pytest.mark.parametrize("n", [12, 60])
+    def test_each_stacked_inner_product_is_its_row_by_row_vdot(self, monkeypatch, n):
+        # every inner product of an evaluation is one matmul over the stack
+        # (`_dots`); in the layout the evaluation passes, each must give the
+        # per-row np.vdot (or 1-D @) bit for bit. The diagonals keep their
+        # stride, the rest is read contiguously: a contiguous copy of a
+        # diagonal sums in another order.
+        import curvegp.model as model
+        B, strides, dots = 7, [], model._dots
+
+        def recorded(a, b):
+            strides.append((a.strides[-1], b.strides[-1]))
+            return dots(a, b)
+
+        monkeypatch.setattr(model, "_dots", recorded)
+        objs = [MarginalLikelihoodObjective(d, ModelConfig())
+                for d in layout_designs(3, None, n=n // 3, count=B)]
+        objs[0].value_and_grad(np.array([obj.default_start() for obj in objs]), objs)
+        assert sorted(strides) == [(8, 8)] * 4 + [(8 * (n + 1), 8 * (n + 1))]
+        rng = np.random.default_rng(n)
+        scale = np.exp(rng.uniform(-3.0, 3.0, size=(B, 1, 1)))
+        stack = rng.standard_normal((B, 2, n, n)) * scale[:, None]  # C-ordered factors
+        factors = stack.transpose(0, 1, 3, 2)
+        K, A, dR = (rng.standard_normal((B, n, n)) * scale for _ in range(3))
+        Y, alphas = (rng.standard_normal((B, 2, n)) * scale for _ in range(2))
+        Yf, af, Af, dRf = (a.reshape(B, -1) for a in (Y, alphas, A, dR))
+        pinned = {
+            "quads": (_dots(Yf, af), [np.vdot(Y[b], alphas[b]) for b in range(B)]),
+            "traces": (_dots(af, af), [np.vdot(alphas[b], alphas[b]) for b in range(B)]),
+            "<K_e^-1, K>": (_dots(stack.reshape(B, 2, -1), K.reshape(B, 1, -1)),
+                            [[np.vdot(L.T, K[b]) for L in factors[b]] for b in range(B)]),
+            "diagonal": (_dots(factors.diagonal(axis1=2, axis2=3),
+                               K.diagonal(axis1=1, axis2=2)[:, None]),
+                         [[L.diagonal() @ K[b].diagonal() for L in factors[b]]
+                          for b in range(B)]),
+            "grad[:, 0]": (_dots(Af, dRf), [np.vdot(A[b], dR[b]) for b in range(B)]),
+        }
+        for name, (stacked, rows) in pinned.items():
+            assert stacked.tobytes() == np.array(rows).tobytes(), name
+
     def test_rows_need_one_layout(self):
         a, b = (MarginalLikelihoodObjective(d, ModelConfig())
                 for d in (paired_design(2, 4), paired_design(2, 4, ["a", "b"])))
@@ -1652,10 +1759,26 @@ class TestLockstep:
             together = fit_designs(designs, ModelConfig(), opt)
         assert raised == [[1], [1]]
         assert [str(w.message) for w in caught] == [
-            f"restart {i}: factorization failed, skipped" for i in (0, 1)]
+            f"design 1, restart {i}: factorization failed, skipped" for i in (0, 1)]
         assert_same_fit(together[0], alone)
         assert isinstance(together[1], NumericalError)
         assert str(together[1]) == "all restarts failed to factorize"
+
+    def test_each_design_warns_of_its_skipped_restart(self, monkeypatch):
+        # two designs that each lose restart 1 warn twice under Python's
+        # default filter, which shows a repeated message once
+        import warnings
+        designs = layout_designs(2, None, n=4, count=2)
+        opt = OptimizerConfig(restarts=2, seed=3)
+        for design in designs:
+            fail_at_point(monkeypatch, design, opt, restart=1, k=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            together = fit_designs(designs, ModelConfig(), opt)
+        assert [str(w.message) for w in caught] == [
+            f"design {d}, restart 1: factorization failed, skipped" for d in (0, 1)]
+        assert [[r["restart"] for r in model.diagnostics["restarts"]]
+                for model in together] == [[0], [0]]
 
     @pytest.mark.parametrize("entries", ["one-run", "all-runs"])
     def test_results_do_not_depend_on_the_run_cap(self, monkeypatch, entries):
