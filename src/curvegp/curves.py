@@ -193,8 +193,8 @@ def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
     Deterministic for a fixed ``rng_seed``.
     """
     n = whole_number("n", n, 3, CurveError)
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
+    if not 0.0 <= noise_sd < np.inf:  # NaN fails here too
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     theta = _angles(n, scheme, cluster_center)
     if shape == "circle":
         pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])

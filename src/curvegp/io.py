@@ -213,7 +213,7 @@ def fit_result_from_dict(data: dict, curves):
                            noise_variance)
     if "log_marginal_likelihood" in data:
         saved = _number(data, "log_marginal_likelihood")
-        got = float(model.log_marginal_likelihood)
+        got = model.log_marginal_likelihood
         if abs(got - saved) > LOG_P_RTOL * abs(saved):
             raise ValidationError(
                 f"fit file: log_marginal_likelihood is {saved!r}, but these inputs "

@@ -30,11 +30,12 @@ jitter and noise as absolute values.
 
 One routine, `_solve`, forms the two blocks, factors them with the nugget
 ladder, solves the rotated targets and returns y^T K^-1 y and log|K| / 2.
-The objective calls it on its work arrays; `unpack` and `assemble_model`
-call it on the Gram `multilevel_gram` forms. So s2, the profiled -log p
-and the fitted model's log p are each one line over the same numbers, and
-both paths take the coordinate basis from the one spelling of a level's
-matrix, `coreg.level_matrix`.
+The objective calls it on its work arrays, on a stack of thetas in
+`value_and_grad` and on theta alone in `unpack`, which takes s2 from it;
+`assemble_model` calls it on the Gram `multilevel_gram` forms. So s2, the
+profiled -log p and the fitted model's log p are each one line over the
+same numbers, and both Grams take the coordinate basis from the one
+spelling of a level's matrix, `coreg.level_matrix`.
 
 s2 is a stationary point of the full likelihood, so the gradient of -log p
 at s2 is -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1
@@ -69,8 +70,8 @@ blocks, elementwise arithmetic, axis sums, matrix products and every inner
 product (`_dots`). So each row of a stacked call equals the call on that
 row alone, bit for bit. New on every call are the arrays whose values leave
 the call, the gradients and alphas, and those no larger than a level times
-P per row. `unpack` and `assemble_model` pass no work arrays, so a fitted
-model shares no memory with an objective. The LAPACK flags go by position,
+P per row. `assemble_model` passes no work arrays, so a fitted model
+shares no memory with an objective. The LAPACK flags go by position,
 which f2py parses faster than keywords.
 
 L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) runs through
@@ -325,25 +326,25 @@ def _lapack():
     return lapack
 
 
-def _chol_with_ladder(blocks, out=None):
+def _chol_with_ladder(blocks, out):
     """Lower Cholesky factors of every block of a stack of finite symmetric
     matrices, with one escalating diagonal nugget: when any block fails,
     all are factored again with the next rung of `NUGGET_LADDER` times the
     mean diagonal entry of all blocks. One nugget for every block keeps K +
     nugget I isotropic, and blocks scaled by any factor take the rung they
     take unscaled, so the objective at sigma2 = 1 and `assemble_model` at
-    sigma2's estimate factor alike. Returns (factors, rung used): factors
-    is ``out``, holding a copy of the blocks when called, or a new copy,
-    C-ordered and read transposed: Fortran-ordered, for LAPACK in place."""
+    sigma2's estimate factor alike. ``out`` holds a C-ordered copy of the
+    blocks when called and is factored in place, read transposed:
+    Fortran-ordered, for LAPACK. Returns (factors, rung used), factors that
+    transposed view of ``out``."""
     dpotrf = _lapack().dpotrf
     # a symmetric block's C-ordered copy, read transposed, is the block in
     # Fortran order
-    copy = blocks.copy() if out is None else out
-    factors = copy.transpose(0, 2, 1)
+    factors = out.transpose(0, 2, 1)
     for rung in NUGGET_LADDER:
         if rung:
-            np.copyto(copy, blocks)
-            copy.reshape(len(copy), -1)[:, ::copy.shape[-1] + 1] += (
+            np.copyto(out, blocks)
+            out.reshape(len(out), -1)[:, ::out.shape[-1] + 1] += (
                 rung * blocks.diagonal(axis1=1, axis2=2).mean())
         for L in factors:
             _, info = dpotrf(L, 1, 1, 1)  # lower, clean, overwrite_a
@@ -481,7 +482,6 @@ class MarginalLikelihoodObjective:
         self.curve_onehot = np.eye(design.n_curves)[design.j]
         self.group_onehot = np.eye(design.n_groups)[design.curve_group]
         self._capacity = 0  # the rows the work arrays hold, made at the first call
-        self.max_nugget = 0.0  # the largest nugget `_chol_with_ladder` used
 
     def _grow(self, rows: int):
         """Work arrays for a stack of ``rows`` thetas, overwritten by every
@@ -534,10 +534,15 @@ class MarginalLikelihoodObjective:
 
     def unpack(self, theta):
         """(kernel, noise variance) at theta, with sigma2 at its estimate
-        y^T (R + eta I)^-1 y / 2P, from the Gram `assemble_model` forms."""
-        kernel, eta = self.kernel_at(theta, 1.0)
-        _, _, _, alphas, quad, _ = _solve_points(self.design, kernel, eta)
-        return self.kernel_at(theta, quad / alphas.size)
+        y^T (R + eta I)^-1 y / 2P, from the Gram and the solve of this
+        objective's evaluation of theta alone; a factorization or solve
+        that fails raises its NumericalError."""
+        K, _ = self.gram_and_grads(np.reshape(theta, (1, -1)))
+        _, _, _, quads, _, errors = _solve(K, self._basis, np.array([math.exp(theta[1])]),
+                                           self.targets, self._solve_work[:, :1])
+        if errors[0] is not None:
+            raise errors[0]
+        return self.kernel_at(theta, quads[0] / (2 * self.n_points))
 
     # -- likelihood --------------------------------------------------------
 
@@ -593,8 +598,9 @@ class MarginalLikelihoodObjective:
         ``rows``), gives (values, gradients, nuggets, errors): per row its
         value, a row of the B x n gradients, the nugget its factorization
         needed and None, or, for a row that cannot be factored, None, NaN,
-        None and its NumericalError. Each row's objective keeps the largest
-        nugget its rows needed in ``max_nugget``."""
+        None and its NumericalError. The call writes only to this
+        objective's work arrays: the returned nuggets are the record of the
+        ladder, and the objectives of ``rows`` are only read."""
         stack = np.asarray(theta, dtype=float).reshape(-1, self.n_params)
         if rows is not None and all(row is self for row in rows):
             rows = None
@@ -612,7 +618,7 @@ class MarginalLikelihoodObjective:
             K, self._basis, etas, y, self._solve_work[:, :n_rows])
         values, scales = [None] * n_rows, [1.0] * n_rows
         dpotri = _lapack().dpotri
-        for b, row in enumerate(rows or [self] * n_rows):
+        for b in range(n_rows):
             for L in factors[b] if errors[b] is None else ():  # each becomes K_e^-1 in place
                 _, info = dpotri(L, 1, 1)  # lower, overwrite_c
                 if info != 0:
@@ -626,7 +632,6 @@ class MarginalLikelihoodObjective:
             sigma2 = quads[b] / size
             values[b] = 0.5 * size * (math.log(sigma2) + 1.0 + LOG2PI) + half_logdets[b]
             scales[b] = 1.0 / math.sqrt(sigma2)
-            row.max_nugget = max(row.max_nugget, nuggets[b])
         alphas *= np.array(scales)[:, None, None]  # A = alphas alphas^T - (R + eta I)^-1
         Mt = alphas @ K @ alphas.transpose(0, 2, 1)
         # <K_e^-1, K> from the lower triangle dpotri fills, read C-ordered
@@ -721,24 +726,6 @@ def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
     return factors, nuggets, alphas, quads, (logdets[:, 0] + logdets[:, 1]).tolist(), errors
 
 
-def _solve_points(design: TrainingDesign, kernel: MultiLevelKernel,
-                  noise_variance: float):
-    """(basis, factors, nugget, alphas, y^T C^-1 y, log|C| / 2) of `_solve`
-    on the design's point Gram from `multilevel_gram`, in the eigenbasis of
-    the kernel's coordinate factor; a factorization or solve that fails
-    raises its NumericalError."""
-    with np.errstate(over="ignore"):  # `_solve` rejects what overflows
-        K = multilevel_gram(kernel, design.s, j_a=design.j,
-                            curve_group=design.curve_group)
-        basis = _coord_basis(kernel.coord.matrix[None])
-    factors, nuggets, alphas, quads, half_logdets, errors = _solve(
-        K[None], basis, np.array([noise_variance]), design.y.T)
-    if errors[0] is not None:
-        raise errors[0]
-    return ((basis[0][0], basis[1][0]), factors[0], nuggets[0], alphas[0], quads[0],
-            half_logdets[0])
-
-
 def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
                    noise_variance: float, diagnostics: dict | None = None) -> FittedModel:
     """Cache the training factorization for a kernel and a noise variance
@@ -753,14 +740,21 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
         if level is not None and level.size != count:
             raise ValidationError(f"the kernel's {name} level has {level.size} rows, "
                                   f"but the design has {count} {name}s")
-    basis, factors, nugget, alphas, quad, half_logdet = _solve_points(
-        design, kernel, noise_variance)
-    nll = 0.5 * quad + half_logdet + 0.5 * alphas.size * LOG2PI
+    with np.errstate(over="ignore"):  # `_solve` rejects what overflows
+        K = multilevel_gram(kernel, design.s, j_a=design.j,
+                            curve_group=design.curve_group)
+        lam, Q = _coord_basis(kernel.coord.matrix)
+    factors, nuggets, alphas, quads, half_logdets, errors = _solve(
+        K[None], (lam[None], Q[None]), np.array([noise_variance]), design.y.T)
+    if errors[0] is not None:
+        raise errors[0]
+    nll = 0.5 * quads[0] + half_logdets[0] + 0.5 * alphas.size * LOG2PI
     diag = dict(diagnostics or {})
-    diag.setdefault("nugget", nugget)
+    diag.setdefault("nugget", nuggets[0])
     return FittedModel(kernel=kernel, noise_variance=noise_variance, design=design,
-                       chol=factors, alpha=(basis[1] @ alphas).T.ravel(),
-                       log_marginal_likelihood=-nll, diagnostics=diag, basis=basis)
+                       chol=factors[0], alpha=(Q @ alphas[0]).T.ravel(),
+                       log_marginal_likelihood=-float(nll), diagnostics=diag,
+                       basis=(lam, Q))
 
 
 class LbfgsResult(NamedTuple):

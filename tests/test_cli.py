@@ -207,6 +207,18 @@ class TestSimulate:
                      "--amplitude", "1.5", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("noise_sd", ["nan", "inf"])
+    def test_non_finite_noise_sd_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                            noise_sd):
+        # --noise-sd nan once exited 0 and wrote a curve with no noise
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--shape", "star", "--n", "10", "--seed", "1",
+                     "--noise-sd", noise_sd, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: noise_sd must be finite and >= 0, got {float(noise_sd)!r}\n"
+        assert not out.exists()
+
 
 def valid_fit() -> dict:
     """A fit file of one curve with fixed hyperparameters."""

@@ -316,6 +316,13 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic("star", 10, petals=0)
 
+    @pytest.mark.parametrize("noise_sd", [-0.1, np.nan, np.inf, -np.inf])
+    def test_noise_sd_must_be_finite_and_nonnegative(self, noise_sd):
+        # NaN passed both checks and gave a curve with no noise; inf failed
+        # later, as "curve point 0 is not finite"
+        with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
+            generate_synthetic("circle", 8, noise_sd=noise_sd, rng_seed=1)
+
     def test_counts_must_be_whole_numbers(self):
         # n = 10.5 once gave an 11-point curve, and petals = 2.5 a star that
         # does not close

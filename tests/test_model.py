@@ -18,8 +18,8 @@ from curvegp.kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                              warped_correlation)
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
-                           _chol_with_ladder, _coord_basis, _dots, assemble_model,
-                           fit, fit_designs, predict, predict_curve)
+                           _chol_with_ladder, _coord_basis, _dots, _solve,
+                           assemble_model, fit, fit_designs, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 from gram_oracle import full_grid_gram_oracle
 
@@ -197,6 +197,15 @@ class TestLogMarginalLikelihood:
         expected = cho_solve(cho_factor(K, lower=True), y)
         assert np.max(np.abs(model.alpha - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    def test_is_a_python_float(self):
+        # it was an np.float64, while every restart score is a float
+        design, _ = circle_design(8)
+        fitted = fit(design, ModelConfig(), OptimizerConfig(restarts=2, seed=0))
+        assembled = assemble_model(design, fitted.kernel, fitted.noise_variance)
+        for model in (fitted, assembled):
+            assert type(model.log_marginal_likelihood) is float
+        assert all(type(score) is float for score in fitted.diagnostics["restart_scores"])
+        assert assembled.log_marginal_likelihood == fitted.log_marginal_likelihood
 
     @pytest.mark.parametrize("noise_variance", [-1e-5, np.nan, np.inf, -np.inf])
     def test_rejects_noise_variance_not_finite_and_nonnegative(self, noise_variance):
@@ -296,7 +305,7 @@ class TestFit:
         import curvegp.model as model
         factor, calls = model._chol_with_ladder, [0]
 
-        def fails_first(blocks, out=None):  # the first evaluation is restart 0's start
+        def fails_first(blocks, out):  # the first evaluation is restart 0's start
             calls[0] += 1
             if calls[0] == 1:
                 raise NumericalError("forced factorization failure")
@@ -988,6 +997,44 @@ class TestSharedGramBuilder:
             lam_k, Q_k = _coord_basis(kernel.coord.matrix)
             assert lam.tobytes() == lam_k.tobytes() and Q.tobytes() == Q_k.tobytes()
 
+    @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+    @pytest.mark.parametrize("jitter", [0.0, DEFAULT_JITTER])
+    @pytest.mark.parametrize("family", ["periodic_rbf", "periodic_matern32",
+                                        "periodic_matern12"])
+    def test_unpack_profiles_sigma2_over_multilevel_gram(self, family, jitter, case):
+        # sigma2's estimate from the objective's own Gram and solve is the
+        # one the Gram `assemble_model` forms gives, bit for bit
+        n_curves, labels = LEVEL_CASES[case]
+        curves = [scale_to_unit_length(center(generate_synthetic(
+            "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
+        design = TrainingDesign.from_curves(curves, labels)
+        obj = MarginalLikelihoodObjective(design, ModelConfig(
+            family=family, jitter=jitter))
+        rng = np.random.default_rng(7)
+        thetas = [obj.default_start()] + [obj.random_start(rng) for _ in range(3)]
+        for k, theta in enumerate(thetas):
+            if k == 2:  # work arrays that a stacked evaluation left
+                obj.value_and_grad(np.array(thetas))
+            got = obj.unpack(theta)
+            kernel, eta = obj.kernel_at(theta, 1.0)
+            K = multilevel_gram(kernel, design.s, j_a=design.j,
+                                curve_group=design.curve_group)
+            lam, Q = _coord_basis(kernel.coord.matrix)
+            quads = _solve(K[None], (lam[None], Q[None]), np.array([eta]), design.y.T)[3]
+            want = obj.kernel_at(theta, quads[0] / (2 * len(design.s)))
+            assert kernel_bytes(*got) == kernel_bytes(*want)
+            assert type(got[1]) is float
+
+
+def kernel_bytes(kernel, noise_variance):
+    """A kernel and a noise variance as comparable values: the input
+    kernel's fields, each level's W and kappa as bytes, and the noise."""
+    hyp = kernel.input_kernel
+    levels = (kernel.coord, kernel.curve, kernel.group)
+    return ((hyp.sigma2, hyp.rho, hyp.tau, hyp.family, hyp.jitter), noise_variance,
+            [None if level is None else (level.w.tobytes(), level.kappa.tobytes())
+             for level in levels])
+
 
 def paired_design(n_curves=2, n=8, labels=None):
     curves = [scale_to_unit_length(center(generate_synthetic(
@@ -1073,19 +1120,18 @@ def unit_corner(B):
 
 
 class TestLargestNugget:
-    def test_objective_keeps_the_rung_of_a_near_singular_design(self):
+    def test_evaluation_returns_the_rung_of_a_near_singular_design(self):
         design, kernel, _ = near_singular_design()
         obj = MarginalLikelihoodObjective(design, ModelConfig(family="periodic_rbf",
                                                               jitter=0.0))
-        assert obj.max_nugget == 0.0
         # rho = 1, no noise, and the kernel's levels as unit-corner factors
         theta = np.concatenate([[0.0, -np.inf]] + [
             unit_corner(level.matrix) for level in (kernel.coord, kernel.curve)])
-        obj.value_and_grad(theta)
         rung = assemble_model(design, *obj.kernel_at(theta, 1.0)).diagnostics["nugget"]
-        assert obj.max_nugget == rung > 0.0
-        obj.value_and_grad(obj.default_start())  # needs no nugget: the record stays
-        assert obj.max_nugget == rung
+        # the default start needs no nugget: each row returns its own rung
+        _, _, nuggets, errors = obj.value_and_grad(np.array([theta, obj.default_start()]))
+        assert nuggets == [rung, 0.0] and rung > 0.0
+        assert errors == [None, None]
 
     def test_fit_records_the_largest_nugget_per_restart(self, monkeypatch):
         # with almost no noise the optimization of the near-singular design
@@ -1114,7 +1160,8 @@ class TestRelativeNugget:
         # a rank-1 block needs the first nonzero rung at any scale; an
         # absolute 1e-8 nugget is lost in rounding at 1e12
         blocks = np.ones((2, 4, 4)) * [[[1.0]], [[3.0]]]
-        factors, rung = _chol_with_ladder(scale * blocks)
+        scaled = scale * blocks
+        factors, rung = _chol_with_ladder(scaled, scaled.copy())
         assert rung == NUGGET_LADDER[1]
         nugget = rung * 2.0 * scale  # the mean diagonal entry is 2 scale
         for L, block in zip(factors, blocks):
@@ -1255,7 +1302,7 @@ class TestMinimize:
         # factorization skips one, so that is what the error names
         import curvegp.model as model
 
-        def fails(blocks, out=None):
+        def fails(blocks, out):
             raise NumericalError("forced factorization failure")
 
         monkeypatch.setattr(model, "_chol_with_ladder", fails)
@@ -1286,14 +1333,14 @@ def fail_at_point(monkeypatch, design, opt, restart, k):
     model.minimize(recorded, starts[restart], obj.bounds, opt.maxiter)
     factor, seen, raised = model._chol_with_ladder, [], []
 
-    def spy(blocks, out=None):
+    def spy(blocks, out):
         seen.append(blocks.copy())
         return factor(blocks, out)
 
     monkeypatch.setattr(model, "_chol_with_ladder", spy)
     obj.value_and_grad(points[k - 1])
 
-    def fails_there(blocks, out=None):
+    def fails_there(blocks, out):
         if np.array_equal(blocks, seen[-1]):
             raised.append(1)
             raise NumericalError("forced factorization failure")
@@ -1519,6 +1566,13 @@ def assert_same_row(got, want):
     assert got[1].tobytes() == grad.tobytes()
 
 
+def objective_state(obj):
+    """Every attribute of an objective and of its levels: arrays by their
+    bytes, anything else by identity."""
+    return [{name: value.tobytes() if isinstance(value, np.ndarray) else id(value)
+             for name, value in vars(o).items()} for o in (obj, *obj.levels)]
+
+
 class TestStackedEvaluation:
     @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
     @pytest.mark.parametrize("family", FAMILIES)
@@ -1555,10 +1609,11 @@ class TestStackedEvaluation:
         theta = np.concatenate([[0.0, -np.inf]] + [
             unit_corner(level.matrix) for level in (kernel.coord, kernel.curve)])
         X = np.array([plain.default_start(), theta, singular.default_start()])
+        before = objective_state(singular)
         values, grads, nuggets, errors = plain.value_and_grad(X, [plain, singular, singular])
+        assert objective_state(singular) == before  # a row's objective is only read
         rung = assemble_model(design, *singular.kernel_at(theta, 1.0)).diagnostics["nugget"]
         assert nuggets == [0.0, rung, 0.0] and rung > 0.0
-        assert (plain.max_nugget, singular.max_nugget) == (0.0, rung)
         assert errors == [None] * 3
         for b, d in enumerate([other, design, design]):
             fresh = MarginalLikelihoodObjective(d, config)
@@ -1574,7 +1629,7 @@ class TestStackedEvaluation:
                 for obj, x in zip(objs, X)]
         factor, calls = model._chol_with_ladder, [0]
 
-        def fails_second(blocks, out=None):  # rows are factored in order
+        def fails_second(blocks, out):  # rows are factored in order
             calls[0] += 1
             if calls[0] == 2:
                 raise NumericalError("forced factorization failure")
@@ -1631,12 +1686,11 @@ class TestStackedEvaluation:
                 assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
             elif kind == "escalates":
                 assert errors[b] is None and nuggets[b] > 0.0
-                assert singular.max_nugget == nuggets[b]
                 assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
             else:
                 assert isinstance(errors[b], NumericalError)
                 assert values[b] is None and nuggets[b] is None
-                assert np.isnan(grads[b]).all() and singular.max_nugget == 0.0
+                assert np.isnan(grads[b]).all()
                 with pytest.raises(NumericalError, match="nugget ladder"):
                     fresh.value_and_grad(X[b])
 

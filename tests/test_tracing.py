@@ -61,6 +61,8 @@ def test_tracer_hooks_the_library(tracing):
         metrics_mod.esd(curves[0], ellipse, grid_size=16)
         curves_mod.resample_equally_spaced(curves[1], 12)
         metrics = tracer.layer_metrics()
+        gram_calls = [tracer.names[i] for i in tracer.span_name].count(
+            "model.gram_and_grads")
     finally:
         tracer.uninstall()
     for (module_name, path), original in originals.items():
@@ -69,11 +71,14 @@ def test_tracer_hooks_the_library(tracing):
     assert metrics["model.fit_calls"] == 2
     assert metrics["model.restarts"] == 1
     assert (metrics["model.nfev"], metrics["model.lbfgs_nit"]) == (result.nfev, result.nit)
-    # every evaluation here is a stack of one row, (1, P, P) matrices: the
-    # tracer counts 8 K.shape[0] ** 2 bytes per gradient matrix, which for a
-    # stack is 8 times the rows squared
+    # one Gram per evaluation, and one more per fit: `unpack` takes sigma2's
+    # estimate from the objective's Gram at the best restart
     assert metrics["model.vg_calls"] > 0
-    assert metrics["model.grad_bytes"] == 2 * 8 * metrics["model.vg_calls"]
+    assert gram_calls == metrics["model.vg_calls"] + metrics["model.fit_calls"]
+    # every Gram here is a stack of one row, (1, P, P) matrices: the tracer
+    # counts 8 K.shape[0] ** 2 bytes per gradient matrix, which for a stack
+    # is 8 times the rows squared
+    assert metrics["model.grad_bytes"] == 2 * 8 * gram_calls
     assert metrics["model.chol_s"] > 0
     assert metrics["model.predict_rows"] == 2
     assert metrics["coreg.gram_calls"] > 0
