@@ -122,10 +122,13 @@ def xy_to_arc_param(curve: Curve, query):
     ``query`` is one point, giving a float, or an (n, 2) array of points,
     giving n parameters, each equal to the one-point call's; the polygon is
     oversampled once. Ties are broken toward the smallest arc parameter.
-    The result lies in [0, total_length).
+    The result lies in [0, total_length). A non-finite coordinate is a
+    CurveError.
     """
     polygon_length(curve)  # degenerate check
     query = np.asarray(query, dtype=float)
+    if not np.isfinite(query).all():
+        raise CurveError("query must be finite: a point has a non-finite coordinate")
     dense, arcs = _oversampled_polygon(curve)
     pts = query.reshape(-1, 2)
     nearest = np.empty(len(pts), dtype=int)
@@ -143,16 +146,20 @@ def arc_to_xy_param(curve: Curve, s) -> np.ndarray:
     """Point on the enclosed polygon at arc-length parameter ``s``.
 
     Values outside [0, total_length] are wrapped modulo the total length
-    (the curve domain is circular). ``s`` may be a scalar, giving one (2,)
-    point, or an array of parameters, giving one point per parameter in an
-    array of shape ``s.shape + (2,)``; each point equals the scalar call's.
+    (the curve domain is circular); a value that is not finite is a
+    CurveError. ``s`` may be a scalar, giving one (2,) point, or an array
+    of parameters, giving one point per parameter in an array of shape
+    ``s.shape + (2,)``; each point equals the scalar call's.
     """
     closed = curve.closed_points()
     seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)  # as Curve.segment_lengths
     length = float(seg.sum())
     if length <= 0.0:
         raise DegenerateCurveError("curve has zero total length")
-    s = np.remainder(np.asarray(s, dtype=float), length)
+    s = np.asarray(s, dtype=float)
+    if not np.isfinite(s).all():
+        raise CurveError("s must be finite: an arc parameter is not finite")
+    s = np.remainder(s, length)
     res = np.concatenate([[0.0], np.cumsum(seg)])  # as Curve.cumulative_arc
     previ = np.minimum(np.searchsorted(res, s, side="right") - 1, curve.n - 1)
     rat = (s - res[previ]) / (res[previ + 1] - res[previ])

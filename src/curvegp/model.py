@@ -30,12 +30,11 @@ jitter and noise as absolute values.
 
 One routine, `_solve`, forms the two blocks, factors them with the nugget
 ladder, solves the rotated targets and returns y^T K^-1 y and log|K| / 2.
-The objective calls it on its work arrays, on a stack of thetas in
-`value_and_grad` and on theta alone in `unpack`, which takes s2 from it;
-`assemble_model` calls it on the Gram `multilevel_gram` forms. So s2, the
-profiled -log p and the fitted model's log p are each one line over the
-same numbers, and both Grams take the coordinate basis from the one
-spelling of a level's matrix, `coreg.level_matrix`.
+The objective calls it on its work arrays in `value_and_grad` and in
+`unpack`, which takes s2 from it; `assemble_model` calls it on the Gram
+`multilevel_gram` forms. So s2, the profiled -log p and the fitted model's
+log p are each one line over the same numbers, and both Grams take the
+coordinate basis from one spelling of a level's matrix, `coreg.level_matrix`.
 
 s2 is a stationary point of the full likelihood, so the gradient of -log p
 at s2 is -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1
@@ -55,24 +54,22 @@ matrix, and log eta takes -eta sum_e tr(A_e) / 2. alpha_e and R_e^-1 come
 from the Cholesky factors (LAPACK dpotrs, dpotri); one nugget ladder
 serves every block.
 
-At small P an evaluation's cost is per-call overhead, not arithmetic, so
-the objective computes once what does not depend on theta (the warped
-distances), keeps its work arrays across calls (the three slots
-`warped_correlation` writes K0 and dR/dlog rho into, R, A, the two blocks
-and the stack `_chol_with_ladder` factors them into, which dpotrs and
-dpotri then overwrite in place), and evaluates a stack of thetas in one
-call, each row on the design of an objective of one layout (the same
-config, curve indices and groups). Only LAPACK and scalar math run per row
-(the factorization with its nugget ladder, dpotrs, dpotri, the coordinate
-basis, a 2 x 2 level's W, logs and exponentials); the rest runs once per
-stack, each slice as it runs alone: the finiteness check and copy of the
-blocks, elementwise arithmetic, axis sums, matrix products and every inner
-product (`_dots`). So each row of a stacked call equals the call on that
-row alone, bit for bit. New on every call are the arrays whose values leave
-the call, the gradients and alphas, and those no larger than a level times
-P per row. `assemble_model` passes no work arrays, so a fitted model
-shares no memory with an objective. The LAPACK flags go by position,
-which f2py parses faster than keywords.
+The likelihood takes stacks only: `gram_and_grads` and `value_and_grad`
+read a B x n_params stack of thetas, row b on the design of an objective of
+one layout (the same config, curve indices and groups), and return stacks.
+`value` is the one scalar entry; it, `unpack` and `kernel_at` pass their
+theta on as the one-row stack [theta]. At small P a call costs overhead,
+not arithmetic, so the objective keeps its work arrays across calls
+(`_grow`). Only LAPACK and scalar math run per row (the factorization with
+its nugget ladder, dpotrs, dpotri, the coordinate basis, a 2 x 2 level's W,
+logs and exponentials); the rest runs once per stack, each slice as it runs
+alone: the finiteness check and copy of the blocks, elementwise arithmetic,
+axis sums, matrix products and every inner product (`_dots`). So each row
+of a stack equals its one-row call, bit for bit. New on every call are the
+arrays whose values leave the call, the gradients and alphas, and those no
+larger than a level times P per row. `assemble_model` passes no work
+arrays, so a fitted model shares no memory with an objective. The LAPACK
+flags go by position, which f2py parses faster than keywords.
 
 L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) runs through
 scipy's reverse-communication routine `setulb`, one state per run, with
@@ -448,9 +445,9 @@ class MarginalLikelihoodObjective:
     closed-form estimate at every theta. The Gram is formed on the P points,
     the coordinate level applied through its eigenbasis.
 
-    One call evaluates one theta or a stack of them, each row on the design
-    of an objective of this one's ``layout`` (config, curve indices and
-    groups), with its own nugget ladder, equal to its call alone bit for bit."""
+    The likelihood takes stacks only, each row on the design of an objective
+    of this one's ``layout`` (config, curve indices and groups); `value` is
+    its one scalar entry."""
 
     def __init__(self, design: TrainingDesign, config: ModelConfig):
         self.design = design
@@ -485,10 +482,10 @@ class MarginalLikelihoodObjective:
 
     def _grow(self, rows: int):
         """Work arrays for a stack of ``rows`` thetas, overwritten by every
-        call: at small P a new array costs more than the arithmetic done on
-        it. The three slots of `warped_correlation` (K0 and dR/dlog rho are
-        two of them), the point Gram and A, `_solve`'s blocks and their
-        factors, and the warped distances and targets of the rows."""
+        call: at small P a new array costs more than the arithmetic on it.
+        The three slots of `warped_correlation` (K0 and dR/dlog rho are two
+        of them), the point Gram and A, `_solve`'s blocks and their factors
+        (which dpotrs and dpotri overwrite), the rows' distances and targets."""
         n, self._capacity = self.n_points, rows
         self._corr = np.empty((3, rows, n, n))
         self._K, self._A = np.empty((2, rows, n, n))
@@ -496,6 +493,21 @@ class MarginalLikelihoodObjective:
         self._A_diagonal = self._A.reshape(rows, -1)[:, ::n + 1]
         self._warps = np.empty((rows, n, n))
         self._ys = np.empty((rows, n, 2))
+
+    def _stack(self, theta) -> np.ndarray:
+        """theta as a B x n_params stack of floats, B >= 1, or a ValidationError."""
+        stack = np.asarray(theta, dtype=float)
+        if stack.ndim != 2 or stack.shape[1] != self.n_params or not len(stack):
+            raise ValidationError(f"a stack of thetas needs shape (B, {self.n_params}), "
+                                  f"B >= 1: got {stack.shape}")
+        return stack
+
+    def _row(self, theta) -> np.ndarray:
+        """One theta of n_params floats as the one-row stack [theta], or a ValidationError."""
+        row = np.asarray(theta, dtype=float)
+        if row.shape != (self.n_params,):
+            raise ValidationError(f"one theta needs shape ({self.n_params},): got {row.shape}")
+        return row[None]
 
     # -- packing -----------------------------------------------------------
 
@@ -523,10 +535,10 @@ class MarginalLikelihoodObjective:
         """(kernel, noise variance) at theta with the scale sigma2: the
         jitter and the noise variance are its fractions config.jitter and
         eta."""
+        row = self._row(theta)
         hyp = PeriodicHyperparameters(sigma2=sigma2, rho=math.exp(theta[0]),
                                       tau=self.tau, family=self.config.family,
                                       jitter=self.config.jitter * sigma2)
-        row = np.reshape(theta, (1, -1))
         kernel = MultiLevelKernel(hyp, **{
             level.name: CoregMatrix(*(a[0] for a in level.unpack(row)))
             for level in self.levels})
@@ -534,10 +546,9 @@ class MarginalLikelihoodObjective:
 
     def unpack(self, theta):
         """(kernel, noise variance) at theta, with sigma2 at its estimate
-        y^T (R + eta I)^-1 y / 2P, from the Gram and the solve of this
-        objective's evaluation of theta alone; a factorization or solve
-        that fails raises its NumericalError."""
-        K, _ = self.gram_and_grads(np.reshape(theta, (1, -1)))
+        y^T (R + eta I)^-1 y / 2P from this objective's Gram and solve of
+        [theta]; a factorization or solve that fails raises its NumericalError."""
+        K, _ = self.gram_and_grads(self._row(theta))
         _, _, _, quads, _, errors = _solve(K, self._basis, np.array([math.exp(theta[1])]),
                                            self.targets, self._solve_work[:, :1])
         if errors[0] is not None:
@@ -547,18 +558,16 @@ class MarginalLikelihoodObjective:
     # -- likelihood --------------------------------------------------------
 
     def gram_and_grads(self, theta, rows=None):
-        """The point Gram R (at sigma2 = 1, without noise) and the two dense
-        points x points matrices its gradient is contracted against:
-        dR/dlog(rho) and the jittered input correlation K0, whatever the
-        levels; for a stack of thetas, row b on the design of ``rows[b]``
-        (`value_and_grad`), a stack of each.
-        The input kernel comes from the warped distances cached at
-        construction, the curve and group factors between curves and their
-        product F from `curve_factor`, F gathered by the points' curves. The
-        factors are kept for `value_and_grad`, as is the basis of the
-        coordinate factor. R, K0 and dR/dlog(rho) are work arrays of this
-        objective, overwritten by its next call."""
-        stack = np.asarray(theta, dtype=float).reshape(-1, self.n_params)
+        """For a B x n_params stack of thetas, row b on the design of
+        ``rows[b]`` (`value_and_grad`), the B x P x P stacks (R, [dR/dlog rho,
+        K0]): the point Grams at sigma2 = 1 without noise and the two dense
+        matrices their gradients are contracted against. K0 is the jittered
+        input correlation of the warped distances cached at construction; the
+        curve and group factors and their product F come from `curve_factor`,
+        F gathered by the points' curves, and are kept for `value_and_grad`
+        with the coordinate basis. All three stacks are work arrays,
+        overwritten by the next call."""
+        stack = self._stack(theta)
         n_rows = len(stack)
         if n_rows > self._capacity:
             self._grow(n_rows)
@@ -582,31 +591,26 @@ class MarginalLikelihoodObjective:
         self._basis = _coord_basis(self.levels[0].matrix(stack))
         dcorr *= Bfull
         K = np.multiply(Bfull, K0, out=Bfull)
-        if np.ndim(theta) == 1:
-            return K[0], [dcorr[0], K0[0]]
         return K, [dcorr, K0]
 
     def value_and_grad(self, theta, rows=None):
-        """-log p(y) at sigma2's estimate s2 = y^T (R + eta I)^-1 y / 2P,
-        P log s2 + log|R + eta I| / 2 + P (1 + log 2 pi), and its gradient,
-        contracted by level (R&W 2006, 5.4.1): s2 is a stationary point, so
-        d(-log p) = -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1.
-
-        One theta gives (value, gradient) and raises the NumericalError of
-        a covariance that cannot be factored. A stack of B thetas, row b on
-        the design of the objective ``rows[b]`` (this one without
-        ``rows``), gives (values, gradients, nuggets, errors): per row its
-        value, a row of the B x n gradients, the nugget its factorization
-        needed and None, or, for a row that cannot be factored, None, NaN,
-        None and its NumericalError. The call writes only to this
-        objective's work arrays: the returned nuggets are the record of the
-        ladder, and the objectives of ``rows`` are only read."""
-        stack = np.asarray(theta, dtype=float).reshape(-1, self.n_params)
-        if rows is not None and all(row is self for row in rows):
-            rows = None
-        if rows is not None and any(row.layout != self.layout for row in rows):
-            raise ValidationError("a stack of thetas needs objectives of one layout: "
-                                  "one config, curve indices and groups")
+        """-log p(y) at sigma2's estimate and its gradient, contracted by
+        level (R&W 2006, 5.4.1; the module docstring), at each row of a B x
+        n_params stack of thetas, row b on the design of ``rows[b]``: one
+        objective per row, each of this one's layout (this one without
+        ``rows``). Returns stacks only, (values, gradients, nuggets, errors):
+        per row its value, a row of the B x n gradients, the nugget its
+        factorization needed and None, or, for a row that cannot be
+        factored, None, NaN, None and its NumericalError. The call writes
+        only to this objective's work arrays; the returned nuggets are the
+        record of the ladder, and the objectives of ``rows`` are only read."""
+        stack = self._stack(theta)
+        if rows is not None:
+            if len(rows) != len(stack) or any(row.layout != self.layout for row in rows):
+                raise ValidationError("a stack of thetas needs one objective per row, all "
+                                      "of one layout: one config, curve indices and groups")
+            if all(row is self for row in rows):
+                rows = None
         K, (dR, K0) = self.gram_and_grads(stack, rows)
         n_rows, size = len(stack), 2 * self.n_points
         etas = np.array([math.exp(t) for t in stack[:, 1].tolist()])
@@ -667,15 +671,14 @@ class MarginalLikelihoodObjective:
             level.grad(grad, M)
         for b in (b for b, error in enumerate(errors) if error is not None):
             grad[b] = np.nan
-        if np.ndim(theta) == 1:
-            if errors[0] is not None:
-                raise errors[0]
-            return values[0], grad[0]
         return values, grad, nuggets, errors
 
     def value(self, theta):
-        """-log p(y) at theta (computed with its gradient)."""
-        return self.value_and_grad(theta)[0]
+        """-log p(y) at one theta: row 0 of the stack [theta], raising its NumericalError."""
+        values, _, _, errors = self.value_and_grad(self._row(theta))
+        if errors[0] is not None:
+            raise errors[0]
+        return values[0]
 
 
 def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
@@ -850,10 +853,9 @@ def _lockstep(evaluate, starts, maxiter: int, width: int) -> list:
     as `minimize` runs it alone. Every round collects the runs that ask for
     a new point and hands their points, stacked as the rows of one array,
     and their indices in ``starts`` to ``evaluate``, which returns (values,
-    gradients, nuggets, errors) as a stacked `value_and_grad` does; a run
-    whose row has an error ends with it. At most ``width`` runs are active
-    at once, started in order as others end. Returns the `_Run` of every
-    start."""
+    gradients, nuggets, errors) as `value_and_grad` does; a run whose row
+    has an error ends with it. At most ``width`` runs are active at once,
+    started in order as others end. Returns the `_Run` of every start."""
     runs = [_Run(x0, bounds) for x0, bounds in starts]
     waiting = iter(range(len(runs)))
     asking = []
@@ -884,11 +886,8 @@ def minimize(fun, x0, bounds, maxiter: int) -> LbfgsResult:
     """Minimize ``fun`` (theta -> (value, gradient)) by L-BFGS-B in a box of
     finite (lower, upper) bounds, one per parameter, as scipy's
     `minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-    options={"maxiter": maxiter})` does, evaluation for evaluation: `setulb`
-    projects x0 into the box (scipy clips it), ``fun`` runs once per point
-    `setulb` asks for, and a point equal to the last one evaluated reuses
-    its value and gradient. An iteration count of ``maxiter`` or more than
-    `LBFGS_MAXFUN` evaluations stops the run at the end of an iteration.
+    options={"maxiter": maxiter})` does, evaluation for evaluation
+    (`_Run.advance`), `setulb` projecting x0 into the box as scipy clips it.
     This is the lockstep of one run (`_lockstep`)."""
     def evaluate(points, _):
         value, grad = fun(points[0])

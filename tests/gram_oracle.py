@@ -6,7 +6,8 @@ into types, so the library's Grams are checked against them rather than
 against themselves. The kernel references are the periodic kernel as a
 function of the distance r = |a - b| (`periodic_eval`), which the library
 forms from the positions instead, and the Theorem-1 envelope of the
-periodic RBF kernel (`theorem1_bounds`).
+periodic RBF kernel (`theorem1_bounds`). `one_row` reads the likelihood,
+which takes stacks only, at one theta.
 """
 
 import numpy as np
@@ -89,3 +90,14 @@ def full_grid_gram_oracle(kernel, s_a, d_a, j_a=None, g_a=None,
                                  np.asarray(b, dtype=int)[None, :])
     K *= B
     return K
+
+
+def one_row(obj, theta):
+    """(value, gradient) of the objective ``obj`` at one theta, read from
+    row 0 of the one-row stack [theta], the row's NumericalError raised: a
+    one-theta function, as scipy's `minimize` and `curvegp.model.minimize`
+    take."""
+    values, grads, _, errors = obj.value_and_grad(np.array([theta]))
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0], grads[0]

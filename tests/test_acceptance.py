@@ -16,7 +16,7 @@ from curvegp.model import (MarginalLikelihoodObjective, ModelConfig,
                            OptimizerConfig, TrainingDesign, assemble_model, fit,
                            predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
-from gram_oracle import theorem1_bounds
+from gram_oracle import one_row, theorem1_bounds
 
 
 @pytest.fixture
@@ -346,7 +346,7 @@ def test_criterion_14_gradient_check(report):
     worst = 0.0
     for _ in range(20):
         theta = objective.random_start(rng)
-        _, grad = objective.value_and_grad(theta)
+        _, grad = one_row(objective, theta)
         for k in range(len(theta)):
             h = 1e-6 * max(1.0, abs(theta[k]))
             tp, tm = theta.copy(), theta.copy()

@@ -165,6 +165,17 @@ class TestXyToArc:
         monkeypatch.setattr(curves_module, "XY_QUERY_BLOCK", 7)
         assert xy_to_arc_param(c, queries).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_query(self, value):
+        # a NaN coordinate once gave the arc parameter 0.0, as if the query
+        # were the first point
+        c = generate_synthetic("star", 9)
+        queries = np.zeros((3, 2))
+        queries[1, 0] = value
+        for query in ([value, 0.0], [0.0, value], queries):
+            with pytest.raises(CurveError, match="^query must be finite"):
+                xy_to_arc_param(c, query)
+
 
 class TestArcToXy:
     def test_endpoints(self):
@@ -236,6 +247,14 @@ class TestArcToXy:
         for fn in (arc_to_xy_param, arc_to_xy_oracle):
             with pytest.raises(DegenerateCurveError, match="zero total length"):
                 fn(c, 0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_arc_parameter(self, value):
+        # inf once gave the point [nan, nan] after a RuntimeWarning
+        c = generate_synthetic("star", 9)
+        for s in (value, np.array([0.0, value, 1.0]), np.full((2, 2), value)):
+            with pytest.raises(CurveError, match="^s must be finite"):
+                arc_to_xy_param(c, s)
 
 
 class TestRoundTrip:

@@ -21,7 +21,7 @@ from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            _chol_with_ladder, _coord_basis, _dots, _solve,
                            assemble_model, fit, fit_designs, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
-from gram_oracle import full_grid_gram_oracle
+from gram_oracle import full_grid_gram_oracle, one_row
 
 IDENTITY_2 = CoregMatrix.identity(2)
 
@@ -44,6 +44,12 @@ def rows(design):
 def circle_design(n=15):
     c = scale_to_unit_length(center(generate_synthetic("circle", n)))
     return TrainingDesign.from_curves([c]), c
+
+
+def one_row_gram(obj, theta):
+    """(K, [dR, K0]) at one theta, row 0 of each stack of the one-row call."""
+    K, (dR, K0) = obj.gram_and_grads(np.array([theta]))
+    return K[0], [dR[0], K0[0]]
 
 
 INVALID_DESIGNS = {
@@ -284,7 +290,7 @@ class TestFit:
         value_and_grad, lockstep = model.MarginalLikelihoodObjective.value_and_grad, model._lockstep
 
         def counted(self, theta, stack_rows=None):
-            rows[0] += len(np.atleast_2d(theta))
+            rows[0] += len(theta)
             return value_and_grad(self, theta, stack_rows)
 
         def recorded(evaluate, *args):
@@ -783,7 +789,7 @@ class TestGradients:
         obj = MarginalLikelihoodObjective(design, ModelConfig())
         for _ in range(5):
             theta = obj.random_start(rng)
-            _, grad = obj.value_and_grad(theta)
+            _, grad = one_row(obj, theta)
             for k in range(len(theta)):
                 h = 1e-6 * max(1.0, abs(theta[k]))
                 tp, tm = theta.copy(), theta.copy()
@@ -946,7 +952,7 @@ class TestContractedGradient:
         rng = np.random.default_rng(3)
         for _ in range(3):
             theta = obj.random_start(rng)
-            value, grad = obj.value_and_grad(theta)
+            value, grad = one_row(obj, theta)
             value_oracle, grad_oracle = dense_dk_oracle(obj, theta)
             assert len(grad) == len(grad_oracle) == obj.n_params
             assert obj.value(theta) == value
@@ -975,7 +981,7 @@ class TestSharedGramBuilder:
         n = len(design.s)
         for _ in range(3):
             theta = obj.random_start(rng)
-            K, grads = obj.gram_and_grads(theta)
+            K, grads = one_row_gram(obj, theta)
             kernel, _ = obj.kernel_at(theta, 1.0)  # the Gram at sigma2 = 1
             full = full_grid_gram_oracle(kernel, *rows(design)[0])
             # the point Gram is the Gram without the coordinate factor; the
@@ -1064,9 +1070,9 @@ class TestCoordinateSplit:
         # likelihood of the 2P x 2P system
         obj = MarginalLikelihoodObjective(design, ModelConfig(jitter=0.0))
         theta = obj.default_start()
-        K, grads = obj.gram_and_grads(theta)
+        K, grads = one_row_gram(obj, theta)
         assert K.shape == (p, p) and all(G.shape == (p, p) for G in grads)
-        value, grad = obj.value_and_grad(theta)
+        value, grad = one_row(obj, theta)
         value_oracle, grad_oracle = dense_dk_oracle(obj, theta)
         assert abs(value - value_oracle) <= 1e-10 * abs(value_oracle)
         assert np.max(np.abs(grad - grad_oracle)) <= 1e-10 * np.max(np.abs(grad_oracle))
@@ -1084,7 +1090,7 @@ class TestCoordinateSplit:
         obj = MarginalLikelihoodObjective(design, ModelConfig())
         theta = obj.default_start()
         theta[obj.levels[0].slice] = coord
-        value, grad = obj.value_and_grad(theta)
+        value, grad = one_row(obj, theta)
         value_oracle, grad_oracle = dense_dk_oracle(obj, theta)
         assert abs(value - value_oracle) <= 1e-10 * abs(value_oracle)
         assert np.max(np.abs(grad - grad_oracle)) <= 1e-10 * np.max(np.abs(grad_oracle))
@@ -1208,7 +1214,7 @@ def scipy_restarts(design, model_config, opt):
     scores, xs, records = [], [], []
     for i in range(opt.restarts):
         theta0 = obj.default_start() if i == 0 else obj.random_start(rng)
-        res = minimize(obj.value_and_grad, theta0, jac=True, method="L-BFGS-B",
+        res = minimize(lambda theta: one_row(obj, theta), theta0, jac=True, method="L-BFGS-B",
                        bounds=obj.bounds, options={"maxiter": opt.maxiter})
         scores.append(-float(res.fun))
         xs.append(res.x)
@@ -1286,7 +1292,7 @@ class TestMinimize:
         rows, value_and_grad = [0], model.MarginalLikelihoodObjective.value_and_grad
 
         def counted(self, theta, stack_rows=None):
-            rows[0] += len(np.atleast_2d(theta))
+            rows[0] += len(theta)
             return value_and_grad(self, theta, stack_rows)
 
         monkeypatch.setattr(model.MarginalLikelihoodObjective, "value_and_grad", counted)
@@ -1328,7 +1334,7 @@ def fail_at_point(monkeypatch, design, opt, restart, k):
 
     def recorded(theta):
         points.append(theta.copy())
-        return obj.value_and_grad(theta)
+        return one_row(obj, theta)
 
     model.minimize(recorded, starts[restart], obj.bounds, opt.maxiter)
     factor, seen, raised = model._chol_with_ladder, [], []
@@ -1338,7 +1344,7 @@ def fail_at_point(monkeypatch, design, opt, restart, k):
         return factor(blocks, out)
 
     monkeypatch.setattr(model, "_chol_with_ladder", spy)
-    obj.value_and_grad(points[k - 1])
+    one_row(obj, points[k - 1])
 
     def fails_there(blocks, out):
         if np.array_equal(blocks, seen[-1]):
@@ -1437,8 +1443,8 @@ class TestProfileLikelihood:
         assert hyp_scaled.jitter == pytest.approx(1e6 * hyp.jitter, rel=1e-10)
         assert noise_scaled == pytest.approx(1e6 * noise_variance, rel=1e-10)
         assert hyp_scaled.rho == hyp.rho
-        value, grad = obj.value_and_grad(theta)
-        value_scaled, grad_scaled = obj_scaled.value_and_grad(theta)
+        value, grad = one_row(obj, theta)
+        value_scaled, grad_scaled = one_row(obj_scaled, theta)
         assert value_scaled == pytest.approx(value + design.y.size * np.log(1e3),
                                              rel=1e-10)
         assert np.max(np.abs(grad_scaled - grad)) <= 1e-8 * np.max(np.abs(grad))
@@ -1455,10 +1461,10 @@ class TestWorkArrays:
         obj = MarginalLikelihoodObjective(design, config)
         rng = np.random.default_rng(13)
         theta1, theta2 = obj.random_start(rng), obj.random_start(rng)
-        first = obj.value_and_grad(theta1)
-        obj.value_and_grad(theta2)
-        again = obj.value_and_grad(theta1)
-        fresh = MarginalLikelihoodObjective(design, config).value_and_grad(theta1)
+        first = one_row(obj, theta1)
+        one_row(obj, theta2)
+        again = one_row(obj, theta1)
+        fresh = one_row(MarginalLikelihoodObjective(design, config), theta1)
         for value, grad in (first, again):
             assert value == fresh[0]
             assert np.array_equal(grad, fresh[1])
@@ -1468,10 +1474,10 @@ class TestWorkArrays:
         # call's value and gradient as they were, bit for bit
         obj = MarginalLikelihoodObjective(paired_design(3, 4), ModelConfig())
         theta = obj.default_start()
-        value, grad = obj.value_and_grad(theta)
+        value, grad = one_row(obj, theta)
         kept = grad.copy()
         grad[:] = np.nan
-        again, grad2 = obj.value_and_grad(theta)
+        again, grad2 = one_row(obj, theta)
         assert not np.shares_memory(grad, grad2)
         assert again == value
         assert grad2.tobytes() == kept.tobytes()
@@ -1496,7 +1502,7 @@ class TestWorkArrays:
             assert not any(np.shares_memory(array, buffer) for buffer in buffers)
         # so a further evaluation leaves the fitted model as it was
         chol, alpha = fitted.chol.copy(), fitted.alpha.copy()
-        made[0].value_and_grad(made[0].default_start())
+        one_row(made[0], made[0].default_start())
         assert fitted.chol.tobytes() == chol.tobytes()
         assert fitted.alpha.tobytes() == alpha.tobytes()
 
@@ -1521,9 +1527,8 @@ class TestWorkArrays:
         for _ in range(3):
             for design, obj in zip(designs, objs):
                 theta = obj.random_start(rng)
-                value, grad = obj.value_and_grad(theta)
-                fresh = MarginalLikelihoodObjective(design, ModelConfig()).value_and_grad(
-                    theta)
+                value, grad = one_row(obj, theta)
+                fresh = one_row(MarginalLikelihoodObjective(design, ModelConfig()), theta)
                 assert value == fresh[0]
                 assert grad.tobytes() == fresh[1].tobytes()
 
@@ -1539,7 +1544,7 @@ class TestWorkArrays:
         obj = MarginalLikelihoodObjective(design, ModelConfig(family=family))
         rng = np.random.default_rng(4)
         for theta in (obj.default_start(), obj.random_start(rng)):
-            _, (dR, _) = obj.gram_and_grads(theta)
+            _, (dR, _) = one_row_gram(obj, theta)
             kernel, _ = obj.kernel_at(theta, 1.0)
             curve, group = (None if level is None else level.matrix
                             for level in (kernel.curve, kernel.group))
@@ -1592,11 +1597,11 @@ class TestStackedEvaluation:
         assert nuggets == [0.0] * len(order)
         for b, d in enumerate(order):
             fresh = MarginalLikelihoodObjective(designs[d], config)
-            assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
+            assert_same_row((values[b], grads[b]), one_row(fresh, X[b]))
         # the stacked Gram of the rows, one P x P matrix each
         K, (dR, K0) = objs[0].gram_and_grads(X, [objs[d] for d in order])
         for b, d in enumerate(order):
-            want = MarginalLikelihoodObjective(designs[d], config).gram_and_grads(X[b])
+            want = one_row_gram(MarginalLikelihoodObjective(designs[d], config), X[b])
             assert K[b].tobytes() == want[0].tobytes()
             assert dR[b].tobytes() == want[1][0].tobytes()
             assert K0[b].tobytes() == want[1][1].tobytes()
@@ -1617,7 +1622,7 @@ class TestStackedEvaluation:
         assert errors == [None] * 3
         for b, d in enumerate([other, design, design]):
             fresh = MarginalLikelihoodObjective(d, config)
-            assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
+            assert_same_row((values[b], grads[b]), one_row(fresh, X[b]))
 
     def test_a_row_that_cannot_be_factored_fails_alone(self, monkeypatch):
         import curvegp.model as model
@@ -1625,7 +1630,7 @@ class TestStackedEvaluation:
                 for d in layout_designs(3, ["a", "b", "a"])]
         rng = np.random.default_rng(5)
         X = np.array([obj.random_start(rng) for obj in objs])
-        want = [MarginalLikelihoodObjective(obj.design, ModelConfig()).value_and_grad(x)
+        want = [one_row(MarginalLikelihoodObjective(obj.design, ModelConfig()), x)
                 for obj, x in zip(objs, X)]
         factor, calls = model._chol_with_ladder, [0]
 
@@ -1643,7 +1648,7 @@ class TestStackedEvaluation:
             assert_same_row((values[b], grads[b]), want[b])
         calls[0] = 1  # alone, the row raises
         with pytest.raises(NumericalError, match="forced"):
-            objs[1].value_and_grad(X[1])
+            one_row(objs[1], X[1])
 
     @pytest.mark.parametrize("points", [4, 20], ids=["P=12", "P=60"])
     @pytest.mark.parametrize("n_rows", [1, 2, 7, 12])
@@ -1658,7 +1663,7 @@ class TestStackedEvaluation:
         assert errors == [None] * n_rows and nuggets == [0.0] * n_rows
         for b, obj in enumerate(objs):
             fresh = MarginalLikelihoodObjective(obj.design, ModelConfig())
-            assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
+            assert_same_row((values[b], grads[b]), one_row(fresh, X[b]))
 
     @pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("kind", ["escalates", "unfactorable"])
@@ -1683,16 +1688,16 @@ class TestStackedEvaluation:
             fresh = MarginalLikelihoodObjective(obj.design, config)
             if b != position:
                 assert errors[b] is None and nuggets[b] == 0.0
-                assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
+                assert_same_row((values[b], grads[b]), one_row(fresh, X[b]))
             elif kind == "escalates":
                 assert errors[b] is None and nuggets[b] > 0.0
-                assert_same_row((values[b], grads[b]), fresh.value_and_grad(X[b]))
+                assert_same_row((values[b], grads[b]), one_row(fresh, X[b]))
             else:
                 assert isinstance(errors[b], NumericalError)
                 assert values[b] is None and nuggets[b] is None
                 assert np.isnan(grads[b]).all()
                 with pytest.raises(NumericalError, match="nugget ladder"):
-                    fresh.value_and_grad(X[b])
+                    one_row(fresh, X[b])
 
     @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
     def test_a_non_finite_row_anywhere_in_the_stack_raises(self, position):
@@ -1709,7 +1714,7 @@ class TestStackedEvaluation:
             with pytest.raises(ValidationError, match=message):
                 objs[0].value_and_grad(X, objs)
             with pytest.raises(ValidationError, match=message):
-                objs[position].value_and_grad(X[position])
+                one_row(objs[position], X[position])
 
     @pytest.mark.parametrize("n", [12, 60])
     def test_each_stacked_inner_product_is_its_row_by_row_vdot(self, monkeypatch, n):
@@ -1760,6 +1765,59 @@ class TestStackedEvaluation:
             fit_designs([a.design, b.design])
         with pytest.raises(ValidationError, match="at least one design"):
             fit_designs([])
+
+    def test_rows_need_one_objective_per_row(self):
+        # one objective for two rows was read as "every row is this one's",
+        # and a list of the wrong length ended in numpy's shape error
+        objs = [MarginalLikelihoodObjective(d, ModelConfig())
+                for d in layout_designs(2, None, n=4, count=2)]
+        X = np.array([obj.default_start() for obj in objs])
+        for rows in ([objs[0]], [objs[1]], objs + objs[:1], []):
+            with pytest.raises(ValidationError, match="one objective per row"):
+                objs[0].value_and_grad(X, rows)
+
+
+# the likelihood's entries, each called on a theta of some shape: those of
+# one theta and those of a B x n_params stack
+ONE_THETA = {"value": lambda obj, theta: obj.value(theta),
+             "kernel_at": lambda obj, theta: obj.kernel_at(theta, 1.0),
+             "unpack": lambda obj, theta: obj.unpack(theta)}
+STACKED = {"value_and_grad": lambda obj, X: obj.value_and_grad(X),
+           "gram_and_grads": lambda obj, X: obj.gram_and_grads(X)}
+# a theta t of 9 parameters made into thetas of other shapes
+MISSHAPED = {"t": lambda t: t, "[t]": lambda t: t[None],
+             "t, t": lambda t: np.concatenate([t, t]), "t[:8]": lambda t: t[:8],
+             "t[0]": lambda t: t[0], "0 x 9": lambda t: t[None][:0],
+             "[t, t] as 6 x 3": lambda t: np.tile(t, 2).reshape(6, 3),
+             "[t, t] as 2 x 9 x 1": lambda t: np.tile(t, 2).reshape(2, 9, 1)}
+
+
+class TestThetaShape:
+    """One shape per entry: a B x n_params stack, B >= 1, for
+    `value_and_grad` and `gram_and_grads`, one theta of n_params for
+    `value`, `kernel_at` and `unpack`; anything else is a ValidationError.
+    A flat reshape once read two thetas end to end, or a 6 x 3 array, as a
+    stack of two and returned row 0's value."""
+
+    @pytest.mark.parametrize("shape", sorted(set(MISSHAPED) - {"t"}))
+    @pytest.mark.parametrize("entry", sorted(ONE_THETA))
+    def test_one_theta_entries_take_n_params_values(self, entry, shape):
+        obj = MarginalLikelihoodObjective(paired_design(3, 10), ModelConfig())
+        assert obj.n_params == 9  # three 10-point stars
+        theta = MISSHAPED[shape](obj.default_start())
+        # the message names the shape passed, not that of the stack [theta]
+        with pytest.raises(ValidationError) as raised:
+            ONE_THETA[entry](obj, theta)
+        assert str(raised.value) == f"one theta needs shape (9,): got {theta.shape}"
+
+    @pytest.mark.parametrize("shape", sorted(set(MISSHAPED) - {"[t]"}))
+    @pytest.mark.parametrize("entry", sorted(STACKED))
+    def test_stacked_entries_take_b_rows_of_n_params(self, entry, shape):
+        obj = MarginalLikelihoodObjective(paired_design(3, 10), ModelConfig())
+        X = MISSHAPED[shape](obj.default_start())
+        with pytest.raises(ValidationError) as raised:
+            STACKED[entry](obj, X)
+        assert str(raised.value) == f"a stack of thetas needs shape (B, 9), B >= 1: got {X.shape}"
 
 
 def assert_same_fit(got, want):

@@ -144,7 +144,7 @@ def test_fit_goes_through_the_lockstep_driver():
         "from curvegp.curves import generate_synthetic\n"
         "design = model.TrainingDesign.from_curves([generate_synthetic('circle', 6)])\n"
         "objective = model.MarginalLikelihoodObjective(design, model.ModelConfig())\n"
-        "objective.value_and_grad(objective.default_start())\n"
+        "objective.value_and_grad(objective.default_start()[None])\n"
         "assert 'scipy.optimize' not in sys.modules\n"
         "evaluated, lockstep = collections.Counter(), model._lockstep\n"
         "def spy(evaluate, *args):\n"
@@ -172,7 +172,7 @@ FIRST_USE = {
     "assemble_model": lambda x: assemble_model(x["design"], x["kernel"],
                                                x["noise_variance"]),
     "value_and_grad": lambda x: MarginalLikelihoodObjective(
-        x["design"], ModelConfig()).value_and_grad(x["theta"]),
+        x["design"], ModelConfig()).value_and_grad(x["theta"][None]),
     "value": lambda x: MarginalLikelihoodObjective(
         x["design"], ModelConfig()).value(x["theta"]),
     "predict": lambda x: predict(x["model"], x["s"], x["d"], x["j"]),

@@ -13,6 +13,7 @@ import curvegp.metrics as metrics_mod
 import curvegp.model as model_mod
 from curvegp.curves import generate_synthetic
 from curvegp.preprocess import center, scale_to_unit_length
+from gram_oracle import one_row
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -53,7 +54,8 @@ def test_tracer_hooks_the_library(tracing):
         obj.value(obj.default_start())
         # fits run their restarts in lockstep, with no `minimize` span: the
         # restart counts come from this one call of the traced `minimize`
-        result = model_mod.minimize(obj.value_and_grad, obj.default_start(), obj.bounds, 5)
+        result = model_mod.minimize(lambda theta: one_row(obj, theta), obj.default_start(),
+                                    obj.bounds, 5)
         model_mod.predict(model, [0.1, 0.1], [0, 1], [1, 1])
         model_mod.predict_curve(model, 1, 10)
         ellipse = generate_synthetic("ellipse", 20, axes=(1.0, 0.5))
