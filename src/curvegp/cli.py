@@ -5,6 +5,10 @@ register, metrics, plot, config. Exit codes: 0 success, 2 validation
 error, 3 numerical failure, 4 I/O error. Each command writes where its
 ``--out`` or ``--outdir`` flag says. Config files (``--config``) set the
 fields of ModelConfig and OptimizerConfig as ``model.*`` and ``opt.*`` keys.
+
+The parser is built at the first `main` call and reused by every later one
+in the process, so in-process callers pay for argparse's setup once. Its
+defaults are shared by those calls, so none of them is mutable.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import cache
 
 from . import applications, metrics as metrics_mod, model as model_mod
 from .curves import Curve, generate_synthetic, resample_equally_spaced
@@ -225,7 +230,9 @@ def cmd_config(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at its first call."""
     parser = argparse.ArgumentParser(
         prog="curvegp",
         description="Gaussian-process modeling and shape analysis of closed "
@@ -239,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sd", type=float, default=0.0)
     p.add_argument("--scheme", choices=["equal", "clustered"], default="equal")
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--axes", type=float, nargs=2, default=[1.0, 0.5])
+    p.add_argument("--axes", type=float, nargs=2, default=(1.0, 0.5))
     p.add_argument("--amplitude", type=float, default=0.3)
     p.add_argument("--petals", type=int, default=5)
     p.add_argument("--out", required=True)

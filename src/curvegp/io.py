@@ -42,9 +42,10 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def curve_to_csv(curve: Curve) -> str:
+    """The CSV text of a curve: an x,y header and each point's coordinates
+    as the shortest repr that reads back to the same float."""
     lines = ["x,y"]
-    for x, y in curve.points:
-        lines.append(f"{float(x)!r},{float(y)!r}")
+    lines.extend(f"{x!r},{y!r}" for x, y in curve.points.tolist())
     return "\n".join(lines) + "\n"
 
 

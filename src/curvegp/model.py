@@ -17,7 +17,9 @@ Queries are points as well: `predict` takes its rows in coordinate pairs
 and forms its prior and posterior on the query points block by block, each
 a quarter of the size of the covariance it returns, with no temporary of
 the covariance's size; `predict_curve` forms only the diagonal of each
-block.
+block. Both whiten the query points' cross Gram in one P x m buffer per
+prediction (`_whitened`) and use each block's V before the next block
+overwrites it.
 
 The fit profiles sigma2 out (Santner, Williams & Notz 2003): K = sigma2 (R
 + eta I), with R the Gram at sigma2 = 1, its jitter the fraction
@@ -69,7 +71,8 @@ of a stack equals its one-row call, bit for bit. New on every call are the
 arrays whose values leave the call, the gradients and alphas, and those no
 larger than a level times P per row. `assemble_model` passes no work
 arrays, so a fitted model shares no memory with an objective. The LAPACK
-flags go by position, which f2py parses faster than keywords.
+flags go by position, which f2py parses faster than keywords, except
+`_whitened`'s ``overwrite_b``, which follows ``lda``.
 
 L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) runs through
 scipy's reverse-communication routine `setulb`, one state per run, with
@@ -990,15 +993,18 @@ def _unit_means(model: FittedModel, s, j):
 
 
 def _whitened(model: FittedModel, cross):
-    """V_e = L_e^-1 k_e on the query points, one per block."""
+    """V_e = L_e^-1 k_e on the query points, block by block. Every block is
+    solved in place in one Fortran-ordered P x m buffer that holds a copy
+    of cross^T, so the caller uses each block's V before it asks for the
+    next block, which overwrites it."""
     dtrtrs = _lapack().dtrtrs
-    Vs = []
+    V = np.empty(cross.T.shape, order="F")
     for L in model.chol:
-        V, info = dtrtrs(L, cross.T, lower=1)
+        np.copyto(V, cross.T)
+        V, info = dtrtrs(L, V, lower=1, overwrite_b=1)
         if info != 0:
             raise NumericalError(f"triangular solve failed (info={info})")
-        Vs.append(V)
-    return Vs
+        yield V
 
 
 def predict(model: FittedModel, s, d, j=None):

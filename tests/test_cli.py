@@ -1,5 +1,6 @@
 """CLI and serialization: subcommands, exit codes, config parsing, SVG."""
 
+import argparse
 import json
 import os
 import re
@@ -17,11 +18,11 @@ from curvegp.applications import sequential_landmark
 from curvegp.cli import (CONFIG_DEFAULTS, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
                          configs_from_values, main, parse_config_text)
 from curvegp.coreg import multilevel_gram
-from curvegp.curves import generate_synthetic
+from curvegp.curves import Curve, generate_synthetic
 from curvegp.errors import ConfigError, ValidationError
 from curvegp.metrics import esd
-from curvegp.io import (fit_result_from_dict, load_curve_csv, save_curve_csv,
-                        save_json)
+from curvegp.io import (curve_to_csv, fit_result_from_dict, load_curve_csv,
+                        save_curve_csv, save_json)
 from curvegp.model import (NUGGET_LADDER, ModelConfig, OptimizerConfig,
                            PredictedCurve, TrainingDesign, fit, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
@@ -181,6 +182,16 @@ class TestCurveCsv:
         with pytest.raises(Exception, match=":3:"):
             load_curve_csv(str(path))
 
+    @pytest.mark.parametrize("points", [
+        [[-0.0, 5e-324], [1e308, 1 / 3], [1 / 3, -1e308]],
+        generate_synthetic("star", 200, noise_sd=0.01, rng_seed=3).points])
+    def test_text_is_the_repr_of_each_coordinate(self, points):
+        # points.tolist() gives each coordinate the repr that float(x)!r
+        # gives its numpy scalar
+        curve = Curve(np.array(points))
+        rows = [f"{float(x)!r},{float(y)!r}" for x, y in curve.points]
+        assert curve_to_csv(curve) == "\n".join(["x,y", *rows]) + "\n"
+
 
 class TestSaveJson:
     def test_save_json_writes_one_compact_line(self, tmp_path):
@@ -218,6 +229,56 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == f"error: noise_sd must be finite and >= 0, got {float(noise_sd)!r}\n"
         assert not out.exists()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def simulate_alone(argv, out):
+    """The bytes ``curvegp simulate`` writes in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "curvegp.cli", "simulate", *argv,
+                           "--out", str(out)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return out.read_bytes()
+
+
+class TestParserReuse:
+    """`main` parses every argv of a process with one parser."""
+
+    AXES = ["--shape", "ellipse", "--n", "12", "--seed", "4", "--axes", "2", "1"]
+    DEFAULT = ["--shape", "ellipse", "--n", "12", "--seed", "4"]
+
+    def test_calls_in_one_process_write_what_each_writes_alone(self, tmp_path):
+        assert main(["simulate", *self.AXES, "--out", str(tmp_path / "axes.csv")]) == EXIT_OK
+        assert main(["simulate", *self.DEFAULT, "--out", str(tmp_path / "default.csv")]) == EXIT_OK
+        assert (tmp_path / "axes.csv").read_bytes() == simulate_alone(self.AXES, tmp_path / "a.csv")
+        assert (tmp_path / "default.csv").read_bytes() == simulate_alone(self.DEFAULT,
+                                                                         tmp_path / "d.csv")
+
+    def test_an_argparse_exit_leaves_the_next_parse_intact(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--shape", "square", "--n", "12", "--out", str(tmp_path / "x.csv")])
+        assert exit_info.value.code == EXIT_VALIDATION
+        assert "invalid choice: 'square'" in capsys.readouterr().err
+        assert main(["simulate", *self.DEFAULT, "--out", str(tmp_path / "default.csv")]) == EXIT_OK
+        assert (tmp_path / "default.csv").read_bytes() == simulate_alone(self.DEFAULT,
+                                                                         tmp_path / "d.csv")
+
+    def test_no_parser_is_built_after_the_first_call(self, tmp_path, capsys, monkeypatch):
+        main(["config", "print-defaults"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert main(["simulate", *self.DEFAULT, "--out", str(tmp_path / "d.csv")]) == EXIT_OK
+        assert main(["config", "print-defaults"]) == EXIT_OK
+        assert built == []
 
 
 def valid_fit() -> dict:

@@ -4,7 +4,11 @@ import collections
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from curvegp.preprocess import center, scale_to_unit_length
 from gram_oracle import full_grid_gram_oracle, one_row
 
 IDENTITY_2 = CoregMatrix.identity(2)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def single_point_design(y):
@@ -582,6 +587,20 @@ class TestPredict:
                                for i in range(m)])
             assert np.max(np.abs(pred.means.ravel() - cross @ Kinv @ y)) <= 1e-9
             assert np.max(np.abs(pred.covariances - blocks)) <= 1e-9
+
+    def test_whitening_solves_every_block_in_one_buffer(self):
+        # each block's V is the solve of the query points' cross Gram, bit
+        # for bit, and every block overwrites the one buffer of the first
+        from scipy.linalg.lapack import dtrtrs
+        from curvegp.model import _unit_means, _whitened
+        model = self.levels_model(DEFAULT_JITTER)
+        cross = _unit_means(model, np.arange(7) / 7, np.array([0, 1, 2, 1, 0, 2, 1]))[1]
+        buffers = []
+        for L, V in zip(model.chol, _whitened(model, cross), strict=True):
+            want, info = dtrtrs(L, cross.T, lower=1)
+            assert info == 0 and V.tobytes() == want.tobytes()
+            buffers.append(V)
+        assert len(buffers) == 2 and buffers[0] is buffers[1]
 
     def test_paired_covariance_transient_memory(self):
         # the covariance is formed on the query points and written into the
@@ -1916,17 +1935,31 @@ class TestLockstep:
 
     def test_landmark_search_is_pinned(self):
         # the trials' fits in one lockstep give the indices, score and
-        # trials that fitting each trial alone gave
-        from curvegp.applications import LandmarkConfig, simultaneous_landmarks
-        curves = [generate_synthetic("star", 12, rng_seed=k, noise_sd=0.01) for k in (1, 2, 3)]
-        result = simultaneous_landmarks(curves, LandmarkConfig(p=4, n_trials=4, rng_seed=2),
-                                        opt_config=OptimizerConfig(restarts=2))
-        assert result.indices == (0, 3, 6, 9)
-        assert result.score == 0.09183860499259999
-        assert result.trials == [((1, 2, 3, 7), 0.28927888499686705),
-                                 ((0, 3, 6, 9), 0.09183860499259999),
-                                 ((0, 3, 6, 7), 0.1529795836562864),
-                                 ((1, 2, 5, 8), 0.19473496966958836)]
+        # trials that fitting each trial alone gave. OpenBLAS's dpotri
+        # rounds differently at one thread than at two or more, so the
+        # search runs in a fresh interpreter at one BLAS thread, as the
+        # benchmark does, and the figures hold whatever this process uses
+        code = ("import json\n"
+                "from curvegp.applications import LandmarkConfig, simultaneous_landmarks\n"
+                "from curvegp.curves import generate_synthetic\n"
+                "from curvegp.model import OptimizerConfig\n"
+                "curves = [generate_synthetic('star', 12, rng_seed=k, noise_sd=0.01)"
+                " for k in (1, 2, 3)]\n"
+                "result = simultaneous_landmarks(curves, LandmarkConfig(p=4, n_trials=4,"
+                " rng_seed=2), opt_config=OptimizerConfig(restarts=2))\n"
+                "print(json.dumps([result.indices, result.score, result.trials]))\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        indices, score, trials = json.loads(proc.stdout)
+        assert indices == [0, 3, 6, 9]
+        assert score == 0.09184278853844435
+        assert trials == [[[1, 2, 3, 7], 0.28927888427978427],
+                          [[0, 3, 6, 9], 0.09184278853844435],
+                          [[0, 3, 6, 7], 0.152979228759102],
+                          [[1, 2, 5, 8], 0.19473496963330153]]
 
 
 def _arrays(value):
