@@ -326,8 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit code. Arguments that
+    argparse rejects return 2 after its usage message, and ``--help``
+    returns 0 after the help; neither raises `SystemExit`."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:

@@ -74,16 +74,19 @@ def warped_correlation(family: str, w, rho: float, with_dlogrho: bool = False,
     """Kernel value for sigma2 = 1 at warped distance ``w``; with
     ``with_dlogrho`` also its derivative in log rho, as (corr, dcorr).
 
-    The arithmetic runs in place, never on ``w``. Without ``out`` it runs
-    on arrays made here and returned: besides ``w``, two arrays of its size
-    are alive at once, three for the Matern-3/2 derivative. ``out`` is a
-    stack of three arrays of ``w``'s shape that a caller keeps across calls
-    (the likelihood's work arrays): nothing of that size is made, every
-    slot is overwritten, and corr and dcorr are two of the slots, which
-    two depending on the family. With ``out``, ``rho`` may be an array
-    that broadcasts against ``w`` to the slots' shape, as one length scale
-    per matrix of a stack does; every entry is then what a call on its
-    matrix and length scale alone gives."""
+    The arithmetic runs in place, on ``w`` only when ``w`` is the first
+    slot of ``out``. Without ``out`` it runs on arrays made here and
+    returned: besides ``w``, two arrays of its size are alive at once,
+    three for the Matern-3/2 derivative. ``out`` is a stack of three
+    arrays of ``w``'s shape that a caller keeps across calls (the
+    likelihood's work arrays): nothing of that size is made, every slot is
+    overwritten, and corr and dcorr are two of the slots, which two
+    depending on the family. Without the derivative the third slot may be
+    None, and the first may be ``w`` itself, which then holds nothing
+    further that the caller needs (`unit_correlation`). With ``out``,
+    ``rho`` may be an array that broadcasts against ``w`` to the slots'
+    shape, as one length scale per matrix of a stack does; every entry is
+    then what a call on its matrix and length scale alone gives."""
     if family not in FAMILIES:
         raise ValidationError(f"unknown kernel family {family!r}")
     if out is None:
@@ -112,8 +115,11 @@ def warped_correlation(family: str, w, rho: float, with_dlogrho: bool = False,
 
 def unit_correlation(family: str, s_a, s_b, rho: float, tau: float):
     """Kernel value between arc parameters ``s_a`` and ``s_b`` (broadcast
-    against each other) for sigma2 = 1."""
-    return warped_correlation(family, warped_distance(family, s_a, s_b, tau), rho)
+    against each other) for sigma2 = 1, evaluated in the fresh buffer that
+    holds the warped distances, its first slot: besides it, one array of
+    its size is alive at once, as while the distances are formed."""
+    w = warped_distance(family, s_a, s_b, tau)
+    return warped_correlation(family, w, rho, out=(w, np.empty_like(w), None))
 
 
 def gram(hyp: PeriodicHyperparameters, s_a, s_b=None) -> np.ndarray:

@@ -17,9 +17,11 @@ Queries are points as well: `predict` takes its rows in coordinate pairs
 and forms its prior and posterior on the query points block by block, each
 a quarter of the size of the covariance it returns, with no temporary of
 the covariance's size; `predict_curve` forms only the diagonal of each
-block. Both whiten the query points' cross Gram in one P x m buffer per
-prediction (`_whitened`) and use each block's V before the next block
-overwrites it.
+block. Both form the query points' cross Gram training-major, P x m with a
+row per training point, and whiten it from the right, V_e^T = cross^T
+L_e^-T (BLAS dtrsm, `_whitened`): block 0 in one copy of it and the last
+block in the cross Gram itself, so each block's V is used before the next
+block is solved.
 
 The fit profiles sigma2 out (Santner, Williams & Notz 2003): K = sigma2 (R
 + eta I), with R the Gram at sigma2 = 1, its jitter the fraction
@@ -30,13 +32,17 @@ rho, log eta, then one block per coregionalization level, whose record
 `_Level` states how the level is packed. The fitted kernel holds s2, the
 jitter and noise as absolute values.
 
-One routine, `_solve`, forms the two blocks, factors them with the nugget
-ladder, solves the rotated targets and returns y^T K^-1 y and log|K| / 2.
-The objective calls it on its work arrays in `value_and_grad` and in
-`unpack`, which takes s2 from it; `assemble_model` calls it on the Gram
-`multilevel_gram` forms. So s2, the profiled -log p and the fitted model's
-log p are each one line over the same numbers, and both Grams take the
-coordinate basis from one spelling of a level's matrix, `coreg.level_matrix`.
+One routine, `_solve`, forms the two blocks in the buffer that LAPACK
+factors (B x 2 x P x P), factors them there with the nugget ladder, solves
+the rotated targets and returns y^T K^-1 y and log|K| / 2; a row whose
+factorization escalates forms its blocks again from its point Gram
+(`_chol_with_ladder`), so no copy of the blocks is kept. The objective
+calls it on its work arrays in `value_and_grad` and in `unpack`, which
+takes s2 from it; `assemble_model` calls it on the Gram `multilevel_gram`
+forms, so its peak is that Gram and the factor buffer, 3 P^2 floats. So
+s2, the profiled -log p and the fitted model's log p are each one line
+over the same numbers, and both Grams take the coordinate basis from one
+spelling of a level's matrix, `coreg.level_matrix`.
 
 s2 is a stationary point of the full likelihood, so the gradient of -log p
 at s2 is -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1
@@ -64,15 +70,15 @@ theta on as the one-row stack [theta]. At small P a call costs overhead,
 not arithmetic, so the objective keeps its work arrays across calls
 (`_grow`). Only LAPACK and scalar math run per row (the factorization with
 its nugget ladder, dpotrs, dpotri, the coordinate basis, a 2 x 2 level's W,
-logs and exponentials); the rest runs once per stack, each slice as it runs
-alone: the finiteness check and copy of the blocks, elementwise arithmetic,
-axis sums, matrix products and every inner product (`_dots`). So each row
-of a stack equals its one-row call, bit for bit. New on every call are the
-arrays whose values leave the call, the gradients and alphas, and those no
-larger than a level times P per row. `assemble_model` passes no work
+logs and exponentials), and a row that escalates forms its blocks again;
+the rest runs once per stack, each slice as it runs alone: forming the
+blocks and checking them finite, elementwise arithmetic, axis sums, matrix
+products and every inner product (`_dots`). So each row of a stack equals
+its one-row call, bit for bit. New on every call are the arrays whose
+values leave the call, the gradients and alphas, and those no larger than
+a level times P per row. `assemble_model` passes no work
 arrays, so a fitted model shares no memory with an objective. The LAPACK
-flags go by position, which f2py parses faster than keywords, except
-`_whitened`'s ``overwrite_b``, which follows ``lda``.
+and BLAS flags go by position, which f2py parses faster than keywords.
 
 L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) runs through
 scipy's reverse-communication routine `setulb`, one state per run, with
@@ -88,10 +94,11 @@ a large design runs its restarts one after another in the memory one run
 needs. `minimize` is the lockstep of one run on a function of one theta.
 
 SciPy is imported only where it is used, so `import curvegp.model` loads
-numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs, dtrtrs) come
-from `_lapack`, which imports `scipy.linalg.lapack` at the first
-factorization or solve. `scipy.optimize` is imported only when a fit or
-`minimize` runs, by `_lbfgsb` on its first call.
+numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs) come from
+`_lapack`, which imports `scipy.linalg.lapack` at the first factorization
+or solve, and BLAS dtrsm from `_blas` at the first prediction.
+`scipy.optimize` is imported only when a fit or `minimize` runs, by
+`_lbfgsb` on its first call.
 """
 
 from __future__ import annotations
@@ -264,9 +271,12 @@ def _require(ok: bool, name: str, rule: str, value) -> None:
 class FittedModel:
     """Kernel with estimated hyperparameters plus cached training solve.
 
-    ``chol`` stacks the Cholesky factors of the two P x P blocks and
-    ``basis`` holds their (lam, Q), the eigenbasis of the coordinate
-    factor. ``alpha`` is K^-1 y over the 2P values, point by point.
+    ``chol`` stacks the lower Cholesky factors of the two P x P blocks,
+    Fortran-ordered views of the buffer in which `_solve` formed and
+    factored the blocks, and ``basis`` holds their (lam, Q), the
+    eigenbasis of the coordinate factor. ``alpha`` is K^-1 y over the 2P
+    values, point by point. A prediction only reads them; the cross Gram
+    it whitens is its own (`_whitened`).
     """
 
     kernel: MultiLevelKernel
@@ -326,26 +336,40 @@ def _lapack():
     return lapack
 
 
-def _chol_with_ladder(blocks, out):
-    """Lower Cholesky factors of every block of a stack of finite symmetric
-    matrices, with one escalating diagonal nugget: when any block fails,
-    all are factored again with the next rung of `NUGGET_LADDER` times the
-    mean diagonal entry of all blocks. One nugget for every block keeps K +
-    nugget I isotropic, and blocks scaled by any factor take the rung they
-    take unscaled, so the objective at sigma2 = 1 and `assemble_model` at
-    sigma2's estimate factor alike. ``out`` holds a C-ordered copy of the
-    blocks when called and is factored in place, read transposed:
-    Fortran-ordered, for LAPACK. Returns (factors, rung used), factors that
-    transposed view of ``out``."""
+def _blocks(K, lam, noise_var, out):
+    """The blocks lam_e K + noise I of a point Gram K (P x P) in its
+    coordinate basis, written C-ordered into ``out`` (2 x P x P), or those of
+    each row of a stack: K (B x P x P), lam (B x 2), noise_var (B,) and out
+    (B x 2 x P x P). Returns ``out``."""
+    n = K.shape[-1]
+    np.multiply(lam[..., None, None], K[..., None, :, :], out=out)
+    out.reshape(*out.shape[:-2], -1)[..., ::n + 1] += np.asarray(noise_var)[..., None, None]
+    return out
+
+
+def _chol_with_ladder(out, K, lam, noise_var):
+    """Lower Cholesky factors of the two blocks lam_e K + noise I of a point
+    Gram K, with one escalating diagonal nugget: when either block fails,
+    both are formed again from K into ``out`` (`_blocks`) and factored with
+    the next rung of `NUGGET_LADDER` times the mean diagonal entry of both
+    blocks, which only an escalation computes. One nugget for both blocks
+    keeps K + nugget I isotropic, and blocks scaled by any factor take the
+    rung they take unscaled, so the objective at sigma2 = 1 and
+    `assemble_model` at sigma2's estimate factor alike. ``out`` holds the
+    blocks, C-ordered, when called and is factored in place, read
+    transposed: Fortran-ordered, for LAPACK. Returns (factors, rung used),
+    factors that transposed view of ``out``."""
     dpotrf = _lapack().dpotrf
-    # a symmetric block's C-ordered copy, read transposed, is the block in
+    # a symmetric block, C-ordered and read transposed, is the block in
     # Fortran order
     factors = out.transpose(0, 2, 1)
+    base = None
     for rung in NUGGET_LADDER:
         if rung:
-            np.copyto(out, blocks)
-            out.reshape(len(out), -1)[:, ::out.shape[-1] + 1] += (
-                rung * blocks.diagonal(axis1=1, axis2=2).mean())
+            _blocks(K, lam, noise_var, out)
+            if base is None:
+                base = out.diagonal(axis1=1, axis2=2).mean()
+            out.reshape(len(out), -1)[:, ::out.shape[-1] + 1] += rung * base
         for L in factors:
             _, info = dpotrf(L, 1, 1, 1)  # lower, clean, overwrite_a
             if info != 0:
@@ -487,12 +511,13 @@ class MarginalLikelihoodObjective:
         """Work arrays for a stack of ``rows`` thetas, overwritten by every
         call: at small P a new array costs more than the arithmetic on it.
         The three slots of `warped_correlation` (K0 and dR/dlog rho are two
-        of them), the point Gram and A, `_solve`'s blocks and their factors
-        (which dpotrs and dpotri overwrite), the rows' distances and targets."""
+        of them), the point Gram and A, the buffer in which `_solve` forms
+        and factors the blocks (which dpotri then overwrites), the rows'
+        distances and targets."""
         n, self._capacity = self.n_points, rows
         self._corr = np.empty((3, rows, n, n))
         self._K, self._A = np.empty((2, rows, n, n))
-        self._solve_work = np.empty((2, rows, 2, n, n))
+        self._solve_work = np.empty((rows, 2, n, n))
         self._A_diagonal = self._A.reshape(rows, -1)[:, ::n + 1]
         self._warps = np.empty((rows, n, n))
         self._ys = np.empty((rows, n, 2))
@@ -553,7 +578,7 @@ class MarginalLikelihoodObjective:
         [theta]; a factorization or solve that fails raises its NumericalError."""
         K, _ = self.gram_and_grads(self._row(theta))
         _, _, _, quads, _, errors = _solve(K, self._basis, np.array([math.exp(theta[1])]),
-                                           self.targets, self._solve_work[:, :1])
+                                           self.targets, self._solve_work[:1])
         if errors[0] is not None:
             raise errors[0]
         return self.kernel_at(theta, quads[0] / (2 * self.n_points))
@@ -622,7 +647,7 @@ class MarginalLikelihoodObjective:
         if rows is not None:  # np.stack's copy, in one concatenate
             np.concatenate([row.design.y for row in rows], out=self._ys[:n_rows].reshape(-1, 2))
         factors, nuggets, alphas, quads, half_logdets, errors = _solve(
-            K, self._basis, etas, y, self._solve_work[:, :n_rows])
+            K, self._basis, etas, y, self._solve_work[:n_rows])
         values, scales = [None] * n_rows, [1.0] * n_rows
         dpotri = _lapack().dpotri
         for b in range(n_rows):
@@ -696,29 +721,25 @@ def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
     the covariance of all 2P values) and None, or, for a row whose
     factorization or solve fails, its NumericalError, the row's factors
     then I, so that arithmetic on the whole stack stays finite (a block
-    entry that is not finite fails the stack: a ValidationError). ``out``,
-    when given, is a (2, B, 2, P, P) work stack: the blocks go into out[0]
-    and their factors into out[1]; without it both are new."""
+    entry that is not finite fails the stack: a ValidationError). The
+    blocks are formed in the buffer that is factored, ``out`` when given (a
+    B x 2 x P x P work stack), else a new one; a row that escalates forms
+    its blocks again from K (`_chol_with_ladder`)."""
     lam, Q = basis
     n_rows, n = len(K), K.shape[-1]
-    # apart without ``out``, so that the factors, which a fitted model keeps,
-    # keep no blocks alive
-    blocks, room = (np.empty((n_rows, 2, n, n)) for _ in range(2)) if out is None else out
-    np.multiply(lam[:, :, None, None], K[:, None], out=blocks)
-    blocks.reshape(n_rows, 2, -1)[:, :, ::n + 1] += noise_var[:, None, None]
+    blocks = _blocks(K, lam, noise_var, np.empty((n_rows, 2, n, n)) if out is None else out)
     # a finite sum of squares shows every entry finite, in one dot product
     if not math.isfinite(np.vdot(blocks, blocks)) and not np.isfinite(blocks).all():
         raise ValidationError("the training covariance is not finite: the kernel's "
                               "sigma2 or level matrices are too large")
-    np.copyto(room, blocks)  # each row's copy, factored in place
-    factors = room.transpose(0, 1, 3, 2)
+    factors = blocks.transpose(0, 1, 3, 2)
     Y = Q.transpose(0, 2, 1) @ y
     alphas = Y.copy()
     dpotrs = _lapack().dpotrs
     nuggets, errors = [None] * n_rows, [None] * n_rows
     for b in range(n_rows):
         try:
-            _, nuggets[b] = _chol_with_ladder(blocks[b], room[b])
+            _, nuggets[b] = _chol_with_ladder(blocks[b], K[b], lam[b], noise_var[b])
             for L, alpha in zip(factors[b], alphas[b]):
                 _, info = dpotrs(L, alpha, 1, 1)  # lower, overwrite_b
                 if info != 0:
@@ -726,7 +747,7 @@ def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
                         f"solve with the Cholesky factor failed (info={info})")
         except NumericalError as exc:
             errors[b] = exc
-            room[b] = np.eye(n)
+            blocks[b] = np.eye(n)
     quads = _dots(Y.reshape(n_rows, -1), alphas.reshape(n_rows, -1)).tolist()
     logdets = np.add.reduce(np.log(factors.diagonal(axis1=2, axis2=3)), axis=2)
     return factors, nuggets, alphas, quads, (logdets[:, 0] + logdets[:, 1]).tolist(), errors
@@ -983,27 +1004,37 @@ def fit_designs(designs, model_config: ModelConfig | None = None,
 
 def _unit_means(model: FittedModel, s, j):
     """(means, cross): the posterior means of both coordinates at query
-    points (s, j), points x 2, and the points' cross Gram against the
-    training points."""
+    points (s, j), points x 2, and the points' cross Gram formed
+    training-major, P x m with a row per training point, the means taken
+    from it."""
     dz = model.design
-    cross = multilevel_gram(model.kernel, s, j_a=j, s_b=dz.s, j_b=dz.j,
+    cross = multilevel_gram(model.kernel, dz.s, j_a=dz.j, s_b=s, j_b=j,
                             curve_group=dz.curve_group)
-    means = cross @ model.alpha.reshape(len(dz.s), 2) @ model.kernel.coord.matrix
+    means = cross.T @ model.alpha.reshape(len(dz.s), 2) @ model.kernel.coord.matrix
     return means, cross
 
 
+@cache
+def _blas():
+    """`scipy.linalg.blas`, imported on the first call, as `_lapack`."""
+    from scipy.linalg import blas
+    return blas
+
+
 def _whitened(model: FittedModel, cross):
-    """V_e = L_e^-1 k_e on the query points, block by block. Every block is
-    solved in place in one Fortran-ordered P x m buffer that holds a copy
-    of cross^T, so the caller uses each block's V before it asks for the
-    next block, which overwrites it."""
-    dtrtrs = _lapack().dtrtrs
-    V = np.empty(cross.T.shape, order="F")
-    for L in model.chol:
-        np.copyto(V, cross.T)
-        V, info = dtrtrs(L, V, lower=1, overwrite_b=1)
-        if info != 0:
-            raise NumericalError(f"triangular solve failed (info={info})")
+    """V_e = L_e^-1 k_e on the query points, block by block, from the
+    training-major cross Gram (P x m, C-ordered): each block is solved in
+    place from the right, V_e^T = cross^T L_e^-T (dtrsm on the Fortran
+    view cross^T), block 0 in a copy of ``cross`` and the last block in
+    ``cross`` itself, which it overwrites. So the caller uses each block's
+    V before it asks for the next block."""
+    dtrsm = _blas().dtrsm
+    last = len(model.chol) - 1
+    for e, L in enumerate(model.chol):
+        V = cross if e == last else cross.copy()
+        # right side, lower, L transposed, non-unit diagonal, overwrite_b:
+        # in place on V's buffer
+        dtrsm(1.0, L, V.T, 1, 1, 1, 0, 1)
         yield V
 
 

@@ -7,13 +7,16 @@ against themselves. The kernel references are the periodic kernel as a
 function of the distance r = |a - b| (`periodic_eval`), which the library
 forms from the positions instead, and the Theorem-1 envelope of the
 periodic RBF kernel (`theorem1_bounds`). `one_row` reads the likelihood,
-which takes stacks only, at one theta.
+which takes stacks only, at one theta. `two_buffer_ladder` is the nugget
+ladder on a copy of the blocks, the reference for the library's ladder,
+which forms them again from the point Gram only when it escalates.
 """
 
 import numpy as np
 
-from curvegp.errors import ValidationError
+from curvegp.errors import NumericalError, ValidationError
 from curvegp.kernels import unit_correlation, warped_correlation
+from curvegp.model import NUGGET_LADDER
 
 
 def periodic_eval(hyp, s_i, s_j):
@@ -101,3 +104,27 @@ def one_row(obj, theta):
     if errors[0] is not None:
         raise errors[0]
     return values[0], grads[0]
+
+
+def two_buffer_ladder(out, K, lam, noise_var):
+    """`curvegp.model._chol_with_ladder` in two buffers: it copies the blocks
+    that ``out`` holds when called, then factors ``out`` in place, and every
+    rung after the first copies the blocks back and adds the rung times the
+    mean diagonal entry of the copy. K, lam and noise_var, from which the
+    library forms the blocks again, are not read. Returns (factors, rung)."""
+    from scipy.linalg.lapack import dpotrf
+    blocks = out.copy()
+    factors = out.transpose(0, 2, 1)
+    for rung in NUGGET_LADDER:
+        if rung:
+            np.copyto(out, blocks)
+            out.reshape(len(out), -1)[:, ::out.shape[-1] + 1] += (
+                rung * blocks.diagonal(axis1=1, axis2=2).mean())
+        for L in factors:
+            _, info = dpotrf(L, 1, 1, 1)  # lower, clean, overwrite_a
+            if info != 0:
+                break
+        else:
+            return factors, rung
+    raise NumericalError(
+        f"covariance factorization failed after nugget ladder {NUGGET_LADDER}")

@@ -62,10 +62,16 @@ class TestConfig:
         assert reparsed == CONFIG_DEFAULTS
 
     def test_unknown_action_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["config", "bogus"])
-        assert exit_info.value.code == EXIT_VALIDATION
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert main(["config", "bogus"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "invalid choice: 'bogus'" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["predict", "--help"]])
+    def test_help_returns_0(self, argv, capsys):
+        # argparse's exit after the help is a return code, as its errors are
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: curvegp") and captured.err == ""
 
 
 # a valid value other than the default, for the keys whose type does not give one
@@ -155,9 +161,7 @@ class TestConfigKeys:
         argv = {"fit": ["fit", "--inputs", curve, "--out", fit_path],
                 "predict": ["predict", "--inputs", curve, "--fit", fit_path,
                             "--out", str(tmp_path / "pred.json")]}[command]
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv + [flag, str(tmp_path / "x")])
-        assert exit_info.value.code == EXIT_VALIDATION
+        assert main(argv + [flag, str(tmp_path / "x")]) == EXIT_VALIDATION
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["c.csv"]
 
@@ -258,10 +262,10 @@ class TestParserReuse:
                                                                          tmp_path / "d.csv")
 
     def test_an_argparse_exit_leaves_the_next_parse_intact(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["simulate", "--shape", "square", "--n", "12", "--out", str(tmp_path / "x.csv")])
-        assert exit_info.value.code == EXIT_VALIDATION
+        assert main(["simulate", "--shape", "square", "--n", "12",
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
         assert "invalid choice: 'square'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
         assert main(["simulate", *self.DEFAULT, "--out", str(tmp_path / "default.csv")]) == EXIT_OK
         assert (tmp_path / "default.csv").read_bytes() == simulate_alone(self.DEFAULT,
                                                                          tmp_path / "d.csv")

@@ -25,7 +25,7 @@ from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            _chol_with_ladder, _coord_basis, _dots, _solve,
                            assemble_model, fit, fit_designs, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
-from gram_oracle import full_grid_gram_oracle, one_row
+from gram_oracle import full_grid_gram_oracle, one_row, two_buffer_ladder
 
 IDENTITY_2 = CoregMatrix.identity(2)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -316,11 +316,11 @@ class TestFit:
         import curvegp.model as model
         factor, calls = model._chol_with_ladder, [0]
 
-        def fails_first(blocks, out):  # the first evaluation is restart 0's start
+        def fails_first(out, *gram):  # the first evaluation is restart 0's start
             calls[0] += 1
             if calls[0] == 1:
                 raise NumericalError("forced factorization failure")
-            return factor(blocks, out)
+            return factor(out, *gram)
 
         monkeypatch.setattr(model, "_chol_with_ladder", fails_first)
         design, _ = circle_design(8)
@@ -588,19 +588,28 @@ class TestPredict:
             assert np.max(np.abs(pred.means.ravel() - cross @ Kinv @ y)) <= 1e-9
             assert np.max(np.abs(pred.covariances - blocks)) <= 1e-9
 
-    def test_whitening_solves_every_block_in_one_buffer(self):
-        # each block's V is the solve of the query points' cross Gram, bit
-        # for bit, and every block overwrites the one buffer of the first
+    def test_whitening_solves_each_block_from_the_right(self):
+        # each block's V is the right-side dtrsm of the training-major cross
+        # Gram, bit for bit, and within 1e-12 of the left-side dtrtrs (relative
+        # to the block's largest entry); the last block is solved in the cross
+        # Gram itself
+        from scipy.linalg.blas import dtrsm
         from scipy.linalg.lapack import dtrtrs
         from curvegp.model import _unit_means, _whitened
         model = self.levels_model(DEFAULT_JITTER)
         cross = _unit_means(model, np.arange(7) / 7, np.array([0, 1, 2, 1, 0, 2, 1]))[1]
-        buffers = []
+        P = len(model.design.s)
+        assert cross.shape == (P, 7) and cross.flags.c_contiguous
+        before = cross.copy()
+        shared = []
         for L, V in zip(model.chol, _whitened(model, cross), strict=True):
-            want, info = dtrtrs(L, cross.T, lower=1)
-            assert info == 0 and V.tobytes() == want.tobytes()
-            buffers.append(V)
-        assert len(buffers) == 2 and buffers[0] is buffers[1]
+            want = dtrsm(1.0, L, before.T, side=1, lower=1, trans_a=1).T
+            assert V.shape == (P, 7) and V.tobytes() == want.tobytes()
+            left, info = dtrtrs(L, before, lower=1)
+            assert info == 0
+            assert np.max(np.abs(V - left)) <= 1e-12 * np.max(np.abs(left))
+            shared.append(np.shares_memory(V, cross))
+        assert shared == [False, True]
 
     def test_paired_covariance_transient_memory(self):
         # the covariance is formed on the query points and written into the
@@ -795,6 +804,65 @@ class TestPredictCurve:
         for curve in (-1, 3):
             with pytest.raises(ValidationError):
                 predict(model, [0.1], [0], [curve])
+
+
+def dense_collection():
+    """(fit file, curves): ten 40-point stars and ellipses at unit length and
+    a fit of fixed hyperparameters with coordinate and curve levels, the
+    layout of the saved fit that `curvegp predict --m 400` reads back in the
+    dense-prediction benchmark (P = 400)."""
+    rng = np.random.default_rng(4)
+    curves = [scale_to_unit_length(center(generate_synthetic(
+        "star" if c % 2 == 0 else "ellipse", 40, amplitude=0.2, axes=(1.0, 0.6),
+        noise_sd=0.002, rng_seed=c))) for c in range(10)]
+    data = {"hyperparameters": {"family": "periodic_matern32", "sigma2": 0.01,
+                                "rho": 0.15, "tau": 1.0},
+            "noise": {"noise_variance": 1e-5, "jitter": 1e-3},
+            "coregionalization": {
+                "D": {"w": [[0.3], [0.1]], "kappa": [1.0, 1.0]},
+                "C": {"w": [[w] for w in rng.uniform(0.5, 1.0, 10).tolist()],
+                      "kappa": [0.2] * 10}}}
+    return data, curves
+
+
+def traced_peak(call):
+    """(result, bytes): ``call()``'s result and the peak of the memory
+    tracemalloc traces during it, above what was held when it began."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
+
+
+class TestReadPathMemory:
+    """The read path of a saved fit at P = 400 forms each matrix in the
+    buffer that uses it: the blocks in the factor buffer, the query points'
+    cross Gram in the buffer that is whitened."""
+
+    def test_reading_a_fit_peaks_near_its_gram_and_factors(self):
+        # the Gram and the two blocks' factor buffer, 3 P^2; the blocks
+        # and their copy once took it to 5 P^2
+        data, curves = dense_collection()
+        fit_result_from_dict(data, curves)  # first-call imports
+        model, peak = traced_peak(lambda: fit_result_from_dict(data, curves))
+        P = len(model.design.s)
+        assert P == 400
+        assert peak <= 3.2 * P * P * 8
+
+    def test_predict_curve_peaks_near_the_cross_gram(self):
+        # beyond the model: the cross Gram, P x m, and one copy of it for the
+        # first block; a copy per block and the cross Gram query-major once
+        # took it to 3 P m
+        model = fit_result_from_dict(*dense_collection())
+        predict_curve(model, 0, 10)  # first-call imports
+        m, P = 400, len(model.design.s)
+        pred, peak = traced_peak(lambda: predict_curve(model, 3, m))
+        assert pred.covariances.shape == (m, 2, 2)
+        assert peak <= 2.3 * P * m * 8
 
 
 class TestGradients:
@@ -1179,14 +1247,70 @@ class TestLargestNugget:
         assert [r["max_nugget"] for r in fitted.diagnostics["restarts"]] == [0.0] * 3
 
 
+class TestLadderBuffer:
+    """A row that escalates forms its blocks again from its point Gram, in
+    the buffer it factors; the ladder that keeps a copy of the blocks
+    (`two_buffer_ladder`) gives the same numbers, bit for bit."""
+
+    @staticmethod
+    def near_singular_rows():
+        """(objective, theta that escalates): the near-singular design at rho
+        = 1 without noise, its levels as unit-corner factors."""
+        design, kernel, _ = near_singular_design()
+        obj = MarginalLikelihoodObjective(design, ModelConfig(family="periodic_rbf",
+                                                              jitter=0.0))
+        theta = np.concatenate([[0.0, -np.inf]] + [
+            unit_corner(level.matrix) for level in (kernel.coord, kernel.curve)])
+        return obj, theta
+
+    @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_an_escalating_row_of_a_stack(self, monkeypatch, where):
+        import curvegp.model as model
+        obj, theta = self.near_singular_rows()
+        rng = np.random.default_rng(where)
+        X = np.array([obj.random_start(rng) for _ in range(3)])
+        X[where] = theta
+        K = obj.gram_and_grads(X)[0].copy()
+        basis = tuple(a.copy() for a in obj._basis)
+        etas = np.exp(X[:, 1])
+
+        def run():
+            return (_solve(K, basis, etas, obj.targets),
+                    [np.copy(a) if isinstance(a, np.ndarray) else a
+                     for a in obj.value_and_grad(X)])
+
+        got = run()
+        monkeypatch.setattr(model, "_chol_with_ladder", two_buffer_ladder)
+        want = run()
+        nuggets = got[0][1]
+        assert nuggets[where] > 0.0 and nuggets.count(0.0) == 2
+        for a, b in zip(got[0] + tuple(got[1]), want[0] + tuple(want[1])):
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert a == b
+
+    def test_assemble_model(self, monkeypatch):
+        import curvegp.model as model
+        obj, theta = self.near_singular_rows()
+        kernel, noise_variance = obj.kernel_at(theta, 1.0)
+        got = assemble_model(obj.design, kernel, noise_variance)
+        monkeypatch.setattr(model, "_chol_with_ladder", two_buffer_ladder)
+        want = assemble_model(obj.design, kernel, noise_variance)
+        assert got.diagnostics["nugget"] == want.diagnostics["nugget"] > 0.0
+        assert got.chol.tobytes() == want.chol.tobytes()
+        assert got.alpha.tobytes() == want.alpha.tobytes()
+        assert got.log_marginal_likelihood == want.log_marginal_likelihood
+
+
 class TestRelativeNugget:
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_rung_does_not_depend_on_scale(self, scale):
         # a rank-1 block needs the first nonzero rung at any scale; an
         # absolute 1e-8 nugget is lost in rounding at 1e12
         blocks = np.ones((2, 4, 4)) * [[[1.0]], [[3.0]]]
-        scaled = scale * blocks
-        factors, rung = _chol_with_ladder(scaled, scaled.copy())
+        K, lam = scale * np.ones((4, 4)), np.array([1.0, 3.0])
+        factors, rung = _chol_with_ladder(lam[:, None, None] * K, K, lam, 0.0)
         assert rung == NUGGET_LADDER[1]
         nugget = rung * 2.0 * scale  # the mean diagonal entry is 2 scale
         for L, block in zip(factors, blocks):
@@ -1327,7 +1451,7 @@ class TestMinimize:
         # factorization skips one, so that is what the error names
         import curvegp.model as model
 
-        def fails(blocks, out):
+        def fails(out, *gram):
             raise NumericalError("forced factorization failure")
 
         monkeypatch.setattr(model, "_chol_with_ladder", fails)
@@ -1358,18 +1482,18 @@ def fail_at_point(monkeypatch, design, opt, restart, k):
     model.minimize(recorded, starts[restart], obj.bounds, opt.maxiter)
     factor, seen, raised = model._chol_with_ladder, [], []
 
-    def spy(blocks, out):
-        seen.append(blocks.copy())
-        return factor(blocks, out)
+    def spy(out, *gram):  # the blocks the factor buffer holds when called
+        seen.append(out.copy())
+        return factor(out, *gram)
 
     monkeypatch.setattr(model, "_chol_with_ladder", spy)
     one_row(obj, points[k - 1])
 
-    def fails_there(blocks, out):
-        if np.array_equal(blocks, seen[-1]):
+    def fails_there(out, *gram):
+        if np.array_equal(out, seen[-1]):
             raised.append(1)
             raise NumericalError("forced factorization failure")
-        return factor(blocks, out)
+        return factor(out, *gram)
 
     monkeypatch.setattr(model, "_chol_with_ladder", fails_there)
     return raised
@@ -1653,11 +1777,11 @@ class TestStackedEvaluation:
                 for obj, x in zip(objs, X)]
         factor, calls = model._chol_with_ladder, [0]
 
-        def fails_second(blocks, out):  # rows are factored in order
+        def fails_second(out, *gram):  # rows are factored in order
             calls[0] += 1
             if calls[0] == 2:
                 raise NumericalError("forced factorization failure")
-            return factor(blocks, out)
+            return factor(out, *gram)
 
         monkeypatch.setattr(model, "_chol_with_ladder", fails_second)
         values, grads, nuggets, errors = objs[0].value_and_grad(X, objs)
