@@ -47,11 +47,13 @@ def imspe(predicted, truth: Curve) -> float:
 
     ``predicted`` is an (m, 2) array of means evaluated at grid fractions
     i/m of its domain; the truth curve is evaluated at the same fractions
-    of its own polygon length.
+    of its own polygon length. The means must be finite, and at least one.
     """
     pts = np.asarray(predicted, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValidationError(f"expected an (m, 2) point array, got {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
+        raise ValidationError(f"expected a nonempty (m, 2) point array, got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValidationError("predicted means must be finite")
     m = len(pts)
     length = polygon_length(truth)
     truth_pts = arc_to_xy_param(truth, np.arange(m) * length / m)
@@ -62,9 +64,15 @@ def iuea(predicted) -> float:
     """Average area of the 1-standard-deviation predictive ellipses.
 
     Each grid point contributes pi * sd1 * sqrt(sd2^2 - cross^2/sd1^2); a
-    fully degenerate covariance contributes zero area.
+    fully degenerate covariance contributes zero area. The covariances must
+    be finite, and at least one.
     """
     covs = np.asarray(predicted.covariances, dtype=float)
+    if covs.ndim != 3 or covs.shape[1:] != (2, 2) or not len(covs):
+        raise ValidationError(f"expected a nonempty (m, 2, 2) covariance array, "
+                              f"got {covs.shape}")
+    if not np.isfinite(covs).all():
+        raise ValidationError("predictive covariances must be finite")
     total = 0.0
     for cov in covs:
         cross = cov[0, 1]
@@ -81,16 +89,20 @@ def iuea(predicted) -> float:
 def wasserstein2(a, b) -> float:
     """Minimum over bijections of the mean squared Euclidean distance.
 
-    Solved exactly by optimal assignment; clouds must have equal size
-    (at most 512 points).
+    Solved exactly by optimal assignment; clouds must be finite, nonempty
+    and of equal size (at most 512 points).
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     if len(a) != len(b):
         raise ValidationError(f"point clouds differ in size ({len(a)} vs {len(b)})")
+    if not len(a):
+        raise ValidationError("point clouds must not be empty")
     if len(a) > MAX_ASSIGNMENT_SIZE:
         raise ValidationError(
             f"exact assignment limited to {MAX_ASSIGNMENT_SIZE} points, got {len(a)}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("point clouds must be finite")
     from scipy.optimize import linear_sum_assignment
 
     cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)

@@ -91,14 +91,15 @@ each round, the runs that ask for a point are evaluated in one stacked
 landmark search; every run's path, and so every fit, equals the one it
 takes alone. At most `LOCKSTEP_ENTRIES` / P^2 runs are active at once, so
 a large design runs its restarts one after another in the memory one run
-needs. `minimize` is the lockstep of one run on a function of one theta.
+needs. A run, `_Run`, is its own record: its point, value, counts, flag
+and message are what `fit_designs` writes for each restart and what
+`minimize`, the lockstep of one run on a function of one theta, returns.
 
 SciPy is imported only where it is used, so `import curvegp.model` loads
-numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs) come from
-`_lapack`, which imports `scipy.linalg.lapack` at the first factorization
-or solve, and BLAS dtrsm from `_blas` at the first prediction.
-`scipy.optimize` is imported only when a fit or `minimize` runs, by
-`_lbfgsb` on its first call.
+numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs) and BLAS dtrsm
+come from `_linalg`, which imports `scipy.linalg` at the first
+factorization, solve or prediction. `scipy.optimize` is imported only
+when a fit or `minimize` runs, by `_lbfgsb` on its first call.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -117,10 +117,11 @@ from .kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                       warped_correlation, warped_distance)
 
 # the public API; `minimize`, the one-run case of the lockstep driver, is
-# called by no fit and kept for callers that minimize a function of their own
-__all__ = ["FittedModel", "LbfgsResult", "MarginalLikelihoodObjective", "ModelConfig",
-           "NUGGET_LADDER", "OptimizerConfig", "PredictedCurve", "TrainingDesign",
-           "assemble_model", "fit", "fit_designs", "minimize", "predict", "predict_curve"]
+# called by no fit and kept for callers that minimize a function of their
+# own: it returns its run (`_Run`), not a public result type
+__all__ = ["FittedModel", "MarginalLikelihoodObjective", "ModelConfig", "NUGGET_LADDER",
+           "OptimizerConfig", "PredictedCurve", "TrainingDesign", "assemble_model", "fit",
+           "fit_designs", "minimize", "predict", "predict_curve"]
 
 # The rungs of the nugget ladder, fractions of the mean diagonal entry of
 # the blocks factored (`_chol_with_ladder`).
@@ -329,11 +330,13 @@ def _coord_basis(B: np.ndarray):
 
 
 @cache
-def _lapack():
-    """`scipy.linalg.lapack`, imported on the first call so that only a
-    process that factors or solves pays for loading `scipy.linalg`."""
-    from scipy.linalg import lapack
-    return lapack
+def _linalg():
+    """`scipy.linalg`, imported on the first call so that only a process
+    that factors, solves or predicts pays for loading it: its ``lapack``
+    module serves dpotrf, dpotri and dpotrs, and its ``blas`` module, which
+    loads with it, dtrsm."""
+    import scipy.linalg
+    return scipy.linalg
 
 
 def _blocks(K, lam, noise_var, out):
@@ -359,7 +362,7 @@ def _chol_with_ladder(out, K, lam, noise_var):
     blocks, C-ordered, when called and is factored in place, read
     transposed: Fortran-ordered, for LAPACK. Returns (factors, rung used),
     factors that transposed view of ``out``."""
-    dpotrf = _lapack().dpotrf
+    dpotrf = _linalg().lapack.dpotrf
     # a symmetric block, C-ordered and read transposed, is the block in
     # Fortran order
     factors = out.transpose(0, 2, 1)
@@ -649,7 +652,7 @@ class MarginalLikelihoodObjective:
         factors, nuggets, alphas, quads, half_logdets, errors = _solve(
             K, self._basis, etas, y, self._solve_work[:n_rows])
         values, scales = [None] * n_rows, [1.0] * n_rows
-        dpotri = _lapack().dpotri
+        dpotri = _linalg().lapack.dpotri
         for b in range(n_rows):
             for L in factors[b] if errors[b] is None else ():  # each becomes K_e^-1 in place
                 _, info = dpotri(L, 1, 1)  # lower, overwrite_c
@@ -735,7 +738,7 @@ def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
     factors = blocks.transpose(0, 1, 3, 2)
     Y = Q.transpose(0, 2, 1) @ y
     alphas = Y.copy()
-    dpotrs = _lapack().dpotrs
+    dpotrs = _linalg().lapack.dpotrs
     nuggets, errors = [None] * n_rows, [None] * n_rows
     for b in range(n_rows):
         try:
@@ -784,18 +787,6 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
                        basis=(lam, Q))
 
 
-class LbfgsResult(NamedTuple):
-    """The end of one L-BFGS-B run: the point, the last value computed,
-    iterations, evaluations, the convergence flag and scipy's message."""
-
-    x: np.ndarray
-    fun: float
-    nit: int
-    nfev: int
-    success: bool
-    message: str
-
-
 # scipy's L-BFGS-B defaults: the number of corrections kept (maxcor), the
 # relative reduction of the value in machine epsilons (ftol / eps), the
 # projected gradient tolerance (gtol), the evaluation limit and the line
@@ -823,8 +814,12 @@ LOCKSTEP_ENTRIES = 1 << 14
 
 
 class _Run:
-    """One L-BFGS-B run: `setulb`'s iterate and work arrays, the last point
-    evaluated with its value and gradient, and the run's counts."""
+    """One L-BFGS-B run and its record: `setulb`'s iterate ``x`` and work
+    arrays, the last point evaluated with its value ``fun`` and gradient,
+    the counts ``nit`` and ``nfev``, the largest nugget its evaluations
+    needed, the error that ended it, if any, and, once it has stopped,
+    scipy's ``success`` flag and ``message``. `minimize` returns it, and
+    `fit_designs` writes each restart's record from it."""
 
     def __init__(self, x0, bounds):
         self.lo, self.hi = np.array(bounds, dtype=float).T.copy()  # contiguous rows
@@ -834,7 +829,7 @@ class _Run:
         self.wa, self.dsave = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(29)
         self.iwa, self.task, self.ln_task, self.lsave, self.isave = (
             np.zeros(k, dtype=np.int32) for k in (3 * n, 2, 2, 4, 44))
-        self.f, self.g = 0.0, np.zeros(n)
+        self.fun, self.g = 0.0, np.zeros(n)
         self.point = None  # the last point evaluated, as a list
         self.nfev = self.nit = 0
         self.max_nugget = 0.0
@@ -849,7 +844,7 @@ class _Run:
         setulb = _lbfgsb()[0]
         task = self.task
         while True:
-            setulb(LBFGS_MAXCOR, self.x, self.lo, self.hi, self.nbd, self.f, self.g,
+            setulb(LBFGS_MAXCOR, self.x, self.lo, self.hi, self.nbd, self.fun, self.g,
                    LBFGS_FACTR, LBFGS_PGTOL, self.wa, self.iwa, task, self.lsave,
                    self.isave, self.dsave, LBFGS_MAXLS, self.ln_task)
             if task[0] == 3:  # FG: the value and gradient at x
@@ -865,11 +860,14 @@ class _Run:
             else:
                 return False
 
-    def result(self) -> LbfgsResult:
+    @property
+    def success(self) -> bool:
+        return bool(self.task[0] == 4)  # CONVERGENCE
+
+    @property
+    def message(self) -> str:
         _, status_messages, task_messages = _lbfgsb()
-        message = f"{status_messages[self.task[0]]}: {task_messages[self.task[1]]}"
-        return LbfgsResult(self.x, self.f, self.nit, self.nfev, bool(self.task[0] == 4),
-                           message)
+        return f"{status_messages[self.task[0]]}: {task_messages[self.task[1]]}"
 
 
 def _lockstep(evaluate, starts, maxiter: int, width: int) -> list:
@@ -898,7 +896,7 @@ def _lockstep(evaluate, starts, maxiter: int, width: int) -> list:
         for k, value, grad, nugget, error in zip(asking, values, grads, nuggets, errors):
             run = runs[k]
             if error is None:
-                run.f, run.g = value, grad
+                run.fun, run.g = value, grad
                 run.nfev += 1
                 run.max_nugget = max(run.max_nugget, nugget)
             else:
@@ -906,18 +904,20 @@ def _lockstep(evaluate, starts, maxiter: int, width: int) -> list:
         asking = [k for k in asking if runs[k].error is None]
 
 
-def minimize(fun, x0, bounds, maxiter: int) -> LbfgsResult:
+def minimize(fun, x0, bounds, maxiter: int) -> _Run:
     """Minimize ``fun`` (theta -> (value, gradient)) by L-BFGS-B in a box of
     finite (lower, upper) bounds, one per parameter, as scipy's
     `minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
     options={"maxiter": maxiter})` does, evaluation for evaluation
     (`_Run.advance`), `setulb` projecting x0 into the box as scipy clips it.
-    This is the lockstep of one run (`_lockstep`)."""
+    This is the lockstep of one run (`_lockstep`); it returns that run, whose
+    ``x``, ``fun``, ``nit``, ``nfev``, ``success`` and ``message`` are
+    those of scipy's result."""
     def evaluate(points, _):
         value, grad = fun(points[0])
         return [value], [grad], [0.0], [None]
 
-    return _lockstep(evaluate, [(x0, bounds)], maxiter, 1)[0].result()
+    return _lockstep(evaluate, [(x0, bounds)], maxiter, 1)[0]
 
 
 def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
@@ -928,16 +928,16 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     restart (`MarginalLikelihoodObjective.unpack`). The restarts run in
     lockstep (`fit_designs`), each with the path it takes alone.
 
-    Deterministic for a fixed seed. The diagnostics hold the score of each
-    restart that ran to its end (``restart_scores``), the restart number of
-    the best one (``best_restart``), one record per such restart
-    (``restarts``: restart number, iterations, evaluations, the optimizer's
-    success flag and message, and the largest nugget the factorization
-    needed) and the largest nugget of all of them. Scores and records are
-    both in restart order, so the k-th record is that of the k-th score. A
-    restart that meets a point it cannot factor, its start included, is
-    skipped with a warning; when every restart is, a NumericalError says
-    so.
+    Deterministic for a fixed seed. The diagnostics hold, for each restart
+    that ran to its end, its score, minus its run's last value
+    (``restart_scores``), and one record written from its run (``restarts``:
+    restart number, iterations, evaluations, the optimizer's success flag
+    and message, and the largest nugget the factorization needed), then the
+    restart number of the best one (``best_restart``) and the largest
+    nugget of all. Scores and records are both in restart order, so the
+    k-th record is that of the k-th score. A restart that meets a point it
+    cannot factor, its start included, is skipped with a warning; when
+    every restart is, a NumericalError says so.
     """
     model = fit_designs([design], model_config, opt_config)[0]
     if isinstance(model, NumericalError):
@@ -951,7 +951,9 @@ def fit_designs(designs, model_config: ModelConfig | None = None,
     (`_lockstep`): each round evaluates every restart that asks for a point
     in one stacked `value_and_grad`. The designs need one layout: the same
     curve indices and groups. Each design's fit equals its `fit` alone, bit
-    for bit; a skipped restart's warning names its design (its index).
+    for bit; a skipped restart's warning names its design (its index). A
+    design keeps the runs (`_Run`) of its restarts that ran to their end,
+    and its scores, records and best theta all come from those runs.
     Returns per design its FittedModel, or the NumericalError its fit met."""
     import warnings
     if not designs:
@@ -974,28 +976,26 @@ def fit_designs(designs, model_config: ModelConfig | None = None,
         max(1, LOCKSTEP_ENTRIES // lead.n_points ** 2))
     models = []
     for d, obj in enumerate(objs):
-        scores, results, records = [], [], []
+        kept = []  # (restart number, run) of each restart that ran to its end
         for i, run in enumerate(runs[d * opt_config.restarts:(d + 1) * opt_config.restarts]):
-            if run.error is not None:
+            if run.error is None:
+                kept.append((i, run))
+            else:
                 where = f"design {d}, " if len(objs) > 1 else ""
                 warnings.warn(f"{where}restart {i}: factorization failed, skipped")
-                continue
-            res = run.result()
-            scores.append(-float(res.fun))
-            results.append(res.x)
-            records.append({"restart": i, "nit": res.nit, "nfev": res.nfev,
-                            "success": res.success, "message": res.message,
-                            "max_nugget": run.max_nugget})
-        if not results:
+        if not kept:
             models.append(NumericalError("all restarts failed to factorize"))
             continue
-        best_index = int(np.argmax(scores))
+        scores = [-float(run.fun) for _, run in kept]
+        best_restart, best = kept[int(np.argmax(scores))]
         diagnostics = {"restart_scores": scores,
-                       "best_restart": records[best_index]["restart"],
-                       "restarts": records,
-                       "max_nugget": max(r["max_nugget"] for r in records)}
+                       "best_restart": best_restart,
+                       "restarts": [{"restart": i, "nit": run.nit, "nfev": run.nfev,
+                                     "success": run.success, "message": run.message,
+                                     "max_nugget": run.max_nugget} for i, run in kept],
+                       "max_nugget": max(run.max_nugget for _, run in kept)}
         try:
-            kernel, noise_variance = obj.unpack(results[best_index])
+            kernel, noise_variance = obj.unpack(best.x)
             models.append(assemble_model(obj.design, kernel, noise_variance, diagnostics))
         except NumericalError as exc:
             models.append(exc)
@@ -1014,13 +1014,6 @@ def _unit_means(model: FittedModel, s, j):
     return means, cross
 
 
-@cache
-def _blas():
-    """`scipy.linalg.blas`, imported on the first call, as `_lapack`."""
-    from scipy.linalg import blas
-    return blas
-
-
 def _whitened(model: FittedModel, cross):
     """V_e = L_e^-1 k_e on the query points, block by block, from the
     training-major cross Gram (P x m, C-ordered): each block is solved in
@@ -1028,7 +1021,7 @@ def _whitened(model: FittedModel, cross):
     view cross^T), block 0 in a copy of ``cross`` and the last block in
     ``cross`` itself, which it overwrites. So the caller uses each block's
     V before it asks for the next block."""
-    dtrsm = _blas().dtrsm
+    dtrsm = _linalg().blas.dtrsm
     last = len(model.chol) - 1
     for e, L in enumerate(model.chol):
         V = cross if e == last else cross.copy()

@@ -41,11 +41,19 @@ class TestImspe:
                      for i in range(200)) / 200
         assert imspe(pts, c) == pytest.approx(oracle, abs=1e-10)
 
-    @pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 2)])
+    # (0, 2): no grid point to average over, not NaN with a RuntimeWarning
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 2), (0, 2)])
     def test_points_not_pairs_rejected(self, shape):
         c = generate_synthetic("circle", 10)
         with pytest.raises(ValidationError, match=r"\(m, 2\) point array"):
             imspe(np.zeros(shape), c)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        pts = np.zeros((5, 2))
+        pts[2, 1] = bad
+        with pytest.raises(ValidationError, match="predicted means must be finite"):
+            imspe(pts, generate_synthetic("circle", 10))
 
 
 class TestIuea:
@@ -80,6 +88,17 @@ class TestIuea:
         inflated = covs * factor ** 2
         assert iuea(make_pred(np.zeros((10, 2)), inflated)) == pytest.approx(
             base * factor ** 2, rel=1e-10)
+
+    def test_empty_prediction_rejected(self):
+        # no ellipse to average over: not a ZeroDivisionError
+        with pytest.raises(ValidationError, match=r"nonempty \(m, 2, 2\) covariance"):
+            iuea(make_pred(np.zeros((0, 2)), np.zeros((0, 2, 2))))
+
+    def test_non_finite_covariance_rejected(self):
+        covs = np.tile(np.eye(2), (4, 1, 1))
+        covs[1, 1, 1] = np.nan
+        with pytest.raises(ValidationError, match="covariances must be finite"):
+            iuea(make_pred(np.zeros((4, 2)), covs))
 
 
 class TestWasserstein2:
@@ -122,6 +141,19 @@ class TestWasserstein2:
     def test_oversized_rejected(self):
         with pytest.raises(ValidationError):
             wasserstein2(np.zeros((600, 2)), np.zeros((600, 2)))
+
+    def test_empty_clouds_rejected(self):
+        # no pair to average over: not NaN with a RuntimeWarning
+        with pytest.raises(ValidationError, match="must not be empty"):
+            wasserstein2(np.zeros((0, 2)), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_point_rejected(self, bad, side):
+        clouds = [np.zeros((3, 2)), np.ones((3, 2))]
+        clouds[side][1, 0] = bad
+        with pytest.raises(ValidationError, match="point clouds must be finite"):
+            wasserstein2(*clouds)
 
 
 class TestElasticRegister:
