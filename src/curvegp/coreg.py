@@ -22,15 +22,12 @@ from .errors import ValidationError
 from .kernels import PeriodicHyperparameters, gram
 
 
-def level_matrix(w, kappa=None) -> np.ndarray:
+def level_matrix(w, kappa) -> np.ndarray:
     """B = W W^T + diag(kappa), a new array, or one per row of stacks of W
     and kappa: the one spelling of a level's matrix, for
-    `CoregMatrix.matrix` and the likelihood alike. Without ``kappa``, W
-    W^T: the likelihood's levels of size 2, whose kappa is 0, skip adding
-    it."""
+    `CoregMatrix.matrix` and the likelihood alike."""
     B = w @ w.swapaxes(-1, -2)
-    if kappa is not None:
-        B.reshape(*B.shape[:-2], -1)[..., ::B.shape[-1] + 1] += kappa
+    B.reshape(*B.shape[:-2], -1)[..., ::B.shape[-1] + 1] += kappa
     return B
 
 

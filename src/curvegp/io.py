@@ -8,6 +8,9 @@ puts it back on the input kernel; every number read from a fit or
 prediction file must be finite, and a bad one is named by its key.
 `fit_result_from_dict` rebuilds the FittedModel from a fit and its curves,
 which must give back the fit's log marginal likelihood when it has one.
+A fit file holds the model's record, ``model.diagnostics``, as the model
+holds it; nothing reads it back, so a reloaded model's record is the
+nugget of its own factorization.
 """
 
 from __future__ import annotations
@@ -85,31 +88,23 @@ LEVEL_TAGS = {"coord": "D", "curve": "C", "group": "G"}
 
 
 def fit_result_to_dict(model) -> dict:
-    """JSON-ready summary of a fitted model (hyperparameters, coreg levels
-    with D/C/G tags, noise, likelihood, diagnostics -- restart scores, the
-    best restart, the nugget of the final factorization, the largest nugget
-    the optimization needed and one record per restart -- and the group
-    label of each curve so that the design can be rebuilt). The nuggets
-    are rungs of `model.NUGGET_LADDER`, fractions of the mean diagonal of
-    the blocks factored."""
+    """JSON-ready summary of a fitted model: hyperparameters, coreg levels
+    with D/C/G tags, noise, likelihood, then every member of
+    ``model.diagnostics`` as the model holds it (`model.fit` names them),
+    then the group label of each curve so that the design can be rebuilt."""
     hyp, design = model.kernel.input_kernel, model.design
     coreg = {}
     for name, tag in LEVEL_TAGS.items():
         level = getattr(model.kernel, name)
         if level is not None:
             coreg[tag] = level.to_dict()
-    diag = model.diagnostics
     return {
         "hyperparameters": {"family": hyp.family, "sigma2": hyp.sigma2,
                             "rho": hyp.rho, "tau": hyp.tau},
         "noise": {"noise_variance": model.noise_variance, "jitter": hyp.jitter},
         "coregionalization": coreg,
         "log_marginal_likelihood": model.log_marginal_likelihood,
-        "restart_scores": diag.get("restart_scores", []),
-        "best_restart": diag.get("best_restart"),
-        "nugget": diag.get("nugget"),
-        "max_nugget": diag.get("max_nugget"),
-        "restarts": diag.get("restarts", []),
+        **model.diagnostics,
         "curve_labels": [str(design.group_labels[g]) for g in design.curve_group],
     }
 

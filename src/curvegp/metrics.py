@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,7 +291,6 @@ def elastic_register(source: Curve, target: Curve, grid_size: int = 100) -> Regi
     sweeps, in bulk; only the candidates that can still win are scored
     exactly, in order, so the result is that of a per-candidate search.
     """
-    import warnings
     grid_size = whole_number("grid_size", grid_size, 8)
     target_n = scale_to_unit_length(center(target))
     source_n = scale_to_unit_length(center(source))

@@ -105,7 +105,8 @@ when a fit or `minimize` runs, by `_lbfgsb` on its first call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from functools import cache, reduce
 
 import numpy as np
@@ -277,7 +278,9 @@ class FittedModel:
     factored the blocks, and ``basis`` holds their (lam, Q), the
     eigenbasis of the coordinate factor. ``alpha`` is K^-1 y over the 2P
     values, point by point. A prediction only reads them; the cross Gram
-    it whitens is its own (`_whitened`).
+    it whitens is its own (`_whitened`). ``diagnostics`` is the fit's
+    record, which a fit file holds as it stands: the nugget from
+    `assemble_model`, then what `fit` adds.
     """
 
     kernel: MultiLevelKernel
@@ -287,7 +290,7 @@ class FittedModel:
     basis: tuple
     alpha: np.ndarray
     log_marginal_likelihood: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     def predict(self, s, d, j=None):
         return predict(self, s, d, j)
@@ -444,10 +447,9 @@ class _Level:
         return self.W, self.kappa
 
     def matrix(self, theta):
-        """B at each theta of a stack by `level_matrix`, without the zero
-        kappa of a level of size 2; its W and kappa stay for `grad`."""
-        W, kappa = self.unpack(theta)
-        return level_matrix(W, None if self.size == 2 else kappa)
+        """B at each theta of a stack by `level_matrix`; its W and kappa
+        stay for `grad`."""
+        return level_matrix(*self.unpack(theta))
 
     def grad(self, grad, M):
         """The level's block of each row of a stack of gradients at the
@@ -757,12 +759,13 @@ def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
 
 
 def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
-                   noise_variance: float, diagnostics: dict | None = None) -> FittedModel:
+                   noise_variance: float) -> FittedModel:
     """Cache the training factorization for a kernel and a noise variance
     (finite and >= 0): the two blocks of the point Gram in the eigenbasis
-    of the coordinate factor, alpha in point order, and log p(y). A curve
-    or group level needs one row per design curve or group; a
-    ValidationError names the level and both counts."""
+    of the coordinate factor, alpha in point order, and log p(y). The
+    model's diagnostics are {"nugget": the rung of `NUGGET_LADDER` the
+    factorization needed}. A curve or group level needs one row per design
+    curve or group; a ValidationError names the level and both counts."""
     _require(0 <= noise_variance < math.inf, "noise_variance", "finite and >= 0",
              noise_variance)
     for name, count in (("curve", design.n_curves), ("group", design.n_groups)):
@@ -779,12 +782,10 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
     if errors[0] is not None:
         raise errors[0]
     nll = 0.5 * quads[0] + half_logdets[0] + 0.5 * alphas.size * LOG2PI
-    diag = dict(diagnostics or {})
-    diag.setdefault("nugget", nuggets[0])
     return FittedModel(kernel=kernel, noise_variance=noise_variance, design=design,
                        chol=factors[0], alpha=(Q @ alphas[0]).T.ravel(),
-                       log_marginal_likelihood=-float(nll), diagnostics=diag,
-                       basis=(lam, Q))
+                       log_marginal_likelihood=-float(nll),
+                       diagnostics={"nugget": nuggets[0]}, basis=(lam, Q))
 
 
 # scipy's L-BFGS-B defaults: the number of corrections kept (maxcor), the
@@ -928,15 +929,15 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     restart (`MarginalLikelihoodObjective.unpack`). The restarts run in
     lockstep (`fit_designs`), each with the path it takes alone.
 
-    Deterministic for a fixed seed. The diagnostics hold, for each restart
-    that ran to its end, its score, minus its run's last value
-    (``restart_scores``), and one record written from its run (``restarts``:
-    restart number, iterations, evaluations, the optimizer's success flag
-    and message, and the largest nugget the factorization needed), then the
-    restart number of the best one (``best_restart``) and the largest
-    nugget of all. Scores and records are both in restart order, so the
-    k-th record is that of the k-th score. A restart that meets a point it
-    cannot factor, its start included, is skipped with a warning; when
+    Deterministic for a fixed seed. The diagnostics hold the nugget of the
+    final factorization (``nugget``, from `assemble_model`), the restart
+    number of the best restart (``best_restart``) and, in restart order,
+    one record per restart that ran to its end (``restarts``). A record is
+    written from its run: restart number, ``score`` (minus the run's last
+    value), iterations, evaluations, the optimizer's success flag and
+    message, and the largest nugget its evaluations needed. The best
+    restart is the first of the highest score. A restart that meets a point
+    it cannot factor, its start included, is skipped with a warning; when
     every restart is, a NumericalError says so.
     """
     model = fit_designs([design], model_config, opt_config)[0]
@@ -953,9 +954,9 @@ def fit_designs(designs, model_config: ModelConfig | None = None,
     curve indices and groups. Each design's fit equals its `fit` alone, bit
     for bit; a skipped restart's warning names its design (its index). A
     design keeps the runs (`_Run`) of its restarts that ran to their end,
-    and its scores, records and best theta all come from those runs.
-    Returns per design its FittedModel, or the NumericalError its fit met."""
-    import warnings
+    and its records and best theta both come from those runs. Returns per
+    design its FittedModel, or the NumericalError its fit met: when every
+    restart is skipped, or when the best theta cannot be factored again."""
     if not designs:
         raise ValidationError("need at least one design")
     model_config = model_config or ModelConfig()
@@ -986,19 +987,17 @@ def fit_designs(designs, model_config: ModelConfig | None = None,
         if not kept:
             models.append(NumericalError("all restarts failed to factorize"))
             continue
-        scores = [-float(run.fun) for _, run in kept]
-        best_restart, best = kept[int(np.argmax(scores))]
-        diagnostics = {"restart_scores": scores,
-                       "best_restart": best_restart,
-                       "restarts": [{"restart": i, "nit": run.nit, "nfev": run.nfev,
-                                     "success": run.success, "message": run.message,
-                                     "max_nugget": run.max_nugget} for i, run in kept],
-                       "max_nugget": max(run.max_nugget for _, run in kept)}
+        records = [{"restart": i, "score": -float(run.fun), "nit": run.nit,
+                    "nfev": run.nfev, "success": run.success, "message": run.message,
+                    "max_nugget": run.max_nugget} for i, run in kept]
+        best_restart, best = kept[int(np.argmax([r["score"] for r in records]))]
         try:
-            kernel, noise_variance = obj.unpack(best.x)
-            models.append(assemble_model(obj.design, kernel, noise_variance, diagnostics))
+            model = assemble_model(obj.design, *obj.unpack(best.x))
         except NumericalError as exc:
-            models.append(exc)
+            model = exc
+        else:
+            model.diagnostics.update(best_restart=best_restart, restarts=records)
+        models.append(model)
     return models
 
 

@@ -453,17 +453,20 @@ class TestFitPredictPipeline:
         assert main(["fit", "--inputs", *paths, "--config", str(cfg),
                      "--out", fit_path]) == EXIT_OK
         data = read_json(fit_path)
-        scores = data["restart_scores"]
-        assert "method" not in data  # L-BFGS-B is the only optimizer
+        # L-BFGS-B is the only optimizer; the record is written once, in the
+        # model's diagnostics
+        assert list(data) == ["hyperparameters", "noise", "coregionalization",
+                              "log_marginal_likelihood", "nugget", "best_restart",
+                              "restarts", "curve_labels"]
+        records = data["restarts"]
+        scores = [r["score"] for r in records]
         assert data["best_restart"] == int(np.argmax(scores))
         assert data["nugget"] in NUGGET_LADDER
-        records = data["restarts"]
-        assert len(records) == len(scores) == 3
         assert [r["restart"] for r in records] == [0, 1, 2]
-        assert data["max_nugget"] == 0.0
         for record in records:
-            assert set(record) == {"restart", "nit", "nfev", "success", "message",
-                                   "max_nugget"}
+            assert list(record) == ["restart", "score", "nit", "nfev", "success",
+                                    "message", "max_nugget"]
+            assert isinstance(record["score"], float)
             assert record["max_nugget"] == 0.0
             assert 0 < record["nit"] <= 4 and record["nfev"] >= record["nit"]
             assert isinstance(record["success"], bool)

@@ -215,7 +215,7 @@ class TestLogMarginalLikelihood:
         assembled = assemble_model(design, fitted.kernel, fitted.noise_variance)
         for model in (fitted, assembled):
             assert type(model.log_marginal_likelihood) is float
-        assert all(type(score) is float for score in fitted.diagnostics["restart_scores"])
+        assert all(type(r["score"]) is float for r in fitted.diagnostics["restarts"])
         assert assembled.log_marginal_likelihood == fitted.log_marginal_likelihood
 
     @pytest.mark.parametrize("noise_variance", [-1e-5, np.nan, np.inf, -np.inf])
@@ -272,10 +272,10 @@ class TestFit:
         rho_hat = model.kernel.input_kernel.rho
         assert rho_true / 2 <= rho_hat <= rho_true * 2
 
-    def test_restart_scores_logged_and_best_selected(self):
+    def test_restart_records_scored_and_best_selected(self):
         design, _ = circle_design(8)
         model = fit(design, ModelConfig(), OptimizerConfig(restarts=3, seed=0))
-        scores = model.diagnostics["restart_scores"]
+        scores = [r["score"] for r in model.diagnostics["restarts"]]
         assert len(scores) >= 1
         assert model.diagnostics["best_restart"] == int(np.argmax(scores))
 
@@ -457,8 +457,13 @@ class TestGroupedFit:
         model = fit(TrainingDesign.from_curves(curves, labels),
                     ModelConfig(), OptimizerConfig(restarts=1))
         data = json.loads(json.dumps(fit_result_to_dict(model)))
+        assert {key: data[key] for key in model.diagnostics} == model.diagnostics
         loaded = fit_result_from_dict(data, curves)
         assert loaded.log_marginal_likelihood == model.log_marginal_likelihood
+        # nothing reads the record back: the reloaded model writes its nugget alone
+        assert json.loads(json.dumps(fit_result_to_dict(loaded))) == {
+            key: value for key, value in data.items()
+            if key not in ("best_restart", "restarts")}
         last = len(curves) - 1
         for got, want in zip(vars(predict_curve(loaded, last, 20)).values(),
                              vars(predict_curve(model, last, 20)).values()):
@@ -1237,13 +1242,12 @@ class TestLargestNugget:
         records = fitted.diagnostics["restarts"]
         assert len(records) == 2
         assert all(r["max_nugget"] in NUGGET_LADDER for r in records)
-        assert fitted.diagnostics["max_nugget"] == max(r["max_nugget"] for r in records)
-        assert fitted.diagnostics["max_nugget"] > 0.0
+        assert max(r["max_nugget"] for r in records) > 0.0
+        assert "max_nugget" not in fitted.diagnostics  # the records' own, only
 
     def test_default_fit_records_zero(self):
         design, _ = circle_design(8)
         fitted = fit(design, ModelConfig(), OptimizerConfig(restarts=3, seed=0))
-        assert fitted.diagnostics["max_nugget"] == 0.0
         assert [r["max_nugget"] for r in fitted.diagnostics["restarts"]] == [0.0] * 3
 
 
@@ -1350,7 +1354,8 @@ SCIPY_ORACLE_CASES = {
 
 def scipy_restarts(design, model_config, opt):
     """`fit`'s restarts through `scipy.optimize.minimize` (jac=True): the
-    restart records and scores `fit` logs, and each restart's x."""
+    restart records `fit` logs, each scored minus its run's last value, and
+    each restart's x."""
     from scipy.optimize import minimize
     obj = MarginalLikelihoodObjective(design, model_config)
     rng = np.random.default_rng(opt.seed)
@@ -1361,9 +1366,9 @@ def scipy_restarts(design, model_config, opt):
                        bounds=obj.bounds, options={"maxiter": opt.maxiter})
         scores.append(-float(res.fun))
         xs.append(res.x)
-        records.append({"restart": i, "nit": int(res.nit), "nfev": int(res.nfev),
-                        "success": bool(res.success), "message": res.message,
-                        "max_nugget": 0.0})
+        records.append({"restart": i, "score": scores[-1], "nit": int(res.nit),
+                        "nfev": int(res.nfev), "success": bool(res.success),
+                        "message": res.message, "max_nugget": 0.0})
     return obj, scores, xs, records
 
 
@@ -1377,9 +1382,10 @@ class TestMinimize:
         obj, scores, xs, records = scipy_restarts(design, model_config, opt)
         diag = fitted.diagnostics
         assert any(r["message"].startswith(message) for r in records)
-        assert diag["restart_scores"] == scores
         assert diag["restarts"] == records
-        kernel, noise_variance = obj.unpack(xs[int(np.argmax(scores))])
+        best = int(np.argmax(scores))
+        assert diag["best_restart"] == best
+        kernel, noise_variance = obj.unpack(xs[best])
         assert fitted.noise_variance == noise_variance
         assert fitted.kernel.input_kernel == kernel.input_kernel
         for name in ("coord", "curve", "group"):
@@ -1964,8 +1970,8 @@ class TestThetaShape:
 
 
 def assert_same_fit(got, want):
-    """Two FittedModels bit for bit: restart records and scores, kernel,
-    noise, factors, alpha and log p."""
+    """Two FittedModels bit for bit: diagnostics (the scored restart
+    records among them), kernel, noise, factors, alpha and log p."""
     assert got.diagnostics == want.diagnostics
     assert got.kernel.input_kernel == want.kernel.input_kernel
     for name in ("coord", "curve", "group"):
@@ -2018,6 +2024,27 @@ class TestLockstep:
         assert_same_fit(together[0], alone)
         assert isinstance(together[1], NumericalError)
         assert str(together[1]) == "all restarts failed to factorize"
+
+    def test_a_design_whose_final_assembly_fails_gets_its_error(self, monkeypatch):
+        # design 1's best theta cannot be factored again at sigma2's
+        # estimate: design 1 gets that NumericalError, designs 0 and 2 their
+        # fits alone
+        import curvegp.model as model
+        designs = layout_designs(3, None, n=4)
+        opt = OptimizerConfig(restarts=2, seed=1)
+        alone = [fit(d, ModelConfig(), opt) for d in designs]
+        assemble, error = model.assemble_model, NumericalError("forced final failure")
+
+        def fails_for_design_1(design, *args):
+            if design is designs[1]:
+                raise error
+            return assemble(design, *args)
+
+        monkeypatch.setattr(model, "assemble_model", fails_for_design_1)
+        together = fit_designs(designs, ModelConfig(), opt)
+        assert together[1] is error
+        for b in (0, 2):
+            assert_same_fit(together[b], alone[b])
 
     def test_each_design_warns_of_its_skipped_restart(self, monkeypatch):
         # two designs that each lose restart 1 warn twice under Python's
