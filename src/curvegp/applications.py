@@ -25,8 +25,9 @@ def reconstruct(curves, model_config: ModelConfig | None = None,
 
     Returns (FittedModel, list of PredictedCurve). Curves with sparse or
     clustered sampling borrow strength from the others through the
-    curve-level coregionalization.
+    curve-level coregionalization. ``m`` is checked before the fit.
     """
+    m = whole_number("m", m, 3)
     design = TrainingDesign.from_curves(curves)
     model = fit(design, model_config, opt_config)
     predictions = [predict_curve(model, j, m) for j in range(len(curves))]
@@ -126,7 +127,7 @@ def simultaneous_landmarks(curves, config: LandmarkConfig,
             best_subset, best_score = subset, score
     if best_subset is None:
         raise NumericalError("every landmark trial failed to fit")
-    arcs = curves[0].cumulative_arc()
+    arcs = curves[0].cumulative_arc
     return LandmarkResult(indices=best_subset,
                           params=arcs[list(best_subset)],
                           score=best_score, trials=trials)

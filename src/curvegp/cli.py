@@ -22,7 +22,7 @@ from functools import cache
 
 from . import applications, metrics as metrics_mod, model as model_mod
 from .curves import Curve, generate_synthetic, resample_equally_spaced
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError, whole_number
 from .io import (atomic_write_text, fit_result_from_dict, fit_result_to_dict,
                  load_curve_csv, load_json, predicted_curve_from_dict,
                  predicted_curve_to_dict, save_curve_csv, save_json)
@@ -179,7 +179,10 @@ def cmd_landmarks(args) -> int:
                    "best_params": result.params.tolist(), "score": result.score,
                    "trials": [{"indices": list(sub), "score": score}
                               for sub, score in result.trials]}
-    else:
+    else:  # sequential_landmark's checks, made before the fit
+        if not 0.0 <= args.lam <= 1.0:
+            raise ValidationError("lambda weight must lie in [0, 1]")
+        whole_number("n_candidates", args.candidates, 10)
         design = TrainingDesign.from_curves(curves)
         model = model_mod.fit(design, model_config, opt_config)
         s_star = applications.sequential_landmark(model, lam=args.lam,

@@ -2,14 +2,15 @@
 
 A curve is an ordered set of planar sample points, always interpreted as a
 closed polygon: the final segment joins the last point back to the first.
-All arc-length computations here are with respect to that enclosed
-piecewise-linear polygon.
+All arc lengths are measured on that polygon, in one table per curve,
+`Curve.cumulative_arc`, whose last entry is the curve's length.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class Curve:
     Points are validated on construction: every coordinate must be finite,
     consecutive duplicates are merged (with a warning), then an explicit
     closure row repeating the first point (`closure_row`) is dropped, and
-    at least 3 distinct points are required.
+    at least 3 distinct points are required. Lengths are cached at first read.
     """
 
     points: np.ndarray
@@ -63,7 +64,7 @@ class Curve:
         keep = np.ones(len(pts), dtype=bool)
         keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
         if not keep.all():
-            warnings.warn("merged duplicated consecutive points", stacklevel=2)
+            warnings.warn("merged duplicated consecutive points", stacklevel=3)
             pts = pts[keep]
         if len(pts) > 1 and closure_row(pts):
             pts = pts[:-1]
@@ -81,22 +82,27 @@ class Curve:
         """Points with the first row appended as an explicit closure row."""
         return np.vstack([self.points, self.points[:1]])
 
+    @cached_property
     def segment_lengths(self) -> np.ndarray:
         """Length of each polygon segment, including the closing one."""
-        closed = self.closed_points()
-        return np.linalg.norm(np.diff(closed, axis=0), axis=1)
+        seg = np.linalg.norm(np.diff(self.closed_points(), axis=0), axis=1)
+        seg.setflags(write=False)
+        return seg
 
+    @cached_property
     def cumulative_arc(self) -> np.ndarray:
-        """Arc-length parameter of each point plus the total length (n+1 values)."""
-        return np.concatenate([[0.0], np.cumsum(self.segment_lengths())])
+        """Running sum of `segment_lengths` from 0: each point's arc parameter,
+        then the curve's one length. Zero length is a DegenerateCurveError."""
+        arc = np.concatenate([[0.0], np.cumsum(self.segment_lengths)])
+        if arc[-1] <= 0.0:
+            raise DegenerateCurveError("curve has zero total length")
+        arc.setflags(write=False)
+        return arc
 
 
 def polygon_length(curve: Curve) -> float:
-    """Perimeter of the enclosed polygon through the sample points."""
-    length = float(curve.segment_lengths().sum())
-    if length <= 0.0:
-        raise DegenerateCurveError("curve has zero total length")
-    return length
+    """Perimeter of the enclosed polygon: the last entry of `Curve.cumulative_arc`."""
+    return float(curve.cumulative_arc[-1])
 
 
 def _oversampled_polygon(curve: Curve):
@@ -110,9 +116,7 @@ def _oversampled_polygon(curve: Curve):
     fracs = np.arange(OVERSAMPLE + 1) / (OVERSAMPLE + 1)
     # shape (n, OVERSAMPLE + 1, 2): start of each segment plus interior samples
     dense = pts[:, None, :] + fracs[None, :, None] * (nxt - pts)[:, None, :]
-    seg_len = curve.segment_lengths()
-    arc0 = curve.cumulative_arc()[:-1]
-    arcs = arc0[:, None] + fracs[None, :] * seg_len[:, None]
+    arcs = curve.cumulative_arc[:-1, None] + fracs[None, :] * curve.segment_lengths[:, None]
     return dense.reshape(-1, 2), arcs.reshape(-1)
 
 
@@ -125,11 +129,10 @@ def xy_to_arc_param(curve: Curve, query):
     The result lies in [0, total_length). A non-finite coordinate is a
     CurveError.
     """
-    polygon_length(curve)  # degenerate check
+    dense, arcs = _oversampled_polygon(curve)
     query = np.asarray(query, dtype=float)
     if not np.isfinite(query).all():
         raise CurveError("query must be finite: a point has a non-finite coordinate")
-    dense, arcs = _oversampled_polygon(curve)
     pts = query.reshape(-1, 2)
     nearest = np.empty(len(pts), dtype=int)
     step = max(1, XY_QUERY_BLOCK // len(dense))  # bounds the distance array
@@ -145,24 +148,21 @@ def xy_to_arc_param(curve: Curve, query):
 def arc_to_xy_param(curve: Curve, s) -> np.ndarray:
     """Point on the enclosed polygon at arc-length parameter ``s``.
 
-    Values outside [0, total_length] are wrapped modulo the total length
-    (the curve domain is circular); a value that is not finite is a
-    CurveError. ``s`` may be a scalar, giving one (2,) point, or an array
-    of parameters, giving one point per parameter in an array of shape
-    ``s.shape + (2,)``; each point equals the scalar call's.
+    ``s`` is wrapped modulo the last entry of `Curve.cumulative_arc`, the
+    curve's length (the domain is circular), and looked up in that table;
+    a value that is not finite is a CurveError. ``s`` may be a scalar,
+    giving one (2,) point, or an array of parameters, giving one point per
+    parameter in an array of shape ``s.shape + (2,)``, each equal to the
+    scalar call's.
     """
-    closed = curve.closed_points()
-    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)  # as Curve.segment_lengths
-    length = float(seg.sum())
-    if length <= 0.0:
-        raise DegenerateCurveError("curve has zero total length")
+    arc = curve.cumulative_arc
     s = np.asarray(s, dtype=float)
     if not np.isfinite(s).all():
         raise CurveError("s must be finite: an arc parameter is not finite")
-    s = np.remainder(s, length)
-    res = np.concatenate([[0.0], np.cumsum(seg)])  # as Curve.cumulative_arc
-    previ = np.minimum(np.searchsorted(res, s, side="right") - 1, curve.n - 1)
-    rat = (s - res[previ]) / (res[previ + 1] - res[previ])
+    s = np.remainder(s, arc[-1])
+    previ = np.minimum(np.searchsorted(arc, s, side="right") - 1, curve.n - 1)
+    rat = (s - arc[previ]) / (arc[previ + 1] - arc[previ])
+    closed = curve.closed_points()
     return closed[previ] + rat[..., None] * (closed[previ + 1] - closed[previ])
 
 

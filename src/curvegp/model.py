@@ -211,7 +211,7 @@ class TrainingDesign:
             if first is not label:
                 raise ValidationError(f"group labels {first!r} and {label!r} are "
                                       f"distinct but both print as {str(label)!r}")
-        arcs = [curve.cumulative_arc() for curve in curve_list]
+        arcs = [curve.cumulative_arc for curve in curve_list]
         points = np.array([curve.n for curve in curve_list])  # per curve
         return cls(s=np.concatenate([a[:-1] for a in arcs]),
                    j=np.arange(len(points)).repeat(points),

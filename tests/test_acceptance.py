@@ -105,8 +105,8 @@ def test_criterion_04_arc_length_consistency(report):
 
     curve = cg.generate_synthetic("star", 50, amplitude=0.25, petals=6)
     length = polygon_length(curve)
-    arcs = curve.cumulative_arc()
-    seg_lengths = curve.segment_lengths()
+    arcs = curve.cumulative_arc
+    seg_lengths = curve.segment_lengths
     rng = np.random.default_rng(11)
     round_trip_ok = True
     for s in rng.uniform(0, length, 1000):

@@ -805,6 +805,32 @@ class TestReconstructCommand:
             "c_mean.csv", "c_pred.json", "fit.json"]
 
 
+class TestCheckedBeforeTheFit:
+    """A bad prediction count, sequential weight or candidate count exits 2
+    with the library's message before any fit runs."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["reconstruct", "--m", "2"], "m must be a whole number >= 3, got 2"),
+        (["landmarks", "--mode", "sequential", "--lam", "2"],
+         "lambda weight must lie in [0, 1]"),
+        (["landmarks", "--mode", "sequential", "--candidates", "5"],
+         "n_candidates must be a whole number >= 10, got 5")],
+        ids=["reconstruct-m", "sequential-lam", "sequential-candidates"])
+    def test_exits_2_without_fitting(self, tmp_path, capsys, monkeypatch, argv, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+        monkeypatch.setattr("curvegp.model.fit", no_fit)
+        monkeypatch.setattr("curvegp.applications.fit", no_fit)
+        curve = str(tmp_path / "s.csv")
+        save_curve_csv(generate_synthetic("star", 8), curve)
+        out = ["--outdir", str(tmp_path / "out")] if argv[0] == "reconstruct" else [
+            "--out", str(tmp_path / "out.json")]
+        capsys.readouterr()
+        assert main([*argv, "--inputs", curve, *out]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["s.csv"]
+
+
 class TestLandmarksCommand:
     def test_score_is_the_best_trial_score(self, tmp_path):
         curve = str(tmp_path / "s.csv")

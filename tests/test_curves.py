@@ -11,16 +11,18 @@ from curvegp.curves import (Curve, arc_to_xy_param, closure_row,
                             resample_equally_spaced, xy_to_arc_param,
                             _oversampled_polygon)
 from curvegp.errors import CurveError, DegenerateCurveError
+from curvegp.model import TrainingDesign
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def arc_to_xy_oracle(curve, s):
-    """`arc_to_xy_param` composed from `polygon_length`, `cumulative_arc`
-    and `closed_points`, as it was before it formed the segment lengths once."""
+    """`arc_to_xy_param` composed from public pieces: the wrap by
+    `polygon_length`, the lookup in `cumulative_arc`, the points from
+    `closed_points`. Both read the curve's one cached table."""
     length = polygon_length(curve)
     s = np.remainder(np.asarray(s, dtype=float), length)
-    res = curve.cumulative_arc()
+    res = curve.cumulative_arc
     previ = np.minimum(np.searchsorted(res, s, side="right") - 1, curve.n - 1)
     rat = (s - res[previ]) / (res[previ + 1] - res[previ])
     closed = curve.closed_points()
@@ -75,9 +77,10 @@ class TestCurveValidation:
 
     def test_duplicate_points_merged_with_warning(self):
         pts = np.array([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             c = Curve(pts)
         assert c.n == 4
+        assert record[0].filename == __file__  # the caller's line, not __init__'s
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_points(self, value):
@@ -110,6 +113,33 @@ class TestPolygonLength:
         with pytest.raises(CurveError):
             with pytest.warns(UserWarning):
                 Curve(np.zeros((5, 2)))
+
+
+class TestArcTable:
+    def test_one_length(self):
+        # the stars on which a pairwise-summed length once differed in its
+        # last bits from the running sum of the design's arc parameters
+        for seed in range(200):
+            c = generate_synthetic("star", 60, noise_sd=0.02, rng_seed=seed)
+            design = TrainingDesign.from_curves([c])
+            assert polygon_length(c) == c.cumulative_arc[-1] == design.lengths[0]
+
+    def test_cached_and_read_only(self):
+        c = generate_synthetic("star", 9)
+        assert c.cumulative_arc is c.cumulative_arc
+        assert c.segment_lengths is c.segment_lengths
+        for table in (c.cumulative_arc, c.segment_lengths):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_degenerate_curve_raises_everywhere(self):
+        # distinct points whose squared segment lengths underflow to 0
+        c = Curve(1e-200 * SQUARE)
+        for call in (lambda: polygon_length(c), lambda: arc_to_xy_param(c, 0.5),
+                     lambda: xy_to_arc_param(c, (0.0, 0.0)),
+                     lambda: resample_equally_spaced(c, 8)):
+            with pytest.raises(DegenerateCurveError, match="zero total length"):
+                call()
 
 
 class TestXyToArc:
@@ -213,8 +243,8 @@ class TestArcToXy:
             length = polygon_length(c)
             s = np.concatenate([
                 rng.uniform(-3 * length, 4 * length, 100),  # both sides of [0, L]
-                c.cumulative_arc(),                         # every vertex
-                -c.cumulative_arc(),
+                c.cumulative_arc,                           # every vertex
+                -c.cumulative_arc,
                 [length, -length, 2 * length, 0.0, -0.0, -1e-17, 1e-17]])
             batched = arc_to_xy_param(c, s)
             stacked = np.array([arc_to_xy_param(c, v) for v in s])
@@ -233,7 +263,7 @@ class TestArcToXy:
         for c in curves:
             length = polygon_length(c)
             s = np.concatenate([rng.uniform(-3 * length, 4 * length, 60),
-                                c.cumulative_arc(), -c.cumulative_arc(),
+                                c.cumulative_arc, -c.cumulative_arc,
                                 [length, -length, 0.0, -0.0, -1e-17]])
             for query in (s, s[:30].reshape(5, 6), *s[::7], 2.5, -7):
                 got = arc_to_xy_param(c, query)

@@ -149,7 +149,7 @@ def from_curves_oracle(curve_list, labels=None) -> TrainingDesign:
     lengths, curve_group = [], []
     for j, (curve, label) in enumerate(zip(curve_list, labels)):
         curve_group.append(encoding.setdefault(label, len(encoding)))
-        arcs = curve.cumulative_arc()
+        arcs = curve.cumulative_arc
         lengths.append(arcs[-1])
         for i in range(curve.n):
             points_s.append(arcs[i])
