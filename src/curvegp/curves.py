@@ -42,7 +42,7 @@ def closure_row(points: np.ndarray):
     return gaps[..., -1, :].max(axis=-1) <= CLOSURE_RTOL * gaps.max(axis=(-2, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
     """Ordered planar sample points of a closed curve.
 
@@ -50,6 +50,7 @@ class Curve:
     consecutive duplicates are merged (with a warning), then an explicit
     closure row repeating the first point (`closure_row`) is dropped, and
     at least 3 distinct points are required. Lengths are cached at first read.
+    A curve equals only itself and hashes by identity.
     """
 
     points: np.ndarray

@@ -57,12 +57,15 @@ def save_curve_csv(curve: Curve, path: str) -> None:
 
 
 def load_curve_csv(path: str) -> Curve:
+    """The curve of an x,y CSV file. Blank lines are skipped; an error names
+    the file's own line, blank lines counted."""
     with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines or lines[0].replace(" ", "") != "x,y":
-        raise ValidationError(f"{path}:1: expected header 'x,y'")
+        lines = [(lineno, line.strip()) for lineno, line in enumerate(handle, 1)
+                 if line.strip()]
+    if not lines or lines[0][1].replace(" ", "") != "x,y":
+        raise ValidationError(f"{path}:{lines[0][0] if lines else 1}: expected header 'x,y'")
     points = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValidationError(f"{path}:{lineno}: expected two comma-separated values")

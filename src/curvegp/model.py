@@ -19,9 +19,13 @@ a quarter of the size of the covariance it returns, with no temporary of
 the covariance's size; `predict_curve` forms only the diagonal of each
 block. Both form the query points' cross Gram training-major, P x m with a
 row per training point, and whiten it from the right, V_e^T = cross^T
-L_e^-T (BLAS dtrsm, `_whitened`): block 0 in one copy of it and the last
-block in the cross Gram itself, so each block's V is used before the next
-block is solved.
+L_e^-T (`_whitened`): block 0 in one copy of it and the last block in the
+cross Gram itself, so each block's V is used before the next block is
+solved. The solve, `_trsm`, is one BLAS dtrsm for a block of at most
+`TRIANGULAR_LEAF` rows; a larger block is halved, its halves solved in
+turn and coupled by one dgemm (Elmroth, Gustavson, Jonsson & Kagstrom
+2004), because OpenBLAS's triangular kernels run far below its matrix
+product at these sizes.
 
 The fit profiles sigma2 out (Santner, Williams & Notz 2003): K = sigma2 (R
 + eta I), with R the Gram at sigma2 = 1, its jitter the fraction
@@ -59,8 +63,10 @@ Mt Q^T, Mt[e, f] = alpha_e^T K_pts alpha_f / s2 - [e = f] <R_e^-1, K_pts>.
 Each level takes its gradient from its M, d(-log p) = -tr(M dB)/2
 (`_Level.grad`). log rho takes one inner product of A_p with a dense
 matrix, and log eta takes -eta sum_e tr(A_e) / 2. alpha_e and R_e^-1 come
-from the Cholesky factors (LAPACK dpotrs, dpotri); one nugget ladder
-serves every block.
+from the Cholesky factors (LAPACK dpotrs, and `_potri`: one dpotri at
+most `TRIANGULAR_LEAF` rows, above it a recursive dtrtri whose coupling
+blocks are matrix products, then dlauum); one nugget ladder serves every
+block.
 
 The likelihood takes stacks only: `gram_and_grads` and `value_and_grad`
 read a B x n_params stack of thetas, row b on the design of an objective of
@@ -69,7 +75,7 @@ one layout (the same config, curve indices and groups), and return stacks.
 theta on as the one-row stack [theta]. At small P a call costs overhead,
 not arithmetic, so the objective keeps its work arrays across calls
 (`_grow`). Only LAPACK and scalar math run per row (the factorization with
-its nugget ladder, dpotrs, dpotri, the coordinate basis, a 2 x 2 level's W,
+its nugget ladder, dpotrs, `_potri`, the coordinate basis, a 2 x 2 level's W,
 logs and exponentials), and a row that escalates forms its blocks again;
 the rest runs once per stack, each slice as it runs alone: forming the
 blocks and checking them finite, elementwise arithmetic, axis sums, matrix
@@ -96,10 +102,11 @@ and message are what `fit_designs` writes for each restart and what
 `minimize`, the lockstep of one run on a function of one theta, returns.
 
 SciPy is imported only where it is used, so `import curvegp.model` loads
-numpy alone. The LAPACK routines (dpotrf, dpotri, dpotrs) and BLAS dtrsm
-come from `_linalg`, which imports `scipy.linalg` at the first
-factorization, solve or prediction. `scipy.optimize` is imported only
-when a fit or `minimize` runs, by `_lbfgsb` on its first call.
+numpy alone. The LAPACK routines (dpotrf, dpotrs, dpotri, dtrtri,
+dlauum) and BLAS dtrsm and dgemm come from `_linalg`, which imports
+`scipy.linalg` at the first factorization, solve or prediction.
+`scipy.optimize` is imported only when a fit or `minimize` runs, by
+`_lbfgsb` on its first call.
 """
 
 from __future__ import annotations
@@ -336,10 +343,75 @@ def _coord_basis(B: np.ndarray):
 def _linalg():
     """`scipy.linalg`, imported on the first call so that only a process
     that factors, solves or predicts pays for loading it: its ``lapack``
-    module serves dpotrf, dpotri and dpotrs, and its ``blas`` module, which
-    loads with it, dtrsm."""
+    module serves dpotrf, dpotrs, dpotri, dtrtri and dlauum, and its
+    ``blas`` module, which loads with it, dtrsm and dgemm."""
     import scipy.linalg
     return scipy.linalg
+
+
+# A triangular block of at most this many rows is one BLAS or LAPACK call
+# (`_trsm`, `_potri`); a larger one is halved, and the block that couples
+# its halves is a matrix product, which runs at GEMM speed where OpenBLAS's
+# triangular kernels do not (Elmroth, Gustavson, Jonsson & Kagstrom 2004).
+# Blocks of at most this size take the single call's numbers bit for bit.
+TRIANGULAR_LEAF = 64
+
+
+def _trsm(L, Vt):
+    """Vt := Vt L^-T in place, L lower triangular (n x n) and Vt m x n,
+    Fortran-ordered: the transposed view of a C-ordered V (n x m), which
+    becomes L^-1 V. A block of at most `TRIANGULAR_LEAF` rows is one BLAS
+    dtrsm; a larger one solves its top half, subtracts L[h:, :h] times that
+    half from the bottom half by dgemm and solves the bottom half, each
+    half a Fortran-ordered block of columns of Vt, so every call writes
+    into Vt's own buffer."""
+    blas = _linalg().blas
+    n = len(L)
+    if n <= TRIANGULAR_LEAF:
+        # right side, lower, L transposed, non-unit diagonal, overwrite_b
+        blas.dtrsm(1.0, L, Vt, 1, 1, 1, 0, 1)
+        return
+    h = n // 2
+    _trsm(L[:h, :h], Vt[:, :h])
+    # Vt[:, h:] -= Vt[:, :h] L[h:, :h]^T: beta 1, b transposed, overwrite_c
+    blas.dgemm(-1.0, Vt[:, :h], L[h:, :h], 1.0, Vt[:, h:], 0, 1, 1)
+    _trsm(L[h:, h:], Vt[:, h:])
+
+
+def _trtri(L) -> int:
+    """L := L^-1 in place for a lower triangular L (Fortran-ordered) whose
+    strict upper triangle is zero, which stays zero; returns LAPACK's info.
+    A block of at most `TRIANGULAR_LEAF` rows is one dtrtri; a larger one
+    inverts its two diagonal halves, then X21 = -X22 L21 X11 by two matrix
+    products."""
+    n = len(L)
+    if n <= TRIANGULAR_LEAF:
+        X, info = _linalg().lapack.dtrtri(L, 1)  # lower
+        L[...] = X  # dtrtri works on a copy of a block of a larger L
+        return info
+    h = n // 2
+    info = _trtri(L[:h, :h])
+    if info != 0:
+        return info
+    info = _trtri(L[h:, h:])
+    if info != 0:
+        return info + h  # the row in L
+    T = np.matmul(L[h:, :h], L[:h, :h])
+    np.negative(T, out=T)
+    np.matmul(L[h:, h:], T, out=L[h:, :h])
+    return 0
+
+
+def _potri(L) -> int:
+    """K^-1 = L^-T L^-1 in place in the lower triangle of a Cholesky factor
+    L (lower, Fortran-ordered, its strict upper triangle zero, which stays
+    zero); returns LAPACK's info. A block of at most `TRIANGULAR_LEAF` rows
+    is one dpotri; a larger one is `_trtri`, then dlauum."""
+    lapack = _linalg().lapack
+    if len(L) <= TRIANGULAR_LEAF:
+        return lapack.dpotri(L, 1, 1)[1]  # lower, overwrite_c
+    info = _trtri(L)
+    return info if info != 0 else lapack.dlauum(L, 1, 1)[1]  # lower, overwrite_c
 
 
 def _blocks(K, lam, noise_var, out):
@@ -517,7 +589,7 @@ class MarginalLikelihoodObjective:
         call: at small P a new array costs more than the arithmetic on it.
         The three slots of `warped_correlation` (K0 and dR/dlog rho are two
         of them), the point Gram and A, the buffer in which `_solve` forms
-        and factors the blocks (which dpotri then overwrites), the rows'
+        and factors the blocks (which `_potri` then overwrites), the rows'
         distances and targets."""
         n, self._capacity = self.n_points, rows
         self._corr = np.empty((3, rows, n, n))
@@ -654,10 +726,9 @@ class MarginalLikelihoodObjective:
         factors, nuggets, alphas, quads, half_logdets, errors = _solve(
             K, self._basis, etas, y, self._solve_work[:n_rows])
         values, scales = [None] * n_rows, [1.0] * n_rows
-        dpotri = _linalg().lapack.dpotri
         for b in range(n_rows):
             for L in factors[b] if errors[b] is None else ():  # each becomes K_e^-1 in place
-                _, info = dpotri(L, 1, 1)  # lower, overwrite_c
+                info = _potri(L)
                 if info != 0:
                     errors[b] = NumericalError(
                         f"inverse from the Cholesky factor failed (info={info})")
@@ -671,7 +742,7 @@ class MarginalLikelihoodObjective:
             scales[b] = 1.0 / math.sqrt(sigma2)
         alphas *= np.array(scales)[:, None, None]  # A = alphas alphas^T - (R + eta I)^-1
         Mt = alphas @ K @ alphas.transpose(0, 2, 1)
-        # <K_e^-1, K> from the lower triangle dpotri fills, read C-ordered
+        # <K_e^-1, K> from the lower triangle `_potri` fills, read C-ordered
         diagonals = factors.diagonal(axis1=2, axis2=3)
         Mt.reshape(n_rows, 4)[:, ::3] -= (
             2.0 * _dots(factors.transpose(0, 1, 3, 2).reshape(n_rows, 2, -1),
@@ -687,7 +758,7 @@ class MarginalLikelihoodObjective:
         A = np.matmul(alphas.transpose(0, 2, 1) * lam[:, None, :], alphas,
                       out=self._A[:n_rows])
         A -= Kinv
-        A -= Kinv.transpose(0, 2, 1)  # dpotri fills the lower triangle; the upper is zero
+        A -= Kinv.transpose(0, 2, 1)  # `_potri` fills the lower triangle; the upper is zero
         self._A_diagonal[:n_rows] += Kinv.diagonal(axis1=1, axis2=2)  # taken twice above
         grad = np.empty((n_rows, self.n_params))
         grad[:, 0] = -0.5 * _dots(A.reshape(n_rows, -1), dR.reshape(n_rows, -1))
@@ -1016,17 +1087,15 @@ def _unit_means(model: FittedModel, s, j):
 def _whitened(model: FittedModel, cross):
     """V_e = L_e^-1 k_e on the query points, block by block, from the
     training-major cross Gram (P x m, C-ordered): each block is solved in
-    place from the right, V_e^T = cross^T L_e^-T (dtrsm on the Fortran
-    view cross^T), block 0 in a copy of ``cross`` and the last block in
-    ``cross`` itself, which it overwrites. So the caller uses each block's
-    V before it asks for the next block."""
-    dtrsm = _linalg().blas.dtrsm
+    place from the right, V_e^T = cross^T L_e^-T (`_trsm` on the Fortran
+    view cross^T: one dtrsm up to `TRIANGULAR_LEAF` rows, recursive halves
+    coupled by dgemm above), block 0 in a copy of ``cross`` and the last
+    block in ``cross`` itself, which it overwrites. So the caller uses each
+    block's V before it asks for the next block."""
     last = len(model.chol) - 1
     for e, L in enumerate(model.chol):
         V = cross if e == last else cross.copy()
-        # right side, lower, L transposed, non-unit diagonal, overwrite_b:
-        # in place on V's buffer
-        dtrsm(1.0, L, V.T, 1, 1, 1, 0, 1)
+        _trsm(L, V.T)  # in place on V's buffer
         yield V
 
 

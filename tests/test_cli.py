@@ -186,6 +186,17 @@ class TestCurveCsv:
         with pytest.raises(Exception, match=":3:"):
             load_curve_csv(str(path))
 
+    @pytest.mark.parametrize("text, line", [
+        ("x,y\n\n0,0\n1,0\n\nfoo,1\n", 6), ("x,y\n\n\n0,0\n1,0,2\n", 5),
+        ("\n\na,b\n0,0\n", 3), ("", 1), ("\n \n", 1)])
+    def test_error_names_the_file_line_blank_lines_counted(self, tmp_path, text, line):
+        # blank lines were dropped before numbering: the bad row above was
+        # reported on line 4, and a header error always on line 1
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:{line}: "):
+            load_curve_csv(str(path))
+
     @pytest.mark.parametrize("points", [
         [[-0.0, 5e-324], [1e308, 1 / 3], [1 / 3, -1e308]],
         generate_synthetic("star", 200, noise_sd=0.01, rng_seed=3).points])

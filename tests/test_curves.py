@@ -96,6 +96,25 @@ class TestCurveValidation:
         with pytest.raises(ValueError):
             c.points[0, 0] = 5.0
 
+    def test_a_curve_equals_only_itself(self):
+        # the dataclass's generated __eq__ compared the point arrays as a
+        # tuple and raised numpy's ambiguous-truth ValueError
+        c = Curve(SQUARE)
+        assert c == c
+        assert Curve(SQUARE) != Curve(SQUARE)
+        assert not Curve(SQUARE) == Curve(SQUARE)
+
+    def test_a_curve_is_found_in_a_list(self):
+        c = Curve(SQUARE)
+        assert c in [c]
+        assert Curve(SQUARE) not in [c]
+
+    def test_a_curve_hashes_by_identity(self):
+        # frozen with eq=True made the curve unhashable (TypeError)
+        c = Curve(SQUARE)
+        assert {c} == {c} and len({c, c}) == 1
+        assert hash(c) == hash(c) and len({c, Curve(SQUARE)}) == 2
+
 
 class TestPolygonLength:
     def test_unit_square(self):

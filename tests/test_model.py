@@ -830,6 +830,87 @@ def dense_collection():
     return data, curves
 
 
+class TestBlockedTriangular:
+    """The recursive triangular kernels against the single BLAS and LAPACK
+    call: `_trsm` against one right-side dtrsm, `_potri` against one dpotri,
+    on the Cholesky factors of real training blocks (`chol`)."""
+
+    @staticmethod
+    def chol(P):
+        """The two factors of a one-curve model of P points with a full
+        coordinate factor, as `assemble_model` holds them."""
+        design = TrainingDesign.from_curves([generate_synthetic(
+            "star", P, noise_sd=0.01, rng_seed=P)])
+        hyp = PeriodicHyperparameters(0.5, 0.2, float(design.lengths[0]),
+                                      jitter=DEFAULT_JITTER)
+        kernel = MultiLevelKernel(hyp, CoregMatrix(np.array([[0.6], [-0.3]]),
+                                                   np.array([0.4, 0.7])))
+        return assemble_model(design, kernel, 1e-5).chol
+
+    @staticmethod
+    def blocked(L, m):
+        """(V, want): the cross Gram of m query points whitened in place by
+        `_trsm` and by one dtrsm, and (X, Kinv): K^-1 in place by `_potri` and
+        by one dpotri."""
+        from scipy.linalg.blas import dtrsm
+        from scipy.linalg.lapack import dpotri
+        from curvegp.model import _potri, _trsm
+        P = len(L)
+        V = np.random.default_rng(m).normal(size=(P, m))  # C-ordered, as the cross Gram
+        want = dtrsm(1.0, L, V.T, side=1, lower=1, trans_a=1).T
+        _trsm(L, V.T)  # in V's own buffer
+        X = L.copy(order="F")
+        assert _potri(X) == 0
+        Kinv, info = dpotri(L, lower=1)
+        assert info == 0
+        return V, want, X, Kinv
+
+    @pytest.mark.parametrize("P", [3, 40, 64])
+    def test_a_leaf_is_the_single_call_bit_for_bit(self, P):
+        for L in self.chol(P):
+            for m in (1, 7, 400):
+                V, want, X, Kinv = self.blocked(L, m)
+                assert V.tobytes() == want.tobytes()
+                assert X.tobytes() == Kinv.tobytes()
+
+    @pytest.mark.parametrize("P", [65, 120, 129, 400])
+    def test_a_larger_block_is_the_single_call_to_rounding(self, P):
+        from curvegp.model import TRIANGULAR_LEAF
+        assert P > TRIANGULAR_LEAF
+        for L in self.chol(P):
+            for m in (1, 7, 400):
+                V, want, X, Kinv = self.blocked(L, m)
+                assert np.max(np.abs(V - want)) <= 1e-12 * np.max(np.abs(want))
+                assert np.max(np.abs(X - Kinv)) <= 1e-12 * np.max(np.abs(Kinv))
+                # the likelihood reads the lower triangle and needs the upper zero
+                assert not np.triu(X, 1).any()
+
+    def test_a_failed_inverse_returns_its_info(self):
+        # a zero on the diagonal of the lower half: LAPACK's info names its row
+        from curvegp.model import _potri
+        L = self.chol(120)[0].copy(order="F")
+        L[100, 100] = 0.0
+        assert _potri(L) == 101
+
+    def test_dense_collection_curve_matches_the_dense_oracle(self):
+        # 10 x 40 points, so every block is solved above the leaf
+        data, curves = dense_collection()
+        model = fit_result_from_dict(data, curves)
+        d, kernel = model.design, model.kernel
+        x, y = rows(d)
+        K = full_grid_gram_oracle(kernel, *x) + model.noise_variance * np.eye(len(y))
+        Kinv = np.linalg.inv(K)
+        m, curve = 40, 3
+        pred = predict_curve(model, curve, m)
+        sq, dq, jq = np.repeat(pred.grid, 2), np.tile([0, 1], m), np.full(2 * m, curve)
+        gq = np.zeros(2 * m, dtype=int)
+        cross = full_grid_gram_oracle(kernel, sq, dq, jq, gq, *x)
+        cov = full_grid_gram_oracle(kernel, sq, dq, jq, gq) - cross @ Kinv @ cross.T
+        blocks = np.array([cov[2 * i:2 * i + 2, 2 * i:2 * i + 2] for i in range(m)])
+        assert np.allclose(pred.means.ravel(), cross @ Kinv @ y, atol=1e-9)
+        assert np.allclose(pred.covariances, blocks, atol=1e-9)
+
+
 def traced_peak(call):
     """(result, bytes): ``call()``'s result and the peak of the memory
     tracemalloc traces during it, above what was held when it began."""
