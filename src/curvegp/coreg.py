@@ -22,12 +22,14 @@ from .errors import ValidationError
 from .kernels import PeriodicHyperparameters, gram
 
 
-def level_matrix(w, kappa) -> np.ndarray:
-    """B = W W^T + diag(kappa), a new array, or one per row of stacks of W
-    and kappa: the one spelling of a level's matrix, for
-    `CoregMatrix.matrix` and the likelihood alike."""
-    B = w @ w.swapaxes(-1, -2)
-    B.reshape(*B.shape[:-2], -1)[..., ::B.shape[-1] + 1] += kappa
+def level_matrix(w, kappa, out=None) -> np.ndarray:
+    """B = W W^T + diag(kappa), in ``out`` or a new array, or one per row of
+    stacks of W and kappa: the one spelling of a level's matrix, for
+    `CoregMatrix.matrix` and the likelihood alike. kappa None is kappa = 0,
+    which adds nothing to a diagonal of sums of squares."""
+    B = np.matmul(w, w.swapaxes(-1, -2), out=out)
+    if kappa is not None:
+        B.reshape(*B.shape[:-2], -1)[..., ::B.shape[-1] + 1] += kappa
     return B
 
 

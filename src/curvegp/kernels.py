@@ -14,6 +14,7 @@ kernel; the model keeps it as a variance of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import ValidationError
 
 FAMILIES = ("periodic_rbf", "periodic_matern32", "periodic_matern12")
+SQRT3 = math.sqrt(3.0)  # the Matern-3/2 scale of the distance, np.sqrt(3.0) exactly
 
 DEFAULT_JITTER = 1e-3
 
@@ -103,7 +105,7 @@ def warped_correlation(family: str, w, rho: float, with_dlogrho: bool = False,
         return (e, np.divide(np.multiply(e, w, out=a), rho, out=a)) if with_dlogrho else e
     # Matern-3/2: (1 + a) exp(-a) and a^2 exp(-a), with 1 - (-a) = 1 + a and
     # (-a)^2 = a^2 exactly
-    np.multiply(w, np.sqrt(3.0), out=a)
+    np.multiply(w, SQRT3, out=a)
     a /= -rho
     np.exp(a, out=e)
     if with_dlogrho:

@@ -72,19 +72,28 @@ The likelihood takes stacks only: `gram_and_grads` and `value_and_grad`
 read a B x n_params stack of thetas, row b on the design of an objective of
 one layout (the same config, curve indices and groups), and return stacks.
 `value` is the one scalar entry; it, `unpack` and `kernel_at` pass their
-theta on as the one-row stack [theta]. At small P a call costs overhead,
-not arithmetic, so the objective keeps its work arrays across calls
-(`_grow`). Only LAPACK and scalar math run per row (the factorization with
-its nugget ladder, dpotrs, `_potri`, the coordinate basis, a 2 x 2 level's W,
-logs and exponentials), and a row that escalates forms its blocks again;
-the rest runs once per stack, each slice as it runs alone: forming the
-blocks and checking them finite, elementwise arithmetic, axis sums, matrix
-products and every inner product (`_dots`). So each row of a stack equals
-its one-row call, bit for bit. New on every call are the arrays whose
-values leave the call, the gradients and alphas, and those no larger than
-a level times P per row. `assemble_model` passes no work
-arrays, so a fitted model shares no memory with an objective. The LAPACK
-and BLAS flags go by position, which f2py parses faster than keywords.
+theta on as the one-row stack [theta]. `unpack` asks `gram_and_grads` for
+the Gram alone, without dR/dlog rho. At small P a call costs overhead, not
+arithmetic, so the objective keeps its work arrays across calls (`_grow`)
+and every view of them a stack of B rows reads (`_StackWork`, with
+`_SolveWork` and each level's `_LevelWork`), made the first time B rows
+are evaluated, and it copies the rows' distances and targets only when the
+rows are not those of its last call. Only LAPACK and scalar math run per
+row (the factorization with its nugget ladder, dpotrs, `_potri`, rho and
+eta, the coordinate basis, a 2 x 2 level's W, the value and the scale
+1/sqrt(s2)), and a row that escalates forms its blocks again; the rest runs
+once per stack, each slice as it runs alone: forming the blocks and
+checking them finite, elementwise arithmetic, axis sums, matrix products
+and every inner product (`_dots`). So each row of a stack equals its
+one-row call, bit for bit. At one BLAS thread on a shared 2-core x86-64
+machine (`scripts/time_likelihood.py`), a one-row call at P = 12 takes
+about 75 us, within 3% of what the likelihood of one theta took before it
+took stacks, and each further row of a stack about 12 us, 5 us of it
+LAPACK. New on
+every call are the gradients and arrays no larger than a level times P per
+row. `assemble_model` passes no work arrays, so a fitted model shares no
+memory with an objective. The LAPACK and BLAS flags go by position, which
+f2py parses faster than keywords.
 
 L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) runs through
 scipy's reverse-communication routine `setulb`, one state per run, with
@@ -114,7 +123,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -321,22 +330,29 @@ class PredictedCurve:
         return np.sqrt(np.maximum(self.covariances[:, 1, 1], 0.0))
 
 
-def _coord_basis(B: np.ndarray):
-    """(lam, Q) with B = Q diag(lam) Q^T for a symmetric 2 x 2 B, or for
-    each matrix of a stack (..., 2, 2), in closed form from B[0, 0], B[0,
-    1] and B[1, 1] by scalar math, one matrix at a time: Q is a rotation,
-    lam descending, and B = I gives Q = I exactly."""
-    lams, Qs = [], []
-    for (a, b), (_, c) in B.reshape(-1, 2, 2).tolist():
+def _coord_values(B: np.ndarray) -> list:
+    """lam, then Q by rows, of B = Q diag(lam) Q^T for each symmetric 2 x 2
+    matrix of a stack (..., 2, 2), or of one: six floats per matrix, in
+    closed form from B[0, 0], B[0, 1] and B[1, 1] by scalar math, one
+    matrix at a time. Q is a rotation, lam descending, and B = I gives Q =
+    I exactly."""
+    values = []
+    for (a, b), (_, c) in (B if B.ndim == 3 else B.reshape(-1, 2, 2)).tolist():
         half = 0.5 * (a - c)
         r = math.hypot(half, b)
         phi = 0.5 * math.atan2(b, half)
         cos, sin = math.cos(phi), math.sin(phi)
         mid = 0.5 * (a + c)
-        lams += (mid + r, mid - r)
-        Qs += (cos, -sin, sin, cos)
+        values += (mid + r, mid - r, cos, -sin, sin, cos)
+    return values
+
+
+def _coord_basis(B: np.ndarray):
+    """(lam, Q) of `_coord_values` as arrays of B's stack shape, views of one
+    new array of six floats per matrix."""
     stack = B.shape[:-2]
-    return np.array(lams).reshape(*stack, 2), np.array(Qs).reshape(*stack, 2, 2)
+    values = np.array(_coord_values(B)).reshape(*stack, 6)
+    return values[..., :2], values[..., 2:].reshape(*stack, 2, 2)
 
 
 @cache
@@ -416,9 +432,8 @@ def _potri(L) -> int:
 
 def _blocks(K, lam, noise_var, out):
     """The blocks lam_e K + noise I of a point Gram K (P x P) in its
-    coordinate basis, written C-ordered into ``out`` (2 x P x P), or those of
-    each row of a stack: K (B x P x P), lam (B x 2), noise_var (B,) and out
-    (B x 2 x P x P). Returns ``out``."""
+    coordinate basis, written C-ordered into ``out`` (2 x P x P), as
+    `_solve` forms those of each row of a stack. Returns ``out``."""
     n = K.shape[-1]
     np.multiply(lam[..., None, None], K[..., None, :, :], out=out)
     out.reshape(*out.shape[:-2], -1)[..., ::n + 1] += np.asarray(noise_var)[..., None, None]
@@ -448,20 +463,18 @@ def _chol_with_ladder(out, K, lam, noise_var):
             if base is None:
                 base = out.diagonal(axis1=1, axis2=2).mean()
             out.reshape(len(out), -1)[:, ::out.shape[-1] + 1] += rung * base
-        for L in factors:
-            _, info = dpotrf(L, 1, 1, 1)  # lower, clean, overwrite_a
-            if info != 0:
-                break
-        else:
+        # lower, clean, overwrite_a; the second block only if the first factors
+        if dpotrf(factors[0], 1, 1, 1)[1] == 0 and dpotrf(factors[1], 1, 1, 1)[1] == 0:
             return factors, rung
     raise NumericalError(
         f"covariance factorization failed after nugget ladder {NUGGET_LADDER}")
 
 
-def _dots(a, b):
-    """The `np.vdot` of each pair of vectors (..., n) of two stacks, bit for
-    bit on the same strides, as one matmul (..., 1, n) @ (..., n, 1)."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+# The `np.vdot` of each pair of vectors (..., n) of two stacks, bit for bit
+# on the same strides: np.vecdot's float loop is BLAS ddot, as vdot's and
+# that of matmul's vector product are, and it needs none of the views a
+# matmul (..., 1, n) @ (..., n, 1) takes.
+_dots = np.vecdot
 
 
 class _Level:
@@ -480,7 +493,11 @@ class _Level:
     the curve and group levels both at B = I, the cross-group covariance
     C[0, 1] G[0, 1] would have no gradient in either off-diagonal. A random
     start draws W and a normal with sd 0.3, then kappa and e^2b uniform on
-    [0.1, 2]."""
+    [0.1, 2].
+
+    The level keeps work arrays for the largest stack it has unpacked, and
+    their views for each stack size (`_LevelWork`), overwritten by every
+    call."""
 
     def __init__(self, name: str, size: int, offset: int):
         self.name, self.size = name, size
@@ -495,6 +512,7 @@ class _Level:
                            + [tuple(np.log(KAPPA_BOX))] * (size - 1))
             self.start = [0.1] * size + [0.0] * (size - 1)
         self.slice = slice(offset, offset + len(self.names))
+        self._capacity, self._work = 0, {}
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """The level's random start: W (or a), then kappa (or e^2b)."""
@@ -507,36 +525,165 @@ class _Level:
 
     def unpack(self, theta):
         """(W, kappa) at a stack of thetas (B x n), one matrix and one vector
-        per row: W = L and kappa = 0 for a level of size 2, W a view of
-        theta for a larger one. Both are kept for `grad`."""
-        p = theta[:, self.slice]
+        per row, both kept for `grad`: W = L for a level of size 2, whose
+        kappa is 0 and is given as None; W a view of theta for a larger
+        one. Work arrays, overwritten by the next call."""
+        work = self._work.get(len(theta)) or self._grow(len(theta))
         if self.size == 2:
-            self.W = np.array([((1.0, 0.0), (a, math.exp(b))) for a, b in p.tolist()])
-            self.kappa = np.zeros((len(p), 2))
+            a = self.slice.start
+            work.W_flat[:] = [x for t in theta.tolist()
+                              for x in (1.0, 0.0, t[a], math.exp(t[a + 1]))]
+            W, kappa = work.W, None
         else:
-            self.W, self.kappa = p[:, :self.size, None], np.ones((len(p), self.size))
-            np.exp(p[:, self.size:], out=self.kappa[:, 1:])
-        return self.W, self.kappa
+            p = theta[:, self.slice]
+            W, kappa = p[:, :self.size, None], work.kappa
+            np.exp(p[:, self.size:], out=work.kappa_tail)
+        self._last = work, W
+        return W, kappa
+
+    def _grow(self, n_rows: int) -> "_LevelWork":
+        """The views of the work arrays for a stack of n_rows rows, the
+        arrays made again when the stack is larger than any before."""
+        if n_rows > self._capacity:
+            self._capacity, self._work = n_rows, {}
+            s = self.size
+            self._arrays = (np.empty((n_rows, 2, 2)) if s == 2 else np.ones((n_rows, s)),
+                            np.empty((n_rows, s, s)), np.empty((n_rows, s, 2 if s == 2 else 1)))
+        work = self._work[n_rows] = _LevelWork(*(a[:n_rows] for a in self._arrays))
+        return work
+
+    def coreg(self, theta) -> CoregMatrix:
+        """The level's matrix at one theta, the one-row stack [theta]."""
+        W, kappa = self.unpack(theta)
+        return CoregMatrix(W[0], np.zeros(2) if kappa is None else kappa[0])
 
     def matrix(self, theta):
-        """B at each theta of a stack by `level_matrix`; its W and kappa
-        stay for `grad`."""
-        return level_matrix(*self.unpack(theta))
+        """B at each theta of a stack by `level_matrix`, in a work array; its
+        W and kappa stay for `grad`."""
+        W, kappa = self.unpack(theta)
+        return level_matrix(W, kappa, self._last[0].B)
 
-    def grad(self, grad, M):
-        """The level's block of each row of a stack of gradients at the
-        thetas `matrix` last read, from its M with d(-log p) = -tr(M dB)/2:
-        -M W in W, of which L takes a = L[1, 0] and, times L[1, 1], b;
-        -diag(M) kappa/2 in log kappa."""
-        MW = M @ self.W
+    def grad_views(self, grad):
+        """The two views of a stack of gradients (B x n) that `grad` writes:
+        for a level of size 2 its block and the b column, for a larger one
+        the W part and the kappa part of its block."""
         g = grad[:, self.slice]
+        return (g, g[:, 1]) if self.size == 2 else (g[:, :self.size], g[:, self.size:])
+
+    def grad(self, views, M):
+        """The level's block of each row of a stack of gradients at the
+        thetas `matrix` last read, written into ``views`` (`grad_views`),
+        from its M with d(-log p) = -tr(M dB)/2: -M W in W, of which L takes
+        a = L[1, 0] and, times L[1, 1], b; -diag(M) kappa/2 in log kappa."""
+        work, W = self._last
+        np.matmul(M, W, out=work.MW)
+        first, second = views
+        np.negative(work.MW_part, out=first)  # -m10, -m11 for a level of size 2
         if self.size == 2:
-            np.negative(MW[:, 1], out=g)  # -m10, -m11
-            g[:, 1] *= self.W[:, 1, 1]
+            second *= work.L11
         else:
-            np.negative(MW[:, :, 0], out=g[:, :self.size])
-            np.multiply(M.diagonal(axis1=1, axis2=2)[:, 1:], -0.5, out=g[:, self.size:])
-            g[:, self.size:] *= self.kappa[:, 1:]
+            np.multiply(M.diagonal(0, 1, 2)[:, 1:], -0.5, out=second)
+            second *= work.kappa_tail
+
+
+class _LevelWork:
+    """A level's work arrays cut to a stack of rows, as the views that
+    `unpack`, `matrix` and `grad` write and read: for a level of size 2, W
+    = L, each row written whole from a list, with L[1, 1]; for a larger
+    one kappa, kappa_0 = 1 preset and the rest exp's output; B; M W and
+    the part of it that is the gradient's."""
+
+    def __init__(self, W_or_kappa, B, MW):
+        self.B, self.MW = B, MW
+        if B.shape[1] == 2:
+            self.W = W_or_kappa
+            self.W_flat, self.L11 = self.W.reshape(-1), self.W[:, 1, 1]
+            self.MW_part = MW[:, 1]
+        else:
+            self.kappa = W_or_kappa
+            self.kappa_tail = self.kappa[:, 1:]
+            self.MW_part = MW[:, :, 0]
+
+
+class _SolveWork:
+    """A stack's training solve as `_solve` runs it, made once: the point
+    Grams K (B x P x P), their coordinate basis (lam, Q) and noise
+    variances (B,) it reads, the buffers it writes, and every view of
+    them it takes. The buffers are the blocks (B x 2 x P x P, C-ordered),
+    formed from K, lam and the noise, factored in place and read
+    transposed, with their diagonals; and the rotated targets Y and the
+    alphas (B x 2 x P), each also as B rows of 2P. Per row: its blocks,
+    its point Gram, lam and noise, which the nugget ladder forms them from,
+    and its two factors and two alphas, the arguments of LAPACK."""
+
+    def __init__(self, K, basis, noise_var, blocks=None, Y=None, alphas=None):
+        n_rows, n = len(K), K.shape[-1]
+        lam, Q = basis
+        noise_var = np.asarray(noise_var)
+        self.blocks = np.empty((n_rows, 2, n, n)) if blocks is None else blocks
+        self.products = lam[..., None, None], K[..., None, :, :]
+        self.blocks_diagonal = self.blocks.reshape(n_rows, 2, -1)[..., ::n + 1]
+        self.noise = noise_var[..., None, None]
+        self.factors = self.blocks.transpose(0, 1, 3, 2)
+        self.diagonals = self.factors.diagonal(axis1=2, axis2=3)
+        self.logs = np.empty((n_rows, 2, n))  # of the diagonals
+        self.QT = Q.transpose(0, 2, 1)
+        self.Y = np.empty((n_rows, 2, n)) if Y is None else Y
+        self.alphas = np.empty_like(self.Y) if alphas is None else alphas
+        self.Y_flat, self.alphas_flat = (a.reshape(n_rows, -1) for a in (self.Y, self.alphas))
+        self.rows = [(self.blocks[b], (K[b], lam[b], noise_var[b, ...]),
+                      tuple(self.factors[b]), tuple(self.alphas[b])) for b in range(n_rows)]
+
+
+class _StackWork:
+    """An objective's work arrays cut to a stack of ``n_rows`` rows, as the
+    views its likelihood reads and writes, made the first time a stack of
+    that size is evaluated and kept until the work arrays grow (`_grow`):
+    the three slots of `warped_correlation`; the rows' distances and
+    targets; the per-row scalars rho, eta and -eta/2 and the coordinate
+    basis (lam, Q), written from lists; the gradients with each level's
+    views of them; the point Gram K and A, each also flat and by its
+    diagonal; the buffers of `_solve`, their block 0 holding K^-1; and M~
+    with the products it is formed from."""
+
+    def __init__(self, obj, n_rows: int):
+        n = obj.n_points
+        self.corr = tuple(obj._corr[:, :n_rows])
+        self.warps = obj._warps[:n_rows]
+        self.warps_flat = self.warps.reshape(-1, n)
+        self.ys_flat = obj._ys[:n_rows].reshape(-1, 2)
+        self.targets = obj._ys[:n_rows].transpose(0, 2, 1)  # a row per coordinate
+        scalars = obj._scalars[:n_rows]
+        self.scalars_flat = scalars.reshape(-1)
+        self.rho, self.etas, self.half_etas = scalars[:, :1, None], scalars[:, 1], scalars[:, 2]
+        self.grad = obj._grad[:n_rows]
+        self.level_grads = [level.grad_views(self.grad) for level in obj.levels]
+        basis = obj._basis_values[:n_rows]
+        self.basis_flat = basis.reshape(-1)
+        self.basis = lam, self.Q = basis[:, :2], basis[:, 2:].reshape(n_rows, 2, 2)
+        self.lam_blocks, self.lam_columns = lam[:, :, None, None], lam[:, None, :]
+        self.QT = self.Q.transpose(0, 2, 1)
+        self.K = obj._K[:n_rows]
+        self.K_flat = self.K.reshape(n_rows, 1, -1)
+        self.K_diagonal = self.K.diagonal(axis1=1, axis2=2)[:, None]
+        self.A = obj._A[:n_rows]
+        self.A_flat = self.A.reshape(n_rows, -1)
+        self.A_diagonal = self.A_flat[:, ::n + 1]
+        Y, alphas, alphas_K = obj._vectors[:, :n_rows]
+        self.solve = solve = _SolveWork(self.K, self.basis, self.etas,
+                                        obj._solve_work[:n_rows], Y, alphas)
+        self.blocks_flat = solve.blocks.reshape(n_rows, 2, -1)
+        # K^-1 = sum_e lam_e K_e^-1 in block 0, C-ordered, and read transposed
+        self.inverse, self.inverse_other = solve.blocks[:, 0], solve.blocks[:, 1]
+        self.Kinv = solve.factors[:, 0]
+        self.inverse_diagonal = self.inverse.diagonal(axis1=1, axis2=2)
+        self.inverse_traces = obj._inverse_traces[:n_rows]
+        self.alphas_T, self.alphas_K = alphas.transpose(0, 2, 1), alphas_K
+        self.alphas_lam = obj._alphas_lam[:n_rows]
+        self.Mt = obj._Mt[:n_rows]
+        self.Mt_diagonal = self.Mt.reshape(n_rows, 4)[:, ::3]
+        self.scales = obj._scales[:n_rows]
+        self.scales_flat = self.scales.reshape(-1)
 
 
 class MarginalLikelihoodObjective:
@@ -582,7 +729,11 @@ class MarginalLikelihoodObjective:
         # one-hot maps from points to curves (S) and from curves to groups (E)
         self.curve_onehot = np.eye(design.n_curves)[design.j]
         self.group_onehot = np.eye(design.n_groups)[design.curve_group]
+        self._curve_onehot_T, self._group_onehot_T = self.curve_onehot.T, self.group_onehot.T
+        self._own_rows = (self.warp[None], self.targets)  # every row on this design
         self._capacity = 0  # the rows the work arrays hold, made at the first call
+        self._work = {}  # stack size -> `_StackWork`
+        self._rows = None  # the objectives of the rows the work arrays hold, in order
 
     def _grow(self, rows: int):
         """Work arrays for a stack of ``rows`` thetas, overwritten by every
@@ -590,14 +741,26 @@ class MarginalLikelihoodObjective:
         The three slots of `warped_correlation` (K0 and dR/dlog rho are two
         of them), the point Gram and A, the buffer in which `_solve` forms
         and factors the blocks (which `_potri` then overwrites), the rows'
-        distances and targets."""
+        distances and targets, per row rho, eta, -eta/2 and the six floats of
+        the coordinate basis, the gradients, Y, the alphas, alpha K and the
+        alphas times lam, M~, tr(K_e^-1) and the scales 1/sqrt(s2). The views
+        of every stack size are made again."""
         n, self._capacity = self.n_points, rows
         self._corr = np.empty((3, rows, n, n))
         self._K, self._A = np.empty((2, rows, n, n))
         self._solve_work = np.empty((rows, 2, n, n))
-        self._A_diagonal = self._A.reshape(rows, -1)[:, ::n + 1]
         self._warps = np.empty((rows, n, n))
         self._ys = np.empty((rows, n, 2))
+        self._scalars = np.empty((rows, 3))
+        self._grad = np.empty((rows, self.n_params))
+        self._basis_values = np.empty((rows, 6))
+        self._vectors = np.empty((3, rows, 2, n))
+        self._alphas_lam = np.empty((rows, n, 2))
+        self._Mt = np.empty((rows, 2, 2))
+        self._inverse_traces = np.empty((rows, 2))
+        self._scales = np.empty((rows, 1, 1))
+        self._work = {}
+        self._rows = None
 
     def _stack(self, theta) -> np.ndarray:
         """theta as a B x n_params stack of floats, B >= 1, or a ValidationError."""
@@ -613,6 +776,28 @@ class MarginalLikelihoodObjective:
         if row.shape != (self.n_params,):
             raise ValidationError(f"one theta needs shape ({self.n_params},): got {row.shape}")
         return row[None]
+
+    def _read_rows(self, rows, work: _StackWork):
+        """(distances, targets) of the designs of ``rows``, one objective per
+        row: this objective's own, broadcast, when every row is this
+        objective, else each row's, copied into the work arrays. Rows that
+        are the objectives of the last call's, in order, are neither checked
+        nor copied again, as a design does not change once its objective is
+        built; the objectives of ``rows`` are only read."""
+        if len(rows) != len(work.rho) or rows != self._rows and any(
+                row.layout != self.layout for row in rows):
+            raise ValidationError("a stack of thetas needs one objective per row, all "
+                                  "of one layout: one config, curve indices and groups")
+        if rows != self._rows:
+            self._rows = None
+            if all(row is self for row in rows):
+                self._read = self._own_rows
+            else:  # np.stack's copies, each in one concatenate
+                np.concatenate([row.warp for row in rows], out=work.warps_flat)
+                np.concatenate([row.design.y for row in rows], out=work.ys_flat)
+                self._read = work.warps, work.targets
+            self._rows = list(rows)
+        return self._read
 
     # -- packing -----------------------------------------------------------
 
@@ -644,59 +829,71 @@ class MarginalLikelihoodObjective:
         hyp = PeriodicHyperparameters(sigma2=sigma2, rho=math.exp(theta[0]),
                                       tau=self.tau, family=self.config.family,
                                       jitter=self.config.jitter * sigma2)
-        kernel = MultiLevelKernel(hyp, **{
-            level.name: CoregMatrix(*(a[0] for a in level.unpack(row)))
-            for level in self.levels})
+        kernel = MultiLevelKernel(hyp, **{level.name: level.coreg(row)
+                                          for level in self.levels})
         return kernel, math.exp(theta[1]) * sigma2
 
     def unpack(self, theta):
         """(kernel, noise variance) at theta, with sigma2 at its estimate
-        y^T (R + eta I)^-1 y / 2P from this objective's Gram and solve of
-        [theta]; a factorization or solve that fails raises its NumericalError."""
-        K, _ = self.gram_and_grads(self._row(theta))
-        _, _, _, quads, _, errors = _solve(K, self._basis, np.array([math.exp(theta[1])]),
-                                           self.targets, self._solve_work[:1])
+        y^T (R + eta I)^-1 y / 2P from this objective's Gram, formed without
+        its derivative, and solve of [theta]; a factorization or solve that
+        fails raises its NumericalError."""
+        K, _ = self.gram_and_grads(self._row(theta), with_grads=False)
+        work, y = self._last
+        _, _, _, quads, _, errors = _solve(K, work.basis, work.etas, y, work.solve)
         if errors[0] is not None:
             raise errors[0]
         return self.kernel_at(theta, quads[0] / (2 * self.n_points))
 
     # -- likelihood --------------------------------------------------------
 
-    def gram_and_grads(self, theta, rows=None):
+    def gram_and_grads(self, theta, rows=None, with_grads=True):
         """For a B x n_params stack of thetas, row b on the design of
         ``rows[b]`` (`value_and_grad`), the B x P x P stacks (R, [dR/dlog rho,
         K0]): the point Grams at sigma2 = 1 without noise and the two dense
-        matrices their gradients are contracted against. K0 is the jittered
-        input correlation of the warped distances cached at construction; the
-        curve and group factors and their product F come from `curve_factor`,
-        F gathered by the points' curves, and are kept for `value_and_grad`
-        with the coordinate basis. All three stacks are work arrays,
-        overwritten by the next call."""
+        matrices their gradients are contracted against, or (R, None)
+        without ``with_grads``, which forms no derivative. K0 is the
+        jittered input correlation of the warped distances cached at
+        construction; the curve and group factors and their product F come
+        from `curve_factor`, F gathered by the points' curves, and are kept
+        for `value_and_grad` with the coordinate basis and the rows' views.
+        All three stacks are work arrays, overwritten by the next call."""
         stack = self._stack(theta)
         n_rows = len(stack)
         if n_rows > self._capacity:
             self._grow(n_rows)
-        warp = self.warp[None] if rows is None else self._warps[:n_rows]
-        if rows is not None:  # np.stack's copy, in one concatenate
-            np.concatenate([row.warp for row in rows], out=warp.reshape(-1, self.n_points))
-        rho = np.array([math.exp(t) for t in stack[:, 0].tolist()])[:, None, None]
-        corr, dcorr = warped_correlation(self.config.family, warp, rho, True,
-                                         self._corr[:, :n_rows])
+        work = self._work.get(n_rows)
+        if work is None:
+            work = self._work[n_rows] = _StackWork(self, n_rows)
+        warp, y = self._own_rows if rows is None else self._read_rows(rows, work)
+        scalars = []  # per row rho, eta and -eta / 2
+        for log_rho, log_eta in stack[:, :2].tolist():
+            eta = math.exp(log_eta)
+            scalars += (math.exp(log_rho), eta, -0.5 * eta)
+        work.scalars_flat[:] = scalars
+        corr = warped_correlation(self.config.family, warp, work.rho, with_grads, work.corr)
+        corr, dcorr = corr if with_grads else (corr, None)
         K0 = np.add(corr, self.config.jitter, out=corr)
         # levels 1 and 2, the curve and group levels, when the design has them
-        curve, group = (self.levels[i].matrix(stack) if i < len(self.levels) else None
-                        for i in (1, 2))
-        self._factors, F = curve_factor(curve, group, self.design.curve_group)
-        # columns first, so the large gather copies whole rows; the curves
-        # always index F, and "clip" spares the copy of out that "raise" makes
-        if F.ndim == 2:  # no curve or group level: F is 1
-            F = np.ones((n_rows, 1, 1))
-        j = self.design.j
-        Bfull = F.take(j, axis=2).take(j, axis=1, out=self._K[:n_rows], mode="clip")
-        self._basis = _coord_basis(self.levels[0].matrix(stack))
-        dcorr *= Bfull
-        K = np.multiply(Bfull, K0, out=Bfull)
-        return K, [dcorr, K0]
+        levels = self.levels
+        curve = levels[1].matrix(stack) if len(levels) > 1 else None
+        group = levels[2].matrix(stack) if len(levels) > 2 else None
+        K = work.K
+        if curve is None:  # F is 1
+            np.copyto(K, K0)
+        else:
+            self._factors, F = curve_factor(curve, group, self.design.curve_group)
+            # columns first, so the large gather copies whole rows; the
+            # curves always index F, and "clip" spares the copy of out that
+            # "raise" makes
+            j = self.design.j
+            F.take(j, axis=2).take(j, axis=1, out=K, mode="clip")
+            if with_grads:
+                dcorr *= K
+            np.multiply(K, K0, out=K)
+        work.basis_flat[:] = _coord_values(self.levels[0].matrix(stack))
+        self._basis, self._last = work.basis, (work, y)
+        return K, [dcorr, K0] if with_grads else None
 
     def value_and_grad(self, theta, rows=None):
         """-log p(y) at sigma2's estimate and its gradient, contracted by
@@ -709,72 +906,71 @@ class MarginalLikelihoodObjective:
         factored, None, NaN, None and its NumericalError. The call writes
         only to this objective's work arrays; the returned nuggets are the
         record of the ladder, and the objectives of ``rows`` are only read."""
-        stack = self._stack(theta)
-        if rows is not None:
-            if len(rows) != len(stack) or any(row.layout != self.layout for row in rows):
-                raise ValidationError("a stack of thetas needs one objective per row, all "
-                                      "of one layout: one config, curve indices and groups")
-            if all(row is self for row in rows):
-                rows = None
-        K, (dR, K0) = self.gram_and_grads(stack, rows)
-        n_rows, size = len(stack), 2 * self.n_points
-        etas = np.array([math.exp(t) for t in stack[:, 1].tolist()])
-        lam, Q = self._basis
-        y = self.targets if rows is None else self._ys[:n_rows].transpose(0, 2, 1)
-        if rows is not None:  # np.stack's copy, in one concatenate
-            np.concatenate([row.design.y for row in rows], out=self._ys[:n_rows].reshape(-1, 2))
+        K, (dR, K0) = self.gram_and_grads(theta, rows)
+        work, y = self._last
+        n_rows, size = len(K), 2 * self.n_points
         factors, nuggets, alphas, quads, half_logdets, errors = _solve(
-            K, self._basis, etas, y, self._solve_work[:n_rows])
+            K, work.basis, work.etas, y, work.solve)
         values, scales = [None] * n_rows, [1.0] * n_rows
-        for b in range(n_rows):
-            for L in factors[b] if errors[b] is None else ():  # each becomes K_e^-1 in place
-                info = _potri(L)
+        for b, (_, _, (L0, L1), _) in enumerate(work.solve.rows):
+            if errors[b] is None:  # each factor becomes K_e^-1, the second if the first does
+                info = _potri(L0) or _potri(L1)
                 if info != 0:
                     errors[b] = NumericalError(
                         f"inverse from the Cholesky factor failed (info={info})")
                     factors[b] = np.eye(self.n_points)
-                    break
             if errors[b] is not None:
                 nuggets[b] = None
                 continue
             sigma2 = quads[b] / size
             values[b] = 0.5 * size * (math.log(sigma2) + 1.0 + LOG2PI) + half_logdets[b]
             scales[b] = 1.0 / math.sqrt(sigma2)
-        alphas *= np.array(scales)[:, None, None]  # A = alphas alphas^T - (R + eta I)^-1
-        Mt = alphas @ K @ alphas.transpose(0, 2, 1)
+        work.scales_flat[:] = scales
+        alphas *= work.scales  # A = alphas alphas^T - (R + eta I)^-1
+        Mt = np.matmul(np.matmul(alphas, K, out=work.alphas_K), work.alphas_T, out=work.Mt)
         # <K_e^-1, K> from the lower triangle `_potri` fills, read C-ordered
-        diagonals = factors.diagonal(axis1=2, axis2=3)
-        Mt.reshape(n_rows, 4)[:, ::3] -= (
-            2.0 * _dots(factors.transpose(0, 1, 3, 2).reshape(n_rows, 2, -1),
-                        K.reshape(n_rows, 1, -1))
-            - _dots(diagonals, K.diagonal(axis1=1, axis2=2)[:, None]))
-        inverse_traces = np.add.reduce(diagonals, axis=2)
-        traces = (_dots(alphas.reshape(n_rows, -1), alphas.reshape(n_rows, -1))
-                  - inverse_traces[:, 0] - inverse_traces[:, 1])  # sum_e tr(A_e)
-        factors *= lam[:, :, None, None]
-        Kinv = factors[:, 0]
-        Kinv += factors[:, 1]
+        solve = work.solve
+        inner = _dots(work.blocks_flat, work.K_flat)
+        inner *= 2.0
+        inner -= _dots(solve.diagonals, work.K_diagonal)
+        work.Mt_diagonal -= inner
+        inverse_trace, other_trace = np.add.reduce(solve.diagonals, axis=2,
+                                                   out=work.inverse_traces).T
+        traces = _dots(solve.alphas_flat, solve.alphas_flat)  # sum_e tr(A_e)
+        traces -= inverse_trace
+        traces -= other_trace
+        # sum_e lam_e K_e^-1, in the C-ordered blocks that hold it transposed
+        blocks = solve.blocks
+        blocks *= work.lam_blocks
+        inverse = work.inverse
+        inverse += work.inverse_other
         # A = sum_e lam_e (alpha_e alpha_e^T - K_e^-1) over the points
-        A = np.matmul(alphas.transpose(0, 2, 1) * lam[:, None, :], alphas,
-                      out=self._A[:n_rows])
-        A -= Kinv
-        A -= Kinv.transpose(0, 2, 1)  # `_potri` fills the lower triangle; the upper is zero
-        self._A_diagonal[:n_rows] += Kinv.diagonal(axis1=1, axis2=2)  # taken twice above
-        grad = np.empty((n_rows, self.n_params))
-        grad[:, 0] = -0.5 * _dots(A.reshape(n_rows, -1), dR.reshape(n_rows, -1))
-        grad[:, 1] = -0.5 * etas * traces
-        self.levels[0].grad(grad, Q @ Mt @ Q.transpose(0, 2, 1))
-        # Gt sums A o K0 over each block of curves; the curve level's M is Gt
-        # o G[cg, cg], and the group level's sums Gt o C over blocks of groups
-        S = self.curve_onehot
-        Gt = S.T @ np.multiply(A, K0, out=A) @ S
-        for k, level in enumerate(self.levels[1:]):
-            M = reduce(np.multiply, self._factors[:k] + self._factors[k + 1:], Gt)
-            if level.name == "group":
-                M = self.group_onehot.T @ M @ self.group_onehot
-            level.grad(grad, M)
-        for b in (b for b, error in enumerate(errors) if error is not None):
-            grad[b] = np.nan
+        A = np.matmul(np.multiply(work.alphas_T, work.lam_columns, out=work.alphas_lam),
+                      alphas, out=work.A)
+        A -= work.Kinv
+        A -= inverse  # `_potri` fills the lower triangle; the upper is zero
+        work.A_diagonal += work.inverse_diagonal  # taken twice above
+        grad, level_grads = work.grad, work.level_grads
+        np.multiply(_dots(work.A_flat, dR.reshape(n_rows, -1)), -0.5, out=grad[:, 0])
+        np.multiply(work.half_etas, traces, out=grad[:, 1])
+        levels = self.levels
+        levels[0].grad(level_grads[0], work.Q @ Mt @ work.QT)
+        if len(levels) > 1:
+            # Gt sums A o K0 over each block of curves; the curve level's M
+            # is Gt o G[cg, cg], and the group level's sums Gt o C over
+            # blocks of groups
+            Gt = self._curve_onehot_T @ np.multiply(A, K0, out=A) @ self.curve_onehot
+            if len(levels) == 2:
+                levels[1].grad(level_grads[1], Gt)
+            else:
+                C, G = self._factors
+                levels[1].grad(level_grads[1], Gt * G)
+                E = self.group_onehot
+                levels[2].grad(level_grads[2], self._group_onehot_T @ (Gt * C) @ E)
+        grad = grad.copy()  # the caller's
+        for b, error in enumerate(errors):
+            if error is not None:
+                grad[b] = np.nan
         return values, grad, nuggets, errors
 
     def value(self, theta):
@@ -798,35 +994,34 @@ def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
     factorization or solve fails, its NumericalError, the row's factors
     then I, so that arithmetic on the whole stack stays finite (a block
     entry that is not finite fails the stack: a ValidationError). The
-    blocks are formed in the buffer that is factored, ``out`` when given (a
-    B x 2 x P x P work stack), else a new one; a row that escalates forms
-    its blocks again from K (`_chol_with_ladder`)."""
-    lam, Q = basis
-    n_rows, n = len(K), K.shape[-1]
-    blocks = _blocks(K, lam, noise_var, np.empty((n_rows, 2, n, n)) if out is None else out)
+    blocks are formed in the buffer that is factored, that of ``out`` (the
+    stack's `_SolveWork`) when given, else a new one; a row that escalates
+    forms its blocks again from K (`_chol_with_ladder`)."""
+    work = _SolveWork(K, basis, noise_var) if out is None else out
+    blocks = np.multiply(*work.products, out=work.blocks)
+    work.blocks_diagonal += work.noise
     # a finite sum of squares shows every entry finite, in one dot product
     if not math.isfinite(np.vdot(blocks, blocks)) and not np.isfinite(blocks).all():
         raise ValidationError("the training covariance is not finite: the kernel's "
                               "sigma2 or level matrices are too large")
-    factors = blocks.transpose(0, 1, 3, 2)
-    Y = Q.transpose(0, 2, 1) @ y
-    alphas = Y.copy()
+    Y = np.matmul(work.QT, y, out=work.Y)
+    alphas = work.alphas
+    np.copyto(alphas, Y)
     dpotrs = _linalg().lapack.dpotrs
-    nuggets, errors = [None] * n_rows, [None] * n_rows
-    for b in range(n_rows):
+    nuggets, errors = [None] * len(blocks), [None] * len(blocks)
+    for b, (row_blocks, gram, (L0, L1), (alpha0, alpha1)) in enumerate(work.rows):
         try:
-            _, nuggets[b] = _chol_with_ladder(blocks[b], K[b], lam[b], noise_var[b])
-            for L, alpha in zip(factors[b], alphas[b]):
-                _, info = dpotrs(L, alpha, 1, 1)  # lower, overwrite_b
-                if info != 0:
-                    raise NumericalError(
-                        f"solve with the Cholesky factor failed (info={info})")
+            nuggets[b] = _chol_with_ladder(row_blocks, *gram)[1]
+            # lower, overwrite_b; the second block only if the first solves
+            info = dpotrs(L0, alpha0, 1, 1)[1] or dpotrs(L1, alpha1, 1, 1)[1]
+            if info != 0:
+                raise NumericalError(f"solve with the Cholesky factor failed (info={info})")
         except NumericalError as exc:
             errors[b] = exc
-            blocks[b] = np.eye(n)
-    quads = _dots(Y.reshape(n_rows, -1), alphas.reshape(n_rows, -1)).tolist()
-    logdets = np.add.reduce(np.log(factors.diagonal(axis1=2, axis2=3)), axis=2)
-    return factors, nuggets, alphas, quads, (logdets[:, 0] + logdets[:, 1]).tolist(), errors
+            row_blocks[...] = np.eye(len(alpha0))
+    quads = _dots(work.Y_flat, work.alphas_flat).tolist()
+    logdets = np.add.reduce(np.log(work.diagonals, out=work.logs), axis=2).tolist()
+    return work.factors, nuggets, alphas, quads, [a + b for a, b in logdets], errors
 
 
 def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
@@ -973,7 +1168,8 @@ def _lockstep(evaluate, starts, maxiter: int, width: int) -> list:
                 run.max_nugget = max(run.max_nugget, nugget)
             else:
                 run.error = error
-        asking = [k for k in asking if runs[k].error is None]
+        if errors.count(None) < len(asking):  # the runs that met an error end
+            asking = [k for k in asking if runs[k].error is None]
 
 
 def minimize(fun, x0, bounds, maxiter: int) -> _Run:
@@ -1042,8 +1238,9 @@ def fit_designs(designs, model_config: ModelConfig | None = None,
         rng = np.random.default_rng(opt_config.seed)
         starts += [(obj, obj.default_start() if i == 0 else obj.random_start(rng))
                    for i in range(opt_config.restarts)]
+    rows = [obj for obj, _ in starts]
     runs = _lockstep(
-        lambda points, active: lead.value_and_grad(points, [starts[k][0] for k in active]),
+        lambda points, active: lead.value_and_grad(points, [rows[k] for k in active]),
         [(theta0, obj.bounds) for obj, theta0 in starts], opt_config.maxiter,
         max(1, LOCKSTEP_ENTRIES // lead.n_points ** 2))
     models = []

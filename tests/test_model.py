@@ -1762,6 +1762,46 @@ class TestWorkArrays:
                 assert value == fresh[0]
                 assert grad.tobytes() == fresh[1].tobytes()
 
+    @pytest.mark.parametrize("case", ["three-curves", "four-curves-two-groups"])
+    def test_stacks_whose_rows_change_between_calls(self, case):
+        # one objective evaluates stacks whose rows change from call to call,
+        # as a shrinking lockstep hands them over: 7 rows, the same 7 again,
+        # 3 other designs, all 12 in another order, 3 rows of its own design
+        # and 12 again. The work arrays and the rows' distances and targets
+        # it keeps between calls leave every row equal to its one-row call
+        n_curves, labels = LEVEL_CASES[case]
+        designs = layout_designs(n_curves, labels, n=4, count=12)
+        objs = [MarginalLikelihoodObjective(d, ModelConfig()) for d in designs]
+        lead, rng = objs[0], np.random.default_rng(17)
+        shuffled = [objs[k] for k in rng.permutation(12)]
+        for rows in (objs[:7], objs[:7], [objs[9], objs[2], objs[5]], shuffled,
+                     [lead] * 3, shuffled[::-1]):
+            X = np.array([obj.random_start(rng) for obj in rows])
+            values, grads, nuggets, errors = lead.value_and_grad(X, rows)
+            assert errors == [None] * len(rows)
+            for b, obj in enumerate(rows):
+                fresh = MarginalLikelihoodObjective(obj.design, ModelConfig())
+                assert_same_row((values[b], grads[b]), one_row(fresh, X[b]))
+
+    def test_unpack_forms_no_derivative(self, monkeypatch):
+        # sigma2's estimate needs the Gram alone: `unpack` asks the kernel
+        # for no derivative in log rho, an evaluation asks for it
+        import curvegp.model as model
+        asked = []
+
+        def recorded(family, w, rho, with_dlogrho=False, out=None):
+            asked.append(with_dlogrho)
+            return warped_correlation(family, w, rho, with_dlogrho, out)
+
+        monkeypatch.setattr(model, "warped_correlation", recorded)
+        obj = MarginalLikelihoodObjective(paired_design(3, 5, ["a", "b", "a"]), ModelConfig())
+        theta = obj.default_start()
+        kernel, noise = obj.unpack(theta)
+        assert asked == [False]
+        one_row(obj, theta)
+        assert asked == [False, True]
+        assert obj.unpack(theta)[1] == noise
+
     @pytest.mark.parametrize("case", ["coord-only", "three-curves",
                                       "four-curves-three-groups"])
     @pytest.mark.parametrize("family", FAMILIES)
