@@ -3,8 +3,10 @@
 - imspe: integrated mean squared prediction error on a shared arc grid.
 - iuea: integrated area of the pointwise predictive-uncertainty ellipses.
 - wasserstein2: exact optimal-assignment squared-distance cost between
-  equal-size point clouds. It is the module's only user of `scipy.optimize`
-  (`linear_sum_assignment`), which it imports when called.
+  equal-size point clouds. It is the module's only user of SciPy: it takes
+  `linear_sum_assignment` from SciPy's compiled `optimize._lsap` when
+  called (`model._scipy_module`), the routine `scipy.optimize` exports,
+  without importing `scipy.optimize`.
 - elastic_register / esd: elastic shape distance via alternating rotation +
   seed search and dynamic-programming re-parameterization of SRVFs. The
   seed search scores every integer shift, then every sub-cell offset of a
@@ -23,6 +25,7 @@ import numpy as np
 from .curves import (Curve, arc_to_xy_param, closure_row, polygon_length,
                      resample_equally_spaced)
 from .errors import NumericalError, ValidationError, whole_number
+from .model import _scipy_module
 from .preprocess import (SCORE_BAND, _contenders, _procrustes_rotation,
                          _rotated_energies, _seed_search, _srvf_arrays, center,
                          scale_to_unit_length, srvf)
@@ -104,10 +107,14 @@ def wasserstein2(a, b) -> float:
             f"exact assignment limited to {MAX_ASSIGNMENT_SIZE} points, got {len(a)}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValidationError("point clouds must be finite")
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    rows, cols = linear_sum_assignment(cost)
+    # squared distances, x term plus y term in the order a sum over the pair
+    # adds them, each square in its difference's buffer: no n x n x 2 array
+    cost = np.subtract.outer(a[:, 0], b[:, 0])
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    cost *= cost
+    dy *= dy
+    cost += dy
+    rows, cols = _scipy_module("optimize._lsap").linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
 
 

@@ -110,20 +110,34 @@ needs. A run, `_Run`, is its own record: its point, value, counts, flag
 and message are what `fit_designs` writes for each restart and what
 `minimize`, the lockstep of one run on a function of one theta, returns.
 
-SciPy is imported only where it is used, so `import curvegp.model` loads
-numpy alone. The LAPACK routines (dpotrf, dpotrs, dpotri, dtrtri,
-dlauum) and BLAS dtrsm and dgemm come from `_linalg`, which imports
-`scipy.linalg` at the first factorization, solve or prediction.
-`scipy.optimize` is imported only when a fit or `minimize` runs, by
-`_lbfgsb` on its first call.
+The library calls nine of SciPy's compiled routines and imports none of
+its packages, so `import curvegp.model` loads numpy alone. `_scipy_module`
+loads a compiled module from its file in SciPy's directory, or takes the
+one already loaded, without running `scipy.linalg`'s or
+`scipy.optimize`'s package code (about 0.3 s and 20-45 MB of a fresh
+command's start, with `scipy.sparse`, `scipy.special`, `numpy.testing` and
+`numpy.f2py`). The LAPACK routines (dpotrf, dpotrs, dpotri, dtrtri, dlauum)
+and BLAS dtrsm and dgemm come from `_linalg`, SciPy's `linalg._flapack`
+and `linalg._fblas`, loaded at the first factorization, solve or
+prediction; `setulb` comes from `_lbfgsb`, SciPy's `optimize._lbfgsb`,
+loaded when a fit or `minimize` first runs, and its messages from scipy's
+tables copied here (`LBFGS_STATUS_MESSAGES`, `LBFGS_TASK_MESSAGES`).
+Each routine is the object `scipy.linalg.lapack`, `scipy.linalg.blas` or
+`scipy.optimize` exports, so the numbers are those of the packages'
+routines.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -355,14 +369,41 @@ def _coord_basis(B: np.ndarray):
     return values[..., :2], values[..., 2:].reshape(*stack, 2, 2)
 
 
+def _scipy_module(name: str):
+    """SciPy's compiled module ``scipy.<name>`` (such as "linalg._flapack"),
+    without running the code of the package that holds it. A module already
+    in `sys.modules` is reused; otherwise it is loaded from its file in the
+    package's directory beside SciPy's own ``__init__.py``, which
+    `importlib.util.find_spec` locates without importing SciPy, and
+    registered under its full name, so a later import of the package reuses
+    it too: one module per extension, whichever loads first. Raises
+    ImportError naming the module when its file does not exist."""
+    full = f"scipy.{name}"
+    module = sys.modules.get(full)
+    if module is not None:
+        return module
+    root = importlib.util.find_spec("scipy")
+    spec = root and importlib.machinery.FileFinder(
+        os.path.join(os.path.dirname(root.origin), *name.split(".")[:-1]),
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES)).find_spec(full)
+    if spec is None:
+        raise ImportError(f"SciPy's compiled module {full} was not found", name=full)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 @cache
 def _linalg():
-    """`scipy.linalg`, imported on the first call so that only a process
-    that factors, solves or predicts pays for loading it: its ``lapack``
-    module serves dpotrf, dpotrs, dpotri, dtrtri and dlauum, and its
-    ``blas`` module, which loads with it, dtrsm and dgemm."""
-    import scipy.linalg
-    return scipy.linalg
+    """LAPACK and BLAS, loaded on the first call so that only a process that
+    factors, solves or predicts pays for them: ``lapack`` is SciPy's
+    `_flapack` (dpotrf, dpotrs, dpotri, dtrtri and dlauum) and ``blas`` its
+    `_fblas` (dtrsm and dgemm), the modules whose routines `scipy.linalg`'s
+    ``lapack`` and ``blas`` export, without the package (`_scipy_module`)."""
+    return SimpleNamespace(lapack=_scipy_module("linalg._flapack"),
+                           blas=_scipy_module("linalg._fblas"))
 
 
 # A triangular block of at most this many rows is one BLAS or LAPACK call
@@ -1062,14 +1103,36 @@ LBFGS_MAXCOR, LBFGS_FACTR, LBFGS_PGTOL = 10, 1e7, 1e-5
 LBFGS_MAXFUN, LBFGS_MAXLS = 15000, 20
 
 
+# scipy's tables of `setulb`'s status (task[0]) and task (task[1]) messages,
+# `scipy.optimize._lbfgsb_py.status_messages` and ``task_messages``, from
+# which each run's ``message`` is spelled
+LBFGS_STATUS_MESSAGES = dict(enumerate((
+    "START", "NEW_X", "RESTART", "FG", "CONVERGENCE", "STOP", "WARNING", "ERROR",
+    "ABNORMAL")))
+LBFGS_TASK_MESSAGES = {
+    0: "", 301: "", 302: "",
+    401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+    402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    501: "CPU EXCEEDING THE TIME LIMIT",
+    502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL",
+    504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    505: "CALLBACK REQUESTED HALT",
+    601: "ROUNDING ERRORS PREVENT PROGRESS", 602: "STP = STPMAX", 603: "STP = STPMIN",
+    604: "XTOL TEST SATISFIED",
+    701: "NO FEASIBLE SOLUTION", 702: "FACTR < 0", 703: "FTOL < 0", 704: "GTOL < 0",
+    705: "XTOL < 0", 706: "STP < STPMIN", 707: "STP > STPMAX", 708: "STPMIN < 0",
+    709: "STPMAX < STPMIN", 710: "INITIAL G >= 0", 711: "M <= 0", 712: "N <= 0",
+    713: "INVALID NBD"}
+
+
 @cache
 def _lbfgsb():
-    """L-BFGS-B's reverse-communication routine `setulb` and scipy's tables
-    of its status and task messages, imported on the first call so that
-    only a process that fits pays for loading `scipy.optimize`."""
-    from scipy.optimize._lbfgsb import setulb
-    from scipy.optimize._lbfgsb_py import status_messages, task_messages
-    return setulb, status_messages, task_messages
+    """L-BFGS-B's reverse-communication routine `setulb`, from SciPy's
+    compiled `optimize._lbfgsb` (`_scipy_module`), loaded on the first call
+    so that only a process that fits pays for it; `scipy.optimize` itself
+    is never imported."""
+    return _scipy_module("optimize._lbfgsb").setulb
 
 
 # The runs of a lockstep active at once are at most this number over P^2,
@@ -1108,7 +1171,7 @@ class _Run:
         value and gradient; an iteration count of ``maxiter`` or more than
         `LBFGS_MAXFUN` evaluations stops the run at the end of an
         iteration."""
-        setulb = _lbfgsb()[0]
+        setulb = _lbfgsb()
         task = self.task
         while True:
             setulb(LBFGS_MAXCOR, self.x, self.lo, self.hi, self.nbd, self.fun, self.g,
@@ -1133,8 +1196,8 @@ class _Run:
 
     @property
     def message(self) -> str:
-        _, status_messages, task_messages = _lbfgsb()
-        return f"{status_messages[self.task[0]]}: {task_messages[self.task[1]]}"
+        status, task = self.task
+        return f"{LBFGS_STATUS_MESSAGES[status]}: {LBFGS_TASK_MESSAGES[task]}"
 
 
 def _lockstep(evaluate, starts, maxiter: int, width: int) -> list:

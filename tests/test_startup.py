@@ -1,13 +1,17 @@
 """Import budget: what a fresh interpreter loads for each kind of command.
 
-`scipy.optimize` (and the `scipy.sparse`, `scipy.special` and `scipy.fft`
-it pulls in) is imported only where a fit or an optimal assignment runs, so
-`predict` and the other commands that never optimize start without it.
-`scipy.linalg` (and the `numpy.testing` and `numpy.f2py` it pulls in) is
-imported only at the first factorization or solve, so `import curvegp.cli`
-and the commands that never factor a matrix start with numpy alone. Each
-test runs a new interpreter with ``PYTHONPATH=src``, because the test
-process itself has long since loaded everything.
+The library loads four of SciPy's compiled modules and none of its
+packages (`curvegp.model._scipy_module`): `linalg._flapack` and
+`linalg._fblas` at the first factorization, solve or prediction,
+`optimize._lbfgsb` at the first fit and `optimize._lsap` at `wasserstein2`'s
+assignment. `scipy.linalg` and `scipy.optimize`, with the `scipy.sparse`,
+`scipy.special`, `scipy.fft`, `numpy.testing` and `numpy.f2py` they pull
+in, are never imported, so `import curvegp.cli` and the commands that never
+factor a matrix start with numpy alone, and the others add only the
+compiled modules they call. Whichever of the library and the packages loads
+a compiled module first, both use that one module. Each test runs a new
+interpreter with ``PYTHONPATH=src``, because the test process itself has
+long since loaded everything.
 """
 
 import json
@@ -30,22 +34,45 @@ from curvegp.model import (MarginalLikelihoodObjective, ModelConfig,
                            predict, predict_curve)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-OPTIMIZER = ("scipy.optimize", "scipy.sparse", "scipy.special", "scipy.fft",
-             "xml.sax", "urllib.request", "http.client")
-LINALG = ("scipy.linalg", "numpy.testing", "numpy.f2py")
+# packages no command loads: SciPy's two the library once imported, the
+# packages they pull in, and what those pull in from the standard library
+PACKAGES = ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special",
+            "scipy.fft", "numpy.testing", "numpy.f2py", "xml.sax", "urllib.request",
+            "http.client")
+# the compiled modules the library calls, by what loads them
+LAPACK = {"scipy.linalg._flapack", "scipy.linalg._fblas"}
+LBFGSB, LSAP = "scipy.optimize._lbfgsb", "scipy.optimize._lsap"
+
+# runs ``python -m curvegp.cli`` and writes the names in `sys.modules` at
+# exit to the file named by CURVEGP_MODULES
+RUN_CLI = """\
+import atexit, json, os, runpy, sys
+def dump(path=os.environ["CURVEGP_MODULES"]):
+    with open(path, "w") as handle:
+        json.dump(sorted(sys.modules), handle)
+atexit.register(dump)
+sys.argv[0] = "curvegp"
+runpy.run_module("curvegp.cli", run_name="__main__", alter_sys=True)
+"""
 
 
-def run_python(*args, cwd=None):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def run_python(*args, cwd=None, env=None):
+    env = dict(os.environ, PYTHONPATH=str(SRC), **(env or {}))
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
 
 
-def imported_modules(importtime_stderr: str) -> set:
-    """Module names from ``python -X importtime`` output."""
-    return {line.rsplit("|", 1)[1].strip()
-            for line in importtime_stderr.splitlines()
-            if line.startswith("import time:") and "|" in line}
+def run_cli(tmp_path, argv):
+    """Run ``python -m curvegp.cli *argv`` in a fresh interpreter in
+    ``tmp_path``; returns (the process, the modules loaded at its exit)."""
+    modules = tmp_path / "modules.json"
+    proc = run_python("-c", RUN_CLI, *argv, cwd=tmp_path,
+                      env={"CURVEGP_MODULES": str(modules)})
+    return proc, set(json.loads(modules.read_text()))
+
+
+def scipy_modules(loaded) -> set:
+    return {name for name in loaded if name == "scipy" or name.startswith("scipy.")}
 
 
 def test_import_cli_leaves_optimizer_and_xml_out():
@@ -54,9 +81,8 @@ def test_import_cli_leaves_optimizer_and_xml_out():
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
     assert "curvegp.model" in loaded and "curvegp.metrics" in loaded
-    assert not loaded & set(OPTIMIZER)
-    assert not loaded & set(LINALG)
-    assert "scipy" not in loaded
+    assert not loaded & set(PACKAGES)
+    assert not scipy_modules(loaded)
 
 
 # commands that never factor a matrix, with the file each one writes
@@ -84,16 +110,15 @@ def test_commands_without_factorization_load_no_scipy(tmp_path, command):
         grid, np.c_[np.cos(2 * np.pi * grid), np.sin(2 * np.pi * grid)], covs)),
         str(tmp_path / "pred.json"))
     argv, written = NO_FACTOR_COMMANDS[command]
-    proc = run_python("-X", "importtime", "-m", "curvegp.cli", *argv, cwd=tmp_path)
+    proc, loaded = run_cli(tmp_path, argv)
     assert proc.returncode == 0, proc.stderr
     if written:
         assert (tmp_path / written).stat().st_size > 0
     else:
         assert "model.family" in proc.stdout
-    loaded = imported_modules(proc.stderr)
     assert "curvegp.model" in loaded
-    assert not loaded & set(OPTIMIZER)
-    assert not loaded & set(LINALG)
+    assert not loaded & set(PACKAGES)
+    assert not scipy_modules(loaded)
 
 
 def test_predict_command_never_loads_the_optimizer(tmp_path):
@@ -101,14 +126,42 @@ def test_predict_command_never_loads_the_optimizer(tmp_path):
     (tmp_path / "cfg.txt").write_text("opt.restarts = 1\nopt.maxiter = 20\n")
     assert main(["fit", "--inputs", str(tmp_path / "c.csv"), "--config",
                  str(tmp_path / "cfg.txt"), "--out", str(tmp_path / "fit.json")]) == EXIT_OK
-    proc = run_python("-X", "importtime", "-m", "curvegp.cli", "predict",
-                      "--inputs", "c.csv", "--fit", "fit.json", "--m", "12",
-                      "--out", "pred.json", cwd=tmp_path)
+    proc, loaded = run_cli(tmp_path, ["predict", "--inputs", "c.csv", "--fit", "fit.json",
+                                      "--m", "12", "--out", "pred.json"])
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads((tmp_path / "pred.json").read_text())["means"]) == 12
-    loaded = imported_modules(proc.stderr)
     assert "curvegp.model" in loaded
-    assert not loaded & set(OPTIMIZER)
+    assert not loaded & set(PACKAGES)
+    assert scipy_modules(loaded) == LAPACK
+
+
+# commands that fit or score, with the file each one writes and the
+# compiled modules of SciPy it loads, all of them (`predict`'s are above)
+COMPILED_COMMANDS = {
+    "fit": (["fit", "--inputs", "a.csv", "b.csv", "--config", "cfg.txt",
+             "--out", "fit.json"], "fit.json", LAPACK | {LBFGSB}),
+    "reconstruct": (["reconstruct", "--inputs", "a.csv", "--config", "cfg.txt",
+                     "--m", "20", "--outdir", "rec"], "rec/a_mean.csv", LAPACK | {LBFGSB}),
+    "landmarks": (["landmarks", "--inputs", "a.csv", "b.csv", "--p", "3",
+                   "--n-trials", "2", "--config", "cfg.txt", "--out", "lm.json"],
+                  "lm.json", LAPACK | {LBFGSB}),
+    "metrics": (["metrics", "--pair", "a.csv", "b.csv", "--m", "30",
+                 "--out", "met.json"], "met.json", {LSAP}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMPILED_COMMANDS))
+def test_commands_load_compiled_modules_and_no_scipy_package(tmp_path, command):
+    curves = [generate_synthetic("star", 10), generate_synthetic("ellipse", 10)]
+    for curve, name in zip(curves, "ab"):
+        save_curve_csv(curve, str(tmp_path / f"{name}.csv"))
+    (tmp_path / "cfg.txt").write_text("opt.restarts = 1\nopt.maxiter = 15\n")
+    argv, written, compiled = COMPILED_COMMANDS[command]
+    proc, loaded = run_cli(tmp_path, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / written).stat().st_size > 0
+    assert not loaded & set(PACKAGES)
+    assert scipy_modules(loaded) == compiled
 
 
 def test_fit_and_wasserstein_load_the_optimizer_when_called():
@@ -119,12 +172,14 @@ def test_fit_and_wasserstein_load_the_optimizer_when_called():
         "from curvegp.metrics import wasserstein2\n"
         "from curvegp.model import (ModelConfig, OptimizerConfig,\n"
         "                           TrainingDesign, fit)\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        f"assert {LSAP!r} not in sys.modules\n"
         "a = generate_synthetic('circle', 6).points\n"
         "print(wasserstein2(a, a[::-1]))\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        f"assert {LSAP!r} in sys.modules and {LBFGSB!r} not in sys.modules\n"
         "model = fit(TrainingDesign.from_curves([generate_synthetic('circle', 6)]),\n"
         "            ModelConfig(), OptimizerConfig(restarts=1, maxiter=20, seed=0))\n"
+        f"assert {LBFGSB!r} in sys.modules\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
         "print(model.diagnostics['restarts'][0]['nfev'])\n")
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
@@ -134,10 +189,10 @@ def test_fit_and_wasserstein_load_the_optimizer_when_called():
 
 
 def test_fit_goes_through_the_lockstep_driver():
-    """L-BFGS-B runs through `curvegp.model._lockstep`, which imports
-    `scipy.optimize` at the first fit and not at an evaluation before it,
-    and hands the objective each restart's points as often as the
-    restart's record counts them."""
+    """L-BFGS-B runs through `curvegp.model._lockstep`, which loads SciPy's
+    compiled `optimize._lbfgsb` at the first fit and not at an evaluation
+    before it, and hands the objective each restart's points as often as
+    the restart's record counts them."""
     script = (
         "import collections, json, sys\n"
         "import curvegp.model as model\n"
@@ -145,7 +200,7 @@ def test_fit_goes_through_the_lockstep_driver():
         "design = model.TrainingDesign.from_curves([generate_synthetic('circle', 6)])\n"
         "objective = model.MarginalLikelihoodObjective(design, model.ModelConfig())\n"
         "objective.value_and_grad(objective.default_start()[None])\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        f"assert {LBFGSB!r} not in sys.modules\n"
         "evaluated, lockstep = collections.Counter(), model._lockstep\n"
         "def spy(evaluate, *args):\n"
         "    def counted(points, active):\n"
@@ -155,13 +210,74 @@ def test_fit_goes_through_the_lockstep_driver():
         "model._lockstep = spy\n"
         "fitted = model.fit(design, model.ModelConfig(),\n"
         "                   model.OptimizerConfig(restarts=2, maxiter=20, seed=0))\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        f"assert {LBFGSB!r} in sys.modules and 'scipy.optimize' not in sys.modules\n"
         "print(json.dumps([[r['nfev'] for r in fitted.diagnostics['restarts']],\n"
         "                  [evaluated[k] for k in range(2)]]))\n")
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     nfev, evaluated = json.loads(proc.stdout)
     assert evaluated == nfev and all(n > 0 for n in nfev)
+
+
+def test_message_tables_are_scipys():
+    """`setulb`'s messages are spelled from scipy's own tables, so a SciPy
+    release that changes them fails here rather than changing the
+    ``message`` of each restart's record."""
+    from scipy.optimize import _lbfgsb_py
+    assert curvegp.model.LBFGS_STATUS_MESSAGES == _lbfgsb_py.status_messages
+    assert curvegp.model.LBFGS_TASK_MESSAGES == _lbfgsb_py.task_messages
+
+
+# In a fresh interpreter, the library's compiled modules and SciPy's
+# packages loaded in the order argv[1] names; then every routine the library
+# calls is the one the packages export, from one module per extension, and
+# the packages still work.
+SHARED_MODULES_SCRIPT = """\
+import sys
+import numpy as np
+from curvegp.model import _lbfgsb, _linalg, _scipy_module
+
+def library():
+    return _linalg(), _lbfgsb(), _scipy_module("optimize._lsap")
+
+def packages():
+    import scipy.linalg, scipy.optimize
+    return scipy.linalg, scipy.optimize
+
+if sys.argv[1] == "library_first":
+    (linalg, setulb, lsap), (scipy_linalg, scipy_optimize) = library(), packages()
+else:
+    (scipy_linalg, scipy_optimize), (linalg, setulb, lsap) = packages(), library()
+from scipy.optimize import _lbfgsb_py
+for name in ("dpotrf", "dpotrs", "dpotri", "dtrtri", "dlauum"):
+    assert getattr(linalg.lapack, name) is getattr(scipy_linalg.lapack, name), name
+for name in ("dtrsm", "dgemm"):
+    assert getattr(linalg.blas, name) is getattr(scipy_linalg.blas, name), name
+assert setulb is _lbfgsb_py._lbfgsb.setulb
+assert lsap.linear_sum_assignment is scipy_optimize.linear_sum_assignment
+modules = sys.modules
+assert scipy_linalg.lapack._flapack is linalg.lapack is modules["scipy.linalg._flapack"]
+assert scipy_linalg.blas._fblas is linalg.blas is modules["scipy.linalg._fblas"]
+assert _lbfgsb_py._lbfgsb is modules["scipy.optimize._lbfgsb"]
+assert lsap is modules["scipy.optimize._lsap"]
+assert scipy_linalg.cho_factor(np.eye(2))[0][1, 1] == 1.0
+assert scipy_optimize.minimize(lambda x: (x @ x, 2 * x), [1.0, 2.0], jac=True,
+                               method="L-BFGS-B").success
+assert scipy_optimize.linear_sum_assignment([[1, 0], [0, 1]])[1].tolist() == [1, 0]
+"""
+
+
+@pytest.mark.parametrize("order", ["library_first", "packages_first"])
+def test_library_and_packages_share_each_compiled_module(order):
+    proc = run_python("-c", SHARED_MODULES_SCRIPT, order)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_loader_names_a_module_whose_file_does_not_exist():
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module") as caught:
+        curvegp.model._scipy_module("linalg._no_such_module")
+    assert caught.value.name == "scipy.linalg._no_such_module"
+    assert "scipy.linalg._no_such_module" not in sys.modules
 
 
 # Each entry point that factors or solves, called first in a fresh
@@ -186,9 +302,9 @@ import pickle, sys
 import test_startup
 with open(sys.argv[1], "rb") as handle:
     inputs = pickle.load(handle)
-assert "scipy.linalg" not in sys.modules
+assert not test_startup.LAPACK & set(sys.modules)
 result = test_startup.FIRST_USE[sys.argv[2]](inputs)
-assert "scipy.linalg" in sys.modules
+assert test_startup.LAPACK <= set(sys.modules) and "scipy.linalg" not in sys.modules
 with open(sys.argv[3], "wb") as handle:
     pickle.dump(result, handle)
 """
