@@ -205,9 +205,10 @@ def cmd_register(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    # esd registers on a grid of min(m, 100) points, which needs 8
+    m = whole_number("m", args.m, 8)
     a = load_curve_csv(args.pair[0])
     b = load_curve_csv(args.pair[1])
-    m = args.m
     ra = resample_equally_spaced(a, m)
     rb = resample_equally_spaced(b, m)
     payload = {"imspe": metrics_mod.imspe(ra.points, b),

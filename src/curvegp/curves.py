@@ -185,7 +185,7 @@ def _angles(n: int, scheme: str, cluster_center: float) -> np.ndarray:
         outside = (lo + CLUSTER_WIDTH
                    + (2.0 * np.pi - CLUSTER_WIDTH) * np.arange(n_out) / max(n_out, 1))
         return np.sort(np.concatenate([inside, outside]) % (2.0 * np.pi))
-    raise ValueError(f"unknown sampling scheme {scheme!r}")
+    raise CurveError(f"unknown sampling scheme {scheme!r}")
 
 
 def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
@@ -198,11 +198,13 @@ def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
     Shapes: ``circle`` (radius), ``ellipse`` (semi-axes), ``star`` with radial
     profile radius * (1 + amplitude*cos(petals*theta)). The ``clustered``
     scheme puts `CLUSTER_FRAC` of the points in a `CLUSTER_WIDTH` window.
-    Deterministic for a fixed ``rng_seed``.
+    Deterministic for a fixed ``rng_seed``. An unknown shape or scheme, a
+    count below its minimum, a negative or NaN ``noise_sd`` and a star
+    amplitude outside [0, 1) are each a CurveError.
     """
     n = whole_number("n", n, 3, CurveError)
     if not 0.0 <= noise_sd < np.inf:  # NaN fails here too
-        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
+        raise CurveError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     theta = _angles(n, scheme, cluster_center)
     if shape == "circle":
         pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
@@ -211,12 +213,12 @@ def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
         pts = np.column_stack([a * np.cos(theta), b * np.sin(theta)])
     elif shape == "star":
         if not 0.0 <= amplitude < 1.0:
-            raise ValueError("star amplitude must lie in [0, 1)")
+            raise CurveError("star amplitude must lie in [0, 1)")
         petals = whole_number("petals", petals, 1, CurveError)
         r = radius * (1.0 + amplitude * np.cos(petals * theta))
         pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     else:
-        raise ValueError(f"unknown shape {shape!r}")
+        raise CurveError(f"unknown shape {shape!r}")
     if noise_sd > 0.0:
         rng = np.random.default_rng(rng_seed)
         pts = pts + rng.normal(scale=noise_sd, size=pts.shape)

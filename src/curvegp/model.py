@@ -74,26 +74,28 @@ one layout (the same config, curve indices and groups), and return stacks.
 `value` is the one scalar entry; it, `unpack` and `kernel_at` pass their
 theta on as the one-row stack [theta]. `unpack` asks `gram_and_grads` for
 the Gram alone, without dR/dlog rho. At small P a call costs overhead, not
-arithmetic, so the objective keeps its work arrays across calls (`_grow`)
-and every view of them a stack of B rows reads (`_StackWork`, with
-`_SolveWork` and each level's `_LevelWork`), made the first time B rows
-are evaluated, and it copies the rows' distances and targets only when the
-rows are not those of its last call. Only LAPACK and scalar math run per
+arithmetic, so every work array of the likelihood has one home, the
+stack's work (`_StackWork`): the arrays are made for the largest stack the
+objective has evaluated, and the views a stack of B rows reads, with
+`_SolveWork` and each level's `_LevelWork`, are cut from them the first
+time B rows are evaluated and kept for later stacks of B rows (`_grow`). A
+level (`_Level`) is a packing record that holds no arrays: it unpacks and
+takes its gradient in the `_LevelWork` it is handed. `gram_and_grads`
+leaves what `value_and_grad` and `unpack` read of its call in the same
+record: the coordinate basis, the rows' targets and the curve and group
+factors. The rows' distances and targets are copied only when the rows are
+not those of the last call. Only LAPACK and scalar math run per
 row (the factorization with its nugget ladder, dpotrs, `_potri`, rho and
 eta, the coordinate basis, a 2 x 2 level's W, the value and the scale
 1/sqrt(s2)), and a row that escalates forms its blocks again; the rest runs
 once per stack, each slice as it runs alone: forming the blocks and
 checking them finite, elementwise arithmetic, axis sums, matrix products
 and every inner product (`_dots`). So each row of a stack equals its
-one-row call, bit for bit. At one BLAS thread on a shared 2-core x86-64
-machine (`scripts/time_likelihood.py`), a one-row call at P = 12 takes
-about 75 us, within 3% of what the likelihood of one theta took before it
-took stacks, and each further row of a stack about 12 us, 5 us of it
-LAPACK. New on
-every call are the gradients and arrays no larger than a level times P per
-row. `assemble_model` passes no work arrays, so a fitted model shares no
-memory with an objective. The LAPACK and BLAS flags go by position, which
-f2py parses faster than keywords.
+one-row call, bit for bit (`scripts/time_likelihood.py` times the calls).
+New on every call are the gradients and arrays no larger than a level
+times P per row. `assemble_model` passes no work arrays, so a fitted model
+shares no memory with an objective. The LAPACK and BLAS flags go by
+position, which f2py parses faster than keywords.
 
 L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) runs through
 scipy's reverse-communication routine `setulb`, one state per run, with
@@ -519,8 +521,9 @@ _dots = np.vecdot
 
 
 class _Level:
-    """One coregionalization level's block of the packed theta, and the
-    level's W and kappa at the stack of thetas it last unpacked.
+    """One coregionalization level's block of the packed theta: a record of
+    its names, bounds, start, random draw and slice, and the arithmetic
+    that unpacks it and takes its gradient in a stack's work (`_LevelWork`).
 
     No level carries a scale, so every parameter is a direction of the
     model (Pinheiro & Bates 1996), and sigma2 carries all of the scale. A
@@ -534,11 +537,7 @@ class _Level:
     the curve and group levels both at B = I, the cross-group covariance
     C[0, 1] G[0, 1] would have no gradient in either off-diagonal. A random
     start draws W and a normal with sd 0.3, then kappa and e^2b uniform on
-    [0.1, 2].
-
-    The level keeps work arrays for the largest stack it has unpacked, and
-    their views for each stack size (`_LevelWork`), overwritten by every
-    call."""
+    [0.1, 2]."""
 
     def __init__(self, name: str, size: int, offset: int):
         self.name, self.size = name, size
@@ -553,7 +552,6 @@ class _Level:
                            + [tuple(np.log(KAPPA_BOX))] * (size - 1))
             self.start = [0.1] * size + [0.0] * (size - 1)
         self.slice = slice(offset, offset + len(self.names))
-        self._capacity, self._work = 0, {}
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """The level's random start: W (or a), then kappa (or e^2b)."""
@@ -564,61 +562,39 @@ class _Level:
             p[1] *= 0.5
         return p
 
-    def unpack(self, theta):
+    def unpack(self, theta, work: "_LevelWork"):
         """(W, kappa) at a stack of thetas (B x n), one matrix and one vector
-        per row, both kept for `grad`: W = L for a level of size 2, whose
-        kappa is 0 and is given as None; W a view of theta for a larger
-        one. Work arrays, overwritten by the next call."""
-        work = self._work.get(len(theta)) or self._grow(len(theta))
+        per row, written into ``work``, whose W `grad` reads: W = L for a
+        level of size 2, whose kappa is 0 and is given as None; W a view of
+        theta for a larger one."""
         if self.size == 2:
             a = self.slice.start
             work.W_flat[:] = [x for t in theta.tolist()
                               for x in (1.0, 0.0, t[a], math.exp(t[a + 1]))]
-            W, kappa = work.W, None
-        else:
-            p = theta[:, self.slice]
-            W, kappa = p[:, :self.size, None], work.kappa
-            np.exp(p[:, self.size:], out=work.kappa_tail)
-        self._last = work, W
-        return W, kappa
+            return work.W, None
+        p = theta[:, self.slice]
+        work.W = p[:, :self.size, None]
+        np.exp(p[:, self.size:], out=work.kappa_tail)
+        return work.W, work.kappa
 
-    def _grow(self, n_rows: int) -> "_LevelWork":
-        """The views of the work arrays for a stack of n_rows rows, the
-        arrays made again when the stack is larger than any before."""
-        if n_rows > self._capacity:
-            self._capacity, self._work = n_rows, {}
-            s = self.size
-            self._arrays = (np.empty((n_rows, 2, 2)) if s == 2 else np.ones((n_rows, s)),
-                            np.empty((n_rows, s, s)), np.empty((n_rows, s, 2 if s == 2 else 1)))
-        work = self._work[n_rows] = _LevelWork(*(a[:n_rows] for a in self._arrays))
-        return work
-
-    def coreg(self, theta) -> CoregMatrix:
+    def coreg(self, theta, work: "_LevelWork") -> CoregMatrix:
         """The level's matrix at one theta, the one-row stack [theta]."""
-        W, kappa = self.unpack(theta)
+        W, kappa = self.unpack(theta, work)
         return CoregMatrix(W[0], np.zeros(2) if kappa is None else kappa[0])
 
-    def matrix(self, theta):
-        """B at each theta of a stack by `level_matrix`, in a work array; its
-        W and kappa stay for `grad`."""
-        W, kappa = self.unpack(theta)
-        return level_matrix(W, kappa, self._last[0].B)
+    def matrix(self, theta, work: "_LevelWork"):
+        """B at each theta of a stack by `level_matrix`, in ``work``, which
+        keeps W for `grad`."""
+        return level_matrix(*self.unpack(theta, work), work.B)
 
-    def grad_views(self, grad):
-        """The two views of a stack of gradients (B x n) that `grad` writes:
-        for a level of size 2 its block and the b column, for a larger one
-        the W part and the kappa part of its block."""
-        g = grad[:, self.slice]
-        return (g, g[:, 1]) if self.size == 2 else (g[:, :self.size], g[:, self.size:])
-
-    def grad(self, views, M):
+    def grad(self, work: "_LevelWork", M):
         """The level's block of each row of a stack of gradients at the
-        thetas `matrix` last read, written into ``views`` (`grad_views`),
-        from its M with d(-log p) = -tr(M dB)/2: -M W in W, of which L takes
-        a = L[1, 0] and, times L[1, 1], b; -diag(M) kappa/2 in log kappa."""
-        work, W = self._last
-        np.matmul(M, W, out=work.MW)
-        first, second = views
+        thetas `matrix` last read into ``work``, written into its views of
+        the gradients, from its M with d(-log p) = -tr(M dB)/2: -M W in W,
+        of which L takes a = L[1, 0] and, times L[1, 1], b; -diag(M)
+        kappa/2 in log kappa."""
+        np.matmul(M, work.W, out=work.MW)
+        first, second = work.grads
         np.negative(work.MW_part, out=first)  # -m10, -m11 for a level of size 2
         if self.size == 2:
             second *= work.L11
@@ -628,22 +604,28 @@ class _Level:
 
 
 class _LevelWork:
-    """A level's work arrays cut to a stack of rows, as the views that
-    `unpack`, `matrix` and `grad` write and read: for a level of size 2, W
-    = L, each row written whole from a list, with L[1, 1]; for a larger
-    one kappa, kappa_0 = 1 preset and the rest exp's output; B; M W and
-    the part of it that is the gradient's."""
+    """A level's work in a stack of rows, views of arrays `_StackWork`
+    makes: for a level of size 2, W = L, each row written whole from a
+    list, with L[1, 1]; for a larger one kappa, kappa_0 = 1 preset and the
+    rest exp's output, and W, the view of the thetas `_Level.unpack` last
+    read; B; M W and the part of it that is the gradient's; and the two
+    views of the stack's gradients that `_Level.grad` writes, for a level
+    of size 2 its block and the b column, for a larger one the W part and
+    the kappa part of its block."""
 
-    def __init__(self, W_or_kappa, B, MW):
+    def __init__(self, level: _Level, W_or_kappa, B, MW, grad):
         self.B, self.MW = B, MW
-        if B.shape[1] == 2:
+        g = grad[:, level.slice]
+        if level.size == 2:
             self.W = W_or_kappa
             self.W_flat, self.L11 = self.W.reshape(-1), self.W[:, 1, 1]
             self.MW_part = MW[:, 1]
+            self.grads = g, g[:, 1]
         else:
-            self.kappa = W_or_kappa
+            self.W, self.kappa = None, W_or_kappa  # W is set by each unpack
             self.kappa_tail = self.kappa[:, 1:]
             self.MW_part = MW[:, :, 0]
+            self.grads = g[:, :level.size], g[:, level.size:]
 
 
 class _SolveWork:
@@ -652,12 +634,14 @@ class _SolveWork:
     variances (B,) it reads, the buffers it writes, and every view of
     them it takes. The buffers are the blocks (B x 2 x P x P, C-ordered),
     formed from K, lam and the noise, factored in place and read
-    transposed, with their diagonals; and the rotated targets Y and the
-    alphas (B x 2 x P), each also as B rows of 2P. Per row: its blocks,
-    its point Gram, lam and noise, which the nugget ladder forms them from,
-    and its two factors and two alphas, the arguments of LAPACK."""
+    transposed, with their diagonals; and ``vectors`` (3 x B x 2 x P): the
+    rotated targets Y, the alphas, each also as B rows of 2P, and the logs
+    of the factors' diagonals. Both are made here unless given (the
+    objective's, from `_StackWork`). Per row: its blocks, its point Gram,
+    lam and noise, which the nugget ladder forms them from, and its two
+    factors and two alphas, the arguments of LAPACK."""
 
-    def __init__(self, K, basis, noise_var, blocks=None, Y=None, alphas=None):
+    def __init__(self, K, basis, noise_var, blocks=None, vectors=None):
         n_rows, n = len(K), K.shape[-1]
         lam, Q = basis
         noise_var = np.asarray(noise_var)
@@ -667,64 +651,85 @@ class _SolveWork:
         self.noise = noise_var[..., None, None]
         self.factors = self.blocks.transpose(0, 1, 3, 2)
         self.diagonals = self.factors.diagonal(axis1=2, axis2=3)
-        self.logs = np.empty((n_rows, 2, n))  # of the diagonals
+        self.Y, self.alphas, self.logs = (np.empty((3, n_rows, 2, n)) if vectors is None
+                                          else vectors)
         self.QT = Q.transpose(0, 2, 1)
-        self.Y = np.empty((n_rows, 2, n)) if Y is None else Y
-        self.alphas = np.empty_like(self.Y) if alphas is None else alphas
         self.Y_flat, self.alphas_flat = (a.reshape(n_rows, -1) for a in (self.Y, self.alphas))
         self.rows = [(self.blocks[b], (K[b], lam[b], noise_var[b, ...]),
                       tuple(self.factors[b]), tuple(self.alphas[b])) for b in range(n_rows)]
 
 
 class _StackWork:
-    """An objective's work arrays cut to a stack of ``n_rows`` rows, as the
-    views its likelihood reads and writes, made the first time a stack of
-    that size is evaluated and kept until the work arrays grow (`_grow`):
-    the three slots of `warped_correlation`; the rows' distances and
-    targets; the per-row scalars rho, eta and -eta/2 and the coordinate
-    basis (lam, Q), written from lists; the gradients with each level's
-    views of them; the point Gram K and A, each also flat and by its
-    diagonal; the buffers of `_solve`, their block 0 holding K^-1; and M~
-    with the products it is formed from."""
+    """The stacked likelihood's work for a stack of ``n_rows`` rows, the one
+    home of every work array the objective's likelihood writes: the arrays
+    are made for the largest stack the objective has evaluated, here when
+    ``largest`` is None, and a smaller stack's views are cut from those of
+    ``largest``. At small P a new array costs more than the arithmetic on
+    it, so the objective keeps one record per stack size (`_grow`), every
+    array overwritten by every call.
 
-    def __init__(self, obj, n_rows: int):
-        n = obj.n_points
-        self.corr = tuple(obj._corr[:, :n_rows])
-        self.warps = obj._warps[:n_rows]
-        self.warps_flat = self.warps.reshape(-1, n)
-        self.ys_flat = obj._ys[:n_rows].reshape(-1, 2)
-        self.targets = obj._ys[:n_rows].transpose(0, 2, 1)  # a row per coordinate
-        scalars = obj._scalars[:n_rows]
+    The arrays: the P x P matrices of each row (the three slots of
+    `warped_correlation`, K0 and dR/dlog rho among them, the point Gram K
+    and A, each also flat and by its diagonal); the buffers of `_solve`
+    (`_SolveWork`), their block 0 holding K^-1; the rows' distances and
+    targets; per row rho, eta and -eta/2 and the six floats of the
+    coordinate basis (lam, Q), written from lists; the gradients; Y, the
+    alphas, the logs of `_solve` and alpha K; the alphas times lam, M~ with
+    its diagonal, tr(K_e^-1) and the scales 1/sqrt(s2); and each level's
+    W or kappa, B and M W (`_LevelWork`, with its views of the gradients).
+    `gram_and_grads` also leaves here what `value_and_grad` and `unpack`
+    read of its call: the rows' targets ``y`` and the curve and group
+    factors ``level_factors``."""
+
+    def __init__(self, obj, n_rows: int, largest: "_StackWork | None"):
+        n, levels = obj.n_points, obj.levels
+        if largest is None:  # the arrays, for n_rows rows
+            self.arrays = (
+                np.empty((3, n_rows, n, n)),  # the slots of `warped_correlation`
+                np.empty((2, n_rows, n, n)),  # K, A
+                np.empty((4, n_rows, 2, n)),  # Y, the alphas, the logs, alpha K
+                np.empty((n_rows, 2, n, n)),  # the blocks
+                np.empty((n_rows, n, n)), np.empty((n_rows, n, 2)),  # distances, targets
+                np.empty((n_rows, 3)), np.empty((n_rows, obj.n_params)),  # scalars, grads
+                np.empty((n_rows, 6)), np.empty((n_rows, n, 2)),  # basis, alphas lam
+                np.empty((n_rows, 2, 2)), np.empty((n_rows, 2)),  # M~, tr(K_e^-1)
+                np.empty((n_rows, 1, 1)),  # the scales
+                *(a for level in levels for a in (  # W (size 2) or kappa, B, M W
+                    np.empty((n_rows, 2, 2)) if level.size == 2
+                    else np.ones((n_rows, level.size)),
+                    np.empty((n_rows, level.size, level.size)),
+                    np.empty((n_rows, level.size, 2 if level.size == 2 else 1)))))
+        corr, KA, vectors, *arrays = (largest or self).arrays
+        corr, (K, A), vectors = (a[:, :n_rows] for a in (corr, KA, vectors))
+        (blocks, warps, ys, scalars, self.grad, basis, self.alphas_lam, self.Mt,
+         self.inverse_traces, self.scales, *level_arrays) = (a[:n_rows] for a in arrays)
+        self.corr = tuple(corr)
+        self.warps, self.warps_flat = warps, warps.reshape(-1, n)
+        self.ys_flat = ys.reshape(-1, 2)
+        self.targets = ys.transpose(0, 2, 1)  # a row per coordinate
         self.scalars_flat = scalars.reshape(-1)
         self.rho, self.etas, self.half_etas = scalars[:, :1, None], scalars[:, 1], scalars[:, 2]
-        self.grad = obj._grad[:n_rows]
-        self.level_grads = [level.grad_views(self.grad) for level in obj.levels]
-        basis = obj._basis_values[:n_rows]
+        self.levels = [_LevelWork(level, *level_arrays[3 * i:3 * i + 3], self.grad)
+                       for i, level in enumerate(levels)]
         self.basis_flat = basis.reshape(-1)
         self.basis = lam, self.Q = basis[:, :2], basis[:, 2:].reshape(n_rows, 2, 2)
         self.lam_blocks, self.lam_columns = lam[:, :, None, None], lam[:, None, :]
         self.QT = self.Q.transpose(0, 2, 1)
-        self.K = obj._K[:n_rows]
-        self.K_flat = self.K.reshape(n_rows, 1, -1)
-        self.K_diagonal = self.K.diagonal(axis1=1, axis2=2)[:, None]
-        self.A = obj._A[:n_rows]
-        self.A_flat = self.A.reshape(n_rows, -1)
+        self.K, self.A = K, A
+        self.K_flat = K.reshape(n_rows, 1, -1)
+        self.K_diagonal = K.diagonal(axis1=1, axis2=2)[:, None]
+        self.A_flat = A.reshape(n_rows, -1)
         self.A_diagonal = self.A_flat[:, ::n + 1]
-        Y, alphas, alphas_K = obj._vectors[:, :n_rows]
-        self.solve = solve = _SolveWork(self.K, self.basis, self.etas,
-                                        obj._solve_work[:n_rows], Y, alphas)
-        self.blocks_flat = solve.blocks.reshape(n_rows, 2, -1)
+        self.solve = solve = _SolveWork(K, self.basis, self.etas, blocks, vectors[:3])
+        self.blocks_flat = blocks.reshape(n_rows, 2, -1)
         # K^-1 = sum_e lam_e K_e^-1 in block 0, C-ordered, and read transposed
-        self.inverse, self.inverse_other = solve.blocks[:, 0], solve.blocks[:, 1]
+        self.inverse, self.inverse_other = blocks[:, 0], blocks[:, 1]
         self.Kinv = solve.factors[:, 0]
         self.inverse_diagonal = self.inverse.diagonal(axis1=1, axis2=2)
-        self.inverse_traces = obj._inverse_traces[:n_rows]
-        self.alphas_T, self.alphas_K = alphas.transpose(0, 2, 1), alphas_K
-        self.alphas_lam = obj._alphas_lam[:n_rows]
-        self.Mt = obj._Mt[:n_rows]
+        self.alphas_T, self.alphas_K = solve.alphas.transpose(0, 2, 1), vectors[3]
         self.Mt_diagonal = self.Mt.reshape(n_rows, 4)[:, ::3]
-        self.scales = obj._scales[:n_rows]
         self.scales_flat = self.scales.reshape(-1)
+        self.y = self.level_factors = None  # of the last call
 
 
 class MarginalLikelihoodObjective:
@@ -776,32 +781,15 @@ class MarginalLikelihoodObjective:
         self._work = {}  # stack size -> `_StackWork`
         self._rows = None  # the objectives of the rows the work arrays hold, in order
 
-    def _grow(self, rows: int):
-        """Work arrays for a stack of ``rows`` thetas, overwritten by every
-        call: at small P a new array costs more than the arithmetic on it.
-        The three slots of `warped_correlation` (K0 and dR/dlog rho are two
-        of them), the point Gram and A, the buffer in which `_solve` forms
-        and factors the blocks (which `_potri` then overwrites), the rows'
-        distances and targets, per row rho, eta, -eta/2 and the six floats of
-        the coordinate basis, the gradients, Y, the alphas, alpha K and the
-        alphas times lam, M~, tr(K_e^-1) and the scales 1/sqrt(s2). The views
-        of every stack size are made again."""
-        n, self._capacity = self.n_points, rows
-        self._corr = np.empty((3, rows, n, n))
-        self._K, self._A = np.empty((2, rows, n, n))
-        self._solve_work = np.empty((rows, 2, n, n))
-        self._warps = np.empty((rows, n, n))
-        self._ys = np.empty((rows, n, 2))
-        self._scalars = np.empty((rows, 3))
-        self._grad = np.empty((rows, self.n_params))
-        self._basis_values = np.empty((rows, 6))
-        self._vectors = np.empty((3, rows, 2, n))
-        self._alphas_lam = np.empty((rows, n, 2))
-        self._Mt = np.empty((rows, 2, 2))
-        self._inverse_traces = np.empty((rows, 2))
-        self._scales = np.empty((rows, 1, 1))
-        self._work = {}
-        self._rows = None
+    def _grow(self, n_rows: int) -> _StackWork:
+        """The work of a stack of n_rows rows (`_StackWork`), kept for every
+        later stack of that size. A stack larger than any before makes the
+        work arrays again, at its size, and every smaller size's views are
+        then cut from them anew."""
+        if n_rows > self._capacity:
+            self._capacity, self._work, self._rows = n_rows, {}, None
+        work = self._work[n_rows] = _StackWork(self, n_rows, self._work.get(self._capacity))
+        return work
 
     def _stack(self, theta) -> np.ndarray:
         """theta as a B x n_params stack of floats, B >= 1, or a ValidationError."""
@@ -867,11 +855,12 @@ class MarginalLikelihoodObjective:
         jitter and the noise variance are its fractions config.jitter and
         eta."""
         row = self._row(theta)
+        level_works = (self._work.get(1) or self._grow(1)).levels
         hyp = PeriodicHyperparameters(sigma2=sigma2, rho=math.exp(theta[0]),
                                       tau=self.tau, family=self.config.family,
                                       jitter=self.config.jitter * sigma2)
-        kernel = MultiLevelKernel(hyp, **{level.name: level.coreg(row)
-                                          for level in self.levels})
+        kernel = MultiLevelKernel(hyp, **{level.name: level.coreg(row, work)
+                                          for level, work in zip(self.levels, level_works)})
         return kernel, math.exp(theta[1]) * sigma2
 
     def unpack(self, theta):
@@ -880,8 +869,8 @@ class MarginalLikelihoodObjective:
         its derivative, and solve of [theta]; a factorization or solve that
         fails raises its NumericalError."""
         K, _ = self.gram_and_grads(self._row(theta), with_grads=False)
-        work, y = self._last
-        _, _, _, quads, _, errors = _solve(K, work.basis, work.etas, y, work.solve)
+        work = self._work[1]
+        _, _, _, quads, _, errors = _solve(K, work.basis, work.etas, work.y, work.solve)
         if errors[0] is not None:
             raise errors[0]
         return self.kernel_at(theta, quads[0] / (2 * self.n_points))
@@ -896,17 +885,15 @@ class MarginalLikelihoodObjective:
         without ``with_grads``, which forms no derivative. K0 is the
         jittered input correlation of the warped distances cached at
         construction; the curve and group factors and their product F come
-        from `curve_factor`, F gathered by the points' curves, and are kept
-        for `value_and_grad` with the coordinate basis and the rows' views.
-        All three stacks are work arrays, overwritten by the next call."""
+        from `curve_factor`, F gathered by the points' curves. The call
+        leaves one record for `value_and_grad` and `unpack`, the stack's
+        work (`_StackWork`): the coordinate basis, the rows' targets ``y``
+        and the curve and group factors ``level_factors``, beside the three
+        stacks, which are its work arrays, overwritten by the next call."""
         stack = self._stack(theta)
         n_rows = len(stack)
-        if n_rows > self._capacity:
-            self._grow(n_rows)
-        work = self._work.get(n_rows)
-        if work is None:
-            work = self._work[n_rows] = _StackWork(self, n_rows)
-        warp, y = self._own_rows if rows is None else self._read_rows(rows, work)
+        work = self._work.get(n_rows) or self._grow(n_rows)
+        warp, work.y = self._own_rows if rows is None else self._read_rows(rows, work)
         scalars = []  # per row rho, eta and -eta / 2
         for log_rho, log_eta in stack[:, :2].tolist():
             eta = math.exp(log_eta)
@@ -916,14 +903,14 @@ class MarginalLikelihoodObjective:
         corr, dcorr = corr if with_grads else (corr, None)
         K0 = np.add(corr, self.config.jitter, out=corr)
         # levels 1 and 2, the curve and group levels, when the design has them
-        levels = self.levels
-        curve = levels[1].matrix(stack) if len(levels) > 1 else None
-        group = levels[2].matrix(stack) if len(levels) > 2 else None
+        levels, level_works = self.levels, work.levels
+        curve = levels[1].matrix(stack, level_works[1]) if len(levels) > 1 else None
+        group = levels[2].matrix(stack, level_works[2]) if len(levels) > 2 else None
         K = work.K
         if curve is None:  # F is 1
             np.copyto(K, K0)
         else:
-            self._factors, F = curve_factor(curve, group, self.design.curve_group)
+            work.level_factors, F = curve_factor(curve, group, self.design.curve_group)
             # columns first, so the large gather copies whole rows; the
             # curves always index F, and "clip" spares the copy of out that
             # "raise" makes
@@ -932,8 +919,7 @@ class MarginalLikelihoodObjective:
             if with_grads:
                 dcorr *= K
             np.multiply(K, K0, out=K)
-        work.basis_flat[:] = _coord_values(self.levels[0].matrix(stack))
-        self._basis, self._last = work.basis, (work, y)
+        work.basis_flat[:] = _coord_values(levels[0].matrix(stack, level_works[0]))
         return K, [dcorr, K0] if with_grads else None
 
     def value_and_grad(self, theta, rows=None):
@@ -948,10 +934,10 @@ class MarginalLikelihoodObjective:
         only to this objective's work arrays; the returned nuggets are the
         record of the ladder, and the objectives of ``rows`` are only read."""
         K, (dR, K0) = self.gram_and_grads(theta, rows)
-        work, y = self._last
         n_rows, size = len(K), 2 * self.n_points
+        work = self._work[n_rows]
         factors, nuggets, alphas, quads, half_logdets, errors = _solve(
-            K, work.basis, work.etas, y, work.solve)
+            K, work.basis, work.etas, work.y, work.solve)
         values, scales = [None] * n_rows, [1.0] * n_rows
         for b, (_, _, (L0, L1), _) in enumerate(work.solve.rows):
             if errors[b] is None:  # each factor becomes K_e^-1, the second if the first does
@@ -991,23 +977,23 @@ class MarginalLikelihoodObjective:
         A -= work.Kinv
         A -= inverse  # `_potri` fills the lower triangle; the upper is zero
         work.A_diagonal += work.inverse_diagonal  # taken twice above
-        grad, level_grads = work.grad, work.level_grads
+        grad, level_works = work.grad, work.levels
         np.multiply(_dots(work.A_flat, dR.reshape(n_rows, -1)), -0.5, out=grad[:, 0])
         np.multiply(work.half_etas, traces, out=grad[:, 1])
         levels = self.levels
-        levels[0].grad(level_grads[0], work.Q @ Mt @ work.QT)
+        levels[0].grad(level_works[0], work.Q @ Mt @ work.QT)
         if len(levels) > 1:
             # Gt sums A o K0 over each block of curves; the curve level's M
             # is Gt o G[cg, cg], and the group level's sums Gt o C over
             # blocks of groups
             Gt = self._curve_onehot_T @ np.multiply(A, K0, out=A) @ self.curve_onehot
             if len(levels) == 2:
-                levels[1].grad(level_grads[1], Gt)
+                levels[1].grad(level_works[1], Gt)
             else:
-                C, G = self._factors
-                levels[1].grad(level_grads[1], Gt * G)
+                C, G = work.level_factors
+                levels[1].grad(level_works[1], Gt * G)
                 E = self.group_onehot
-                levels[2].grad(level_grads[2], self._group_onehot_T @ (Gt * C) @ E)
+                levels[2].grad(level_works[2], self._group_onehot_T @ (Gt * C) @ E)
         grad = grad.copy()  # the caller's
         for b, error in enumerate(errors):
             if error is not None:

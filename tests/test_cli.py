@@ -724,6 +724,21 @@ class TestMetricsCommand:
         assert report["wasserstein2"] == pytest.approx(0.0, abs=1e-12)
         assert report["esd"] == pytest.approx(0.0, abs=1e-3)
 
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_m_below_eight_names_m(self, tmp_path, capsys, m):
+        # esd registers on a grid of min(m, 100) points, which needs 8: the
+        # error named grid_size, a parameter the command does not take
+        path = str(tmp_path / "c.csv")
+        main(["simulate", "--shape", "ellipse", "--n", "40", "--out", path])
+        capsys.readouterr()
+        out = tmp_path / "metrics.json"
+        assert main(["metrics", "--pair", path, path, "--m", str(m),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: m must be a whole number >= 8, got {m}\n"
+        assert not out.exists()
+        assert main(["metrics", "--pair", path, path, "--m", "8",
+                     "--out", str(out)]) == EXIT_OK
+
 
 class TestRegisterCommand:
     def test_register_outputs(self, tmp_path):

@@ -379,17 +379,28 @@ class TestGenerateSynthetic:
         assert np.array_equal(a.points, b.points)
 
     def test_invalid_star_params(self):
-        with pytest.raises(ValueError):
-            generate_synthetic("star", 10, amplitude=1.5)
-        with pytest.raises(ValueError):
+        for amplitude in (-0.1, 1.0, 1.5):
+            with pytest.raises(CurveError, match=r"star amplitude must lie in \[0, 1\)"):
+                generate_synthetic("star", 10, amplitude=amplitude)
+        with pytest.raises(CurveError):
             generate_synthetic("star", 10, petals=0)
 
     @pytest.mark.parametrize("noise_sd", [-0.1, np.nan, np.inf, -np.inf])
     def test_noise_sd_must_be_finite_and_nonnegative(self, noise_sd):
         # NaN passed both checks and gave a curve with no noise; inf failed
         # later, as "curve point 0 is not finite"
-        with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
+        with pytest.raises(CurveError, match="noise_sd must be finite and >= 0"):
             generate_synthetic("circle", 8, noise_sd=noise_sd, rng_seed=1)
+
+    # an unknown shape or scheme is a CurveError, as every other invalid
+    # argument is, so a caller catches curve input with one class
+    def test_unknown_shape_is_a_curve_error(self):
+        with pytest.raises(CurveError, match="unknown shape 'square'"):
+            generate_synthetic("square", 10)
+
+    def test_unknown_scheme_is_a_curve_error(self):
+        with pytest.raises(CurveError, match="unknown sampling scheme 'random'"):
+            generate_synthetic("circle", 10, scheme="random")
 
     def test_counts_must_be_whole_numbers(self):
         # n = 10.5 once gave an 11-point curve, and petals = 2.5 a star that

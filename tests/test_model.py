@@ -22,8 +22,9 @@ from curvegp.kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                              warped_correlation)
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
-                           _chol_with_ladder, _coord_basis, _dots, _solve,
-                           assemble_model, fit, fit_designs, predict, predict_curve)
+                           _chol_with_ladder, _coord_basis, _dots, _LevelWork,
+                           _solve, _SolveWork, _StackWork, assemble_model, fit,
+                           fit_designs, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 from gram_oracle import full_grid_gram_oracle, one_row, two_buffer_ladder
 
@@ -1172,7 +1173,7 @@ class TestSharedGramBuilder:
             assert len(grads) == 2
             assert all(G.shape == K.shape for G in grads)
             # the coordinate basis `assemble_model` forms from the kernel
-            lam, Q = obj._basis
+            lam, Q = obj._work[1].basis  # the record the one-row call left
             lam_k, Q_k = _coord_basis(kernel.coord.matrix)
             assert lam.tobytes() == lam_k.tobytes() and Q.tobytes() == Q_k.tobytes()
 
@@ -1356,7 +1357,7 @@ class TestLadderBuffer:
         X = np.array([obj.random_start(rng) for _ in range(3)])
         X[where] = theta
         K = obj.gram_and_grads(X)[0].copy()
-        basis = tuple(a.copy() for a in obj._basis)
+        basis = tuple(a.copy() for a in obj._work[len(X)].basis)
         etas = np.exp(X[:, 1])
 
         def run():
@@ -1735,6 +1736,21 @@ class TestWorkArrays:
         one_row(made[0], made[0].default_start())
         assert fitted.chol.tobytes() == chol.tobytes()
         assert fitted.alpha.tobytes() == alpha.tobytes()
+
+    def test_levels_hold_no_work(self):
+        # a level is a packing record: the arrays it writes, and what its
+        # last call left, live in the stack's work, not in the level
+        obj = MarginalLikelihoodObjective(paired_design(3, 5, ["a", "b", "a"]),
+                                          ModelConfig())
+        assert [level.name for level in obj.levels] == ["coord", "curve", "group"]
+        rng = np.random.default_rng(4)
+        for n_rows in (1, 6, 3):
+            obj.value_and_grad(np.array([obj.random_start(rng) for _ in range(n_rows)]))
+        obj.kernel_at(obj.default_start(), 1.0)
+        for level in obj.levels:
+            for name, value in vars(level).items():
+                assert not isinstance(value, (dict, *WORK_RECORDS)), (level.name, name)
+                assert not list(_arrays(value)), (level.name, name)
 
     def test_fitted_factors_keep_no_other_array_alive(self):
         # the factors a fitted model keeps own no memory beyond their own,
@@ -2234,10 +2250,17 @@ class TestLockstep:
                           [[1, 2, 5, 8], 0.19473496963330153]]
 
 
+# the records of an objective's work, each a home of work arrays
+WORK_RECORDS = (_LevelWork, _SolveWork, _StackWork)
+
+
 def _arrays(value):
-    """Every numpy array in a value, looking into tuples, lists and dicts."""
+    """Every numpy array in a value, looking into tuples, lists, dicts and
+    the attributes of the objective's work records."""
     if isinstance(value, np.ndarray):
         yield value
+    elif isinstance(value, WORK_RECORDS):
+        yield from _arrays(vars(value))
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from _arrays(item)
