@@ -133,6 +133,15 @@ def simultaneous_landmarks(curves, config: LandmarkConfig,
                           score=best_score, trials=trials)
 
 
+def sequential_settings(lam: float, n_candidates) -> int:
+    """`sequential_landmark`'s checks of its settings, which need no fit:
+    the weight lam in [0, 1] and n_candidates a whole number >= 10, else a
+    ValidationError. Returns n_candidates as an int."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValidationError("lambda weight must lie in [0, 1]")
+    return whole_number("n_candidates", n_candidates, 10)
+
+
 def sequential_landmark(model: FittedModel, lam: float = 0.5,
                         n_candidates: int = 500) -> float:
     """Next landmark location on the first curve: argmax over a dense
@@ -141,9 +150,7 @@ def sequential_landmark(model: FittedModel, lam: float = 0.5,
 
     Ties break toward the smallest arc parameter.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError("lambda weight must lie in [0, 1]")
-    n_candidates = whole_number("n_candidates", n_candidates, 10)
+    n_candidates = sequential_settings(lam, n_candidates)
     pred = predict_curve(model, 0, m=n_candidates)
     criterion = lam * pred.sd1 + (1.0 - lam) * pred.sd2
     return float(pred.grid[int(np.argmax(criterion))])

@@ -179,10 +179,8 @@ def cmd_landmarks(args) -> int:
                    "best_params": result.params.tolist(), "score": result.score,
                    "trials": [{"indices": list(sub), "score": score}
                               for sub, score in result.trials]}
-    else:  # sequential_landmark's checks, made before the fit
-        if not 0.0 <= args.lam <= 1.0:
-            raise ValidationError("lambda weight must lie in [0, 1]")
-        whole_number("n_candidates", args.candidates, 10)
+    else:
+        applications.sequential_settings(args.lam, args.candidates)  # before the fit
         design = TrainingDesign.from_curves(curves)
         model = model_mod.fit(design, model_config, opt_config)
         s_star = applications.sequential_landmark(model, lam=args.lam,

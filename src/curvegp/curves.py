@@ -188,6 +188,13 @@ def _angles(n: int, scheme: str, cluster_center: float) -> np.ndarray:
     raise CurveError(f"unknown sampling scheme {scheme!r}")
 
 
+def _size(name: str, value):
+    """A size of a synthetic shape, finite and > 0, or a CurveError naming it."""
+    if not 0.0 < value < np.inf:  # NaN fails here too
+        raise CurveError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
 def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
                        axes: tuple = (1.0, 0.5), amplitude: float = 0.3,
                        petals: int = 5, scheme: str = "equal",
@@ -199,19 +206,21 @@ def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
     profile radius * (1 + amplitude*cos(petals*theta)). The ``clustered``
     scheme puts `CLUSTER_FRAC` of the points in a `CLUSTER_WIDTH` window.
     Deterministic for a fixed ``rng_seed``. An unknown shape or scheme, a
-    count below its minimum, a negative or NaN ``noise_sd`` and a star
-    amplitude outside [0, 1) are each a CurveError.
+    count below its minimum, a negative or NaN ``noise_sd``, a size the
+    shape reads (``radius``, or each of ``axes``) that is not finite and >
+    0 and a star amplitude outside [0, 1) are each a CurveError.
     """
     n = whole_number("n", n, 3, CurveError)
     if not 0.0 <= noise_sd < np.inf:  # NaN fails here too
         raise CurveError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     theta = _angles(n, scheme, cluster_center)
     if shape == "circle":
-        pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
+        pts = _size("radius", radius) * np.column_stack([np.cos(theta), np.sin(theta)])
     elif shape == "ellipse":
-        a, b = axes
+        a, b = (_size(f"axes[{i}]", axis) for i, axis in enumerate(axes))
         pts = np.column_stack([a * np.cos(theta), b * np.sin(theta)])
     elif shape == "star":
+        radius = _size("radius", radius)
         if not 0.0 <= amplitude < 1.0:
             raise CurveError("star amplitude must lie in [0, 1)")
         petals = whole_number("petals", petals, 1, CurveError)

@@ -41,12 +41,12 @@ factors (B x 2 x P x P), factors them there with the nugget ladder, solves
 the rotated targets and returns y^T K^-1 y and log|K| / 2; a row whose
 factorization escalates forms its blocks again from its point Gram
 (`_chol_with_ladder`), so no copy of the blocks is kept. The objective
-calls it on its work arrays in `value_and_grad` and in `unpack`, which
-takes s2 from it; `assemble_model` calls it on the Gram `multilevel_gram`
-forms, so its peak is that Gram and the factor buffer, 3 P^2 floats. So
-s2, the profiled -log p and the fitted model's log p are each one line
-over the same numbers, and both Grams take the coordinate basis from one
-spelling of a level's matrix, `coreg.level_matrix`.
+calls it on its work arrays in `value_and_grad`; `_training_solve` calls
+it on the Gram `multilevel_gram` forms, for `assemble_model` and for
+`unpack`'s s2, so its peak is that Gram and the factor buffer, 3 P^2
+floats. So s2, the profiled -log p and the fitted model's log p are each
+one line over the same numbers, and both Grams take the coordinate basis
+from one spelling of a level's matrix, `coreg.level_matrix`.
 
 s2 is a stationary point of the full likelihood, so the gradient of -log p
 at s2 is -tr(A dR)/2 with A = alpha alpha^T / s2 - (R + eta I)^-1
@@ -69,33 +69,33 @@ blocks are matrix products, then dlauum); one nugget ladder serves every
 block.
 
 The likelihood takes stacks only: `gram_and_grads` and `value_and_grad`
-read a B x n_params stack of thetas, row b on the design of an objective of
-one layout (the same config, curve indices and groups), and return stacks.
-`value` is the one scalar entry; it, `unpack` and `kernel_at` pass their
-theta on as the one-row stack [theta]. `unpack` asks `gram_and_grads` for
-the Gram alone, without dR/dlog rho. At small P a call costs overhead, not
-arithmetic, so every work array of the likelihood has one home, the
-stack's work (`_StackWork`): the arrays are made for the largest stack the
-objective has evaluated, and the views a stack of B rows reads, with
-`_SolveWork` and each level's `_LevelWork`, are cut from them the first
-time B rows are evaluated and kept for later stacks of B rows (`_grow`). A
-level (`_Level`) is a packing record that holds no arrays: it unpacks and
-takes its gradient in the `_LevelWork` it is handed. `gram_and_grads`
-leaves what `value_and_grad` and `unpack` read of its call in the same
-record: the coordinate basis, the rows' targets and the curve and group
-factors. The rows' distances and targets are copied only when the rows are
-not those of the last call. Only LAPACK and scalar math run per
+read a B x n_params stack of thetas, row b on the design of an objective
+of one layout (the same config, curve indices and groups), and return
+stacks; `value` is the one scalar entry, on the one-row stack [theta].
+Only an evaluation keeps work: `kernel_at` reads theta alone, each level
+packed into new arrays (`_Level.coreg`), and `unpack` takes s2 from
+`assemble_model`'s solve (`_training_solve`). At small P an evaluation
+costs overhead, not arithmetic, so its work arrays have one home, the
+stack's work (`_StackWork`): made for the largest stack the objective has
+evaluated, with the views a stack of B rows reads, `_SolveWork` and each
+level's `_LevelWork` among them, cut from them the first time B rows are
+evaluated and kept (`_grow`). A level (`_Level`) holds no arrays: it
+unpacks and takes its gradient in the `_LevelWork` it is handed.
+`gram_and_grads` leaves what `value_and_grad` reads of its call in the
+same record: the coordinate basis, the rows' targets and the curve and
+group factors. The rows' distances and targets are copied only when the
+rows are not those of the last call. Only LAPACK and scalar math run per
 row (the factorization with its nugget ladder, dpotrs, `_potri`, rho and
 eta, the coordinate basis, a 2 x 2 level's W, the value and the scale
-1/sqrt(s2)), and a row that escalates forms its blocks again; the rest runs
-once per stack, each slice as it runs alone: forming the blocks and
+1/sqrt(s2)), and a row that escalates forms its blocks again; the rest
+runs once per stack, each slice as it runs alone: forming the blocks and
 checking them finite, elementwise arithmetic, axis sums, matrix products
 and every inner product (`_dots`). So each row of a stack equals its
 one-row call, bit for bit (`scripts/time_likelihood.py` times the calls).
 New on every call are the gradients and arrays no larger than a level
-times P per row. `assemble_model` passes no work arrays, so a fitted model
-shares no memory with an objective. The LAPACK and BLAS flags go by
-position, which f2py parses faster than keywords.
+times P per row. A fitted model shares no memory with an objective. The
+LAPACK and BLAS flags go by position, which f2py parses faster than
+keywords.
 
 L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) runs through
 scipy's reverse-communication routine `setulb`, one state per run, with
@@ -523,7 +523,8 @@ _dots = np.vecdot
 class _Level:
     """One coregionalization level's block of the packed theta: a record of
     its names, bounds, start, random draw and slice, and the arithmetic
-    that unpacks it and takes its gradient in a stack's work (`_LevelWork`).
+    that unpacks it, at one theta into new arrays (`coreg`) or at a stack
+    in the stack's work (`_LevelWork`), and takes its gradient there.
 
     No level carries a scale, so every parameter is a direction of the
     model (Pinheiro & Bates 1996), and sigma2 carries all of the scale. A
@@ -562,30 +563,35 @@ class _Level:
             p[1] *= 0.5
         return p
 
-    def unpack(self, theta, work: "_LevelWork"):
+    def unpack(self, theta, work: "_LevelWork | None"):
         """(W, kappa) at a stack of thetas (B x n), one matrix and one vector
-        per row, written into ``work``, whose W `grad` reads: W = L for a
-        level of size 2, whose kappa is 0 and is given as None; W a view of
-        theta for a larger one."""
+        per row: W = L for a level of size 2, whose kappa is 0 and is given
+        as None; W a view of theta for a larger one, kappa_0 = 1. The one
+        spelling of the packing, for a stack in its ``work`` (`matrix`) and,
+        with ``work`` None, for one theta in new arrays (`coreg`)."""
         if self.size == 2:
             a = self.slice.start
-            work.W_flat[:] = [x for t in theta.tolist()
-                              for x in (1.0, 0.0, t[a], math.exp(t[a + 1]))]
+            values = [x for t in theta.tolist() for x in (1.0, 0.0, t[a], math.exp(t[a + 1]))]
+            if work is None:
+                return np.array(values).reshape(-1, 2, 2), None
+            work.W_flat[:] = values
             return work.W, None
         p = theta[:, self.slice]
-        work.W = p[:, :self.size, None]
-        np.exp(p[:, self.size:], out=work.kappa_tail)
-        return work.W, work.kappa
+        kappa = np.ones((len(p), self.size)) if work is None else work.kappa
+        np.exp(p[:, self.size:], out=kappa[:, 1:])
+        return p[:, :self.size, None], kappa
 
-    def coreg(self, theta, work: "_LevelWork") -> CoregMatrix:
+    def coreg(self, theta) -> CoregMatrix:
         """The level's matrix at one theta, the one-row stack [theta]."""
-        W, kappa = self.unpack(theta, work)
+        W, kappa = self.unpack(theta, None)
         return CoregMatrix(W[0], np.zeros(2) if kappa is None else kappa[0])
 
     def matrix(self, theta, work: "_LevelWork"):
         """B at each theta of a stack by `level_matrix`, in ``work``, which
         keeps W for `grad`."""
-        return level_matrix(*self.unpack(theta, work), work.B)
+        W, kappa = self.unpack(theta, work)
+        work.W = W
+        return level_matrix(W, kappa, work.B)
 
     def grad(self, work: "_LevelWork", M):
         """The level's block of each row of a stack of gradients at the
@@ -607,7 +613,7 @@ class _LevelWork:
     """A level's work in a stack of rows, views of arrays `_StackWork`
     makes: for a level of size 2, W = L, each row written whole from a
     list, with L[1, 1]; for a larger one kappa, kappa_0 = 1 preset and the
-    rest exp's output, and W, the view of the thetas `_Level.unpack` last
+    rest exp's output, and W, the view of the thetas `_Level.matrix` last
     read; B; M W and the part of it that is the gradient's; and the two
     views of the stack's gradients that `_Level.grad` writes, for a level
     of size 2 its block and the b column, for a larger one the W part and
@@ -622,7 +628,7 @@ class _LevelWork:
             self.MW_part = MW[:, 1]
             self.grads = g, g[:, 1]
         else:
-            self.W, self.kappa = None, W_or_kappa  # W is set by each unpack
+            self.W, self.kappa = None, W_or_kappa  # W is set by each `matrix`
             self.kappa_tail = self.kappa[:, 1:]
             self.MW_part = MW[:, :, 0]
             self.grads = g[:, :level.size], g[:, level.size:]
@@ -661,25 +667,18 @@ class _SolveWork:
 
 class _StackWork:
     """The stacked likelihood's work for a stack of ``n_rows`` rows, the one
-    home of every work array the objective's likelihood writes: the arrays
-    are made for the largest stack the objective has evaluated, here when
-    ``largest`` is None, and a smaller stack's views are cut from those of
-    ``largest``. At small P a new array costs more than the arithmetic on
-    it, so the objective keeps one record per stack size (`_grow`), every
-    array overwritten by every call.
-
-    The arrays: the P x P matrices of each row (the three slots of
-    `warped_correlation`, K0 and dR/dlog rho among them, the point Gram K
-    and A, each also flat and by its diagonal); the buffers of `_solve`
-    (`_SolveWork`), their block 0 holding K^-1; the rows' distances and
-    targets; per row rho, eta and -eta/2 and the six floats of the
-    coordinate basis (lam, Q), written from lists; the gradients; Y, the
-    alphas, the logs of `_solve` and alpha K; the alphas times lam, M~ with
-    its diagonal, tr(K_e^-1) and the scales 1/sqrt(s2); and each level's
-    W or kappa, B and M W (`_LevelWork`, with its views of the gradients).
-    `gram_and_grads` also leaves here what `value_and_grad` and `unpack`
-    read of its call: the rows' targets ``y`` and the curve and group
-    factors ``level_factors``."""
+    home of every work array an evaluation writes: made for the largest stack
+    the objective has evaluated, here when ``largest`` is None, a smaller
+    stack's views cut from those of ``largest``. At small P a new array costs
+    more than the arithmetic on it, so the objective keeps one record per
+    stack size (`_grow`), every array overwritten by every call. The arrays
+    are listed where they are made: the P x P matrices of each row, each also
+    flat and by its diagonal; the buffers of `_solve` (`_SolveWork`), block 0
+    holding K^-1; per row the scalars and the coordinate basis, written from
+    lists; and each level's W or kappa, B and M W (`_LevelWork`, with its
+    views of the gradients). `gram_and_grads` also leaves here what
+    `value_and_grad` alone reads of its call: the rows' targets ``y`` and the
+    curve and group factors ``level_factors``."""
 
     def __init__(self, obj, n_rows: int, largest: "_StackWork | None"):
         n, levels = obj.n_points, obj.levels
@@ -783,9 +782,9 @@ class MarginalLikelihoodObjective:
 
     def _grow(self, n_rows: int) -> _StackWork:
         """The work of a stack of n_rows rows (`_StackWork`), kept for every
-        later stack of that size. A stack larger than any before makes the
-        work arrays again, at its size, and every smaller size's views are
-        then cut from them anew."""
+        later stack of that size; only `gram_and_grads` makes it. A stack
+        larger than any before makes the work arrays again, at its size, and
+        every smaller size's views are then cut from them anew."""
         if n_rows > self._capacity:
             self._capacity, self._work, self._rows = n_rows, {}, None
         work = self._work[n_rows] = _StackWork(self, n_rows, self._work.get(self._capacity))
@@ -851,44 +850,37 @@ class MarginalLikelihoodObjective:
         return theta
 
     def kernel_at(self, theta, sigma2: float):
-        """(kernel, noise variance) at theta with the scale sigma2: the
-        jitter and the noise variance are its fractions config.jitter and
-        eta."""
+        """(kernel, noise variance) at theta with the scale sigma2: the jitter
+        and the noise variance are its fractions config.jitter and eta. It
+        reads theta alone (`_Level.coreg`)."""
         row = self._row(theta)
-        level_works = (self._work.get(1) or self._grow(1)).levels
         hyp = PeriodicHyperparameters(sigma2=sigma2, rho=math.exp(theta[0]),
                                       tau=self.tau, family=self.config.family,
                                       jitter=self.config.jitter * sigma2)
-        kernel = MultiLevelKernel(hyp, **{level.name: level.coreg(row, work)
-                                          for level, work in zip(self.levels, level_works)})
+        kernel = MultiLevelKernel(hyp, **{level.name: level.coreg(row) for level in self.levels})
         return kernel, math.exp(theta[1]) * sigma2
 
     def unpack(self, theta):
-        """(kernel, noise variance) at theta, with sigma2 at its estimate
-        y^T (R + eta I)^-1 y / 2P from this objective's Gram, formed without
-        its derivative, and solve of [theta]; a factorization or solve that
-        fails raises its NumericalError."""
-        K, _ = self.gram_and_grads(self._row(theta), with_grads=False)
-        work = self._work[1]
-        _, _, _, quads, _, errors = _solve(K, work.basis, work.etas, work.y, work.solve)
-        if errors[0] is not None:
-            raise errors[0]
-        return self.kernel_at(theta, quads[0] / (2 * self.n_points))
+        """(kernel, noise variance) at theta, with sigma2 at its estimate y^T
+        (R + eta I)^-1 y / 2P from `assemble_model`'s solve at sigma2 = 1
+        (`_training_solve`), which raises the NumericalError of a
+        factorization or solve that fails."""
+        quad = _training_solve(self.design, *self.kernel_at(theta, 1.0))[4]
+        return self.kernel_at(theta, quad / (2 * self.n_points))
 
     # -- likelihood --------------------------------------------------------
 
-    def gram_and_grads(self, theta, rows=None, with_grads=True):
+    def gram_and_grads(self, theta, rows=None):
         """For a B x n_params stack of thetas, row b on the design of
         ``rows[b]`` (`value_and_grad`), the B x P x P stacks (R, [dR/dlog rho,
         K0]): the point Grams at sigma2 = 1 without noise and the two dense
-        matrices their gradients are contracted against, or (R, None)
-        without ``with_grads``, which forms no derivative. K0 is the
+        matrices their gradients are contracted against. K0 is the
         jittered input correlation of the warped distances cached at
         construction; the curve and group factors and their product F come
         from `curve_factor`, F gathered by the points' curves. The call
-        leaves one record for `value_and_grad` and `unpack`, the stack's
-        work (`_StackWork`): the coordinate basis, the rows' targets ``y``
-        and the curve and group factors ``level_factors``, beside the three
+        leaves one record for `value_and_grad`, the stack's work
+        (`_StackWork`): the coordinate basis, the rows' targets ``y`` and
+        the curve and group factors ``level_factors``, beside the three
         stacks, which are its work arrays, overwritten by the next call."""
         stack = self._stack(theta)
         n_rows = len(stack)
@@ -899,8 +891,7 @@ class MarginalLikelihoodObjective:
             eta = math.exp(log_eta)
             scalars += (math.exp(log_rho), eta, -0.5 * eta)
         work.scalars_flat[:] = scalars
-        corr = warped_correlation(self.config.family, warp, work.rho, with_grads, work.corr)
-        corr, dcorr = corr if with_grads else (corr, None)
+        corr, dcorr = warped_correlation(self.config.family, warp, work.rho, True, work.corr)
         K0 = np.add(corr, self.config.jitter, out=corr)
         # levels 1 and 2, the curve and group levels, when the design has them
         levels, level_works = self.levels, work.levels
@@ -916,11 +907,10 @@ class MarginalLikelihoodObjective:
             # "raise" makes
             j = self.design.j
             F.take(j, axis=2).take(j, axis=1, out=K, mode="clip")
-            if with_grads:
-                dcorr *= K
+            dcorr *= K
             np.multiply(K, K0, out=K)
         work.basis_flat[:] = _coord_values(levels[0].matrix(stack, level_works[0]))
-        return K, [dcorr, K0] if with_grads else None
+        return K, [dcorr, K0]
 
     def value_and_grad(self, theta, rows=None):
         """-log p(y) at sigma2's estimate and its gradient, contracted by
@@ -1066,19 +1056,29 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
         if level is not None and level.size != count:
             raise ValidationError(f"the kernel's {name} level has {level.size} rows, "
                                   f"but the design has {count} {name}s")
+    (lam, Q), factors, nugget, alphas, quad, half_logdet = _training_solve(
+        design, kernel, noise_variance)
+    nll = 0.5 * quad + half_logdet + 0.5 * alphas.size * LOG2PI
+    return FittedModel(kernel=kernel, noise_variance=noise_variance, design=design,
+                       chol=factors, alpha=(Q @ alphas).T.ravel(),
+                       log_marginal_likelihood=-float(nll),
+                       diagnostics={"nugget": nugget}, basis=(lam, Q))
+
+
+def _training_solve(design: TrainingDesign, kernel: MultiLevelKernel, noise_variance):
+    """`assemble_model`'s training solve, which `unpack` shares: `_solve`
+    of the point Gram `multilevel_gram` forms, in its coordinate basis, in
+    new arrays. Returns ((lam, Q), factors, nugget, alphas, y^T C^-1 y,
+    log|C| / 2) of its one row, raising its NumericalError."""
     with np.errstate(over="ignore"):  # `_solve` rejects what overflows
         K = multilevel_gram(kernel, design.s, j_a=design.j,
                             curve_group=design.curve_group)
         lam, Q = _coord_basis(kernel.coord.matrix)
-    factors, nuggets, alphas, quads, half_logdets, errors = _solve(
-        K[None], (lam[None], Q[None]), np.array([noise_variance]), design.y.T)
+    *solved, errors = _solve(K[None], (lam[None], Q[None]), np.array([noise_variance]),
+                             design.y.T)
     if errors[0] is not None:
         raise errors[0]
-    nll = 0.5 * quads[0] + half_logdets[0] + 0.5 * alphas.size * LOG2PI
-    return FittedModel(kernel=kernel, noise_variance=noise_variance, design=design,
-                       chol=factors[0], alpha=(Q @ alphas[0]).T.ravel(),
-                       log_marginal_likelihood=-float(nll),
-                       diagnostics={"nugget": nuggets[0]}, basis=(lam, Q))
+    return (lam, Q), *(a[0] for a in solved)
 
 
 # scipy's L-BFGS-B defaults: the number of corrections kept (maxcor), the

@@ -245,6 +245,29 @@ class TestSimulate:
         assert err == f"error: noise_sd must be finite and >= 0, got {float(noise_sd)!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("sizes, name", [
+        (["--shape", "circle", "--radius", "0"], "radius"),
+        (["--shape", "circle", "--radius", "nan"], "radius"),
+        (["--shape", "circle", "--radius", "inf"], "radius"),
+        (["--shape", "star", "--radius", "-1"], "radius"),
+        (["--shape", "ellipse", "--axes", "0", "0.5"], "axes[0]"),
+        (["--shape", "ellipse", "--axes", "1", "-0.5"], "axes[1]")],
+        ids=["circle-0", "circle-nan", "circle-inf", "star-neg", "ellipse-a-0", "ellipse-b-neg"])
+    def test_size_that_is_not_positive_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                  sizes, name):
+        # --radius 0 once printed a merge warning and a three-point error,
+        # and --axes 0 0.5 and a star's --radius -1 wrote a curve
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", *sizes, "--n", "10", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {name} must be finite and > 0, got ")
+        assert not out.exists()
+        assert not caught
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -1,6 +1,8 @@
 """Curve geometry: polygon length, arc-length parameterization, resampling,
 and synthetic generation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -391,6 +393,22 @@ class TestGenerateSynthetic:
         # later, as "curve point 0 is not finite"
         with pytest.raises(CurveError, match="noise_sd must be finite and >= 0"):
             generate_synthetic("circle", 8, noise_sd=noise_sd, rng_seed=1)
+
+    @pytest.mark.parametrize("shape, sizes, name", [
+        ("circle", {"radius": 0.0}, "radius"), ("circle", {"radius": np.nan}, "radius"),
+        ("circle", {"radius": np.inf}, "radius"), ("circle", {"radius": -1.0}, "radius"),
+        ("star", {"radius": -1.0}, "radius"), ("star", {"radius": 0.0}, "radius"),
+        ("ellipse", {"axes": (0.0, 0.5)}, "axes[0]"),
+        ("ellipse", {"axes": (1.0, -0.5)}, "axes[1]"),
+        ("ellipse", {"axes": (1.0, np.nan)}, "axes[1]")],
+        ids=["circle-0", "circle-nan", "circle-inf", "circle-neg", "star-neg", "star-0",
+             "ellipse-a-0", "ellipse-b-neg", "ellipse-b-nan"])
+    def test_sizes_must_be_finite_and_positive(self, shape, sizes, name):
+        # a zero radius merged every point into one, a NaN one failed as a
+        # non-finite point, and a zero or negative axis or a negative star
+        # radius gave a curve
+        with pytest.raises(CurveError, match=re.escape(f"{name} must be finite and > 0, got ")):
+            generate_synthetic(shape, 10, **sizes)
 
     # an unknown shape or scheme is a CurveError, as every other invalid
     # argument is, so a caller catches curve input with one class

@@ -1182,8 +1182,8 @@ class TestSharedGramBuilder:
     @pytest.mark.parametrize("family", ["periodic_rbf", "periodic_matern32",
                                         "periodic_matern12"])
     def test_unpack_profiles_sigma2_over_multilevel_gram(self, family, jitter, case):
-        # sigma2's estimate from the objective's own Gram and solve is the
-        # one the Gram `assemble_model` forms gives, bit for bit
+        # sigma2's estimate from the Gram and solve `assemble_model` runs is
+        # the one the objective's own one-row Gram and solve give, bit for bit
         n_curves, labels = LEVEL_CASES[case]
         curves = [scale_to_unit_length(center(generate_synthetic(
             "star", 6, rng_seed=k, noise_sd=0.02))) for k in range(n_curves)]
@@ -1196,11 +1196,9 @@ class TestSharedGramBuilder:
             if k == 2:  # work arrays that a stacked evaluation left
                 obj.value_and_grad(np.array(thetas))
             got = obj.unpack(theta)
-            kernel, eta = obj.kernel_at(theta, 1.0)
-            K = multilevel_gram(kernel, design.s, j_a=design.j,
-                                curve_group=design.curve_group)
-            lam, Q = _coord_basis(kernel.coord.matrix)
-            quads = _solve(K[None], (lam[None], Q[None]), np.array([eta]), design.y.T)[3]
+            K, _ = obj.gram_and_grads(np.array([theta]))
+            work = obj._work[1]
+            quads = _solve(K, work.basis, work.etas, work.y, work.solve)[3]
             want = obj.kernel_at(theta, quads[0] / (2 * len(design.s)))
             assert kernel_bytes(*got) == kernel_bytes(*want)
             assert type(got[1]) is float
@@ -1799,24 +1797,27 @@ class TestWorkArrays:
                 fresh = MarginalLikelihoodObjective(obj.design, ModelConfig())
                 assert_same_row((values[b], grads[b]), one_row(fresh, X[b]))
 
-    def test_unpack_forms_no_derivative(self, monkeypatch):
-        # sigma2's estimate needs the Gram alone: `unpack` asks the kernel
-        # for no derivative in log rho, an evaluation asks for it
-        import curvegp.model as model
-        asked = []
-
-        def recorded(family, w, rho, with_dlogrho=False, out=None):
-            asked.append(with_dlogrho)
-            return warped_correlation(family, w, rho, with_dlogrho, out)
-
-        monkeypatch.setattr(model, "warped_correlation", recorded)
+    def test_unpack_and_kernel_at_keep_no_work(self, monkeypatch):
+        # turning a theta into a kernel, sigma2's estimate included, reads
+        # theta and the design alone: on a fresh objective neither call
+        # evaluates the likelihood or makes its work arrays; an evaluation
+        # does, and `unpack` after it gives the same bytes
+        called = []
+        for name in ("value_and_grad", "gram_and_grads", "_grow"):
+            def recorded(self, *args, name=name, original=getattr(
+                    MarginalLikelihoodObjective, name)):
+                called.append(name)
+                return original(self, *args)
+            monkeypatch.setattr(MarginalLikelihoodObjective, name, recorded)
         obj = MarginalLikelihoodObjective(paired_design(3, 5, ["a", "b", "a"]), ModelConfig())
         theta = obj.default_start()
-        kernel, noise = obj.unpack(theta)
-        assert asked == [False]
+        got = obj.unpack(theta)
+        obj.kernel_at(theta, 1.0)
+        assert called == [] and obj._work == {}
         one_row(obj, theta)
-        assert asked == [False, True]
-        assert obj.unpack(theta)[1] == noise
+        assert called == ["value_and_grad", "gram_and_grads", "_grow"]
+        assert list(obj._work) == [1]
+        assert kernel_bytes(*obj.unpack(theta)) == kernel_bytes(*got)
 
     @pytest.mark.parametrize("case", ["coord-only", "three-curves",
                                       "four-curves-three-groups"])

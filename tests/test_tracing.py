@@ -73,14 +73,14 @@ def test_tracer_hooks_the_library(tracing):
     assert metrics["model.fit_calls"] == 2
     assert metrics["model.restarts"] == 1
     assert (metrics["model.nfev"], metrics["model.lbfgs_nit"]) == (result.nfev, result.nit)
-    # one Gram per evaluation, and one more per fit: `unpack` takes sigma2's
-    # estimate from the objective's Gram at the best restart
+    # one objective Gram per evaluation and none more: `unpack` takes
+    # sigma2's estimate at the best restart from `assemble_model`'s solve
     assert metrics["model.vg_calls"] > 0
-    assert gram_calls == metrics["model.vg_calls"] + metrics["model.fit_calls"]
+    assert gram_calls == metrics["model.vg_calls"]
     # every Gram here is a stack of one row, (1, P, P) matrices: the tracer
     # counts 8 K.shape[0] ** 2 bytes per gradient matrix, which for a stack
-    # is 8 times the rows squared. Only the evaluations form the two
-    # gradient matrices; `unpack`'s Gram forms none
+    # is 8 times the rows squared. Every objective Gram forms the two
+    # gradient matrices
     assert metrics["model.grad_bytes"] == 2 * 8 * metrics["model.vg_calls"]
     assert metrics["model.chol_s"] > 0
     assert metrics["model.predict_rows"] == 2
