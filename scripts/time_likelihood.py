@@ -9,6 +9,9 @@ print one JSON line of microseconds per call, the minimum over the passes:
 - ``one_row_p120_us``: one row, P = 120 (a 60-point star and a 60-point
   ellipse).
 
+Every stacked call names its rows' objectives, as `fit_designs` does: a
+one-row case calls ``value_and_grad(X, [obj])``.
+
 Each pass times a fixed number of calls of each case in turn, so the cases
 interleave. BLAS is pinned to one thread before numpy loads, as the
 benchmark pins it. ``--src PATH`` times the curvegp of another checkout
@@ -45,8 +48,8 @@ def cases(model, curves):
     def one_row(obj):
         theta = obj.default_start()
         if stacked:
-            X = theta[None]
-            return lambda: obj.value_and_grad(X)
+            X, rows = theta[None], [obj]
+            return lambda: obj.value_and_grad(X, rows)
         return lambda: obj.value_and_grad(theta)
 
     small = [objective([star("star", 4, rng_seed=10 * d + k, noise_sd=0.01)

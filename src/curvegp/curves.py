@@ -42,6 +42,18 @@ def closure_row(points: np.ndarray):
     return gaps[..., -1, :].max(axis=-1) <= CLOSURE_RTOL * gaps.max(axis=(-2, -1))
 
 
+def point_array(name: str, value, error=CurveError) -> np.ndarray:
+    """``value`` as a float array of one point, shape (2,), or of n >= 0
+    points, shape (n, 2): the one shape rule for point arrays. Any other
+    shape raises ``error`` (a CurveError unless the caller's module reports
+    another) naming ``name`` and the shape."""
+    array = np.asarray(value, dtype=float)
+    if array.shape != (2,) and (array.ndim != 2 or array.shape[1] != 2):
+        raise error(f"{name} must be one point of shape (2,) or points of shape "
+                    f"(n, 2), got shape {array.shape}")
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class Curve:
     """Ordered planar sample points of a closed curve.
@@ -127,11 +139,11 @@ def xy_to_arc_param(curve: Curve, query):
     ``query`` is one point, giving a float, or an (n, 2) array of points,
     giving n parameters, each equal to the one-point call's; the polygon is
     oversampled once. Ties are broken toward the smallest arc parameter.
-    The result lies in [0, total_length). A non-finite coordinate is a
-    CurveError.
+    The result lies in [0, total_length). Any other shape (`point_array`)
+    and a non-finite coordinate are a CurveError.
     """
     dense, arcs = _oversampled_polygon(curve)
-    query = np.asarray(query, dtype=float)
+    query = point_array("query", query)
     if not np.isfinite(query).all():
         raise CurveError("query must be finite: a point has a non-finite coordinate")
     pts = query.reshape(-1, 2)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (Curve, arc_to_xy_param, closure_row, polygon_length,
+from .curves import (Curve, arc_to_xy_param, closure_row, point_array, polygon_length,
                      resample_equally_spaced)
 from .errors import NumericalError, ValidationError, whole_number
 from .model import _scipy_module
@@ -93,11 +93,12 @@ def iuea(predicted) -> float:
 def wasserstein2(a, b) -> float:
     """Minimum over bijections of the mean squared Euclidean distance.
 
-    Solved exactly by optimal assignment; clouds must be finite, nonempty
-    and of equal size (at most 512 points).
+    Solved exactly by optimal assignment; each cloud is one point of shape
+    (2,) or points of shape (n, 2) (`point_array`), and clouds must be
+    finite, nonempty and of equal size (at most 512 points).
     """
-    a = np.asarray(a, dtype=float).reshape(-1, 2)
-    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    a, b = (point_array(name, cloud, ValidationError).reshape(-1, 2)
+            for name, cloud in (("a", a), ("b", b)))
     if len(a) != len(b):
         raise ValidationError(f"point clouds differ in size ({len(a)} vs {len(b)})")
     if not len(a):

@@ -36,13 +36,15 @@ rho, log eta, then one block per coregionalization level, whose record
 `_Level` states how the level is packed. The fitted kernel holds s2, the
 jitter and noise as absolute values.
 
-One routine, `_solve`, forms the two blocks in the buffer that LAPACK
-factors (B x 2 x P x P), factors them there with the nugget ladder, solves
-the rotated targets and returns y^T K^-1 y and log|K| / 2; a row whose
-factorization escalates forms its blocks again from its point Gram
-(`_chol_with_ladder`), so no copy of the blocks is kept. The objective
-calls it on its work arrays in `value_and_grad`; `_training_solve` calls
-it on the Gram `multilevel_gram` forms, for `assemble_model` and for
+One routine, `_solve(work, y)`, reads a stack's point Grams, coordinate
+basis and noise from the record it is handed (`_SolveWork`), forms the two
+blocks in the buffer that LAPACK factors (B x 2 x P x P), factors them
+there with the nugget ladder, solves the rotated targets y and returns y^T
+K^-1 y and log|K| / 2; a row whose factorization escalates forms its
+blocks again from its point Gram (`_chol_with_ladder`), so no copy of the
+blocks is kept. The objective hands it its stack's record in
+`value_and_grad`; `_training_solve` builds a one-row record in new arrays
+on the Gram `multilevel_gram` forms, for `assemble_model` and for
 `unpack`'s s2, so its peak is that Gram and the factor buffer, 3 P^2
 floats. So s2, the profiled -log p and the fitted model's log p are each
 one line over the same numbers, and both Grams take the coordinate basis
@@ -81,10 +83,11 @@ evaluated, with the views a stack of B rows reads, `_SolveWork` and each
 level's `_LevelWork` among them, cut from them the first time B rows are
 evaluated and kept (`_grow`). A level (`_Level`) holds no arrays: it
 unpacks and takes its gradient in the `_LevelWork` it is handed.
-`gram_and_grads` leaves what `value_and_grad` reads of its call in the
-same record: the coordinate basis, the rows' targets and the curve and
-group factors. The rows' distances and targets are copied only when the
-rows are not those of the last call. Only LAPACK and scalar math run per
+Every stack reads its rows through `_read_rows` (a call without rows has
+this objective in each): their distances and targets are copied into the
+stack's work whenever they are not the last call's rows. `gram_and_grads`
+leaves there what `value_and_grad` reads of its call: the coordinate
+basis and the curve and group factors. Only LAPACK and scalar math run per
 row (the factorization with its nugget ladder, dpotrs, `_potri`, rho and
 eta, the coordinate basis, a 2 x 2 level's W, the value and the scale
 1/sqrt(s2)), and a row that escalates forms its blocks again; the rest
@@ -635,17 +638,17 @@ class _LevelWork:
 
 
 class _SolveWork:
-    """A stack's training solve as `_solve` runs it, made once: the point
-    Grams K (B x P x P), their coordinate basis (lam, Q) and noise
-    variances (B,) it reads, the buffers it writes, and every view of
-    them it takes. The buffers are the blocks (B x 2 x P x P, C-ordered),
-    formed from K, lam and the noise, factored in place and read
-    transposed, with their diagonals; and ``vectors`` (3 x B x 2 x P): the
-    rotated targets Y, the alphas, each also as B rows of 2P, and the logs
-    of the factors' diagonals. Both are made here unless given (the
-    objective's, from `_StackWork`). Per row: its blocks, its point Gram,
-    lam and noise, which the nugget ladder forms them from, and its two
-    factors and two alphas, the arguments of LAPACK."""
+    """A stack's training solve, all `_solve` reads beside the targets: the
+    point Grams K (B x P x P), their coordinate basis (lam, Q) and noise
+    variances (B,), the buffers it writes, and every view of them it takes.
+    The buffers are the blocks (B x 2 x P x P, C-ordered), formed from K,
+    lam and the noise, factored in place and read transposed, with their
+    diagonals; and ``vectors`` (3 x B x 2 x P): the rotated targets Y, the
+    alphas, each also as B rows of 2P, and the logs of the factors'
+    diagonals. Both are views of the stack's work when given (`_StackWork`),
+    else new (`_training_solve`, whose factors a fitted model keeps). Per
+    row: its blocks, point Gram, lam and noise, which the nugget ladder
+    forms them from, and its two factors and alphas, LAPACK's arguments."""
 
     def __init__(self, K, basis, noise_var, blocks=None, vectors=None):
         n_rows, n = len(K), K.shape[-1]
@@ -676,9 +679,9 @@ class _StackWork:
     flat and by its diagonal; the buffers of `_solve` (`_SolveWork`), block 0
     holding K^-1; per row the scalars and the coordinate basis, written from
     lists; and each level's W or kappa, B and M W (`_LevelWork`, with its
-    views of the gradients). `gram_and_grads` also leaves here what
-    `value_and_grad` alone reads of its call: the rows' targets ``y`` and the
-    curve and group factors ``level_factors``."""
+    views of the gradients). `_read_rows` copies the rows' distances and
+    ``targets`` here, and `gram_and_grads` leaves the curve and group
+    factors ``level_factors`` that `value_and_grad` reads of its call."""
 
     def __init__(self, obj, n_rows: int, largest: "_StackWork | None"):
         n, levels = obj.n_points, obj.levels
@@ -728,7 +731,7 @@ class _StackWork:
         self.alphas_T, self.alphas_K = solve.alphas.transpose(0, 2, 1), vectors[3]
         self.Mt_diagonal = self.Mt.reshape(n_rows, 4)[:, ::3]
         self.scales_flat = self.scales.reshape(-1)
-        self.y = self.level_factors = None  # of the last call
+        self.level_factors = None  # of the last call
 
 
 class MarginalLikelihoodObjective:
@@ -753,7 +756,6 @@ class MarginalLikelihoodObjective:
         # tau is fixed, so the warped distances are computed once
         self.warp = warped_distance(config.family, s[:, None], s[None, :], self.tau)
         self.n_points = len(s)
-        self.targets = design.y.T  # a row per coordinate
         rho_lo, rho_hi = (f * self.tau for f in RHO_FRAC_BOX)
         # eta's box is the noise box at sigma2 = var(y)
         yvar = float(np.var(design.y))
@@ -775,7 +777,6 @@ class MarginalLikelihoodObjective:
         self.curve_onehot = np.eye(design.n_curves)[design.j]
         self.group_onehot = np.eye(design.n_groups)[design.curve_group]
         self._curve_onehot_T, self._group_onehot_T = self.curve_onehot.T, self.group_onehot.T
-        self._own_rows = (self.warp[None], self.targets)  # every row on this design
         self._capacity = 0  # the rows the work arrays hold, made at the first call
         self._work = {}  # stack size -> `_StackWork`
         self._rows = None  # the objectives of the rows the work arrays hold, in order
@@ -806,26 +807,22 @@ class MarginalLikelihoodObjective:
         return row[None]
 
     def _read_rows(self, rows, work: _StackWork):
-        """(distances, targets) of the designs of ``rows``, one objective per
-        row: this objective's own, broadcast, when every row is this
-        objective, else each row's, copied into the work arrays. Rows that
-        are the objectives of the last call's, in order, are neither checked
-        nor copied again, as a design does not change once its objective is
-        built; the objectives of ``rows`` are only read."""
+        """Copy the distances and targets of the designs of ``rows``, one
+        objective per row (this one in each when None), into ``work.warps``
+        and ``work.targets``. Rows that are the last call's, in order, are
+        neither checked nor copied again, as a design does not change once
+        its objective is built; the objectives of ``rows`` are only read."""
+        if rows is None:
+            rows = [self] * len(work.rho)
         if len(rows) != len(work.rho) or rows != self._rows and any(
                 row.layout != self.layout for row in rows):
             raise ValidationError("a stack of thetas needs one objective per row, all "
                                   "of one layout: one config, curve indices and groups")
-        if rows != self._rows:
+        if rows != self._rows:  # np.stack's copies, each in one concatenate
             self._rows = None
-            if all(row is self for row in rows):
-                self._read = self._own_rows
-            else:  # np.stack's copies, each in one concatenate
-                np.concatenate([row.warp for row in rows], out=work.warps_flat)
-                np.concatenate([row.design.y for row in rows], out=work.ys_flat)
-                self._read = work.warps, work.targets
+            np.concatenate([row.warp for row in rows], out=work.warps_flat)
+            np.concatenate([row.design.y for row in rows], out=work.ys_flat)
             self._rows = list(rows)
-        return self._read
 
     # -- packing -----------------------------------------------------------
 
@@ -875,23 +872,23 @@ class MarginalLikelihoodObjective:
         ``rows[b]`` (`value_and_grad`), the B x P x P stacks (R, [dR/dlog rho,
         K0]): the point Grams at sigma2 = 1 without noise and the two dense
         matrices their gradients are contracted against. K0 is the
-        jittered input correlation of the warped distances cached at
-        construction; the curve and group factors and their product F come
-        from `curve_factor`, F gathered by the points' curves. The call
+        jittered input correlation of the rows' warped distances, which
+        `_read_rows` copies; the curve and group factors and their product
+        F come from `curve_factor`, F gathered by the points' curves. The call
         leaves one record for `value_and_grad`, the stack's work
-        (`_StackWork`): the coordinate basis, the rows' targets ``y`` and
-        the curve and group factors ``level_factors``, beside the three
-        stacks, which are its work arrays, overwritten by the next call."""
+        (`_StackWork`): the rows' targets, the coordinate basis and the
+        curve and group factors ``level_factors``, beside the three stacks,
+        which are its work arrays, overwritten by the next call."""
         stack = self._stack(theta)
         n_rows = len(stack)
         work = self._work.get(n_rows) or self._grow(n_rows)
-        warp, work.y = self._own_rows if rows is None else self._read_rows(rows, work)
+        self._read_rows(rows, work)
         scalars = []  # per row rho, eta and -eta / 2
         for log_rho, log_eta in stack[:, :2].tolist():
             eta = math.exp(log_eta)
             scalars += (math.exp(log_rho), eta, -0.5 * eta)
         work.scalars_flat[:] = scalars
-        corr, dcorr = warped_correlation(self.config.family, warp, work.rho, True, work.corr)
+        corr, dcorr = warped_correlation(self.config.family, work.warps, work.rho, True, work.corr)
         K0 = np.add(corr, self.config.jitter, out=corr)
         # levels 1 and 2, the curve and group levels, when the design has them
         levels, level_works = self.levels, work.levels
@@ -917,17 +914,17 @@ class MarginalLikelihoodObjective:
         level (R&W 2006, 5.4.1; the module docstring), at each row of a B x
         n_params stack of thetas, row b on the design of ``rows[b]``: one
         objective per row, each of this one's layout (this one without
-        ``rows``). Returns stacks only, (values, gradients, nuggets, errors):
-        per row its value, a row of the B x n gradients, the nugget its
-        factorization needed and None, or, for a row that cannot be
-        factored, None, NaN, None and its NumericalError. The call writes
+        ``rows``), their targets read where `_read_rows` copied them. Returns
+        stacks only, (values, gradients, nuggets, errors): per row its value,
+        a row of the B x n gradients, the nugget its factorization needed
+        and None, or, for a row that cannot be factored, None, NaN, None and
+        its NumericalError. The call writes
         only to this objective's work arrays; the returned nuggets are the
         record of the ladder, and the objectives of ``rows`` are only read."""
         K, (dR, K0) = self.gram_and_grads(theta, rows)
         n_rows, size = len(K), 2 * self.n_points
         work = self._work[n_rows]
-        factors, nuggets, alphas, quads, half_logdets, errors = _solve(
-            K, work.basis, work.etas, work.y, work.solve)
+        factors, nuggets, alphas, quads, half_logdets, errors = _solve(work.solve, work.targets)
         values, scales = [None] * n_rows, [1.0] * n_rows
         for b, (_, _, (L0, L1), _) in enumerate(work.solve.rows):
             if errors[b] is None:  # each factor becomes K_e^-1, the second if the first does
@@ -998,23 +995,22 @@ class MarginalLikelihoodObjective:
         return values[0]
 
 
-def _solve(K: np.ndarray, basis: tuple, noise_var, y: np.ndarray, out=None):
-    """Factor and solve the training covariance of each point Gram of a
-    stack K (B x P x P) in its coordinate basis (lam, Q), a stack of each:
-    its two blocks lam_e K + noise I, with the row's entry of the array
-    ``noise_var``, factored with one nugget ladder per row, and the targets
-    y (a row per coordinate, one set for every row or one per row) rotated
-    by Q. Returns (factors, nuggets, alphas, quads, half_logdets, errors):
-    the B x 2 x P x P factors and B x 2 x P alphas, alphas[b, e] = block
+def _solve(work: _SolveWork, y: np.ndarray):
+    """Factor and solve the training covariance of each row of a stack's
+    training solve ``work`` (`_SolveWork`) from its point Gram K,
+    coordinate basis (lam, Q) and noise: the two blocks lam_e K + noise I,
+    factored with one nugget ladder per row, and the targets y (a row per
+    coordinate, one set for every row or one per row) rotated by Q.
+    Returns (factors, nuggets, alphas, quads, half_logdets, errors): the
+    B x 2 x P x P factors and B x 2 x P alphas, alphas[b, e] = block
     e^-1 (Q^T y)[e], and per row the nugget, y^T C^-1 y, log|C| / 2 (C
     the covariance of all 2P values) and None, or, for a row whose
     factorization or solve fails, its NumericalError, the row's factors
     then I, so that arithmetic on the whole stack stays finite (a block
     entry that is not finite fails the stack: a ValidationError). The
-    blocks are formed in the buffer that is factored, that of ``out`` (the
-    stack's `_SolveWork`) when given, else a new one; a row that escalates
-    forms its blocks again from K (`_chol_with_ladder`)."""
-    work = _SolveWork(K, basis, noise_var) if out is None else out
+    blocks are formed in the buffer of ``work`` that is factored, and the
+    factors and alphas returned are its arrays; a row that escalates forms
+    its blocks again from K (`_chol_with_ladder`)."""
     blocks = np.multiply(*work.products, out=work.blocks)
     work.blocks_diagonal += work.noise
     # a finite sum of squares shows every entry finite, in one dot product
@@ -1074,8 +1070,8 @@ def _training_solve(design: TrainingDesign, kernel: MultiLevelKernel, noise_vari
         K = multilevel_gram(kernel, design.s, j_a=design.j,
                             curve_group=design.curve_group)
         lam, Q = _coord_basis(kernel.coord.matrix)
-    *solved, errors = _solve(K[None], (lam[None], Q[None]), np.array([noise_variance]),
-                             design.y.T)
+    work = _SolveWork(K[None], (lam[None], Q[None]), np.array([noise_variance]))
+    *solved, errors = _solve(work, design.y.T)
     if errors[0] is not None:
         raise errors[0]
     return (lam, Q), *(a[0] for a in solved)

@@ -227,6 +227,20 @@ class TestXyToArc:
             with pytest.raises(CurveError, match="^query must be finite"):
                 xy_to_arc_param(c, query)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 2), (1, 4), (0,), (3,), (5,)])
+    def test_rejects_a_query_that_is_not_a_point_array(self, shape):
+        # one point (2,) or points (n, 2): a (2, 3) array was once read as
+        # three points, a (1, 2, 2) one as two and an empty one raised
+        # IndexError
+        message = ("query must be one point of shape (2,) or points of shape (n, 2), "
+                   f"got shape {shape}")
+        with pytest.raises(CurveError, match=f"^{re.escape(message)}$"):
+            xy_to_arc_param(Curve(SQUARE), np.zeros(shape))
+
+    def test_no_query_points_give_no_parameters(self):
+        got = xy_to_arc_param(Curve(SQUARE), np.zeros((0, 2)))
+        assert got.shape == (0,) and got.dtype == float
+
 
 class TestArcToXy:
     def test_endpoints(self):

@@ -16,6 +16,12 @@ No method or property of a class of `src/curvegp` is dead either: each is
 read as an attribute by the package, `scripts` or the benchmark in
 `perfbench`, or named in the benchmark tracer's `TARGETS`. Dunder methods
 are protocol and dataclass fields are data, so neither is scanned.
+
+Nor is an instance attribute dead: each that a method of a class of
+`src/curvegp` assigns on ``self`` is read by the package, `scripts` or
+`perfbench`, an attribute load or an in-place update such as ``+=``. Names
+match by name, as the member scan's do, so an attribute that shares its
+name with another class's read one passes.
 """
 
 import ast
@@ -156,6 +162,32 @@ def _members(tree):
             and not (item.name.startswith("__") and item.name.endswith("__"))}
 
 
+def _attributes(tree):
+    """'Class.attribute' -> first line of every attribute that a method of
+    the module's classes assigns on ``self``."""
+    assigned = {}
+    for node in tree.body:
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.args.args and item.args.args[0].arg == "self"):
+                for target in ast.walk(item):
+                    if (isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+                            and isinstance(target.value, ast.Name) and target.value.id == "self"):
+                        path = f"{node.name}.{target.attr}"
+                        assigned[path] = min(target.lineno, assigned.get(path, target.lineno))
+    return assigned
+
+
+def _read_attributes(tree):
+    """The attribute names that the module reads: each attribute load and
+    each attribute target of an in-place update."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            yield node.target.attr
+
+
 def _traced(tree):
     """The 'Class.member' paths that the tracer's `TARGETS` list names:
     the third entry of each of its tuples, when it holds a dot."""
@@ -179,7 +211,10 @@ def dead_names(package: dict, scripts=(), benchmark=()) -> list:
       of a script is;
     - methods and properties, as 'module.Class.member (line N)', that no
       attribute of the package, the scripts or the benchmark sources reads
-      and no `TARGETS` list of the scripts or benchmark sources names."""
+      and no `TARGETS` list of the scripts or benchmark sources names;
+    - instance attributes that a method assigns on ``self``, as
+      'module.Class.attribute (line N)' with the first such line, that no
+      line of the package, the scripts or the benchmark sources reads."""
     trees = {module: ast.parse(source) for module, source in package.items()}
     references = {(module, name, line) for module, tree in trees.items()
                   for name, line in _references(tree, imports=False)}
@@ -189,6 +224,7 @@ def dead_names(package: dict, scripts=(), benchmark=()) -> list:
     attributes = {node.attr for tree in (*trees.values(), *external)
                   for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     traced = set().union(*map(_traced, external))
+    read = {name for tree in (*trees.values(), *external) for name in _read_attributes(tree)}
     dead = []
     for module, tree in sorted(trees.items()):
         names = {name: line for name, line in _definitions(tree).items()
@@ -197,6 +233,8 @@ def dead_names(package: dict, scripts=(), benchmark=()) -> list:
                              for m, n, ln in references)}
         names.update((path, line) for path, line in _members(tree).items()
                      if path not in traced and path.split(".")[1] not in attributes)
+        names.update((path, line) for path, line in _attributes(tree).items()
+                     if path.split(".")[1] not in read)
         dead += [f"{module}.{name} (line {line})"
                  for name, line in sorted(names.items(), key=lambda d: d[1])]
     return dead
@@ -254,6 +292,32 @@ def test_scan_finds_dead_members():
     assert dead_names(package, benchmark=[benchmark]) == ["m.Fit.for_tests (line 11)"]
     assert dead_names(package) == ["m.Fit.for_tests (line 11)", "m.Fit.traced (line 13)",
                                    "m.Fit.benchmarked (line 15)"]
+
+
+def test_scan_finds_dead_attributes():
+    package = {"m": ("__all__ = ['Work']\n"
+                     "class Work:\n"
+                     "    def __init__(self, n):\n"
+                     "        self.size, self.count = n, 0\n"
+                     "        self.kept = None\n"
+                     "        self.rows = [n]\n"
+                     "        self.for_tests = n\n"
+                     "        self.benchmarked = n\n"
+                     "    def step(self):\n"
+                     "        self.count += 1\n"
+                     "        self.kept = self.rows[0]\n"
+                     "        return self.size\n"
+                     "    def forget(self):\n"
+                     "        del self.rows\n")}
+    benchmark = "w = Work(1)\nw.step()\nw.forget()\nprint(w.benchmarked)\n"
+    # `count` is read by its in-place update and `rows` by `step`; `kept`,
+    # assigned twice and never read, is dead at its first line, and so is
+    # `for_tests`, since a test reading it is no use
+    assert dead_names(package, benchmark=[benchmark]) == [
+        "m.Work.kept (line 5)", "m.Work.for_tests (line 7)"]
+    assert dead_names(package) == [
+        "m.Work.kept (line 5)", "m.Work.for_tests (line 7)", "m.Work.benchmarked (line 8)",
+        "m.Work.step (line 9)", "m.Work.forget (line 13)"]
 
 
 def test_no_dead_names():

@@ -1,6 +1,7 @@
 """Shape metrics: IMSPE, IUEA, Wasserstein-2, elastic registration, ESD."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,7 @@ class TestWasserstein2:
 
     def test_single_points(self):
         assert wasserstein2([[0.0, 0.0]], [[1.0, 0.0]]) == pytest.approx(1.0)
+        assert wasserstein2([0.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
 
     def test_two_point_example(self):
         assert wasserstein2([[0, 0], [1, 0]], [[0, 1], [1, 1]]) == pytest.approx(1.0)
@@ -141,6 +143,19 @@ class TestWasserstein2:
     def test_oversized_rejected(self):
         with pytest.raises(ValidationError):
             wasserstein2(np.zeros((600, 2)), np.zeros((600, 2)))
+
+    @pytest.mark.parametrize("a, b, name", [((2, 3), (3, 2), "a"), ((1, 4), (2, 2), "a"),
+                                            ((2, 2), (1, 2, 2), "b"), ((5,), (2, 2), "a"),
+                                            ((0,), (0, 2), "a"), ((3, 2), (3,), "b")])
+    def test_a_cloud_that_is_not_a_point_array_rejected(self, a, b, name):
+        # one point (2,) or points (n, 2): a (2, 3) cloud was once read as
+        # three points, equal to a (3, 2) one, and an odd size raised
+        # numpy's reshape error
+        shape = a if name == "a" else b
+        message = (f"{name} must be one point of shape (2,) or points of shape (n, 2), "
+                   f"got shape {shape}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            wasserstein2(np.zeros(a), np.zeros(b))
 
     def test_empty_clouds_rejected(self):
         # no pair to average over: not NaN with a RuntimeWarning

@@ -1196,9 +1196,9 @@ class TestSharedGramBuilder:
             if k == 2:  # work arrays that a stacked evaluation left
                 obj.value_and_grad(np.array(thetas))
             got = obj.unpack(theta)
-            K, _ = obj.gram_and_grads(np.array([theta]))
+            obj.gram_and_grads(np.array([theta]))
             work = obj._work[1]
-            quads = _solve(K, work.basis, work.etas, work.y, work.solve)[3]
+            quads = _solve(work.solve, work.targets)[3]
             want = obj.kernel_at(theta, quads[0] / (2 * len(design.s)))
             assert kernel_bytes(*got) == kernel_bytes(*want)
             assert type(got[1]) is float
@@ -1359,7 +1359,7 @@ class TestLadderBuffer:
         etas = np.exp(X[:, 1])
 
         def run():
-            return (_solve(K, basis, etas, obj.targets),
+            return (_solve(_SolveWork(K, basis, etas), obj.design.y.T),
                     [np.copy(a) if isinstance(a, np.ndarray) else a
                      for a in obj.value_and_grad(X)])
 
@@ -1780,20 +1780,23 @@ class TestWorkArrays:
     def test_stacks_whose_rows_change_between_calls(self, case):
         # one objective evaluates stacks whose rows change from call to call,
         # as a shrinking lockstep hands them over: 7 rows, the same 7 again,
-        # 3 other designs, all 12 in another order, 3 rows of its own design
-        # and 12 again. The work arrays and the rows' distances and targets
-        # it keeps between calls leave every row equal to its one-row call
+        # 3 other designs, 3 rows called without ``rows`` (its own design in
+        # each, not the 3 others' it copied last), all 12 in another order, 3
+        # rows of its own design and 12 again. The work arrays and the rows'
+        # distances and targets it keeps between calls leave every row equal
+        # to its one-row call
         n_curves, labels = LEVEL_CASES[case]
         designs = layout_designs(n_curves, labels, n=4, count=12)
         objs = [MarginalLikelihoodObjective(d, ModelConfig()) for d in designs]
         lead, rng = objs[0], np.random.default_rng(17)
         shuffled = [objs[k] for k in rng.permutation(12)]
-        for rows in (objs[:7], objs[:7], [objs[9], objs[2], objs[5]], shuffled,
+        for rows in (objs[:7], objs[:7], [objs[9], objs[2], objs[5]], None, shuffled,
                      [lead] * 3, shuffled[::-1]):
-            X = np.array([obj.random_start(rng) for obj in rows])
+            stack = rows or [lead] * 3
+            X = np.array([obj.random_start(rng) for obj in stack])
             values, grads, nuggets, errors = lead.value_and_grad(X, rows)
-            assert errors == [None] * len(rows)
-            for b, obj in enumerate(rows):
+            assert errors == [None] * len(stack)
+            for b, obj in enumerate(stack):
                 fresh = MarginalLikelihoodObjective(obj.design, ModelConfig())
                 assert_same_row((values[b], grads[b]), one_row(fresh, X[b]))
 
