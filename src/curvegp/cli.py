@@ -48,9 +48,11 @@ CONFIG_DEFAULTS = {key: default for _, _, key, default in _config_fields()}
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict:
-    """Parse the flat `section.key = value` config format; unknown keys and
-    malformed lines are rejected with the file and line number."""
+    """Parse the flat `section.key = value` config format; unknown keys,
+    malformed lines and a key set on a second line are rejected with the
+    file and line number."""
     values = dict(CONFIG_DEFAULTS)
+    first_line = {}  # the line on which each key was set
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -61,6 +63,10 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is set again "
+                              f"(first on line {first_line[key]})")
+        first_line[key] = lineno
         default = CONFIG_DEFAULTS[key]
         try:
             if isinstance(default, int):

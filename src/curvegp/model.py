@@ -103,7 +103,12 @@ keywords.
 L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; Zhu et al. 1997) runs through
 scipy's reverse-communication routine `setulb`, one state per run, with
 scipy's constants, so each run takes the steps scipy's `minimize` takes,
-evaluation for evaluation. `_lockstep` runs many such runs side by side:
+evaluation for evaluation. One constant may be handed in: ``factr``, the
+relative reduction of the value, in machine epsilons, below which a run
+stops (`LBFGS_FACTR`, scipy's, unless `fit_designs` is handed another). A
+landmark search hands it `applications.TRIAL_FACTR`, since a trial's only
+output is its score's rank; every other fit keeps scipy's stop, bit for
+bit. `_lockstep` runs many such runs side by side:
 each round, the runs that ask for a point are evaluated in one stacked
 `value_and_grad` (as GPyTorch batches independent GPs, Gardner et al.
 2018), and runs leave as they end. `fit` runs its restarts this way, and
@@ -1130,10 +1135,13 @@ class _Run:
     arrays, the last point evaluated with its value ``fun`` and gradient,
     the counts ``nit`` and ``nfev``, the largest nugget its evaluations
     needed, the error that ended it, if any, and, once it has stopped,
-    scipy's ``success`` flag and ``message``. `minimize` returns it, and
-    `fit_designs` writes each restart's record from it."""
+    scipy's ``success`` flag and ``message``. L-BFGS-B's relative-reduction
+    test runs at ``factr`` machine epsilons (scipy's is `LBFGS_FACTR`).
+    `minimize` returns it, and `fit_designs` writes each restart's record
+    from it."""
 
-    def __init__(self, x0, bounds):
+    def __init__(self, x0, bounds, factr: float):
+        self.factr = factr
         self.lo, self.hi = np.array(bounds, dtype=float).T.copy()  # contiguous rows
         self.x = np.array(x0, dtype=float)  # setulb's iterate, updated in place
         n, m = len(self.x), LBFGS_MAXCOR
@@ -1157,7 +1165,7 @@ class _Run:
         task = self.task
         while True:
             setulb(LBFGS_MAXCOR, self.x, self.lo, self.hi, self.nbd, self.fun, self.g,
-                   LBFGS_FACTR, LBFGS_PGTOL, self.wa, self.iwa, task, self.lsave,
+                   self.factr, LBFGS_PGTOL, self.wa, self.iwa, task, self.lsave,
                    self.isave, self.dsave, LBFGS_MAXLS, self.ln_task)
             if task[0] == 3:  # FG: the value and gradient at x
                 if (key := self.x.tolist()) != self.point:  # equal as floats, as scipy
@@ -1182,15 +1190,16 @@ class _Run:
         return f"{LBFGS_STATUS_MESSAGES[status]}: {LBFGS_TASK_MESSAGES[task]}"
 
 
-def _lockstep(evaluate, starts, maxiter: int, width: int) -> list:
+def _lockstep(evaluate, starts, maxiter: int, width: int, factr: float) -> list:
     """Run L-BFGS-B from every (x0, bounds) of ``starts`` side by side, each
     as `minimize` runs it alone. Every round collects the runs that ask for
     a new point and hands their points, stacked as the rows of one array,
     and their indices in ``starts`` to ``evaluate``, which returns (values,
     gradients, nuggets, errors) as `value_and_grad` does; a run whose row
     has an error ends with it. At most ``width`` runs are active at once,
-    started in order as others end. Returns the `_Run` of every start."""
-    runs = [_Run(x0, bounds) for x0, bounds in starts]
+    started in order as others end. Every run stops at ``factr`` (`_Run`).
+    Returns the `_Run` of every start."""
+    runs = [_Run(x0, bounds, factr) for x0, bounds in starts]
     waiting = iter(range(len(runs)))
     asking = []
     while True:
@@ -1230,7 +1239,7 @@ def minimize(fun, x0, bounds, maxiter: int) -> _Run:
         value, grad = fun(points[0])
         return [value], [grad], [0.0], [None]
 
-    return _lockstep(evaluate, [(x0, bounds)], maxiter, 1)[0]
+    return _lockstep(evaluate, [(x0, bounds)], maxiter, 1, LBFGS_FACTR)[0]
 
 
 def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
@@ -1259,7 +1268,8 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
 
 
 def fit_designs(designs, model_config: ModelConfig | None = None,
-                opt_config: OptimizerConfig | None = None) -> list:
+                opt_config: OptimizerConfig | None = None,
+                factr: float = LBFGS_FACTR) -> list:
     """`fit` of every design of a list, all their restarts in one lockstep
     (`_lockstep`): each round evaluates every restart that asks for a point
     in one stacked `value_and_grad`. The designs need one layout: the same
@@ -1268,7 +1278,12 @@ def fit_designs(designs, model_config: ModelConfig | None = None,
     design keeps the runs (`_Run`) of its restarts that ran to their end,
     and its records and best theta both come from those runs. Returns per
     design its FittedModel, or the NumericalError its fit met: when every
-    restart is skipped, or when the best theta cannot be factored again."""
+    restart is skipped, or when the best theta cannot be factored again.
+
+    ``factr`` is L-BFGS-B's stop, in machine epsilons of relative reduction
+    of the value (`_Run`). At `LBFGS_FACTR`, scipy's, a design's fit is its
+    `fit`; a landmark search passes `applications.TRIAL_FACTR`, and its
+    runs end by the same test, with the same message, only sooner."""
     if not designs:
         raise ValidationError("need at least one design")
     model_config = model_config or ModelConfig()
@@ -1287,7 +1302,7 @@ def fit_designs(designs, model_config: ModelConfig | None = None,
     runs = _lockstep(
         lambda points, active: lead.value_and_grad(points, [rows[k] for k in active]),
         [(theta0, obj.bounds) for obj, theta0 in starts], opt_config.maxiter,
-        max(1, LOCKSTEP_ENTRIES // lead.n_points ** 2))
+        max(1, LOCKSTEP_ENTRIES // lead.n_points ** 2), factr)
     models = []
     for d, obj in enumerate(objs):
         kept = []  # (restart number, run) of each restart that ran to its end

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import curvegp as cg
-from curvegp.applications import _score_subset
+from curvegp.applications import TRIAL_FACTR, _score_subset
 from curvegp.coreg import CoregMatrix, MultiLevelKernel
 from curvegp.curves import Curve, polygon_length
 from curvegp.kernels import FAMILIES, unit_correlation
 from curvegp.model import (MarginalLikelihoodObjective, ModelConfig,
                            OptimizerConfig, TrainingDesign, assemble_model, fit,
-                           predict, predict_curve)
+                           fit_designs, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 from gram_oracle import one_row, theorem1_bounds
 
@@ -276,9 +276,11 @@ def test_criterion_12_simultaneous_landmark_oracle(report):
     model_config = ModelConfig()
     opt = OptimizerConfig(restarts=1, maxiter=60, seed=0)
 
-    def fitted_alone(subset):  # the subset's own fit, outside the search's lockstep
+    def fitted_alone(subset):  # the subset's own fit, outside the search's
+        # lockstep, stopped where the search stops a trial
         subs = [Curve(c.points[list(subset)]) for c in curves]
-        model = fit(TrainingDesign.from_curves(subs), model_config, opt)
+        model, = fit_designs([TrainingDesign.from_curves(subs)], model_config, opt,
+                             factr=TRIAL_FACTR)
         return _score_subset(curves, subs, model, "imspe")
 
     exhaustive = {subset: fitted_alone(subset)

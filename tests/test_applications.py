@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from curvegp.applications import (LandmarkConfig, reconstruct,
-                                  sequential_landmark, simultaneous_landmarks)
+from curvegp.applications import (TRIAL_FACTR, LandmarkConfig, _score_subset,
+                                  reconstruct, sequential_landmark,
+                                  simultaneous_landmarks)
 from curvegp.curves import Curve, generate_synthetic
 from curvegp.errors import ValidationError
 from curvegp.metrics import iuea
-from curvegp.model import (ModelConfig, OptimizerConfig, TrainingDesign, fit,
-                           predict_curve)
+from curvegp.model import (LBFGS_FACTR, ModelConfig, OptimizerConfig, TrainingDesign,
+                           fit, fit_designs, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 
 FAST = OptimizerConfig(restarts=2, maxiter=100, seed=0)
@@ -90,7 +91,8 @@ class TestSimultaneousLandmarks:
 
     def test_iuea_criterion(self):
         # a trial's iuea score is the iuea of the dense prediction of a fit
-        # to the subset, here of the one curve
+        # to the subset, here of the one curve, stopped where the search
+        # stops a trial
         cfg = LandmarkConfig(p=4, n_trials=3, criterion="iuea", rng_seed=9)
         r1 = simultaneous_landmarks(self.curves, cfg, opt_config=FAST)
         r2 = simultaneous_landmarks(self.curves, cfg, opt_config=FAST)
@@ -98,13 +100,54 @@ class TestSimultaneousLandmarks:
         assert r1.score == r2.score == min(score for _, score in r1.trials)
         assert np.isfinite([score for _, score in r1.trials]).all()
         curve = self.curves[0]
-        model = fit(TrainingDesign.from_curves([Curve(curve.points[list(r1.indices)])]),
-                    opt_config=FAST)
+        design = TrainingDesign.from_curves([Curve(curve.points[list(r1.indices)])])
+        model, = fit_designs([design], opt_config=FAST, factr=TRIAL_FACTR)
         assert r1.score == iuea(predict_curve(model, 0, m=curve.n))
 
     def test_p_exceeding_n_rejected(self):
         with pytest.raises(ValidationError):
             simultaneous_landmarks(self.curves, LandmarkConfig(p=10, n_trials=1))
+
+
+class TestTrialStop:
+    """Landmark trials stop at `TRIAL_FACTR`, every other fit at scipy's
+    `LBFGS_FACTR`."""
+
+    def setup_method(self):
+        self.curves = [generate_synthetic("star", 12, rng_seed=k, noise_sd=0.01)
+                       for k in (1, 2, 3)]
+        self.opt = OptimizerConfig(restarts=2)
+        self.result = simultaneous_landmarks(
+            self.curves, LandmarkConfig(p=4, n_trials=4, rng_seed=2), opt_config=self.opt)
+        self.subs = [[Curve(c.points[list(subset)]) for c in self.curves]
+                     for subset, _ in self.result.trials]
+        self.designs = [TrainingDesign.from_curves(sub) for sub in self.subs]
+
+    def test_trials_stop_early_and_rank_as_at_scipys_stop(self):
+        nfev, order = {}, {}
+        for factr in (LBFGS_FACTR, TRIAL_FACTR):
+            models = fit_designs(self.designs, None, self.opt, factr=factr)
+            nfev[factr] = sum(record["nfev"] for model in models
+                              for record in model.diagnostics["restarts"])
+            scores = [_score_subset(self.curves, sub, model, "imspe")
+                      for sub, model in zip(self.subs, models)]
+            order[factr] = sorted(range(len(scores)), key=scores.__getitem__)
+            if factr == TRIAL_FACTR:  # the search's own fits
+                assert scores == [score for _, score in self.result.trials]
+        assert nfev[TRIAL_FACTR] <= 0.75 * nfev[LBFGS_FACTR], nfev
+        assert order[TRIAL_FACTR] == order[LBFGS_FACTR]
+        assert self.result.indices == self.result.trials[order[LBFGS_FACTR][0]][0]
+
+    def test_other_fits_keep_scipys_stop(self):
+        design = self.designs[0]
+        records = fit(design, opt_config=self.opt).diagnostics["restarts"]
+        assert fit_designs([design], None, self.opt)[0].diagnostics["restarts"] == records
+        # a trial's run ends by the same test of L-BFGS-B, only sooner
+        early = fit_designs([design], None, self.opt,
+                            factr=TRIAL_FACTR)[0].diagnostics["restarts"]
+        assert sum(r["nfev"] for r in early) < sum(r["nfev"] for r in records)
+        assert {r["message"] for r in early + records} == {
+            "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"}
 
 
 class TestSequentialLandmark:

@@ -55,6 +55,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("opt.restarts = many")
 
+    def test_key_set_twice_rejected(self, tmp_path, capsys):
+        # a second line for a key once overrode the first without a word:
+        # 2 then 8 restarts fitted 8
+        with pytest.raises(ConfigError, match=r"^cfg\.txt:3: config key 'opt\.restarts' "
+                           r"is set again \(first on line 1\)$"):
+            parse_config_text("opt.restarts = 2\nopt.seed = 1\nopt.restarts = 8\n",
+                              "cfg.txt")
+        curve = str(tmp_path / "c.csv")
+        assert main(["simulate", "--shape", "circle", "--n", "8",
+                     "--out", curve]) == EXIT_OK
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("opt.restarts = 2  # two\n\nopt.restarts=2\n")
+        capsys.readouterr()
+        assert main(["fit", "--inputs", curve, "--config", str(cfg),
+                     "--out", str(tmp_path / "fit.json")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.strip() == (
+            f"error: {cfg}:3: config key 'opt.restarts' is set again (first on line 1)")
+        assert not (tmp_path / "fit.json").exists()
+
     def test_print_defaults(self, capsys):
         assert main(["config", "print-defaults"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -143,7 +162,8 @@ class TestConfigKeys:
         assert main(["simulate", "--shape", "circle", "--n", "8",
                      "--out", curve]) == EXIT_OK
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"opt.maxiter = 5\n{key} = {value}\n")
+        short = "opt.restarts = 1" if key == "opt.maxiter" else "opt.maxiter = 5"
+        cfg.write_text(f"{short}\n{key} = {value}\n")  # a key is set once
         capsys.readouterr()
         assert main(["fit", "--inputs", curve, "--config", str(cfg),
                      "--out", str(tmp_path / "fit.json")]) == EXIT_VALIDATION

@@ -2213,9 +2213,9 @@ class TestLockstep:
         widths = []
         lockstep = model._lockstep
 
-        def recorded(evaluate, starts, maxiter, width):
+        def recorded(evaluate, starts, maxiter, width, factr):
             widths.append(width)
-            return lockstep(evaluate, starts, maxiter, width)
+            return lockstep(evaluate, starts, maxiter, width, factr)
 
         monkeypatch.setattr(model, "_lockstep", recorded)
         monkeypatch.setattr(model, "LOCKSTEP_ENTRIES", 1 if entries == "one-run"
@@ -2226,32 +2226,42 @@ class TestLockstep:
             assert_same_fit(a, b)
 
     def test_landmark_search_is_pinned(self):
-        # the trials' fits in one lockstep give the indices, score and
-        # trials that fitting each trial alone gave. OpenBLAS's dpotri
-        # rounds differently at one thread than at two or more, so the
-        # search runs in a fresh interpreter at one BLAS thread, as the
+        # the trials' fits in one lockstep, stopped at the landmark trials'
+        # tolerance (`TRIAL_FACTR`), give the indices, score and trials
+        # that fitting each trial alone at that tolerance gives. OpenBLAS's
+        # dpotri rounds differently at one thread than at two or more, so
+        # the search runs in a fresh interpreter at one BLAS thread, as the
         # benchmark does, and the figures hold whatever this process uses
         code = ("import json\n"
-                "from curvegp.applications import LandmarkConfig, simultaneous_landmarks\n"
-                "from curvegp.curves import generate_synthetic\n"
-                "from curvegp.model import OptimizerConfig\n"
+                "from curvegp.applications import (TRIAL_FACTR, LandmarkConfig, _score_subset,"
+                " simultaneous_landmarks)\n"
+                "from curvegp.curves import Curve, generate_synthetic\n"
+                "from curvegp.model import OptimizerConfig, TrainingDesign, fit_designs\n"
                 "curves = [generate_synthetic('star', 12, rng_seed=k, noise_sd=0.01)"
                 " for k in (1, 2, 3)]\n"
+                "opt = OptimizerConfig(restarts=2)\n"
                 "result = simultaneous_landmarks(curves, LandmarkConfig(p=4, n_trials=4,"
-                " rng_seed=2), opt_config=OptimizerConfig(restarts=2))\n"
-                "print(json.dumps([result.indices, result.score, result.trials]))\n")
+                " rng_seed=2), opt_config=opt)\n"
+                "alone = []\n"
+                "for subset, _ in result.trials:\n"
+                "    subs = [Curve(c.points[list(subset)]) for c in curves]\n"
+                "    model, = fit_designs([TrainingDesign.from_curves(subs)], None, opt,"
+                " factr=TRIAL_FACTR)\n"
+                "    alone.append([subset, _score_subset(curves, subs, model, 'imspe')])\n"
+                "print(json.dumps([result.indices, result.score, result.trials, alone]))\n")
         env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
                    OMP_NUM_THREADS="1")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        indices, score, trials = json.loads(proc.stdout)
+        indices, score, trials, alone = json.loads(proc.stdout)
         assert indices == [0, 3, 6, 9]
-        assert score == 0.09184278853844435
-        assert trials == [[[1, 2, 3, 7], 0.28927888427978427],
-                          [[0, 3, 6, 9], 0.09184278853844435],
-                          [[0, 3, 6, 7], 0.152979228759102],
-                          [[1, 2, 5, 8], 0.19473496963330153]]
+        assert score == 0.09180055835251734
+        assert trials == [[[1, 2, 3, 7], 0.2894586409276832],
+                          [[0, 3, 6, 9], 0.09180055835251734],
+                          [[0, 3, 6, 7], 0.15300672073478652],
+                          [[1, 2, 5, 8], 0.1947327254908795]]
+        assert alone == trials
 
 
 # the records of an objective's work, each a home of work arrays
