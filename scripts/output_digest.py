@@ -9,9 +9,8 @@ runs the warm-up job and then the job list through `curvegp.cli.main`, in
 one temporary directory per workload, and hashes every file under that
 directory: its path relative to the directory, then its bytes, file by
 file in the order of the sorted relative paths. A job that exits non-zero
-fails the script (exit 1). BLAS is pinned to one thread before numpy
-loads, as the benchmark pins it, since the optimizer's path depends on
-it. ``--src PATH`` digests the curvegp and workloads of another checkout:
+fails the script (exit 1). ``--src PATH`` digests the curvegp and
+workloads of another checkout:
 
     python scripts/output_digest.py --seed 1 --seconds 20
     python scripts/output_digest.py --seed 1 --seconds 20 --src ../other-checkout
@@ -27,9 +26,6 @@ import sys
 import tempfile
 import warnings
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -39,10 +35,7 @@ def run(argv, main) -> None:
     sink = io.StringIO()
     with contextlib.redirect_stderr(sink), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejected the arguments
-            code = exc.code
+        code = main(argv)
     if code != 0:
         raise SystemExit(f"curvegp {' '.join(argv)} exited {code}: "
                          f"{sink.getvalue().strip()}")

@@ -14,7 +14,9 @@ one-row case calls ``value_and_grad(X, [obj])``.
 
 Each pass times a fixed number of calls of each case in turn, so the cases
 interleave. BLAS is pinned to one thread before numpy loads, as the
-benchmark pins it. ``--src PATH`` times the curvegp of another checkout
+benchmark pins it: the library's entries run OpenBLAS at one thread
+themselves, but `value_and_grad`, which this script calls directly, keeps
+its caller's count. ``--src PATH`` times the curvegp of another checkout
 (PATH/src), so two trees can be timed alternately, each in a fresh process:
 
     python scripts/time_likelihood.py --passes 40

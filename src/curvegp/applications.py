@@ -15,7 +15,8 @@ from .curves import Curve, xy_to_arc_param
 from .errors import NumericalError, ValidationError, whole_number
 from .metrics import iuea
 from .model import (FittedModel, ModelConfig, OptimizerConfig, TrainingDesign,
-                    _unit_means, fit, fit_designs, predict_curve)
+                    _one_blas_thread, _unit_means, fit, fit_designs,
+                    predict_curve)
 
 
 def reconstruct(curves, model_config: ModelConfig | None = None,
@@ -100,6 +101,7 @@ def _distinct_subsets(n: int, p: int, n_trials: int, seed) -> list:
     return list(seen)
 
 
+@_one_blas_thread()
 def simultaneous_landmarks(curves, config: LandmarkConfig,
                            model_config: ModelConfig | None = None,
                            opt_config: OptimizerConfig | None = None) -> LandmarkResult:

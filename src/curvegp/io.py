@@ -30,12 +30,14 @@ from .model import PredictedCurve, TrainingDesign, assemble_model
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temporary file + rename in the same directory."""
+    """Write text to path, encoded as UTF-8 (the encoding the SVG's XML
+    declaration states), via a temporary file + rename in the same
+    directory."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -57,9 +59,10 @@ def save_curve_csv(curve: Curve, path: str) -> None:
 
 
 def load_curve_csv(path: str) -> Curve:
-    """The curve of an x,y CSV file. Blank lines are skipped; an error names
-    the file's own line, blank lines counted."""
-    with open(path) as handle:
+    """The curve of an x,y CSV file, read as UTF-8 with or without the byte
+    order mark that spreadsheets' "CSV UTF-8" exports write. Blank lines are
+    skipped; an error names the file's own line, blank lines counted."""
+    with open(path, encoding="utf-8-sig") as handle:
         lines = [(lineno, line.strip()) for lineno, line in enumerate(handle, 1)
                  if line.strip()]
     if not lines or lines[0][1].replace(" ", "") != "x,y":

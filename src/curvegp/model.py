@@ -134,17 +134,22 @@ loaded when a fit or `minimize` first runs, and its messages from scipy's
 tables copied here (`LBFGS_STATUS_MESSAGES`, `LBFGS_TASK_MESSAGES`).
 Each routine is the object `scipy.linalg.lapack`, `scipy.linalg.blas` or
 `scipy.optimize` exports, so the numbers are those of the packages'
-routines.
+routines. The entries that reach BLAS (`fit_designs`, `assemble_model`,
+`predict`, `predict_curve`) run numpy's and SciPy's OpenBLAS at one thread
+and give the caller's counts back (`_one_blas_thread`), so their numbers
+do not depend on the caller's thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from types import SimpleNamespace
@@ -414,6 +419,60 @@ def _linalg():
     ``lapack`` and ``blas`` export, without the package (`_scipy_module`)."""
     return SimpleNamespace(lapack=_scipy_module("linalg._flapack"),
                            blas=_scipy_module("linalg._fblas"))
+
+
+@cache
+def _blas_copies() -> tuple:
+    """(get, set) of the thread count of each OpenBLAS copy the library
+    calls, found on the first call through the modules that load them:
+    numpy's, which serves matmul and `_dots`, exports
+    ``scipy_openblas_{get,set}_num_threads64_`` to numpy's
+    `_multiarray_umath`, and SciPy's, which serves LAPACK, BLAS and
+    `setulb`, exports ``scipy_openblas_{get,set}_num_threads`` to `_linalg`'s
+    LAPACK module. A name looked up through a module's handle is searched
+    for in the libraries it loads, so no path is searched. A copy that does
+    not export these names (MKL, a system OpenBLAS) is left alone."""
+    copies = []
+    for module, suffix in ((np._core._multiarray_umath, "64_"), (_linalg().lapack, "")):
+        library = ctypes.CDLL(module.__file__)
+        try:
+            get = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        copies.append((get, put))
+    return tuple(copies)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body, or each call of the function it decorates, with every
+    OpenBLAS copy of `_blas_copies` at one thread, and give each copy back
+    the count it had on the way out, an exception's way too (the technique
+    of threadpoolctl's `threadpool_limits`). Each count is read, and set
+    only when it is not 1, so a process already at one thread pays one read
+    per copy. The library's entries that reach BLAS (`fit_designs`,
+    `assemble_model`, `predict`, `predict_curve` and
+    `applications.simultaneous_landmarks`) run in it, so their numbers are
+    those of one thread whatever the caller's count, and they run at
+    one-thread speed: threads only slow OpenBLAS down at these sizes. The
+    count is process-global: while a call runs, BLAS work of another Python
+    thread runs at one thread too, and of two calls that overlap in two
+    Python threads, the one that returns first restores the counts under
+    the other."""
+    copies = _blas_copies()
+    counts = [get() for get, _ in copies]
+    for (_, put), count in zip(copies, counts):
+        if count != 1:
+            put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(copies, counts):
+            if count != 1:
+                put(count)
 
 
 # A triangular block of at most this many rows is one BLAS or LAPACK call
@@ -925,7 +984,10 @@ class MarginalLikelihoodObjective:
         and None, or, for a row that cannot be factored, None, NaN, None and
         its NumericalError. The call writes
         only to this objective's work arrays; the returned nuggets are the
-        record of the ladder, and the objectives of ``rows`` are only read."""
+        record of the ladder, and the objectives of ``rows`` are only read.
+        It runs OpenBLAS at the caller's thread count: the fits that call it
+        set one thread (`_one_blas_thread`), so a direct call gives a fit's
+        numbers only at one thread."""
         K, (dR, K0) = self.gram_and_grads(theta, rows)
         n_rows, size = len(K), 2 * self.n_points
         work = self._work[n_rows]
@@ -993,7 +1055,9 @@ class MarginalLikelihoodObjective:
         return values, grad, nuggets, errors
 
     def value(self, theta):
-        """-log p(y) at one theta: row 0 of the stack [theta], raising its NumericalError."""
+        """-log p(y) at one theta: row 0 of the stack [theta], raising its
+        NumericalError; at the caller's BLAS thread count, as
+        `value_and_grad`."""
         values, _, _, errors = self.value_and_grad(self._row(theta))
         if errors[0] is not None:
             raise errors[0]
@@ -1042,6 +1106,7 @@ def _solve(work: _SolveWork, y: np.ndarray):
     return work.factors, nuggets, alphas, quads, [a + b for a, b in logdets], errors
 
 
+@_one_blas_thread()
 def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
                    noise_variance: float) -> FittedModel:
     """Cache the training factorization for a kernel and a noise variance
@@ -1234,7 +1299,8 @@ def minimize(fun, x0, bounds, maxiter: int) -> _Run:
     (`_Run.advance`), `setulb` projecting x0 into the box as scipy clips it.
     This is the lockstep of one run (`_lockstep`); it returns that run, whose
     ``x``, ``fun``, ``nit``, ``nfev``, ``success`` and ``message`` are
-    those of scipy's result."""
+    those of scipy's result. ``fun`` runs at the caller's BLAS thread count
+    (`_one_blas_thread` is not entered)."""
     def evaluate(points, _):
         value, grad = fun(points[0])
         return [value], [grad], [0.0], [None]
@@ -1267,6 +1333,7 @@ def fit(design: TrainingDesign, model_config: ModelConfig | None = None,
     return model
 
 
+@_one_blas_thread()
 def fit_designs(designs, model_config: ModelConfig | None = None,
                 opt_config: OptimizerConfig | None = None,
                 factr: float = LBFGS_FACTR) -> list:
@@ -1356,6 +1423,7 @@ def _whitened(model: FittedModel, cross):
         yield V
 
 
+@_one_blas_thread()
 def predict(model: FittedModel, s, d, j=None):
     """Predictive mean and full covariance at query rows (s*, d, j) in
     coordinate pairs: rows 2u and 2u + 1 are coordinates 0 and 1 of point
@@ -1405,6 +1473,7 @@ def _query_points(model: FittedModel, s, d, j):
     return s[0::2], j[0::2]
 
 
+@_one_blas_thread()
 def predict_curve(model: FittedModel, curve_index: int = 0, m: int = 100) -> PredictedCurve:
     """Dense predictive mean curve with per-point 2x2 covariance blocks.
 

@@ -12,24 +12,24 @@ median held-out coverage of the truth by `predict_curve`'s 95% ellipses, a
 figure only.
 
 Each side of a family (joint and separate, grouped and pooled) is one
-`fit_designs` call over the twelve members' designs, and both families run
-in one fresh interpreter at one BLAS thread, as the benchmark runs: OpenBLAS
-rounds differently at one thread than at more, and threaded OpenBLAS makes
-these small fits about ten times slower. Run as a script, this file prints
-both families' figures as JSON.
+`fit_designs` call over the twelve members' designs, run in the test's own
+process: the library runs OpenBLAS at one thread whatever the process's
+count, so the figures are the benchmark's. Run as a script, this file
+prints both families' figures as JSON.
 """
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import curvegp as cg
+from curvegp.curves import Curve, arc_to_xy_param, polygon_length
+from curvegp.model import (FittedModel, ModelConfig, OptimizerConfig, TrainingDesign,
+                           fit_designs, predict_curve)
+from curvegp.preprocess import center, scale_to_unit_length
+
 MEMBERS = 12
 MIN_WINS, MAX_MEDIAN = 10, 0.9
 CHI2_2_95 = -2.0 * math.log(0.05)  # 95% quantile of chi-square with 2 degrees of freedom
@@ -38,7 +38,6 @@ M = 200  # grid points per predicted curve, as in the criteria
 
 def truth_points(truth, m):
     """The truth at the m grid fractions `imspe` scores a prediction at."""
-    from curvegp.curves import arc_to_xy_param, polygon_length
     return arc_to_xy_param(truth, np.arange(m) * polygon_length(truth) / m)
 
 
@@ -56,7 +55,6 @@ def coverage(pred, truth) -> float:
 
 def fit_side(designs):
     """One `fit_designs` call with the criteria's optimizer settings."""
-    from curvegp.model import FittedModel, ModelConfig, OptimizerConfig, fit_designs
     models = fit_designs(designs, ModelConfig(),
                          OptimizerConfig(restarts=4, maxiter=150, seed=0))
     for model in models:
@@ -71,9 +69,6 @@ def reconstruction_family():
     200 + k, and default_rng(300 + k) for the second full star). Per member,
     the clustered curve's IMSPE from the joint fit of the three curves and
     from its separate fit, and each side's coverage of the truth."""
-    import curvegp as cg
-    from curvegp.curves import Curve, polygon_length
-    from curvegp.model import TrainingDesign, predict_curve
     amp, petals = 0.2, 4
 
     def star(theta):
@@ -115,10 +110,6 @@ def subpopulation_family():
     is 2): three circles and three ellipses of 10 noisy points. Per member,
     the mean IMSPE over the six curves of the fit with the curves' groups
     and of the fit without, and each side's mean coverage of the truths."""
-    import curvegp as cg
-    from curvegp.curves import Curve, polygon_length
-    from curvegp.model import TrainingDesign, predict_curve
-    from curvegp.preprocess import center, scale_to_unit_length
 
     def shape_pts(kind, theta):
         if kind == "circle":
@@ -160,14 +151,8 @@ def subpopulation_family():
 
 @pytest.fixture(scope="module")
 def families():
-    """Both families' members, computed in one fresh interpreter at one
-    BLAS thread."""
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
-                          text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    """Both families' members."""
+    return {"08": reconstruction_family(), "13": subpopulation_family()}
 
 
 @pytest.mark.parametrize("number, name, sides, member", [

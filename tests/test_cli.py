@@ -194,6 +194,16 @@ class TestCurveCsv:
         loaded = load_curve_csv(path)
         assert np.array_equal(c.points, loaded.points)
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # a "CSV UTF-8" export starts with a UTF-8 byte order mark, which was
+        # read as part of the header: "...:1: expected header 'x,y'"
+        c = generate_synthetic("star", 17, noise_sd=0.01, rng_seed=3)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_curve_csv(c, str(plain))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert np.array_equal(load_curve_csv(str(marked)).points,
+                              load_curve_csv(str(plain)).points)
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n3,4\n5,6\n")

@@ -4,11 +4,7 @@ import collections
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,19 +13,18 @@ from scipy.linalg import cho_factor, cho_solve
 from curvegp.coreg import CoregMatrix, MultiLevelKernel, curve_factor, multilevel_gram
 from curvegp.curves import Curve, generate_synthetic
 from curvegp.errors import NumericalError, ValidationError
-from curvegp.io import fit_result_from_dict, fit_result_to_dict
+from curvegp.io import fit_result_from_dict, fit_result_to_dict, kernel_from_dict
 from curvegp.kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                              warped_correlation)
 from curvegp.model import (NUGGET_LADDER, MarginalLikelihoodObjective,
                            ModelConfig, OptimizerConfig, TrainingDesign,
                            _chol_with_ladder, _coord_basis, _dots, _LevelWork,
-                           _solve, _SolveWork, _StackWork, assemble_model, fit,
-                           fit_designs, predict, predict_curve)
+                           _one_blas_thread, _solve, _SolveWork, _StackWork,
+                           assemble_model, fit, fit_designs, predict, predict_curve)
 from curvegp.preprocess import center, scale_to_unit_length
 from gram_oracle import full_grid_gram_oracle, one_row, two_buffer_ladder
 
 IDENTITY_2 = CoregMatrix.identity(2)
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def single_point_design(y):
@@ -1435,15 +1430,18 @@ SCIPY_ORACLE_CASES = {
 def scipy_restarts(design, model_config, opt):
     """`fit`'s restarts through `scipy.optimize.minimize` (jac=True): the
     restart records `fit` logs, each scored minus its run's last value, and
-    each restart's x."""
+    each restart's x. The restarts run at one BLAS thread, as `fit`'s do
+    (`_one_blas_thread`)."""
     from scipy.optimize import minimize
     obj = MarginalLikelihoodObjective(design, model_config)
     rng = np.random.default_rng(opt.seed)
     scores, xs, records = [], [], []
     for i in range(opt.restarts):
         theta0 = obj.default_start() if i == 0 else obj.random_start(rng)
-        res = minimize(lambda theta: one_row(obj, theta), theta0, jac=True, method="L-BFGS-B",
-                       bounds=obj.bounds, options={"maxiter": opt.maxiter})
+        with _one_blas_thread():
+            res = minimize(lambda theta: one_row(obj, theta), theta0, jac=True,
+                           method="L-BFGS-B", bounds=obj.bounds,
+                           options={"maxiter": opt.maxiter})
         scores.append(-float(res.fun))
         xs.append(res.x)
         records.append({"restart": i, "score": scores[-1], "nit": int(res.nit),
@@ -1552,7 +1550,8 @@ def fail_at_point(monkeypatch, design, opt, restart, k):
     """Make the factorization fail at the k-th point that restart
     ``restart`` of a fit of ``design`` (default model config, optimizer
     config ``opt``) evaluates, wherever the lockstep puts that row: the
-    point comes from running the restart alone through `minimize`, and
+    point comes from running the restart alone through `minimize`, at one
+    BLAS thread as a fit runs (`_one_blas_thread`), and
     `_chol_with_ladder` raises on that point's blocks alone. Returns a list
     that gets a 1 for every failure raised."""
     import curvegp.model as model
@@ -1565,15 +1564,16 @@ def fail_at_point(monkeypatch, design, opt, restart, k):
         points.append(theta.copy())
         return one_row(obj, theta)
 
-    model.minimize(recorded, starts[restart], obj.bounds, opt.maxiter)
     factor, seen, raised = model._chol_with_ladder, [], []
 
     def spy(out, *gram):  # the blocks the factor buffer holds when called
         seen.append(out.copy())
         return factor(out, *gram)
 
-    monkeypatch.setattr(model, "_chol_with_ladder", spy)
-    one_row(obj, points[k - 1])
+    with _one_blas_thread():
+        model.minimize(recorded, starts[restart], obj.bounds, opt.maxiter)
+        monkeypatch.setattr(model, "_chol_with_ladder", spy)
+        one_row(obj, points[k - 1])
 
     def fails_there(out, *gram):
         if np.array_equal(out, seen[-1]):
@@ -2228,40 +2228,83 @@ class TestLockstep:
     def test_landmark_search_is_pinned(self):
         # the trials' fits in one lockstep, stopped at the landmark trials'
         # tolerance (`TRIAL_FACTR`), give the indices, score and trials
-        # that fitting each trial alone at that tolerance gives. OpenBLAS's
-        # dpotri rounds differently at one thread than at two or more, so
-        # the search runs in a fresh interpreter at one BLAS thread, as the
-        # benchmark does, and the figures hold whatever this process uses
-        code = ("import json\n"
-                "from curvegp.applications import (TRIAL_FACTR, LandmarkConfig, _score_subset,"
-                " simultaneous_landmarks)\n"
-                "from curvegp.curves import Curve, generate_synthetic\n"
-                "from curvegp.model import OptimizerConfig, TrainingDesign, fit_designs\n"
-                "curves = [generate_synthetic('star', 12, rng_seed=k, noise_sd=0.01)"
-                " for k in (1, 2, 3)]\n"
-                "opt = OptimizerConfig(restarts=2)\n"
-                "result = simultaneous_landmarks(curves, LandmarkConfig(p=4, n_trials=4,"
-                " rng_seed=2), opt_config=opt)\n"
-                "alone = []\n"
-                "for subset, _ in result.trials:\n"
-                "    subs = [Curve(c.points[list(subset)]) for c in curves]\n"
-                "    model, = fit_designs([TrainingDesign.from_curves(subs)], None, opt,"
-                " factr=TRIAL_FACTR)\n"
-                "    alone.append([subset, _score_subset(curves, subs, model, 'imspe')])\n"
-                "print(json.dumps([result.indices, result.score, result.trials, alone]))\n")
-        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        indices, score, trials, alone = json.loads(proc.stdout)
-        assert indices == [0, 3, 6, 9]
-        assert score == 0.09180055835251734
-        assert trials == [[[1, 2, 3, 7], 0.2894586409276832],
-                          [[0, 3, 6, 9], 0.09180055835251734],
-                          [[0, 3, 6, 7], 0.15300672073478652],
-                          [[1, 2, 5, 8], 0.1947327254908795]]
-        assert alone == trials
+        # that fitting each trial alone at that tolerance gives. The search
+        # and the fits run OpenBLAS at one thread whatever this process's
+        # count (`_one_blas_thread`), so the figures are the
+        # benchmark's
+        from curvegp.applications import (TRIAL_FACTR, LandmarkConfig, _score_subset,
+                                           simultaneous_landmarks)
+        curves = [generate_synthetic("star", 12, rng_seed=k, noise_sd=0.01)
+                  for k in (1, 2, 3)]
+        opt = OptimizerConfig(restarts=2)
+        result = simultaneous_landmarks(curves, LandmarkConfig(p=4, n_trials=4, rng_seed=2),
+                                        opt_config=opt)
+        alone = []
+        for subset, _ in result.trials:
+            subs = [Curve(c.points[list(subset)]) for c in curves]
+            model, = fit_designs([TrainingDesign.from_curves(subs)], None, opt,
+                                 factr=TRIAL_FACTR)
+            alone.append((subset, _score_subset(curves, subs, model, "imspe")))
+        assert result.indices == (0, 3, 6, 9)
+        assert result.score == 0.09180055835251734
+        assert result.trials == [((1, 2, 3, 7), 0.2894586409276832),
+                                 ((0, 3, 6, 9), 0.09180055835251734),
+                                 ((0, 3, 6, 7), 0.15300672073478652),
+                                 ((1, 2, 5, 8), 0.1947327254908795)]
+        assert alone == result.trials
+
+
+def openblas_copies():
+    """(get, set) of the thread count of numpy's and of SciPy's OpenBLAS,
+    looked up by name through the compiled modules that load them, as the
+    pip wheels ship them."""
+    import ctypes
+    from scipy.linalg import _flapack
+    copies = []
+    for module, suffix in ((np._core._multiarray_umath, "64_"), (_flapack, "")):
+        library = ctypes.CDLL(module.__file__)
+        get = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
+        put = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        copies.append((get, put))
+    return copies
+
+
+class TestOneBlasThread:
+    """The library's entries run OpenBLAS at one thread and give the
+    caller's thread counts back (`_one_blas_thread`)."""
+
+    @pytest.fixture
+    def copies(self):
+        copies = openblas_copies()
+        own = [get() for get, _ in copies]
+        yield copies
+        for (_, put), count in zip(copies, own):
+            put(count)
+
+    def test_a_fit_at_two_threads_is_the_fit_at_one(self, copies):
+        # OpenBLAS's dpotri rounds differently at one thread than at two, so
+        # a fit that ran at the caller's two threads wrote other bytes: log p
+        # 144.57431293098705 against 144.57431293099984 at one thread
+        design = TrainingDesign.from_curves(
+            [generate_synthetic("star", 20, rng_seed=k, noise_sd=0.01) for k in (1, 2, 3)])
+        opt = OptimizerConfig(restarts=4, seed=0)
+        texts = {}
+        for threads in (1, 2):
+            for _, put in copies:
+                put(threads)
+            model = fit(design, opt_config=opt)
+            texts[threads] = json.dumps(fit_result_to_dict(model))
+            assert [get() for get, _ in copies] == [threads] * 2
+        assert texts[2] == texts[1]
+        # an entry that raises gives the counts back too
+        data = fit_result_to_dict(model)
+        data["hyperparameters"]["sigma2"] = 1e308
+        data["coregionalization"]["C"]["w"] = [[10.0]] * 3
+        with pytest.raises(ValidationError, match="training covariance is not finite"):
+            assemble_model(design, *kernel_from_dict(data))
+        assert [get() for get, _ in copies] == [2, 2]
 
 
 # the records of an objective's work, each a home of work arrays
