@@ -4,8 +4,7 @@ print one JSON line of microseconds per call, the minimum over the passes:
 
 - ``one_row_p12_us``: one row, P = 12 (three 4-point stars);
 - ``stack6_p12_us``: a stack of 6 rows of P = 12, one design per row, the
-  6 designs of one layout (null for a tree whose likelihood takes one
-  theta, not a stack);
+  6 designs of one layout;
 - ``one_row_p120_us``: one row, P = 120 (a 60-point star and a 60-point
   ellipse).
 
@@ -24,7 +23,6 @@ its caller's count. ``--src PATH`` times the curvegp of another checkout
 """
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -37,33 +35,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def cases(model, curves):
-    """(name, calls per pass, call) of each case; call is None when the
-    tree cannot run the case."""
+    """(name, calls per pass, call) of each case."""
     star = curves.generate_synthetic
-    stacked = "rows" in inspect.signature(
-        model.MarginalLikelihoodObjective.value_and_grad).parameters
 
     def objective(curve_list):
         return model.MarginalLikelihoodObjective(
             model.TrainingDesign.from_curves(curve_list), model.ModelConfig())
 
     def one_row(obj):
-        theta = obj.default_start()
-        if stacked:
-            X, rows = theta[None], [obj]
-            return lambda: obj.value_and_grad(X, rows)
-        return lambda: obj.value_and_grad(theta)
+        X, rows = obj.default_start()[None], [obj]
+        return lambda: obj.value_and_grad(X, rows)
 
     small = [objective([star("star", 4, rng_seed=10 * d + k, noise_sd=0.01)
                         for k in range(3)]) for d in range(6)]
     large = objective([star("star", 60, rng_seed=1, noise_sd=0.01),
                        star("ellipse", 60, rng_seed=2, noise_sd=0.01)])
-    stack = None
-    if stacked:
-        X = [obj.default_start() for obj in small]
-        stack = lambda: small[0].value_and_grad(X, small)  # noqa: E731
+    X = [obj.default_start() for obj in small]
     return [("one_row_p12_us", 200, one_row(small[0])),
-            ("stack6_p12_us", 100, stack),
+            ("stack6_p12_us", 100, lambda: small[0].value_and_grad(X, small)),
             ("one_row_p120_us", 10, one_row(large))]
 
 
@@ -79,20 +68,16 @@ def main(argv=None):
     from curvegp import curves, model
 
     timed = cases(model, curves)
-    best = {name: None if call is None else float("inf") for name, _, call in timed}
-    for name, _, call in timed:  # warm up: imports, work arrays, caches
-        if call is not None:
-            call()
+    best = {name: float("inf") for name, _, _ in timed}
+    for _, _, call in timed:  # warm up: imports, work arrays, caches
+        call()
     for _ in range(args.passes):
         for name, calls, call in timed:
-            if call is None:
-                continue
             start = time.perf_counter()
             for _ in range(calls):
                 call()
             best[name] = min(best[name], (time.perf_counter() - start) / calls * 1e6)
-    print(json.dumps({name: None if us is None else round(us, 2)
-                      for name, us in best.items()}))
+    print(json.dumps({name: round(us, 2) for name, us in best.items()}))
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .curves import Curve, generate_synthetic, resample_equally_spaced
 from .errors import ConfigError, NumericalError, ValidationError, whole_number
 from .io import (atomic_write_text, fit_result_from_dict, fit_result_to_dict,
                  load_curve_csv, load_json, predicted_curve_from_dict,
-                 predicted_curve_to_dict, save_curve_csv, save_json)
+                 predicted_curve_to_dict, read_text, save_curve_csv, save_json)
 from .model import ModelConfig, OptimizerConfig, TrainingDesign
 from .preprocess import preprocess_collection
 from .svg import emit_svg
@@ -84,8 +84,7 @@ def load_config(path: str | None):
     """(ModelConfig, OptimizerConfig) from a config file, or the defaults."""
     if path is None:
         return configs_from_values(CONFIG_DEFAULTS)
-    with open(path) as handle:
-        return configs_from_values(parse_config_text(handle.read(), path))
+    return configs_from_values(parse_config_text(read_text(path), path))
 
 
 def configs_from_values(values: dict):
@@ -346,7 +345,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:  # ValidationError, CurveError, ConfigError, ...
+    except ValueError as exc:  # ValidationError, ConfigError, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

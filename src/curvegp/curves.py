@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CurveError, DegenerateCurveError, whole_number
+from .errors import DegenerateCurveError, ValidationError, require, whole_number
 
 # Interior points per polygon segment in `xy_to_arc_param`'s search.
 OVERSAMPLE = 19
@@ -42,15 +42,14 @@ def closure_row(points: np.ndarray):
     return gaps[..., -1, :].max(axis=-1) <= CLOSURE_RTOL * gaps.max(axis=(-2, -1))
 
 
-def point_array(name: str, value, error=CurveError) -> np.ndarray:
+def point_array(name: str, value) -> np.ndarray:
     """``value`` as a float array of one point, shape (2,), or of n >= 0
     points, shape (n, 2): the one shape rule for point arrays. Any other
-    shape raises ``error`` (a CurveError unless the caller's module reports
-    another) naming ``name`` and the shape."""
+    shape is a ValidationError naming ``name`` and the shape."""
     array = np.asarray(value, dtype=float)
     if array.shape != (2,) and (array.ndim != 2 or array.shape[1] != 2):
-        raise error(f"{name} must be one point of shape (2,) or points of shape "
-                    f"(n, 2), got shape {array.shape}")
+        raise ValidationError(f"{name} must be one point of shape (2,) or points of "
+                              f"shape (n, 2), got shape {array.shape}")
     return array
 
 
@@ -70,10 +69,10 @@ class Curve:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
-            raise CurveError(f"expected an (n, 2) point array, got shape {pts.shape}")
+            raise ValidationError(f"expected an (n, 2) point array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
-            raise CurveError(f"curve point {bad} is not finite: {pts[bad].tolist()}")
+            raise ValidationError(f"curve point {bad} is not finite: {pts[bad].tolist()}")
         keep = np.ones(len(pts), dtype=bool)
         keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
         if not keep.all():
@@ -82,7 +81,7 @@ class Curve:
         if len(pts) > 1 and closure_row(pts):
             pts = pts[:-1]
         if len(pts) < 3:
-            raise CurveError(f"a closed curve needs at least 3 points, got {len(pts)}")
+            raise ValidationError(f"a closed curve needs at least 3 points, got {len(pts)}")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -140,12 +139,12 @@ def xy_to_arc_param(curve: Curve, query):
     giving n parameters, each equal to the one-point call's; the polygon is
     oversampled once. Ties are broken toward the smallest arc parameter.
     The result lies in [0, total_length). Any other shape (`point_array`)
-    and a non-finite coordinate are a CurveError.
+    and a non-finite coordinate are a ValidationError.
     """
     dense, arcs = _oversampled_polygon(curve)
     query = point_array("query", query)
     if not np.isfinite(query).all():
-        raise CurveError("query must be finite: a point has a non-finite coordinate")
+        raise ValidationError("query must be finite: a point has a non-finite coordinate")
     pts = query.reshape(-1, 2)
     nearest = np.empty(len(pts), dtype=int)
     step = max(1, XY_QUERY_BLOCK // len(dense))  # bounds the distance array
@@ -163,7 +162,7 @@ def arc_to_xy_param(curve: Curve, s) -> np.ndarray:
 
     ``s`` is wrapped modulo the last entry of `Curve.cumulative_arc`, the
     curve's length (the domain is circular), and looked up in that table;
-    a value that is not finite is a CurveError. ``s`` may be a scalar,
+    a value that is not finite is a ValidationError. ``s`` may be a scalar,
     giving one (2,) point, or an array of parameters, giving one point per
     parameter in an array of shape ``s.shape + (2,)``, each equal to the
     scalar call's.
@@ -171,7 +170,7 @@ def arc_to_xy_param(curve: Curve, s) -> np.ndarray:
     arc = curve.cumulative_arc
     s = np.asarray(s, dtype=float)
     if not np.isfinite(s).all():
-        raise CurveError("s must be finite: an arc parameter is not finite")
+        raise ValidationError("s must be finite: an arc parameter is not finite")
     s = np.remainder(s, arc[-1])
     previ = np.minimum(np.searchsorted(arc, s, side="right") - 1, curve.n - 1)
     rat = (s - arc[previ]) / (arc[previ + 1] - arc[previ])
@@ -181,7 +180,7 @@ def arc_to_xy_param(curve: Curve, s) -> np.ndarray:
 
 def resample_equally_spaced(curve: Curve, m: int) -> Curve:
     """Resample to ``m`` points equally spaced in arc length, keeping the seed."""
-    m = whole_number("m", m, 3, CurveError)
+    m = whole_number("m", m, 3)
     length = polygon_length(curve)
     return Curve(arc_to_xy_param(curve, np.arange(m) * length / m))
 
@@ -197,13 +196,12 @@ def _angles(n: int, scheme: str, cluster_center: float) -> np.ndarray:
         outside = (lo + CLUSTER_WIDTH
                    + (2.0 * np.pi - CLUSTER_WIDTH) * np.arange(n_out) / max(n_out, 1))
         return np.sort(np.concatenate([inside, outside]) % (2.0 * np.pi))
-    raise CurveError(f"unknown sampling scheme {scheme!r}")
+    raise ValidationError(f"unknown sampling scheme {scheme!r}")
 
 
 def _size(name: str, value):
-    """A size of a synthetic shape, finite and > 0, or a CurveError naming it."""
-    if not 0.0 < value < np.inf:  # NaN fails here too
-        raise CurveError(f"{name} must be finite and > 0, got {value!r}")
+    """A size of a synthetic shape, finite and > 0, or a ValidationError."""
+    require(0.0 < value < np.inf, name, "finite and > 0", value)
     return value
 
 
@@ -220,11 +218,10 @@ def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
     Deterministic for a fixed ``rng_seed``. An unknown shape or scheme, a
     count below its minimum, a negative or NaN ``noise_sd``, a size the
     shape reads (``radius``, or each of ``axes``) that is not finite and >
-    0 and a star amplitude outside [0, 1) are each a CurveError.
+    0 and a star amplitude outside [0, 1) are each a ValidationError.
     """
-    n = whole_number("n", n, 3, CurveError)
-    if not 0.0 <= noise_sd < np.inf:  # NaN fails here too
-        raise CurveError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
+    n = whole_number("n", n, 3)
+    require(0.0 <= noise_sd < np.inf, "noise_sd", "finite and >= 0", noise_sd)
     theta = _angles(n, scheme, cluster_center)
     if shape == "circle":
         pts = _size("radius", radius) * np.column_stack([np.cos(theta), np.sin(theta)])
@@ -234,12 +231,12 @@ def generate_synthetic(shape: str, n: int, *, radius: float = 1.0,
     elif shape == "star":
         radius = _size("radius", radius)
         if not 0.0 <= amplitude < 1.0:
-            raise CurveError("star amplitude must lie in [0, 1)")
-        petals = whole_number("petals", petals, 1, CurveError)
+            raise ValidationError("star amplitude must lie in [0, 1)")
+        petals = whole_number("petals", petals, 1)
         r = radius * (1.0 + amplitude * np.cos(petals * theta))
         pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     else:
-        raise CurveError(f"unknown shape {shape!r}")
+        raise ValidationError(f"unknown shape {shape!r}")
     if noise_sd > 0.0:
         rng = np.random.default_rng(rng_seed)
         pts = pts + rng.normal(scale=noise_sd, size=pts.shape)

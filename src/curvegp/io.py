@@ -24,7 +24,7 @@ import numpy as np
 
 from .coreg import CoregMatrix, MultiLevelKernel
 from .curves import Curve
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .kernels import PeriodicHyperparameters
 from .model import PredictedCurve, TrainingDesign, assemble_model
 
@@ -58,13 +58,20 @@ def save_curve_csv(curve: Curve, path: str) -> None:
     atomic_write_text(path, curve_to_csv(curve))
 
 
-def load_curve_csv(path: str) -> Curve:
-    """The curve of an x,y CSV file, read as UTF-8 with or without the byte
-    order mark that spreadsheets' "CSV UTF-8" exports write. Blank lines are
-    skipped; an error names the file's own line, blank lines counted."""
+def read_text(path: str) -> str:
+    """The text of a file as UTF-8, with or without a leading byte order
+    mark, whatever the locale: the one reader of every text input."""
     with open(path, encoding="utf-8-sig") as handle:
-        lines = [(lineno, line.strip()) for lineno, line in enumerate(handle, 1)
-                 if line.strip()]
+        return handle.read()
+
+
+def load_curve_csv(path: str) -> Curve:
+    """The curve of an x,y CSV file read by `read_text`. Blank lines are
+    skipped; an error names the file's own line (lines end at "\\n" alone,
+    not at every `str.splitlines` break), blank lines counted."""
+    lines = [(lineno, line.strip())
+             for lineno, line in enumerate(read_text(path).split("\n"), 1)
+             if line.strip()]
     if not lines or lines[0][1].replace(" ", "") != "x,y":
         raise ValidationError(f"{path}:{lines[0][0] if lines else 1}: expected header 'x,y'")
     points = []
@@ -86,8 +93,12 @@ def save_json(obj, path: str) -> None:
 
 
 def load_json(path: str):
-    with open(path) as handle:
-        return json.load(handle)
+    """The JSON document of a file read by `read_text`; a malformed one is a
+    json.JSONDecodeError whose message starts with the path."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
 
 
 LEVEL_TAGS = {"coord": "D", "curve": "C", "group": "G"}
@@ -131,10 +142,10 @@ def _number(data: dict, path: str, nonnegative: bool = False):
     """`_entry`, which must be a finite JSON number, and >= 0 when
     ``nonnegative``."""
     value = _entry(data, path)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (nonnegative and value < 0)):
-        rule = "a finite number >= 0" if nonnegative else "a finite number"
-        raise ValidationError(f"fit file: {path} must be {rule}, got {value!r}")
+    rule = "a finite number >= 0" if nonnegative else "a finite number"
+    require(not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value) and not (nonnegative and value < 0),
+            f"fit file: {path}", rule, value)
     return value
 
 

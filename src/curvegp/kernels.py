@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require
 
 FAMILIES = ("periodic_rbf", "periodic_matern32", "periodic_matern12")
 SQRT3 = math.sqrt(3.0)  # the Matern-3/2 scale of the distance, np.sqrt(3.0) exactly
@@ -44,8 +44,7 @@ class PeriodicHyperparameters:
         for label, value in (("sigma2", self.sigma2), ("rho", self.rho), ("tau", self.tau)):
             if not np.isfinite(value) or value <= 0:
                 raise ValidationError(f"hyperparameter {label} must be positive, got {value}")
-        if not 0 <= self.jitter < np.inf:
-            raise ValidationError(f"jitter must be finite and >= 0, got {self.jitter}")
+        require(0 <= self.jitter < np.inf, "jitter", "finite and >= 0", self.jitter)
 
 
 def warped_distance(family: str, s_a, s_b, tau: float):

@@ -97,7 +97,7 @@ def wasserstein2(a, b) -> float:
     (2,) or points of shape (n, 2) (`point_array`), and clouds must be
     finite, nonempty and of equal size (at most 512 points).
     """
-    a, b = (point_array(name, cloud, ValidationError).reshape(-1, 2)
+    a, b = (point_array(name, cloud).reshape(-1, 2)
             for name, cloud in (("a", a), ("b", b)))
     if len(a) != len(b):
         raise ValidationError(f"point clouds differ in size ({len(a)} vs {len(b)})")

@@ -158,7 +158,7 @@ import numpy as np
 
 from .coreg import (CoregMatrix, MultiLevelKernel, curve_factor, level_indices,
                     level_matrix, multilevel_gram)
-from .errors import NumericalError, ValidationError, whole_number
+from .errors import NumericalError, ValidationError, require, whole_number
 from .kernels import (DEFAULT_JITTER, FAMILIES, PeriodicHyperparameters,
                       warped_correlation, warped_distance)
 
@@ -290,10 +290,8 @@ class ModelConfig:
     jitter: float = DEFAULT_JITTER
 
     def __post_init__(self):
-        _require(self.family in FAMILIES, "model.family", f"one of {FAMILIES}",
-                 self.family)
-        _require(0 <= self.jitter < math.inf, "model.jitter", "finite and >= 0",
-                 self.jitter)
+        require(self.family in FAMILIES, "model.family", f"one of {FAMILIES}", self.family)
+        require(0 <= self.jitter < math.inf, "model.jitter", "finite and >= 0", self.jitter)
 
 
 @dataclass
@@ -306,12 +304,6 @@ class OptimizerConfig:
         self.restarts = whole_number("opt.restarts", self.restarts, 1)
         self.seed = whole_number("opt.seed", self.seed, 0)
         self.maxiter = whole_number("opt.maxiter", self.maxiter, 1)
-
-
-def _require(ok: bool, name: str, rule: str, value) -> None:
-    """A config field's range check: a ValidationError naming the field."""
-    if not ok:
-        raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -1115,8 +1107,7 @@ def assemble_model(design: TrainingDesign, kernel: MultiLevelKernel,
     model's diagnostics are {"nugget": the rung of `NUGGET_LADDER` the
     factorization needed}. A curve or group level needs one row per design
     curve or group; a ValidationError names the level and both counts."""
-    _require(0 <= noise_variance < math.inf, "noise_variance", "finite and >= 0",
-             noise_variance)
+    require(0 <= noise_variance < math.inf, "noise_variance", "finite and >= 0", noise_variance)
     for name, count in (("curve", design.n_curves), ("group", design.n_groups)):
         level = getattr(kernel, name)
         if level is not None and level.size != count:

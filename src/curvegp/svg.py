@@ -9,7 +9,7 @@ from html import escape
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import require
 
 MEAN_STYLE = 'fill="none" stroke="black" stroke-width="0.8%"'
 TRUTH_STYLE = 'fill="none" stroke="gold" stroke-width="0.8%"'
@@ -46,8 +46,7 @@ def emit_svg(predicted, observed=None, truth=None, title: str = "",
     covariance eigenvectors; 1:1 aspect with a 10% padded bounding box.
     A scale that is not finite and > 0 is a ValidationError.
     """
-    if not 0.0 < scale < math.inf:  # false for nan too
-        raise ValidationError(f"scale must be finite and > 0, got {scale}")
+    require(0.0 < scale < math.inf, "scale", "finite and > 0", scale)
     means = np.asarray(predicted.means, dtype=float)
     covs = np.asarray(predicted.covariances, dtype=float)
     all_pts = [means]

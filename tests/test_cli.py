@@ -16,7 +16,7 @@ import pytest
 import curvegp
 from curvegp.applications import sequential_landmark
 from curvegp.cli import (CONFIG_DEFAULTS, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
-                         configs_from_values, main, parse_config_text)
+                         configs_from_values, load_config, main, parse_config_text)
 from curvegp.coreg import multilevel_gram
 from curvegp.curves import Curve, generate_synthetic
 from curvegp.errors import ConfigError, ValidationError
@@ -236,6 +236,80 @@ class TestCurveCsv:
         curve = Curve(np.array(points))
         rows = [f"{float(x)!r},{float(y)!r}" for x, y in curve.points]
         assert curve_to_csv(curve) == "\n".join(["x,y", *rows]) + "\n"
+
+
+def with_bom(path: Path) -> Path:
+    """A copy of the file at ``path``, beside it, that starts with a UTF-8
+    byte order mark."""
+    marked = path.with_name("bom_" + path.name)
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return marked
+
+
+@pytest.fixture
+def fitted(tmp_path):
+    """The paths of a 10-point noisy circle, a config of one short restart,
+    the circle's fit under it and its prediction at 10 points."""
+    curve, cfg = tmp_path / "c.csv", tmp_path / "cfg.txt"
+    fit_path, pred = tmp_path / "fit.json", tmp_path / "pred.json"
+    cfg.write_text("opt.restarts = 1\nopt.maxiter = 10\n")
+    assert main(["simulate", "--shape", "circle", "--n", "10", "--noise-sd", "0.01",
+                 "--out", str(curve)]) == EXIT_OK
+    assert main(["fit", "--inputs", str(curve), "--config", str(cfg),
+                 "--out", str(fit_path)]) == EXIT_OK
+    assert main(["predict", "--inputs", str(curve), "--fit", str(fit_path),
+                 "--m", "10", "--out", str(pred)]) == EXIT_OK
+    return curve, cfg, fit_path, pred
+
+
+class TestByteOrderMark:
+    # a config, fit or prediction file saved with a UTF-8 byte order mark
+    # failed, where a curve CSV with one loaded: the config exited 2 on
+    # "unknown config key '\ufeffopt.restarts'", a JSON file exited 4 on
+    # "Unexpected UTF-8 BOM"
+    def test_config_file(self, fitted, tmp_path):
+        curve, cfg, fit_path, _ = fitted
+        marked = with_bom(cfg)
+        assert load_config(str(marked)) == load_config(str(cfg))
+        out = tmp_path / "fit_bom.json"
+        assert main(["fit", "--inputs", str(curve), "--config", str(marked),
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == fit_path.read_bytes()
+
+    def test_fit_file(self, fitted, tmp_path):
+        curve, _, fit_path, pred = fitted
+        out = tmp_path / "pred_bom.json"
+        assert main(["predict", "--inputs", str(curve), "--fit", str(with_bom(fit_path)),
+                     "--m", "10", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == pred.read_bytes()
+
+    def test_prediction_file(self, fitted, tmp_path):
+        pred = fitted[3]
+        plain, marked = tmp_path / "plain.svg", tmp_path / "bom.svg"
+        assert main(["plot", "--pred", str(pred), "--out", str(plain)]) == EXIT_OK
+        assert main(["plot", "--pred", str(with_bom(pred)), "--out", str(marked)]) == EXIT_OK
+        assert marked.read_bytes() == plain.read_bytes()
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("command", ["predict", "plot"])
+    def test_exits_4_naming_the_file(self, fitted, tmp_path, capsys, command):
+        # a truncated fit or prediction file exited 4 with the decoder's
+        # message alone ("i/o error: Unterminated string starting at: ..."),
+        # which names no file
+        curve, _, fit_path, pred = fitted
+        source = fit_path if command == "predict" else pred
+        text = source.read_text()
+        cut, out = tmp_path / f"cut_{source.name}", tmp_path / "out" / "result"
+        cut.write_text(text[:len(text) // 2])
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(cut.read_text())
+        argv = (["predict", "--inputs", str(curve), "--fit", str(cut), "--m", "10"]
+                if command == "predict" else ["plot", "--pred", str(cut)])
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == f"i/o error: {cut}: {decoded.value}\n"
+        assert not out.parent.exists()
 
 
 class TestSaveJson:

@@ -12,7 +12,7 @@ from curvegp.curves import (Curve, arc_to_xy_param, closure_row,
                             generate_synthetic, polygon_length,
                             resample_equally_spaced, xy_to_arc_param,
                             _oversampled_polygon)
-from curvegp.errors import CurveError, DegenerateCurveError
+from curvegp.errors import DegenerateCurveError, ValidationError
 from curvegp.model import TrainingDesign
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -38,11 +38,11 @@ def circle_polygon(n, radius=1.0):
 
 class TestCurveValidation:
     def test_requires_three_points(self):
-        with pytest.raises(CurveError):
+        with pytest.raises(ValidationError):
             Curve(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_requires_planar_points(self):
-        with pytest.raises(CurveError):
+        with pytest.raises(ValidationError):
             Curve(np.zeros((4, 3)))
 
     def test_closure_row_dropped(self):
@@ -90,7 +90,7 @@ class TestCurveValidation:
         # failed on it
         pts = SQUARE.copy()
         pts[2, 0] = value
-        with pytest.raises(CurveError, match="curve point 2 is not finite"):
+        with pytest.raises(ValidationError, match="curve point 2 is not finite"):
             Curve(pts)
 
     def test_points_immutable(self):
@@ -131,7 +131,7 @@ class TestPolygonLength:
         assert abs(2 * np.pi - value) < 1.1e-5
 
     def test_degenerate_merged_to_error(self):
-        with pytest.raises(CurveError):
+        with pytest.raises(ValidationError):
             with pytest.warns(UserWarning):
                 Curve(np.zeros((5, 2)))
 
@@ -224,7 +224,7 @@ class TestXyToArc:
         queries = np.zeros((3, 2))
         queries[1, 0] = value
         for query in ([value, 0.0], [0.0, value], queries):
-            with pytest.raises(CurveError, match="^query must be finite"):
+            with pytest.raises(ValidationError, match="^query must be finite"):
                 xy_to_arc_param(c, query)
 
     @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 2), (1, 4), (0,), (3,), (5,)])
@@ -234,7 +234,7 @@ class TestXyToArc:
         # IndexError
         message = ("query must be one point of shape (2,) or points of shape (n, 2), "
                    f"got shape {shape}")
-        with pytest.raises(CurveError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             xy_to_arc_param(Curve(SQUARE), np.zeros(shape))
 
     def test_no_query_points_give_no_parameters(self):
@@ -318,7 +318,7 @@ class TestArcToXy:
         # inf once gave the point [nan, nan] after a RuntimeWarning
         c = generate_synthetic("star", 9)
         for s in (value, np.array([0.0, value, 1.0]), np.full((2, 2), value)):
-            with pytest.raises(CurveError, match="^s must be finite"):
+            with pytest.raises(ValidationError, match="^s must be finite"):
                 arc_to_xy_param(c, s)
 
 
@@ -355,7 +355,7 @@ class TestResample:
         # m = 10.5 was once rounded up to 11 points; a whole-number float is
         # a count
         for m in (2, 10.5, 1.5, np.nan, np.inf, "3", None):
-            with pytest.raises(CurveError, match="m must be a whole number >= 3"):
+            with pytest.raises(ValidationError, match="m must be a whole number >= 3"):
                 resample_equally_spaced(Curve(SQUARE), m)
         assert np.array_equal(resample_equally_spaced(Curve(SQUARE), 10.0).points,
                               resample_equally_spaced(Curve(SQUARE), 10).points)
@@ -396,16 +396,16 @@ class TestGenerateSynthetic:
 
     def test_invalid_star_params(self):
         for amplitude in (-0.1, 1.0, 1.5):
-            with pytest.raises(CurveError, match=r"star amplitude must lie in \[0, 1\)"):
+            with pytest.raises(ValidationError, match=r"star amplitude must lie in \[0, 1\)"):
                 generate_synthetic("star", 10, amplitude=amplitude)
-        with pytest.raises(CurveError):
+        with pytest.raises(ValidationError):
             generate_synthetic("star", 10, petals=0)
 
     @pytest.mark.parametrize("noise_sd", [-0.1, np.nan, np.inf, -np.inf])
     def test_noise_sd_must_be_finite_and_nonnegative(self, noise_sd):
         # NaN passed both checks and gave a curve with no noise; inf failed
         # later, as "curve point 0 is not finite"
-        with pytest.raises(CurveError, match="noise_sd must be finite and >= 0"):
+        with pytest.raises(ValidationError, match="noise_sd must be finite and >= 0"):
             generate_synthetic("circle", 8, noise_sd=noise_sd, rng_seed=1)
 
     @pytest.mark.parametrize("shape, sizes, name", [
@@ -421,27 +421,28 @@ class TestGenerateSynthetic:
         # a zero radius merged every point into one, a NaN one failed as a
         # non-finite point, and a zero or negative axis or a negative star
         # radius gave a curve
-        with pytest.raises(CurveError, match=re.escape(f"{name} must be finite and > 0, got ")):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{name} must be finite and > 0, got ")):
             generate_synthetic(shape, 10, **sizes)
 
-    # an unknown shape or scheme is a CurveError, as every other invalid
+    # an unknown shape or scheme is a ValidationError, as every other invalid
     # argument is, so a caller catches curve input with one class
     def test_unknown_shape_is_a_curve_error(self):
-        with pytest.raises(CurveError, match="unknown shape 'square'"):
+        with pytest.raises(ValidationError, match="unknown shape 'square'"):
             generate_synthetic("square", 10)
 
     def test_unknown_scheme_is_a_curve_error(self):
-        with pytest.raises(CurveError, match="unknown sampling scheme 'random'"):
+        with pytest.raises(ValidationError, match="unknown sampling scheme 'random'"):
             generate_synthetic("circle", 10, scheme="random")
 
     def test_counts_must_be_whole_numbers(self):
         # n = 10.5 once gave an 11-point curve, and petals = 2.5 a star that
         # does not close
         for n in (10.5, 2, 1.5, np.nan, np.inf, "3", None):
-            with pytest.raises(CurveError, match="n must be a whole number >= 3"):
+            with pytest.raises(ValidationError, match="n must be a whole number >= 3"):
                 generate_synthetic("circle", n)
         for petals in (2.5, 0, 1.5, np.nan, np.inf, "3", None):
-            with pytest.raises(CurveError, match="petals must be a whole number >= 1"):
+            with pytest.raises(ValidationError, match="petals must be a whole number >= 1"):
                 generate_synthetic("star", 10, petals=petals)
         assert np.array_equal(generate_synthetic("star", 10.0, petals=3.0).points,
                               generate_synthetic("star", 10, petals=3).points)
@@ -462,7 +463,7 @@ def test_resample_preserves_closure_property(n, seed):
     pts = rng.normal(size=(n, 2))
     try:
         c = Curve(pts)
-    except CurveError:
+    except ValidationError:
         return
     r = resample_equally_spaced(c, 12)
     assert r.n == 12
